@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .generated import GeneratedOp, f_eval, make_op
-from .intervals import Interval, IntervalSet, ONE, ZERO, frac
+from .intervals import Interval, IntervalSet, ONE, ZERO
 from .pwfn import (
     Decomposition,
     PiecewiseMonotoneFn,
@@ -24,7 +24,7 @@ from .pwfn import (
     eval_fn,
     side_limit,
 )
-from .tnorms import Approx, TNormDescriptor, t_eval, t_image, t_solve_x, t_preimage
+from .tnorms import TNormDescriptor, approx_diff, t_eval, t_image, t_solve_x, t_preimage
 
 PROPERTIES = (
     "t_subnorm",
@@ -70,17 +70,6 @@ class ClassificationReport:
 
 
 # -- small helpers ----------------------------------------------------------
-
-
-def _sign(v):
-    """'zero' / 'pos' for an exact or clearly decided value, else None."""
-    if isinstance(v, Approx):
-        if v.value - v.radius > 0:
-            return "pos"
-        if abs(v.value) <= v.radius:
-            return None
-        return "pos"
-    return "zero" if v == 0 else "pos"
 
 
 def _pq_values(max_q: int = 32):
@@ -140,14 +129,10 @@ def _dense_samples(s: IntervalSet, k: int = 4) -> list:
     return sorted(out)
 
 
-def _f_one(f: PiecewiseMonotoneFn) -> Fraction:
-    return eval_fn(f, ONE)
-
-
-def _plateau_pair(f: PiecewiseMonotoneFn, q: IntervalSet):
-    """(value, x1, x2) with x1 != x2 and f(x1)=f(x2)=value, from the
-    plateau set; None when the plateau set is empty."""
-    for w in q.sample_points():
+def _plateau_pair(f: PiecewiseMonotoneFn, values):
+    """(value, x1, x2) with x1 != x2 and f(x1)=f(x2)=value, for the first of
+    `values` attained twice; None when there is none."""
+    for w in values:
         x1 = arg_with_value(f, w)
         if x1 is None:
             continue
@@ -175,19 +160,10 @@ def check_degenerate(f: PiecewiseMonotoneFn, t: TNormDescriptor,
     from .pwfn import plateau_set
 
     if not f.nondecreasing:
-        vanishes = all(
-            s.is_const and s.intercept == 0 for s in f.segments
-            if not (s.domain.is_point and s.domain.lo == 0)
-            and not (s.domain.lo == 0 and s.domain.hi == 0)
-        ) and all(v == 0 for x, v in f.points if x != 0)
-        # the piece containing 0 may carry any value at 0 itself only if
-        # it is the isolated point {0}; a segment through 0 must vanish too
-        for s in f.segments:
-            if s.domain.contains(ZERO) and not s.domain.is_point:
-                if not (s.is_const and s.intercept == 0):
-                    vanishes = False
-        if vanishes:
-            return _zero_op_verdicts(op, "f vanishes on (0,1]")
+        # f is non-increasing with values in [0,1], so it vanishes on
+        # (0,1] exactly when its limit at 0 from the right is 0
+        if side_limit(f, ZERO, "right") == 0:
+            return _vanishing_verdicts(op, "F identically 0", "f vanishes on (0,1]")
         out = {p: Verdict.unknown(
             "none", note="non-increasing f outside the vanishing case; "
             "use the oracle") for p in PROPERTIES}
@@ -195,103 +171,63 @@ def check_degenerate(f: PiecewiseMonotoneFn, t: TNormDescriptor,
         return out
 
     q = plateau_set(f)
-    f1 = _f_one(f)
-    f1m = side_limit(f, ONE, "left")
+    f1 = eval_fn(f, ONE)
     if q.contains(f1):
-        pair = _plateau_pair_at(f, q, f1)
-        top = f_eval(op, ONE, ONE)
-        sign = _sign(top)
-        if sign == "zero":
-            out = _zero_op_verdicts(op, "plateau value at 1 and F(1,1)=0")
-            return out
-        if sign == "pos" and pair is not None:
-            w, x1, x2 = pair
-            v1, v2 = f_eval(op, x1, ONE), f_eval(op, x2, ONE)
-            if not isinstance(v1, Approx) and v1 == v2 and v1 > 0:
-                out = {p: Verdict.unknown("none", note="degenerate shape; use the oracle")
-                       for p in PROPERTIES}
-                out["conditionally_cancellative"] = Verdict.no(
-                    (x1, x2, ONE),
-                    note=f"F({x1},1)=F({x2},1)={v1}>0 with f({x1})=f({x2})={w}")
-                out["cancellative"] = Verdict.no((ONE, x1, x2),
-                                                 note="repeated f value")
-                out["strictly_monotone_op"] = out["cancellative"]
-                out["proper"] = _proper_verdict(op)
-                return out
-        out = {p: Verdict.unknown("none", note="degenerate shape undecided")
-               for p in PROPERTIES}
-        out["proper"] = _proper_verdict(op)
-        return out
+        x1 = arg_with_value(f, f1)
+        x2 = arg_with_value(f, f1, avoid=x1)
+        return _plateau_at_one(op, f1, x1, x2, f_eval(op, ONE, ONE),
+                               "F identically 0", "plateau value at 1 and F(1,1)=0")
+    f1m = side_limit(f, ONE, "left")
     if q.contains(f1m):
         # plateau approached at 1 but f(1) above it: F must vanish off (1,1)
         x2 = arg_with_value(f, f1m)
         x1 = arg_with_value(f, f1m, avoid=x2)
-        top_off = f_eval(op, x2, ONE) if x2 is not None else None
-        sign = _sign(top_off) if top_off is not None else None
-        if sign == "zero":
-            out = _zero_off_corner_verdicts(op)
-            return out
-        if sign == "pos" and x1 is not None:
-            v1 = f_eval(op, x1, ONE)
-            if not isinstance(v1, Approx) and v1 == top_off and v1 > 0:
-                out = {p: Verdict.unknown("none", note="degenerate shape; use the oracle")
-                       for p in PROPERTIES}
-                out["conditionally_cancellative"] = Verdict.no(
-                    (x1, x2, ONE),
-                    note=f"F({x1},1)=F({x2},1)={v1}>0 with f({x1})=f({x2})={f1m}")
-                out["cancellative"] = Verdict.no((ONE, x1, x2),
-                                                 note="repeated f value")
-                out["strictly_monotone_op"] = out["cancellative"]
-                out["proper"] = _proper_verdict(op)
-                return out
-        out = {p: Verdict.unknown("none", note="degenerate shape undecided")
-               for p in PROPERTIES}
-        out["proper"] = _proper_verdict(op)
-        return out
+        return _plateau_at_one(op, f1m, x1, x2, f_eval(op, x2, ONE),
+                               "F vanishes off (1,1)", None)
     return None
 
 
-def _plateau_pair_at(f, q, value):
-    x1 = arg_with_value(f, value)
-    if x1 is None:
-        return None
-    x2 = arg_with_value(f, value, avoid=x1)
-    if x2 is None:
-        return None
-    return value, x1, x2
+def _plateau_at_one(op, w, x1, x2, probe, evidence, note):
+    """Verdicts for a plateau value w at 1, which f takes at x1 and x2
+    (either None when not located).  A probe value of F that is exactly 0
+    makes F vanish off (1,1), with `evidence` and `note` naming the shape;
+    a positive one with equal exact values F(x1,1)=F(x2,1) refutes
+    conditional cancellation."""
+    c, r = approx_diff(probe, ZERO)
+    if (c, r) == (0, 0):
+        return _vanishing_verdicts(op, evidence, note)
+    out = {p: Verdict.unknown("none", note="degenerate shape undecided")
+           for p in PROPERTIES}
+    if abs(c) > r and x1 is not None and x2 is not None:
+        v1 = f_eval(op, x1, ONE)
+        if approx_diff(v1, f_eval(op, x2, ONE)) == (0, 0) and v1 > 0:
+            out = {p: Verdict.unknown("none", note="degenerate shape; use the oracle")
+                   for p in PROPERTIES}
+            out["conditionally_cancellative"] = Verdict.no(
+                (x1, x2, ONE),
+                note=f"F({x1},1)=F({x2},1)={v1}>0 with f({x1})=f({x2})={w}")
+            out["cancellative"] = Verdict.no((ONE, x1, x2),
+                                             note="repeated f value")
+            out["strictly_monotone_op"] = out["cancellative"]
+    out["proper"] = _proper_verdict(op)
+    return out
 
 
-def _zero_op_verdicts(op, reason):
-    """Verdicts for F identically zero (checked at the top corner)."""
-    return {
-        "t_subnorm": Verdict.yes("F identically 0", note=reason),
-        "t_norm": Verdict.no((Fraction(1, 2),), note="F(1/2,1)=0 != 1/2"),
-        "conditionally_cancellative": Verdict.yes("F identically 0", note=reason),
-        "cancellative": Verdict.no((ONE, ZERO, Fraction(1, 2)),
-                                   note="F(1,0)=F(1,1/2)=0"),
-        "strictly_monotone_op": Verdict.no((ONE, ZERO, Fraction(1, 2)),
-                                           note="F(1,0)=F(1,1/2)=0"),
-        "archimedean": Verdict.yes("F identically 0"),
-        "continuous": Verdict.yes("F identically 0"),
-        "proper": Verdict.yes("F(1,1)=0 < 1"),
-    }
-
-
-def _zero_off_corner_verdicts(op):
+def _vanishing_verdicts(op, evidence, note):
     """F is 0 everywhere except possibly at (1,1)."""
     a = f_eval(op, ONE, ONE)
+    half = Fraction(1, 2)
     out = {
-        "t_subnorm": Verdict.yes("F vanishes off (1,1)"),
-        "t_norm": Verdict.no((Fraction(1, 2),), note="F(1/2,1)=0 != 1/2"),
-        "conditionally_cancellative": Verdict.yes("F vanishes off (1,1)"),
-        "cancellative": Verdict.no((ONE, ZERO, Fraction(1, 2)),
-                                   note="F(1,0)=F(1,1/2)=0"),
-        "strictly_monotone_op": Verdict.no((ONE, ZERO, Fraction(1, 2)),
+        "t_subnorm": Verdict.yes(evidence, note=note),
+        "t_norm": Verdict.no((half,), note="F(1/2,1)=0 != 1/2"),
+        "conditionally_cancellative": Verdict.yes(evidence, note=note),
+        "cancellative": Verdict.no((ONE, ZERO, half), note="F(1,0)=F(1,1/2)=0"),
+        "strictly_monotone_op": Verdict.no((ONE, ZERO, half),
                                            note="F(1,0)=F(1,1/2)=0"),
-        "archimedean": Verdict.yes("F vanishes off (1,1)"),
+        "archimedean": Verdict.yes(evidence),
         "proper": _proper_verdict(op),
     }
-    if _sign(a) == "zero":
+    if approx_diff(a, ZERO) == (0, 0):
         out["continuous"] = Verdict.yes("F identically 0")
     else:
         out["continuous"] = Verdict.no((ONE, ONE),
@@ -302,18 +238,18 @@ def _zero_off_corner_verdicts(op):
 def _proper_verdict(op) -> Verdict:
     """Proper means F(1,1) < 1: the operation cannot have neutral element 1."""
     top = f_eval(op, ONE, ONE)
-    if isinstance(top, Approx):
-        if top.value + top.radius < 1:
-            return Verdict.yes(f"F(1,1)={float(top.value):.12f} < 1")
-        if op.t.neutral_one and eval_fn(op.f, ONE) == 1:
-            return Verdict.no((ONE, ONE),
-                              note="T has neutral element 1 and f(1)=1, "
-                                   "so F(1,1)=1 exactly")
-        return Verdict.unknown("error radius overlaps 1",
-                               note=f"F(1,1) approx {float(top.value):.12f}")
-    if top < 1:
-        return Verdict.yes(f"F(1,1)={top} < 1")
-    return Verdict.no((ONE, ONE), note="F(1,1)=1")
+    c, r = approx_diff(top, ZERO)
+    shown = f"{float(c):.12f}" if r else f"{c}"
+    if c + r < 1:
+        return Verdict.yes(f"F(1,1)={shown} < 1")
+    if not r:
+        return Verdict.no((ONE, ONE), note="F(1,1)=1")
+    if op.t.neutral_one and eval_fn(op.f, ONE) == 1:
+        return Verdict.no((ONE, ONE),
+                          note="T has neutral element 1 and f(1)=1, "
+                               "so F(1,1)=1 exactly")
+    return Verdict.unknown("error radius overlaps 1",
+                           note=f"F(1,1) approx {shown}")
 
 
 # -- inclusion conditions ---------------------------------------------------
@@ -481,14 +417,14 @@ def check_cancellative(t: TNormDescriptor, f: PiecewiseMonotoneFn,
     if op is None:
         op = make_op(f, t)
     if not f.is_strictly_monotone:
-        pair = _plateau_pair(f, d.q)
+        pair = _plateau_pair(f, d.q.sample_points())
         if pair is not None:
             w, x1, x2 = pair
             return Verdict.no((ONE, x1, x2),
                               note=f"f({x1})=f({x2})={w}, so F(1,{x1})=F(1,{x2})")
         return Verdict.unknown("repeated value not located")
     if not t.exact:
-        if _f_continuous(f) and eval_fn(f, ZERO) == 0 and t.strict:
+        if not _jumps(f) and eval_fn(f, ZERO) == 0 and t.strict:
             return Verdict.yes(
                 "f continuous strictly increasing with f(0)=0",
                 note="strict t-norm composed with a continuous strictly "
@@ -497,7 +433,9 @@ def check_cancellative(t: TNormDescriptor, f: PiecewiseMonotoneFn,
     ok, z = t_image(t, d.m, d.m).is_subset_of(d.m)
     if ok:
         return Verdict.yes("f strictly increasing", "T(M,M) within M")
-    witness = _cancellation_witness(op, d, z)
+    # (x, y1, y2) with F(x,y1)=F(x,y2), y1 != y2, x != 0
+    witness = next(((x, y1, y2) for x, y1, y2, _ in _gap_collisions(op, d, d.m, z)
+                    if x != 0), None)
     if witness is not None:
         return Verdict.no(witness,
                           note=f"image value {z} in a range gap collapses "
@@ -507,30 +445,34 @@ def check_cancellative(t: TNormDescriptor, f: PiecewiseMonotoneFn,
         f"constructed (escape value {z})")
 
 
-def _cancellation_witness(op, d: Decomposition, z: Fraction):
-    """(x, y1, y2) with F(x,y1)=F(x,y2), y1 != y2, x != 0, built from a
-    t-norm image value z that falls in a range gap; verified by direct
-    evaluation before being returned."""
+def _gap_collisions(op, d: Decomposition, domain: IntervalSet, z: Fraction):
+    """Yield (x, y1, y2, a) with y1 != y2 and F(x,y1) = F(x,y2) = a exactly,
+    built from a t-norm image value z that falls in a range gap: f(y1) and
+    f(y2) are taken from `domain` and sent into that gap by T(., f(x)).
+
+    Only the strict exact families are searched, where F is symmetric, so
+    the same collisions serve with x as the first or the second argument.
+    """
     t = op.t
     if t.family not in ("product", "hamacher2"):
-        return None
+        return
     gap = None
     for b, dd, c in d.s:
         if b <= z <= dd:
             gap = (b, dd, c)
             break
     if gap is None:
-        return None
+        return
     b, dd, c = gap
     for v in _pq_values(32):
         if not d.m.contains(v):
             continue
-        pre = d.m.intersect(t_preimage(t, v, Interval.closed(b, dd)))
+        pre = domain.intersect(t_preimage(t, v, Interval.closed(b, dd)))
         us = [u for u in _dense_samples(pre) if t_eval(t, u, v) != c][:6]
         if len(us) < 2:
             continue
         x = arg_with_value(op.f, v)
-        if x is None or x == 0:
+        if x is None:
             continue
         for i in range(len(us)):
             for j in range(i + 1, len(us)):
@@ -538,16 +480,16 @@ def _cancellation_witness(op, d: Decomposition, z: Fraction):
                 y2 = arg_with_value(op.f, us[j])
                 if y1 is None or y2 is None or y1 == y2:
                     continue
-                a1, a2 = f_eval(op, x, y1), f_eval(op, x, y2)
-                if a1 == a2:
-                    return (x, y1, y2)
-    return None
+                a = f_eval(op, x, y1)
+                if a == f_eval(op, x, y2):
+                    yield x, y1, y2, a
 
 
 def _cc_witness(op, d: Decomposition, which: str, z: Fraction):
     """(x1, x2, y) violating the conditional cancellation law, i.e.
     F(x1,y)=F(x2,y)>0 with x1 != x2, from a failed inclusion with escape
-    value z; verified by evaluation."""
+    value z; verified by evaluation.  Only runs for the strict exact
+    families, so every value is an exact Fraction."""
     t = op.t
     if which == "plateau":
         # z = T(w, v) > f(0+) with w a repeated value
@@ -561,51 +503,14 @@ def _cc_witness(op, d: Decomposition, which: str, z: Fraction):
                 if None in (x1, x2, y):
                     continue
                 a1, a2 = f_eval(op, x1, y), f_eval(op, x2, y)
-                if a1 == a2 and not isinstance(a1, Approx) and a1 > 0:
+                if a1 == a2 and a1 > 0:
                     return (x1, x2, y)
         return None
-    if t.family not in ("product", "hamacher2"):
-        return None
-    gap = None
-    for b, dd, c in d.s:
-        if b <= z <= dd:
-            gap = (b, dd, c)
-            break
-    if gap is None:
-        return None
-    b, dd, c = gap
-    for v in _pq_values(32):
-        if not d.m.contains(v):
-            continue
-        pre = d.m_minus_c.intersect(t_preimage(t, v, Interval.closed(b, dd)))
-        us = [u for u in _dense_samples(pre) if t_eval(t, u, v) != c][:6]
-        if len(us) < 2:
-            continue
-        y = arg_with_value(op.f, v)
-        if y is None:
-            continue
-        for i in range(len(us)):
-            for j in range(i + 1, len(us)):
-                x1 = arg_with_value(op.f, us[i])
-                x2 = arg_with_value(op.f, us[j])
-                if x1 is None or x2 is None or x1 == x2:
-                    continue
-                a1, a2 = f_eval(op, x1, y), f_eval(op, x2, y)
-                if a1 == a2 and not isinstance(a1, Approx) and a1 > 0:
-                    return (x1, x2, y)
-    return None
+    return next(((x1, x2, y) for y, x1, x2, a in _gap_collisions(op, d, d.m_minus_c, z)
+                 if a > 0), None)
 
 
 # -- continuity -------------------------------------------------------------
-
-
-def _f_continuous(f: PiecewiseMonotoneFn) -> bool:
-    for x0 in f.breakpoints():
-        lo = eval_fn(f, x0) if x0 == 0 else side_limit(f, x0, "left")
-        hi = eval_fn(f, x0) if x0 == 1 else side_limit(f, x0, "right")
-        if lo != eval_fn(f, x0) or hi != eval_fn(f, x0):
-            return False
-    return True
 
 
 def _jumps(f: PiecewiseMonotoneFn):
@@ -698,8 +603,7 @@ def check_continuity(t: TNormDescriptor, f: PiecewiseMonotoneFn,
         # increasing f, so F inherits continuity from T
         return Verdict.yes("f continuous strictly increasing, T continuous")
     if f.nondecreasing and f.is_strictly_monotone and t.exact and t.strict:
-        if not jumps:
-            return Verdict.yes("f continuous strictly increasing, T continuous")
+        # strict implies continuous, so f has a jump here
         m = d.m
         # jump x jump windows
         for (x1, a1, b1) in jumps:
@@ -739,8 +643,6 @@ def check_continuity(t: TNormDescriptor, f: PiecewiseMonotoneFn,
                            "at most one point")
 
     if t.family == "generator":
-        if f.nondecreasing and f.is_strictly_monotone and not jumps:
-            return Verdict.yes("f continuous strictly increasing, T continuous")
         return Verdict.unknown("inexact t-norm with a discontinuous or "
                                "non-injective generator function")
 
@@ -785,21 +687,18 @@ def check_archimedean(op: GeneratedOp, grid_n: int = 20, cap: int = 256) -> Verd
         floor_hit = False
         prev = None
         for _ in range(cap):
-            nxt = f_eval(op, acc, x)
-            if isinstance(nxt, Approx):
-                if nxt.value + nxt.radius < y_min:
-                    floor_hit = True
-                    break
-                if prev is not None and abs(nxt.value - prev) <= nxt.radius:
-                    return Verdict.unknown(
-                        f"power sequence at x={x} stalls within the error radius")
-                prev = nxt.value
-                acc = nxt.value
-                continue
-            if nxt < y_min:
+            nxt, r = approx_diff(f_eval(op, acc, x), ZERO)
+            if nxt + r < y_min:
                 floor_hit = True
                 break
-            if nxt == acc:
+            if r:
+                # an approximate power can be seen to stall, never to be
+                # an exact fixed point
+                if prev is not None and abs(nxt - prev) <= r:
+                    return Verdict.unknown(
+                        f"power sequence at x={x} stalls within the error radius")
+                prev = nxt
+            elif nxt == acc:
                 # exact fixed point: powers never descend below acc
                 bad_y = next((y for y in ys if y <= acc), None)
                 if bad_y is not None:
@@ -831,11 +730,8 @@ def _assoc_search(op: GeneratedOp, pts):
 
 def _neutral_search(op: GeneratedOp, pts):
     for x in pts:
-        v = f_eval(op, x, ONE)
-        if isinstance(v, Approx):
-            if abs(v.value - x) > v.radius:
-                return x
-        elif v != x:
+        d, r = approx_diff(f_eval(op, x, ONE), x)
+        if abs(d) > r:
             return x
     return None
 
@@ -873,7 +769,7 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
 
     if not (t.exact and t.strict):
         # corollary route for strict but inexact families
-        if t.strict and f.is_strictly_monotone and _f_continuous(f) \
+        if t.strict and f.is_strictly_monotone and not _jumps(f) \
                 and eval_fn(f, ZERO) == 0:
             v = Verdict.yes("f continuous strictly increasing with f(0)=0",
                             "T strictly monotone and continuous")
@@ -887,7 +783,7 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
             for p in ("t_subnorm", "conditionally_cancellative",
                       "cancellative", "strictly_monotone_op"):
                 props[p] = Verdict.unknown(reason)
-        props["t_norm"] = _t_norm_verdict(op, f, t, d, props)
+        props["t_norm"] = _t_norm_verdict(op, f, t, props)
         return ClassificationReport({p: props[p] for p in PROPERTIES}, d, log)
 
     # strict exact path: product / hamacher2
@@ -918,64 +814,51 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
     elif cc.status == "yes" and hk.status == "yes":
         props["t_subnorm"] = Verdict.yes(
             "gap-hull condition", "both inclusion conditions")
-    elif cc.status == "yes" and hk.status == "no":
+    elif cc.status != "yes" and f.is_strictly_monotone and hk.status == "yes":
+        props["t_subnorm"] = Verdict.yes("gap-hull condition",
+                                         note="f strictly increasing")
+    else:
         pts = sorted(set(f.breakpoints())
                      | {Fraction(i, 6) for i in range(7)})
         triple = _assoc_search(op, pts)
         if triple is not None:
             props["t_subnorm"] = Verdict.no(triple,
                                             note="associativity fails")
+        elif cc.status != "yes":
+            props["t_subnorm"] = Verdict.unknown(
+                "no sufficient route applies; run the oracle")
         elif eval_fn(f, ONE) == 1:
             props["t_subnorm"] = Verdict.unknown(
                 "gap-hull condition refuted (necessary when f(1)=1) but no "
                 "associativity counterexample found on the search grid",
                 note=f"condition witness {hk.witness}")
         else:
+            # the gap-hull condition fails (hk is No); the witness set
+            # may refute associativity, but the grid above found no triple
             lv = l_set_check(t, d, resolution=l_resolution)
             log.append(("witness-set refutation", "", lv.status))
             if lv.status == "no":
-                triple = _assoc_search(op, pts)
-                if triple is not None:
-                    props["t_subnorm"] = Verdict.no(
-                        triple, note="associativity fails")
-                else:
-                    props["t_subnorm"] = Verdict.unknown(
-                        "refutation found in the witness set but no "
-                        "associativity counterexample on the search grid",
-                        note=f"witness {lv.witness}")
+                props["t_subnorm"] = Verdict.unknown(
+                    "refutation found in the witness set but no "
+                    "associativity counterexample on the search grid",
+                    note=f"witness {lv.witness}")
             else:
                 props["t_subnorm"] = lv
-    else:
-        # conditional cancellation fails or is unknown
-        if f.is_strictly_monotone and hk.status == "yes":
-            props["t_subnorm"] = Verdict.yes("gap-hull condition",
-                                             note="f strictly increasing")
-        else:
-            pts = sorted(set(f.breakpoints())
-                         | {Fraction(i, 6) for i in range(7)})
-            triple = _assoc_search(op, pts)
-            if triple is not None:
-                props["t_subnorm"] = Verdict.no(triple,
-                                                note="associativity fails")
-            else:
-                props["t_subnorm"] = Verdict.unknown(
-                    "no sufficient route applies; run the oracle")
 
-    props["t_norm"] = _t_norm_verdict(op, f, t, d, props)
+    props["t_norm"] = _t_norm_verdict(op, f, t, props)
     return ClassificationReport({p: props[p] for p in PROPERTIES}, d, log)
 
 
-def _t_norm_verdict(op, f, t, d, props) -> Verdict:
+def _t_norm_verdict(op, f, t, props) -> Verdict:
     pts = sorted({Fraction(i, 8) for i in range(9)} | set(f.breakpoints()))
     bad = _neutral_search(op, pts)
     if bad is not None:
-        v = f_eval(op, bad, ONE)
-        vv = v.value if isinstance(v, Approx) else v
-        return Verdict.no((bad, ONE), note=f"F({bad},1)={vv} != {bad}")
-    ts = props.get("t_subnorm")
-    if ts is not None and ts.status == "no":
+        v, _ = approx_diff(f_eval(op, bad, ONE), ZERO)
+        return Verdict.no((bad, ONE), note=f"F({bad},1)={v} != {bad}")
+    ts = props["t_subnorm"]
+    if ts.status == "no":
         return Verdict.no(ts.witness, note="not a t-subnorm")
-    if (ts is not None and ts.status == "yes" and f.is_strictly_monotone
+    if (ts.status == "yes" and f.is_strictly_monotone
             and eval_fn(f, ONE) == 1 and t.neutral_one):
         return Verdict.yes("t-subnorm with neutral element 1",
                            note="f strictly increasing onto 1")
@@ -987,6 +870,21 @@ def _t_norm_verdict(op, f, t, d, props) -> Verdict:
 
 
 _STATUS_TEXT = {"yes": "Yes", "no": "No", "unknown": "Unknown"}
+
+
+def decomposition_fields(d: Decomposition) -> list:
+    """The decomposition as (key, value) pairs, in display order."""
+    return [
+        ("M", str(d.m)),
+        ("S", " ".join(f"[{b},{dd}]:c={c}" for b, dd, c in d.s)),
+        ("C", str(d.c_set)),
+        ("Q", str(d.q)),
+        ("f0plus", str(d.f0plus)),
+        ("f1minus", str(d.f1minus)),
+        ("tau", str(d.tau)),
+        ("upsilon", str(d.upsilon)),
+        ("K1", "{" + ",".join(str(k) for k in d.k1) + "}" if d.k1 else "∅"),
+    ]
 
 
 def render_text(report: ClassificationReport) -> str:
@@ -1003,13 +901,8 @@ def render_text(report: ClassificationReport) -> str:
         if v.note:
             line += f"  # {v.note}"
         lines.append(line)
-    d = report.decomposition
-    if d is not None:
-        lines.append(f"M={d.m}")
-        lines.append("S=" + " ".join(f"[{b},{dd}]:c={c}" for b, dd, c in d.s))
-        lines.append(f"C={d.c_set}")
-        lines.append(f"Q={d.q} tau={d.tau} upsilon={d.upsilon} "
-                     f"f0plus={d.f0plus} K1={list(d.k1)}")
+    if report.decomposition is not None:
+        lines.extend(f"{k}={v}" for k, v in decomposition_fields(report.decomposition))
     for name, values, outcome in report.conditions_log:
         lines.append(f"condition: {name} [{values}] -> {outcome}")
     return "\n".join(lines) + "\n"
@@ -1027,16 +920,7 @@ def render_structured(report: ClassificationReport) -> str:
                          ",".join(str(w) for w in v.witness))
         if v.resolution:
             lines.append(f"{name}.resolution={v.resolution}")
-    d = report.decomposition
-    if d is not None:
-        lines.append(f"decomposition.m={d.m}")
-        lines.append("decomposition.s=" +
-                     ";".join(f"{b},{dd},{c}" for b, dd, c in d.s))
-        lines.append(f"decomposition.c={d.c_set}")
-        lines.append(f"decomposition.q={d.q}")
-        lines.append(f"decomposition.f0plus={d.f0plus}")
-        lines.append(f"decomposition.f1minus={d.f1minus}")
-        lines.append(f"decomposition.tau={d.tau}")
-        lines.append(f"decomposition.upsilon={d.upsilon}")
-        lines.append("decomposition.k1=" + ",".join(str(k) for k in d.k1))
+    if report.decomposition is not None:
+        lines.extend(f"decomposition.{k.lower()}={v}"
+                     for k, v in decomposition_fields(report.decomposition))
     return "\n".join(lines) + "\n"

@@ -15,12 +15,13 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .classify import classify, render_structured, render_text
+from .classify import classify, decomposition_fields, render_structured, render_text
 from .fnformat import load_fn, render_fn
 from .generated import f_eval, lambda_decompose, make_op, additive_generated
+from .intervals import ZERO
 from .oracle import consistency_harness
 from .pwfn import decompose
-from .tnorms import Approx, GeneratorSpec, parse_tnorm
+from .tnorms import GeneratorSpec, approx_diff, parse_tnorm
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,8 +62,9 @@ def _require(args, *names):
 
 
 def _fmt_value(v) -> str:
-    if isinstance(v, Approx):
-        return f"{float(v.value):.12f} (+-{float(v.radius):.2e})"
+    c, r = approx_diff(v, ZERO)
+    if r:
+        return f"{float(c):.12f} (+-{float(r):.2e})"
     return f"{v} = {float(v):.12f}"
 
 
@@ -77,18 +79,7 @@ def cmd_eval(args) -> int:
 def cmd_decompose(args) -> int:
     _require(args, "fn")
     d = decompose(load_fn(args.fn))
-    lines = [
-        f"M={d.m}",
-        "S=" + " ".join(f"[{b},{dd}]:c={c}" for b, dd, c in d.s),
-        f"C={d.c_set}",
-        f"Q={d.q}",
-        f"f0plus={d.f0plus}",
-        f"f1minus={d.f1minus}",
-        f"tau={d.tau}",
-        f"upsilon={d.upsilon}",
-        "K1=" + ("{" + ",".join(str(k) for k in d.k1) + "}" if d.k1 else "∅"),
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("".join(f"{k}={v}\n" for k, v in decomposition_fields(d)), args.out)
     return 0
 
 
@@ -124,13 +115,10 @@ def cmd_grid(args) -> int:
         for j in range(n + 1):
             x, y = Fraction(i, n), Fraction(j, n)
             v = f_eval(op, x, y)
-            if t.exact:
-                lines.append(f"{float(x):.12f},{float(y):.12f},"
-                             f"{float(v):.12f},{v}")
-            else:
-                vv = v.value if isinstance(v, Approx) else v
-                lines.append(f"{float(x):.12f},{float(y):.12f},"
-                             f"{float(vv):.12f}")
+            # float() of an Approx is its centre; only exact values are
+            # also written as p/q
+            line = f"{float(x):.12f},{float(y):.12f},{float(v):.12f}"
+            lines.append(f"{line},{v}" if t.exact else line)
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -146,11 +134,7 @@ def cmd_construct_subnorm(args) -> int:
     for i in range(51):
         for j in range(51):
             x, y = Fraction(i, 50), Fraction(j, 50)
-            a = direct(x, y)
-            b = f_eval(op, x, y)
-            av = a.value if isinstance(a, Approx) else a
-            bv = b.value if isinstance(b, Approx) else b
-            dev = max(dev, abs(float(av) - float(bv)))
+            dev = max(dev, abs(float(direct(x, y)) - float(f_eval(op, x, y))))
     lines = [render_fn(f).rstrip("\n"), f"tnorm={t}",
              f"max_roundtrip_deviation={dev:.3e}"]
     if gen.g1_zero:
@@ -172,7 +156,13 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ValueError, OSError) as e:
+        # bad input: ParseError, InvalidFunction and DomainError are
+        # ValueErrors, and an unreadable --fn file is an OSError
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

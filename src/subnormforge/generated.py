@@ -6,11 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
-
 from .intervals import Interval, ONE, ZERO, frac
 from .pwfn import PiecewiseMonotoneFn, Segment, eval_fn, pseudo_inverse
-from .tnorms import Approx, GeneratorSpec, TNormDescriptor, t_eval, _to_fraction
+from .tnorms import Approx, GeneratorSpec, TNormDescriptor, generator_tnorm, t_eval
 
 
 @dataclass
@@ -63,29 +61,11 @@ def f_eval(op: GeneratedOp, x, y):
     return op.finv_at(tv)
 
 
-class AdditiveGeneratedOp:
+def additive_generated(gen: GeneratorSpec):
     """(x,y) -> g^(-1)(g(x)+g(y)) with the pseudo-inverse clamp to [0,1];
     a continuous cancellative t-subnorm when g(0) = inf."""
-
-    def __init__(self, gen: GeneratorSpec):
-        self.gen = gen
-
-    def __call__(self, x, y):
-        x, y = frac(x), frac(y)
-        if x == 0 or y == 0:
-            return ZERO
-        gen = self.gen
-        with mpmath.workdps(gen.digits):
-            u = gen.g(mpmath.mpf(x.numerator) / x.denominator) + gen.g(
-                mpmath.mpf(y.numerator) / y.denominator
-            )
-            v = gen.g_inv(u)
-            v = min(max(v, mpmath.mpf(0)), mpmath.mpf(1))
-            return Approx(_to_fraction(v), gen.radius)
-
-
-def additive_generated(gen: GeneratorSpec) -> AdditiveGeneratedOp:
-    return AdditiveGeneratedOp(gen)
+    t = generator_tnorm(gen)
+    return lambda x, y: t_eval(t, x, y)
 
 
 def lambda_decompose(gen: GeneratorSpec, lam) -> tuple:

@@ -243,18 +243,3 @@ class IntervalSet:
             return "∅"
         return "∪".join(str(p) for p in self.parts)
 
-
-def set_union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return a.union(b)
-
-
-def set_intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return a.intersect(b)
-
-
-def is_subset(a: IntervalSet, b: IntervalSet):
-    return a.is_subset_of(b)
-
-
-def o_hull(s: IntervalSet) -> IntervalSet:
-    return s.o_hull()

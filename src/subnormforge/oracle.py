@@ -17,7 +17,7 @@ from .classify import PROPERTIES, arg_with_value, classify
 from .generated import GeneratedOp, f_eval, make_op
 from .intervals import ONE, ZERO, frac
 from .pwfn import PiecewiseMonotoneFn, decompose
-from .tnorms import Approx, TNormDescriptor
+from .tnorms import TNormDescriptor, approx_diff
 
 PROPERTY_NAMES = (
     "commutativity",
@@ -68,37 +68,6 @@ class _Memo:
         return v
 
 
-def _val(v):
-    return v.value if isinstance(v, Approx) else v
-
-
-def _rad(v):
-    return v.radius if isinstance(v, Approx) else ZERO
-
-
-def _eq(a, b) -> Optional[bool]:
-    """Exact or radius-aware equality; None when undecidable."""
-    va, vb = _val(a), _val(b)
-    r = _rad(a) + _rad(b)
-    if r == 0:
-        return va == vb
-    if abs(va - vb) <= r:
-        return None if va != vb else True
-    return False
-
-
-def _lt(a, b) -> Optional[bool]:
-    va, vb = _val(a), _val(b)
-    r = _rad(a) + _rad(b)
-    if r == 0:
-        return va < vb
-    if va + r < vb:
-        return True
-    if va - r >= vb:
-        return False
-    return None
-
-
 def grid(n: int, extra=()) -> list:
     """{0, 1/n, ..., 1} plus any extra rationals, sorted and deduplicated."""
     if n < 1:
@@ -114,30 +83,35 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
     op = op if isinstance(op, _Memo) else _Memo(op)
     undecided = 0
     count = 0
+    # comparisons are sign tests on (d, r) = approx_diff(a, b): a and b
+    # differ when |d| > r and count as equal when their centres agree
+    # (d == 0); a > b is certain when d > r, and a >= b when d >= r
 
     if prop == "commutativity":
         for x in pts:
             for y in pts:
                 count += 1
-                e = _eq(op(x, y), op(y, x))
-                if e is False:
+                d, r = approx_diff(op(x, y), op(y, x))
+                if abs(d) > r:
                     return CheckResult(False, Counterexample(
                         prop, (x, y), op(x, y), op(y, x)), checked=count)
-                if e is None:
+                if d:
                     undecided += 1
     elif prop == "monotonicity":
         for x in pts:
             for i in range(len(pts) - 1):
                 count += 1
                 a, b = op(x, pts[i]), op(x, pts[i + 1])
-                if _lt(b, a) is True:
+                d, r = approx_diff(a, b)
+                if d > r:
                     return CheckResult(False, Counterexample(
                         prop, (x, pts[i], pts[i + 1]), a, b), checked=count)
         for y in pts:
             for i in range(len(pts) - 1):
                 count += 1
                 a, b = op(pts[i], y), op(pts[i + 1], y)
-                if _lt(b, a) is True:
+                d, r = approx_diff(a, b)
+                if d > r:
                     return CheckResult(False, Counterexample(
                         prop, (pts[i], pts[i + 1], y), a, b), checked=count)
     elif prop == "bounded_by_min":
@@ -145,33 +119,35 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
             for y in pts:
                 count += 1
                 v = op(x, y)
-                if _lt(min(x, y), v) is True:
+                d, r = approx_diff(v, min(x, y))
+                if d > r:
                     return CheckResult(False, Counterexample(
                         prop, (x, y), v, min(x, y)), checked=count)
     elif prop == "associativity":
         m = len(pts)
         for x in pts:
             for y in pts:
+                xy, _ = approx_diff(op(x, y), ZERO)
                 for z in pts:
                     count += 1
-                    lhs = op(_val(op(x, y)), z)
-                    rhs = op(x, _val(op(y, z)))
-                    e = _eq(lhs, rhs)
-                    if e is False:
+                    lhs = op(xy, z)
+                    rhs = op(x, approx_diff(op(y, z), ZERO)[0])
+                    d, r = approx_diff(lhs, rhs)
+                    if abs(d) > r:
                         return CheckResult(False, Counterexample(
                             prop, (x, y, z), lhs, rhs), checked=count)
-                    if e is None:
+                    if d:
                         undecided += 1
         assert count == m ** 3, "associativity scan must cover the full cube"
     elif prop == "neutral_one":
         for x in pts:
             count += 1
             v = op(x, ONE)
-            e = _eq(v, x)
-            if e is False:
+            d, r = approx_diff(v, x)
+            if abs(d) > r:
                 return CheckResult(False, Counterexample(
                     prop, (x,), v, x), checked=count)
-            if e is None:
+            if d:
                 undecided += 1
     elif prop == "conditional_cancellation":
         for x in pts:
@@ -179,9 +155,11 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
                 for j in range(i + 1, len(pts)):
                     count += 1
                     a, b = op(x, pts[i]), op(x, pts[j])
-                    if _eq(a, b) is True and _lt(ZERO, a) is True:
-                        return CheckResult(False, Counterexample(
-                            prop, (x, pts[i], pts[j]), a, b), checked=count)
+                    if approx_diff(a, b)[0] == 0:
+                        va, ra = approx_diff(a, ZERO)
+                        if va > ra:
+                            return CheckResult(False, Counterexample(
+                                prop, (x, pts[i], pts[j]), a, b), checked=count)
     elif prop == "cancellation":
         for x in pts:
             if x == 0:
@@ -190,7 +168,7 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
                 for j in range(i + 1, len(pts)):
                     count += 1
                     a, b = op(x, pts[i]), op(x, pts[j])
-                    if _eq(a, b) is True:
+                    if approx_diff(a, b)[0] == 0:
                         return CheckResult(False, Counterexample(
                             prop, (x, pts[i], pts[j]), a, b), checked=count)
     elif prop == "strict_monotonicity":
@@ -200,7 +178,8 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
             for i in range(len(pts) - 1):
                 count += 1
                 a, b = op(x, pts[i]), op(x, pts[i + 1])
-                if _lt(a, b) is False:
+                d, r = approx_diff(a, b)
+                if d >= r:
                     return CheckResult(False, Counterexample(
                         prop, (x, pts[i], pts[i + 1]), a, b), checked=count)
     elif prop == "archimedean_at":
@@ -213,7 +192,7 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
             floor = min(interior) if interior else ONE
             hit = False
             for _ in range(n_iter):
-                acc = _val(op(acc, x))
+                acc, _ = approx_diff(op(acc, x), ZERO)
                 count += 1
                 if acc < floor:
                     hit = True
@@ -246,7 +225,7 @@ def scan_continuity(op: Callable, breakpoints, pts,
                 for db in (-delta, ZERO, delta):
                     x, y = a + da, b + db
                     if 0 <= x <= 1 and 0 <= y <= 1:
-                        corners.append(float(_val(op(x, y))))
+                        corners.append(float(op(x, y)))
             if corners and max(corners) - min(corners) > threshold:
                 jumps.append((a, b))
     return jumps
@@ -314,6 +293,7 @@ def consistency_harness(f: PiecewiseMonotoneFn, t: TNormDescriptor,
     pts = grid(n, default_extra(f))
     report = classify(f, t, arch_grid_n=arch_grid_n)
     out = HarnessReport()
+    results = {}  # law -> CheckResult; t_norm shares four laws with t_subnorm
     for prop in PROPERTIES:
         v = report.properties[prop]
         laws = _LAWS.get(prop)
@@ -323,7 +303,9 @@ def consistency_harness(f: PiecewiseMonotoneFn, t: TNormDescriptor,
         failed = None
         notes = []
         for law in laws:
-            res = check_property(memo, law, pts, n_iter=n_iter)
+            res = results.get(law)
+            if res is None:
+                res = results[law] = check_property(memo, law, pts, n_iter=n_iter)
             if not res.ok:
                 failed = res.counterexample
                 break

@@ -26,6 +26,25 @@ class Approx:
         return float(self.value)
 
 
+def approx_diff(a, b):
+    """(d, r) with a - b in [d - r, d + r], for a and b exact or Approx:
+    d is the difference of the centres and r the sum of the radii.
+
+    Every comparison of values that may be Approx is a sign test on d
+    against r; the caller picks the boundary rule.  An exact value has
+    radius 0, so approx_diff(v, ZERO) is v's centre and radius, and (0, 0)
+    means that a and b are equal exact values.
+    """
+    if isinstance(a, Approx):
+        if isinstance(b, Approx):
+            return a.value - b.value, a.radius + b.radius
+        # b == 0 is the common centre-and-radius case; skip the subtraction
+        return (a.value - b if b else a.value), a.radius
+    if isinstance(b, Approx):
+        return a - b.value, b.radius
+    return (a - b if b else a), ZERO
+
+
 def _to_fraction(x) -> Fraction:
     """Exact binary rational held by an mpf."""
     return Fraction(*mpmath.libmp.to_rational(mpmath.mpf(x)._mpf_))

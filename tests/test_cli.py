@@ -107,3 +107,29 @@ def test_construct_subnorm_neutral_warning(capsys):
     main(["construct-subnorm", "--gen", "neglog", "--lam", "1/2"])
     out = capsys.readouterr().out
     assert "warning" in out and "neutral element 1" in out
+
+
+F_SHORT = """\
+monotone: nondecreasing
+segment [0,1/2] linear 1 0
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--fn", "{gap}", "--tnorm", "bogus", "--x", "1/2", "--y", "1/2"],
+    ["eval", "--fn", "{gap}", "--tnorm", "product", "--x", "abc", "--y", "1/2"],
+    ["eval", "--fn", "{gap}", "--tnorm", "product", "--x", "2", "--y", "1/2"],
+    ["classify", "--fn", "{short}", "--tnorm", "product"],
+    ["classify", "--fn", "{missing}", "--tnorm", "product"],
+    ["oracle", "--fn", "{gap}", "--tnorm", "product", "--grid-n", "0"],
+], ids=["unknown-tnorm", "bad-rational", "x-outside-unit", "domain-short",
+        "missing-file", "grid-n-zero"])
+def test_bad_input_fails_cleanly(argv, fn_file, tmp_path, capsys):
+    paths = {"gap": fn_file(F_GAP), "short": fn_file(F_SHORT, "short.txt"),
+             "missing": str(tmp_path / "missing.txt")}
+    rc = main([a.format(**paths) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
