@@ -108,8 +108,10 @@ def cmd_oracle(args) -> int:
 def cmd_grid(args) -> int:
     _require(args, "fn", "tnorm")
     t = parse_tnorm(args.tnorm)
-    op = make_op(load_fn(args.fn), t)
     n = args.grid_n
+    if n < 1:
+        raise ValueError(f"--grid-n must be >= 1, got {n}")
+    op = make_op(load_fn(args.fn), t)
     lines = ["x,y,F,F_exact" if t.exact else "x,y,F"]
     for i in range(n + 1):
         for j in range(n + 1):

@@ -48,10 +48,15 @@ def make_op(f: PiecewiseMonotoneFn, t: TNormDescriptor) -> GeneratedOp:
 
 
 def f_eval(op: GeneratedOp, x, y):
-    """Exact Fraction for exact t-norm families; otherwise an Approx whose
-    radius accounts for the local variation of the pseudo-inverse."""
-    x, y = frac(x), frac(y)
-    tv = t_eval(op.t, op.f_at(x), op.f_at(y))
+    """F(x,y) = finv(T(f(x), f(y))); see ``f_compose``."""
+    return f_compose(op, op.f_at(frac(x)), op.f_at(frac(y)))
+
+
+def f_compose(op: GeneratedOp, fx, fy):
+    """finv(T(fx, fy)), so F(x,y) from fx = f(x) and fy = f(y): an exact
+    Fraction for exact t-norm families; otherwise an Approx whose radius
+    accounts for the local variation of the pseudo-inverse."""
+    tv = t_eval(op.t, fx, fy)
     if isinstance(tv, Approx):
         center = op.finv_at(tv.value)
         lo = op.finv_at(max(ZERO, tv.value - tv.radius))

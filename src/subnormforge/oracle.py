@@ -5,6 +5,19 @@ approximate results carrying an error radius).  Exhaustive scans report
 the lexicographically first counterexample; on approximate values a
 violation is only reported when it exceeds the carried radii, and
 borderline comparisons surface as notes instead of verdicts.
+
+The scans run on interned value tables.  Every value is interned to a
+small int id, equal values to equal ids.  For each grid, F is evaluated
+once per point pair into an m-by-m table of ids; the values of F at the
+off-grid intermediates of associativity and of the Archimedean powers
+sit in per-value rows and columns, filled on first use.  A generated
+operation is evaluated once per pair of f values.  On an exact table,
+ids compare values: equal ids are equal values, unequal ids differ.
+Comparisons that need a sign or may involve Approx values call
+``approx_diff`` on the values, with the boundary rules described in
+``check_property``.  The scan order, and so the first counterexample, its
+values, the notes and the ``checked`` counts are those of a direct scan
+that evaluates F at every comparison.
 """
 
 from __future__ import annotations
@@ -14,10 +27,10 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .classify import PROPERTIES, arg_with_value, classify
-from .generated import GeneratedOp, f_eval, make_op
+from .generated import GeneratedOp, f_compose, make_op
 from .intervals import ONE, ZERO, frac
 from .pwfn import PiecewiseMonotoneFn, decompose
-from .tnorms import TNormDescriptor, approx_diff
+from .tnorms import Approx, TNormDescriptor, approx_diff
 
 PROPERTY_NAMES = (
     "commutativity",
@@ -53,19 +66,114 @@ class CheckResult:
 
 
 class _Memo:
-    """Pair-memoizing wrapper around a binary operation."""
+    """A binary operation whose values are interned to small int ids.
+
+    ``memo(x, y)`` evaluates through a pair cache (``cache``).  The law
+    scans read a ``_Grid`` instead (``memo.grid(pts)``), which holds ids.
+    Equal values get equal ids, and ``centre[v]`` is the id of value v's
+    centre: v itself unless the value is an ``Approx``.  ``evals`` counts
+    evaluations of the operation.
+    """
 
     def __init__(self, op: Callable):
         self.op = op
+        # a GeneratedOp is evaluated by f values (see ``eval``)
+        self.generated = op if isinstance(op, GeneratedOp) else None
         self.cache = {}
+        self.ids = {}  # value -> id
+        self.vals = []  # id -> value
+        self.centre = []  # id -> id of the value's centre
+        self.f_ids = {}  # id of x -> id of f(x)
+        self.by_f = {}  # (id of f(x), id of f(y)) -> id of F(x, y)
+        self.grids = {}  # tuple(pts) -> _Grid
+        self.evals = 0
 
     def __call__(self, x, y):
         key = (x, y)
         v = self.cache.get(key)
         if v is None:
             v = self.op(x, y)
+            self.evals += 1
             self.cache[key] = v
         return v
+
+    def intern(self, v) -> int:
+        i = self.ids.get(v)
+        if i is None:
+            i = self.ids[v] = len(self.vals)
+            self.vals.append(v)
+            self.centre.append(i)
+            if isinstance(v, Approx):
+                self.centre[i] = self.intern(v.value)
+        return i
+
+    def eval(self, a: int, b: int) -> int:
+        """Id of op(x, y) for the values x and y of ids a and b.
+
+        F = finv(T(f(x), f(y))) depends on x and y only through f(x) and
+        f(y), so a GeneratedOp is evaluated once per pair of f values.
+        """
+        vals = self.vals
+        if self.generated is None:
+            self.evals += 1
+            return self.intern(self.op(vals[a], vals[b]))
+        key = (self._f_id(a), self._f_id(b))
+        v = self.by_f.get(key)
+        if v is None:
+            self.evals += 1
+            v = self.by_f[key] = self.intern(
+                f_compose(self.generated, vals[key[0]], vals[key[1]]))
+        return v
+
+    def _f_id(self, a: int) -> int:
+        i = self.f_ids.get(a)
+        if i is None:
+            i = self.f_ids[a] = self.intern(
+                self.generated.f_at(frac(self.vals[a])))
+        return i
+
+    def grid(self, pts) -> "_Grid":
+        key = tuple(pts)
+        g = self.grids.get(key)
+        if g is None:
+            g = self.grids[key] = _Grid(self, key)
+        return g
+
+
+class _Grid:
+    """The operation on the points p_0..p_{m-1}, as value ids.
+
+    ``T[i][j]`` is the id of F(p_i, p_j), evaluated once per pair, and
+    ``C`` the same table of centre ids; the table is ``exact`` when no
+    value in it is an ``Approx`` (then ``C == T``).  For any value id c,
+    ``row(c)[k]`` is the id of F(v_c, p_k) and ``col(c)[i]`` that of
+    F(p_i, v_c).  A grid point's row and column are read from ``T``; those
+    of other values start as None and are filled by the scans on demand.
+    """
+
+    def __init__(self, memo: _Memo, pts: tuple):
+        self.pts = pts
+        self.pid = [memo.intern(p) for p in pts]
+        ev = memo.eval
+        self.T = [[ev(a, b) for b in self.pid] for a in self.pid]
+        cen = memo.centre
+        self.C = [[cen[v] for v in row] for row in self.T]
+        self.exact = self.C == self.T
+        cols = [list(col) for col in zip(*self.T)]
+        self._rows = {c: self.T[k] for k, c in enumerate(self.pid)}
+        self._cols = {c: cols[k] for k, c in enumerate(self.pid)}
+
+    def row(self, c) -> list:
+        r = self._rows.get(c)
+        if r is None:
+            r = self._rows[c] = [None] * len(self.pts)
+        return r
+
+    def col(self, c) -> list:
+        r = self._cols.get(c)
+        if r is None:
+            r = self._cols[c] = [None] * len(self.pts)
+        return r
 
 
 def grid(n: int, extra=()) -> list:
@@ -80,131 +188,165 @@ def grid(n: int, extra=()) -> list:
 def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResult:
     """Exhaustive scan of one law over the grid; the first counterexample
     in lexicographic input order is returned."""
-    op = op if isinstance(op, _Memo) else _Memo(op)
+    if prop not in PROPERTY_NAMES:
+        raise ValueError(f"unknown property {prop!r}")
+    memo = op if isinstance(op, _Memo) else _Memo(op)
+    g = memo.grid(pts)
+    pts, pid, T, C = g.pts, g.pid, g.T, g.C
+    vals, cen, ev = memo.vals, memo.centre, memo.eval
+    m = len(pts)
     undecided = 0
     count = 0
-    # comparisons are sign tests on (d, r) = approx_diff(a, b): a and b
+    # Comparisons are sign tests on (d, r) = approx_diff(a, b): a and b
     # differ when |d| > r and count as equal when their centres agree
-    # (d == 0); a > b is certain when d > r, and a >= b when d >= r
+    # (d == 0); a > b is certain when d > r, and a >= b when d >= r.
+    # Equal centre ids mean d == 0, so approx_diff is only called on
+    # values whose centres differ, and on an exact table two different ids
+    # always differ by more than r = 0.  Only ">=" cannot use equal ids on
+    # Approx values: their summed radius is positive, so d = 0 < r.
+
+    def cex(inputs, lhs, rhs):
+        return CheckResult(False, Counterexample(prop, inputs, lhs, rhs),
+                           checked=count)
+
+    if g.exact:
+        def gt(a, b):
+            return vals[a] > vals[b]
+
+        def ge(a, b):
+            return a == b or vals[a] > vals[b]
+    else:
+        def gt(a, b):
+            d, r = approx_diff(vals[a], vals[b])
+            return d > r
+
+        def ge(a, b):
+            d, r = approx_diff(vals[a], vals[b])
+            return d >= r
 
     if prop == "commutativity":
-        for x in pts:
-            for y in pts:
+        for i in range(m):
+            for j in range(m):
                 count += 1
-                d, r = approx_diff(op(x, y), op(y, x))
-                if abs(d) > r:
-                    return CheckResult(False, Counterexample(
-                        prop, (x, y), op(x, y), op(y, x)), checked=count)
-                if d:
+                if C[i][j] != C[j][i]:
+                    a, b = vals[T[i][j]], vals[T[j][i]]
+                    d, r = approx_diff(a, b)
+                    if abs(d) > r:
+                        return cex((pts[i], pts[j]), a, b)
                     undecided += 1
     elif prop == "monotonicity":
-        for x in pts:
-            for i in range(len(pts) - 1):
+        for i in range(m):
+            Ti, Ci = T[i], C[i]
+            for k in range(m - 1):
                 count += 1
-                a, b = op(x, pts[i]), op(x, pts[i + 1])
-                d, r = approx_diff(a, b)
-                if d > r:
-                    return CheckResult(False, Counterexample(
-                        prop, (x, pts[i], pts[i + 1]), a, b), checked=count)
-        for y in pts:
-            for i in range(len(pts) - 1):
+                if Ci[k] != Ci[k + 1] and gt(Ti[k], Ti[k + 1]):
+                    return cex((pts[i], pts[k], pts[k + 1]),
+                               vals[Ti[k]], vals[Ti[k + 1]])
+        for j in range(m):
+            for k in range(m - 1):
                 count += 1
-                a, b = op(pts[i], y), op(pts[i + 1], y)
-                d, r = approx_diff(a, b)
-                if d > r:
-                    return CheckResult(False, Counterexample(
-                        prop, (pts[i], pts[i + 1], y), a, b), checked=count)
+                if C[k][j] != C[k + 1][j] and gt(T[k][j], T[k + 1][j]):
+                    return cex((pts[k], pts[k + 1], pts[j]),
+                               vals[T[k][j]], vals[T[k + 1][j]])
     elif prop == "bounded_by_min":
-        for x in pts:
-            for y in pts:
+        for i, x in enumerate(pts):
+            for j, y in enumerate(pts):
                 count += 1
-                v = op(x, y)
-                d, r = approx_diff(v, min(x, y))
-                if d > r:
-                    return CheckResult(False, Counterexample(
-                        prop, (x, y), v, min(x, y)), checked=count)
+                v, lo = T[i][j], pid[j] if y < x else pid[i]
+                if cen[v] != lo and gt(v, lo):
+                    return cex((x, y), vals[v], min(x, y))
     elif prop == "associativity":
-        m = len(pts)
-        for x in pts:
-            for y in pts:
-                xy, _ = approx_diff(op(x, y), ZERO)
-                for z in pts:
+        # (xy)z is row(xy)[k] and x(yz) is col(yz)[i], with xy and yz the
+        # centres of F(x,y) and F(y,z); cols[j][k] is col(yz) for y = p_j
+        cols = [[g.col(c) for c in Cj] for Cj in C]
+        for i, x in enumerate(pts):
+            for j in range(m):
+                cxy, Cj, cols_j = C[i][j], C[j], cols[j]
+                row = g.row(cxy)
+                for k in range(m):
                     count += 1
-                    lhs = op(xy, z)
-                    rhs = op(x, approx_diff(op(y, z), ZERO)[0])
-                    d, r = approx_diff(lhs, rhs)
-                    if abs(d) > r:
-                        return CheckResult(False, Counterexample(
-                            prop, (x, y, z), lhs, rhs), checked=count)
-                    if d:
+                    lhs = row[k]
+                    if lhs is None:
+                        lhs = row[k] = ev(cxy, pid[k])
+                    rhs = cols_j[k][i]
+                    if rhs is None:
+                        rhs = cols_j[k][i] = ev(pid[i], Cj[k])
+                    if cen[lhs] != cen[rhs]:
+                        a, b = vals[lhs], vals[rhs]
+                        d, r = approx_diff(a, b)
+                        if abs(d) > r:
+                            return cex((x, pts[j], pts[k]), a, b)
                         undecided += 1
         assert count == m ** 3, "associativity scan must cover the full cube"
     elif prop == "neutral_one":
-        for x in pts:
+        one = memo.intern(ONE)
+        col = g.col(one)
+        for i, x in enumerate(pts):
             count += 1
-            v = op(x, ONE)
-            d, r = approx_diff(v, x)
-            if abs(d) > r:
-                return CheckResult(False, Counterexample(
-                    prop, (x,), v, x), checked=count)
-            if d:
+            v = col[i]
+            if v is None:
+                v = col[i] = ev(pid[i], one)
+            if cen[v] != pid[i]:
+                d, r = approx_diff(vals[v], x)
+                if abs(d) > r:
+                    return cex((x,), vals[v], x)
                 undecided += 1
     elif prop == "conditional_cancellation":
-        for x in pts:
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
+        positive = {}
+        for i, x in enumerate(pts):
+            Ti, Ci = T[i], C[i]
+            for a in range(m):
+                for b in range(a + 1, m):
                     count += 1
-                    a, b = op(x, pts[i]), op(x, pts[j])
-                    if approx_diff(a, b)[0] == 0:
-                        va, ra = approx_diff(a, ZERO)
-                        if va > ra:
-                            return CheckResult(False, Counterexample(
-                                prop, (x, pts[i], pts[j]), a, b), checked=count)
+                    if Ci[a] == Ci[b]:
+                        v = Ti[a]
+                        if v not in positive:
+                            va, ra = approx_diff(vals[v], ZERO)
+                            positive[v] = va > ra
+                        if positive[v]:
+                            return cex((x, pts[a], pts[b]), vals[v], vals[Ti[b]])
     elif prop == "cancellation":
-        for x in pts:
+        for i, x in enumerate(pts):
             if x == 0:
                 continue
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
+            Ti, Ci = T[i], C[i]
+            for a in range(m):
+                for b in range(a + 1, m):
                     count += 1
-                    a, b = op(x, pts[i]), op(x, pts[j])
-                    if approx_diff(a, b)[0] == 0:
-                        return CheckResult(False, Counterexample(
-                            prop, (x, pts[i], pts[j]), a, b), checked=count)
+                    if Ci[a] == Ci[b]:
+                        return cex((x, pts[a], pts[b]), vals[Ti[a]], vals[Ti[b]])
     elif prop == "strict_monotonicity":
-        for x in pts:
+        for i, x in enumerate(pts):
             if x == 0:
                 continue
-            for i in range(len(pts) - 1):
+            Ti = T[i]
+            for k in range(m - 1):
                 count += 1
-                a, b = op(x, pts[i]), op(x, pts[i + 1])
-                d, r = approx_diff(a, b)
-                if d >= r:
-                    return CheckResult(False, Counterexample(
-                        prop, (x, pts[i], pts[i + 1]), a, b), checked=count)
-    elif prop == "archimedean_at":
+                if ge(Ti[k], Ti[k + 1]):
+                    return cex((x, pts[k], pts[k + 1]), vals[Ti[k]], vals[Ti[k + 1]])
+    else:  # archimedean_at
         # asymptotic property: failure to descend within the cap is
         # reported as a note, never as a counterexample
         missing = []
-        interior = [p for p in pts if 0 < p < 1]
-        for x in interior:
-            acc = x
-            floor = min(interior) if interior else ONE
-            hit = False
+        interior = [k for k, p in enumerate(pts) if 0 < p < 1]
+        floor = min(pts[k] for k in interior) if interior else ONE
+        for k in interior:
+            acc = pid[k]  # centre id of the current power
             for _ in range(n_iter):
-                acc, _ = approx_diff(op(acc, x), ZERO)
+                row = g.row(acc)
+                v = row[k]
+                if v is None:
+                    v = row[k] = ev(acc, pid[k])
+                acc = cen[v]
                 count += 1
-                if acc < floor:
-                    hit = True
+                if vals[acc] < floor:
                     break
-            if not hit:
-                missing.append(x)
+            else:
+                missing.append(pts[k])
         if missing:
             return CheckResult(True, note="not witnessed at cap for x in "
-                              + ",".join(str(m) for m in missing),
+                              + ",".join(str(p) for p in missing),
                               checked=count)
-    else:
-        raise ValueError(f"unknown property {prop!r}")
 
     note = f"{undecided} comparisons undecided within error radii" if undecided else None
     return CheckResult(True, note=note, checked=count)
@@ -217,9 +359,10 @@ def scan_continuity(op: Callable, breakpoints, pts,
     operation at the four perturbed corners; a spread above the threshold
     flags a jump.  Returns the list of flagged locations."""
     probes = sorted(set(frac(b) for b in breakpoints) | {ONE})
+    cells = sorted(set(pts) | set(probes))
     jumps = []
     for a in probes:
-        for b in sorted(set(pts) | set(probes)):
+        for b in cells:
             corners = []
             for da in (-delta, ZERO, delta):
                 for db in (-delta, ZERO, delta):
@@ -250,6 +393,7 @@ class HarnessReport:
     rows: list = field(default_factory=list)  # (property, classifier, oracle, detail)
     hard_failures: list = field(default_factory=list)
     counterexamples: dict = field(default_factory=dict)
+    stats: dict = field(default_factory=dict)  # oracle counters, not rendered
 
     @property
     def ok(self) -> bool:
@@ -289,7 +433,7 @@ def consistency_harness(f: PiecewiseMonotoneFn, t: TNormDescriptor,
     """Classify, then re-check every classified law by brute force; a Yes
     verdict alongside an oracle counterexample is a hard failure."""
     op = make_op(f, t)
-    memo = _Memo(lambda x, y: f_eval(op, x, y))
+    memo = _Memo(op)
     pts = grid(n, default_extra(f))
     report = classify(f, t, arch_grid_n=arch_grid_n)
     out = HarnessReport()
@@ -318,4 +462,5 @@ def consistency_harness(f: PiecewiseMonotoneFn, t: TNormDescriptor,
                 out.hard_failures.append(f"{prop}: classifier Yes but {failed}")
         else:
             out.rows.append((prop, v.status, "ok", "; ".join(notes)))
+    out.stats = {"op_evals": memo.evals, "interned_values": len(memo.vals)}
     return out

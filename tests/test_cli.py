@@ -122,8 +122,10 @@ segment [0,1/2] linear 1 0
     ["classify", "--fn", "{short}", "--tnorm", "product"],
     ["classify", "--fn", "{missing}", "--tnorm", "product"],
     ["oracle", "--fn", "{gap}", "--tnorm", "product", "--grid-n", "0"],
+    ["grid", "--fn", "{gap}", "--tnorm", "product", "--grid-n", "0"],
+    ["grid", "--fn", "{gap}", "--tnorm", "product", "--grid-n", "-1"],
 ], ids=["unknown-tnorm", "bad-rational", "x-outside-unit", "domain-short",
-        "missing-file", "grid-n-zero"])
+        "missing-file", "grid-n-zero", "grid-grid-n-zero", "grid-grid-n-negative"])
 def test_bad_input_fails_cleanly(argv, fn_file, tmp_path, capsys):
     paths = {"gap": fn_file(F_GAP), "short": fn_file(F_SHORT, "short.txt"),
              "missing": str(tmp_path / "missing.txt")}

@@ -2,8 +2,16 @@
 
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from subnormforge import f_eval, make_op, parse_tnorm
+from subnormforge.intervals import ONE, ZERO, Interval
 from subnormforge.oracle import (
+    PROPERTY_NAMES,
+    CheckResult,
+    Counterexample,
     _Memo,
     check_property,
     consistency_harness,
@@ -11,6 +19,8 @@ from subnormforge.oracle import (
     grid,
     scan_continuity,
 )
+from subnormforge.pwfn import PiecewiseMonotoneFn, Segment
+from subnormforge.tnorms import Approx, approx_diff
 
 F = Fraction
 
@@ -119,3 +129,156 @@ def test_harness_step_product(f_step):
     rep = consistency_harness(f_step, PRODUCT, n=12, arch_grid_n=6)
     assert rep.ok
     assert "conditionally_cancellative" in rep.counterexamples
+
+
+def test_harness_reports_oracle_counters(f_step):
+    rep = consistency_harness(f_step, PRODUCT, n=6, arch_grid_n=6)
+    assert sorted(rep.stats) == ["interned_values", "op_evals"]
+    assert rep.stats["op_evals"] > 0 and rep.stats["interned_values"] > 0
+    assert "op_evals" not in rep.render()
+
+
+# -- differential check: table oracle against a direct scan -------------------
+
+
+def reference_check(op, prop, pts, n_iter=64):
+    """The laws scanned by calling f_eval on every pair, without tables,
+    interning or memoisation: same order, same boundary rules."""
+    F_ = lambda x, y: f_eval(op, x, y)  # noqa: E731
+    count = undecided = 0
+    pairs = list(zip(pts, pts[1:]))
+
+    def cex(inputs, lhs, rhs):
+        return CheckResult(False, Counterexample(prop, inputs, lhs, rhs),
+                           checked=count)
+
+    def cells():  # the inputs and compared values of each comparison
+        if prop == "commutativity":
+            return (((x, y), F_(x, y), F_(y, x)) for x in pts for y in pts)
+        if prop == "monotonicity":
+            return [((x, a, b), F_(x, a), F_(x, b)) for x in pts for a, b in pairs] + [
+                ((a, b, y), F_(a, y), F_(b, y)) for y in pts for a, b in pairs]
+        if prop == "bounded_by_min":
+            return (((x, y), F_(x, y), min(x, y)) for x in pts for y in pts)
+        if prop == "associativity":
+            return (((x, y, z), F_(approx_diff(F_(x, y), ZERO)[0], z),
+                     F_(x, approx_diff(F_(y, z), ZERO)[0]))
+                    for x in pts for y in pts for z in pts)
+        if prop == "neutral_one":
+            return (((x,), F_(x, ONE), x) for x in pts)
+        if prop in ("conditional_cancellation", "cancellation"):
+            return (((x, pts[i], pts[j]), F_(x, pts[i]), F_(x, pts[j]))
+                    for x in pts if prop != "cancellation" or x != 0
+                    for i in range(len(pts)) for j in range(i + 1, len(pts)))
+        return (((x, a, b), F_(x, a), F_(x, b)) for x in pts if x != 0
+                for a, b in pairs)
+
+    if prop == "archimedean_at":
+        interior = [p for p in pts if 0 < p < 1]
+        missing = []
+        for x in interior:
+            acc = x
+            for _ in range(n_iter):
+                acc = approx_diff(F_(acc, x), ZERO)[0]
+                count += 1
+                if acc < min(interior):
+                    break
+            else:
+                missing.append(x)
+        note = "not witnessed at cap for x in " + ",".join(map(str, missing))
+        return CheckResult(True, note=note if missing else None, checked=count)
+    for inputs, a, b in cells():
+        count += 1
+        d, r = approx_diff(a, b)
+        if prop in ("commutativity", "associativity", "neutral_one"):
+            if abs(d) > r:
+                return cex(inputs, a, b)
+            undecided += d != 0
+        elif prop in ("monotonicity", "bounded_by_min"):
+            if d > r:
+                return cex(inputs, a, b)
+        elif prop == "strict_monotonicity":
+            if d >= r:
+                return cex(inputs, a, b)
+        elif d == 0:
+            va, ra = approx_diff(a, ZERO)
+            if prop == "cancellation" or va > ra:
+                return cex(inputs, a, b)
+    note = f"{undecided} comparisons undecided within error radii" if undecided else None
+    return CheckResult(True, note=note, checked=count)
+
+
+@st.composite
+def monotone_fns(draw):
+    """Non-decreasing piecewise linear f on [0,1] whose pieces meet as
+    [a,b)[b,c), as [a,b](b,c) (open-left) or as [a,b){b}(b,c) (an isolated
+    point), and which may end in an isolated point at 1."""
+    den = 8
+    cuts = sorted(draw(st.sets(st.integers(1, den - 1), max_size=3)))
+    bounds = [F(0)] + [F(c, den) for c in cuts] + [F(1)]
+    joins = [draw(st.sampled_from(("closed", "open", "point"))) for _ in cuts]
+    joins.append(draw(st.sampled_from(("closed", "point"))))
+    level = F(draw(st.integers(0, 8)), 16)
+    segments, points, lo_closed = [], [], True
+
+    def up(v):
+        return min(F(1), v + F(draw(st.integers(0, 4)), 16))
+
+    for a, b, join in zip(bounds, bounds[1:], joins):
+        start = up(level)
+        end = start if draw(st.booleans()) else up(start)
+        hi_closed = join == "open" or (join == "closed" and b == 1)
+        dom = Interval.make(a, b, lo_closed, hi_closed)
+        slope = (end - start) / (b - a)
+        segments.append(Segment.linear(dom, slope, start - slope * a) if slope
+                        else Segment.const(dom, start))
+        level = end
+        if join == "point":
+            level = up(level)
+            points.append((b, level))
+        lo_closed = join == "closed"
+    return PiecewiseMonotoneFn(True, tuple(segments), tuple(points))
+
+
+@pytest.mark.parametrize("family", ["product", "hamacher2", "min", "halfprod",
+                                    "gen:neglog"])
+@settings(max_examples=12, deadline=None)
+@given(f=monotone_fns())
+def test_table_oracle_matches_direct_scan(family, f):
+    op = make_op(f, parse_tnorm(family))
+    pts = grid(4, default_extra(f))
+    memo = _Memo(op)
+    for law in PROPERTY_NAMES:
+        got = check_property(memo, law, pts, n_iter=16)
+        want = reference_check(op, law, pts, n_iter=16)
+        assert got == want, law
+
+
+def test_identical_approx_values_are_not_strictly_ordered(f_shifted_jump):
+    # F(1/6, 0) and F(1/6, 1/6) are the same Approx(0, r) with r > 0, so
+    # d = 0 < 2r: no certain failure of strict monotonicity
+    op = make_op(f_shifted_jump, parse_tnorm("gen:neglog"))
+    pts = grid(6, default_extra(f_shifted_jump))
+    a, b = f_eval(op, F(1, 6), F(0)), f_eval(op, F(1, 6), F(1, 6))
+    assert isinstance(a, Approx) and a == b and a.radius > 0
+    assert reference_check(op, "strict_monotonicity", pts) == CheckResult(
+        True, checked=36)
+    # through a plain callable and through the GeneratedOp path
+    for memo in (op_for(f_shifted_jump, parse_tnorm("gen:neglog")), _Memo(op)):
+        res = check_property(memo, "strict_monotonicity", pts)
+        assert res == CheckResult(True, checked=36)
+
+
+def test_equal_centres_count_as_equal():
+    # the cancellation laws compare centres (d == 0), whatever the radii:
+    # the first pair with equal centres is (0, 1/2), whose values differ
+    r = F(1, 10 ** 20)
+
+    def op(x, y):
+        return Approx(F(1, 2), r if y == 0 else 2 * r)
+
+    pts = [F(0), F(1, 2), F(1)]
+    for law, x in (("cancellation", F(1, 2)), ("conditional_cancellation", F(0))):
+        res = check_property(op, law, pts)
+        assert res.counterexample == Counterexample(
+            law, (x, F(0), F(1, 2)), op(x, F(0)), op(x, F(1, 2))), law
