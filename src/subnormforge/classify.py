@@ -72,15 +72,10 @@ class ClassificationReport:
 # -- small helpers ----------------------------------------------------------
 
 
-def _pq_values(max_q: int = 32):
-    """All p/q in (0,1] in ascending denominator order, deterministic."""
-    seen = set()
-    for q in range(1, max_q + 1):
-        for p in range(1, q + 1):
-            v = Fraction(p, q)
-            if v not in seen:
-                seen.add(v)
-                yield v
+# All p/q in (0,1] with q <= 32, once each, in ascending denominator
+# order: the deterministic search order of the witness builders.
+_PQ_VALUES = tuple(dict.fromkeys(
+    Fraction(p, q) for q in range(1, 33) for p in range(1, q + 1)))
 
 
 def arg_with_value(f: PiecewiseMonotoneFn, v: Fraction, avoid=None):
@@ -292,7 +287,7 @@ def check_inclusion_conditions(t: TNormDescriptor, d: Decomposition):
 def _value_witness(t, a: IntervalSet, b: IntervalSet, z: Fraction):
     """(u, v, z) with u in a, v in b, T(u,v)=z, by deterministic search
     over small-denominator v; falls back to (None, None, z)."""
-    for v in _pq_values(32):
+    for v in _PQ_VALUES:
         if not b.contains(v):
             continue
         for u in t_solve_x(t, v, z):
@@ -464,7 +459,7 @@ def _gap_collisions(op, d: Decomposition, domain: IntervalSet, z: Fraction):
     if gap is None:
         return
     b, dd, c = gap
-    for v in _pq_values(32):
+    for v in _PQ_VALUES:
         if not d.m.contains(v):
             continue
         pre = domain.intersect(t_preimage(t, v, Interval.closed(b, dd)))
@@ -680,6 +675,9 @@ def check_archimedean(op: GeneratedOp, grid_n: int = 20, cap: int = 256) -> Verd
     self-composition power dropping below every interior grid y.  An
     exactly stabilized power sequence above some y is a rigorous No;
     hitting the cap without stabilizing leaves Unknown."""
+    if grid_n < 2:
+        raise ValueError(
+            f"grid_n must be >= 2 for an interior grid point, got {grid_n}")
     ys = [Fraction(i, grid_n) for i in range(1, grid_n)]
     y_min = ys[0]
     for x in ys:
@@ -718,14 +716,20 @@ def check_archimedean(op: GeneratedOp, grid_n: int = 20, cap: int = 256) -> Verd
 
 
 def _assoc_search(op: GeneratedOp, pts):
-    for x in pts:
-        for y in pts:
-            for z in pts:
-                lhs = f_eval(op, f_eval(op, x, y), z)
-                rhs = f_eval(op, x, f_eval(op, y, z))
-                if lhs != rhs:
-                    return (x, y, z)
-    return None
+    """The first (x, y, z) of pts^3, in lexicographic order, with
+    F(F(x,y),z) != F(x,F(y,z)); None when there is none.
+
+    Runs the oracle's associativity scan, which evaluates F once per pair
+    of f values on interned value tables.  It is only called on the strict
+    exact path, where every value is an exact Fraction: the scan visits
+    the triples in the same order and, on an exact table, unequal value
+    ids are unequal values, so its first counterexample is the first
+    triple a direct scan would find.
+    """
+    from .oracle import check_property
+
+    res = check_property(op, "associativity", pts)
+    return None if res.ok else res.counterexample.inputs
 
 
 def _neutral_search(op: GeneratedOp, pts):

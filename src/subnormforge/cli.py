@@ -61,6 +61,15 @@ def _require(args, *names):
             raise SystemExit(f"error: --{name} is required for this command")
 
 
+def _rational(text: str, opt: str) -> Fraction:
+    """The p/q text of option --opt as a Fraction; bad text, a zero
+    denominator included, is a ValueError."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--{opt}: bad rational {text!r}") from None
+
+
 def _fmt_value(v) -> str:
     c, r = approx_diff(v, ZERO)
     if r:
@@ -71,7 +80,7 @@ def _fmt_value(v) -> str:
 def cmd_eval(args) -> int:
     _require(args, "fn", "tnorm", "x", "y")
     op = make_op(load_fn(args.fn), parse_tnorm(args.tnorm))
-    v = f_eval(op, Fraction(args.x), Fraction(args.y))
+    v = f_eval(op, _rational(args.x, "x"), _rational(args.y, "y"))
     _emit(_fmt_value(v) + "\n", args.out)
     return 0
 
@@ -128,7 +137,7 @@ def cmd_grid(args) -> int:
 def cmd_construct_subnorm(args) -> int:
     _require(args, "gen", "lam")
     gen = GeneratorSpec(args.gen)
-    lam = Fraction(args.lam)
+    lam = _rational(args.lam, "lam")
     f, t = lambda_decompose(gen, lam)
     direct = additive_generated(gen)
     op = make_op(f, t)

@@ -176,10 +176,12 @@ def parse_tnorm(desc: str) -> TNormDescriptor:
     if desc.startswith("gen:"):
         return generator_tnorm(GeneratorSpec(desc[4:]))
     if desc.startswith("lambda:"):
-        parts = desc.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad lambda descriptor {desc!r}")
-        return TNormDescriptor("lambda", gen=GeneratorSpec(parts[1]), lam=Fraction(parts[2]))
+        try:
+            _, gen, lam = desc.split(":")
+            lam = Fraction(lam)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad lambda descriptor {desc!r}") from None
+        return TNormDescriptor("lambda", gen=GeneratorSpec(gen), lam=lam)
     raise ValueError(f"unknown t-norm descriptor {desc!r}")
 
 

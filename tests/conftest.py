@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 ACCEPTANCE_RESULTS = []
 
@@ -190,3 +191,35 @@ def random_strictly_increasing_fn(rng: random.Random, max_segments: int = 6,
         dom = Interval.make(a, b, True, i == k - 1)
         segments.append(Segment.linear(dom, slope, va - slope * a))
     return PiecewiseMonotoneFn(True, tuple(segments), ())
+
+
+@st.composite
+def monotone_fns(draw):
+    """Non-decreasing piecewise linear f on [0,1] whose pieces meet as
+    [a,b)[b,c), as [a,b](b,c) (open-left) or as [a,b){b}(b,c) (an isolated
+    point), and which may end in an isolated point at 1."""
+    den = 8
+    cuts = sorted(draw(st.sets(st.integers(1, den - 1), max_size=3)))
+    bounds = [Fraction(0)] + [Fraction(c, den) for c in cuts] + [Fraction(1)]
+    joins = [draw(st.sampled_from(("closed", "open", "point"))) for _ in cuts]
+    joins.append(draw(st.sampled_from(("closed", "point"))))
+    level = Fraction(draw(st.integers(0, 8)), 16)
+    segments, points, lo_closed = [], [], True
+
+    def up(v):
+        return min(Fraction(1), v + Fraction(draw(st.integers(0, 4)), 16))
+
+    for a, b, join in zip(bounds, bounds[1:], joins):
+        start = up(level)
+        end = start if draw(st.booleans()) else up(start)
+        hi_closed = join == "open" or (join == "closed" and b == 1)
+        dom = Interval.make(a, b, lo_closed, hi_closed)
+        slope = (end - start) / (b - a)
+        segments.append(Segment.linear(dom, slope, start - slope * a) if slope
+                        else Segment.const(dom, start))
+        level = end
+        if join == "point":
+            level = up(level)
+            points.append((b, level))
+        lo_closed = join == "closed"
+    return PiecewiseMonotoneFn(True, tuple(segments), tuple(points))

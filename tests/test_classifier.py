@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_strictly_increasing_fn
+from conftest import monotone_fns, random_strictly_increasing_fn
 from subnormforge import classify, decompose, f_eval, make_op, parse_fn, parse_tnorm
 from subnormforge.classify import (
+    _assoc_search,
+    check_archimedean,
     check_inclusion_conditions,
     render_structured,
     render_text,
@@ -187,6 +190,46 @@ def test_onto_f_decides_conditional_cancellation():
     assert seen > 0
 
 
+# -- associativity search ----------------------------------------------------
+
+
+def reference_assoc_search(op, pts):
+    """The first (x, y, z) in lexicographic order with F(F(x,y),z) !=
+    F(x,F(y,z)), by evaluating F at every comparison."""
+    for x in pts:
+        for y in pts:
+            for z in pts:
+                lhs = f_eval(op, f_eval(op, x, y), z)
+                rhs = f_eval(op, x, f_eval(op, y, z))
+                if lhs != rhs:
+                    return (x, y, z)
+    return None
+
+
+def assoc_pts(f):
+    """The search grid of classify's t_subnorm block."""
+    return sorted(set(f.breakpoints()) | {F(i, 6) for i in range(7)})
+
+
+@pytest.mark.parametrize("tdesc", ["product", "hamacher2"])
+@settings(max_examples=25, deadline=None)
+@given(f=monotone_fns())
+def test_assoc_search_matches_direct_scan(tdesc, f):
+    op = make_op(f, parse_tnorm(tdesc))
+    pts = assoc_pts(f)
+    assert _assoc_search(op, pts) == reference_assoc_search(op, pts)
+
+
+@pytest.mark.parametrize("name,want", [
+    ("gap", (F(1, 6), F(1, 4), F(5, 6))), ("plateau", None)])
+def test_assoc_search_worked_examples(name, want):
+    from conftest import WORKED_EXAMPLES
+
+    f = parse_fn(WORKED_EXAMPLES[name])
+    op = make_op(f, PRODUCT)
+    assert _assoc_search(op, assoc_pts(f)) == want
+
+
 # -- degenerate shapes -------------------------------------------------------
 
 
@@ -208,6 +251,14 @@ def test_plateau_to_one_collapses():
     r = classify(f, PRODUCT)
     s = statuses(r)
     assert s["conditionally_cancellative"] in ("yes", "no")
+
+
+@pytest.mark.parametrize("grid_n", [1, 0, -3])
+def test_archimedean_grid_needs_an_interior_point(f_identity, grid_n):
+    with pytest.raises(ValueError, match="grid_n must be >= 2"):
+        check_archimedean(make_op(f_identity, PRODUCT), grid_n=grid_n)
+    with pytest.raises(ValueError, match="grid_n must be >= 2"):
+        classify(f_identity, PRODUCT, arch_grid_n=grid_n)
 
 
 # -- rendering ---------------------------------------------------------------

@@ -124,8 +124,13 @@ segment [0,1/2] linear 1 0
     ["oracle", "--fn", "{gap}", "--tnorm", "product", "--grid-n", "0"],
     ["grid", "--fn", "{gap}", "--tnorm", "product", "--grid-n", "0"],
     ["grid", "--fn", "{gap}", "--tnorm", "product", "--grid-n", "-1"],
+    ["eval", "--fn", "{gap}", "--tnorm", "product", "--x", "1/0", "--y", "1/2"],
+    ["construct-subnorm", "--gen", "neglog", "--lam", "1/0"],
+    ["eval", "--fn", "{gap}", "--tnorm", "lambda:neglog:1/0", "--x", "1/2",
+     "--y", "1/2"],
 ], ids=["unknown-tnorm", "bad-rational", "x-outside-unit", "domain-short",
-        "missing-file", "grid-n-zero", "grid-grid-n-zero", "grid-grid-n-negative"])
+        "missing-file", "grid-n-zero", "grid-grid-n-zero", "grid-grid-n-negative",
+        "x-zero-denominator", "lam-zero-denominator", "lambda-zero-denominator"])
 def test_bad_input_fails_cleanly(argv, fn_file, tmp_path, capsys):
     paths = {"gap": fn_file(F_GAP), "short": fn_file(F_SHORT, "short.txt"),
              "missing": str(tmp_path / "missing.txt")}

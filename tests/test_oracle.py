@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from conftest import monotone_fns
 from subnormforge import f_eval, make_op, parse_tnorm
-from subnormforge.intervals import ONE, ZERO, Interval
+from subnormforge.intervals import ONE, ZERO
 from subnormforge.oracle import (
     PROPERTY_NAMES,
     CheckResult,
@@ -19,7 +19,6 @@ from subnormforge.oracle import (
     grid,
     scan_continuity,
 )
-from subnormforge.pwfn import PiecewiseMonotoneFn, Segment
 from subnormforge.tnorms import Approx, approx_diff
 
 F = Fraction
@@ -206,38 +205,6 @@ def reference_check(op, prop, pts, n_iter=64):
                 return cex(inputs, a, b)
     note = f"{undecided} comparisons undecided within error radii" if undecided else None
     return CheckResult(True, note=note, checked=count)
-
-
-@st.composite
-def monotone_fns(draw):
-    """Non-decreasing piecewise linear f on [0,1] whose pieces meet as
-    [a,b)[b,c), as [a,b](b,c) (open-left) or as [a,b){b}(b,c) (an isolated
-    point), and which may end in an isolated point at 1."""
-    den = 8
-    cuts = sorted(draw(st.sets(st.integers(1, den - 1), max_size=3)))
-    bounds = [F(0)] + [F(c, den) for c in cuts] + [F(1)]
-    joins = [draw(st.sampled_from(("closed", "open", "point"))) for _ in cuts]
-    joins.append(draw(st.sampled_from(("closed", "point"))))
-    level = F(draw(st.integers(0, 8)), 16)
-    segments, points, lo_closed = [], [], True
-
-    def up(v):
-        return min(F(1), v + F(draw(st.integers(0, 4)), 16))
-
-    for a, b, join in zip(bounds, bounds[1:], joins):
-        start = up(level)
-        end = start if draw(st.booleans()) else up(start)
-        hi_closed = join == "open" or (join == "closed" and b == 1)
-        dom = Interval.make(a, b, lo_closed, hi_closed)
-        slope = (end - start) / (b - a)
-        segments.append(Segment.linear(dom, slope, start - slope * a) if slope
-                        else Segment.const(dom, start))
-        level = end
-        if join == "point":
-            level = up(level)
-            points.append((b, level))
-        lo_closed = join == "closed"
-    return PiecewiseMonotoneFn(True, tuple(segments), tuple(points))
 
 
 @pytest.mark.parametrize("family", ["product", "hamacher2", "min", "halfprod",
