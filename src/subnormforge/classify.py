@@ -83,13 +83,12 @@ def arg_with_value(f: PiecewiseMonotoneFn, v: Fraction, avoid=None):
     not attained (or only attained at `avoid`)."""
     from .pwfn import Segment
 
-    for p in f.pieces():
+    for p, vals in zip(f._pieces, f._values):
         if not isinstance(p, Segment):
             px, pv = p
             if pv == v and px != avoid:
                 return px
             continue
-        vals = p.attained_values()
         if not vals.contains(v):
             continue
         d = p.domain
@@ -347,6 +346,8 @@ def l_set_check(t: TNormDescriptor, d: Decomposition, resolution: int = 32) -> V
     exact intersection refutes associativity; otherwise Unknown at this
     resolution.
     """
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution}")
     if t.family not in ("product", "hamacher2"):
         return Verdict.unknown("preimages unavailable for this family")
     ys = set()
@@ -743,6 +744,11 @@ def _neutral_search(op: GeneratedOp, pts):
 def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
              l_resolution: int = 32, arch_grid_n: int = 20) -> ClassificationReport:
     """Full property report for F(x,y) = finv(T(f(x),f(y)))."""
+    if arch_grid_n < 2:
+        raise ValueError(
+            f"arch_grid_n must be >= 2 for an interior grid point, got {arch_grid_n}")
+    if l_resolution < 1:
+        raise ValueError(f"l_resolution must be >= 1, got {l_resolution}")
     op = make_op(f, t)
     log = []
 

@@ -25,7 +25,7 @@ def frac(v: Rat) -> Fraction:
     return Fraction(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A non-empty interval with independent endpoint openness."""
 

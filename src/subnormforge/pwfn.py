@@ -4,12 +4,19 @@ A function is a finite sequence of rational-linear or constant segments
 plus isolated point values whose domains exactly partition [0,1].  All
 evaluation, one-sided limits, pseudo-inversion, range and plateau
 computations are exact over the rationals.
+
+The structure that depends on f alone is computed once per function
+object and cached on it: the sorted pieces, the value interval each piece
+attains, the breakpoints and the plateau set.  The caches live in the
+instance ``__dict__``, outside the dataclass fields, so equality, hashing
+and ``repr`` see only the segments and points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .intervals import Interval, IntervalSet, ZERO, ONE, frac
@@ -23,7 +30,7 @@ class InvalidFunction(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """A linear (slope != 0) or constant (slope == 0) piece."""
 
@@ -75,26 +82,49 @@ class PiecewiseMonotoneFn:
     def __call__(self, x) -> Fraction:
         return eval_fn(self, x)
 
-    def pieces(self):
+    def pieces(self) -> tuple:
         """All pieces (segments and points) in ascending x order."""
-        out = [(s.domain.lo, not s.domain.lo_closed, s) for s in self.segments]
-        out += [(x, False, (x, v)) for x, v in self.points]
-        out.sort(key=lambda t: (t[0], t[1]))
-        return [p for _, _, p in out]
+        return self._pieces
 
     def breakpoints(self) -> list:
         """Domain endpoints of all pieces (candidate discontinuities)."""
-        out = set()
-        for s in self.segments:
-            out.add(s.domain.lo)
-            out.add(s.domain.hi)
-        for x, _ in self.points:
-            out.add(x)
-        return sorted(out)
+        return list(self._breakpoints)
 
     @property
     def is_strictly_monotone(self) -> bool:
         return plateau_set(self).is_empty
+
+    # -- structure cached per function object -------------------------------
+
+    @cached_property
+    def _pieces(self) -> tuple:
+        out = [(s.domain.lo, not s.domain.lo_closed, s) for s in self.segments]
+        out += [(x, False, (x, v)) for x, v in self.points]
+        out.sort(key=lambda t: (t[0], t[1]))
+        return tuple(p for _, _, p in out)
+
+    @cached_property
+    def _values(self) -> tuple:
+        """The value interval each piece attains, in piece order."""
+        return tuple(_piece_values(p) for p in self._pieces)
+
+    @cached_property
+    def _breakpoints(self) -> tuple:
+        out = {x for x, _ in self.points}
+        for s in self.segments:
+            out.add(s.domain.lo)
+            out.add(s.domain.hi)
+        return tuple(sorted(out))
+
+    @cached_property
+    def _plateau(self) -> IntervalSet:
+        """Values attained at more than one argument.  If f(x1) = f(x2) = v
+        with x1 < x2, monotonicity makes f equal v on [x1,x2], and a piece
+        covering part of (x1,x2) that is more than a point is a constant
+        segment with value v.  So these are the constant values of the
+        segments whose domain is not a single point."""
+        return IntervalSet.points(s.intercept for s in self.segments
+                                  if s.is_const and not s.domain.is_point)
 
 
 def _piece_domain(piece) -> Interval:
@@ -122,8 +152,7 @@ def _validate(fn: PiecewiseMonotoneFn) -> None:
     if cur != ONE or cur_closed:
         raise InvalidFunction(f"domain does not reach 1 (stops at {cur})")
     prev_vals: Optional[Interval] = None
-    for p in pieces:
-        vals = _piece_values(p)
+    for p, vals in zip(pieces, fn._values):
         if vals.lo < 0 or vals.hi > 1:
             raise InvalidFunction(f"values escape [0,1] on {_piece_domain(p)}")
         if isinstance(p, Segment) and not p.is_const:
@@ -193,13 +222,13 @@ def pseudo_inverse_at(f: PiecewiseMonotoneFn, y) -> Fraction:
 
 def _first_arg(f, y, at_least: bool) -> Fraction:
     """inf{x : f(x) >= y} (at_least) or inf{x : f(x) <= y}, inf(empty)=1."""
-    for p in f.pieces():
+    for p, vals in zip(f._pieces, f._values):
         if isinstance(p, tuple):
             px, pv = p
             if (pv >= y) if at_least else (pv <= y):
                 return px
             continue
-        d, vals = p.domain, p.attained_values()
+        d = p.domain
         if p.is_const:
             ok = (p.intercept >= y) if at_least else (p.intercept <= y)
             if ok:
@@ -223,13 +252,13 @@ def _first_arg(f, y, at_least: bool) -> Fraction:
 def first_arg_above(f: PiecewiseMonotoneFn, v) -> Fraction:
     """inf{x : f(x) > v} for non-decreasing f; inf(empty) = 1."""
     v = frac(v)
-    for p in f.pieces():
+    for p, vals in zip(f._pieces, f._values):
         if isinstance(p, tuple):
             px, pv = p
             if pv > v:
                 return px
             continue
-        d, vals = p.domain, p.attained_values()
+        d = p.domain
         if p.is_const:
             if p.intercept > v:
                 return d.lo
@@ -248,8 +277,7 @@ def pseudo_inverse(f: PiecewiseMonotoneFn) -> PiecewiseMonotoneFn:
     or constant, and verifying each fitted piece at a third point.
     """
     crit = {ZERO, ONE}
-    for p in f.pieces():
-        vals = _piece_values(p)
+    for vals in f._values:
         crit.add(vals.lo)
         crit.add(vals.hi)
     ys = sorted(crit)
@@ -318,20 +346,12 @@ def pseudo_inverse(f: PiecewiseMonotoneFn) -> PiecewiseMonotoneFn:
 
 
 def range_of(f: PiecewiseMonotoneFn) -> IntervalSet:
-    return IntervalSet.of(_piece_values(p) for p in f.pieces())
+    return IntervalSet.of(f._values)
 
 
 def plateau_set(f: PiecewiseMonotoneFn) -> IntervalSet:
     """Values attained at more than one argument."""
-    pieces = f.pieces()
-    out = IntervalSet.empty()
-    for i, p in enumerate(pieces):
-        if isinstance(p, Segment) and p.is_const and not p.domain.is_point:
-            out = out.union(IntervalSet.single(Interval.point(p.intercept)))
-        vi = IntervalSet.single(_piece_values(p))
-        for q in pieces[i + 1 :]:
-            out = out.union(vi.intersect(IntervalSet.single(_piece_values(q))))
-    return out
+    return f._plateau
 
 
 @dataclass(frozen=True)

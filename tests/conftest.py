@@ -223,3 +223,18 @@ def monotone_fns(draw):
             points.append((b, level))
         lo_closed = join == "closed"
     return PiecewiseMonotoneFn(True, tuple(segments), tuple(points))
+
+
+def _one_minus(f: PiecewiseMonotoneFn) -> PiecewiseMonotoneFn:
+    """1 - f: the same domains, each slope negated, each intercept c
+    replaced by 1 - c and each point (x, v) by (x, 1 - v)."""
+    return PiecewiseMonotoneFn(
+        not f.nondecreasing,
+        tuple(Segment(s.domain, -s.slope, 1 - s.intercept) for s in f.segments),
+        tuple((x, 1 - v) for x, v in f.points))
+
+
+def nonincreasing_fns():
+    """Non-increasing f on [0,1]: 1 - f for f drawn from monotone_fns, so
+    with the same joins, isolated points and constant pieces."""
+    return monotone_fns().map(_one_minus)

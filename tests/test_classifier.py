@@ -11,10 +11,13 @@ from subnormforge import classify, decompose, f_eval, make_op, parse_fn, parse_t
 from subnormforge.classify import (
     _assoc_search,
     check_archimedean,
+    check_degenerate,
     check_inclusion_conditions,
+    l_set_check,
     render_structured,
     render_text,
 )
+from subnormforge.oracle import consistency_harness
 
 F = Fraction
 
@@ -259,6 +262,36 @@ def test_archimedean_grid_needs_an_interior_point(f_identity, grid_n):
         check_archimedean(make_op(f_identity, PRODUCT), grid_n=grid_n)
     with pytest.raises(ValueError, match="grid_n must be >= 2"):
         classify(f_identity, PRODUCT, arch_grid_n=grid_n)
+
+
+# f(1) = 1/4 is a plateau value, so classify takes the degenerate-shape return
+F_PLATEAU_AT_ONE = """\
+monotone: nondecreasing
+segment [0,1/2) linear 1/2 0
+segment [1/2,1] const 1/4
+"""
+
+
+@pytest.mark.parametrize("shape", ["plateau_at_one", "identity"])
+@pytest.mark.parametrize("kwargs, match", [
+    ({"arch_grid_n": 1}, "arch_grid_n must be >= 2"),
+    ({"arch_grid_n": 0}, "arch_grid_n must be >= 2"),
+    ({"l_resolution": 0}, "l_resolution must be >= 1"),
+    ({"l_resolution": -2}, "l_resolution must be >= 1"),
+])
+def test_classify_rejects_bad_arguments_for_every_f(f_identity, shape, kwargs, match):
+    f = parse_fn(F_PLATEAU_AT_ONE) if shape == "plateau_at_one" else f_identity
+    assert (check_degenerate(f, PRODUCT) is not None) == (shape == "plateau_at_one")
+    with pytest.raises(ValueError, match=match):
+        classify(f, PRODUCT, **kwargs)
+    if "arch_grid_n" in kwargs:
+        with pytest.raises(ValueError, match=match):
+            consistency_harness(f, PRODUCT, n=4, **kwargs)
+
+
+def test_l_set_check_rejects_zero_resolution(f_gap):
+    with pytest.raises(ValueError, match="resolution must be >= 1"):
+        l_set_check(PRODUCT, decompose(f_gap), resolution=0)
 
 
 # -- rendering ---------------------------------------------------------------

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import monotone_fns
+from conftest import monotone_fns, nonincreasing_fns
 from subnormforge import f_eval, make_op, parse_tnorm
 from subnormforge.intervals import ONE, ZERO
 from subnormforge.oracle import (
@@ -210,7 +211,7 @@ def reference_check(op, prop, pts, n_iter=64):
 @pytest.mark.parametrize("family", ["product", "hamacher2", "min", "halfprod",
                                     "gen:neglog"])
 @settings(max_examples=12, deadline=None)
-@given(f=monotone_fns())
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
 def test_table_oracle_matches_direct_scan(family, f):
     op = make_op(f, parse_tnorm(family))
     pts = grid(4, default_extra(f))

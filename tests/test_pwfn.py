@@ -5,24 +5,36 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     bisect_pseudo_inverse,
+    monotone_fns,
+    nonincreasing_fns,
     random_nondecreasing_fn,
     random_strictly_increasing_fn,
 )
 from subnormforge import (
+    classify,
     decompose,
     eval_fn,
     parse_fn,
+    parse_tnorm,
     plateau_set,
     pseudo_inverse,
     pseudo_inverse_at,
     range_of,
+    render_fn,
     side_limit,
 )
-from subnormforge.intervals import Interval
-from subnormforge.pwfn import InvalidFunction, PiecewiseMonotoneFn, Segment
+from subnormforge.intervals import Interval, IntervalSet
+from subnormforge.pwfn import (
+    InvalidFunction,
+    PiecewiseMonotoneFn,
+    Segment,
+    first_arg_above,
+)
 
 F = Fraction
 
@@ -166,6 +178,124 @@ def test_decompose_reconstruct_random():
         for b, dd, c in d.s:
             assert d.m.contains(c)
             assert c == b or c == dd
+
+
+# -- cached structure against per-call references ---------------------------
+
+
+def reference_pieces(f):
+    """The pieces in ascending x order, sorted afresh on every call."""
+    out = [(s.domain.lo, not s.domain.lo_closed, s) for s in f.segments]
+    out += [(x, False, (x, v)) for x, v in f.points]
+    out.sort(key=lambda t: (t[0], t[1]))
+    return [p for _, _, p in out]
+
+
+def reference_values(p):
+    return p.attained_values() if isinstance(p, Segment) else Interval.point(p[1])
+
+
+def reference_plateau_set(f):
+    """Values attained twice, as one IntervalSet union per pair of pieces."""
+    pieces = reference_pieces(f)
+    out = IntervalSet.empty()
+    for i, p in enumerate(pieces):
+        if isinstance(p, Segment) and p.is_const and not p.domain.is_point:
+            out = out.union(IntervalSet.single(Interval.point(p.intercept)))
+        vi = IntervalSet.single(reference_values(p))
+        for q in pieces[i + 1:]:
+            out = out.union(vi.intersect(IntervalSet.single(reference_values(q))))
+    return out
+
+
+def reference_first_arg(f, y, at_least):
+    """inf{x : f(x) >= y} (at_least) or inf{x : f(x) <= y}, inf(empty)=1,
+    building each piece's value interval on every call."""
+    for p in reference_pieces(f):
+        if isinstance(p, tuple):
+            px, pv = p
+            if (pv >= y) if at_least else (pv <= y):
+                return px
+            continue
+        d, vals = p.domain, p.attained_values()
+        if p.is_const:
+            if (p.intercept >= y) if at_least else (p.intercept <= y):
+                return d.lo
+            continue
+        if at_least:
+            if vals.hi > y or (vals.hi_closed and vals.hi == y):
+                return max(d.lo, (y - p.intercept) / p.slope)
+        elif vals.lo < y or (vals.lo_closed and vals.lo == y):
+            return max(d.lo, (y - p.intercept) / p.slope)
+    return F(1)
+
+
+def reference_first_arg_above(f, v):
+    """inf{x : f(x) > v} for non-decreasing f, inf(empty)=1."""
+    for p in reference_pieces(f):
+        if isinstance(p, tuple):
+            if p[1] > v:
+                return p[0]
+            continue
+        if p.is_const:
+            if p.intercept > v:
+                return p.domain.lo
+            continue
+        if p.attained_values().hi > v:
+            return max(p.domain.lo, (v - p.intercept) / p.slope)
+    return F(1)
+
+
+def probe_values(f):
+    """The breakpoints of f, the midpoints between them and the sixteenths."""
+    bps = f.breakpoints()
+    mids = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+    return sorted(set(bps) | set(mids) | set(grid(16)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
+def test_cached_structure_matches_references(f):
+    q = reference_plateau_set(f)
+    assert plateau_set(f) == q
+    assert f.is_strictly_monotone == q.is_empty
+    m = IntervalSet.of(reference_values(p) for p in reference_pieces(f))
+    assert range_of(f) == m
+    ys = probe_values(f)
+    for y in ys:
+        assert pseudo_inverse_at(f, y) == reference_first_arg(f, y, f.nondecreasing), y
+        if f.nondecreasing:
+            assert first_arg_above(f, y) == reference_first_arg_above(f, y), y
+    # the pseudo-inverse is linear between attained-value endpoints, so
+    # agreeing there and at interior points pins it down everywhere
+    crit = sorted({F(0), F(1)} | {e for p in reference_pieces(f)
+                                  for e in (reference_values(p).lo,
+                                            reference_values(p).hi)})
+    inner = [a + (b - a) * k / 4 for a, b in zip(crit, crit[1:]) for k in (1, 2, 3)]
+    g = pseudo_inverse(f)
+    for y in sorted(set(ys) | set(crit) | set(inner)):
+        assert eval_fn(g, y) == reference_first_arg(f, y, f.nondecreasing), y
+    if f.nondecreasing:
+        d = decompose(f)
+        assert (d.m, d.q) == (m, q)
+        assert d.reconstruct() == m
+        if not q.is_empty:
+            upsilon = q.parts[-1].hi
+            assert (d.upsilon, d.tau) == (upsilon,
+                                          reference_first_arg_above(f, upsilon))
+
+
+def test_caches_leave_identity_alone(f_step):
+    before = (hash(f_step), repr(f_step))
+    for family in ("product", "min"):
+        classify(f_step, parse_tnorm(family), arch_grid_n=6)
+    assert {"_pieces", "_values", "_breakpoints", "_plateau"} <= set(vars(f_step))
+    fresh = parse_fn(render_fn(f_step))
+    assert "_plateau" not in vars(fresh)
+    assert f_step == fresh
+    assert (hash(f_step), repr(f_step)) == before == (hash(fresh), repr(fresh))
+    assert isinstance(f_step.pieces(), tuple)
+    assert f_step.breakpoints() is not f_step.breakpoints()
 
 
 # -- validation --------------------------------------------------------------
