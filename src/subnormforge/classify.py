@@ -20,8 +20,11 @@ from .intervals import Interval, IntervalSet, ONE, ZERO
 from .pwfn import (
     Decomposition,
     PiecewiseMonotoneFn,
+    Segment,
+    approach_segment,
     decompose,
     eval_fn,
+    plateau_set,
     side_limit,
 )
 from .tnorms import TNormDescriptor, approx_diff, t_eval, t_image, t_solve_x, t_preimage
@@ -81,8 +84,6 @@ _PQ_VALUES = tuple(dict.fromkeys(
 def arg_with_value(f: PiecewiseMonotoneFn, v: Fraction, avoid=None):
     """Some x with f(x)=v, optionally distinct from `avoid`; None if v is
     not attained (or only attained at `avoid`)."""
-    from .pwfn import Segment
-
     for p, vals in zip(f._pieces, f._values):
         if not isinstance(p, Segment):
             px, pv = p
@@ -139,8 +140,7 @@ def _plateau_pair(f: PiecewiseMonotoneFn, values):
 # -- degenerate shapes ------------------------------------------------------
 
 
-def check_degenerate(f: PiecewiseMonotoneFn, t: TNormDescriptor,
-                     op: Optional[GeneratedOp] = None):
+def check_degenerate(op: GeneratedOp):
     """Forced verdicts when the generated operation collapses.
 
     Non-increasing f vanishing on (0,1] gives F identically 0; for
@@ -149,10 +149,7 @@ def check_degenerate(f: PiecewiseMonotoneFn, t: TNormDescriptor,
     conditional cancellation law is to hold at all.  Returns a property
     dict, or None when none of these shapes apply.
     """
-    if op is None:
-        op = make_op(f, t)
-    from .pwfn import plateau_set
-
+    f = op.f
     if not f.nondecreasing:
         # f is non-increasing with values in [0,1], so it vanishes on
         # (0,1] exactly when its limit at 0 from the right is 0
@@ -406,12 +403,10 @@ def l_set_check(t: TNormDescriptor, d: Decomposition, resolution: int = 32) -> V
 # -- cancellation -----------------------------------------------------------
 
 
-def check_cancellative(t: TNormDescriptor, f: PiecewiseMonotoneFn,
-                       d: Decomposition, op: Optional[GeneratedOp] = None) -> Verdict:
+def check_cancellative(op: GeneratedOp, d: Decomposition) -> Verdict:
     """Cancellative t-subnorm test: f strictly increasing and T(M,M)
     within M, both verified exactly."""
-    if op is None:
-        op = make_op(f, t)
+    f, t = op.f, op.t
     if not f.is_strictly_monotone:
         pair = _plateau_pair(f, d.q.sample_points())
         if pair is not None:
@@ -522,16 +517,6 @@ def _jumps(f: PiecewiseMonotoneFn):
     return out
 
 
-def _approach_segment(f: PiecewiseMonotoneFn, x0: Fraction, side: str):
-    for s in f.segments:
-        d = s.domain
-        if side == "left" and d.lo < x0 <= d.hi:
-            return s
-        if side == "right" and d.lo <= x0 < d.hi:
-            return s
-    return None
-
-
 def _t_dir_limit(t: TNormDescriptor, v: Fraction, side: str, c: Fraction) -> Fraction:
     """lim T(u,c) as u -> v from `side`, for exact families."""
     if t.family == "halfprod" and side == "right" and v == Fraction(1, 2) \
@@ -550,9 +535,11 @@ def _dir_limit(op: GeneratedOp, x0: Fraction, y0: Fraction, side: str):
     c = op.f_at(y0)
     if c == 0:
         return op.finv_at(ZERO)
-    v = side_limit(op.f, x0, side)
-    seg = _approach_segment(op.f, x0, side)
-    if seg is None or seg.is_const:
+    # x0 is neither 0 from the left nor 1 from the right, so a segment
+    # approaches it
+    seg = approach_segment(op.f, x0, side)
+    v = seg.value_at(x0)
+    if seg.is_const:
         return op.finv_at(t_eval(t, v, c))
     if t.family == "minimum" and c < v:
         return op.finv_at(c)
@@ -566,9 +553,7 @@ def _dir_limit(op: GeneratedOp, x0: Fraction, y0: Fraction, side: str):
     return side_limit(op.finv, w, "right")
 
 
-def check_continuity(t: TNormDescriptor, f: PiecewiseMonotoneFn,
-                     op: Optional[GeneratedOp] = None,
-                     d: Optional[Decomposition] = None) -> Verdict:
+def check_continuity(op: GeneratedOp, d: Optional[Decomposition] = None) -> Verdict:
     """Continuity of F on [0,1]^2.
 
     For strictly increasing f with a strictly monotone continuous exact
@@ -577,10 +562,10 @@ def check_continuity(t: TNormDescriptor, f: PiecewiseMonotoneFn,
     from jumps of f, so a finite sweep over jump pairs and critical second
     arguments decides the property exactly.  Otherwise a search for
     exactly computed one-sided limit mismatches can refute continuity,
-    and anything undecided stays Unknown.
+    and anything undecided stays Unknown.  `d` is f's decomposition,
+    built here when not given; non-increasing f has none.
     """
-    if op is None:
-        op = make_op(f, t)
+    f, t = op.f, op.t
     if t.family == "lambda":
         segs = f.segments
         if (not f.points and len(segs) == 1 and not segs[0].is_const
@@ -752,7 +737,7 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
     op = make_op(f, t)
     log = []
 
-    deg = check_degenerate(f, t, op)
+    deg = check_degenerate(op)
     if deg is not None:
         log.append(("degenerate shape", "", "forced classification"))
         return ClassificationReport(
@@ -764,7 +749,7 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
 
     props["proper"] = _proper_verdict(op)
     props["archimedean"] = check_archimedean(op, grid_n=arch_grid_n)
-    props["continuous"] = check_continuity(t, f, op=op, d=d)
+    props["continuous"] = check_continuity(op, d)
     if props["continuous"].status == "yes":
         log.append(("continuity",
                     "Archimedean and conditional cancellation coincide for "
@@ -813,7 +798,7 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
                 f"inclusion fails at {z} but no argument-space witness "
                 "was constructed")
 
-    props["cancellative"] = check_cancellative(t, f, d, op)
+    props["cancellative"] = check_cancellative(op, d)
     props["strictly_monotone_op"] = props["cancellative"]
 
     hk = check_prop_sufficient(t, d)

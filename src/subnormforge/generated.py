@@ -21,10 +21,6 @@ class GeneratedOp:
     _f_cache: dict = field(default_factory=dict, repr=False)
     _finv_cache: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def exact(self) -> bool:
-        return self.t.exact
-
     def f_at(self, x: Fraction) -> Fraction:
         v = self._f_cache.get(x)
         if v is None:

@@ -10,6 +10,10 @@ object and cached on it: the sorted pieces, the value interval each piece
 attains, the breakpoints and the plateau set.  The caches live in the
 instance ``__dict__``, outside the dataclass fields, so equality, hashing
 and ``repr`` see only the segments and points.
+
+``pseudo_inverse`` builds the closed form of the pseudo-inverse in one
+sweep over the cached pieces and value intervals; ``pseudo_inverse_at``
+is the pointwise definition that the tests hold it against.
 """
 
 from __future__ import annotations
@@ -187,23 +191,27 @@ def side_limit(f: PiecewiseMonotoneFn, a, side: str) -> Fraction:
     a = frac(a)
     if a < 0 or a > 1:
         raise DomainError(f"argument {a} outside [0,1]")
-    if side == "left":
-        if a == 0:
-            return ZERO if f.nondecreasing else ONE
-        for s in f.segments:
-            d = s.domain
-            if d.lo < a <= d.hi:
-                return s.value_at(a)
-        raise InvalidFunction(f"no segment approaches {a} from the left")
-    if side == "right":
-        if a == 1:
-            return ONE if f.nondecreasing else ZERO
-        for s in f.segments:
-            d = s.domain
-            if d.lo <= a < d.hi:
-                return s.value_at(a)
-        raise InvalidFunction(f"no segment approaches {a} from the right")
-    raise ValueError("side must be 'left' or 'right'")
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    if side == "left" and a == 0:
+        return ZERO if f.nondecreasing else ONE
+    if side == "right" and a == 1:
+        return ONE if f.nondecreasing else ZERO
+    s = approach_segment(f, a, side)
+    if s is None:
+        raise InvalidFunction(f"no segment approaches {a} from the {side}")
+    return s.value_at(a)
+
+
+def approach_segment(f: PiecewiseMonotoneFn, a: Fraction, side: str) -> Optional[Segment]:
+    """The segment whose domain reaches a from `side`: it contains points
+    arbitrarily close to a on that side.  None when no segment does, which
+    for a valid f happens only at 0 from the left and 1 from the right."""
+    for s in f.segments:
+        d = s.domain
+        if (d.lo < a <= d.hi) if side == "left" else (d.lo <= a < d.hi):
+            return s
+    return None
 
 
 # -- pseudo-inverse ---------------------------------------------------------
@@ -272,74 +280,62 @@ def first_arg_above(f: PiecewiseMonotoneFn, v) -> Fraction:
 def pseudo_inverse(f: PiecewiseMonotoneFn) -> PiecewiseMonotoneFn:
     """Closed-form piecewise representation of the pseudo-inverse on [0,1].
 
-    Built by sampling the exact pointwise pseudo-inverse between critical
-    values (attained-value endpoints), where the pseudo-inverse is linear
-    or constant, and verifying each fitted piece at a third point.
+    One sweep over the pieces in x order.  Let u = y for non-decreasing f
+    and u = 1 - y for non-increasing f, and call f(x), or 1 - f(x), the
+    u-values of the piece holding x.  Then finv(y) is the infimum of the x
+    whose u-value reaches u, and the u-values never decrease along the
+    pieces.  So the pieces take over u in turn, each from where the
+    previous one stopped up to its own top u-value:
+
+    - below the piece's u-values, in a gap of the range, finv is the
+      piece's first x;
+    - within them it is the inverse line x = (y - c)/s of a strictly
+      monotone piece, the same formula for both directions, or the first
+      x of a constant piece;
+    - the top goes to the piece even when the piece does not attain it:
+      then the piece ends where the next one starts, the line ends at
+      that x, and the next piece reaches the top there;
+    - u beyond every top gives 1.
+
+    Each take-over starts at its piece's first x, so u = 0, where finv is
+    0, joins the first one when that piece starts at 0 and is an isolated
+    point otherwise.  Neighbours with the same line are merged as they are
+    built.
     """
-    crit = {ZERO, ONE}
-    for vals in f._values:
-        crit.add(vals.lo)
-        crit.add(vals.hi)
-    ys = sorted(crit)
+    up = f.nondecreasing
+    out = []  # [u_top, slope, intercept]: finv on (previous u_top, u_top], the first from 0
 
-    gap_shapes = []  # (slope, intercept) valid on open (ys[j], ys[j+1])
-    for j in range(len(ys) - 1):
-        a, b = ys[j], ys[j + 1]
-        h = b - a
-        p1, p2, p3 = a + h / 4, a + h / 2, a + 3 * h / 4
-        v1, v2, v3 = (pseudo_inverse_at(f, t) for t in (p1, p2, p3))
-        slope = (v3 - v1) / (p3 - p1)
-        intercept = v1 - slope * p1
-        if slope * p2 + intercept != v2:
-            raise InvalidFunction("pseudo-inverse is not piecewise linear")  # unreachable
-        gap_shapes.append((slope, intercept))
-
-    crit_vals = [pseudo_inverse_at(f, y) for y in ys]
-
-    segments = []
-    points = []
-    for j, (slope, intercept) in enumerate(gap_shapes):
-        a, b = ys[j], ys[j + 1]
-        lo_closed = slope * a + intercept == crit_vals[j]
-        hi_closed = slope * b + intercept == crit_vals[j + 1]
-        dom = Interval(a, b, lo_closed, hi_closed)
-        if slope == 0:
-            segments.append(Segment.const(dom, intercept))
+    def take(top, slope, intercept, first):
+        if top <= (out[-1][0] if out else ZERO):
+            return
+        if not out and first != 0:
+            out.append([ZERO, ZERO, ZERO])
+        if out and out[-1][1:] == [slope, intercept]:
+            out[-1][0] = top
         else:
-            segments.append(Segment.linear(dom, slope, intercept))
-    for j, y in enumerate(ys):
-        left_ok = j > 0 and segments[j - 1].domain.hi_closed
-        right_ok = j < len(gap_shapes) and segments[j].domain.lo_closed
-        if left_ok and right_ok:
-            # both pieces agree at y; leave it to the left one
-            s = segments[j]
-            new_dom = Interval.make(y, s.domain.hi, False, s.domain.hi_closed)
-            if new_dom is None:
-                raise InvalidFunction("degenerate pseudo-inverse piece")  # unreachable
-            segments[j] = Segment(new_dom, s.slope, s.intercept)
-        elif not left_ok and not right_ok:
-            points.append((y, crit_vals[j]))
+            out.append([top, slope, intercept])
 
-    # merge adjacent segments with identical shape
-    merged = []
-    for s in segments:
-        if merged:
-            q = merged[-1]
-            if (
-                q.slope == s.slope
-                and q.intercept == s.intercept
-                and q.domain.hi == s.domain.lo
-                and (q.domain.hi_closed or s.domain.lo_closed)
-            ):
-                merged[-1] = Segment(
-                    Interval(q.domain.lo, s.domain.hi, q.domain.lo_closed, s.domain.hi_closed),
-                    s.slope,
-                    s.intercept,
-                )
-                continue
-        merged.append(s)
+    for p, vals in zip(f._pieces, f._values):
+        first = _piece_domain(p).lo
+        bottom, top = (vals.lo, vals.hi) if up else (1 - vals.hi, 1 - vals.lo)
+        if isinstance(p, Segment) and not p.is_const:
+            take(bottom, ZERO, first, first)
+            take(top, 1 / p.slope, -p.intercept / p.slope, first)
+        else:
+            take(top, ZERO, first, first)
+    take(ONE, ZERO, ONE, ONE)
 
-    return PiecewiseMonotoneFn(f.nondecreasing, tuple(merged), tuple(points))
+    segments, points = [], []
+    lo, lo_closed = ZERO, True
+    for top, slope, intercept in out:
+        dom = (Interval(lo, top, lo_closed, True) if up
+               else Interval(1 - top, 1 - lo, True, lo_closed))
+        if dom.is_point:
+            points.append((dom.lo, intercept))
+        else:
+            segments.append(Segment(dom, slope, intercept))
+        lo, lo_closed = top, False
+    return PiecewiseMonotoneFn(up, tuple(segments), tuple(points))
 
 
 # -- range, plateaus, decomposition ----------------------------------------

@@ -175,8 +175,8 @@ def test_criterion_6_continuity_vs_scan():
     decisive = 0
     for name, text in sorted(WORKED_EXAMPLES.items()):
         f = parse_fn(text)
-        verdict = check_continuity(t, f)
         op = make_op(f, t)
+        verdict = check_continuity(op)
         memo = _Memo(lambda x, y: f_eval(op, x, y))
         flagged = scan_continuity(memo, f.breakpoints(), grid(8))
         if verdict.status in ("yes", "no"):
@@ -185,8 +185,8 @@ def test_criterion_6_continuity_vs_scan():
     assert decisive >= 4
     # the jump-at-1 example must come out No both ways
     f = parse_fn(F_HALF_JUMP)
-    assert check_continuity(t, f).status == "no"
     op = make_op(f, t)
+    assert check_continuity(op).status == "no"
     assert scan_continuity(lambda x, y: f_eval(op, x, y),
                            f.breakpoints(), grid(8))
 

@@ -281,7 +281,8 @@ segment [1/2,1] const 1/4
 ])
 def test_classify_rejects_bad_arguments_for_every_f(f_identity, shape, kwargs, match):
     f = parse_fn(F_PLATEAU_AT_ONE) if shape == "plateau_at_one" else f_identity
-    assert (check_degenerate(f, PRODUCT) is not None) == (shape == "plateau_at_one")
+    degenerate = check_degenerate(make_op(f, PRODUCT)) is not None
+    assert degenerate == (shape == "plateau_at_one")
     with pytest.raises(ValueError, match=match):
         classify(f, PRODUCT, **kwargs)
     if "arch_grid_n" in kwargs:

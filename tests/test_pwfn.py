@@ -28,7 +28,8 @@ from subnormforge import (
     render_fn,
     side_limit,
 )
-from subnormforge.intervals import Interval, IntervalSet
+from subnormforge import pwfn
+from subnormforge.intervals import ONE, ZERO, Interval, IntervalSet
 from subnormforge.pwfn import (
     InvalidFunction,
     PiecewiseMonotoneFn,
@@ -246,11 +247,104 @@ def reference_first_arg_above(f, v):
     return F(1)
 
 
+def reference_pseudo_inverse(f):
+    """Closed-form piecewise representation of the pseudo-inverse on [0,1],
+    built independently of ``pseudo_inverse``'s sweep.
+
+    Built by sampling the exact pointwise pseudo-inverse between critical
+    values (attained-value endpoints), where the pseudo-inverse is linear
+    or constant, and verifying each fitted piece at a third point.
+    """
+    crit = {ZERO, ONE}
+    for vals in f._values:
+        crit.add(vals.lo)
+        crit.add(vals.hi)
+    ys = sorted(crit)
+
+    gap_shapes = []  # (slope, intercept) valid on open (ys[j], ys[j+1])
+    for j in range(len(ys) - 1):
+        a, b = ys[j], ys[j + 1]
+        h = b - a
+        p1, p2, p3 = a + h / 4, a + h / 2, a + 3 * h / 4
+        v1, v2, v3 = (pseudo_inverse_at(f, t) for t in (p1, p2, p3))
+        slope = (v3 - v1) / (p3 - p1)
+        intercept = v1 - slope * p1
+        if slope * p2 + intercept != v2:
+            raise InvalidFunction("pseudo-inverse is not piecewise linear")  # unreachable
+        gap_shapes.append((slope, intercept))
+
+    crit_vals = [pseudo_inverse_at(f, y) for y in ys]
+
+    segments = []
+    points = []
+    for j, (slope, intercept) in enumerate(gap_shapes):
+        a, b = ys[j], ys[j + 1]
+        lo_closed = slope * a + intercept == crit_vals[j]
+        hi_closed = slope * b + intercept == crit_vals[j + 1]
+        dom = Interval(a, b, lo_closed, hi_closed)
+        if slope == 0:
+            segments.append(Segment.const(dom, intercept))
+        else:
+            segments.append(Segment.linear(dom, slope, intercept))
+    for j, y in enumerate(ys):
+        left_ok = j > 0 and segments[j - 1].domain.hi_closed
+        right_ok = j < len(gap_shapes) and segments[j].domain.lo_closed
+        if left_ok and right_ok:
+            # both pieces agree at y; leave it to the left one
+            s = segments[j]
+            new_dom = Interval.make(y, s.domain.hi, False, s.domain.hi_closed)
+            if new_dom is None:
+                raise InvalidFunction("degenerate pseudo-inverse piece")  # unreachable
+            segments[j] = Segment(new_dom, s.slope, s.intercept)
+        elif not left_ok and not right_ok:
+            points.append((y, crit_vals[j]))
+
+    # merge adjacent segments with identical shape
+    merged = []
+    for s in segments:
+        if merged:
+            q = merged[-1]
+            if (
+                q.slope == s.slope
+                and q.intercept == s.intercept
+                and q.domain.hi == s.domain.lo
+                and (q.domain.hi_closed or s.domain.lo_closed)
+            ):
+                merged[-1] = Segment(
+                    Interval(q.domain.lo, s.domain.hi, q.domain.lo_closed, s.domain.hi_closed),
+                    s.slope,
+                    s.intercept,
+                )
+                continue
+        merged.append(s)
+
+    return PiecewiseMonotoneFn(f.nondecreasing, tuple(merged), tuple(points))
+
+
 def probe_values(f):
     """The breakpoints of f, the midpoints between them and the sixteenths."""
     bps = f.breakpoints()
     mids = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
     return sorted(set(bps) | set(mids) | set(grid(16)))
+
+
+def inverse_probes(f):
+    """The critical values of the pseudo-inverse (0, 1 and the endpoints of
+    every piece's values) and three interior points between neighbours:
+    the pseudo-inverse is linear between critical values, so agreeing on
+    values and both one-sided limits here pins it down everywhere."""
+    crit = sorted({F(0), F(1)} | {e for p in reference_pieces(f)
+                                  for e in (reference_values(p).lo,
+                                            reference_values(p).hi)})
+    inner = [a + (b - a) * k / 4 for a, b in zip(crit, crit[1:]) for k in (1, 2, 3)]
+    return sorted(set(crit) | set(inner))
+
+
+def assert_same_inverse(g, ref, ys):
+    for y in ys:
+        assert eval_fn(g, y) == eval_fn(ref, y), y
+        for side in ("left", "right"):
+            assert side_limit(g, y, side) == side_limit(ref, y, side), (y, side)
 
 
 @settings(max_examples=60, deadline=None)
@@ -266,15 +360,10 @@ def test_cached_structure_matches_references(f):
         assert pseudo_inverse_at(f, y) == reference_first_arg(f, y, f.nondecreasing), y
         if f.nondecreasing:
             assert first_arg_above(f, y) == reference_first_arg_above(f, y), y
-    # the pseudo-inverse is linear between attained-value endpoints, so
-    # agreeing there and at interior points pins it down everywhere
-    crit = sorted({F(0), F(1)} | {e for p in reference_pieces(f)
-                                  for e in (reference_values(p).lo,
-                                            reference_values(p).hi)})
-    inner = [a + (b - a) * k / 4 for a, b in zip(crit, crit[1:]) for k in (1, 2, 3)]
     g = pseudo_inverse(f)
-    for y in sorted(set(ys) | set(crit) | set(inner)):
+    for y in sorted(set(ys) | set(inverse_probes(f))):
         assert eval_fn(g, y) == reference_first_arg(f, y, f.nondecreasing), y
+    assert_same_inverse(g, reference_pseudo_inverse(f), inverse_probes(f))
     if f.nondecreasing:
         d = decompose(f)
         assert (d.m, d.q) == (m, q)
@@ -283,6 +372,47 @@ def test_cached_structure_matches_references(f):
             upsilon = q.parts[-1].hi
             assert (d.upsilon, d.tau) == (upsilon,
                                           reference_first_arg_above(f, upsilon))
+
+
+@pytest.mark.parametrize("text", [
+    # a plateau right after an open-topped line
+    "monotone: nondecreasing\n"
+    "segment [0,5/8) linear 7/10 1/2\n"
+    "segment [5/8,1] const 15/16\n",
+    # an isolated point between two open segment ends, at the value the
+    # first segment approaches
+    "monotone: nondecreasing\n"
+    "segment [0,1/2) linear 1/2 0\n"
+    "point 1/2 = 1/4\n"
+    "segment (1/2,1] linear 1/2 1/2\n",
+    # non-increasing with a jump
+    "monotone: nonincreasing\n"
+    "segment [0,1/2] linear -1/2 1\n"
+    "segment (1/2,1] linear -1/2 1/2\n",
+    # f(1) < 1
+    "monotone: nondecreasing\n"
+    "segment [0,1] linear 1/2 1/4\n",
+    # a plateau at 0, so finv is 0 at 0 alone
+    "monotone: nondecreasing\n"
+    "segment [0,1/4] const 0\n"
+    "segment (1/4,1] linear 1 -1/4\n",
+], ids=["plateau_after_open_line", "isolated_point", "nonincreasing_jump",
+        "f1_below_one", "plateau_at_zero"])
+def test_pseudo_inverse_shapes_match_reference(text):
+    f = parse_fn(text)
+    assert_same_inverse(pseudo_inverse(f), reference_pseudo_inverse(f),
+                        inverse_probes(f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
+def test_pseudo_inverse_builds_without_pointwise_queries(f):
+    def refuse(*args):
+        raise AssertionError("pseudo_inverse queried the pointwise inverse")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pwfn, "_first_arg", refuse)
+        pseudo_inverse(f)
 
 
 def test_caches_leave_identity_alone(f_step):
