@@ -19,9 +19,13 @@ ONE = Fraction(1)
 
 
 def frac(v: Rat) -> Fraction:
-    """Coerce an int or a 'p/q' string to an exact Fraction."""
+    """Coerce an int or a 'p/q' string to an exact Fraction.  A float or a
+    bool raises TypeError: a float such as 0.1 is not the rational it
+    spells, and a bool is not a number."""
     if isinstance(v, Fraction):
         return v
+    if isinstance(v, (float, bool)):
+        raise TypeError(f"expected an int, a Fraction or a 'p/q' string, got {v!r}")
     return Fraction(v)
 
 

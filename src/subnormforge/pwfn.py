@@ -11,6 +11,16 @@ attains, the breakpoints and the plateau set.  The caches live in the
 instance ``__dict__``, outside the dataclass fields, so equality, hashing
 and ``repr`` see only the segments and points.
 
+``eval_fn`` runs on one more cache, the integer table ``_kernel``: per
+piece in x order, its upper end as numerator, denominator and closedness,
+then its value Fraction (constant pieces and points) or its line as four
+integers.  The pieces partition [0,1] in order, each starting where the
+one before ends, with the opposite closedness.  So every piece before the
+first whose upper end covers x ends below x, or at x but open, and that
+first piece starts at or below x: it holds x.  The tests are sign tests
+on cross products of numerators and denominators, and a line's value is
+built as one Fraction, normalised once.
+
 ``pseudo_inverse`` builds the closed form of the pseudo-inverse in one
 sweep over the cached pieces and value intervals; ``pseudo_inverse_at``
 is the pointwise definition that the tests hold it against.
@@ -113,6 +123,22 @@ class PiecewiseMonotoneFn:
         return tuple(_piece_values(p) for p in self._pieces)
 
     @cached_property
+    def _kernel(self) -> tuple:
+        """``eval_fn``'s table, one entry per piece in x order: the upper
+        end as (hn, hd, closed) with hi = hn/hd, then the value.  Constant
+        segments and points keep their value Fraction and no line; a line
+        is (sn, sd, cn, cd) for slope sn/sd and intercept cn/cd."""
+        out = []
+        for p in self._pieces:
+            d = _piece_domain(p)
+            value, line = (p[1] if isinstance(p, tuple) else p.intercept), None
+            if isinstance(p, Segment) and not p.is_const:
+                s, c = p.slope, p.intercept
+                value, line = None, (s.numerator, s.denominator, c.numerator, c.denominator)
+            out.append((d.hi.numerator, d.hi.denominator, d.hi_closed, value, line))
+        return tuple(out)
+
+    @cached_property
     def _breakpoints(self) -> tuple:
         out = {x for x, _ in self.points}
         for s in self.segments:
@@ -173,15 +199,21 @@ def _validate(fn: PiecewiseMonotoneFn) -> None:
 
 
 def eval_fn(f: PiecewiseMonotoneFn, x) -> Fraction:
+    """f(x), exactly, from the integer table ``f._kernel``: with x = p/q,
+    the first piece whose upper end hn/hd covers x (p*hd - hn*q < 0, or 0
+    at a closed end) holds x, and a line's value sn/sd * p/q + cn/cd is
+    built as one Fraction."""
     x = frac(x)
-    if x < 0 or x > 1:
+    p, q = x.numerator, x.denominator
+    if p < 0 or p > q:
         raise DomainError(f"argument {x} outside [0,1]")
-    for s in f.segments:
-        if s.domain.contains(x):
-            return s.value_at(x)
-    for px, pv in f.points:
-        if px == x:
-            return pv
+    for hn, hd, closed, value, line in f._kernel:
+        c = p * hd - hn * q
+        if c < 0 or (c == 0 and closed):
+            if line is None:
+                return value
+            sn, sd, cn, cd = line
+            return Fraction(sn * p * cd + cn * sd * q, sd * cd * q)
     raise InvalidFunction(f"no piece covers {x}")  # unreachable for valid fns
 
 

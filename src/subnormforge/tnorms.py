@@ -1,6 +1,10 @@
 """T-norm families: exact evaluation on rationals where possible, interval
 images for the exact families, and additive-generator based constructions
 evaluated in high-precision arithmetic with a carried error radius.
+
+The exact families evaluate on the numerators and denominators of their
+arguments and build each result as one Fraction (``_exact_eval``); the
+domain check of ``t_eval`` compares numerators with denominators.
 """
 
 from __future__ import annotations
@@ -193,23 +197,35 @@ def _ham2(x: Fraction, y: Fraction) -> Fraction:
 
 
 def _exact_eval(family: str, x: Fraction, y: Fraction) -> Fraction:
-    if family == "product":
-        return x * y
+    """T(x,y) for an exact family on x = a/b and y = c/d, built as one
+    Fraction from integers:
+
+    - product: ac/(bd);
+    - hamacher2: xy/(2 - x - y + xy) = ac/(2bd - ad - bc + ac), whose
+      denominator is bd((1-x)(1-y) + 1) > 0;
+    - halfprod: ac/(2bd) when 2a <= b and 2c <= d (x, y <= 1/2), else
+      ac/(bd);
+    - minimum: min(x, y).
+    """
     if family == "minimum":
         return min(x, y)
+    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+    if family == "product":
+        return Fraction(a * c, b * d)
     if family == "hamacher2":
-        return _ham2(x, y)
+        ac = a * c
+        return Fraction(ac, 2 * b * d - a * d - b * c + ac)
     if family == "halfprod":
-        if x <= HALF and y <= HALF:
-            return x * y / 2
-        return x * y
+        if 2 * a <= b and 2 * c <= d:
+            return Fraction(a * c, 2 * b * d)
+        return Fraction(a * c, b * d)
     raise ValueError(family)
 
 
 def t_eval(t: TNormDescriptor, x, y):
     """T(x,y): a Fraction for exact families, an Approx otherwise."""
     x, y = frac(x), frac(y)
-    if not (0 <= x <= 1 and 0 <= y <= 1):
+    if not (0 <= x.numerator <= x.denominator and 0 <= y.numerator <= y.denominator):
         raise DomainError(f"t-norm arguments ({x},{y}) outside [0,1]^2")
     if t.exact:
         return _exact_eval(t.family, x, y)

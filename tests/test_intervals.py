@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subnormforge import eval_fn, parse_fn, parse_tnorm, t_eval
 from subnormforge.intervals import Interval, IntervalSet, frac
 
 fractions_01 = st.fractions(min_value=0, max_value=1, max_denominator=32)
@@ -25,6 +26,20 @@ def intervals(draw):
 @st.composite
 def interval_sets(draw):
     return IntervalSet.of(draw(st.lists(intervals(), max_size=5)))
+
+
+def test_frac_rejects_floats_and_bools():
+    assert frac(1) == 1 and frac("1/3") == Fraction(1, 3)
+    assert frac(Fraction(2, 6)) == Fraction(1, 3)
+    f = parse_fn("monotone: nondecreasing\nsegment [0,1] linear 1 0\n")
+    t = parse_tnorm("product")
+    for v in (0.5, 0.1, 1.0, True, False):
+        with pytest.raises(TypeError):
+            frac(v)
+        with pytest.raises(TypeError):
+            eval_fn(f, v)
+        with pytest.raises(TypeError):
+            t_eval(t, v, Fraction(1, 2))
 
 
 def test_point_and_str():

@@ -222,6 +222,14 @@ def test_table_oracle_matches_direct_scan(family, f):
         assert got == want, law
 
 
+@pytest.mark.parametrize("family", ["product", "hamacher2", "min", "halfprod"])
+@settings(max_examples=100, deadline=None)
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
+def test_harness_on_fuzzed_functions(family, f):
+    rep = consistency_harness(f, parse_tnorm(family), n=12, arch_grid_n=8)
+    assert rep.ok, rep.hard_failures
+
+
 def test_identical_approx_values_are_not_strictly_ordered(f_shifted_jump):
     # F(1/6, 0) and F(1/6, 1/6) are the same Approx(0, r) with r > 0, so
     # d = 0 < 2r: no certain failure of strict monotonicity

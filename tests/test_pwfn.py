@@ -29,8 +29,9 @@ from subnormforge import (
     side_limit,
 )
 from subnormforge import pwfn
-from subnormforge.intervals import ONE, ZERO, Interval, IntervalSet
+from subnormforge.intervals import ONE, ZERO, Interval, IntervalSet, frac
 from subnormforge.pwfn import (
+    DomainError,
     InvalidFunction,
     PiecewiseMonotoneFn,
     Segment,
@@ -321,6 +322,21 @@ def reference_pseudo_inverse(f):
     return PiecewiseMonotoneFn(f.nondecreasing, tuple(merged), tuple(points))
 
 
+def reference_eval_fn(f, x):
+    """f(x) by scanning the segments with ``Interval.contains``, then the
+    points: the evaluation that ``eval_fn``'s integer table replaced."""
+    x = frac(x)
+    if x < 0 or x > 1:
+        raise DomainError(f"argument {x} outside [0,1]")
+    for s in f.segments:
+        if s.domain.contains(x):
+            return s.value_at(x)
+    for px, pv in f.points:
+        if px == x:
+            return pv
+    raise InvalidFunction(f"no piece covers {x}")  # unreachable for valid fns
+
+
 def probe_values(f):
     """The breakpoints of f, the midpoints between them and the sixteenths."""
     bps = f.breakpoints()
@@ -372,6 +388,50 @@ def test_cached_structure_matches_references(f):
             upsilon = q.parts[-1].hi
             assert (d.upsilon, d.tau) == (upsilon,
                                           reference_first_arg_above(f, upsilon))
+
+
+# 1/(3 * 2^2000): added to a rational of small denominator, it gives one of
+# denominator above 2^2000, the size the Archimedean power walks reach
+TINY = F(1, 3 * 2 ** 2000)
+
+
+def outcome(fn, *args):
+    """fn's value, or the type of the ValueError or TypeError it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, TypeError) as e:
+        return type(e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()),
+       big=st.lists(st.integers(0, 2 ** 2001), max_size=4))
+def test_eval_kernel_matches_segment_scan(f, big):
+    for g in (f, pseudo_inverse(f)):
+        xs = probe_values(g)
+        xs += [x + e for x in g.breakpoints() + [F(1, 2)] for e in (-TINY, TINY)]
+        xs += [F(n, 2 ** 2001 + 1) for n in big]
+        xs += [F(-1, 3), F(4, 3), 0, 1, 2, -1, "1/3", "5/4", 0.5, True]
+        for x in xs:
+            got, want = outcome(eval_fn, g, x), outcome(reference_eval_fn, g, x)
+            assert got == want, x
+            assert isinstance(got, F) or got in (DomainError, TypeError), x
+
+
+def test_eval_open_and_closed_ends():
+    # [0,1/2) and (1/2,1] lines around an isolated point at 1/2, whose
+    # value neither line reaches
+    f = parse_fn("monotone: nondecreasing\n"
+                 "segment [0,1/2) linear 1/2 0\n"
+                 "point 1/2 = 3/8\n"
+                 "segment (1/2,1] linear 1/2 1/2\n")
+    assert eval_fn(f, F(1, 2)) == F(3, 8)
+    assert eval_fn(f, F(1, 2) - TINY) == F(1, 4) - TINY / 2
+    assert eval_fn(f, F(1, 2) + TINY) == F(3, 4) + TINY / 2
+    assert eval_fn(f, 1) == 1
+    for x in (-TINY, 1 + TINY):
+        with pytest.raises(DomainError):
+            eval_fn(f, x)
 
 
 @pytest.mark.parametrize("text", [

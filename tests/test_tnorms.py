@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from subnormforge.intervals import Interval, IntervalSet
+from subnormforge.pwfn import DomainError
 from subnormforge.tnorms import (
+    HALF,
     Approx,
     GeneratorSpec,
     generator_tnorm,
@@ -24,6 +26,56 @@ F = Fraction
 EXACT = [parse_tnorm(s) for s in ("product", "min", "hamacher2", "halfprod")]
 
 fractions_01 = st.fractions(min_value=0, max_value=1, max_denominator=24)
+
+
+def reference_exact_eval(family, x, y):
+    """T(x,y) on Fractions, the formulas that the integer forms replaced."""
+    if family == "product":
+        return x * y
+    if family == "minimum":
+        return min(x, y)
+    if family == "hamacher2":
+        return x * y / (2 - (x + y - x * y))
+    if family == "halfprod":
+        if x <= HALF and y <= HALF:
+            return x * y / 2
+        return x * y
+    raise ValueError(family)
+
+
+BIG = 2 ** 2001 + 1
+
+rationals_01 = st.one_of(
+    st.sampled_from([F(0), F(1), HALF]),
+    st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6),
+    st.integers(0, BIG).map(lambda n: F(n, BIG)),
+)
+
+
+@pytest.mark.parametrize("t", EXACT, ids=lambda t: t.family)
+@given(x=rationals_01, y=rationals_01)
+def test_exact_eval_matches_fraction_formulas(t, x, y):
+    assert t_eval(t, x, y) == reference_exact_eval(t.family, x, y)
+
+
+@pytest.mark.parametrize("t", EXACT, ids=lambda t: t.family)
+def test_exact_eval_corners_and_half(t):
+    corners = [F(0), F(1), HALF, HALF - F(1, BIG), HALF + F(1, BIG), F(3, 4)]
+    for x in corners:
+        for y in corners:
+            assert t_eval(t, x, y) == reference_exact_eval(t.family, x, y), (x, y)
+    for x, y in ((F(-1, 3), HALF), (HALF, F(4, 3)), (1 + F(1, BIG), F(1)),
+                 (F(0), -F(1, BIG))):
+        with pytest.raises(DomainError):
+            t_eval(t, x, y)
+
+
+def test_halfprod_branch_at_half():
+    t = parse_tnorm("halfprod")
+    assert t_eval(t, HALF, HALF) == F(1, 8)        # both <= 1/2: halved
+    assert t_eval(t, HALF, F(1, 4)) == F(1, 16)
+    assert t_eval(t, HALF, HALF + F(1, BIG)) == HALF * (HALF + F(1, BIG))
+    assert t_eval(t, "1/2", "1/2") == F(1, 8)
 
 
 def test_golden_values():
