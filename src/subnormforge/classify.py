@@ -20,7 +20,6 @@ from .intervals import Interval, IntervalSet, ONE, ZERO
 from .pwfn import (
     Decomposition,
     PiecewiseMonotoneFn,
-    Segment,
     approach_segment,
     decompose,
     eval_fn,
@@ -85,11 +84,6 @@ def arg_with_value(f: PiecewiseMonotoneFn, v: Fraction, avoid=None):
     """Some x with f(x)=v, optionally distinct from `avoid`; None if v is
     not attained (or only attained at `avoid`)."""
     for p, vals in zip(f._pieces, f._values):
-        if not isinstance(p, Segment):
-            px, pv = p
-            if pv == v and px != avoid:
-                return px
-            continue
         if not vals.contains(v):
             continue
         d = p.domain
@@ -345,7 +339,7 @@ def l_set_check(t: TNormDescriptor, d: Decomposition, resolution: int = 32) -> V
     """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
-    if t.family not in ("product", "hamacher2"):
+    if not (t.exact and t.strict):
         return Verdict.unknown("preimages unavailable for this family")
     ys = set()
     for b, dd, c in d.s:
@@ -404,8 +398,8 @@ def l_set_check(t: TNormDescriptor, d: Decomposition, resolution: int = 32) -> V
 
 
 def check_cancellative(op: GeneratedOp, d: Decomposition) -> Verdict:
-    """Cancellative t-subnorm test: f strictly increasing and T(M,M)
-    within M, both verified exactly."""
+    """Cancellative t-subnorm test for an exact T: f strictly increasing
+    and T(M,M) within M, both verified exactly."""
     f, t = op.f, op.t
     if not f.is_strictly_monotone:
         pair = _plateau_pair(f, d.q.sample_points())
@@ -414,13 +408,6 @@ def check_cancellative(op: GeneratedOp, d: Decomposition) -> Verdict:
             return Verdict.no((ONE, x1, x2),
                               note=f"f({x1})=f({x2})={w}, so F(1,{x1})=F(1,{x2})")
         return Verdict.unknown("repeated value not located")
-    if not t.exact:
-        if not _jumps(f) and eval_fn(f, ZERO) == 0 and t.strict:
-            return Verdict.yes(
-                "f continuous strictly increasing with f(0)=0",
-                note="strict t-norm composed with a continuous strictly "
-                     "increasing generator")
-        return Verdict.unknown("inexact t-norm evaluation")
     ok, z = t_image(t, d.m, d.m).is_subset_of(d.m)
     if ok:
         return Verdict.yes("f strictly increasing", "T(M,M) within M")
@@ -445,7 +432,7 @@ def _gap_collisions(op, d: Decomposition, domain: IntervalSet, z: Fraction):
     the same collisions serve with x as the first or the second argument.
     """
     t = op.t
-    if t.family not in ("product", "hamacher2"):
+    if not (t.exact and t.strict):
         return
     gap = None
     for b, dd, c in d.s:
@@ -528,8 +515,6 @@ def _t_dir_limit(t: TNormDescriptor, v: Fraction, side: str, c: Fraction) -> Fra
 def _dir_limit(op: GeneratedOp, x0: Fraction, y0: Fraction, side: str):
     """Exact lim F(x, y0) as x -> x0 from `side`; None when not computable."""
     t = op.t
-    if not t.exact:
-        return None
     if (side == "left" and x0 == 0) or (side == "right" and x0 == 1):
         return None
     c = op.f_at(y0)
@@ -567,8 +552,8 @@ def check_continuity(op: GeneratedOp, d: Optional[Decomposition] = None) -> Verd
     """
     f, t = op.f, op.t
     if t.family == "lambda":
-        segs = f.segments
-        if (not f.points and len(segs) == 1 and not segs[0].is_const
+        segs = f.pieces()
+        if (len(segs) == 1 and not segs[0].is_const
                 and segs[0].slope == t.lam and segs[0].intercept == 0):
             return Verdict.yes(
                 "scaled-generator composition equals the additively "

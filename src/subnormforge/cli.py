@@ -2,7 +2,7 @@
 
     subnorm-forge <command> --fn <path> --tnorm <desc>
                   [--grid-n N] [--x p/q --y p/q]
-                  [--format text|csv|structured] [--out path]
+                  [--format text|structured] [--out path]
 
 Commands: eval, classify, decompose, oracle, grid, construct-subnorm.
 Exit status for classify: 0 when no verdict is No and none Unknown,
@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", help="second argument as p/q")
     p.add_argument("--gen", help="generator name for construct-subnorm")
     p.add_argument("--lam", help="lambda as p/q for construct-subnorm")
-    p.add_argument("--format", choices=["text", "csv", "structured"],
+    p.add_argument("--format", choices=["text", "structured"],
                    default="text")
     p.add_argument("--out", help="output file (default: stdout)")
     return p

@@ -9,15 +9,18 @@ The structure that depends on f alone is computed once per function
 object and cached on it: the sorted pieces, the value interval each piece
 attains, the breakpoints and the plateau set.  The caches live in the
 instance ``__dict__``, outside the dataclass fields, so equality, hashing
-and ``repr`` see only the segments and points.
+and ``repr`` see only the segments and points.  Every cached piece is a
+``Segment``: an isolated point (x, v) is the constant segment on {x}, so
+the ``points`` field is only input and rendering.
 
 ``eval_fn`` runs on one more cache, the integer table ``_kernel``: per
 piece in x order, its upper end as numerator, denominator and closedness,
-then its value Fraction (constant pieces and points) or its line as four
-integers.  The pieces partition [0,1] in order, each starting where the
-one before ends, with the opposite closedness.  So every piece before the
-first whose upper end covers x ends below x, or at x but open, and that
-first piece starts at or below x: it holds x.  The tests are sign tests
+then its intercept, which is a constant piece's value, and a line's
+slope and intercept as four integers.  The pieces partition [0,1] in
+order, each starting where the one before ends, with the opposite
+closedness.  So every piece before the first whose upper end covers x
+ends below x, or at x but open, and that first piece starts at or below
+x: it holds x.  The tests are sign tests
 on cross products of numerators and denominators, and a line's value is
 built as one Fraction, normalised once.
 
@@ -97,7 +100,7 @@ class PiecewiseMonotoneFn:
         return eval_fn(self, x)
 
     def pieces(self) -> tuple:
-        """All pieces (segments and points) in ascending x order."""
+        """All pieces in ascending x order, each a ``Segment``."""
         return self._pieces
 
     def breakpoints(self) -> list:
@@ -112,39 +115,34 @@ class PiecewiseMonotoneFn:
 
     @cached_property
     def _pieces(self) -> tuple:
-        out = [(s.domain.lo, not s.domain.lo_closed, s) for s in self.segments]
-        out += [(x, False, (x, v)) for x, v in self.points]
-        out.sort(key=lambda t: (t[0], t[1]))
-        return tuple(p for _, _, p in out)
+        """The segments and, as one-point constant segments, the points,
+        in ascending x order."""
+        out = self.segments + tuple(Segment.const(Interval.point(x), v)
+                                    for x, v in self.points)
+        return tuple(sorted(out, key=lambda s: (s.domain.lo, not s.domain.lo_closed)))
 
     @cached_property
     def _values(self) -> tuple:
         """The value interval each piece attains, in piece order."""
-        return tuple(_piece_values(p) for p in self._pieces)
+        return tuple(p.attained_values() for p in self._pieces)
 
     @cached_property
     def _kernel(self) -> tuple:
         """``eval_fn``'s table, one entry per piece in x order: the upper
-        end as (hn, hd, closed) with hi = hn/hd, then the value.  Constant
-        segments and points keep their value Fraction and no line; a line
-        is (sn, sd, cn, cd) for slope sn/sd and intercept cn/cd."""
+        end as (hn, hd, closed) with hi = hn/hd, then the intercept, which
+        is a constant piece's value, and the line: None for a constant
+        piece, else (sn, sd, cn, cd) for slope sn/sd and intercept cn/cd."""
         out = []
         for p in self._pieces:
-            d = _piece_domain(p)
-            value, line = (p[1] if isinstance(p, tuple) else p.intercept), None
-            if isinstance(p, Segment) and not p.is_const:
-                s, c = p.slope, p.intercept
-                value, line = None, (s.numerator, s.denominator, c.numerator, c.denominator)
-            out.append((d.hi.numerator, d.hi.denominator, d.hi_closed, value, line))
+            d, s, c = p.domain, p.slope, p.intercept
+            line = (None if p.is_const
+                    else (s.numerator, s.denominator, c.numerator, c.denominator))
+            out.append((d.hi.numerator, d.hi.denominator, d.hi_closed, c, line))
         return tuple(out)
 
     @cached_property
     def _breakpoints(self) -> tuple:
-        out = {x for x, _ in self.points}
-        for s in self.segments:
-            out.add(s.domain.lo)
-            out.add(s.domain.hi)
-        return tuple(sorted(out))
+        return tuple(sorted({e for p in self._pieces for e in (p.domain.lo, p.domain.hi)}))
 
     @cached_property
     def _plateau(self) -> IntervalSet:
@@ -157,25 +155,13 @@ class PiecewiseMonotoneFn:
                                   if s.is_const and not s.domain.is_point)
 
 
-def _piece_domain(piece) -> Interval:
-    if isinstance(piece, Segment):
-        return piece.domain
-    return Interval.point(piece[0])
-
-
-def _piece_values(piece) -> Interval:
-    if isinstance(piece, Segment):
-        return piece.attained_values()
-    return Interval.point(piece[1])
-
-
 def _validate(fn: PiecewiseMonotoneFn) -> None:
     pieces = fn.pieces()
     if not pieces:
         raise InvalidFunction("no pieces")
     cur, cur_closed = ZERO, True
     for p in pieces:
-        d = _piece_domain(p)
+        d = p.domain
         if d.lo != cur or d.lo_closed != cur_closed:
             raise InvalidFunction(f"domain gap or overlap at {cur} (next piece starts {d})")
         cur, cur_closed = d.hi, not d.hi_closed
@@ -184,12 +170,11 @@ def _validate(fn: PiecewiseMonotoneFn) -> None:
     prev_vals: Optional[Interval] = None
     for p, vals in zip(pieces, fn._values):
         if vals.lo < 0 or vals.hi > 1:
-            raise InvalidFunction(f"values escape [0,1] on {_piece_domain(p)}")
-        if isinstance(p, Segment) and not p.is_const:
-            if fn.nondecreasing and p.slope < 0:
-                raise InvalidFunction("decreasing segment in a non-decreasing function")
-            if not fn.nondecreasing and p.slope > 0:
-                raise InvalidFunction("increasing segment in a non-increasing function")
+            raise InvalidFunction(f"values escape [0,1] on {p.domain}")
+        if fn.nondecreasing and p.slope < 0:
+            raise InvalidFunction("decreasing segment in a non-decreasing function")
+        if not fn.nondecreasing and p.slope > 0:
+            raise InvalidFunction("increasing segment in a non-increasing function")
         if prev_vals is not None:
             if fn.nondecreasing and vals.lo < prev_vals.hi:
                 raise InvalidFunction("values not non-decreasing across pieces")
@@ -217,12 +202,18 @@ def eval_fn(f: PiecewiseMonotoneFn, x) -> Fraction:
     raise InvalidFunction(f"no piece covers {x}")  # unreachable for valid fns
 
 
+def _unit_arg(v) -> Fraction:
+    """v as a Fraction; DomainError when it lies outside [0,1]."""
+    v = frac(v)
+    if v < 0 or v > 1:
+        raise DomainError(f"argument {v} outside [0,1]")
+    return v
+
+
 def side_limit(f: PiecewiseMonotoneFn, a, side: str) -> Fraction:
     """One-sided limit, with f(0^-)=0, f(1^+)=1 for non-decreasing f and
     the mirrored conventions for non-increasing f."""
-    a = frac(a)
-    if a < 0 or a > 1:
-        raise DomainError(f"argument {a} outside [0,1]")
+    a = _unit_arg(a)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if side == "left" and a == 0:
@@ -256,57 +247,30 @@ def pseudo_inverse_at(f: PiecewiseMonotoneFn, y) -> Fraction:
     under the convention sup(empty) = 0; non-increasing f: sup{x : f(x) > y}
     = inf{x : f(x) <= y}.
     """
-    y = frac(y)
-    return _first_arg(f, y, at_least=f.nondecreasing)
+    y = _unit_arg(y)
+    return _first_arg(f, Interval(y, ONE) if f.nondecreasing else Interval(ZERO, y))
 
 
-def _first_arg(f, y, at_least: bool) -> Fraction:
-    """inf{x : f(x) >= y} (at_least) or inf{x : f(x) <= y}, inf(empty)=1."""
+def _first_arg(f, target: Interval) -> Fraction:
+    """inf{x : f(x) in target}, inf(empty) = 1, for a target that holds
+    every value of [0,1] beyond its near end y: above y for non-decreasing
+    f, below y for non-increasing f.  Then every x after one whose value
+    hits the target hits it too, so the first piece whose values meet the
+    target holds the infimum: its first x for a constant piece, and for a
+    line the x where it reaches y, or its first x when it starts past y."""
+    y = target.lo if f.nondecreasing else target.hi
     for p, vals in zip(f._pieces, f._values):
-        if isinstance(p, tuple):
-            px, pv = p
-            if (pv >= y) if at_least else (pv <= y):
-                return px
-            continue
-        d = p.domain
-        if p.is_const:
-            ok = (p.intercept >= y) if at_least else (p.intercept <= y)
-            if ok:
-                return d.lo
-            continue
-        if at_least:
-            # non-decreasing: slope > 0
-            top, top_att = vals.hi, vals.hi_closed
-            if top > y or (top_att and top == y):
-                x_star = (y - p.intercept) / p.slope
-                return max(d.lo, x_star)
-        else:
-            # non-increasing: slope < 0; values attained go down to vals.lo
-            bot, bot_att = vals.lo, vals.lo_closed
-            if bot < y or (bot_att and bot == y):
-                x_star = (y - p.intercept) / p.slope
-                return max(d.lo, x_star)
+        if vals.intersect(target) is not None:
+            if p.is_const:
+                return p.domain.lo
+            return max(p.domain.lo, (y - p.intercept) / p.slope)
     return ONE
 
 
 def first_arg_above(f: PiecewiseMonotoneFn, v) -> Fraction:
     """inf{x : f(x) > v} for non-decreasing f; inf(empty) = 1."""
-    v = frac(v)
-    for p, vals in zip(f._pieces, f._values):
-        if isinstance(p, tuple):
-            px, pv = p
-            if pv > v:
-                return px
-            continue
-        d = p.domain
-        if p.is_const:
-            if p.intercept > v:
-                return d.lo
-            continue
-        if vals.hi > v:
-            x_star = (v - p.intercept) / p.slope
-            return max(d.lo, x_star)
-    return ONE
+    above = Interval.make(_unit_arg(v), ONE, False, True)
+    return ONE if above is None else _first_arg(f, above)
 
 
 def pseudo_inverse(f: PiecewiseMonotoneFn) -> PiecewiseMonotoneFn:
@@ -348,13 +312,13 @@ def pseudo_inverse(f: PiecewiseMonotoneFn) -> PiecewiseMonotoneFn:
             out.append([top, slope, intercept])
 
     for p, vals in zip(f._pieces, f._values):
-        first = _piece_domain(p).lo
+        first = p.domain.lo
         bottom, top = (vals.lo, vals.hi) if up else (1 - vals.hi, 1 - vals.lo)
-        if isinstance(p, Segment) and not p.is_const:
+        if p.is_const:
+            take(top, ZERO, first, first)
+        else:
             take(bottom, ZERO, first, first)
             take(top, 1 / p.slope, -p.intercept / p.slope, first)
-        else:
-            take(top, ZERO, first, first)
     take(ONE, ZERO, ONE, ONE)
 
     segments, points = [], []

@@ -192,10 +192,6 @@ def parse_tnorm(desc: str) -> TNormDescriptor:
 # -- evaluation -------------------------------------------------------------
 
 
-def _ham2(x: Fraction, y: Fraction) -> Fraction:
-    return x * y / (2 - (x + y - x * y))
-
-
 def _exact_eval(family: str, x: Fraction, y: Fraction) -> Fraction:
     """T(x,y) for an exact family on x = a/b and y = c/d, built as one
     Fraction from integers:
@@ -317,14 +313,15 @@ def t_image(t: TNormDescriptor, a: IntervalSet, b: IntervalSet) -> IntervalSet:
     out = []
     for A in a.parts:
         for B in b.parts:
-            if t.family == "product":
-                out.append(_box_image_mono(lambda x, y: x * y, A, B))
-            elif t.family == "hamacher2":
-                out.append(_box_image_mono(_ham2, A, B))
+            if t.strict:  # product, hamacher2
+                out.append(_box_image_mono(lambda x, y: _exact_eval(t.family, x, y), A, B))
             elif t.family == "minimum":
                 out.append(_box_image_min(A, B))
             elif t.family == "halfprod":
-                # split along the branch boundary: xy/2 on [0,1/2]^2, xy elsewhere
+                # split along the branch boundary: xy/2 on [0,1/2]^2, xy
+                # elsewhere.  Each branch keeps its own formula: a sub-box
+                # open at 1/2 takes the limit of xy there, where _exact_eval
+                # at 1/2 would give xy/2
                 a_lo, a_hi = A.intersect(_LOWER_HALF), A.intersect(_UPPER_HALF)
                 b_lo, b_hi = B.intersect(_LOWER_HALF), B.intersect(_UPPER_HALF)
                 if a_lo and b_lo:
@@ -363,7 +360,7 @@ def t_solve_x(t: TNormDescriptor, y: Fraction, z: Fraction) -> list:
 def t_preimage(t: TNormDescriptor, y: Fraction, z_iv: Interval) -> IntervalSet:
     """{x in [0,1] : T(x,y) in Z} for the strict exact families, where
     T(.,y) is continuous and strictly increasing for y > 0."""
-    if t.family not in ("product", "hamacher2"):
+    if not (t.exact and t.strict):
         raise ValueError("preimages are only available for strict exact families")
     y = frac(y)
     if y == 0:

@@ -11,6 +11,7 @@ from subnormforge import classify, decompose, f_eval, make_op, parse_fn, parse_t
 from subnormforge.classify import (
     _assoc_search,
     check_archimedean,
+    check_cancellative,
     check_degenerate,
     check_inclusion_conditions,
     l_set_check,
@@ -166,6 +167,14 @@ def test_verdict_implications_random():
             assert s["t_subnorm"] == "yes"
         if s["t_norm"] == "yes":
             assert s["t_subnorm"] == "yes"
+
+
+def test_check_cancellative_needs_an_exact_family(f_identity):
+    # classify decides inexact families by its corollary route and never
+    # calls check_cancellative for them; a direct call cannot build T(M,M)
+    op = make_op(f_identity, parse_tnorm("gen:neglog"))
+    with pytest.raises(ValueError, match="exact families"):
+        check_cancellative(op, decompose(f_identity))
 
 
 def test_continuous_strictly_increasing_always_cancellative():

@@ -49,6 +49,14 @@ def test_classify_structured(fn_file, capsys):
     assert "t_subnorm.status=yes" in out
 
 
+def test_classify_rejects_csv_format(fn_file, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["classify", "--fn", fn_file(F_PLATEAU), "--tnorm", "product",
+              "--format", "csv"])
+    assert e.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
 def test_decompose_output(fn_file, capsys):
     main(["decompose", "--fn", fn_file(F_GAP)])
     out = capsys.readouterr().out

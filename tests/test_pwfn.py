@@ -390,6 +390,36 @@ def test_cached_structure_matches_references(f):
                                           reference_first_arg_above(f, upsilon))
 
 
+def points_as_segments(f):
+    """f with every isolated point (x, v) moved into the segments as the
+    constant segment on {x}: the other spelling of the same function."""
+    return PiecewiseMonotoneFn(f.nondecreasing, f.segments + tuple(
+        Segment.const(Interval.point(x), v) for x, v in f.points), ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
+def test_point_and_one_point_segment_are_one_piece(f):
+    g = points_as_segments(f)
+    for y in probe_values(f):
+        assert eval_fn(g, y) == eval_fn(f, y), y
+        for side in ("left", "right"):
+            assert side_limit(g, y, side) == side_limit(f, y, side), (y, side)
+        assert pseudo_inverse_at(g, y) == pseudo_inverse_at(f, y), y
+        if f.nondecreasing:
+            assert first_arg_above(g, y) == first_arg_above(f, y), y
+    assert_same_inverse(pseudo_inverse(g), pseudo_inverse(f), inverse_probes(f))
+    assert range_of(g) == range_of(f)
+    assert plateau_set(g) == plateau_set(f)
+    assert g.breakpoints() == f.breakpoints()
+    if f.nondecreasing:
+        assert decompose(g) == decompose(f)
+    for family in ("product", "min"):
+        t = parse_tnorm(family)
+        assert (classify(g, t, arch_grid_n=6).properties
+                == classify(f, t, arch_grid_n=6).properties), family
+
+
 # 1/(3 * 2^2000): added to a rational of small denominator, it gives one of
 # denominator above 2^2000, the size the Archimedean power walks reach
 TINY = F(1, 3 * 2 ** 2000)
@@ -432,6 +462,20 @@ def test_eval_open_and_closed_ends():
     for x in (-TINY, 1 + TINY):
         with pytest.raises(DomainError):
             eval_fn(f, x)
+
+
+@pytest.mark.parametrize("text", [
+    "monotone: nondecreasing\nsegment [0,1] linear 1/2 1/4\n",
+    "monotone: nonincreasing\nsegment [0,1] linear -1/2 3/4\n",
+], ids=["nondecreasing", "nonincreasing"])
+def test_pointwise_inverse_rejects_arguments_outside_unit(text):
+    f = parse_fn(text)
+    for y in (F(-1), F(2), -TINY, 1 + TINY):
+        for fn in (pseudo_inverse_at, first_arg_above):
+            with pytest.raises(DomainError, match=r"outside \[0,1\]"):
+                fn(f, y)
+        with pytest.raises(DomainError, match=r"outside \[0,1\]"):
+            eval_fn(pseudo_inverse(f), y)
 
 
 @pytest.mark.parametrize("text", [

@@ -172,6 +172,18 @@ def test_t_image_contains_pointwise(t, a, b, c, d, x, y):
         assert img.contains(t_eval(t, x, y))
 
 
+@pytest.mark.parametrize("t", EXACT, ids=lambda t: t.family)
+@given(a=fractions_01, b=fractions_01, c=fractions_01, d=fractions_01)
+def test_t_image_ends_are_corner_values(t, a, b, c, d):
+    # every exact family is non-decreasing in each argument, so a closed
+    # box's image runs from T at its low corner to T at its high corner
+    lo_a, hi_a, lo_b, hi_b = min(a, b), max(a, b), min(c, d), max(c, d)
+    img = t_image(t, IntervalSet.single(Interval.closed(lo_a, hi_a)),
+                  IntervalSet.single(Interval.closed(lo_b, hi_b)))
+    assert img.min_attained() == (reference_exact_eval(t.family, lo_a, lo_b), True)
+    assert img.max_attained() == (reference_exact_eval(t.family, hi_a, hi_b), True)
+
+
 def test_t_image_halfprod_split():
     # the box [1/4,3/4]^2 straddles the product/halved-product boundary
     box = IntervalSet.single(Interval.closed(F(1, 4), F(3, 4)))
