@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .generated import GeneratedOp, f_eval, make_op
@@ -65,7 +66,8 @@ class Verdict:
 class ClassificationReport:
     properties: dict
     decomposition: Optional[Decomposition]
-    conditions_log: list = field(default_factory=list)
+    conditions_log: list
+    op: GeneratedOp = field(repr=False, compare=False)  # the operation classified
 
     def verdict(self, name: str) -> Verdict:
         return self.properties[name]
@@ -83,7 +85,7 @@ _PQ_VALUES = tuple(dict.fromkeys(
 def arg_with_value(f: PiecewiseMonotoneFn, v: Fraction, avoid=None):
     """Some x with f(x)=v, optionally distinct from `avoid`; None if v is
     not attained (or only attained at `avoid`)."""
-    for p, vals in zip(f._pieces, f._values):
+    for p, vals in zip(f.segments, f._values):
         if not vals.contains(v):
             continue
         d = p.domain
@@ -276,14 +278,9 @@ def check_inclusion_conditions(t: TNormDescriptor, d: Decomposition):
 
 def _value_witness(t, a: IntervalSet, b: IntervalSet, z: Fraction):
     """(u, v, z) with u in a, v in b, T(u,v)=z, by deterministic search
-    over small-denominator v; falls back to (None, None, z)."""
-    for v in _PQ_VALUES:
-        if not b.contains(v):
-            continue
-        for u in t_solve_x(t, v, z):
-            if a.contains(u):
-                return (u, v, z)
-    for v in b.sample_points():
+    over small-denominator v, then over b's sample points; falls back to
+    (None, None, z)."""
+    for v in chain(filter(b.contains, _PQ_VALUES), b.sample_points()):
         for u in t_solve_x(t, v, z):
             if a.contains(u):
                 return (u, v, z)
@@ -318,18 +315,19 @@ def check_prop_sufficient(t: TNormDescriptor, d: Decomposition) -> Verdict:
     bad = t_image(t, hull, m_nz).intersect(d.m_minus_c)
     if bad.is_empty:
         return Verdict.yes("gap-hull image avoids M\\C")
-    p = bad.parts[0]
-    w = p.lo if p.lo_closed else p.midpoint()
-    return Verdict.no((w,), note=f"gap-hull image meets M\\C in {bad}")
+    return Verdict.no((bad.first_member(),), note=f"gap-hull image meets M\\C in {bad}")
 
 
 # -- witness-set refutation for the associativity condition ------------------
 
 
-def l_set_check(t: TNormDescriptor, d: Decomposition, resolution: int = 32) -> Verdict:
+L_RESOLUTION = 32
+
+
+def l_set_check(t: TNormDescriptor, d: Decomposition) -> Verdict:
     """Exact refutation attempt of the full associativity condition over a
     finite witness set of y values (gap endpoints, kept values, range part
-    endpoints, and an n-grid of the range).
+    endpoints, and the range's points on the grid of step 1/L_RESOLUTION).
 
     For each witness y and each pair of high gaps, builds the preimage
     sets {x in M : T(x,y) lands in the gap} / {... lands in M\\C}, their
@@ -337,8 +335,6 @@ def l_set_check(t: TNormDescriptor, d: Decomposition, resolution: int = 32) -> V
     exact intersection refutes associativity; otherwise Unknown at this
     resolution.
     """
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
     if not (t.exact and t.strict):
         return Verdict.unknown("preimages unavailable for this family")
     ys = set()
@@ -351,8 +347,8 @@ def l_set_check(t: TNormDescriptor, d: Decomposition, resolution: int = 32) -> V
             ys.add(p.lo)
         if p.hi_closed:
             ys.add(p.hi)
-    for i in range(resolution + 1):
-        v = Fraction(i, resolution)
+    for i in range(L_RESOLUTION + 1):
+        v = Fraction(i, L_RESOLUTION)
         if d.m.contains(v):
             ys.add(v)
     m_minus_c = d.m_minus_c
@@ -376,9 +372,7 @@ def l_set_check(t: TNormDescriptor, d: Decomposition, resolution: int = 32) -> V
                 continue
             bad = t_image(t, i_k, m_y).intersect(m_minus_c)
             if not bad.is_empty:
-                p = bad.parts[0]
-                w = p.lo if p.lo_closed else p.midpoint()
-                return Verdict.no((y, k, w),
+                return Verdict.no((y, k, bad.first_member()),
                                   note="hull image at witness y meets M\\C")
         for k, mk in gaps.items():
             for l, ml in gaps.items():
@@ -387,11 +381,9 @@ def l_set_check(t: TNormDescriptor, d: Decomposition, resolution: int = 32) -> V
                     t_image(t, IntervalSet.points([c_k]), ml)).o_hull()
                 bad = j.intersect(m_minus_c)
                 if not bad.is_empty:
-                    p = bad.parts[0]
-                    w = p.lo if p.lo_closed else p.midpoint()
-                    return Verdict.no((y, k, l, w),
+                    return Verdict.no((y, k, l, bad.first_member()),
                                       note="cross-gap hull meets M\\C")
-    return Verdict.unknown(f"witness set at resolution {resolution} found no refutation")
+    return Verdict.unknown(f"witness set at resolution {L_RESOLUTION} found no refutation")
 
 
 # -- cancellation -----------------------------------------------------------
@@ -552,7 +544,7 @@ def check_continuity(op: GeneratedOp, d: Optional[Decomposition] = None) -> Verd
     """
     f, t = op.f, op.t
     if t.family == "lambda":
-        segs = f.pieces()
+        segs = f.segments
         if (len(segs) == 1 and not segs[0].is_const
                 and segs[0].slope == t.lam and segs[0].intercept == 0):
             return Verdict.yes(
@@ -712,13 +704,11 @@ def _neutral_search(op: GeneratedOp, pts):
 
 
 def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
-             l_resolution: int = 32, arch_grid_n: int = 20) -> ClassificationReport:
+             arch_grid_n: int = 20) -> ClassificationReport:
     """Full property report for F(x,y) = finv(T(f(x),f(y)))."""
     if arch_grid_n < 2:
         raise ValueError(
             f"arch_grid_n must be >= 2 for an interior grid point, got {arch_grid_n}")
-    if l_resolution < 1:
-        raise ValueError(f"l_resolution must be >= 1, got {l_resolution}")
     op = make_op(f, t)
     log = []
 
@@ -727,7 +717,7 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
         log.append(("degenerate shape", "", "forced classification"))
         return ClassificationReport(
             {p: deg[p] for p in PROPERTIES},
-            decompose(f) if f.nondecreasing else None, log)
+            decompose(f) if f.nondecreasing else None, log, op)
 
     d = decompose(f)
     props = {}
@@ -764,7 +754,7 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
                       "cancellative", "strictly_monotone_op"):
                 props[p] = Verdict.unknown(reason)
         props["t_norm"] = _t_norm_verdict(op, f, t, props)
-        return ClassificationReport({p: props[p] for p in PROPERTIES}, d, log)
+        return ClassificationReport({p: props[p] for p in PROPERTIES}, d, log, op)
 
     # strict exact path: product / hamacher2
     if cond_a.status == "yes" and cond_b.status == "yes":
@@ -815,7 +805,7 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
         else:
             # the gap-hull condition fails (hk is No); the witness set
             # may refute associativity, but the grid above found no triple
-            lv = l_set_check(t, d, resolution=l_resolution)
+            lv = l_set_check(t, d)
             log.append(("witness-set refutation", "", lv.status))
             if lv.status == "no":
                 props["t_subnorm"] = Verdict.unknown(
@@ -826,7 +816,7 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
                 props["t_subnorm"] = lv
 
     props["t_norm"] = _t_norm_verdict(op, f, t, props)
-    return ClassificationReport({p: props[p] for p in PROPERTIES}, d, log)
+    return ClassificationReport({p: props[p] for p in PROPERTIES}, d, log, op)
 
 
 def _t_norm_verdict(op, f, t, props) -> Verdict:

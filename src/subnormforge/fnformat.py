@@ -7,8 +7,9 @@ One directive per line::
     segment (1/2,1] linear 1 0
     point 1 = 3/4
 
-Comments start with ``#``; blank lines are ignored.  Domain coverage of
-[0,1] and monotonicity are validated on load.
+Comments start with ``#``; blank lines are ignored.  ``point x = v`` is
+shorthand for ``segment {x} const v``, and ``render_fn`` writes segments
+only.  Domain coverage of [0,1] and monotonicity are validated on load.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ def parse_interval(tok: str, lineno: int = 0) -> Interval:
 def parse_fn(text: str) -> PiecewiseMonotoneFn:
     direction = None
     segments = []
-    points = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -78,13 +78,14 @@ def parse_fn(text: str) -> PiecewiseMonotoneFn:
         elif toks[0] == "point":
             if len(toks) != 4 or toks[2] != "=":
                 raise ParseError(lineno, "expected 'point <p/q> = <p/q>'")
-            points.append((_parse_fraction(toks[1], lineno), _parse_fraction(toks[3], lineno)))
+            segments.append(Segment.const(Interval.point(_parse_fraction(toks[1], lineno)),
+                                          _parse_fraction(toks[3], lineno)))
         else:
             raise ParseError(lineno, f"unknown directive {toks[0]!r}")
     if direction is None:
         raise ParseError(0, "missing 'monotone:' directive")
     try:
-        return PiecewiseMonotoneFn(direction, tuple(segments), tuple(points))
+        return PiecewiseMonotoneFn(direction, tuple(segments))
     except InvalidFunction as e:
         raise ParseError(0, str(e)) from None
 
@@ -101,6 +102,4 @@ def render_fn(f: PiecewiseMonotoneFn) -> str:
             lines.append(f"segment {s.domain} const {s.intercept}")
         else:
             lines.append(f"segment {s.domain} linear {s.slope} {s.intercept}")
-    for x, v in f.points:
-        lines.append(f"point {x} = {v}")
     return "\n".join(lines) + "\n"

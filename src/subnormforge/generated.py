@@ -80,8 +80,6 @@ def lambda_decompose(gen: GeneratorSpec, lam) -> tuple:
     lam = frac(lam)
     if not (0 < lam < 1):
         raise ValueError(f"lambda must lie in (0,1), got {lam}")
-    f = PiecewiseMonotoneFn(
-        True, (Segment.linear(Interval.closed(0, 1), lam, 0),), ()
-    )
+    f = PiecewiseMonotoneFn(True, (Segment.linear(Interval.closed(0, 1), lam, 0),))
     t = TNormDescriptor("lambda", gen=gen, lam=lam)
     return f, t

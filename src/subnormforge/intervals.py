@@ -194,10 +194,13 @@ class IntervalSet:
         diff = self.minus(other)
         if diff.is_empty:
             return True, None
-        p = diff.parts[0]
-        if p.lo_closed:
-            return False, p.lo
-        return False, p.midpoint()
+        return False, diff.first_member()
+
+    def first_member(self) -> Fraction:
+        """A deterministic member of a non-empty set: the lower end of the
+        first part when it is closed, else that part's midpoint."""
+        p = self.parts[0]
+        return p.lo if p.lo_closed else p.midpoint()
 
     def o_hull(self) -> "IntervalSet":
         """Union of open intervals (min{x,y}, max{x,y}) over point pairs:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .classify import PROPERTIES, arg_with_value, classify
-from .generated import GeneratedOp, f_compose, make_op
+from .generated import GeneratedOp, f_compose
 from .intervals import ONE, ZERO, frac
 from .pwfn import PiecewiseMonotoneFn, decompose
 from .tnorms import Approx, TNormDescriptor, approx_diff
@@ -430,12 +430,12 @@ def default_extra(f: PiecewiseMonotoneFn) -> list:
 def consistency_harness(f: PiecewiseMonotoneFn, t: TNormDescriptor,
                         n: int = 12, arch_grid_n: int = 8,
                         n_iter: int = 64) -> HarnessReport:
-    """Classify, then re-check every classified law by brute force; a Yes
-    verdict alongside an oracle counterexample is a hard failure."""
-    op = make_op(f, t)
-    memo = _Memo(op)
+    """Classify, then re-check every classified law by brute force on the
+    operation the classifier built; a Yes verdict alongside an oracle
+    counterexample is a hard failure."""
     pts = grid(n, default_extra(f))
     report = classify(f, t, arch_grid_n=arch_grid_n)
+    memo = _Memo(report.op)
     out = HarnessReport()
     results = {}  # law -> CheckResult; t_norm shares four laws with t_subnorm
     for prop in PROPERTIES:

@@ -1,17 +1,16 @@
 """Exact piecewise monotone functions on [0,1].
 
 A function is a finite sequence of rational-linear or constant segments
-plus isolated point values whose domains exactly partition [0,1].  All
-evaluation, one-sided limits, pseudo-inversion, range and plateau
-computations are exact over the rationals.
+whose domains exactly partition [0,1]; an isolated value f(x) = v is the
+constant segment on {x}.  All evaluation, one-sided limits,
+pseudo-inversion, range and plateau computations are exact over the
+rationals.
 
 The structure that depends on f alone is computed once per function
-object and cached on it: the sorted pieces, the value interval each piece
-attains, the breakpoints and the plateau set.  The caches live in the
-instance ``__dict__``, outside the dataclass fields, so equality, hashing
-and ``repr`` see only the segments and points.  Every cached piece is a
-``Segment``: an isolated point (x, v) is the constant segment on {x}, so
-the ``points`` field is only input and rendering.
+object and cached on it: the value interval each segment attains, the
+breakpoints and the plateau set.  The caches live in the instance
+``__dict__``, outside the dataclass fields, so equality, hashing and
+``repr`` see only the direction and the segments.
 
 ``eval_fn`` runs on one more cache, the integer table ``_kernel``: per
 piece in x order, its upper end as numerator, denominator and closedness,
@@ -25,7 +24,7 @@ on cross products of numerators and denominators, and a line's value is
 built as one Fraction, normalised once.
 
 ``pseudo_inverse`` builds the closed form of the pseudo-inverse in one
-sweep over the cached pieces and value intervals; ``pseudo_inverse_at``
+sweep over the segments and their cached value intervals; ``pseudo_inverse_at``
 is the pointwise definition that the tests hold it against.
 """
 
@@ -83,25 +82,21 @@ class Segment:
 
 @dataclass(frozen=True)
 class PiecewiseMonotoneFn:
+    """A monotone function on [0,1] given by its segments, which
+    ``__post_init__`` sorts into ascending x order and validates."""
+
     nondecreasing: bool
     segments: tuple = ()
-    points: tuple = ()  # ((x, value), ...) isolated abscissae
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(sorted(self.points)))
-        object.__setattr__(
-            self, "segments", tuple(sorted(self.segments, key=lambda s: s.domain.lo))
-        )
+        object.__setattr__(self, "segments", tuple(sorted(
+            self.segments, key=lambda s: (s.domain.lo, not s.domain.lo_closed))))
         _validate(self)
 
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x) -> Fraction:
         return eval_fn(self, x)
-
-    def pieces(self) -> tuple:
-        """All pieces in ascending x order, each a ``Segment``."""
-        return self._pieces
 
     def breakpoints(self) -> list:
         """Domain endpoints of all pieces (candidate discontinuities)."""
@@ -114,17 +109,9 @@ class PiecewiseMonotoneFn:
     # -- structure cached per function object -------------------------------
 
     @cached_property
-    def _pieces(self) -> tuple:
-        """The segments and, as one-point constant segments, the points,
-        in ascending x order."""
-        out = self.segments + tuple(Segment.const(Interval.point(x), v)
-                                    for x, v in self.points)
-        return tuple(sorted(out, key=lambda s: (s.domain.lo, not s.domain.lo_closed)))
-
-    @cached_property
     def _values(self) -> tuple:
-        """The value interval each piece attains, in piece order."""
-        return tuple(p.attained_values() for p in self._pieces)
+        """The value interval each segment attains, in segment order."""
+        return tuple(p.attained_values() for p in self.segments)
 
     @cached_property
     def _kernel(self) -> tuple:
@@ -133,7 +120,7 @@ class PiecewiseMonotoneFn:
         is a constant piece's value, and the line: None for a constant
         piece, else (sn, sd, cn, cd) for slope sn/sd and intercept cn/cd."""
         out = []
-        for p in self._pieces:
+        for p in self.segments:
             d, s, c = p.domain, p.slope, p.intercept
             line = (None if p.is_const
                     else (s.numerator, s.denominator, c.numerator, c.denominator))
@@ -142,7 +129,7 @@ class PiecewiseMonotoneFn:
 
     @cached_property
     def _breakpoints(self) -> tuple:
-        return tuple(sorted({e for p in self._pieces for e in (p.domain.lo, p.domain.hi)}))
+        return tuple(sorted({e for p in self.segments for e in (p.domain.lo, p.domain.hi)}))
 
     @cached_property
     def _plateau(self) -> IntervalSet:
@@ -156,11 +143,10 @@ class PiecewiseMonotoneFn:
 
 
 def _validate(fn: PiecewiseMonotoneFn) -> None:
-    pieces = fn.pieces()
-    if not pieces:
+    if not fn.segments:
         raise InvalidFunction("no pieces")
     cur, cur_closed = ZERO, True
-    for p in pieces:
+    for p in fn.segments:
         d = p.domain
         if d.lo != cur or d.lo_closed != cur_closed:
             raise InvalidFunction(f"domain gap or overlap at {cur} (next piece starts {d})")
@@ -168,7 +154,7 @@ def _validate(fn: PiecewiseMonotoneFn) -> None:
     if cur != ONE or cur_closed:
         raise InvalidFunction(f"domain does not reach 1 (stops at {cur})")
     prev_vals: Optional[Interval] = None
-    for p, vals in zip(pieces, fn._values):
+    for p, vals in zip(fn.segments, fn._values):
         if vals.lo < 0 or vals.hi > 1:
             raise InvalidFunction(f"values escape [0,1] on {p.domain}")
         if fn.nondecreasing and p.slope < 0:
@@ -259,7 +245,7 @@ def _first_arg(f, target: Interval) -> Fraction:
     target holds the infimum: its first x for a constant piece, and for a
     line the x where it reaches y, or its first x when it starts past y."""
     y = target.lo if f.nondecreasing else target.hi
-    for p, vals in zip(f._pieces, f._values):
+    for p, vals in zip(f.segments, f._values):
         if vals.intersect(target) is not None:
             if p.is_const:
                 return p.domain.lo
@@ -311,7 +297,7 @@ def pseudo_inverse(f: PiecewiseMonotoneFn) -> PiecewiseMonotoneFn:
         else:
             out.append([top, slope, intercept])
 
-    for p, vals in zip(f._pieces, f._values):
+    for p, vals in zip(f.segments, f._values):
         first = p.domain.lo
         bottom, top = (vals.lo, vals.hi) if up else (1 - vals.hi, 1 - vals.lo)
         if p.is_const:
@@ -321,17 +307,14 @@ def pseudo_inverse(f: PiecewiseMonotoneFn) -> PiecewiseMonotoneFn:
             take(top, 1 / p.slope, -p.intercept / p.slope, first)
     take(ONE, ZERO, ONE, ONE)
 
-    segments, points = [], []
+    segments = []
     lo, lo_closed = ZERO, True
     for top, slope, intercept in out:
         dom = (Interval(lo, top, lo_closed, True) if up
                else Interval(1 - top, 1 - lo, True, lo_closed))
-        if dom.is_point:
-            points.append((dom.lo, intercept))
-        else:
-            segments.append(Segment(dom, slope, intercept))
+        segments.append(Segment(dom, slope, intercept))
         lo, lo_closed = top, False
-    return PiecewiseMonotoneFn(up, tuple(segments), tuple(points))
+    return PiecewiseMonotoneFn(up, tuple(segments))
 
 
 # -- range, plateaus, decomposition ----------------------------------------

@@ -100,8 +100,6 @@ _GENERATORS = {
     "one-minus-log": (lambda x: 1 - mpmath.ln(x), lambda u: mpmath.e ** (1 - u), False),
 }
 
-GENERATOR_NAMES = tuple(sorted(_GENERATORS))
-
 
 # -- descriptors ------------------------------------------------------------
 

@@ -133,7 +133,7 @@ def random_nondecreasing_fn(rng: random.Random, max_segments: int = 6,
             slope = (hi_val - lo_val) / (b - a)
             segments.append(Segment.linear(dom, slope, lo_val - slope * a))
         lo_val = hi_val
-    return PiecewiseMonotoneFn(True, tuple(segments), ())
+    return PiecewiseMonotoneFn(True, tuple(segments))
 
 
 def bisect_pseudo_inverse(f: PiecewiseMonotoneFn, y: Fraction,
@@ -190,7 +190,7 @@ def random_strictly_increasing_fn(rng: random.Random, max_segments: int = 6,
         slope = (vb - va) / (b - a)
         dom = Interval.make(a, b, True, i == k - 1)
         segments.append(Segment.linear(dom, slope, va - slope * a))
-    return PiecewiseMonotoneFn(True, tuple(segments), ())
+    return PiecewiseMonotoneFn(True, tuple(segments))
 
 
 @st.composite
@@ -204,7 +204,7 @@ def monotone_fns(draw):
     joins = [draw(st.sampled_from(("closed", "open", "point"))) for _ in cuts]
     joins.append(draw(st.sampled_from(("closed", "point"))))
     level = Fraction(draw(st.integers(0, 8)), 16)
-    segments, points, lo_closed = [], [], True
+    segments, lo_closed = [], True
 
     def up(v):
         return min(Fraction(1), v + Fraction(draw(st.integers(0, 4)), 16))
@@ -220,18 +220,17 @@ def monotone_fns(draw):
         level = end
         if join == "point":
             level = up(level)
-            points.append((b, level))
+            segments.append(Segment.const(Interval.point(b), level))
         lo_closed = join == "closed"
-    return PiecewiseMonotoneFn(True, tuple(segments), tuple(points))
+    return PiecewiseMonotoneFn(True, tuple(segments))
 
 
 def _one_minus(f: PiecewiseMonotoneFn) -> PiecewiseMonotoneFn:
-    """1 - f: the same domains, each slope negated, each intercept c
-    replaced by 1 - c and each point (x, v) by (x, 1 - v)."""
+    """1 - f: the same domains, each slope negated and each intercept c
+    replaced by 1 - c."""
     return PiecewiseMonotoneFn(
         not f.nondecreasing,
-        tuple(Segment(s.domain, -s.slope, 1 - s.intercept) for s in f.segments),
-        tuple((x, 1 - v) for x, v in f.points))
+        tuple(Segment(s.domain, -s.slope, 1 - s.intercept) for s in f.segments))
 
 
 def nonincreasing_fns():

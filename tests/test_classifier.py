@@ -14,9 +14,9 @@ from subnormforge.classify import (
     check_cancellative,
     check_degenerate,
     check_inclusion_conditions,
-    l_set_check,
     render_structured,
     render_text,
+    Verdict,
 )
 from subnormforge.oracle import consistency_harness
 
@@ -285,8 +285,6 @@ segment [1/2,1] const 1/4
 @pytest.mark.parametrize("kwargs, match", [
     ({"arch_grid_n": 1}, "arch_grid_n must be >= 2"),
     ({"arch_grid_n": 0}, "arch_grid_n must be >= 2"),
-    ({"l_resolution": 0}, "l_resolution must be >= 1"),
-    ({"l_resolution": -2}, "l_resolution must be >= 1"),
 ])
 def test_classify_rejects_bad_arguments_for_every_f(f_identity, shape, kwargs, match):
     f = parse_fn(F_PLATEAU_AT_ONE) if shape == "plateau_at_one" else f_identity
@@ -294,14 +292,24 @@ def test_classify_rejects_bad_arguments_for_every_f(f_identity, shape, kwargs, m
     assert degenerate == (shape == "plateau_at_one")
     with pytest.raises(ValueError, match=match):
         classify(f, PRODUCT, **kwargs)
-    if "arch_grid_n" in kwargs:
-        with pytest.raises(ValueError, match=match):
-            consistency_harness(f, PRODUCT, n=4, **kwargs)
+    with pytest.raises(ValueError, match=match):
+        consistency_harness(f, PRODUCT, n=4, **kwargs)
 
 
-def test_l_set_check_rejects_zero_resolution(f_gap):
-    with pytest.raises(ValueError, match="resolution must be >= 1"):
-        l_set_check(PRODUCT, decompose(f_gap), resolution=0)
+# f(1) = 3/4 lies above the line's values and below 1, so the gap-hull
+# condition fails and classify falls through to the witness-set check
+F_WITNESS_SET = """\
+monotone: nondecreasing
+segment [0,1) linear 1/16 3/8
+point 1 = 3/4
+"""
+
+
+def test_witness_set_check_reports_its_resolution():
+    r = classify(parse_fn(F_WITNESS_SET), PRODUCT)
+    assert ("witness-set refutation", "", "unknown") in r.conditions_log
+    assert r.properties["t_subnorm"] == Verdict.unknown(
+        "witness set at resolution 32 found no refutation")
 
 
 # -- rendering ---------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Text format for piecewise functions: parse, render, round-trip."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import WORKED_EXAMPLES, random_nondecreasing_fn
-from subnormforge import eval_fn, parse_fn, render_fn
+from conftest import (WORKED_EXAMPLES, monotone_fns, nonincreasing_fns,
+                      random_nondecreasing_fn)
+from subnormforge import eval_fn, parse_fn, pseudo_inverse, render_fn
 from subnormforge.fnformat import ParseError, parse_interval
 
 
@@ -28,6 +32,8 @@ def test_point_directive():
     f = parse_fn("monotone: nondecreasing\n"
                  "segment [0,1) linear 1/2 0\npoint 1 = 1\n")
     assert eval_fn(f, Fraction(1)) == 1
+    assert f == parse_fn("monotone: nondecreasing\n"
+                         "segment [0,1) linear 1/2 0\nsegment {1} const 1\n")
 
 
 @pytest.mark.parametrize("name", sorted(WORKED_EXAMPLES))
@@ -37,6 +43,24 @@ def test_roundtrip_worked_examples(name):
     for i in range(33):
         x = Fraction(i, 32)
         assert eval_fn(again, x) == eval_fn(f, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
+def test_roundtrip_is_exact(f):
+    for g in (f, pseudo_inverse(f)):
+        assert parse_fn(render_fn(g)) == g
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
+def test_point_lines_parse_as_one_point_segments(f):
+    segments = render_fn(f)
+    points = re.sub(r"^segment \{(\S+)\} const (\S+)$", r"point \1 = \2",
+                    segments, flags=re.M)
+    g, h = parse_fn(points), parse_fn(segments)
+    assert g == h
+    assert (hash(g), repr(g)) == (hash(h), repr(h))
 
 
 def test_roundtrip_random():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import monotone_fns, nonincreasing_fns
-from subnormforge import f_eval, make_op, parse_tnorm
+from subnormforge import f_eval, generated, make_op, parse_tnorm, pseudo_inverse
 from subnormforge.intervals import ONE, ZERO
 from subnormforge.oracle import (
     PROPERTY_NAMES,
@@ -136,6 +136,18 @@ def test_harness_reports_oracle_counters(f_step):
     assert sorted(rep.stats) == ["interned_values", "op_evals"]
     assert rep.stats["op_evals"] > 0 and rep.stats["interned_values"] > 0
     assert "op_evals" not in rep.render()
+
+
+def test_harness_builds_the_pseudo_inverse_once(f_step, monkeypatch):
+    built = []
+
+    def counting(f):
+        built.append(f)
+        return pseudo_inverse(f)
+
+    monkeypatch.setattr(generated, "pseudo_inverse", counting)
+    consistency_harness(f_step, PRODUCT, n=6, arch_grid_n=6)
+    assert built == [f_step]
 
 
 # -- differential check: table oracle against a direct scan -------------------

@@ -186,15 +186,8 @@ def test_decompose_reconstruct_random():
 
 
 def reference_pieces(f):
-    """The pieces in ascending x order, sorted afresh on every call."""
-    out = [(s.domain.lo, not s.domain.lo_closed, s) for s in f.segments]
-    out += [(x, False, (x, v)) for x, v in f.points]
-    out.sort(key=lambda t: (t[0], t[1]))
-    return [p for _, _, p in out]
-
-
-def reference_values(p):
-    return p.attained_values() if isinstance(p, Segment) else Interval.point(p[1])
+    """The segments in ascending x order, sorted afresh on every call."""
+    return sorted(f.segments, key=lambda s: (s.domain.lo, not s.domain.lo_closed))
 
 
 def reference_plateau_set(f):
@@ -202,11 +195,11 @@ def reference_plateau_set(f):
     pieces = reference_pieces(f)
     out = IntervalSet.empty()
     for i, p in enumerate(pieces):
-        if isinstance(p, Segment) and p.is_const and not p.domain.is_point:
+        if p.is_const and not p.domain.is_point:
             out = out.union(IntervalSet.single(Interval.point(p.intercept)))
-        vi = IntervalSet.single(reference_values(p))
+        vi = IntervalSet.single(p.attained_values())
         for q in pieces[i + 1:]:
-            out = out.union(vi.intersect(IntervalSet.single(reference_values(q))))
+            out = out.union(vi.intersect(IntervalSet.single(q.attained_values())))
     return out
 
 
@@ -214,11 +207,6 @@ def reference_first_arg(f, y, at_least):
     """inf{x : f(x) >= y} (at_least) or inf{x : f(x) <= y}, inf(empty)=1,
     building each piece's value interval on every call."""
     for p in reference_pieces(f):
-        if isinstance(p, tuple):
-            px, pv = p
-            if (pv >= y) if at_least else (pv <= y):
-                return px
-            continue
         d, vals = p.domain, p.attained_values()
         if p.is_const:
             if (p.intercept >= y) if at_least else (p.intercept <= y):
@@ -235,10 +223,6 @@ def reference_first_arg(f, y, at_least):
 def reference_first_arg_above(f, v):
     """inf{x : f(x) > v} for non-decreasing f, inf(empty)=1."""
     for p in reference_pieces(f):
-        if isinstance(p, tuple):
-            if p[1] > v:
-                return p[0]
-            continue
         if p.is_const:
             if p.intercept > v:
                 return p.domain.lo
@@ -277,7 +261,7 @@ def reference_pseudo_inverse(f):
     crit_vals = [pseudo_inverse_at(f, y) for y in ys]
 
     segments = []
-    points = []
+    isolated = []
     for j, (slope, intercept) in enumerate(gap_shapes):
         a, b = ys[j], ys[j + 1]
         lo_closed = slope * a + intercept == crit_vals[j]
@@ -298,7 +282,7 @@ def reference_pseudo_inverse(f):
                 raise InvalidFunction("degenerate pseudo-inverse piece")  # unreachable
             segments[j] = Segment(new_dom, s.slope, s.intercept)
         elif not left_ok and not right_ok:
-            points.append((y, crit_vals[j]))
+            isolated.append(Segment.const(Interval.point(y), crit_vals[j]))
 
     # merge adjacent segments with identical shape
     merged = []
@@ -319,21 +303,18 @@ def reference_pseudo_inverse(f):
                 continue
         merged.append(s)
 
-    return PiecewiseMonotoneFn(f.nondecreasing, tuple(merged), tuple(points))
+    return PiecewiseMonotoneFn(f.nondecreasing, tuple(merged + isolated))
 
 
 def reference_eval_fn(f, x):
-    """f(x) by scanning the segments with ``Interval.contains``, then the
-    points: the evaluation that ``eval_fn``'s integer table replaced."""
+    """f(x) by scanning the segments with ``Interval.contains``: the
+    evaluation that ``eval_fn``'s integer table replaced."""
     x = frac(x)
     if x < 0 or x > 1:
         raise DomainError(f"argument {x} outside [0,1]")
     for s in f.segments:
         if s.domain.contains(x):
             return s.value_at(x)
-    for px, pv in f.points:
-        if px == x:
-            return pv
     raise InvalidFunction(f"no piece covers {x}")  # unreachable for valid fns
 
 
@@ -350,8 +331,8 @@ def inverse_probes(f):
     the pseudo-inverse is linear between critical values, so agreeing on
     values and both one-sided limits here pins it down everywhere."""
     crit = sorted({F(0), F(1)} | {e for p in reference_pieces(f)
-                                  for e in (reference_values(p).lo,
-                                            reference_values(p).hi)})
+                                  for e in (p.attained_values().lo,
+                                            p.attained_values().hi)})
     inner = [a + (b - a) * k / 4 for a, b in zip(crit, crit[1:]) for k in (1, 2, 3)]
     return sorted(set(crit) | set(inner))
 
@@ -369,7 +350,7 @@ def test_cached_structure_matches_references(f):
     q = reference_plateau_set(f)
     assert plateau_set(f) == q
     assert f.is_strictly_monotone == q.is_empty
-    m = IntervalSet.of(reference_values(p) for p in reference_pieces(f))
+    m = IntervalSet.of(p.attained_values() for p in reference_pieces(f))
     assert range_of(f) == m
     ys = probe_values(f)
     for y in ys:
@@ -388,36 +369,6 @@ def test_cached_structure_matches_references(f):
             upsilon = q.parts[-1].hi
             assert (d.upsilon, d.tau) == (upsilon,
                                           reference_first_arg_above(f, upsilon))
-
-
-def points_as_segments(f):
-    """f with every isolated point (x, v) moved into the segments as the
-    constant segment on {x}: the other spelling of the same function."""
-    return PiecewiseMonotoneFn(f.nondecreasing, f.segments + tuple(
-        Segment.const(Interval.point(x), v) for x, v in f.points), ())
-
-
-@settings(max_examples=60, deadline=None)
-@given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
-def test_point_and_one_point_segment_are_one_piece(f):
-    g = points_as_segments(f)
-    for y in probe_values(f):
-        assert eval_fn(g, y) == eval_fn(f, y), y
-        for side in ("left", "right"):
-            assert side_limit(g, y, side) == side_limit(f, y, side), (y, side)
-        assert pseudo_inverse_at(g, y) == pseudo_inverse_at(f, y), y
-        if f.nondecreasing:
-            assert first_arg_above(g, y) == first_arg_above(f, y), y
-    assert_same_inverse(pseudo_inverse(g), pseudo_inverse(f), inverse_probes(f))
-    assert range_of(g) == range_of(f)
-    assert plateau_set(g) == plateau_set(f)
-    assert g.breakpoints() == f.breakpoints()
-    if f.nondecreasing:
-        assert decompose(g) == decompose(f)
-    for family in ("product", "min"):
-        t = parse_tnorm(family)
-        assert (classify(g, t, arch_grid_n=6).properties
-                == classify(f, t, arch_grid_n=6).properties), family
 
 
 # 1/(3 * 2^2000): added to a rational of small denominator, it gives one of
@@ -523,12 +474,12 @@ def test_caches_leave_identity_alone(f_step):
     before = (hash(f_step), repr(f_step))
     for family in ("product", "min"):
         classify(f_step, parse_tnorm(family), arch_grid_n=6)
-    assert {"_pieces", "_values", "_breakpoints", "_plateau"} <= set(vars(f_step))
+    assert {"_values", "_breakpoints", "_plateau"} <= set(vars(f_step))
     fresh = parse_fn(render_fn(f_step))
     assert "_plateau" not in vars(fresh)
     assert f_step == fresh
     assert (hash(f_step), repr(f_step)) == before == (hash(fresh), repr(fresh))
-    assert isinstance(f_step.pieces(), tuple)
+    assert isinstance(f_step.segments, tuple)
     assert f_step.breakpoints() is not f_step.breakpoints()
 
 
@@ -540,7 +491,7 @@ def test_rejects_gap_in_tiling():
         PiecewiseMonotoneFn(True, (
             Segment.linear(Interval.make(0, F(1, 2), True, False), F(1), F(0)),
             Segment.linear(Interval.make(F(3, 4), 1, True, True), F(1), F(0)),
-        ), ())
+        ))
 
 
 def test_rejects_decreasing_values():
