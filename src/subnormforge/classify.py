@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
-from .generated import GeneratedOp, f_eval, make_op
+from .generated import GeneratedOp, f_compose, f_eval, make_op
 from .intervals import Interval, IntervalSet, ONE, ZERO
 from .pwfn import (
     Decomposition,
@@ -101,11 +101,11 @@ def arg_with_value(f: PiecewiseMonotoneFn, v: Fraction, avoid=None):
     return None
 
 
-def _interval_low(hi: Fraction) -> IntervalSet:
-    return IntervalSet.single(Interval.closed(ZERO, hi))
+# Interior probes per part in _dense_samples.
+DENSE_PROBES = 4
 
 
-def _dense_samples(s: IntervalSet, k: int = 4) -> list:
+def _dense_samples(s: IntervalSet) -> list:
     """Several interior points per part (plus closed endpoints), so that
     even a single open interval contributes multiple probes."""
     out = set()
@@ -115,8 +115,8 @@ def _dense_samples(s: IntervalSet, k: int = 4) -> list:
         if p.hi_closed:
             out.add(p.hi)
         if p.lo < p.hi:
-            for j in range(1, k + 1):
-                out.add(p.lo + (p.hi - p.lo) * Fraction(j, k + 1))
+            for j in range(1, DENSE_PROBES + 1):
+                out.add(p.lo + (p.hi - p.lo) * Fraction(j, DENSE_PROBES + 1))
     return sorted(out)
 
 
@@ -142,8 +142,9 @@ def check_degenerate(op: GeneratedOp):
     Non-increasing f vanishing on (0,1] gives F identically 0; for
     non-decreasing f, a plateau value attained at 1 (or approached at 1
     with f(1) off the plateau) forces F to be zero away from (1,1) if the
-    conditional cancellation law is to hold at all.  Returns a property
-    dict, or None when none of these shapes apply.
+    conditional cancellation law is to hold at all.  Returns a dict of
+    every property but ``proper``, which ``classify`` decides for every f,
+    or None when none of these shapes apply.
     """
     f = op.f
     if not f.nondecreasing:
@@ -151,53 +152,50 @@ def check_degenerate(op: GeneratedOp):
         # (0,1] exactly when its limit at 0 from the right is 0
         if side_limit(f, ZERO, "right") == 0:
             return _vanishing_verdicts(op, "F identically 0", "f vanishes on (0,1]")
-        out = {p: Verdict.unknown(
-            "none", note="non-increasing f outside the vanishing case; "
-            "use the oracle") for p in PROPERTIES}
-        out["proper"] = _proper_verdict(op)
-        return out
+        return _undecided("non-increasing f outside the vanishing case; use the oracle")
 
     q = plateau_set(f)
     f1 = eval_fn(f, ONE)
     if q.contains(f1):
-        x1 = arg_with_value(f, f1)
-        x2 = arg_with_value(f, f1, avoid=x1)
+        _, x1, x2 = _plateau_pair(f, (f1,)) or (f1, None, None)
         return _plateau_at_one(op, f1, x1, x2, f_eval(op, ONE, ONE),
                                "F identically 0", "plateau value at 1 and F(1,1)=0")
     f1m = side_limit(f, ONE, "left")
     if q.contains(f1m):
-        # plateau approached at 1 but f(1) above it: F must vanish off (1,1)
-        x2 = arg_with_value(f, f1m)
-        x1 = arg_with_value(f, f1m, avoid=x2)
-        return _plateau_at_one(op, f1m, x1, x2, f_eval(op, x2, ONE),
+        # plateau approached at 1 but f(1) above it: F must vanish off
+        # (1,1); the probe is F(x,1) for any x with f(x) = f1m
+        _, x2, x1 = _plateau_pair(f, (f1m,)) or (f1m, None, None)
+        return _plateau_at_one(op, f1m, x1, x2, f_compose(op, f1m, f1),
                                "F vanishes off (1,1)", None)
     return None
 
 
+def _undecided(note) -> dict:
+    """Unknown for every property but ``proper``."""
+    return {p: Verdict.unknown("none", note=note) for p in PROPERTIES if p != "proper"}
+
+
 def _plateau_at_one(op, w, x1, x2, probe, evidence, note):
     """Verdicts for a plateau value w at 1, which f takes at x1 and x2
-    (either None when not located).  A probe value of F that is exactly 0
+    (both None when not located).  A probe value of F that is exactly 0
     makes F vanish off (1,1), with `evidence` and `note` naming the shape;
     a positive one with equal exact values F(x1,1)=F(x2,1) refutes
     conditional cancellation."""
     c, r = approx_diff(probe, ZERO)
     if (c, r) == (0, 0):
         return _vanishing_verdicts(op, evidence, note)
-    out = {p: Verdict.unknown("none", note="degenerate shape undecided")
-           for p in PROPERTIES}
-    if abs(c) > r and x1 is not None and x2 is not None:
+    if abs(c) > r and x1 is not None:
         v1 = f_eval(op, x1, ONE)
         if approx_diff(v1, f_eval(op, x2, ONE)) == (0, 0) and v1 > 0:
-            out = {p: Verdict.unknown("none", note="degenerate shape; use the oracle")
-                   for p in PROPERTIES}
+            out = _undecided("degenerate shape; use the oracle")
             out["conditionally_cancellative"] = Verdict.no(
                 (x1, x2, ONE),
                 note=f"F({x1},1)=F({x2},1)={v1}>0 with f({x1})=f({x2})={w}")
             out["cancellative"] = Verdict.no((ONE, x1, x2),
                                              note="repeated f value")
             out["strictly_monotone_op"] = out["cancellative"]
-    out["proper"] = _proper_verdict(op)
-    return out
+            return out
+    return _undecided("degenerate shape undecided")
 
 
 def _vanishing_verdicts(op, evidence, note):
@@ -212,7 +210,6 @@ def _vanishing_verdicts(op, evidence, note):
         "strictly_monotone_op": Verdict.no((ONE, ZERO, half),
                                            note="F(1,0)=F(1,1/2)=0"),
         "archimedean": Verdict.yes(evidence),
-        "proper": _proper_verdict(op),
     }
     if approx_diff(a, ZERO) == (0, 0):
         out["continuous"] = Verdict.yes("F identically 0")
@@ -248,14 +245,11 @@ def check_inclusion_conditions(t: TNormDescriptor, d: Decomposition):
         (a) T(M\\C, M) subset of M union [0, f(0+)]
         (b) T(Q, M)   subset of [0, f(0+)]
 
-    Both are decided exactly via interval images for exact t-norm
-    families; failures carry a value-space witness (u, v, T(u,v)).
+    Both are decided exactly via interval images, so only for the exact
+    t-norm families (``t_image`` raises ValueError for the others);
+    failures carry a value-space witness (u, v, T(u,v)).
     """
-    if not t.exact:
-        u = Verdict.unknown("inexact t-norm evaluation",
-                            note="interval images unavailable")
-        return u, u
-    low = _interval_low(d.f0plus)
+    low = IntervalSet.single(Interval.closed(ZERO, d.f0plus))
     img_a = t_image(t, d.m_minus_c, d.m)
     ok_a, z_a = img_a.is_subset_of(d.m.union(low))
     if ok_a:
@@ -290,25 +284,17 @@ def _value_witness(t, a: IntervalSet, b: IntervalSet, z: Fraction):
 # -- gap-hull condition -----------------------------------------------------
 
 
-def h_k_sets(t: TNormDescriptor, d: Decomposition) -> dict:
-    """For each high gap [b_k,d_k] (those above the plateau maximum), the
-    open hull of the kept boundary value together with the t-norm image of
-    the range meeting that gap."""
-    out = {}
+def check_prop_sufficient(t: TNormDescriptor, d: Decomposition) -> Verdict:
+    """The hull condition: T(union of H_k, M\\{0}) must avoid M\\C.  For
+    each high gap [b_k,d_k] (those above the plateau maximum), H_k is the
+    open hull of the kept boundary value together with the part of T(M,M)
+    in that gap."""
+    mm = t_image(t, d.m, d.m)
+    hull = IntervalSet.empty()
     for k in d.k1:
         b, dd, c = d.s[k]
-        gap = IntervalSet.single(Interval.closed(b, dd))
-        inside = t_image(t, d.m, d.m).intersect(gap)
-        out[k] = inside.union(IntervalSet.points([c])).o_hull()
-    return out
-
-
-def check_prop_sufficient(t: TNormDescriptor, d: Decomposition) -> Verdict:
-    """The hull condition: T(union of H_k, M\\{0}) must avoid M\\C."""
-    hk = h_k_sets(t, d)
-    hull = IntervalSet.empty()
-    for s in hk.values():
-        hull = hull.union(s)
+        inside = mm.intersect(IntervalSet.single(Interval.closed(b, dd)))
+        hull = hull.union(inside.union(IntervalSet.points([c])).o_hull())
     if hull.is_empty:
         return Verdict.yes("all gap hulls empty")
     m_nz = d.m.minus(IntervalSet.points([ZERO]))
@@ -333,10 +319,9 @@ def l_set_check(t: TNormDescriptor, d: Decomposition) -> Verdict:
     sets {x in M : T(x,y) lands in the gap} / {... lands in M\\C}, their
     hulls, and intersects the resulting images with M\\C.  A nonempty
     exact intersection refutes associativity; otherwise Unknown at this
-    resolution.
+    resolution.  Preimages exist for the strict exact families only
+    (``t_preimage`` raises ValueError for the others).
     """
-    if not (t.exact and t.strict):
-        return Verdict.unknown("preimages unavailable for this family")
     ys = set()
     for b, dd, c in d.s:
         for v in (b, dd, c):
@@ -420,20 +405,12 @@ def _gap_collisions(op, d: Decomposition, domain: IntervalSet, z: Fraction):
     built from a t-norm image value z that falls in a range gap: f(y1) and
     f(y2) are taken from `domain` and sent into that gap by T(., f(x)).
 
-    Only the strict exact families are searched, where F is symmetric, so
+    Only the strict exact families reach here, where F is symmetric, so
     the same collisions serve with x as the first or the second argument.
+    z lies outside the range M, so some gap holds it.
     """
     t = op.t
-    if not (t.exact and t.strict):
-        return
-    gap = None
-    for b, dd, c in d.s:
-        if b <= z <= dd:
-            gap = (b, dd, c)
-            break
-    if gap is None:
-        return
-    b, dd, c = gap
+    b, dd, c = next(g for g in d.s if g[0] <= z <= g[1])
     for v in _PQ_VALUES:
         if not d.m.contains(v):
             continue
@@ -464,14 +441,12 @@ def _cc_witness(op, d: Decomposition, which: str, z: Fraction):
     if which == "plateau":
         # z = T(w, v) > f(0+) with w a repeated value
         for w in d.q.sample_points():
+            pair = _plateau_pair(op.f, (w,))
             for v in t_solve_x(t, w, z):
-                if not d.m.contains(v):
+                if pair is None or not d.m.contains(v):
                     continue
-                x1 = arg_with_value(op.f, w)
-                x2 = arg_with_value(op.f, w, avoid=x1)
-                y = arg_with_value(op.f, v)
-                if None in (x1, x2, y):
-                    continue
+                _, x1, x2 = pair
+                y = arg_with_value(op.f, v)  # v is in the range M
                 a1, a2 = f_eval(op, x1, y), f_eval(op, x2, y)
                 if a1 == a2 and a1 > 0:
                     return (x1, x2, y)
@@ -522,8 +497,6 @@ def _dir_limit(op: GeneratedOp, x0: Fraction, y0: Fraction, side: str):
         return op.finv_at(c)
     w = _t_dir_limit(t, v, side, c)
     if side == "left":
-        if w == 0:
-            return op.finv_at(ZERO)
         return side_limit(op.finv, w, "left")
     if w == 1:
         return op.finv_at(ONE)
@@ -608,13 +581,12 @@ def check_continuity(op: GeneratedOp, d: Optional[Decomposition] = None) -> Verd
     if t.exact and f.nondecreasing:
         cands_x = set(f.breakpoints())
         cands_y = set(f.breakpoints()) | {ONE}
-        if d is not None:
-            for q in d.q.sample_points():
-                for y0 in sorted(cands_y):
-                    for u in t_solve_x(t, op.f_at(y0), q):
-                        xa = arg_with_value(f, u)
-                        if xa is not None:
-                            cands_x.add(xa)
+        for q in d.q.sample_points():
+            for y0 in sorted(cands_y):
+                for u in t_solve_x(t, op.f_at(y0), q):
+                    xa = arg_with_value(f, u)
+                    if xa is not None:
+                        cands_x.add(xa)
         for x0 in sorted(cands_x):
             for y0 in sorted(cands_y):
                 for (px, py) in ((x0, y0), (y0, x0)):
@@ -633,7 +605,11 @@ def check_continuity(op: GeneratedOp, d: Optional[Decomposition] = None) -> Verd
 # -- Archimedean ------------------------------------------------------------
 
 
-def check_archimedean(op: GeneratedOp, grid_n: int = 20, cap: int = 256) -> Verdict:
+# Self-composition steps check_archimedean tries per grid point.
+ARCH_CAP = 256
+
+
+def check_archimedean(op: GeneratedOp, grid_n: int = 20) -> Verdict:
     """Grid-and-cap Archimedean check: every interior grid x must have a
     self-composition power dropping below every interior grid y.  An
     exactly stabilized power sequence above some y is a rigorous No;
@@ -647,7 +623,7 @@ def check_archimedean(op: GeneratedOp, grid_n: int = 20, cap: int = 256) -> Verd
         acc = x
         floor_hit = False
         prev = None
-        for _ in range(cap):
+        for _ in range(ARCH_CAP):
             nxt, r = approx_diff(f_eval(op, acc, x), ZERO)
             if nxt + r < y_min:
                 floor_hit = True
@@ -670,9 +646,9 @@ def check_archimedean(op: GeneratedOp, grid_n: int = 20, cap: int = 256) -> Verd
             acc = nxt
         if not floor_hit:
             return Verdict.unknown(
-                f"powers of {x} did not descend below {y_min} within {cap} steps")
+                f"powers of {x} did not descend below {y_min} within {ARCH_CAP} steps")
     return Verdict.yes(f"all grid powers descend below {y_min}",
-                       note=f"grid n={grid_n}, cap {cap}")
+                       note=f"grid n={grid_n}, cap {ARCH_CAP}")
 
 
 # -- orchestration ----------------------------------------------------------
@@ -703,120 +679,107 @@ def _neutral_search(op: GeneratedOp, pts):
     return None
 
 
+# The properties that the cancellation routes decide.
+_ROUTED = ("t_subnorm", "conditionally_cancellative", "cancellative",
+           "strictly_monotone_op")
+
+
 def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
              arch_grid_n: int = 20) -> ClassificationReport:
-    """Full property report for F(x,y) = finv(T(f(x),f(y)))."""
+    """Full property report for F(x,y) = finv(T(f(x),f(y))).
+
+    This is where the routes are chosen: the inclusion conditions run for
+    the exact families, the strict exact route for product and hamacher2,
+    and a corollary route for the other strict families.
+    """
     if arch_grid_n < 2:
         raise ValueError(
             f"arch_grid_n must be >= 2 for an interior grid point, got {arch_grid_n}")
     op = make_op(f, t)
     log = []
-
-    deg = check_degenerate(op)
-    if deg is not None:
+    props = check_degenerate(op)
+    d = decompose(f) if f.nondecreasing else None
+    if props is not None:
         log.append(("degenerate shape", "", "forced classification"))
-        return ClassificationReport(
-            {p: deg[p] for p in PROPERTIES},
-            decompose(f) if f.nondecreasing else None, log, op)
-
-    d = decompose(f)
-    props = {}
-
-    props["proper"] = _proper_verdict(op)
-    props["archimedean"] = check_archimedean(op, grid_n=arch_grid_n)
-    props["continuous"] = check_continuity(op, d)
-    if props["continuous"].status == "yes":
-        log.append(("continuity",
-                    "Archimedean and conditional cancellation coincide for "
-                    "continuous t-subnorms", "cross-check available"))
-
-    cond_a = cond_b = None
-    if t.exact:
-        cond_a, cond_b = check_inclusion_conditions(t, d)
-        log.append(("T(M\\C,M) within M plus [0,f(0+)]",
-                    f"M={d.m} C={d.c_set} f(0+)={d.f0plus}", cond_a.status))
-        log.append(("T(Q,M) within [0,f(0+)]", f"Q={d.q}", cond_b.status))
-
-    if not (t.exact and t.strict):
-        # corollary route for strict but inexact families
-        if t.strict and f.is_strictly_monotone and not _jumps(f) \
+    else:
+        props = {"archimedean": check_archimedean(op, grid_n=arch_grid_n),
+                 "continuous": check_continuity(op, d)}
+        if props["continuous"].status == "yes":
+            log.append(("continuity",
+                        "Archimedean and conditional cancellation coincide for "
+                        "continuous t-subnorms", "cross-check available"))
+        if t.exact:
+            cond_a, cond_b = check_inclusion_conditions(t, d)
+            log.append(("T(M\\C,M) within M plus [0,f(0+)]",
+                        f"M={d.m} C={d.c_set} f(0+)={d.f0plus}", cond_a.status))
+            log.append(("T(Q,M) within [0,f(0+)]", f"Q={d.q}", cond_b.status))
+        if t.exact and t.strict:
+            props.update(_strict_exact_verdicts(op, d, cond_a, cond_b, log))
+        elif t.strict and f.is_strictly_monotone and not _jumps(f) \
                 and eval_fn(f, ZERO) == 0:
-            v = Verdict.yes("f continuous strictly increasing with f(0)=0",
-                            "T strictly monotone and continuous")
-            props["cancellative"] = v
-            props["conditionally_cancellative"] = v
-            props["t_subnorm"] = v
-            props["strictly_monotone_op"] = v
+            # corollary route for strict but inexact families
+            props.update(dict.fromkeys(_ROUTED, Verdict.yes(
+                "f continuous strictly increasing with f(0)=0",
+                "T strictly monotone and continuous")))
         else:
-            reason = ("preconditions unmet: t-norm not strictly monotone "
-                      "and continuous with exact evaluation; run the oracle")
-            for p in ("t_subnorm", "conditionally_cancellative",
-                      "cancellative", "strictly_monotone_op"):
-                props[p] = Verdict.unknown(reason)
+            props.update(dict.fromkeys(_ROUTED, Verdict.unknown(
+                "preconditions unmet: t-norm not strictly monotone and "
+                "continuous with exact evaluation; run the oracle")))
         props["t_norm"] = _t_norm_verdict(op, f, t, props)
-        return ClassificationReport({p: props[p] for p in PROPERTIES}, d, log, op)
+    props["proper"] = _proper_verdict(op)
+    return ClassificationReport({p: props[p] for p in PROPERTIES}, d, log, op)
 
-    # strict exact path: product / hamacher2
+
+def _strict_exact_verdicts(op, d: Decomposition, cond_a, cond_b, log) -> dict:
+    """The properties in ``_ROUTED`` for product and hamacher2, from the
+    two inclusion conditions; appends the conditions it checks to `log`."""
+    f, t = op.f, op.t
     if cond_a.status == "yes" and cond_b.status == "yes":
-        props["conditionally_cancellative"] = Verdict.yes(
-            "T(M\\C,M) within M plus [0,f(0+)]", "T(Q,M) within [0,f(0+)]")
+        cc = Verdict.yes("T(M\\C,M) within M plus [0,f(0+)]", "T(Q,M) within [0,f(0+)]")
     else:
         bad, which = (cond_b, "plateau") if cond_b.status == "no" else (cond_a, "gap")
         z = bad.witness[2]
         triple = _cc_witness(op, d, which, z)
         if triple is not None:
             x1, x2, y = triple
-            props["conditionally_cancellative"] = Verdict.no(
-                triple, note=f"F({x1},{y})=F({x2},{y})>0")
+            cc = Verdict.no(triple, note=f"F({x1},{y})=F({x2},{y})>0")
         else:
-            props["conditionally_cancellative"] = Verdict.unknown(
-                f"inclusion fails at {z} but no argument-space witness "
-                "was constructed")
+            cc = Verdict.unknown(f"inclusion fails at {z} but no argument-space "
+                                 "witness was constructed")
 
-    props["cancellative"] = check_cancellative(op, d)
-    props["strictly_monotone_op"] = props["cancellative"]
-
+    canc = check_cancellative(op, d)
     hk = check_prop_sufficient(t, d)
     log.append(("gap-hull condition", f"K1={d.k1}", hk.status))
-    cc = props["conditionally_cancellative"]
-    if props["cancellative"].status == "yes":
-        props["t_subnorm"] = Verdict.yes("cancellative route")
+    if canc.status == "yes":
+        ts = Verdict.yes("cancellative route")
     elif cc.status == "yes" and hk.status == "yes":
-        props["t_subnorm"] = Verdict.yes(
-            "gap-hull condition", "both inclusion conditions")
+        ts = Verdict.yes("gap-hull condition", "both inclusion conditions")
     elif cc.status != "yes" and f.is_strictly_monotone and hk.status == "yes":
-        props["t_subnorm"] = Verdict.yes("gap-hull condition",
-                                         note="f strictly increasing")
+        ts = Verdict.yes("gap-hull condition", note="f strictly increasing")
     else:
-        pts = sorted(set(f.breakpoints())
-                     | {Fraction(i, 6) for i in range(7)})
+        pts = sorted(set(f.breakpoints()) | {Fraction(i, 6) for i in range(7)})
         triple = _assoc_search(op, pts)
         if triple is not None:
-            props["t_subnorm"] = Verdict.no(triple,
-                                            note="associativity fails")
+            ts = Verdict.no(triple, note="associativity fails")
         elif cc.status != "yes":
-            props["t_subnorm"] = Verdict.unknown(
-                "no sufficient route applies; run the oracle")
+            ts = Verdict.unknown("no sufficient route applies; run the oracle")
         elif eval_fn(f, ONE) == 1:
-            props["t_subnorm"] = Verdict.unknown(
+            ts = Verdict.unknown(
                 "gap-hull condition refuted (necessary when f(1)=1) but no "
                 "associativity counterexample found on the search grid",
                 note=f"condition witness {hk.witness}")
         else:
             # the gap-hull condition fails (hk is No); the witness set
             # may refute associativity, but the grid above found no triple
-            lv = l_set_check(t, d)
-            log.append(("witness-set refutation", "", lv.status))
-            if lv.status == "no":
-                props["t_subnorm"] = Verdict.unknown(
+            ts = l_set_check(t, d)
+            log.append(("witness-set refutation", "", ts.status))
+            if ts.status == "no":
+                ts = Verdict.unknown(
                     "refutation found in the witness set but no "
                     "associativity counterexample on the search grid",
-                    note=f"witness {lv.witness}")
-            else:
-                props["t_subnorm"] = lv
-
-    props["t_norm"] = _t_norm_verdict(op, f, t, props)
-    return ClassificationReport({p: props[p] for p in PROPERTIES}, d, log, op)
+                    note=f"witness {ts.witness}")
+    return {"conditionally_cancellative": cc, "cancellative": canc,
+            "strictly_monotone_op": canc, "t_subnorm": ts}
 
 
 def _t_norm_verdict(op, f, t, props) -> Verdict:

@@ -10,9 +10,11 @@ The scans run on interned value tables.  Every value is interned to a
 small int id, equal values to equal ids.  For each grid, F is evaluated
 once per point pair into an m-by-m table of ids; the values of F at the
 off-grid intermediates of associativity and of the Archimedean powers
-sit in per-value rows and columns, filled on first use.  A generated
-operation is evaluated once per pair of f values.  On an exact table,
-ids compare values: equal ids are equal values, unequal ids differ.
+sit in per-value rows and columns, filled on first use.  One cache
+serves every grid and direct call: a generated operation is evaluated
+once per pair of f values, any other once per pair of arguments.  On an
+exact table, ids compare values: equal ids are equal values, unequal ids
+differ.
 Comparisons that need a sign or may involve Approx values call
 ``approx_diff`` on the values, with the boundary rules described in
 ``check_property``.  The scan order, and so the first counterexample, its
@@ -68,34 +70,29 @@ class CheckResult:
 class _Memo:
     """A binary operation whose values are interned to small int ids.
 
-    ``memo(x, y)`` evaluates through a pair cache (``cache``).  The law
-    scans read a ``_Grid`` instead (``memo.grid(pts)``), which holds ids.
     Equal values get equal ids, and ``centre[v]`` is the id of value v's
-    centre: v itself unless the value is an ``Approx``.  ``evals`` counts
-    evaluations of the operation.
+    centre: v itself unless the value is an ``Approx``.  The operation is
+    evaluated once per key of ``by_f`` (see ``eval``), and ``evals`` counts
+    those evaluations.  ``memo(x, y)`` reads the same cache; the law scans
+    read a ``_Grid`` of ids (``memo.grid(pts)``).
     """
 
     def __init__(self, op: Callable):
         self.op = op
         # a GeneratedOp is evaluated by f values (see ``eval``)
         self.generated = op if isinstance(op, GeneratedOp) else None
-        self.cache = {}
         self.ids = {}  # value -> id
         self.vals = []  # id -> value
         self.centre = []  # id -> id of the value's centre
         self.f_ids = {}  # id of x -> id of f(x)
-        self.by_f = {}  # (id of f(x), id of f(y)) -> id of F(x, y)
+        # (id of f(x), id of f(y)) for a GeneratedOp, else (id of x, id of
+        # y) -> id of F(x, y)
+        self.by_f = {}
         self.grids = {}  # tuple(pts) -> _Grid
         self.evals = 0
 
     def __call__(self, x, y):
-        key = (x, y)
-        v = self.cache.get(key)
-        if v is None:
-            v = self.op(x, y)
-            self.evals += 1
-            self.cache[key] = v
-        return v
+        return self.vals[self.eval(self.intern(x), self.intern(y))]
 
     def intern(self, v) -> int:
         i = self.ids.get(v)
@@ -111,18 +108,17 @@ class _Memo:
         """Id of op(x, y) for the values x and y of ids a and b.
 
         F = finv(T(f(x), f(y))) depends on x and y only through f(x) and
-        f(y), so a GeneratedOp is evaluated once per pair of f values.
+        f(y), so a GeneratedOp is evaluated once per pair of f values; any
+        other operation once per pair of arguments.
         """
-        vals = self.vals
-        if self.generated is None:
-            self.evals += 1
-            return self.intern(self.op(vals[a], vals[b]))
-        key = (self._f_id(a), self._f_id(b))
+        vals, gen = self.vals, self.generated
+        key = (a, b) if gen is None else (self._f_id(a), self._f_id(b))
         v = self.by_f.get(key)
         if v is None:
             self.evals += 1
             v = self.by_f[key] = self.intern(
-                f_compose(self.generated, vals[key[0]], vals[key[1]]))
+                self.op(vals[a], vals[b]) if gen is None
+                else f_compose(gen, vals[key[0]], vals[key[1]]))
         return v
 
     def _f_id(self, a: int) -> int:
@@ -209,6 +205,16 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
         return CheckResult(False, Counterexample(prop, inputs, lhs, rhs),
                            checked=count)
 
+    def differ(a, b) -> bool:
+        """Values a and b, with different centres, differ beyond their
+        radii; otherwise the comparison is counted as undecided."""
+        nonlocal undecided
+        d, r = approx_diff(a, b)
+        if abs(d) > r:
+            return True
+        undecided += 1
+        return False
+
     if g.exact:
         def gt(a, b):
             return vals[a] > vals[b]
@@ -228,12 +234,8 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
         for i in range(m):
             for j in range(m):
                 count += 1
-                if C[i][j] != C[j][i]:
-                    a, b = vals[T[i][j]], vals[T[j][i]]
-                    d, r = approx_diff(a, b)
-                    if abs(d) > r:
-                        return cex((pts[i], pts[j]), a, b)
-                    undecided += 1
+                if C[i][j] != C[j][i] and differ(vals[T[i][j]], vals[T[j][i]]):
+                    return cex((pts[i], pts[j]), vals[T[i][j]], vals[T[j][i]])
     elif prop == "monotonicity":
         for i in range(m):
             Ti, Ci = T[i], C[i]
@@ -271,12 +273,8 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
                     rhs = cols_j[k][i]
                     if rhs is None:
                         rhs = cols_j[k][i] = ev(pid[i], Cj[k])
-                    if cen[lhs] != cen[rhs]:
-                        a, b = vals[lhs], vals[rhs]
-                        d, r = approx_diff(a, b)
-                        if abs(d) > r:
-                            return cex((x, pts[j], pts[k]), a, b)
-                        undecided += 1
+                    if cen[lhs] != cen[rhs] and differ(vals[lhs], vals[rhs]):
+                        return cex((x, pts[j], pts[k]), vals[lhs], vals[rhs])
         assert count == m ** 3, "associativity scan must cover the full cube"
     elif prop == "neutral_one":
         one = memo.intern(ONE)
@@ -286,35 +284,27 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
             v = col[i]
             if v is None:
                 v = col[i] = ev(pid[i], one)
-            if cen[v] != pid[i]:
-                d, r = approx_diff(vals[v], x)
-                if abs(d) > r:
-                    return cex((x,), vals[v], x)
-                undecided += 1
-    elif prop == "conditional_cancellation":
-        positive = {}
+            if cen[v] != pid[i] and differ(vals[v], x):
+                return cex((x,), vals[v], x)
+    elif prop in ("conditional_cancellation", "cancellation"):
+        # F(x,a) = F(x,b) with a < b breaks cancellation when x > 0, and
+        # conditional cancellation when the value is certainly positive
+        cond = prop == "conditional_cancellation"
+        positive = {}  # value id -> certainly positive
         for i, x in enumerate(pts):
-            Ti, Ci = T[i], C[i]
-            for a in range(m):
-                for b in range(a + 1, m):
-                    count += 1
-                    if Ci[a] == Ci[b]:
-                        v = Ti[a]
-                        if v not in positive:
-                            va, ra = approx_diff(vals[v], ZERO)
-                            positive[v] = va > ra
-                        if positive[v]:
-                            return cex((x, pts[a], pts[b]), vals[v], vals[Ti[b]])
-    elif prop == "cancellation":
-        for i, x in enumerate(pts):
-            if x == 0:
+            if x == 0 and not cond:
                 continue
             Ti, Ci = T[i], C[i]
             for a in range(m):
                 for b in range(a + 1, m):
                     count += 1
                     if Ci[a] == Ci[b]:
-                        return cex((x, pts[a], pts[b]), vals[Ti[a]], vals[Ti[b]])
+                        v = Ti[a]
+                        if cond and v not in positive:
+                            va, ra = approx_diff(vals[v], ZERO)
+                            positive[v] = va > ra
+                        if not cond or positive[v]:
+                            return cex((x, pts[a], pts[b]), vals[v], vals[Ti[b]])
     elif prop == "strict_monotonicity":
         for i, x in enumerate(pts):
             if x == 0:

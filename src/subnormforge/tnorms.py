@@ -56,6 +56,11 @@ def _to_fraction(x) -> Fraction:
 
 # -- generator registry -----------------------------------------------------
 
+# Generator families evaluate at DIGITS significant digits and carry the
+# error radius RADIUS.
+DIGITS = 30
+RADIUS = Fraction(1, 10 ** (DIGITS - 5))
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -67,7 +72,6 @@ class GeneratorSpec:
     """
 
     name: str
-    digits: int = 30
 
     def __post_init__(self):
         if self.name not in _GENERATORS:
@@ -88,10 +92,6 @@ class GeneratorSpec:
         if u == mpmath.inf:
             return mpmath.mpf(0)
         return _GENERATORS[self.name][1](u)
-
-    @property
-    def radius(self) -> Fraction:
-        return Fraction(1, 10 ** (self.digits - 5))
 
 
 _GENERATORS = {
@@ -226,14 +226,14 @@ def t_eval(t: TNormDescriptor, x, y):
     if x == 0 or y == 0:
         return ZERO
     gen = t.gen
-    with mpmath.workdps(gen.digits):
+    with mpmath.workdps(DIGITS):
         if t.family == "generator":
             u = gen.g(mpmath.mpf(x.numerator) / x.denominator) + gen.g(
                 mpmath.mpf(y.numerator) / y.denominator
             )
             v = gen.g_inv(u)
             v = min(max(v, mpmath.mpf(0)), mpmath.mpf(1))
-            return Approx(_to_fraction(v), gen.radius)
+            return Approx(_to_fraction(v), RADIUS)
         # lambda construction: min on the boundary, scaled generator inside
         if x == 1 or y == 1:
             return min(x, y)
@@ -242,7 +242,7 @@ def t_eval(t: TNormDescriptor, x, y):
         ty = gen.g(mpmath.mpf(y.numerator) / y.denominator / lam)
         v = lam * gen.g_inv(tx + ty)
         v = min(max(v, mpmath.mpf(0)), mpmath.mpf(1))
-        return Approx(_to_fraction(v), gen.radius)
+        return Approx(_to_fraction(v), RADIUS)
 
 
 def t_power(t: TNormDescriptor, x, n: int):

@@ -14,6 +14,7 @@ from subnormforge.classify import (
     check_cancellative,
     check_degenerate,
     check_inclusion_conditions,
+    l_set_check,
     render_structured,
     render_text,
     Verdict,
@@ -175,6 +176,20 @@ def test_check_cancellative_needs_an_exact_family(f_identity):
     op = make_op(f_identity, parse_tnorm("gen:neglog"))
     with pytest.raises(ValueError, match="exact families"):
         check_cancellative(op, decompose(f_identity))
+
+
+def test_check_inclusion_conditions_needs_an_exact_family(f_identity):
+    # classify runs the inclusion conditions for exact families only; a
+    # direct call cannot build the interval images
+    with pytest.raises(ValueError, match="exact families"):
+        check_inclusion_conditions(parse_tnorm("gen:neglog"), decompose(f_identity))
+
+
+def test_l_set_check_needs_a_strict_exact_family(f_identity):
+    # classify reaches the witness set on the strict exact route only; a
+    # direct call cannot build the preimages for min
+    with pytest.raises(ValueError, match="strict exact families"):
+        l_set_check(MINIMUM, decompose(f_identity))
 
 
 def test_continuous_strictly_increasing_always_cancellative():
