@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
-from .generated import GeneratedOp, f_compose, f_eval, make_op
+from .generated import GeneratedOp, f_eval, make_op
 from .intervals import Interval, IntervalSet, ONE, ZERO
 from .pwfn import (
     Decomposition,
@@ -120,17 +120,16 @@ def _dense_samples(s: IntervalSet) -> list:
     return sorted(out)
 
 
-def _plateau_pair(f: PiecewiseMonotoneFn, values):
-    """(value, x1, x2) with x1 != x2 and f(x1)=f(x2)=value, for the first of
-    `values` attained twice; None when there is none."""
-    for w in values:
-        x1 = arg_with_value(f, w)
-        if x1 is None:
-            continue
-        x2 = arg_with_value(f, w, avoid=x1)
-        if x2 is not None:
-            return w, x1, x2
-    return None
+def _plateau_pair(f: PiecewiseMonotoneFn, w: Fraction):
+    """(x1, x2) with x1 != x2 and f(x1) = f(x2) = w, for a value w in
+    plateau_set(f).  When the only piece taking w is a constant piece open
+    at both ends, arg_with_value finds its midpoint x1 alone; then x2 is
+    halfway between x1 and the piece's lower end."""
+    x1 = arg_with_value(f, w)
+    x2 = arg_with_value(f, w, avoid=x1)
+    if x2 is None:
+        x2 = (x1 + approach_segment(f, x1, "left").domain.lo) / 2
+    return x1, x2
 
 
 # -- degenerate shapes ------------------------------------------------------
@@ -157,15 +156,14 @@ def check_degenerate(op: GeneratedOp):
     q = plateau_set(f)
     f1 = eval_fn(f, ONE)
     if q.contains(f1):
-        _, x1, x2 = _plateau_pair(f, (f1,)) or (f1, None, None)
+        x1, x2 = _plateau_pair(f, f1)
         return _plateau_at_one(op, f1, x1, x2, f_eval(op, ONE, ONE),
                                "F identically 0", "plateau value at 1 and F(1,1)=0")
     f1m = side_limit(f, ONE, "left")
     if q.contains(f1m):
-        # plateau approached at 1 but f(1) above it: F must vanish off
-        # (1,1); the probe is F(x,1) for any x with f(x) = f1m
-        _, x2, x1 = _plateau_pair(f, (f1m,)) or (f1m, None, None)
-        return _plateau_at_one(op, f1m, x1, x2, f_compose(op, f1m, f1),
+        # plateau approached at 1 but f(1) above it: F must vanish off (1,1)
+        x2, x1 = _plateau_pair(f, f1m)
+        return _plateau_at_one(op, f1m, x1, x2, f_eval(op, x2, ONE),
                                "F vanishes off (1,1)", None)
     return None
 
@@ -176,15 +174,14 @@ def _undecided(note) -> dict:
 
 
 def _plateau_at_one(op, w, x1, x2, probe, evidence, note):
-    """Verdicts for a plateau value w at 1, which f takes at x1 and x2
-    (both None when not located).  A probe value of F that is exactly 0
-    makes F vanish off (1,1), with `evidence` and `note` naming the shape;
-    a positive one with equal exact values F(x1,1)=F(x2,1) refutes
-    conditional cancellation."""
+    """Verdicts for a plateau value w at 1, which f takes at x1 != x2.  A
+    probe value of F that is exactly 0 makes F vanish off (1,1), with
+    `evidence` and `note` naming the shape; a positive one with equal exact
+    values F(x1,1)=F(x2,1) refutes conditional cancellation."""
     c, r = approx_diff(probe, ZERO)
     if (c, r) == (0, 0):
         return _vanishing_verdicts(op, evidence, note)
-    if abs(c) > r and x1 is not None:
+    if abs(c) > r:
         v1 = f_eval(op, x1, ONE)
         if approx_diff(v1, f_eval(op, x2, ONE)) == (0, 0) and v1 > 0:
             out = _undecided("degenerate shape; use the oracle")
@@ -379,12 +376,10 @@ def check_cancellative(op: GeneratedOp, d: Decomposition) -> Verdict:
     and T(M,M) within M, both verified exactly."""
     f, t = op.f, op.t
     if not f.is_strictly_monotone:
-        pair = _plateau_pair(f, d.q.sample_points())
-        if pair is not None:
-            w, x1, x2 = pair
-            return Verdict.no((ONE, x1, x2),
-                              note=f"f({x1})=f({x2})={w}, so F(1,{x1})=F(1,{x2})")
-        return Verdict.unknown("repeated value not located")
+        w = d.q.first_member()
+        x1, x2 = _plateau_pair(f, w)
+        return Verdict.no((ONE, x1, x2),
+                          note=f"f({x1})=f({x2})={w}, so F(1,{x1})=F(1,{x2})")
     ok, z = t_image(t, d.m, d.m).is_subset_of(d.m)
     if ok:
         return Verdict.yes("f strictly increasing", "T(M,M) within M")
@@ -441,11 +436,10 @@ def _cc_witness(op, d: Decomposition, which: str, z: Fraction):
     if which == "plateau":
         # z = T(w, v) > f(0+) with w a repeated value
         for w in d.q.sample_points():
-            pair = _plateau_pair(op.f, (w,))
+            x1, x2 = _plateau_pair(op.f, w)
             for v in t_solve_x(t, w, z):
-                if pair is None or not d.m.contains(v):
+                if not d.m.contains(v):
                     continue
-                _, x1, x2 = pair
                 y = arg_with_value(op.f, v)  # v is in the range M
                 a1, a2 = f_eval(op, x1, y), f_eval(op, x2, y)
                 if a1 == a2 and a1 > 0:

@@ -327,6 +327,32 @@ def test_witness_set_check_reports_its_resolution():
         "witness set at resolution 32 found no refutation")
 
 
+# a constant piece open at both ends whose value 1/2 f takes nowhere else,
+# so arg_with_value finds one argument for it, the midpoint 3/8
+F_OPEN_PLATEAU = """\
+monotone: nondecreasing
+segment [0,1/4] linear 1 0
+segment (1/4,1/2) const 1/2
+segment [1/2,1] linear 1/2 1/2
+"""
+
+
+@pytest.mark.parametrize("t", [PRODUCT, HAMACHER2], ids=str)
+def test_open_plateau_witnesses_recheck(t):
+    f = parse_fn(F_OPEN_PLATEAU)
+    r = classify(f, t)
+    op = make_op(f, t)
+    for prop in ("cancellative", "strictly_monotone_op"):
+        v = r.properties[prop]
+        assert v.status == "no", prop
+        x, y1, y2 = v.witness
+        assert x > 0 and y1 != y2 and f_eval(op, x, y1) == f_eval(op, x, y2)
+    v = r.properties["conditionally_cancellative"]
+    assert v.status == "no"
+    x1, x2, y = v.witness
+    assert x1 != x2 and f_eval(op, x1, y) == f_eval(op, x2, y) > 0
+
+
 # -- rendering ---------------------------------------------------------------
 
 
