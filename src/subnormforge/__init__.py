@@ -17,9 +17,9 @@ from .pwfn import (
 )
 from .fnformat import load_fn, parse_fn, render_fn
 from .tnorms import (
+    Generator,
     GeneratorSpec,
     TNormDescriptor,
-    generator_tnorm,
     parse_tnorm,
     t_eval,
     t_image,
@@ -41,7 +41,7 @@ __all__ = [
     "eval_fn", "plateau_set", "pseudo_inverse", "pseudo_inverse_at",
     "range_of", "side_limit",
     "load_fn", "parse_fn", "render_fn",
-    "GeneratorSpec", "TNormDescriptor", "generator_tnorm", "parse_tnorm",
+    "Generator", "GeneratorSpec", "TNormDescriptor", "parse_tnorm",
     "t_eval", "t_image", "t_power",
     "GeneratedOp", "additive_generated", "f_eval", "lambda_decompose",
     "make_op",

@@ -465,14 +465,6 @@ def _jumps(f: PiecewiseMonotoneFn):
     return out
 
 
-def _t_dir_limit(t: TNormDescriptor, v: Fraction, side: str, c: Fraction) -> Fraction:
-    """lim T(u,c) as u -> v from `side`, for exact families."""
-    if t.family == "halfprod" and side == "right" and v == Fraction(1, 2) \
-            and 0 < c <= Fraction(1, 2):
-        return c / 2  # the plain-product branch takes over just above 1/2
-    return t_eval(t, v, c)
-
-
 def _dir_limit(op: GeneratedOp, x0: Fraction, y0: Fraction, side: str):
     """Exact lim F(x, y0) as x -> x0 from `side`; None when not computable."""
     t = op.t
@@ -487,9 +479,9 @@ def _dir_limit(op: GeneratedOp, x0: Fraction, y0: Fraction, side: str):
     v = seg.value_at(x0)
     if seg.is_const:
         return op.finv_at(t_eval(t, v, c))
-    if t.family == "minimum" and c < v:
-        return op.finv_at(c)
-    w = _t_dir_limit(t, v, side, c)
+    w, const = t.dir_limit(v, side, c)
+    if const:
+        return op.finv_at(w)
     if side == "left":
         return side_limit(op.finv, w, "left")
     if w == 1:
@@ -510,7 +502,7 @@ def check_continuity(op: GeneratedOp, d: Optional[Decomposition] = None) -> Verd
     built here when not given; non-increasing f has none.
     """
     f, t = op.f, op.t
-    if t.family == "lambda":
+    if t.lam is not None:  # the lambda construction
         segs = f.segments
         if (len(segs) == 1 and not segs[0].is_const
                 and segs[0].slope == t.lam and segs[0].intercept == 0):
@@ -567,7 +559,7 @@ def check_continuity(op: GeneratedOp, d: Optional[Decomposition] = None) -> Verd
         return Verdict.yes("all discontinuity windows meet the range in "
                            "at most one point")
 
-    if t.family == "generator":
+    if not t.exact:  # a generator family: lambda returned above
         return Verdict.unknown("inexact t-norm with a discontinuous or "
                                "non-injective generator function")
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .intervals import Interval, ONE, ZERO, frac
 from .pwfn import PiecewiseMonotoneFn, Segment, eval_fn, pseudo_inverse
-from .tnorms import Approx, GeneratorSpec, TNormDescriptor, generator_tnorm, t_eval
+from .tnorms import Approx, Generator, GeneratorSpec, Lambda, TNormDescriptor, t_eval
 
 
 @dataclass
@@ -65,7 +65,7 @@ def f_compose(op: GeneratedOp, fx, fy):
 def additive_generated(gen: GeneratorSpec):
     """(x,y) -> g^(-1)(g(x)+g(y)) with the pseudo-inverse clamp to [0,1];
     a continuous cancellative t-subnorm when g(0) = inf."""
-    t = generator_tnorm(gen)
+    t = Generator(gen)
     return lambda x, y: t_eval(t, x, y)
 
 
@@ -77,9 +77,6 @@ def lambda_decompose(gen: GeneratorSpec, lam) -> tuple:
     Composing f_eval over the result reproduces the additively generated
     operation on the whole square.
     """
-    lam = frac(lam)
-    if not (0 < lam < 1):
-        raise ValueError(f"lambda must lie in (0,1), got {lam}")
-    f = PiecewiseMonotoneFn(True, (Segment.linear(Interval.closed(0, 1), lam, 0),))
-    t = TNormDescriptor("lambda", gen=gen, lam=lam)
+    t = Lambda(gen, frac(lam))
+    f = PiecewiseMonotoneFn(True, (Segment.linear(Interval.closed(0, 1), t.lam, 0),))
     return f, t

@@ -1,17 +1,16 @@
-"""T-norm families: exact evaluation on rationals where possible, interval
-images for the exact families, and additive-generator based constructions
-evaluated in high-precision arithmetic with a carried error radius.
+"""T-norm families, one class each: exact evaluation on rationals where
+possible, interval images for the exact families, and additive-generator
+based constructions evaluated in high precision with a carried radius.
 
 The exact families evaluate on the numerators and denominators of their
-arguments and build each result as one Fraction (``_exact_eval``); the
-domain check of ``t_eval`` compares numerators with denominators.
+arguments and build each result as one Fraction; the domain check of
+``t_eval`` compares numerators with denominators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 import mpmath
 
@@ -101,119 +100,230 @@ _GENERATORS = {
 }
 
 
-# -- descriptors ------------------------------------------------------------
-
-EXACT_FAMILIES = ("product", "minimum", "hamacher2", "halfprod")
+# -- families ---------------------------------------------------------------
 
 HALF = Fraction(1, 2)
 
 
+def _box_image_mono(phi, A: Interval, B: Interval) -> Interval:
+    """Image of a box under a continuous t-norm branch that is strictly
+    increasing in each argument on positive arguments and vanishes only
+    when an argument vanishes."""
+    lo, hi = phi(A.lo, B.lo), phi(A.hi, B.hi)
+    lo_att = (A.lo_closed and B.lo_closed) or (
+        lo == 0 and ((A.lo == 0 and A.lo_closed) or (B.lo == 0 and B.lo_closed))
+    )
+    hi_att = (A.hi_closed and B.hi_closed) or hi == 0
+    iv = Interval.make(lo, hi, lo_att, hi_att)
+    if iv is None:
+        raise AssertionError("inconsistent box image")  # degenerate unattained point
+    return iv
+
+
 @dataclass(frozen=True)
 class TNormDescriptor:
-    family: str
-    gen: Optional[GeneratorSpec] = None
-    lam: Optional[Fraction] = None
+    """A t-norm family, one subclass each, equal when family and parameters
+    are.  The flags are class attributes; each family owns ``eval`` (on
+    Fractions in [0,1]), its box image, its solution candidates and its
+    one-sided limits.  The defaults fit an exact family that is continuous
+    and strictly increasing in each argument, with neutral element 1."""
 
-    def __post_init__(self):
-        if self.family in EXACT_FAMILIES:
-            return
-        if self.family == "generator":
-            if self.gen is None:
-                raise ValueError("generator family needs a GeneratorSpec")
-        elif self.family == "lambda":
-            if self.gen is None or self.lam is None:
-                raise ValueError("lambda family needs a GeneratorSpec and lambda")
-            if not (0 < self.lam < 1):
-                raise ValueError(f"lambda must lie in (0,1), got {self.lam}")
-        else:
-            raise ValueError(f"unknown t-norm family {self.family!r}")
+    exact = True
+    continuous = True
+    strictly_monotone = True
+    strict = True  # continuous and strictly monotone
+    neutral_one = True
+    lam = None  # the scale of the lambda construction
 
-    @property
-    def exact(self) -> bool:
-        return self.family in EXACT_FAMILIES
+    def __str__(self) -> str:
+        return self.name
 
-    @property
-    def continuous(self) -> bool:
-        return self.family in ("product", "minimum", "hamacher2", "generator")
+    def box_image(self, A: Interval, B: Interval) -> list:
+        """T(A,B) for one box, as a list of intervals."""
+        return [_box_image_mono(self.eval, A, B)]
 
-    @property
-    def strictly_monotone(self) -> bool:
-        return self.family != "minimum"
+    def dir_limit(self, v: Fraction, side: str, c: Fraction) -> tuple:
+        """(lim T(u,c) as u -> v from `side`, whether T(u,c) is constant
+        for u on that side of v)."""
+        return self.eval(v, c), False
 
-    @property
-    def strict(self) -> bool:
-        return self.continuous and self.strictly_monotone
+
+class Product(TNormDescriptor):
+    name = "product"
+
+    def eval(self, x: Fraction, y: Fraction) -> Fraction:
+        """ac/(bd) for x = a/b and y = c/d."""
+        return Fraction(x.numerator * y.numerator, x.denominator * y.denominator)
+
+    def solve_candidates(self, y: Fraction, z: Fraction) -> list:
+        return [z / y]
+
+
+class Hamacher2(TNormDescriptor):
+    name = "hamacher2"
+
+    def eval(self, x: Fraction, y: Fraction) -> Fraction:
+        """xy/(2 - x - y + xy) = ac/(2bd - ad - bc + ac) for x = a/b and
+        y = c/d, whose denominator is bd((1-x)(1-y) + 1) > 0."""
+        a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+        ac = a * c
+        return Fraction(ac, 2 * b * d - a * d - b * c + ac)
+
+    def solve_candidates(self, y: Fraction, z: Fraction) -> list:
+        den = y + z - z * y
+        return [z * (2 - y) / den] if den != 0 else []
+
+
+class Minimum(TNormDescriptor):
+    name = "min"
+    strictly_monotone = False
+    strict = False
+
+    def eval(self, x: Fraction, y: Fraction) -> Fraction:
+        return min(x, y)
+
+    def box_image(self, A: Interval, B: Interval) -> list:
+        # each end is the lesser of the two ends; on a tie the lower end is
+        # closed if either is, the upper end only if both are
+        lo, lo_open = min((A.lo, not A.lo_closed), (B.lo, not B.lo_closed))
+        hi, hi_closed = min((A.hi, A.hi_closed), (B.hi, B.hi_closed))
+        return [Interval.make(lo, hi, not lo_open, hi_closed)]
+
+    def solve_candidates(self, y: Fraction, z: Fraction) -> list:
+        return [z, y, ONE, (y + 1) / 2]
+
+    def dir_limit(self, v: Fraction, side: str, c: Fraction) -> tuple:
+        # min(u,c) = c for every u near v once c < v
+        return min(v, c), c < v
+
+
+_LOWER_HALF = Interval.closed(0, HALF)
+_UPPER_HALF = Interval.make(HALF, 1, False, True)
+
+
+class Halfprod(TNormDescriptor):
+    """xy/2 on [0,1/2]^2 and xy elsewhere: commutative, strictly monotone
+    and bounded by min, but neither continuous nor associative."""
+
+    name = "halfprod"
+    continuous = False
+    strict = False
+
+    def eval(self, x: Fraction, y: Fraction) -> Fraction:
+        """ac/(2bd) when 2a <= b and 2c <= d (x, y <= 1/2), else ac/(bd),
+        for x = a/b and y = c/d."""
+        a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+        if 2 * a <= b and 2 * c <= d:
+            return Fraction(a * c, 2 * b * d)
+        return Fraction(a * c, b * d)
+
+    def box_image(self, A: Interval, B: Interval) -> list:
+        # split along the branch boundary.  Each branch keeps its own
+        # formula: a sub-box open at 1/2 takes the limit of xy there, where
+        # eval at 1/2 would give xy/2
+        a_lo, a_hi = A.intersect(_LOWER_HALF), A.intersect(_UPPER_HALF)
+        b_lo, b_hi = B.intersect(_LOWER_HALF), B.intersect(_UPPER_HALF)
+        out = []
+        if a_lo and b_lo:
+            out.append(_box_image_mono(lambda x, y: x * y / 2, a_lo, b_lo))
+        for A2, B2 in ((a_lo, b_hi), (a_hi, b_lo), (a_hi, b_hi)):
+            if A2 and B2:
+                out.append(_box_image_mono(lambda x, y: x * y, A2, B2))
+        return out
+
+    def solve_candidates(self, y: Fraction, z: Fraction) -> list:
+        return [2 * z / y, z / y]
+
+    def dir_limit(self, v: Fraction, side: str, c: Fraction) -> tuple:
+        if side == "right" and v == HALF and 0 < c <= HALF:
+            return c / 2, False  # the plain-product branch takes over just above 1/2
+        return super().dir_limit(v, side, c)
+
+
+def _mpf(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _clamped(v) -> Approx:
+    """v clamped to [0,1] as an Approx; call inside ``workdps(DIGITS)``."""
+    return Approx(_to_fraction(min(max(v, mpmath.mpf(0)), mpmath.mpf(1))), RADIUS)
+
+
+@dataclass(frozen=True)
+class Generator(TNormDescriptor):
+    """The additively generated operation g^(-1)(g(x)+g(y)); a strict
+    t-norm when g is a bijection onto [0,inf] (g(1)=0)."""
+
+    gen: GeneratorSpec
+    exact = False
 
     @property
     def neutral_one(self) -> bool:
-        if self.family == "generator":
-            return self.gen.g1_zero
-        return True
+        return self.gen.g1_zero
+
+    def eval(self, x: Fraction, y: Fraction):
+        if x == 0 or y == 0:
+            return ZERO
+        g = self.gen
+        with mpmath.workdps(DIGITS):
+            return _clamped(g.g_inv(g.g(_mpf(x)) + g.g(_mpf(y))))
 
     def __str__(self) -> str:
-        if self.family == "generator":
-            return f"gen:{self.gen.name}"
-        if self.family == "lambda":
-            return f"lambda:{self.gen.name}:{self.lam}"
-        return {"minimum": "min"}.get(self.family, self.family)
+        return f"gen:{self.gen.name}"
 
 
-PRODUCT = TNormDescriptor("product")
-MINIMUM = TNormDescriptor("minimum")
-HAMACHER2 = TNormDescriptor("hamacher2")
-HALFPROD = TNormDescriptor("halfprod")
+@dataclass(frozen=True)
+class Lambda(TNormDescriptor):
+    """The strictly monotone operation built from the scaled generator
+    g(x/lam): min on the boundary of the unit square and
+    lam * g^(-1)(g(x/lam) + g(y/lam)) inside."""
+
+    gen: GeneratorSpec
+    lam: Fraction = field()  # no default: the base's lam = None is not one
+    exact = False
+    continuous = False
+    strict = False
+
+    def __post_init__(self):
+        if not (0 < self.lam < 1):
+            raise ValueError(f"lambda must lie in (0,1), got {self.lam}")
+
+    def eval(self, x: Fraction, y: Fraction):
+        if x in (0, 1) or y in (0, 1):  # the boundary of the unit square
+            return min(x, y)
+        g = self.gen
+        with mpmath.workdps(DIGITS):
+            lam = _mpf(self.lam)
+            return _clamped(lam * g.g_inv(g.g(_mpf(x) / lam) + g.g(_mpf(y) / lam)))
+
+    def __str__(self) -> str:
+        return f"lambda:{self.gen.name}:{self.lam}"
 
 
-def generator_tnorm(gen: GeneratorSpec) -> TNormDescriptor:
-    """The additively generated operation g^(-1)(g(x)+g(y)); a strict
-    t-norm when g is a bijection onto [0,inf] (g(1)=0)."""
-    return TNormDescriptor("generator", gen=gen)
+PRODUCT = Product()
+MINIMUM = Minimum()
+HAMACHER2 = Hamacher2()
+HALFPROD = Halfprod()
 
 
 def parse_tnorm(desc: str) -> TNormDescriptor:
     desc = desc.strip()
-    plain = {"product": PRODUCT, "min": MINIMUM, "hamacher2": HAMACHER2, "halfprod": HALFPROD}
+    plain = {str(t): t for t in (PRODUCT, MINIMUM, HAMACHER2, HALFPROD)}
     if desc in plain:
         return plain[desc]
     if desc.startswith("gen:"):
-        return generator_tnorm(GeneratorSpec(desc[4:]))
+        return Generator(GeneratorSpec(desc[4:]))
     if desc.startswith("lambda:"):
         try:
             _, gen, lam = desc.split(":")
             lam = Fraction(lam)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad lambda descriptor {desc!r}") from None
-        return TNormDescriptor("lambda", gen=GeneratorSpec(gen), lam=lam)
+        return Lambda(GeneratorSpec(gen), lam)
     raise ValueError(f"unknown t-norm descriptor {desc!r}")
 
 
 # -- evaluation -------------------------------------------------------------
-
-
-def _exact_eval(family: str, x: Fraction, y: Fraction) -> Fraction:
-    """T(x,y) for an exact family on x = a/b and y = c/d, built as one
-    Fraction from integers:
-
-    - product: ac/(bd);
-    - hamacher2: xy/(2 - x - y + xy) = ac/(2bd - ad - bc + ac), whose
-      denominator is bd((1-x)(1-y) + 1) > 0;
-    - halfprod: ac/(2bd) when 2a <= b and 2c <= d (x, y <= 1/2), else
-      ac/(bd);
-    - minimum: min(x, y).
-    """
-    if family == "minimum":
-        return min(x, y)
-    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
-    if family == "product":
-        return Fraction(a * c, b * d)
-    if family == "hamacher2":
-        ac = a * c
-        return Fraction(ac, 2 * b * d - a * d - b * c + ac)
-    if family == "halfprod":
-        if 2 * a <= b and 2 * c <= d:
-            return Fraction(a * c, 2 * b * d)
-        return Fraction(a * c, b * d)
-    raise ValueError(family)
 
 
 def t_eval(t: TNormDescriptor, x, y):
@@ -221,28 +331,7 @@ def t_eval(t: TNormDescriptor, x, y):
     x, y = frac(x), frac(y)
     if not (0 <= x.numerator <= x.denominator and 0 <= y.numerator <= y.denominator):
         raise DomainError(f"t-norm arguments ({x},{y}) outside [0,1]^2")
-    if t.exact:
-        return _exact_eval(t.family, x, y)
-    if x == 0 or y == 0:
-        return ZERO
-    gen = t.gen
-    with mpmath.workdps(DIGITS):
-        if t.family == "generator":
-            u = gen.g(mpmath.mpf(x.numerator) / x.denominator) + gen.g(
-                mpmath.mpf(y.numerator) / y.denominator
-            )
-            v = gen.g_inv(u)
-            v = min(max(v, mpmath.mpf(0)), mpmath.mpf(1))
-            return Approx(_to_fraction(v), RADIUS)
-        # lambda construction: min on the boundary, scaled generator inside
-        if x == 1 or y == 1:
-            return min(x, y)
-        lam = mpmath.mpf(t.lam.numerator) / t.lam.denominator
-        tx = gen.g(mpmath.mpf(x.numerator) / x.denominator / lam)
-        ty = gen.g(mpmath.mpf(y.numerator) / y.denominator / lam)
-        v = lam * gen.g_inv(tx + ty)
-        v = min(max(v, mpmath.mpf(0)), mpmath.mpf(1))
-        return Approx(_to_fraction(v), RADIUS)
+    return t.eval(x, y)
 
 
 def t_power(t: TNormDescriptor, x, n: int):
@@ -263,71 +352,15 @@ def t_power(t: TNormDescriptor, x, n: int):
     return acc
 
 
-# -- interval images (exact families only) ----------------------------------
-
-
-def _box_image_mono(phi, A: Interval, B: Interval) -> Interval:
-    """Image of a box under a continuous t-norm branch that is strictly
-    increasing in each argument on positive arguments and vanishes only
-    when an argument vanishes."""
-    lo, hi = phi(A.lo, B.lo), phi(A.hi, B.hi)
-    lo_att = (A.lo_closed and B.lo_closed) or (
-        lo == 0 and ((A.lo == 0 and A.lo_closed) or (B.lo == 0 and B.lo_closed))
-    )
-    hi_att = (A.hi_closed and B.hi_closed) or hi == 0
-    iv = Interval.make(lo, hi, lo_att, hi_att)
-    if iv is None:
-        raise AssertionError("inconsistent box image")  # degenerate unattained point
-    return iv
-
-
-def _box_image_min(A: Interval, B: Interval) -> Interval:
-    if A.lo < B.lo:
-        lo, lo_att = A.lo, A.lo_closed
-    elif B.lo < A.lo:
-        lo, lo_att = B.lo, B.lo_closed
-    else:
-        lo, lo_att = A.lo, A.lo_closed or B.lo_closed
-    if A.hi < B.hi:
-        hi, hi_att = A.hi, A.hi_closed
-    elif B.hi < A.hi:
-        hi, hi_att = B.hi, B.hi_closed
-    else:
-        hi, hi_att = A.hi, A.hi_closed and B.hi_closed
-    iv = Interval.make(lo, hi, lo_att, hi_att)
-    if iv is None:
-        raise AssertionError("inconsistent min image")
-    return iv
-
-
-_LOWER_HALF = Interval.closed(0, HALF)
-_UPPER_HALF = Interval.make(HALF, 1, False, True)
+# -- interval images and solutions (exact families only) ----------------------
 
 
 def t_image(t: TNormDescriptor, a: IntervalSet, b: IntervalSet) -> IntervalSet:
     """Exact image T(A,B) = {T(x,y) | x in A, y in B}."""
     if not t.exact:
         raise ValueError("interval images are only available for exact families")
-    out = []
-    for A in a.parts:
-        for B in b.parts:
-            if t.strict:  # product, hamacher2
-                out.append(_box_image_mono(lambda x, y: _exact_eval(t.family, x, y), A, B))
-            elif t.family == "minimum":
-                out.append(_box_image_min(A, B))
-            elif t.family == "halfprod":
-                # split along the branch boundary: xy/2 on [0,1/2]^2, xy
-                # elsewhere.  Each branch keeps its own formula: a sub-box
-                # open at 1/2 takes the limit of xy there, where _exact_eval
-                # at 1/2 would give xy/2
-                a_lo, a_hi = A.intersect(_LOWER_HALF), A.intersect(_UPPER_HALF)
-                b_lo, b_hi = B.intersect(_LOWER_HALF), B.intersect(_UPPER_HALF)
-                if a_lo and b_lo:
-                    out.append(_box_image_mono(lambda x, y: x * y / 2, a_lo, b_lo))
-                for A2, B2 in ((a_lo, b_hi), (a_hi, b_lo), (a_hi, b_hi)):
-                    if A2 and B2:
-                        out.append(_box_image_mono(lambda x, y: x * y, A2, B2))
-    return IntervalSet.of(out)
+    return IntervalSet.of([iv for A in a.parts for B in b.parts
+                           for iv in t.box_image(A, B)])
 
 
 def t_solve_x(t: TNormDescriptor, y: Fraction, z: Fraction) -> list:
@@ -336,16 +369,7 @@ def t_solve_x(t: TNormDescriptor, y: Fraction, z: Fraction) -> list:
         return []
     candidates = []
     if y != 0:
-        if t.family == "product":
-            candidates = [z / y]
-        elif t.family == "hamacher2":
-            den = y + z - z * y
-            if den != 0:
-                candidates = [z * (2 - y) / den]
-        elif t.family == "halfprod":
-            candidates = [2 * z / y, z / y]
-        elif t.family == "minimum":
-            candidates = [z, y, ONE, (y + 1) / 2]
+        candidates = t.solve_candidates(y, z)
     elif z == 0:
         candidates = [ZERO, HALF, ONE]
     out = []

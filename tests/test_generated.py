@@ -14,7 +14,7 @@ from subnormforge import (
     parse_fn,
     parse_tnorm,
 )
-from subnormforge.tnorms import Approx
+from subnormforge.tnorms import Approx, Generator, Lambda
 
 F = Fraction
 
@@ -90,7 +90,7 @@ def test_lambda_decompose_shape():
     f, t = lambda_decompose(GeneratorSpec("one-minus-log"), F(1, 2))
     assert f(F(1)) == F(1, 2)
     assert f(F(1, 2)) == F(1, 4)
-    assert t.family == "lambda"
+    assert isinstance(t, Lambda) and t.lam == F(1, 2)
     assert str(t) == "lambda:one-minus-log:1/2"
 
 
@@ -125,8 +125,6 @@ def test_lambda_rejects_degenerate():
 
 
 def test_generator_f_eval_carries_radius(f_identity):
-    from subnormforge.tnorms import generator_tnorm
-
-    op = make_op(f_identity, generator_tnorm(GeneratorSpec("one-minus-log")))
+    op = make_op(f_identity, Generator(GeneratorSpec("one-minus-log")))
     v = f_eval(op, F(1, 2), F(1, 2))
     assert isinstance(v, Approx) and v.radius > 0

@@ -127,6 +127,28 @@ def test_golden_verdict_digests():
     assert not changed, "verdicts changed for (function, family): " + "; ".join(changed)
 
 
+def test_neglog_verdicts_match_product():
+    """-ln generates the product t-norm, exp(-(-ln x - ln y)) = xy, so a
+    decisive gen:neglog verdict must equal product's verdict on the same
+    f.  gen:neglog runs through the generator family's radius-carrying
+    evaluation and product through exact rationals, so this checks the
+    two paths against each other."""
+    fns = _digest_fns() + [parse_fn(text) for text in WORKED_EXAMPLES.values()]
+    product, neglog = parse_tnorm("product"), parse_tnorm("gen:neglog")
+    decisive, conflicts = 0, []
+    for i, f in enumerate(fns):
+        want, got = classify(f, product), classify(f, neglog)
+        for prop in PROPERTIES:
+            status = got.verdict(prop).status
+            if status != "unknown":
+                decisive += 1
+                if status != want.verdict(prop).status:
+                    conflicts.append(f"f{i} {prop}: neglog {status}, "
+                                     f"product {want.verdict(prop).status}")
+    assert not conflicts, "; ".join(conflicts)
+    assert decisive >= 100, decisive  # 217 when written: not a vacuous pass
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(_dump(_current()), encoding="utf-8")
     DIGESTS.write_text("".join(f"{unit} {h}\n" for unit, h in _digests().items()),

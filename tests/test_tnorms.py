@@ -1,6 +1,8 @@
 """T-norm families: evaluation, algebraic laws, images and preimages."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -11,8 +13,8 @@ from subnormforge.pwfn import DomainError
 from subnormforge.tnorms import (
     HALF,
     Approx,
+    Generator,
     GeneratorSpec,
-    generator_tnorm,
     parse_tnorm,
     t_eval,
     t_image,
@@ -28,19 +30,25 @@ EXACT = [parse_tnorm(s) for s in ("product", "min", "hamacher2", "halfprod")]
 fractions_01 = st.fractions(min_value=0, max_value=1, max_denominator=24)
 
 
-def reference_exact_eval(family, x, y):
+def family_id(t):
+    """Test id of an exact family: its class name in lower case."""
+    return type(t).__name__.lower()
+
+
+def reference_exact_eval(t, x, y):
     """T(x,y) on Fractions, the formulas that the integer forms replaced."""
-    if family == "product":
+    name = str(t)
+    if name == "product":
         return x * y
-    if family == "minimum":
+    if name == "min":
         return min(x, y)
-    if family == "hamacher2":
+    if name == "hamacher2":
         return x * y / (2 - (x + y - x * y))
-    if family == "halfprod":
+    if name == "halfprod":
         if x <= HALF and y <= HALF:
             return x * y / 2
         return x * y
-    raise ValueError(family)
+    raise ValueError(name)
 
 
 BIG = 2 ** 2001 + 1
@@ -52,18 +60,18 @@ rationals_01 = st.one_of(
 )
 
 
-@pytest.mark.parametrize("t", EXACT, ids=lambda t: t.family)
+@pytest.mark.parametrize("t", EXACT, ids=family_id)
 @given(x=rationals_01, y=rationals_01)
 def test_exact_eval_matches_fraction_formulas(t, x, y):
-    assert t_eval(t, x, y) == reference_exact_eval(t.family, x, y)
+    assert t_eval(t, x, y) == reference_exact_eval(t, x, y)
 
 
-@pytest.mark.parametrize("t", EXACT, ids=lambda t: t.family)
+@pytest.mark.parametrize("t", EXACT, ids=family_id)
 def test_exact_eval_corners_and_half(t):
     corners = [F(0), F(1), HALF, HALF - F(1, BIG), HALF + F(1, BIG), F(3, 4)]
     for x in corners:
         for y in corners:
-            assert t_eval(t, x, y) == reference_exact_eval(t.family, x, y), (x, y)
+            assert t_eval(t, x, y) == reference_exact_eval(t, x, y), (x, y)
     for x, y in ((F(-1, 3), HALF), (HALF, F(4, 3)), (1 + F(1, BIG), F(1)),
                  (F(0), -F(1, BIG))):
         with pytest.raises(DomainError):
@@ -90,7 +98,14 @@ def test_parse_render_roundtrip():
     for desc in ("product", "min", "hamacher2", "halfprod",
                  "gen:neglog", "gen:one-minus-log", "lambda:one-minus-log:1/2"):
         t = parse_tnorm(desc)
-        assert str(parse_tnorm(str(t))) == str(t)
+        assert str(t) == desc
+        again = parse_tnorm(str(t))
+        assert again == t and hash(again) == hash(t)
+    # equality is by family and parameters, not by object identity
+    assert Generator(GeneratorSpec("neglog")) == parse_tnorm("gen:neglog")
+    assert parse_tnorm("gen:neglog") != parse_tnorm("gen:one-minus-log")
+    assert parse_tnorm("lambda:one-minus-log:1/2") != parse_tnorm("lambda:one-minus-log:1/3")
+    assert len({parse_tnorm(d) for d in ("product", "min", "hamacher2", "halfprod")}) == 4
 
 
 def test_parse_rejects_unknown():
@@ -101,15 +116,22 @@ def test_parse_rejects_unknown():
 
 
 def test_descriptor_flags():
-    flags = {t.family: (t.continuous, t.strictly_monotone, t.strict)
-             for t in EXACT}
-    assert flags["product"] == (True, True, True)
-    assert flags["minimum"] == (True, False, False)
-    assert flags["hamacher2"] == (True, True, True)
-    assert flags["halfprod"] == (False, True, False)
+    flags = {str(t): (t.exact, t.continuous, t.strictly_monotone, t.strict,
+                      t.neutral_one)
+             for t in map(parse_tnorm, ("product", "min", "hamacher2", "halfprod",
+                                        "gen:neglog", "gen:one-minus-log",
+                                        "lambda:one-minus-log:1/2"))}
+    assert flags["product"] == (True, True, True, True, True)
+    assert flags["min"] == (True, True, False, False, True)
+    assert flags["hamacher2"] == (True, True, True, True, True)
+    assert flags["halfprod"] == (True, False, True, False, True)
+    # neutral_one follows g(1) = 0: -ln 1 = 0, but 1 - ln 1 = 1
+    assert flags["gen:neglog"] == (False, True, True, True, True)
+    assert flags["gen:one-minus-log"] == (False, True, True, True, False)
+    assert flags["lambda:one-minus-log:1/2"] == (False, False, True, False, True)
 
 
-@pytest.mark.parametrize("t", EXACT, ids=lambda t: t.family)
+@pytest.mark.parametrize("t", EXACT, ids=family_id)
 def test_tnorm_laws_exact(t):
     pts = [F(i, 10) for i in range(11)]
     for x in pts:
@@ -119,7 +141,7 @@ def test_tnorm_laws_exact(t):
             v = t_eval(t, x, y)
             assert v == t_eval(t, y, x)
             assert v <= min(x, y)
-            if t.family != "halfprod":
+            if str(t) != "halfprod":
                 for z in pts:
                     assert t_eval(t, t_eval(t, x, y), z) == \
                         t_eval(t, x, t_eval(t, y, z))
@@ -139,7 +161,7 @@ def test_halfprod_not_associative():
 
 
 def test_neglog_matches_product():
-    t = generator_tnorm(GeneratorSpec("neglog"))
+    t = Generator(GeneratorSpec("neglog"))
     for i in range(0, 101, 7):
         for j in range(0, 101, 11):
             x, y = F(i, 100), F(j, 100)
@@ -149,7 +171,7 @@ def test_neglog_matches_product():
 
 
 def test_generator_results_carry_radius():
-    t = generator_tnorm(GeneratorSpec("one-minus-log"))
+    t = Generator(GeneratorSpec("one-minus-log"))
     v = t_eval(t, F(1, 2), F(1, 2))
     assert isinstance(v, Approx)
     assert 0 < v.radius < F(1, 10**20)
@@ -161,7 +183,7 @@ def test_t_power_product():
     assert t_power(t, F(1, 2), 1) == F(1, 2)
 
 
-@pytest.mark.parametrize("t", EXACT, ids=lambda t: t.family)
+@pytest.mark.parametrize("t", EXACT, ids=family_id)
 @given(a=fractions_01, b=fractions_01, c=fractions_01, d=fractions_01,
        x=fractions_01, y=fractions_01)
 def test_t_image_contains_pointwise(t, a, b, c, d, x, y):
@@ -172,7 +194,7 @@ def test_t_image_contains_pointwise(t, a, b, c, d, x, y):
         assert img.contains(t_eval(t, x, y))
 
 
-@pytest.mark.parametrize("t", EXACT, ids=lambda t: t.family)
+@pytest.mark.parametrize("t", EXACT, ids=family_id)
 @given(a=fractions_01, b=fractions_01, c=fractions_01, d=fractions_01)
 def test_t_image_ends_are_corner_values(t, a, b, c, d):
     # every exact family is non-decreasing in each argument, so a closed
@@ -180,8 +202,8 @@ def test_t_image_ends_are_corner_values(t, a, b, c, d):
     lo_a, hi_a, lo_b, hi_b = min(a, b), max(a, b), min(c, d), max(c, d)
     img = t_image(t, IntervalSet.single(Interval.closed(lo_a, hi_a)),
                   IntervalSet.single(Interval.closed(lo_b, hi_b)))
-    assert img.min_attained() == (reference_exact_eval(t.family, lo_a, lo_b), True)
-    assert img.max_attained() == (reference_exact_eval(t.family, hi_a, hi_b), True)
+    assert img.min_attained() == (reference_exact_eval(t, lo_a, lo_b), True)
+    assert img.max_attained() == (reference_exact_eval(t, hi_a, hi_b), True)
 
 
 def test_t_image_halfprod_split():
@@ -193,7 +215,7 @@ def test_t_image_halfprod_split():
     assert not img.contains(F(2, 3))
 
 
-@pytest.mark.parametrize("t", EXACT, ids=lambda t: t.family)
+@pytest.mark.parametrize("t", EXACT, ids=family_id)
 def test_t_solve_x_verified(t):
     for y in (F(1, 3), F(1, 2), F(2, 3), F(1)):
         for z in (F(0), F(1, 8), F(1, 4), F(1, 3), F(1, 2)):
@@ -211,6 +233,55 @@ def test_t_solve_x_halfprod_both_branches():
     assert xs
 
 
+@pytest.mark.parametrize("t", EXACT, ids=family_id)
+def test_dir_limit_matches_nearby_values(t):
+    # every branch of an exact family is 1-Lipschitz in u, so the value
+    # T(v +- 1/BIG, c) beside v lies within 1/BIG of the one-sided limit;
+    # on a constant side it equals the limit
+    eps = F(1, BIG)
+    pts = [F(0), F(1, 4), F(1, 3), HALF, F(2, 3), F(1)]
+    for v in pts:
+        for c in pts:
+            for side, u in (("left", v - eps), ("right", v + eps)):
+                if not 0 <= u <= 1:
+                    continue
+                lim, const = t.dir_limit(v, side, c)
+                near = t_eval(t, u, c)
+                assert abs(near - lim) <= eps, (v, c, side)
+                if const:
+                    assert near == lim, (v, c, side)
+
+
+def test_dir_limit_halfprod_right_of_half():
+    # just above 1/2 the plain-product branch applies, so the right limit
+    # is c/2, while T(1/2, c) = c/4 on the halved branch
+    t = parse_tnorm("halfprod")
+    above = HALF + F(1, BIG)
+    for c in (F(1, 7), F(1, 4), F(1, 3), HALF):
+        assert t.dir_limit(HALF, "right", c) == (c / 2, False)
+        assert t_eval(t, HALF, c) == c / 4
+        assert abs(t_eval(t, above, c) - c / 2) <= F(1, BIG)
+    # outside 0 < c <= 1/2 both branches agree with T(1/2, c)
+    for c in (F(0), F(3, 4), F(1)):
+        assert t.dir_limit(HALF, "right", c) == (t_eval(t, HALF, c), False)
+    assert t.dir_limit(HALF, "left", F(1, 4)) == (F(1, 16), False)
+
+
+def test_dir_limit_min_constant_side():
+    # min(u, c) = c for all u near v once c < v: constant on both sides
+    t = parse_tnorm("min")
+    eps = F(1, BIG)
+    for v, c in ((HALF, F(1, 4)), (F(1), F(2, 3)), (F(1, 3), F(0))):
+        for side, u in (("left", v - eps), ("right", v + eps)):
+            if u <= 1:
+                assert t.dir_limit(v, side, c) == (c, True)
+                assert t_eval(t, u, c) == c
+    # c >= v: min(u, c) follows u, so the limit is v and not constant
+    for side in ("left", "right"):
+        assert t.dir_limit(F(1, 4), side, HALF) == (F(1, 4), False)
+        assert t.dir_limit(HALF, side, HALF) == (HALF, False)
+
+
 @pytest.mark.parametrize("fam", ["product", "hamacher2"])
 def test_t_preimage_membership(fam):
     t = parse_tnorm(fam)
@@ -220,3 +291,44 @@ def test_t_preimage_membership(fam):
         for i in range(33):
             x = F(i, 32)
             assert pre.contains(x) == ziv.contains(t_eval(t, x, yq))
+
+
+# -- no dispatch on the family's name outside tnorms.py ----------------------
+
+_FAMILY_CLASSES = r"\b(?:Product|Minimum|Hamacher2|Halfprod|Generator|Lambda)\b"
+_FAMILY_LITERAL = (r"""["'](?:product|min|minimum|hamacher2|halfprod|generator"""
+                   r"""|lambda|gen:[^"']*|lambda:[^"']*)["']""")
+NAME_DISPATCH = re.compile("|".join((
+    r"\.family\b",
+    r"isinstance\([^)]*" + _FAMILY_CLASSES,
+    r"(?:==|!=)\s*" + _FAMILY_LITERAL,
+    _FAMILY_LITERAL + r"\s*(?:==|!=)",
+    r"\bin\s*[(\[{][^)\]}]*" + _FAMILY_LITERAL,
+)))
+
+
+def name_dispatch_lines(package: Path) -> list:
+    """Lines of the package's modules, tnorms.py aside, that pick a branch
+    by t-norm family rather than by what the family can do."""
+    return [f"{path.name}:{i}: {line.strip()}"
+            for path in sorted(package.glob("*.py")) if path.name != "tnorms.py"
+            for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if NAME_DISPATCH.search(line)]
+
+
+def test_no_family_name_dispatch_outside_tnorms():
+    package = Path(__file__).resolve().parents[1] / "src" / "subnormforge"
+    assert not name_dispatch_lines(package)
+
+
+def test_name_dispatch_pattern_catches_each_form():
+    for line in ('if t.family == "minimum" and c < v:',
+                 "if isinstance(t, Lambda):",
+                 'if str(t) == "halfprod":',
+                 "elif 'gen:neglog' != desc:",
+                 'if str(t) in ("product", "hamacher2"):'):
+        assert NAME_DISPATCH.search(line), line
+    for line in ("if t.exact and t.strict:",
+                 "if isinstance(tv, Approx):",
+                 'return Verdict.unknown("min is not strict")'):
+        assert not NAME_DISPATCH.search(line), line
