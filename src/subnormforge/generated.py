@@ -11,9 +11,19 @@ from .pwfn import PiecewiseMonotoneFn, Segment, eval_fn, pseudo_inverse
 from .tnorms import Approx, Generator, GeneratorSpec, Lambda, TNormDescriptor, t_eval
 
 
+def value_key(v) -> tuple:
+    """A value's cache key: (numerator, denominator), and for an Approx its
+    value's pair then its radius's.  Unlike ``Fraction``, which recomputes
+    its hash in Python on every call, a tuple of ints hashes in C."""
+    if isinstance(v, Approx):
+        return value_key(v.value) + value_key(v.radius)
+    return v.numerator, v.denominator
+
+
 @dataclass
 class GeneratedOp:
-    """F(x,y) = finv(T(f(x), f(y))) with the pseudo-inverse cached."""
+    """F(x,y) = finv(T(f(x), f(y))), with f and finv evaluated once per
+    value: cached by ``value_key``, since ``Fraction`` rehashes per call."""
 
     f: PiecewiseMonotoneFn
     finv: PiecewiseMonotoneFn
@@ -22,17 +32,17 @@ class GeneratedOp:
     _finv_cache: dict = field(default_factory=dict, repr=False)
 
     def f_at(self, x: Fraction) -> Fraction:
-        v = self._f_cache.get(x)
+        k = value_key(x)
+        v = self._f_cache.get(k)
         if v is None:
-            v = eval_fn(self.f, x)
-            self._f_cache[x] = v
+            v = self._f_cache[k] = eval_fn(self.f, x)
         return v
 
     def finv_at(self, y: Fraction) -> Fraction:
-        v = self._finv_cache.get(y)
+        k = value_key(y)
+        v = self._finv_cache.get(k)
         if v is None:
-            v = eval_fn(self.finv, y)
-            self._finv_cache[y] = v
+            v = self._finv_cache[k] = eval_fn(self.finv, y)
         return v
 
     def __call__(self, x, y):

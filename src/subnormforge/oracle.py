@@ -7,14 +7,15 @@ violation is only reported when it exceeds the carried radii, and
 borderline comparisons surface as notes instead of verdicts.
 
 The scans run on interned value tables.  Every value is interned to a
-small int id, equal values to equal ids.  For each grid, F is evaluated
-once per point pair into an m-by-m table of ids; the values of F at the
-off-grid intermediates of associativity and of the Archimedean powers
-sit in per-value rows and columns, filled on first use.  One cache
-serves every grid and direct call: a generated operation is evaluated
-once per pair of f values, any other once per pair of arguments.  On an
-exact table, ids compare values: equal ids are equal values, unequal ids
-differ.
+small int id, equal values to equal ids, keyed by ``value_key``: integer
+(numerator, denominator) pairs, because ``Fraction`` recomputes its hash
+on every call.  For each grid, F is evaluated once per point pair into
+an m-by-m table of ids; the values of F at the off-grid intermediates of
+associativity and of the Archimedean powers sit in per-value rows and
+columns, filled on first use.  One cache serves every grid and direct
+call: a generated operation is evaluated once per pair of f values, any
+other once per pair of arguments.  On an exact table, ids compare
+values: equal ids are equal values, unequal ids differ.
 Comparisons that need a sign or may involve Approx values call
 ``approx_diff`` on the values, with the boundary rules described in
 ``check_property``.  The scan order, and so the first counterexample, its
@@ -29,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .classify import PROPERTIES, arg_with_value, classify
-from .generated import GeneratedOp, f_compose
+from .generated import GeneratedOp, f_compose, value_key
 from .intervals import ONE, ZERO, frac
 from .pwfn import PiecewiseMonotoneFn, decompose
 from .tnorms import Approx, TNormDescriptor, approx_diff
@@ -71,33 +72,38 @@ class _Memo:
     """A binary operation whose values are interned to small int ids.
 
     Equal values get equal ids, and ``centre[v]`` is the id of value v's
-    centre: v itself unless the value is an ``Approx``.  The operation is
-    evaluated once per key of ``by_f`` (see ``eval``), and ``evals`` counts
-    those evaluations.  ``memo(x, y)`` reads the same cache; the law scans
-    read a ``_Grid`` of ids (``memo.grid(pts)``).
+    centre: v itself unless the value is an ``Approx``.  ``intern`` keys a
+    value by ``value_key``, after ``frac`` if exact (so 0 and Fraction(0)
+    share an id); ``grids`` is keyed by the tuple of the points' ids.  The
+    operation is evaluated once per key of ``by_f`` (see ``eval``), and
+    ``evals`` counts those evaluations.  ``memo(x, y)`` reads the same
+    cache; the law scans read a ``_Grid`` of ids (``memo.grid(pts)``).
     """
 
     def __init__(self, op: Callable):
         self.op = op
         # a GeneratedOp is evaluated by f values (see ``eval``)
         self.generated = op if isinstance(op, GeneratedOp) else None
-        self.ids = {}  # value -> id
+        self.ids = {}  # value_key(value) -> id
         self.vals = []  # id -> value
         self.centre = []  # id -> id of the value's centre
         self.f_ids = {}  # id of x -> id of f(x)
         # (id of f(x), id of f(y)) for a GeneratedOp, else (id of x, id of
         # y) -> id of F(x, y)
         self.by_f = {}
-        self.grids = {}  # tuple(pts) -> _Grid
+        self.grids = {}  # ids of the points -> _Grid
         self.evals = 0
 
     def __call__(self, x, y):
         return self.vals[self.eval(self.intern(x), self.intern(y))]
 
     def intern(self, v) -> int:
-        i = self.ids.get(v)
+        if not isinstance(v, Approx):
+            v = frac(v)
+        k = value_key(v)
+        i = self.ids.get(k)
         if i is None:
-            i = self.ids[v] = len(self.vals)
+            i = self.ids[k] = len(self.vals)
             self.vals.append(v)
             self.centre.append(i)
             if isinstance(v, Approx):
@@ -129,10 +135,10 @@ class _Memo:
         return i
 
     def grid(self, pts) -> "_Grid":
-        key = tuple(pts)
-        g = self.grids.get(key)
+        pid = tuple(self.intern(p) for p in pts)
+        g = self.grids.get(pid)
         if g is None:
-            g = self.grids[key] = _Grid(self, key)
+            g = self.grids[pid] = _Grid(self, tuple(pts), pid)
         return g
 
 
@@ -147,9 +153,8 @@ class _Grid:
     of other values start as None and are filled by the scans on demand.
     """
 
-    def __init__(self, memo: _Memo, pts: tuple):
-        self.pts = pts
-        self.pid = [memo.intern(p) for p in pts]
+    def __init__(self, memo: _Memo, pts: tuple, pid: tuple):
+        self.pts, self.pid = pts, pid
         ev = memo.eval
         self.T = [[ev(a, b) for b in self.pid] for a in self.pid]
         cen = memo.centre

@@ -9,11 +9,13 @@ from subnormforge import (
     GeneratorSpec,
     additive_generated,
     f_eval,
+    generated,
     lambda_decompose,
     make_op,
     parse_fn,
     parse_tnorm,
 )
+from subnormforge.pwfn import eval_fn
 from subnormforge.tnorms import Approx, Generator, Lambda
 
 F = Fraction
@@ -65,11 +67,19 @@ def test_exact_results_are_fractions(f_gap):
     assert isinstance(f_eval(op, F(1, 3), F(2, 3)), Fraction)
 
 
-def test_operation_caches_function_values(f_gap):
+def test_operation_caches_function_values(f_gap, monkeypatch):
     op = make_op(f_gap, parse_tnorm("product"))
+    f_args = []
+
+    def counting(fn, x):
+        if fn is op.f:
+            f_args.append(x)
+        return eval_fn(fn, x)
+
+    monkeypatch.setattr(generated, "eval_fn", counting)
     f_eval(op, F(1, 3), F(2, 3))
     f_eval(op, F(1, 3), F(1, 2))
-    assert F(1, 3) in op._f_cache
+    assert sorted(f_args) == [F(1, 3), F(1, 2), F(2, 3)]
 
 
 def test_additive_generated_product_like():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import monotone_fns, nonincreasing_fns
-from subnormforge import f_eval, generated, make_op, parse_tnorm, pseudo_inverse
+from conftest import WORKED_EXAMPLES, monotone_fns, nonincreasing_fns
+from subnormforge import (f_eval, generated, make_op, parse_fn, parse_tnorm,
+                          pseudo_inverse)
 from subnormforge.intervals import ONE, ZERO
 from subnormforge.oracle import (
     PROPERTY_NAMES,
@@ -138,6 +139,22 @@ def test_harness_reports_oracle_counters(f_step):
     assert "op_evals" not in rep.render()
 
 
+def test_interning_keys_exact_values_and_approx_values():
+    memo = _Memo(lambda x, y: x * y)
+    zero = memo.intern(0)
+    assert memo.intern(F(0)) == memo.intern(F(0, 5)) == zero
+    assert memo.vals[zero] == 0 and isinstance(memo.vals[zero], Fraction)
+    assert memo.intern(1) == memo.intern(ONE)
+    r = F(1, 10 ** 20)
+    a = memo.intern(Approx(F(1, 3), r))
+    assert memo.intern(Approx(F(1, 3), r)) == a
+    b = memo.intern(Approx(F(1, 3), 2 * r))
+    assert b != a
+    assert memo.centre[a] == memo.centre[b] == memo.intern(F(1, 3))
+    with pytest.raises(TypeError):
+        memo.intern(0.5)
+
+
 def test_harness_builds_the_pseudo_inverse_once(f_step, monkeypatch):
     built = []
 
@@ -232,6 +249,22 @@ def test_table_oracle_matches_direct_scan(family, f):
         got = check_property(memo, law, pts, n_iter=16)
         want = reference_check(op, law, pts, n_iter=16)
         assert got == want, law
+
+
+@pytest.mark.parametrize("family,n", [("product", 12), ("hamacher2", 12),
+                                      ("gen:neglog", 6)])
+def test_table_oracle_matches_direct_scan_at_harness_scale(family, n):
+    # the off-grid intermediates of grid(12) reach large denominators, and
+    # gen:neglog's values are Approx; the scan gets its own op and caches
+    t = parse_tnorm(family)
+    for name, text in WORKED_EXAMPLES.items():
+        f = parse_fn(text)
+        pts = grid(n, default_extra(f))
+        memo = _Memo(make_op(f, t))
+        ref = make_op(f, t)
+        for law in PROPERTY_NAMES:
+            want = reference_check(ref, law, pts)
+            assert check_property(memo, law, pts) == want, (name, law)
 
 
 @pytest.mark.parametrize("family", ["product", "hamacher2", "min", "halfprod"])
