@@ -270,11 +270,13 @@ def check_inclusion_conditions(t: TNormDescriptor, d: Decomposition):
 def _value_witness(t, a: IntervalSet, b: IntervalSet, z: Fraction):
     """(u, v, z) with u in a, v in b, T(u,v)=z, by deterministic search
     over small-denominator v, then over b's sample points; falls back to
-    (None, None, z)."""
-    for v in chain(filter(b.contains, _PQ_VALUES), b.sample_points()):
-        for u in t_solve_x(t, v, z):
-            if a.contains(u):
-                return (u, v, z)
+    (None, None, z).  A v < z is skipped: every exact family is bounded
+    by min, so T(u, v) <= v < z, and ``t_solve_x`` keeps only verified x."""
+    for v in chain(_PQ_VALUES, b.sample_points()):  # sample points lie in b
+        if v >= z and b.contains(v):
+            for u in t_solve_x(t, v, z):
+                if a.contains(u):
+                    return (u, v, z)
     return (None, None, z)
 
 

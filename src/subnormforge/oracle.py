@@ -14,10 +14,12 @@ an m-by-m table of ids; the values of F at the off-grid intermediates of
 associativity and of the Archimedean powers sit in per-value rows and
 columns, filled on first use.  One cache serves every grid and direct
 call: a generated operation is evaluated once per pair of f values, any
-other once per pair of arguments.  On an exact table, ids compare
-values: equal ids are equal values, unequal ids differ.
-Comparisons that need a sign or may involve Approx values call
-``approx_diff`` on the values, with the boundary rules described in
+other once per pair of arguments; with an exact t-norm, f, T and the
+pseudo-inverse run on the pairs (``eval_pair``), since ``Fraction``
+builds and compares in Python.  On an exact table, ids compare values:
+equal ids are equal values, unequal ids differ, and signs come from
+cross-multiplied pairs.  Comparisons that may involve Approx values
+call ``approx_diff``, with the boundary rules described in
 ``check_property``.  The scan order, and so the first counterexample, its
 values, the notes and the ``checked`` counts are those of a direct scan
 that evaluates F at every comparison.
@@ -27,12 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Optional
 
 from .classify import PROPERTIES, arg_with_value, classify
 from .generated import GeneratedOp, f_compose, value_key
 from .intervals import ONE, ZERO, frac
-from .pwfn import PiecewiseMonotoneFn, decompose
+from .pwfn import Decomposition, PiecewiseMonotoneFn, decompose, eval_pair
 from .tnorms import Approx, TNormDescriptor, approx_diff
 
 PROPERTY_NAMES = (
@@ -71,26 +74,31 @@ class CheckResult:
 class _Memo:
     """A binary operation whose values are interned to small int ids.
 
-    Equal values get equal ids, and ``centre[v]`` is the id of value v's
-    centre: v itself unless the value is an ``Approx``.  ``intern`` keys a
-    value by ``value_key``, after ``frac`` if exact (so 0 and Fraction(0)
-    share an id); ``grids`` is keyed by the tuple of the points' ids.  The
-    operation is evaluated once per key of ``by_f`` (see ``eval``), and
-    ``evals`` counts those evaluations.  ``memo(x, y)`` reads the same
-    cache; the law scans read a ``_Grid`` of ids (``memo.grid(pts)``).
+    Equal values get equal ids; ``keys[v]`` is value v's ``value_key`` and
+    ``centre[v]`` the id of its centre: v itself unless the value is an
+    ``Approx``.  ``intern`` keys a value by ``value_key``, after ``frac`` if
+    exact (so 0 and Fraction(0) share an id); ``grids`` is keyed by the
+    tuple of the points' ids.  The operation is evaluated once per key of
+    ``by_f`` (see ``eval``), and ``evals`` counts those evaluations; an
+    exact GeneratedOp on the ids' pairs, since ``Fraction`` builds and
+    compares in Python.  ``memo(x, y)`` reads the same cache; the law
+    scans read a ``_Grid`` of ids (``memo.grid(pts)``).
     """
 
     def __init__(self, op: Callable):
         self.op = op
-        # a GeneratedOp is evaluated by f values (see ``eval``)
+        # a GeneratedOp is evaluated by f values (see ``eval``), on pairs if T is exact
         self.generated = op if isinstance(op, GeneratedOp) else None
+        self.on_pairs = self.generated is not None and self.generated.t.exact
         self.ids = {}  # value_key(value) -> id
+        self.keys = []  # id -> value_key(value)
         self.vals = []  # id -> value
         self.centre = []  # id -> id of the value's centre
         self.f_ids = {}  # id of x -> id of f(x)
         # (id of f(x), id of f(y)) for a GeneratedOp, else (id of x, id of
         # y) -> id of F(x, y)
         self.by_f = {}
+        self.t_ids = {}  # reduced pair of T(f(x), f(y)) -> id of its finv
         self.grids = {}  # ids of the points -> _Grid
         self.evals = 0
 
@@ -100,11 +108,20 @@ class _Memo:
     def intern(self, v) -> int:
         if not isinstance(v, Approx):
             v = frac(v)
-        k = value_key(v)
+        return self._intern_key(value_key(v), v)
+
+    def _intern_pair(self, n: int, d: int) -> int:
+        """Id of the exact value n/d, for d > 0, keyed by its reduced pair."""
+        g = gcd(n, d)
+        return self._intern_key((n // g, d // g))
+
+    def _intern_key(self, k: tuple, v=None) -> int:
+        """Id of the value v of key k; v = Fraction(*k) when not given."""
         i = self.ids.get(k)
         if i is None:
             i = self.ids[k] = len(self.vals)
-            self.vals.append(v)
+            self.keys.append(k)
+            self.vals.append(Fraction(*k) if v is None else v)
             self.centre.append(i)
             if isinstance(v, Approx):
                 self.centre[i] = self.intern(v.value)
@@ -122,16 +139,31 @@ class _Memo:
         v = self.by_f.get(key)
         if v is None:
             self.evals += 1
-            v = self.by_f[key] = self.intern(
-                self.op(vals[a], vals[b]) if gen is None
-                else f_compose(gen, vals[key[0]], vals[key[1]]))
+            v = self.by_f[key] = (
+                self._finv_of_t(*key) if self.on_pairs
+                else self.intern(self.op(vals[a], vals[b]) if gen is None
+                                 else f_compose(gen, vals[key[0]], vals[key[1]])))
         return v
+
+    def _finv_of_t(self, a: int, b: int) -> int:
+        """Id of finv(T(u, v)) for the f values u, v of ids a and b, cached by
+        T's reduced pair; no domain check, as ``_validate`` keeps u, v in [0,1]."""
+        gen = self.generated
+        n, d = gen.t.eval_pair(*self.keys[a], *self.keys[b])
+        g = gcd(n, d)
+        k = (n // g, d // g)
+        i = self.t_ids.get(k)
+        if i is None:
+            i = self.t_ids[k] = self._intern_pair(*eval_pair(gen.finv, *k))
+        return i
 
     def _f_id(self, a: int) -> int:
         i = self.f_ids.get(a)
         if i is None:
-            i = self.f_ids[a] = self.intern(
-                self.generated.f_at(frac(self.vals[a])))
+            gen = self.generated
+            i = self.f_ids[a] = (
+                self._intern_pair(*eval_pair(gen.f, *self.keys[a])) if self.on_pairs
+                else self.intern(gen.f_at(frac(self.vals[a]))))
         return i
 
     def grid(self, pts) -> "_Grid":
@@ -194,7 +226,7 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
     memo = op if isinstance(op, _Memo) else _Memo(op)
     g = memo.grid(pts)
     pts, pid, T, C = g.pts, g.pid, g.T, g.C
-    vals, cen, ev = memo.vals, memo.centre, memo.eval
+    vals, keys, cen, ev = memo.vals, memo.keys, memo.centre, memo.eval
     m = len(pts)
     undecided = 0
     count = 0
@@ -204,7 +236,9 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
     # Equal centre ids mean d == 0, so approx_diff is only called on
     # values whose centres differ, and on an exact table two different ids
     # always differ by more than r = 0.  Only ">=" cannot use equal ids on
-    # Approx values: their summed radius is positive, so d = 0 < r.
+    # Approx values: their summed radius is positive, so d = 0 < r.  On an
+    # exact table gt cross-multiplies the ids' pairs; points and centres
+    # are exact, so gt orders them on every table.
 
     def cex(inputs, lhs, rhs):
         return CheckResult(False, Counterexample(prop, inputs, lhs, rhs),
@@ -222,10 +256,11 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
 
     if g.exact:
         def gt(a, b):
-            return vals[a] > vals[b]
+            (p, q), (r, s) = keys[a], keys[b]
+            return p * s > r * q
 
         def ge(a, b):
-            return a == b or vals[a] > vals[b]
+            return a == b or gt(a, b)
     else:
         def gt(a, b):
             d, r = approx_diff(vals[a], vals[b])
@@ -259,7 +294,7 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
         for i, x in enumerate(pts):
             for j, y in enumerate(pts):
                 count += 1
-                v, lo = T[i][j], pid[j] if y < x else pid[i]
+                v, lo = T[i][j], pid[j] if gt(pid[i], pid[j]) else pid[i]
                 if cen[v] != lo and gt(v, lo):
                     return cex((x, y), vals[v], min(x, y))
     elif prop == "associativity":
@@ -324,7 +359,7 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
         # reported as a note, never as a counterexample
         missing = []
         interior = [k for k, p in enumerate(pts) if 0 < p < 1]
-        floor = min(pts[k] for k in interior) if interior else ONE
+        floor = memo.intern(min(pts[k] for k in interior)) if interior else None
         for k in interior:
             acc = pid[k]  # centre id of the current power
             for _ in range(n_iter):
@@ -334,7 +369,7 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
                     v = row[k] = ev(acc, pid[k])
                 acc = cen[v]
                 count += 1
-                if vals[acc] < floor:
+                if gt(floor, acc):
                     break
             else:
                 missing.append(pts[k])
@@ -408,13 +443,13 @@ class HarnessReport:
         return "\n".join(lines) + "\n"
 
 
-def default_extra(f: PiecewiseMonotoneFn) -> list:
+def default_extra(f: PiecewiseMonotoneFn, d: Optional[Decomposition] = None) -> list:
     """Breakpoints of f plus argument preimages of the gap boundary values,
-    so grids exercise every discontinuity."""
+    so grids exercise every discontinuity.  ``d`` is f's decomposition,
+    built here when not given."""
     extra = set(f.breakpoints())
     if f.nondecreasing:
-        d = decompose(f)
-        for b, dd, c in d.s:
+        for b, dd, c in (d or decompose(f)).s:
             for v in (b, dd, c):
                 x = arg_with_value(f, v)
                 if x is not None:
@@ -428,8 +463,8 @@ def consistency_harness(f: PiecewiseMonotoneFn, t: TNormDescriptor,
     """Classify, then re-check every classified law by brute force on the
     operation the classifier built; a Yes verdict alongside an oracle
     counterexample is a hard failure."""
-    pts = grid(n, default_extra(f))
     report = classify(f, t, arch_grid_n=arch_grid_n)
+    pts = grid(n, default_extra(f, report.decomposition))
     memo = _Memo(report.op)
     out = HarnessReport()
     results = {}  # law -> CheckResult; t_norm shares four laws with t_subnorm

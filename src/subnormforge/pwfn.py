@@ -12,16 +12,16 @@ breakpoints and the plateau set.  The caches live in the instance
 ``__dict__``, outside the dataclass fields, so equality, hashing and
 ``repr`` see only the direction and the segments.
 
-``eval_fn`` runs on one more cache, the integer table ``_kernel``: per
+``eval_pair`` runs on one more cache, the integer table ``_kernel``: per
 piece in x order, its upper end as numerator, denominator and closedness,
-then its intercept, which is a constant piece's value, and a line's
-slope and intercept as four integers.  The pieces partition [0,1] in
-order, each starting where the one before ends, with the opposite
-closedness.  So every piece before the first whose upper end covers x
-ends below x, or at x but open, and that first piece starts at or below
-x: it holds x.  The tests are sign tests
-on cross products of numerators and denominators, and a line's value is
-built as one Fraction, normalised once.
+then a constant piece's value as a reduced (numerator, denominator) pair,
+or a line's slope and intercept as four integers.  The pieces partition
+[0,1] in order, each starting where the one before ends, with the
+opposite closedness.  So every piece before the first whose upper end
+covers x ends below x, or at x but open, and that first piece starts at
+or below x: it holds x.  The tests are sign tests on cross products of
+numerators and denominators, and the value is an integer pair; ``eval_fn``
+builds it as one Fraction, normalised once.
 
 ``pseudo_inverse`` builds the closed form of the pseudo-inverse in one
 sweep over the segments and their cached value intervals; ``pseudo_inverse_at``
@@ -115,16 +115,16 @@ class PiecewiseMonotoneFn:
 
     @cached_property
     def _kernel(self) -> tuple:
-        """``eval_fn``'s table, one entry per piece in x order: the upper
-        end as (hn, hd, closed) with hi = hn/hd, then the intercept, which
-        is a constant piece's value, and the line: None for a constant
-        piece, else (sn, sd, cn, cd) for slope sn/sd and intercept cn/cd."""
+        """``eval_pair``'s table, one entry per piece in x order: the upper
+        end as (hn, hd, closed) with hi = hn/hd, then the intercept cn/cd
+        as (cn, cd), which is a constant piece's value, and the line: None
+        for a constant piece, else (sn, sd, cn, cd) for slope sn/sd."""
         out = []
         for p in self.segments:
             d, s, c = p.domain, p.slope, p.intercept
-            line = (None if p.is_const
-                    else (s.numerator, s.denominator, c.numerator, c.denominator))
-            out.append((d.hi.numerator, d.hi.denominator, d.hi_closed, c, line))
+            cn, cd = c.numerator, c.denominator
+            line = None if p.is_const else (s.numerator, s.denominator, cn, cd)
+            out.append((d.hi.numerator, d.hi.denominator, d.hi_closed, (cn, cd), line))
         return tuple(out)
 
     @cached_property
@@ -170,22 +170,26 @@ def _validate(fn: PiecewiseMonotoneFn) -> None:
 
 
 def eval_fn(f: PiecewiseMonotoneFn, x) -> Fraction:
-    """f(x), exactly, from the integer table ``f._kernel``: with x = p/q,
-    the first piece whose upper end hn/hd covers x (p*hd - hn*q < 0, or 0
-    at a closed end) holds x, and a line's value sn/sd * p/q + cn/cd is
-    built as one Fraction."""
+    """f(x), exactly: ``eval_pair`` built as one Fraction."""
     x = frac(x)
-    p, q = x.numerator, x.denominator
+    return Fraction(*eval_pair(f, x.numerator, x.denominator))
+
+
+def eval_pair(f: PiecewiseMonotoneFn, p: int, q: int) -> tuple:
+    """f(p/q) as an integer pair (n, d), d > 0, for q > 0, by the scan of
+    ``f._kernel`` described above: a constant piece's reduced pair, or a
+    line's (sn*p*cd + cn*sd*q, sd*cd*q), not reduced.  DomainError unless
+    0 <= p <= q."""
     if p < 0 or p > q:
-        raise DomainError(f"argument {x} outside [0,1]")
+        raise DomainError(f"argument {Fraction(p, q)} outside [0,1]")
     for hn, hd, closed, value, line in f._kernel:
         c = p * hd - hn * q
         if c < 0 or (c == 0 and closed):
             if line is None:
                 return value
             sn, sd, cn, cd = line
-            return Fraction(sn * p * cd + cn * sd * q, sd * cd * q)
-    raise InvalidFunction(f"no piece covers {x}")  # unreachable for valid fns
+            return sn * p * cd + cn * sd * q, sd * cd * q
+    raise InvalidFunction(f"no piece covers {p}/{q}")  # unreachable for valid fns
 
 
 def _unit_arg(v) -> Fraction:

@@ -2,9 +2,9 @@
 possible, interval images for the exact families, and additive-generator
 based constructions evaluated in high precision with a carried radius.
 
-The exact families evaluate on the numerators and denominators of their
-arguments and build each result as one Fraction; the domain check of
-``t_eval`` compares numerators with denominators.
+The exact families evaluate T(a/b, c/d) on integers, as a pair (n, d)
+with d > 0 (``eval_pair``), which ``eval`` builds as one Fraction; the
+domain check of ``t_eval`` compares numerators with denominators.
 """
 
 from __future__ import annotations
@@ -123,10 +123,11 @@ def _box_image_mono(phi, A: Interval, B: Interval) -> Interval:
 @dataclass(frozen=True)
 class TNormDescriptor:
     """A t-norm family, one subclass each, equal when family and parameters
-    are.  The flags are class attributes; each family owns ``eval`` (on
-    Fractions in [0,1]), its box image, its solution candidates and its
-    one-sided limits.  The defaults fit an exact family that is continuous
-    and strictly increasing in each argument, with neutral element 1."""
+    are.  The flags are class attributes; each family owns ``eval_pair``
+    (exact families, see above) or ``eval``, its box image, its solution
+    candidates and its one-sided limits.  The defaults fit an exact family
+    that is continuous and strictly increasing in each argument, with
+    neutral element 1."""
 
     exact = True
     continuous = True
@@ -137,6 +138,10 @@ class TNormDescriptor:
 
     def __str__(self) -> str:
         return self.name
+
+    def eval(self, x: Fraction, y: Fraction) -> Fraction:
+        return Fraction(*self.eval_pair(x.numerator, x.denominator,
+                                        y.numerator, y.denominator))
 
     def box_image(self, A: Interval, B: Interval) -> list:
         """T(A,B) for one box, as a list of intervals."""
@@ -151,9 +156,9 @@ class TNormDescriptor:
 class Product(TNormDescriptor):
     name = "product"
 
-    def eval(self, x: Fraction, y: Fraction) -> Fraction:
+    def eval_pair(self, a: int, b: int, c: int, d: int) -> tuple:
         """ac/(bd) for x = a/b and y = c/d."""
-        return Fraction(x.numerator * y.numerator, x.denominator * y.denominator)
+        return a * c, b * d
 
     def solve_candidates(self, y: Fraction, z: Fraction) -> list:
         return [z / y]
@@ -162,12 +167,11 @@ class Product(TNormDescriptor):
 class Hamacher2(TNormDescriptor):
     name = "hamacher2"
 
-    def eval(self, x: Fraction, y: Fraction) -> Fraction:
+    def eval_pair(self, a: int, b: int, c: int, d: int) -> tuple:
         """xy/(2 - x - y + xy) = ac/(2bd - ad - bc + ac) for x = a/b and
         y = c/d, whose denominator is bd((1-x)(1-y) + 1) > 0."""
-        a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
         ac = a * c
-        return Fraction(ac, 2 * b * d - a * d - b * c + ac)
+        return ac, 2 * b * d - a * d - b * c + ac
 
     def solve_candidates(self, y: Fraction, z: Fraction) -> list:
         den = y + z - z * y
@@ -179,8 +183,9 @@ class Minimum(TNormDescriptor):
     strictly_monotone = False
     strict = False
 
-    def eval(self, x: Fraction, y: Fraction) -> Fraction:
-        return min(x, y)
+    def eval_pair(self, a: int, b: int, c: int, d: int) -> tuple:
+        """The lesser of a/b and c/d, by the sign of ad - cb."""
+        return (a, b) if a * d <= c * b else (c, d)
 
     def box_image(self, A: Interval, B: Interval) -> list:
         # each end is the lesser of the two ends; on a tie the lower end is
@@ -194,7 +199,7 @@ class Minimum(TNormDescriptor):
 
     def dir_limit(self, v: Fraction, side: str, c: Fraction) -> tuple:
         # min(u,c) = c for every u near v once c < v
-        return min(v, c), c < v
+        return self.eval(v, c), c < v
 
 
 _LOWER_HALF = Interval.closed(0, HALF)
@@ -209,13 +214,12 @@ class Halfprod(TNormDescriptor):
     continuous = False
     strict = False
 
-    def eval(self, x: Fraction, y: Fraction) -> Fraction:
+    def eval_pair(self, a: int, b: int, c: int, d: int) -> tuple:
         """ac/(2bd) when 2a <= b and 2c <= d (x, y <= 1/2), else ac/(bd),
         for x = a/b and y = c/d."""
-        a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
         if 2 * a <= b and 2 * c <= d:
-            return Fraction(a * c, 2 * b * d)
-        return Fraction(a * c, b * d)
+            return a * c, 2 * b * d
+        return a * c, b * d
 
     def box_image(self, A: Interval, B: Interval) -> list:
         # split along the branch boundary.  Each branch keeps its own

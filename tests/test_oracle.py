@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WORKED_EXAMPLES, monotone_fns, nonincreasing_fns
-from subnormforge import (f_eval, generated, make_op, parse_fn, parse_tnorm,
-                          pseudo_inverse)
+from subnormforge import (decompose, f_eval, generated, make_op, parse_fn,
+                          parse_tnorm, pseudo_inverse)
 from subnormforge.intervals import ONE, ZERO
 from subnormforge.oracle import (
     PROPERTY_NAMES,
@@ -42,6 +42,7 @@ def test_grid_contents():
 
 def test_default_extra_includes_breakpoints(f_step):
     extra = default_extra(f_step)
+    assert default_extra(f_step, decompose(f_step)) == extra
     assert F(1, 4) in extra and F(1, 2) in extra
 
 
@@ -137,6 +138,33 @@ def test_harness_reports_oracle_counters(f_step):
     assert sorted(rep.stats) == ["interned_values", "op_evals"]
     assert rep.stats["op_evals"] > 0 and rep.stats["interned_values"] > 0
     assert "op_evals" not in rep.render()
+
+
+# (op_evals, interned_values) of the harness at n=12 with product: the
+# counts of an oracle that evaluates F on Fractions, without integer pairs
+HARNESS_STATS = {"plateau": (181, 36), "half_jump": (1473, 228), "gap": (330, 221),
+                 "shifted_jump": (169, 22), "step": (100, 21), "identity": (1440, 244)}
+
+
+@pytest.mark.parametrize("name", sorted(HARNESS_STATS))
+def test_harness_counters_of_the_worked_examples(name):
+    rep = consistency_harness(parse_fn(WORKED_EXAMPLES[name]), PRODUCT, n=12)
+    stats = rep.stats["op_evals"], rep.stats["interned_values"]
+    assert stats == HARNESS_STATS[name]
+
+
+def test_pair_path_and_intern_give_one_id():
+    # f(3/4) = 2*3/4 - 1 comes out of f's line as the pair (2, 4), and
+    # finv(y) = (y + 1)/2 at y = f(3/4) f(5/6) = 1/3 as (8, 12)
+    f = parse_fn("monotone: nondecreasing\n"
+                 "segment [0,1/2] const 0\n"
+                 "segment (1/2,1] linear 2 -1\n")
+    memo = _Memo(make_op(f, PRODUCT))
+    x, y = memo.intern(F(3, 4)), memo.intern(F(5, 6))
+    v = memo.eval(x, y)
+    assert memo.intern(F(2, 3)) == v
+    assert memo.intern(F(1, 2)) == memo.f_ids[x]
+    assert memo.vals[v] == F(2, 3) and memo.keys[v] == (2, 3)
 
 
 def test_interning_keys_exact_values_and_approx_values():
@@ -252,6 +280,7 @@ def test_table_oracle_matches_direct_scan(family, f):
 
 
 @pytest.mark.parametrize("family,n", [("product", 12), ("hamacher2", 12),
+                                      ("min", 12), ("halfprod", 12),
                                       ("gen:neglog", 6)])
 def test_table_oracle_matches_direct_scan_at_harness_scale(family, n):
     # the off-grid intermediates of grid(12) reach large denominators, and

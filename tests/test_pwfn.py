@@ -35,6 +35,7 @@ from subnormforge.pwfn import (
     InvalidFunction,
     PiecewiseMonotoneFn,
     Segment,
+    eval_pair,
     first_arg_above,
 )
 
@@ -384,6 +385,14 @@ def outcome(fn, *args):
         return type(e)
 
 
+def pair_value(g, x):
+    """g(x) from ``eval_pair`` on the pair of x, whose denominator must be
+    positive."""
+    n, d = eval_pair(g, x.numerator, x.denominator)
+    assert d > 0
+    return F(n, d)
+
+
 @settings(max_examples=80, deadline=None)
 @given(f=st.one_of(monotone_fns(), nonincreasing_fns()),
        big=st.lists(st.integers(0, 2 ** 2001), max_size=4))
@@ -397,6 +406,8 @@ def test_eval_kernel_matches_segment_scan(f, big):
             got, want = outcome(eval_fn, g, x), outcome(reference_eval_fn, g, x)
             assert got == want, x
             assert isinstance(got, F) or got in (DomainError, TypeError), x
+            if isinstance(x, F):
+                assert outcome(pair_value, g, x) == want, x
 
 
 def test_eval_open_and_closed_ends():
