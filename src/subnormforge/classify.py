@@ -272,11 +272,11 @@ def _value_witness(t, a: IntervalSet, b: IntervalSet, z: Fraction):
     over small-denominator v, then over b's sample points; falls back to
     (None, None, z).  A v < z is skipped: every exact family is bounded
     by min, so T(u, v) <= v < z, and ``t_solve_x`` keeps only verified x."""
-    for v in chain(_PQ_VALUES, b.sample_points()):  # sample points lie in b
-        if v >= z and b.contains(v):
-            for u in t_solve_x(t, v, z):
-                if a.contains(u):
-                    return (u, v, z)
+    pq = (v for v in _PQ_VALUES if v >= z and b.contains(v))
+    for v in chain(pq, (v for v in b.sample_points() if v >= z)):
+        for u in t_solve_x(t, v, z):
+            if a.contains(u):
+                return (u, v, z)
     return (None, None, z)
 
 

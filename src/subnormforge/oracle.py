@@ -14,15 +14,15 @@ an m-by-m table of ids; the values of F at the off-grid intermediates of
 associativity and of the Archimedean powers sit in per-value rows and
 columns, filled on first use.  One cache serves every grid and direct
 call: a generated operation is evaluated once per pair of f values, any
-other once per pair of arguments; with an exact t-norm, f, T and the
-pseudo-inverse run on the pairs (``eval_pair``), since ``Fraction``
-builds and compares in Python.  On an exact table, ids compare values:
-equal ids are equal values, unequal ids differ, and signs come from
-cross-multiplied pairs.  Comparisons that may involve Approx values
-call ``approx_diff``, with the boundary rules described in
-``check_property``.  The scan order, and so the first counterexample, its
-values, the notes and the ``checked`` counts are those of a direct scan
-that evaluates F at every comparison.
+other once per pair of arguments.  f runs on the arguments' pairs
+(``eval_pair``), and with an exact t-norm so do T and the
+pseudo-inverse, since ``Fraction`` builds and compares in Python.  On an
+exact table, ids compare values: equal ids are equal values, unequal ids
+differ, and signs come from cross-multiplied pairs.  Comparisons that
+may involve Approx values call ``approx_diff``, with the boundary rules
+described in ``check_property``.  The scan order, and so the first
+counterexample, its values, the notes and the ``checked`` counts are
+those of a direct scan that evaluates F at every comparison.
 """
 
 from __future__ import annotations
@@ -79,10 +79,10 @@ class _Memo:
     ``Approx``.  ``intern`` keys a value by ``value_key``, after ``frac`` if
     exact (so 0 and Fraction(0) share an id); ``grids`` is keyed by the
     tuple of the points' ids.  The operation is evaluated once per key of
-    ``by_f`` (see ``eval``), and ``evals`` counts those evaluations; an
-    exact GeneratedOp on the ids' pairs, since ``Fraction`` builds and
-    compares in Python.  ``memo(x, y)`` reads the same cache; the law
-    scans read a ``_Grid`` of ids (``memo.grid(pts)``).
+    ``by_f`` (see ``eval``), and ``evals`` counts them.  f, and with an
+    exact t-norm all of a GeneratedOp, runs on the ids' pairs, since
+    ``Fraction`` builds and compares in Python.  ``memo(x, y)`` reads the
+    same cache; the law scans read a ``_Grid`` (``memo.grid(pts)``).
     """
 
     def __init__(self, op: Callable):
@@ -94,7 +94,7 @@ class _Memo:
         self.keys = []  # id -> value_key(value)
         self.vals = []  # id -> value
         self.centre = []  # id -> id of the value's centre
-        self.f_ids = {}  # id of x -> id of f(x)
+        self.f_ids = {}  # id of an exact x -> id of f(x)
         # (id of f(x), id of f(y)) for a GeneratedOp, else (id of x, id of
         # y) -> id of F(x, y)
         self.by_f = {}
@@ -160,10 +160,8 @@ class _Memo:
     def _f_id(self, a: int) -> int:
         i = self.f_ids.get(a)
         if i is None:
-            gen = self.generated
-            i = self.f_ids[a] = (
-                self._intern_pair(*eval_pair(gen.f, *self.keys[a])) if self.on_pairs
-                else self.intern(gen.f_at(frac(self.vals[a]))))
+            i = self.f_ids[a] = self._intern_pair(
+                *eval_pair(self.generated.f, *self.keys[a]))
         return i
 
     def grid(self, pts) -> "_Grid":
@@ -236,9 +234,9 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
     # Equal centre ids mean d == 0, so approx_diff is only called on
     # values whose centres differ, and on an exact table two different ids
     # always differ by more than r = 0.  Only ">=" cannot use equal ids on
-    # Approx values: their summed radius is positive, so d = 0 < r.  On an
-    # exact table gt cross-multiplies the ids' pairs; points and centres
-    # are exact, so gt orders them on every table.
+    # Approx values: their summed radius is positive, so d = 0 < r.  Ids of
+    # exact values (points, centres, every id of an exact table) are
+    # ordered by ``above``, which cross-multiplies their pairs.
 
     def cex(inputs, lhs, rhs):
         return CheckResult(False, Counterexample(prop, inputs, lhs, rhs),
@@ -254,13 +252,15 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
         undecided += 1
         return False
 
+    def above(a, b):
+        (p, q), (r, s) = keys[a], keys[b]
+        return p * s > r * q
+
     if g.exact:
-        def gt(a, b):
-            (p, q), (r, s) = keys[a], keys[b]
-            return p * s > r * q
+        gt = above
 
         def ge(a, b):
-            return a == b or gt(a, b)
+            return a == b or above(a, b)
     else:
         def gt(a, b):
             d, r = approx_diff(vals[a], vals[b])
@@ -294,7 +294,7 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
         for i, x in enumerate(pts):
             for j, y in enumerate(pts):
                 count += 1
-                v, lo = T[i][j], pid[j] if gt(pid[i], pid[j]) else pid[i]
+                v, lo = T[i][j], pid[j] if above(pid[i], pid[j]) else pid[i]
                 if cen[v] != lo and gt(v, lo):
                     return cex((x, y), vals[v], min(x, y))
     elif prop == "associativity":
@@ -359,7 +359,7 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
         # reported as a note, never as a counterexample
         missing = []
         interior = [k for k, p in enumerate(pts) if 0 < p < 1]
-        floor = memo.intern(min(pts[k] for k in interior)) if interior else None
+        floor = pid[min(interior, key=pts.__getitem__)] if interior else None
         for k in interior:
             acc = pid[k]  # centre id of the current power
             for _ in range(n_iter):
@@ -369,7 +369,7 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
                     v = row[k] = ev(acc, pid[k])
                 acc = cen[v]
                 count += 1
-                if gt(floor, acc):
+                if above(floor, acc):
                     break
             else:
                 missing.append(pts[k])
