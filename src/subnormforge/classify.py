@@ -27,7 +27,8 @@ from .pwfn import (
     plateau_set,
     side_limit,
 )
-from .tnorms import TNormDescriptor, approx_diff, t_eval, t_image, t_solve_x, t_preimage
+from .tnorms import (Approx, TNormDescriptor, approx_diff, t_eval, t_image, t_solve_x,
+                     t_preimage)
 
 PROPERTIES = (
     "t_subnorm",
@@ -135,8 +136,9 @@ def _plateau_pair(f: PiecewiseMonotoneFn, w: Fraction):
 # -- degenerate shapes ------------------------------------------------------
 
 
-def check_degenerate(op: GeneratedOp):
-    """Forced verdicts when the generated operation collapses.
+def check_degenerate(op: GeneratedOp, top):
+    """Forced verdicts when the generated operation collapses; `top` is
+    F(1,1).
 
     Non-increasing f vanishing on (0,1] gives F identically 0; for
     non-decreasing f, a plateau value attained at 1 (or approached at 1
@@ -150,20 +152,20 @@ def check_degenerate(op: GeneratedOp):
         # f is non-increasing with values in [0,1], so it vanishes on
         # (0,1] exactly when its limit at 0 from the right is 0
         if side_limit(f, ZERO, "right") == 0:
-            return _vanishing_verdicts(op, "F identically 0", "f vanishes on (0,1]")
+            return _vanishing_verdicts(top, "F identically 0", "f vanishes on (0,1]")
         return _undecided("non-increasing f outside the vanishing case; use the oracle")
 
     q = plateau_set(f)
     f1 = eval_fn(f, ONE)
     if q.contains(f1):
         x1, x2 = _plateau_pair(f, f1)
-        return _plateau_at_one(op, f1, x1, x2, f_eval(op, ONE, ONE),
+        return _plateau_at_one(f1, x1, x2, top, top,
                                "F identically 0", "plateau value at 1 and F(1,1)=0")
     f1m = side_limit(f, ONE, "left")
     if q.contains(f1m):
         # plateau approached at 1 but f(1) above it: F must vanish off (1,1)
         x2, x1 = _plateau_pair(f, f1m)
-        return _plateau_at_one(op, f1m, x1, x2, f_eval(op, x2, ONE),
+        return _plateau_at_one(f1m, x1, x2, f_eval(op, x2, ONE), top,
                                "F vanishes off (1,1)", None)
     return None
 
@@ -173,31 +175,27 @@ def _undecided(note) -> dict:
     return {p: Verdict.unknown("none", note=note) for p in PROPERTIES if p != "proper"}
 
 
-def _plateau_at_one(op, w, x1, x2, probe, evidence, note):
-    """Verdicts for a plateau value w at 1, which f takes at x1 != x2.  A
-    probe value of F that is exactly 0 makes F vanish off (1,1), with
-    `evidence` and `note` naming the shape; a positive one with equal exact
-    values F(x1,1)=F(x2,1) refutes conditional cancellation."""
-    c, r = approx_diff(probe, ZERO)
-    if (c, r) == (0, 0):
-        return _vanishing_verdicts(op, evidence, note)
-    if abs(c) > r:
-        v1 = f_eval(op, x1, ONE)
-        if approx_diff(v1, f_eval(op, x2, ONE)) == (0, 0) and v1 > 0:
-            out = _undecided("degenerate shape; use the oracle")
-            out["conditionally_cancellative"] = Verdict.no(
-                (x1, x2, ONE),
-                note=f"F({x1},1)=F({x2},1)={v1}>0 with f({x1})=f({x2})={w}")
-            out["cancellative"] = Verdict.no((ONE, x1, x2),
-                                             note="repeated f value")
-            out["strictly_monotone_op"] = out["cancellative"]
-            return out
-    return _undecided("degenerate shape undecided")
+def _plateau_at_one(w, x1, x2, probe, top, evidence, note):
+    """Verdicts for a plateau value w at 1, which f takes at x1 != x2, from
+    the probe F(x1,1) = F(x2,1): F sees its arguments only through f.  An
+    exact 0 makes F vanish off (1,1), with `evidence` and `note` naming the
+    shape; an exact positive value refutes conditional cancellation; an
+    Approx decides nothing.  `top` is F(1,1)."""
+    if isinstance(probe, Approx):
+        return _undecided("degenerate shape undecided")
+    if probe == 0:
+        return _vanishing_verdicts(top, evidence, note)
+    out = _undecided("degenerate shape; use the oracle")
+    out["conditionally_cancellative"] = Verdict.no(
+        (x1, x2, ONE),
+        note=f"F({x1},1)=F({x2},1)={probe}>0 with f({x1})=f({x2})={w}")
+    out["cancellative"] = Verdict.no((ONE, x1, x2), note="repeated f value")
+    out["strictly_monotone_op"] = out["cancellative"]
+    return out
 
 
-def _vanishing_verdicts(op, evidence, note):
-    """F is 0 everywhere except possibly at (1,1)."""
-    a = f_eval(op, ONE, ONE)
+def _vanishing_verdicts(top, evidence, note):
+    """F is 0 everywhere except possibly at (1,1), where it is `top`."""
     half = Fraction(1, 2)
     out = {
         "t_subnorm": Verdict.yes(evidence, note=note),
@@ -208,17 +206,17 @@ def _vanishing_verdicts(op, evidence, note):
                                            note="F(1,0)=F(1,1/2)=0"),
         "archimedean": Verdict.yes(evidence),
     }
-    if approx_diff(a, ZERO) == (0, 0):
+    if not isinstance(top, Approx) and top == 0:
         out["continuous"] = Verdict.yes("F identically 0")
     else:
         out["continuous"] = Verdict.no((ONE, ONE),
-                                       note=f"isolated positive value {a} at (1,1)")
+                                       note=f"isolated positive value {top} at (1,1)")
     return out
 
 
-def _proper_verdict(op) -> Verdict:
-    """Proper means F(1,1) < 1: the operation cannot have neutral element 1."""
-    top = f_eval(op, ONE, ONE)
+def _proper_verdict(op, top) -> Verdict:
+    """Proper means F(1,1) = `top` < 1: the operation cannot have neutral
+    element 1."""
     c, r = approx_diff(top, ZERO)
     shown = f"{float(c):.12f}" if r else f"{c}"
     if c + r < 1:
@@ -491,7 +489,7 @@ def _dir_limit(op: GeneratedOp, x0: Fraction, y0: Fraction, side: str):
     return side_limit(op.finv, w, "right")
 
 
-def check_continuity(op: GeneratedOp, d: Optional[Decomposition] = None) -> Verdict:
+def check_continuity(op: GeneratedOp) -> Verdict:
     """Continuity of F on [0,1]^2.
 
     For strictly increasing f with a strictly monotone continuous exact
@@ -500,8 +498,7 @@ def check_continuity(op: GeneratedOp, d: Optional[Decomposition] = None) -> Verd
     from jumps of f, so a finite sweep over jump pairs and critical second
     arguments decides the property exactly.  Otherwise a search for
     exactly computed one-sided limit mismatches can refute continuity,
-    and anything undecided stays Unknown.  `d` is f's decomposition,
-    built here when not given; non-increasing f has none.
+    and anything undecided stays Unknown.
     """
     f, t = op.f, op.t
     if t.lam is not None:  # the lambda construction
@@ -512,8 +509,6 @@ def check_continuity(op: GeneratedOp, d: Optional[Decomposition] = None) -> Verd
                 "scaled-generator composition equals the additively "
                 "generated operation, which is continuous")
         return Verdict.unknown("non-canonical generator composition")
-    if d is None and f.nondecreasing:
-        d = decompose(f)
 
     jumps = _jumps(f)
     if (f.nondecreasing and f.is_strictly_monotone and not jumps
@@ -523,7 +518,7 @@ def check_continuity(op: GeneratedOp, d: Optional[Decomposition] = None) -> Verd
         return Verdict.yes("f continuous strictly increasing, T continuous")
     if f.nondecreasing and f.is_strictly_monotone and t.exact and t.strict:
         # strict implies continuous, so f has a jump here
-        m = d.m
+        m = decompose(f).m
         # jump x jump windows
         for (x1, a1, b1) in jumps:
             for (x2, a2, b2) in jumps:
@@ -569,7 +564,7 @@ def check_continuity(op: GeneratedOp, d: Optional[Decomposition] = None) -> Verd
     if t.exact and f.nondecreasing:
         cands_x = set(f.breakpoints())
         cands_y = set(f.breakpoints()) | {ONE}
-        for q in d.q.sample_points():
+        for q in decompose(f).q.sample_points():
             for y0 in sorted(cands_y):
                 for u in t_solve_x(t, op.f_at(y0), q):
                     xa = arg_with_value(f, u)
@@ -609,12 +604,10 @@ def check_archimedean(op: GeneratedOp, grid_n: int = 20) -> Verdict:
     y_min = ys[0]
     for x in ys:
         acc = x
-        floor_hit = False
         prev = None
         for _ in range(ARCH_CAP):
             nxt, r = approx_diff(f_eval(op, acc, x), ZERO)
             if nxt + r < y_min:
-                floor_hit = True
                 break
             if r:
                 # an approximate power can be seen to stall, never to be
@@ -624,15 +617,10 @@ def check_archimedean(op: GeneratedOp, grid_n: int = 20) -> Verdict:
                         f"power sequence at x={x} stalls within the error radius")
                 prev = nxt
             elif nxt == acc:
-                # exact fixed point: powers never descend below acc
-                bad_y = next((y for y in ys if y <= acc), None)
-                if bad_y is not None:
-                    return Verdict.no((x, bad_y),
-                                      note=f"powers of {x} stabilize at {acc}")
-                floor_hit = True
-                break
+                # exact fixed point at acc >= y_min: powers never descend below y_min
+                return Verdict.no((x, y_min), note=f"powers of {x} stabilize at {acc}")
             acc = nxt
-        if not floor_hit:
+        else:
             return Verdict.unknown(
                 f"powers of {x} did not descend below {y_min} within {ARCH_CAP} steps")
     return Verdict.yes(f"all grid powers descend below {y_min}",
@@ -660,10 +648,13 @@ def _assoc_search(op: GeneratedOp, pts):
 
 
 def _neutral_search(op: GeneratedOp, pts):
+    """The first x of pts with F(x,1) != x beyond the error radius, and
+    F(x,1); None when there is none."""
     for x in pts:
-        d, r = approx_diff(f_eval(op, x, ONE), x)
+        v = f_eval(op, x, ONE)
+        d, r = approx_diff(v, x)
         if abs(d) > r:
-            return x
+            return x, v
     return None
 
 
@@ -684,14 +675,15 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
         raise ValueError(
             f"arch_grid_n must be >= 2 for an interior grid point, got {arch_grid_n}")
     op = make_op(f, t)
+    top = f_eval(op, ONE, ONE)
     log = []
-    props = check_degenerate(op)
+    props = check_degenerate(op, top)
     d = decompose(f) if f.nondecreasing else None
     if props is not None:
         log.append(("degenerate shape", "", "forced classification"))
     else:
         props = {"archimedean": check_archimedean(op, grid_n=arch_grid_n),
-                 "continuous": check_continuity(op, d)}
+                 "continuous": check_continuity(op)}
         if props["continuous"].status == "yes":
             log.append(("continuity",
                         "Archimedean and conditional cancellation coincide for "
@@ -714,7 +706,7 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
                 "preconditions unmet: t-norm not strictly monotone and "
                 "continuous with exact evaluation; run the oracle")))
         props["t_norm"] = _t_norm_verdict(op, f, t, props)
-    props["proper"] = _proper_verdict(op)
+    props["proper"] = _proper_verdict(op, top)
     return ClassificationReport({p: props[p] for p in PROPERTIES}, d, log, op)
 
 
@@ -774,8 +766,9 @@ def _t_norm_verdict(op, f, t, props) -> Verdict:
     pts = sorted({Fraction(i, 8) for i in range(9)} | set(f.breakpoints()))
     bad = _neutral_search(op, pts)
     if bad is not None:
-        v, _ = approx_diff(f_eval(op, bad, ONE), ZERO)
-        return Verdict.no((bad, ONE), note=f"F({bad},1)={v} != {bad}")
+        x, v = bad
+        c, _ = approx_diff(v, ZERO)
+        return Verdict.no((x, ONE), note=f"F({x},1)={c} != {x}")
     ts = props["t_subnorm"]
     if ts.status == "no":
         return Verdict.no(ts.witness, note="not a t-subnorm")

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 from .classify import PROPERTIES, arg_with_value, classify
 from .generated import GeneratedOp, f_compose, value_key
 from .intervals import ONE, ZERO, frac
-from .pwfn import Decomposition, PiecewiseMonotoneFn, decompose, eval_pair
+from .pwfn import PiecewiseMonotoneFn, decompose, eval_pair
 from .tnorms import Approx, TNormDescriptor, approx_diff
 
 PROPERTY_NAMES = (
@@ -443,13 +443,12 @@ class HarnessReport:
         return "\n".join(lines) + "\n"
 
 
-def default_extra(f: PiecewiseMonotoneFn, d: Optional[Decomposition] = None) -> list:
+def default_extra(f: PiecewiseMonotoneFn) -> list:
     """Breakpoints of f plus argument preimages of the gap boundary values,
-    so grids exercise every discontinuity.  ``d`` is f's decomposition,
-    built here when not given."""
+    so grids exercise every discontinuity."""
     extra = set(f.breakpoints())
     if f.nondecreasing:
-        for b, dd, c in (d or decompose(f)).s:
+        for b, dd, c in decompose(f).s:
             for v in (b, dd, c):
                 x = arg_with_value(f, v)
                 if x is not None:
@@ -464,7 +463,7 @@ def consistency_harness(f: PiecewiseMonotoneFn, t: TNormDescriptor,
     operation the classifier built; a Yes verdict alongside an oracle
     counterexample is a hard failure."""
     report = classify(f, t, arch_grid_n=arch_grid_n)
-    pts = grid(n, default_extra(f, report.decomposition))
+    pts = grid(n, default_extra(f))
     memo = _Memo(report.op)
     out = HarnessReport()
     results = {}  # law -> CheckResult; t_norm shares four laws with t_subnorm

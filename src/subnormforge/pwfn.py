@@ -8,9 +8,11 @@ rationals.
 
 The structure that depends on f alone is computed once per function
 object and cached on it: the value interval each segment attains, the
-breakpoints and the plateau set.  The caches live in the instance
-``__dict__``, outside the dataclass fields, so equality, hashing and
-``repr`` see only the direction and the segments.
+breakpoints, the plateau set and the range decomposition.  The caches
+live in the instance ``__dict__``, outside the dataclass fields, so
+equality, hashing and ``repr`` see only the direction and the segments.
+The pseudo-inverse is a whole function, not a table: cached on f it
+raised peak RSS by 13%, so ``make_op`` builds it once per operation.
 
 ``eval_pair`` runs on one more cache, the integer table ``_kernel``: per
 piece in x order, its upper end as numerator, denominator and closedness,
@@ -140,6 +142,34 @@ class PiecewiseMonotoneFn:
         segments whose domain is not a single point."""
         return IntervalSet.points(s.intercept for s in self.segments
                                   if s.is_const and not s.domain.is_point)
+
+    @cached_property
+    def _decomposition(self) -> "Decomposition":
+        """``decompose``'s result; defined for non-decreasing f only."""
+        m = range_of(self)
+        q = plateau_set(self)
+        f0plus = side_limit(self, 0, "right")
+        f1minus = side_limit(self, 1, "left")
+        if q.is_empty:
+            upsilon = tau = ZERO
+        else:
+            upsilon, _ = q.max_attained()
+            tau = first_arg_above(self, upsilon)
+        if m == IntervalSet.unit():
+            s, c = ((ONE, ONE, ONE),), (ONE,)
+        else:
+            # each gap [b,d] of the range gives one (b, d, c) with c its
+            # first kept endpoint; C holds every kept endpoint
+            gaps = m.complement().parts
+            kept = [[v for v in (g.lo, g.hi) if m.contains(v)] for g in gaps]
+            for g, cs in zip(gaps, kept):
+                if not cs:
+                    raise InvalidFunction(f"range gap [{g.lo},{g.hi}] keeps neither endpoint")
+            s = tuple((g.lo, g.hi, cs[0]) for g, cs in zip(gaps, kept))
+            c = tuple(sorted({cv for cs in kept for cv in cs}))
+        # every b >= 0 = upsilon when Q is empty, so then K1 is every gap
+        k1 = tuple(i for i, (b, _, _) in enumerate(s) if b >= upsilon)
+        return Decomposition(m, s, c, q, f0plus, f1minus, tau, upsilon, k1)
 
 
 def _validate(fn: PiecewiseMonotoneFn) -> None:
@@ -362,40 +392,7 @@ class Decomposition:
 
 
 def decompose(f: PiecewiseMonotoneFn) -> Decomposition:
+    """f's range decomposition, built once per function object."""
     if not f.nondecreasing:
         raise InvalidFunction("decomposition is defined for non-decreasing functions")
-    m = range_of(f)
-    q = plateau_set(f)
-    f0plus = side_limit(f, 0, "right")
-    f1minus = side_limit(f, 1, "left")
-    if q.is_empty:
-        upsilon, tau = ZERO, ZERO
-    else:
-        upsilon, _ = q.max_attained()
-        tau = first_arg_above(f, upsilon)
-
-    if m == IntervalSet.unit():
-        s = ((ONE, ONE, ONE),)
-        c = (ONE,)
-    else:
-        triples = []
-        for gap in m.complement().parts:
-            b, d = gap.lo, gap.hi
-            cands = [v for v in (b, d) if m.contains(v)]
-            if not cands:
-                raise InvalidFunction(f"range gap [{b},{d}] keeps neither endpoint")
-            for cv in cands:
-                triples.append((b, d, cv))
-        # a gap keeping both endpoints contributes one interval; pick one c per
-        # interval but record every kept endpoint in C
-        seen = {}
-        for b, d, cv in triples:
-            seen.setdefault((b, d), []).append(cv)
-        s = tuple((b, d, cvs[0]) for (b, d), cvs in sorted(seen.items()))
-        c = tuple(sorted({cv for cvs in seen.values() for cv in cvs}))
-
-    if q.is_empty:
-        k1 = tuple(range(len(s)))
-    else:
-        k1 = tuple(i for i, (b, _, _) in enumerate(s) if b >= upsilon)
-    return Decomposition(m, s, c, q, f0plus, f1minus, tau, upsilon, k1)
+    return f._decomposition

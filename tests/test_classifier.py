@@ -303,7 +303,8 @@ segment [1/2,1] const 1/4
 ])
 def test_classify_rejects_bad_arguments_for_every_f(f_identity, shape, kwargs, match):
     f = parse_fn(F_PLATEAU_AT_ONE) if shape == "plateau_at_one" else f_identity
-    degenerate = check_degenerate(make_op(f, PRODUCT)) is not None
+    op = make_op(f, PRODUCT)
+    degenerate = check_degenerate(op, f_eval(op, 1, 1)) is not None
     assert degenerate == (shape == "plateau_at_one")
     with pytest.raises(ValueError, match=match):
         classify(f, PRODUCT, **kwargs)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WORKED_EXAMPLES, monotone_fns, nonincreasing_fns
-from subnormforge import (decompose, f_eval, generated, make_op, parse_fn,
-                          parse_tnorm, pseudo_inverse)
+from subnormforge import (classify, f_eval, generated, make_op, parse_fn,
+                          parse_tnorm, pseudo_inverse, pwfn)
 from subnormforge.intervals import ONE, ZERO
 from subnormforge.oracle import (
     PROPERTY_NAMES,
@@ -42,7 +42,6 @@ def test_grid_contents():
 
 def test_default_extra_includes_breakpoints(f_step):
     extra = default_extra(f_step)
-    assert default_extra(f_step, decompose(f_step)) == extra
     assert F(1, 4) in extra and F(1, 2) in extra
 
 
@@ -193,6 +192,51 @@ def test_harness_builds_the_pseudo_inverse_once(f_step, monkeypatch):
     monkeypatch.setattr(generated, "pseudo_inverse", counting)
     consistency_harness(f_step, PRODUCT, n=6, arch_grid_n=6)
     assert built == [f_step]
+
+
+def test_classify_and_harness_build_the_decomposition_once(f_step, monkeypatch):
+    built = []
+
+    def counting(*fields):
+        built.append(fields)
+        return decomposition(*fields)
+
+    decomposition = pwfn.Decomposition
+    monkeypatch.setattr(pwfn, "Decomposition", counting)
+    for family in ("product", "hamacher2", "min", "halfprod", "gen:neglog"):
+        classify(f_step, parse_tnorm(family), arch_grid_n=6)
+    consistency_harness(f_step, PRODUCT, n=6, arch_grid_n=6)
+    assert len(built) == 1
+
+
+# -- counterexample paths on plain callables ----------------------------------
+
+HALVES = [F(0), F(1, 2), F(1)]
+
+
+@pytest.mark.parametrize("prop, op, inputs, lhs, rhs, checked", [
+    ("commutativity", lambda x, y: x, (F(0), F(1, 2)), F(0), F(1, 2), 2),
+    # the row scan: F(1/2, .) falls from 1/4 to 0 at y = 1
+    ("monotonicity", lambda x, y: x * y if y < 1 else 0,
+     (F(1, 2), F(1, 2), F(1)), F(1, 4), F(0), 4),
+    # rows rise, so the column scan finds F(., 1/2) falling at x = 1
+    ("monotonicity", lambda x, y: x * y if x < 1 else 0,
+     (F(1, 2), F(1), F(1, 2)), F(1, 4), F(0), 10),
+])
+def test_first_counterexample_of_a_plain_callable(prop, op, inputs, lhs, rhs, checked):
+    res = check_property(op, prop, HALVES)
+    assert res.counterexample == Counterexample(prop, inputs, lhs, rhs)
+    assert res.checked == checked
+
+
+def test_neutral_one_fills_the_column_of_1_off_the_grid():
+    pts = [F(0), F(1, 3), F(1, 2)]
+    memo = _Memo(lambda x, y: x * y)
+    assert check_property(memo, "neutral_one", pts) == CheckResult(True, checked=3)
+    assert [memo.vals[v] for v in memo.grid(pts).col(memo.intern(ONE))] == pts
+    res = check_property(lambda x, y: x * y / 2, "neutral_one", pts)
+    assert res.counterexample == Counterexample("neutral_one", (F(1, 3),), F(1, 6), F(1, 3))
+    assert res.checked == 2
 
 
 # -- differential check: table oracle against a direct scan -------------------

@@ -156,6 +156,7 @@ def test_plateau_set(f_plateau, f_step, f_half_jump):
 
 def test_decompose_step(f_step):
     d = decompose(f_step)
+    assert decompose(f_step) is d
     gaps = [(str(b), str(dd), str(c)) for b, dd, c in d.s]
     assert gaps == [("0", "1/4", "1/4"), ("5/16", "7/16", "5/16"),
                     ("1/2", "3/4", "3/4"), ("3/4", "1", "3/4")]
@@ -485,9 +486,9 @@ def test_caches_leave_identity_alone(f_step):
     before = (hash(f_step), repr(f_step))
     for family in ("product", "min"):
         classify(f_step, parse_tnorm(family), arch_grid_n=6)
-    assert {"_values", "_breakpoints", "_plateau"} <= set(vars(f_step))
+    assert {"_values", "_breakpoints", "_plateau", "_decomposition"} <= set(vars(f_step))
     fresh = parse_fn(render_fn(f_step))
-    assert "_plateau" not in vars(fresh)
+    assert not {"_plateau", "_decomposition"} & set(vars(fresh))
     assert f_step == fresh
     assert (hash(f_step), repr(f_step)) == before == (hash(fresh), repr(fresh))
     assert isinstance(f_step.segments, tuple)
