@@ -198,8 +198,8 @@ class Minimum(TNormDescriptor):
         return [z, y, ONE, (y + 1) / 2]
 
     def dir_limit(self, v: Fraction, side: str, c: Fraction) -> tuple:
-        # min(u,c) = c for every u near v once c < v
-        return self.eval(v, c), c < v
+        # min(u,c) = c for every u near v once c < v, and for u > v once c = v
+        return self.eval(v, c), c < v or (c == v and side == "right")
 
 
 _LOWER_HALF = Interval.closed(0, HALF)

@@ -12,6 +12,7 @@ from subnormforge.classify import (
     _assoc_search,
     check_archimedean,
     check_cancellative,
+    check_continuity,
     check_degenerate,
     check_inclusion_conditions,
     l_set_check,
@@ -87,6 +88,20 @@ def test_shifted_jump_min_gate(f_shifted_jump):
     assert cond_b.status == "yes"
     r = classify(f_shifted_jump, MINIMUM, arch_grid_n=8)
     assert statuses(r)["conditionally_cancellative"] == "unknown"
+
+
+def test_min_continuity_witness_jumps_on_its_stated_side(f_plateau):
+    # min(u, c) = c for u > v once c = v, so F(., 0) is constant around 1/2
+    op = make_op(f_plateau, MINIMUM)
+    assert all(f_eval(op, F(1, 2) + e, 0) == f_eval(op, F(1, 2), 0) == 0
+               for n in (3, 6, 9) for e in (F(1, 10 ** n), -F(1, 10 ** n)))
+    v = check_continuity(op)
+    assert v.status == "no" and v.witness != (F(1, 2), 0)
+    (x, y), side = v.witness, v.note.split()[0]
+    step = F(1) if side == "right" else F(-1)
+    for n in (3, 6, 9):
+        jump = f_eval(op, x + step / 10 ** n, y) - f_eval(op, x, y)
+        assert abs(jump) > F(1, 4)
 
 
 def test_step_product(f_step):

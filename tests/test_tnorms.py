@@ -287,10 +287,14 @@ def test_dir_limit_min_constant_side():
             if u <= 1:
                 assert t.dir_limit(v, side, c) == (c, True)
                 assert t_eval(t, u, c) == c
-    # c >= v: min(u, c) follows u, so the limit is v and not constant
+    # c > v: min(u, c) follows u, so the limit is v and not constant
     for side in ("left", "right"):
         assert t.dir_limit(F(1, 4), side, HALF) == (F(1, 4), False)
-        assert t.dir_limit(HALF, side, HALF) == (HALF, False)
+    # c = v: min(u, c) follows u on the left and is c on the right
+    assert t.dir_limit(HALF, "left", HALF) == (HALF, False)
+    assert t.dir_limit(HALF, "right", HALF) == (HALF, True)
+    assert t_eval(t, HALF - eps, HALF) == HALF - eps
+    assert t_eval(t, HALF + eps, HALF) == HALF
 
 
 @pytest.mark.parametrize("fam", ["product", "hamacher2"])
