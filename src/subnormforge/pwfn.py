@@ -11,8 +11,9 @@ object and cached on it: the value interval each segment attains, the
 breakpoints, the plateau set and the range decomposition.  The caches
 live in the instance ``__dict__``, outside the dataclass fields, so
 equality, hashing and ``repr`` see only the direction and the segments.
-The pseudo-inverse is a whole function, not a table: cached on f it
-raised peak RSS by 13%, so ``make_op`` builds it once per operation.
+The pseudo-inverse is not cached: held on every function it raised the
+classify benchmark's peak RSS by 13%, so ``make_op`` builds it once per
+operation.
 
 ``eval_pair`` runs on one more cache, the integer table ``_kernel``: per
 piece in x order, its upper end as numerator, denominator and closedness,
