@@ -195,13 +195,12 @@ def test_harness_builds_the_pseudo_inverse_once(f_step, monkeypatch):
 
 
 def test_classify_and_harness_build_the_decomposition_once(f_step, monkeypatch):
-    built = []
+    built, original = [], pwfn.Decomposition
 
     def counting(*fields):
         built.append(fields)
-        return decomposition(*fields)
+        return original(*fields)
 
-    decomposition = pwfn.Decomposition
     monkeypatch.setattr(pwfn, "Decomposition", counting)
     for family in ("product", "hamacher2", "min", "halfprod", "gen:neglog"):
         classify(f_step, parse_tnorm(family), arch_grid_n=6)
