@@ -561,7 +561,7 @@ def check_continuity(op: GeneratedOp) -> Verdict:
                                "non-injective generator function")
 
     # refutation search via exact one-sided limits
-    if t.exact and f.nondecreasing:
+    if f.nondecreasing:
         cands_x = set(f.breakpoints())
         cands_y = set(f.breakpoints()) | {ONE}
         for q in decompose(f).q.sample_points():
@@ -705,7 +705,7 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
             props.update(dict.fromkeys(_ROUTED, Verdict.unknown(
                 "preconditions unmet: t-norm not strictly monotone and "
                 "continuous with exact evaluation; run the oracle")))
-        props["t_norm"] = _t_norm_verdict(op, f, t, props)
+        props["t_norm"] = _t_norm_verdict(op, props)
     props["proper"] = _proper_verdict(op, top)
     return ClassificationReport({p: props[p] for p in PROPERTIES}, d, log, op)
 
@@ -762,7 +762,8 @@ def _strict_exact_verdicts(op, d: Decomposition, cond_a, cond_b, log) -> dict:
             "strictly_monotone_op": canc, "t_subnorm": ts}
 
 
-def _t_norm_verdict(op, f, t, props) -> Verdict:
+def _t_norm_verdict(op, props) -> Verdict:
+    f, t = op.f, op.t
     pts = sorted({Fraction(i, 8) for i in range(9)} | set(f.breakpoints()))
     bad = _neutral_search(op, pts)
     if bad is not None:

@@ -63,10 +63,6 @@ class Interval:
     def closed(lo: Rat, hi: Rat) -> "Interval":
         return Interval(frac(lo), frac(hi), True, True)
 
-    @staticmethod
-    def open(lo: Rat, hi: Rat) -> Optional["Interval"]:
-        return Interval.make(lo, hi, False, False)
-
     @property
     def is_point(self) -> bool:
         return self.lo == self.hi
@@ -213,21 +209,8 @@ class IntervalSet:
         )
 
     @property
-    def inf(self) -> Fraction:
-        return self.parts[0].lo
-
-    @property
     def sup(self) -> Fraction:
         return self.parts[-1].hi
-
-    def min_attained(self):
-        """(inf, attained?) of the set; raises on empty."""
-        p = self.parts[0]
-        return p.lo, p.lo_closed
-
-    def max_attained(self):
-        p = self.parts[-1]
-        return p.hi, p.hi_closed
 
     def has_multiple_points(self) -> bool:
         return len(self.parts) > 1 or (len(self.parts) == 1 and not self.parts[0].is_point)

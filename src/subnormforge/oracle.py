@@ -9,10 +9,11 @@ borderline comparisons surface as notes instead of verdicts.
 The scans run on interned value tables.  Every value is interned to a
 small int id, equal values to equal ids, keyed by ``value_key``: integer
 (numerator, denominator) pairs, because ``Fraction`` recomputes its hash
-on every call.  For each grid, F is evaluated once per point pair into
-an m-by-m table of ids; the values of F at the off-grid intermediates of
+on every call.  There is one table per point set: F is evaluated once per
+point pair into an m-by-m table of ids, rebuilt only when a scan gets
+other points; the values of F at the off-grid intermediates of
 associativity and of the Archimedean powers sit in per-value rows and
-columns, filled on first use.  One cache serves every grid and direct
+columns, filled on first use.  One cache serves every table and direct
 call: a generated operation is evaluated once per pair of f values, any
 other once per pair of arguments.  f runs on the arguments' pairs
 (``eval_pair``), and with an exact t-norm so do T and the
@@ -50,6 +51,10 @@ PROPERTY_NAMES = (
     "archimedean_at",
 )
 
+N_ITER = 64  # powers of x tried by archimedean_at before its note
+SCAN_DELTA = Fraction(1, 1000)  # scan_continuity's perturbation
+SCAN_THRESHOLD = 0.05  # a spread of F above this flags a jump
+
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -77,12 +82,12 @@ class _Memo:
     Equal values get equal ids; ``keys[v]`` is value v's ``value_key`` and
     ``centre[v]`` the id of its centre: v itself unless the value is an
     ``Approx``.  ``intern`` keys a value by ``value_key``, after ``frac`` if
-    exact (so 0 and Fraction(0) share an id); ``grids`` is keyed by the
-    tuple of the points' ids.  The operation is evaluated once per key of
-    ``by_f`` (see ``eval``), and ``evals`` counts them.  f, and with an
-    exact t-norm all of a GeneratedOp, runs on the ids' pairs, since
-    ``Fraction`` builds and compares in Python.  ``memo(x, y)`` reads the
-    same cache; the law scans read a ``_Grid`` (``memo.grid(pts)``).
+    exact (so 0 and Fraction(0) share an id).  The operation is evaluated
+    once per key of ``by_f`` (see ``eval``), and ``evals`` counts them.  f,
+    and with an exact t-norm all of a GeneratedOp, runs on the ids' pairs,
+    since ``Fraction`` builds and compares in Python.  ``memo(x, y)`` reads
+    the same cache; the law scans read ``table``, the ``_Grid`` of the last
+    point set scanned (``memo.grid(pts)``).
     """
 
     def __init__(self, op: Callable):
@@ -99,7 +104,7 @@ class _Memo:
         # y) -> id of F(x, y)
         self.by_f = {}
         self.t_ids = {}  # reduced pair of T(f(x), f(y)) -> id of its finv
-        self.grids = {}  # ids of the points -> _Grid
+        self.table = None  # _Grid of the last point set scanned
         self.evals = 0
 
     def __call__(self, x, y):
@@ -165,16 +170,16 @@ class _Memo:
         return i
 
     def grid(self, pts) -> "_Grid":
-        pid = tuple(self.intern(p) for p in pts)
-        g = self.grids.get(pid)
-        if g is None:
-            g = self.grids[pid] = _Grid(self, tuple(pts), pid)
-        return g
+        pts = tuple(pts)
+        if self.table is None or self.table.pts != pts:
+            self.table = _Grid(self, pts)
+        return self.table
 
 
 class _Grid:
     """The operation on the points p_0..p_{m-1}, as value ids.
 
+    ``pid[i]`` is the id of p_i, interned once when the table is built.
     ``T[i][j]`` is the id of F(p_i, p_j), evaluated once per pair, and
     ``C`` the same table of centre ids; the table is ``exact`` when no
     value in it is an ``Approx`` (then ``C == T``).  For any value id c,
@@ -183,8 +188,9 @@ class _Grid:
     of other values start as None and are filled by the scans on demand.
     """
 
-    def __init__(self, memo: _Memo, pts: tuple, pid: tuple):
-        self.pts, self.pid = pts, pid
+    def __init__(self, memo: _Memo, pts: tuple):
+        self.pts = pts
+        self.pid = tuple(memo.intern(p) for p in pts)
         ev = memo.eval
         self.T = [[ev(a, b) for b in self.pid] for a in self.pid]
         cen = memo.centre
@@ -216,7 +222,7 @@ def grid(n: int, extra=()) -> list:
     return sorted(p for p in pts if 0 <= p <= 1)
 
 
-def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResult:
+def check_property(op: Callable, prop: str, pts) -> CheckResult:
     """Exhaustive scan of one law over the grid; the first counterexample
     in lexicographic input order is returned."""
     if prop not in PROPERTY_NAMES:
@@ -362,7 +368,7 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
         floor = pid[min(interior, key=pts.__getitem__)] if interior else None
         for k in interior:
             acc = pid[k]  # centre id of the current power
-            for _ in range(n_iter):
+            for _ in range(N_ITER):
                 row = g.row(acc)
                 v = row[k]
                 if v is None:
@@ -382,24 +388,23 @@ def check_property(op: Callable, prop: str, pts, n_iter: int = 64) -> CheckResul
     return CheckResult(True, note=note, checked=count)
 
 
-def scan_continuity(op: Callable, breakpoints, pts,
-                    delta: Fraction = Fraction(1, 1000),
-                    threshold: float = 0.05):
+def scan_continuity(op: Callable, breakpoints, pts):
     """Numeric jump detection: around every breakpoint pair, compare the
-    operation at the four perturbed corners; a spread above the threshold
-    flags a jump.  Returns the list of flagged locations."""
+    operation at the corners perturbed by ``SCAN_DELTA``; a spread above
+    ``SCAN_THRESHOLD`` flags a jump.  Returns the list of flagged
+    locations."""
     probes = sorted(set(frac(b) for b in breakpoints) | {ONE})
     cells = sorted(set(pts) | set(probes))
     jumps = []
     for a in probes:
         for b in cells:
             corners = []
-            for da in (-delta, ZERO, delta):
-                for db in (-delta, ZERO, delta):
+            for da in (-SCAN_DELTA, ZERO, SCAN_DELTA):
+                for db in (-SCAN_DELTA, ZERO, SCAN_DELTA):
                     x, y = a + da, b + db
                     if 0 <= x <= 1 and 0 <= y <= 1:
                         corners.append(float(op(x, y)))
-            if corners and max(corners) - min(corners) > threshold:
+            if corners and max(corners) - min(corners) > SCAN_THRESHOLD:
                 jumps.append((a, b))
     return jumps
 
@@ -457,8 +462,7 @@ def default_extra(f: PiecewiseMonotoneFn) -> list:
 
 
 def consistency_harness(f: PiecewiseMonotoneFn, t: TNormDescriptor,
-                        n: int = 12, arch_grid_n: int = 8,
-                        n_iter: int = 64) -> HarnessReport:
+                        n: int = 12, arch_grid_n: int = 8) -> HarnessReport:
     """Classify, then re-check every classified law by brute force on the
     operation the classifier built; a Yes verdict alongside an oracle
     counterexample is a hard failure."""
@@ -478,7 +482,7 @@ def consistency_harness(f: PiecewiseMonotoneFn, t: TNormDescriptor,
         for law in laws:
             res = results.get(law)
             if res is None:
-                res = results[law] = check_property(memo, law, pts, n_iter=n_iter)
+                res = results[law] = check_property(memo, law, pts)
             if not res.ok:
                 failed = res.counterexample
                 break

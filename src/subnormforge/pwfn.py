@@ -154,7 +154,7 @@ class PiecewiseMonotoneFn:
         if q.is_empty:
             upsilon = tau = ZERO
         else:
-            upsilon, _ = q.max_attained()
+            upsilon = q.sup
             tau = first_arg_above(self, upsilon)
         if m == IntervalSet.unit():
             s, c = ((ONE, ONE, ONE),), (ONE,)

@@ -131,7 +131,6 @@ class TNormDescriptor:
 
     exact = True
     continuous = True
-    strictly_monotone = True
     strict = True  # continuous and strictly monotone
     neutral_one = True
     lam = None  # the scale of the lambda construction
@@ -180,7 +179,6 @@ class Hamacher2(TNormDescriptor):
 
 class Minimum(TNormDescriptor):
     name = "min"
-    strictly_monotone = False
     strict = False
 
     def eval_pair(self, a: int, b: int, c: int, d: int) -> tuple:

@@ -118,7 +118,7 @@ def test_criterion_3_consistency_harness():
     failures = []
     for i in range(200):
         f = random_nondecreasing_fn(rng)
-        rep = consistency_harness(f, t, n=12, arch_grid_n=5, n_iter=24)
+        rep = consistency_harness(f, t, n=12, arch_grid_n=5)
         if not rep.ok:
             failures.append((i, rep.hard_failures))
     elapsed = time.monotonic() - start

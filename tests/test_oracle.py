@@ -11,6 +11,7 @@ from subnormforge import (classify, f_eval, generated, make_op, parse_fn,
                           parse_tnorm, pseudo_inverse, pwfn)
 from subnormforge.intervals import ONE, ZERO
 from subnormforge.oracle import (
+    N_ITER,
     PROPERTY_NAMES,
     CheckResult,
     Counterexample,
@@ -92,7 +93,7 @@ def test_neutral_one_counterexample(f_plateau):
 
 def test_archimedean_never_claims_counterexample(f_identity):
     op = op_for(f_identity, MINIMUM)
-    res = check_property(op, "archimedean_at", grid(6), n_iter=16)
+    res = check_property(op, "archimedean_at", grid(6))
     assert res.ok
     assert res.note and "not witnessed" in res.note
 
@@ -150,6 +151,22 @@ def test_harness_counters_of_the_worked_examples(name):
     rep = consistency_harness(parse_fn(WORKED_EXAMPLES[name]), PRODUCT, n=12)
     stats = rep.stats["op_evals"], rep.stats["interned_values"]
     assert stats == HARNESS_STATS[name]
+
+
+def test_harness_interns_each_grid_point_once(monkeypatch):
+    # one table serves every law scan, so each point is interned once, when
+    # the table is built, and the neutral_one scan interns 1 once more;
+    # classify decides plateau with product without scanning a grid
+    f = parse_fn(WORKED_EXAMPLES["plateau"])
+    calls, intern = [], _Memo.intern
+
+    def counting(memo, v):
+        calls.append(v)
+        return intern(memo, v)
+
+    monkeypatch.setattr(_Memo, "intern", counting)
+    consistency_harness(f, PRODUCT, n=12)
+    assert sorted(calls) == sorted(grid(12, default_extra(f)) + [ONE])
 
 
 def test_pair_path_and_intern_give_one_id():
@@ -241,7 +258,7 @@ def test_neutral_one_fills_the_column_of_1_off_the_grid():
 # -- differential check: table oracle against a direct scan -------------------
 
 
-def reference_check(op, prop, pts, n_iter=64):
+def reference_check(op, prop, pts):
     """The laws scanned by calling f_eval on every pair, without tables,
     interning or memoisation: same order, same boundary rules."""
     F_ = lambda x, y: f_eval(op, x, y)  # noqa: E731
@@ -278,7 +295,7 @@ def reference_check(op, prop, pts, n_iter=64):
         missing = []
         for x in interior:
             acc = x
-            for _ in range(n_iter):
+            for _ in range(N_ITER):
                 acc = approx_diff(F_(acc, x), ZERO)[0]
                 count += 1
                 if acc < min(interior):
@@ -317,8 +334,8 @@ def test_table_oracle_matches_direct_scan(family, f):
     pts = grid(4, default_extra(f))
     memo = _Memo(op)
     for law in PROPERTY_NAMES:
-        got = check_property(memo, law, pts, n_iter=16)
-        want = reference_check(op, law, pts, n_iter=16)
+        got = check_property(memo, law, pts)
+        want = reference_check(op, law, pts)
         assert got == want, law
 
 
@@ -337,6 +354,22 @@ def test_table_oracle_matches_direct_scan_at_harness_scale(family, n):
         for law in PROPERTY_NAMES:
             want = reference_check(ref, law, pts)
             assert check_property(memo, law, pts) == want, (name, law)
+
+
+@pytest.mark.parametrize("family", ["product", "min", "gen:neglog"])
+def test_one_memo_scanned_on_two_point_sets_in_turn(family):
+    # every scan gets the other point set, so each one replaces the table
+    # and rebuilds it, while the memo's value cache carries over
+    t = parse_tnorm(family)
+    for name, text in WORKED_EXAMPLES.items():
+        f = parse_fn(text)
+        extra = default_extra(f)
+        memo, ref = _Memo(make_op(f, t)), make_op(f, t)
+        for law in PROPERTY_NAMES:
+            for pts in (grid(4, extra), grid(6, extra)):
+                want = reference_check(ref, law, pts)
+                assert check_property(memo, law, pts) == want, (name, law, len(pts))
+                assert memo.table.pts == tuple(pts)
 
 
 @pytest.mark.parametrize("family", ["product", "hamacher2", "min", "halfprod"])
