@@ -1,13 +1,26 @@
 """Generated operations F(x,y) = finv(T(f(x), f(y))) and the additive /
-scaled-generator constructions."""
+scaled-generator constructions.
+
+``GeneratedOp`` owns the exact evaluation of F, on reduced integer pairs
+(numerator, denominator): f and finv run on pairs (``pwfn.eval_pair``), and
+for an exact t-norm family so does T (the family's ``eval_pair``).  Each op
+caches f by its argument's reduced pair and finv by T's reduced pair, and
+holds each value as both its reduced pair and its Fraction.  So an
+evaluation whose f and finv values are cached builds no ``Fraction``, and
+its keys are tuples of ints, which hash in C where a ``Fraction`` rehashes
+in Python.  ``f_eval`` returns the cached Fraction, and the oracle's
+``_Memo`` keys its ids by the pair.  Inexact families go through
+``f_compose``, which carries T's error radius through the pseudo-inverse.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .intervals import Interval, ONE, ZERO, frac
-from .pwfn import PiecewiseMonotoneFn, Segment, eval_fn, pseudo_inverse
+from .pwfn import PiecewiseMonotoneFn, Segment, eval_pair, pseudo_inverse
 from .tnorms import Approx, Generator, GeneratorSpec, Lambda, TNormDescriptor, t_eval
 
 
@@ -20,10 +33,18 @@ def value_key(v) -> tuple:
     return v.numerator, v.denominator
 
 
+def _both(pair: tuple) -> tuple:
+    """The value of an integer pair as (its reduced pair, its Fraction)."""
+    v = Fraction(*pair)
+    return (v.numerator, v.denominator), v
+
+
 @dataclass
 class GeneratedOp:
     """F(x,y) = finv(T(f(x), f(y))), with f and finv evaluated once per
-    value: cached by ``value_key``, since ``Fraction`` rehashes per call."""
+    argument: ``_f_cache`` maps the reduced pair of x to f(x), and
+    ``_finv_cache`` the reduced pair of y to finv(y), each value held as
+    its reduced pair and its Fraction (``_both``)."""
 
     f: PiecewiseMonotoneFn
     finv: PiecewiseMonotoneFn
@@ -31,19 +52,37 @@ class GeneratedOp:
     _f_cache: dict = field(default_factory=dict, repr=False)
     _finv_cache: dict = field(default_factory=dict, repr=False)
 
-    def f_at(self, x: Fraction) -> Fraction:
-        k = value_key(x)
+    def f_pair(self, k: tuple) -> tuple:
+        """f(p/q) as (reduced pair, Fraction), for the reduced pair k = (p, q)."""
         v = self._f_cache.get(k)
         if v is None:
-            v = self._f_cache[k] = eval_fn(self.f, x)
+            v = self._f_cache[k] = _both(eval_pair(self.f, *k))
         return v
 
-    def finv_at(self, y: Fraction) -> Fraction:
-        k = value_key(y)
+    def t_finv(self, a: int, b: int, c: int, d: int) -> tuple:
+        """finv(T(a/b, c/d)) as (reduced pair, Fraction), for an exact
+        family and f values a/b, c/d.  No domain check, as f's values lie
+        in [0,1].  The reduction and the finv lookup are written out, not
+        called, as this runs once per evaluation."""
+        n, e = self.t.eval_pair(a, b, c, d)
+        g = gcd(n, e)
+        k = n // g, e // g
         v = self._finv_cache.get(k)
         if v is None:
-            v = self._finv_cache[k] = eval_fn(self.finv, y)
+            v = self._finv_cache[k] = _both(eval_pair(self.finv, *k))
         return v
+
+    def f_at(self, x: Fraction) -> Fraction:
+        """f(x) for an exact x."""
+        return self.f_pair((x.numerator, x.denominator))[1]
+
+    def finv_at(self, y: Fraction) -> Fraction:
+        """finv(y) for an exact y, from ``t_finv``'s cache."""
+        k = y.numerator, y.denominator
+        v = self._finv_cache.get(k)
+        if v is None:
+            v = self._finv_cache[k] = _both(eval_pair(self.finv, *k))
+        return v[1]
 
     def __call__(self, x, y):
         return f_eval(self, x, y)
@@ -54,14 +93,19 @@ def make_op(f: PiecewiseMonotoneFn, t: TNormDescriptor) -> GeneratedOp:
 
 
 def f_eval(op: GeneratedOp, x, y):
-    """F(x,y) = finv(T(f(x), f(y))); see ``f_compose``."""
-    return f_compose(op, op.f_at(frac(x)), op.f_at(frac(y)))
+    """F(x,y) = finv(T(f(x), f(y))): on integer pairs (``t_finv``) for an
+    exact family, else through ``f_compose``."""
+    x, y = frac(x), frac(y)
+    if op.t.exact:
+        return op.t_finv(*op.f_pair((x.numerator, x.denominator))[0],
+                         *op.f_pair((y.numerator, y.denominator))[0])[1]
+    return f_compose(op, op.f_at(x), op.f_at(y))
 
 
 def f_compose(op: GeneratedOp, fx, fy):
-    """finv(T(fx, fy)), so F(x,y) from fx = f(x) and fy = f(y): an exact
-    Fraction for exact t-norm families; otherwise an Approx whose radius
-    accounts for the local variation of the pseudo-inverse."""
+    """finv(T(fx, fy)), so F(x,y) from fx = f(x) and fy = f(y), for an
+    inexact family: an Approx whose radius accounts for the local variation
+    of the pseudo-inverse, or an exact Fraction where T's value is exact."""
     tv = t_eval(op.t, fx, fy)
     if isinstance(tv, Approx):
         center = op.finv_at(tv.value)

@@ -9,34 +9,40 @@ borderline comparisons surface as notes instead of verdicts.
 The scans run on interned value tables.  Every value is interned to a
 small int id, equal values to equal ids, keyed by ``value_key``: integer
 (numerator, denominator) pairs, because ``Fraction`` recomputes its hash
-on every call.  There is one table per point set: F is evaluated once per
-point pair into an m-by-m table of ids, rebuilt only when a scan gets
-other points; the values of F at the off-grid intermediates of
-associativity and of the Archimedean powers sit in per-value rows and
-columns, filled on first use.  One cache serves every table and direct
-call: a generated operation is evaluated once per pair of f values, any
-other once per pair of arguments.  f runs on the arguments' pairs
-(``eval_pair``), and with an exact t-norm so do T and the
-pseudo-inverse, since ``Fraction`` builds and compares in Python.  On an
-exact table, ids compare values: equal ids are equal values, unequal ids
-differ, and signs come from cross-multiplied pairs.  Comparisons that
-may involve Approx values call ``approx_diff``, with the boundary rules
-described in ``check_property``.  The scan order, and so the first
-counterexample, its values, the notes and the ``checked`` counts are
-those of a direct scan that evaluates F at every comparison.
+on every call.  Every value has a class: the id of f(x) for a generated
+operation, whose F(x, y) depends on x and y only through f(x) and f(y),
+and the value's own id for any other operation; points of one class have
+equal rows and columns in every table.  There is one table per point set:
+F is evaluated once per pair of classes into a table of ids, rebuilt only
+when a scan gets other points; the values of F at the off-grid
+intermediates of associativity and of the Archimedean powers sit in
+per-value rows and columns, one entry per class, filled on first use.
+One cache, keyed by pairs of classes, serves every table and direct call.
+A generated operation is evaluated by its own kernel (``GeneratedOp``),
+on integer pairs for an exact t-norm, since ``Fraction`` builds and
+compares in Python.  On an exact table, ids compare values: equal ids are
+equal values, unequal ids differ, and signs come from cross-multiplied
+pairs.  Comparisons that may involve Approx values call ``approx_diff``,
+with the boundary rules described in ``check_property``.
+
+Commutativity and associativity compare the first point of each class
+only, and the Archimedean powers run once per class; ``check_property``
+says why the first counterexample stays the same.  Its values, the notes
+and the ``checked`` counts are those of a direct scan that evaluates F at
+every comparison of every point; ``_Memo.compared`` counts the
+comparisons actually made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Optional
 
 from .classify import PROPERTIES, arg_with_value, classify
 from .generated import GeneratedOp, f_compose, value_key
 from .intervals import ONE, ZERO, frac
-from .pwfn import PiecewiseMonotoneFn, decompose, eval_pair
+from .pwfn import PiecewiseMonotoneFn, decompose
 from .tnorms import Approx, TNormDescriptor, approx_diff
 
 PROPERTY_NAMES = (
@@ -82,30 +88,31 @@ class _Memo:
     Equal values get equal ids; ``keys[v]`` is value v's ``value_key`` and
     ``centre[v]`` the id of its centre: v itself unless the value is an
     ``Approx``.  ``intern`` keys a value by ``value_key``, after ``frac`` if
-    exact (so 0 and Fraction(0) share an id).  The operation is evaluated
-    once per key of ``by_f`` (see ``eval``), and ``evals`` counts them.  f,
-    and with an exact t-norm all of a GeneratedOp, runs on the ids' pairs,
-    since ``Fraction`` builds and compares in Python.  ``memo(x, y)`` reads
-    the same cache; the law scans read ``table``, the ``_Grid`` of the last
-    point set scanned (``memo.grid(pts)``).
+    exact (so 0 and Fraction(0) share an id).
+
+    The class of an exact value x (``class_of``) is the id of f(x) for a
+    GeneratedOp, whose F(x, y) depends on x and y only through f(x) and
+    f(y), and x's own id for any other operation.  The operation is
+    evaluated once per pair of classes (``eval``), and ``evals`` counts
+    them; a GeneratedOp takes f, T and finv from its own kernel, so the
+    memo keeps ids only.  ``memo(x,
+    y)`` reads the same cache; the law scans read ``table``, the ``_Grid``
+    of the last point set scanned (``memo.grid(pts)``), and add the
+    comparisons they make to ``compared``.
     """
 
     def __init__(self, op: Callable):
         self.op = op
-        # a GeneratedOp is evaluated by f values (see ``eval``), on pairs if T is exact
         self.generated = op if isinstance(op, GeneratedOp) else None
-        self.on_pairs = self.generated is not None and self.generated.t.exact
         self.ids = {}  # value_key(value) -> id
         self.keys = []  # id -> value_key(value)
         self.vals = []  # id -> value
         self.centre = []  # id -> id of the value's centre
-        self.f_ids = {}  # id of an exact x -> id of f(x)
-        # (id of f(x), id of f(y)) for a GeneratedOp, else (id of x, id of
-        # y) -> id of F(x, y)
-        self.by_f = {}
-        self.t_ids = {}  # reduced pair of T(f(x), f(y)) -> id of its finv
+        self.f_ids = {}  # id of an exact x -> id of f(x), for a GeneratedOp
+        self.by_cls = {}  # (class of x, class of y) -> id of F(x, y)
         self.table = None  # _Grid of the last point set scanned
         self.evals = 0
+        self.compared = 0
 
     def __call__(self, x, y):
         return self.vals[self.eval(self.intern(x), self.intern(y))]
@@ -115,59 +122,50 @@ class _Memo:
             v = frac(v)
         return self._intern_key(value_key(v), v)
 
-    def _intern_pair(self, n: int, d: int) -> int:
-        """Id of the exact value n/d, for d > 0, keyed by its reduced pair."""
-        g = gcd(n, d)
-        return self._intern_key((n // g, d // g))
-
-    def _intern_key(self, k: tuple, v=None) -> int:
-        """Id of the value v of key k; v = Fraction(*k) when not given."""
+    def _intern_key(self, k: tuple, v) -> int:
+        """Id of the value v of key k."""
         i = self.ids.get(k)
         if i is None:
             i = self.ids[k] = len(self.vals)
             self.keys.append(k)
-            self.vals.append(Fraction(*k) if v is None else v)
+            self.vals.append(v)
             self.centre.append(i)
             if isinstance(v, Approx):
                 self.centre[i] = self.intern(v.value)
         return i
 
-    def eval(self, a: int, b: int) -> int:
-        """Id of op(x, y) for the values x and y of ids a and b.
-
-        F = finv(T(f(x), f(y))) depends on x and y only through f(x) and
-        f(y), so a GeneratedOp is evaluated once per pair of f values; any
-        other operation once per pair of arguments.
-        """
-        vals, gen = self.vals, self.generated
-        key = (a, b) if gen is None else (self._f_id(a), self._f_id(b))
-        v = self.by_f.get(key)
-        if v is None:
-            self.evals += 1
-            v = self.by_f[key] = (
-                self._finv_of_t(*key) if self.on_pairs
-                else self.intern(self.op(vals[a], vals[b]) if gen is None
-                                 else f_compose(gen, vals[key[0]], vals[key[1]])))
-        return v
-
-    def _finv_of_t(self, a: int, b: int) -> int:
-        """Id of finv(T(u, v)) for the f values u, v of ids a and b, cached by
-        T's reduced pair; no domain check, as ``_validate`` keeps u, v in [0,1]."""
-        gen = self.generated
-        n, d = gen.t.eval_pair(*self.keys[a], *self.keys[b])
-        g = gcd(n, d)
-        k = (n // g, d // g)
-        i = self.t_ids.get(k)
-        if i is None:
-            i = self.t_ids[k] = self._intern_pair(*eval_pair(gen.finv, *k))
-        return i
-
-    def _f_id(self, a: int) -> int:
+    def class_of(self, a: int) -> int:
+        """The class of the exact value of id a."""
+        if self.generated is None:
+            return a
         i = self.f_ids.get(a)
         if i is None:
-            i = self.f_ids[a] = self._intern_pair(
-                *eval_pair(self.generated.f, *self.keys[a]))
+            i = self.f_ids[a] = self._intern_key(*self.generated.f_pair(self.keys[a]))
         return i
+
+    def eval(self, a: int, b: int) -> int:
+        """Id of op(x, y) for the values x and y of ids a and b.  The
+        lookups of the classes and of the result's id are written out,
+        not called, as this runs once per table entry."""
+        gen, f_ids = self.generated, self.f_ids
+        key = (a, b) if gen is None else (
+            f_ids[a] if a in f_ids else self.class_of(a),
+            f_ids[b] if b in f_ids else self.class_of(b))
+        v = self.by_cls.get(key)
+        if v is None:
+            self.evals += 1
+            u, w = key
+            if gen is None:
+                v = self.intern(self.op(self.vals[u], self.vals[w]))
+            elif gen.t.exact:
+                k, r = gen.t_finv(*self.keys[u], *self.keys[w])
+                v = self.ids.get(k)
+                if v is None:
+                    v = self._intern_key(k, r)
+            else:
+                v = self.intern(f_compose(gen, self.vals[u], self.vals[w]))
+            self.by_cls[key] = v
+        return v
 
     def grid(self, pts) -> "_Grid":
         pts = tuple(pts)
@@ -177,39 +175,61 @@ class _Memo:
 
 
 class _Grid:
-    """The operation on the points p_0..p_{m-1}, as value ids.
+    """The operation on the points p_0..p_{m-1}, as value ids, by class.
 
     ``pid[i]`` is the id of p_i, interned once when the table is built.
-    ``T[i][j]`` is the id of F(p_i, p_j), evaluated once per pair, and
-    ``C`` the same table of centre ids; the table is ``exact`` when no
-    value in it is an ``Approx`` (then ``C == T``).  For any value id c,
-    ``row(c)[k]`` is the id of F(v_c, p_k) and ``col(c)[i]`` that of
-    F(p_i, v_c).  A grid point's row and column are read from ``T``; those
-    of other values start as None and are filled by the scans on demand.
+    Points of one class (``_Memo.class_of``) have equal rows and columns in
+    every table, so the classes are numbered in the order of their first
+    points: ``first[c]`` is the index of class c's first point, ``cls[i]``
+    the number of p_i's class, and ``size[c]`` the number of points in
+    class c.  ``TC[c][d]`` is the id of F(p_first[c], p_first[d]),
+    evaluated once per class pair, and ``CC`` the same table of centre
+    ids; the table is ``exact`` when no value in it is an ``Approx`` (then
+    ``CC == TC``).  ``T[i][j]`` and ``C[i][j]`` are the same tables by
+    point, read from ``TC`` and ``CC``.  For a value u of id v,
+    ``row(v)[c]`` is the id of F(u, p) and ``col(v)[c]`` that of F(p, u),
+    for p any point of class c.  A grid point's row and column are read
+    from ``TC``; those of other values start as None and are filled by the
+    scans on demand.
     """
 
     def __init__(self, memo: _Memo, pts: tuple):
         self.pts = pts
         self.pid = tuple(memo.intern(p) for p in pts)
-        ev = memo.eval
-        self.T = [[ev(a, b) for b in self.pid] for a in self.pid]
-        cen = memo.centre
-        self.C = [[cen[v] for v in row] for row in self.T]
-        self.exact = self.C == self.T
-        cols = [list(col) for col in zip(*self.T)]
-        self._rows = {c: self.T[k] for k, c in enumerate(self.pid)}
-        self._cols = {c: cols[k] for k, c in enumerate(self.pid)}
+        number = {}  # class -> its number
+        self.first, self.cls = [], []
+        for i, a in enumerate(self.pid):
+            c = memo.class_of(a)
+            if c not in number:
+                number[c] = len(self.first)
+                self.first.append(i)
+            self.cls.append(number[c])
+        self.size = [self.cls.count(c) for c in range(len(self.first))]
+        reps = [self.pid[i] for i in self.first]
+        ev, cen = memo.eval, memo.centre
+        self.TC = [[ev(a, b) for b in reps] for a in reps]
+        self.CC = [[cen[v] for v in row] for row in self.TC]
+        self.exact = self.CC == self.TC
+        self.T = self._by_point(self.TC)
+        self.C = self._by_point(self.CC)
+        cols = [list(col) for col in zip(*self.TC)]
+        self._rows = {a: self.TC[c] for a, c in zip(self.pid, self.cls)}
+        self._cols = {a: cols[c] for a, c in zip(self.pid, self.cls)}
 
-    def row(self, c) -> list:
-        r = self._rows.get(c)
+    def _by_point(self, table) -> list:
+        rows = [[row[d] for d in self.cls] for row in table]
+        return [rows[c] for c in self.cls]
+
+    def row(self, v) -> list:
+        r = self._rows.get(v)
         if r is None:
-            r = self._rows[c] = [None] * len(self.pts)
+            r = self._rows[v] = [None] * len(self.first)
         return r
 
-    def col(self, c) -> list:
-        r = self._cols.get(c)
+    def col(self, v) -> list:
+        r = self._cols.get(v)
         if r is None:
-            r = self._cols[c] = [None] * len(self.pts)
+            r = self._cols[v] = [None] * len(self.first)
         return r
 
 
@@ -224,16 +244,31 @@ def grid(n: int, extra=()) -> list:
 
 def check_property(op: Callable, prop: str, pts) -> CheckResult:
     """Exhaustive scan of one law over the grid; the first counterexample
-    in lexicographic input order is returned."""
+    in lexicographic input order is returned.
+
+    Commutativity and associativity scan the first point of each class
+    only.  If a tuple fails, so does the tuple with each member replaced
+    by the first point of its class, which is lexicographically no
+    greater; so the first failing tuple is made of first points, in any
+    point order.  ``checked`` is the number of tuples up to and including
+    the first failing one, i*m + j + 1 for commutativity at (p_i, p_j)
+    and (i*m + j)*m + k + 1 for associativity at (p_i, p_j, p_k), else
+    all m**2 or m**3 of them; an undecided comparison counts once per
+    tuple of its classes' points.  ``archimedean_at`` runs one power
+    sequence per class: after its first step, F(x,x), the sequence
+    depends on x only through its class.  The other laws compare
+    neighbouring points or the points themselves and scan every point.
+    """
     if prop not in PROPERTY_NAMES:
         raise ValueError(f"unknown property {prop!r}")
     memo = op if isinstance(op, _Memo) else _Memo(op)
     g = memo.grid(pts)
     pts, pid, T, C = g.pts, g.pid, g.T, g.C
+    TC, CC, first, size = g.TC, g.CC, g.first, g.size
     vals, keys, cen, ev = memo.vals, memo.keys, memo.centre, memo.eval
-    m = len(pts)
+    m, n = len(pts), len(first)
     undecided = 0
-    count = 0
+    count = 0  # comparisons made
     # Comparisons are sign tests on (d, r) = approx_diff(a, b): a and b
     # differ when |d| > r and count as equal when their centres agree
     # (d == 0); a > b is certain when d > r, and a >= b when d >= r.
@@ -244,18 +279,20 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
     # exact values (points, centres, every id of an exact table) are
     # ordered by ``above``, which cross-multiplies their pairs.
 
-    def cex(inputs, lhs, rhs):
+    def cex(inputs, lhs, rhs, checked=None):
+        memo.compared += count
         return CheckResult(False, Counterexample(prop, inputs, lhs, rhs),
-                           checked=count)
+                           checked=count if checked is None else checked)
 
-    def differ(a, b) -> bool:
+    def differ(a, b, tuples=1) -> bool:
         """Values a and b, with different centres, differ beyond their
-        radii; otherwise the comparison is counted as undecided."""
+        radii; otherwise the comparison is counted as undecided, once per
+        tuple it stands for."""
         nonlocal undecided
         d, r = approx_diff(a, b)
         if abs(d) > r:
             return True
-        undecided += 1
+        undecided += tuples
         return False
 
     def above(a, b):
@@ -276,12 +313,18 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
             d, r = approx_diff(vals[a], vals[b])
             return d >= r
 
+    checked = None  # tuples checked, where a scan by class compares fewer
+    note = None
     if prop == "commutativity":
-        for i in range(m):
-            for j in range(m):
+        for c in range(n):
+            for d in range(n):
                 count += 1
-                if C[i][j] != C[j][i] and differ(vals[T[i][j]], vals[T[j][i]]):
-                    return cex((pts[i], pts[j]), vals[T[i][j]], vals[T[j][i]])
+                if CC[c][d] != CC[d][c] and differ(vals[TC[c][d]], vals[TC[d][c]],
+                                                   size[c] * size[d]):
+                    i, j = first[c], first[d]
+                    return cex((pts[i], pts[j]), vals[TC[c][d]], vals[TC[d][c]],
+                               i * m + j + 1)
+        checked = m * m
     elif prop == "monotonicity":
         for i in range(m):
             Ti, Ci = T[i], C[i]
@@ -304,32 +347,39 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
                 if cen[v] != lo and gt(v, lo):
                     return cex((x, y), vals[v], min(x, y))
     elif prop == "associativity":
-        # (xy)z is row(xy)[k] and x(yz) is col(yz)[i], with xy and yz the
-        # centres of F(x,y) and F(y,z); cols[j][k] is col(yz) for y = p_j
-        cols = [[g.col(c) for c in Cj] for Cj in C]
-        for i, x in enumerate(pts):
-            for j in range(m):
-                cxy, Cj, cols_j = C[i][j], C[j], cols[j]
+        # (xy)z is row(xy)[e] and x(yz) is col(yz)[c], with xy and yz the
+        # centres of F(x,y) and F(y,z) and c, d, e the classes of x, y, z;
+        # cols[d][e] is col(yz)
+        reps = [pid[i] for i in first]
+        cols = [[g.col(v) for v in CCd] for CCd in CC]
+        for c in range(n):
+            for d in range(n):
+                cxy, CCd, cols_d = CC[c][d], CC[d], cols[d]
                 row = g.row(cxy)
-                for k in range(m):
+                for e in range(n):
                     count += 1
-                    lhs = row[k]
+                    lhs = row[e]
                     if lhs is None:
-                        lhs = row[k] = ev(cxy, pid[k])
-                    rhs = cols_j[k][i]
+                        lhs = row[e] = ev(cxy, reps[e])
+                    rhs = cols_d[e][c]
                     if rhs is None:
-                        rhs = cols_j[k][i] = ev(pid[i], Cj[k])
-                    if cen[lhs] != cen[rhs] and differ(vals[lhs], vals[rhs]):
-                        return cex((x, pts[j], pts[k]), vals[lhs], vals[rhs])
-        assert count == m ** 3, "associativity scan must cover the full cube"
+                        rhs = cols_d[e][c] = ev(reps[c], CCd[e])
+                    if cen[lhs] != cen[rhs] and differ(
+                            vals[lhs], vals[rhs], size[c] * size[d] * size[e]):
+                        i, j, k = first[c], first[d], first[e]
+                        return cex((pts[i], pts[j], pts[k]), vals[lhs], vals[rhs],
+                                   (i * m + j) * m + k + 1)
+        assert count == n ** 3, "associativity scan must cover the class cube"
+        checked = m ** 3
     elif prop == "neutral_one":
         one = memo.intern(ONE)
         col = g.col(one)
         for i, x in enumerate(pts):
             count += 1
-            v = col[i]
+            c = g.cls[i]
+            v = col[c]
             if v is None:
-                v = col[i] = ev(pid[i], one)
+                v = col[c] = ev(pid[i], one)
             if cen[v] != pid[i] and differ(vals[v], x):
                 return cex((x,), vals[v], x)
     elif prop in ("conditional_cancellation", "cancellation"):
@@ -366,26 +416,36 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
         missing = []
         interior = [k for k, p in enumerate(pts) if 0 < p < 1]
         floor = pid[min(interior, key=pts.__getitem__)] if interior else None
+        powers = {}  # class -> (powers taken, whether one fell below floor)
+        checked = 0
         for k in interior:
-            acc = pid[k]  # centre id of the current power
-            for _ in range(N_ITER):
-                row = g.row(acc)
-                v = row[k]
-                if v is None:
-                    v = row[k] = ev(acc, pid[k])
-                acc = cen[v]
-                count += 1
-                if above(floor, acc):
-                    break
-            else:
+            c = g.cls[k]
+            run = powers.get(c)
+            if run is None:
+                acc = pid[k]  # centre id of the current power
+                for steps in range(1, N_ITER + 1):
+                    row = g.row(acc)
+                    v = row[c]
+                    if v is None:
+                        v = row[c] = ev(acc, pid[k])
+                    acc = cen[v]
+                    if above(floor, acc):
+                        run = steps, True
+                        break
+                else:
+                    run = N_ITER, False
+                powers[c] = run
+                count += run[0]
+            checked += run[0]
+            if not run[1]:
                 missing.append(pts[k])
         if missing:
-            return CheckResult(True, note="not witnessed at cap for x in "
-                              + ",".join(str(p) for p in missing),
-                              checked=count)
+            note = "not witnessed at cap for x in " + ",".join(str(p) for p in missing)
 
-    note = f"{undecided} comparisons undecided within error radii" if undecided else None
-    return CheckResult(True, note=note, checked=count)
+    memo.compared += count
+    if undecided:
+        note = f"{undecided} comparisons undecided within error radii"
+    return CheckResult(True, note=note, checked=count if checked is None else checked)
 
 
 def scan_continuity(op: Callable, breakpoints, pts):
@@ -495,5 +555,6 @@ def consistency_harness(f: PiecewiseMonotoneFn, t: TNormDescriptor,
                 out.hard_failures.append(f"{prop}: classifier Yes but {failed}")
         else:
             out.rows.append((prop, v.status, "ok", "; ".join(notes)))
-    out.stats = {"op_evals": memo.evals, "interned_values": len(memo.vals)}
+    out.stats = {"op_evals": memo.evals, "interned_values": len(memo.vals),
+                 "compared": memo.compared}
     return out

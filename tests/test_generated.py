@@ -15,7 +15,8 @@ from subnormforge import (
     parse_fn,
     parse_tnorm,
 )
-from subnormforge.pwfn import eval_fn
+from subnormforge.oracle import _Memo, check_property
+from subnormforge.pwfn import eval_pair
 from subnormforge.tnorms import Approx, Generator, Lambda
 
 F = Fraction
@@ -68,18 +69,24 @@ def test_exact_results_are_fractions(f_gap):
 
 
 def test_operation_caches_function_values(f_gap, monkeypatch):
+    # f_eval, f_at and an oracle memo on the same op share its f cache, so
+    # f runs once per distinct argument
     op = make_op(f_gap, parse_tnorm("product"))
     f_args = []
 
-    def counting(fn, x):
+    def counting(fn, p, q):
         if fn is op.f:
-            f_args.append(x)
-        return eval_fn(fn, x)
+            f_args.append(F(p, q))
+        return eval_pair(fn, p, q)
 
-    monkeypatch.setattr(generated, "eval_fn", counting)
+    monkeypatch.setattr(generated, "eval_pair", counting)
     f_eval(op, F(1, 3), F(2, 3))
     f_eval(op, F(1, 3), F(1, 2))
-    assert sorted(f_args) == [F(1, 3), F(1, 2), F(2, 3)]
+    op.f_at(F(1, 2))
+    memo = _Memo(op)
+    memo(F(2, 3), F(3, 4))
+    check_property(memo, "commutativity", [F(0), F(1, 3), F(3, 4)])
+    assert sorted(f_args) == [0, F(1, 3), F(1, 2), F(2, 3), F(3, 4)]
 
 
 def test_additive_generated_product_like():

@@ -135,9 +135,20 @@ def test_harness_step_product(f_step):
 
 def test_harness_reports_oracle_counters(f_step):
     rep = consistency_harness(f_step, PRODUCT, n=6, arch_grid_n=6)
-    assert sorted(rep.stats) == ["interned_values", "op_evals"]
-    assert rep.stats["op_evals"] > 0 and rep.stats["interned_values"] > 0
+    assert sorted(rep.stats) == ["compared", "interned_values", "op_evals"]
+    assert all(v > 0 for v in rep.stats.values())
     assert "op_evals" not in rep.render()
+
+
+def test_compared_counts_comparisons_made_by_class(f_step):
+    # f_step is constant on pieces, so points share f values and the scans
+    # by class compare fewer tuples than they check; on a plain callable
+    # every point is its own class and the two counts agree
+    pts = grid(8, default_extra(f_step))
+    for op, fewer in ((make_op(f_step, PRODUCT), True), (op_for(f_step, PRODUCT), False)):
+        memo = _Memo(op)
+        checked = sum(check_property(memo, law, pts).checked for law in PROPERTY_NAMES)
+        assert (memo.compared < checked) if fewer else (memo.compared == checked)
 
 
 # (op_evals, interned_values) of the harness at n=12 with product: the
@@ -328,15 +339,22 @@ def reference_check(op, prop, pts):
 @pytest.mark.parametrize("family", ["product", "hamacher2", "min", "halfprod",
                                     "gen:neglog"])
 @settings(max_examples=12, deadline=None)
-@given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
-def test_table_oracle_matches_direct_scan(family, f):
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()),
+       rnd=st.randoms(use_true_random=False))
+def test_table_oracle_matches_direct_scan(family, f, rnd):
+    # the sorted grid, a shuffle of it and a copy with one point repeated:
+    # the scans by class must find the same first counterexample whatever
+    # the point order, with classes that need not be contiguous
     op = make_op(f, parse_tnorm(family))
     pts = grid(4, default_extra(f))
-    memo = _Memo(op)
-    for law in PROPERTY_NAMES:
-        got = check_property(memo, law, pts)
-        want = reference_check(op, law, pts)
-        assert got == want, law
+    repeated = list(pts)
+    repeated.insert(rnd.randrange(len(pts) + 1), rnd.choice(pts))
+    for layout in (pts, rnd.sample(pts, len(pts)), repeated):
+        memo = _Memo(op)
+        for law in PROPERTY_NAMES:
+            got = check_property(memo, law, layout)
+            want = reference_check(op, law, layout)
+            assert got == want, (law, layout)
 
 
 @pytest.mark.parametrize("family,n", [("product", 12), ("hamacher2", 12),
@@ -354,6 +372,23 @@ def test_table_oracle_matches_direct_scan_at_harness_scale(family, n):
         for law in PROPERTY_NAMES:
             want = reference_check(ref, law, pts)
             assert check_property(memo, law, pts) == want, (name, law)
+
+
+def test_scans_by_class_count_every_point_of_a_class():
+    # 1/2 comes twice, so both copies form one class: commutativity scans
+    # the first copy only, and checked still counts the tuples in between
+    pts = [F(1, 2), F(1, 2), F(0)]
+    res = check_property(lambda x, y: x, "commutativity", pts)
+    assert res.counterexample == Counterexample(
+        "commutativity", (F(1, 2), F(0)), F(1, 2), F(0))
+    assert res.checked == 3
+    # an undecided comparison counts once per tuple of its classes' points
+    op = make_op(parse_fn(WORKED_EXAMPLES["identity"]), parse_tnorm("gen:neglog"))
+    pts = [F(1, 2)] + grid(6)
+    res = check_property(op, "associativity", pts)
+    assert res == reference_check(op, "associativity", pts) and res.note
+    assert check_property(op, "archimedean_at", pts) == reference_check(
+        op, "archimedean_at", pts)
 
 
 @pytest.mark.parametrize("family", ["product", "min", "gen:neglog"])
