@@ -224,6 +224,10 @@ def _proper_verdict(op, top) -> Verdict:
     if not r:
         return Verdict.no((ONE, ONE), note="F(1,1)=1")
     if op.t.neutral_one and eval_fn(op.f, ONE) == 1:
+        # T(1,1) = 1 exactly, so F(1,1) = finv(1) exactly, whatever T's radius
+        exact = op.finv_at(ONE)
+        if exact < 1:
+            return Verdict.yes(f"F(1,1)={exact} < 1")
         return Verdict.no((ONE, ONE),
                           note="T has neutral element 1 and f(1)=1, "
                                "so F(1,1)=1 exactly")

@@ -111,7 +111,8 @@ def f_compose(op: GeneratedOp, fx, fy):
         center = op.finv_at(tv.value)
         lo = op.finv_at(max(ZERO, tv.value - tv.radius))
         hi = op.finv_at(min(ONE, tv.value + tv.radius))
-        spread = max(center - lo, hi - center)
+        # finv is non-increasing when f is, so take each side's distance
+        spread = max(abs(center - lo), abs(hi - center))
         return Approx(center, max(tv.radius, spread))
     return op.finv_at(tv)
 

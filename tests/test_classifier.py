@@ -157,6 +157,15 @@ def recheck_no_witnesses(f, t, report):
                 report.properties["t_subnorm"].status == "no"
 
 
+def test_proper_reads_finv_of_one_when_t_has_neutral_one():
+    # f = 1 everywhere and non-increasing: T(f(1), f(1)) = 1 exactly for
+    # either family, so F(1,1) = finv(1) = 0, whatever gen:neglog's radius
+    f = parse_fn("monotone: nonincreasing\nsegment [0,1] const 1\n")
+    for tdesc in ("product", "gen:neglog"):
+        v = classify(f, parse_tnorm(tdesc)).verdict("proper")
+        assert (v.status, v.evidence) == ("yes", ("F(1,1)=0 < 1",)), tdesc
+
+
 @pytest.mark.parametrize("name,tdesc", [
     ("plateau", "product"), ("half_jump", "hamacher2"),
     ("step", "product"), ("gap", "product")])

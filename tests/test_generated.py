@@ -4,7 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import monotone_fns, nonincreasing_fns
 from subnormforge import (
     GeneratorSpec,
     additive_generated,
@@ -17,7 +20,7 @@ from subnormforge import (
 )
 from subnormforge.oracle import _Memo, check_property
 from subnormforge.pwfn import eval_pair
-from subnormforge.tnorms import Approx, Generator, Lambda
+from subnormforge.tnorms import Approx, Generator, Lambda, approx_diff
 
 F = Fraction
 
@@ -145,3 +148,36 @@ def test_generator_f_eval_carries_radius(f_identity):
     op = make_op(f_identity, Generator(GeneratorSpec("one-minus-log")))
     v = f_eval(op, F(1, 2), F(1, 2))
     assert isinstance(v, Approx) and v.radius > 0
+
+
+def _covers(v, exact) -> bool:
+    """Whether the value or interval v contains the exact value."""
+    d, r = approx_diff(v, exact)
+    return abs(d) <= r
+
+
+def test_generator_radius_covers_a_nonincreasing_finv():
+    # -ln generates product.  finv is non-increasing and jumps at 1/2, the
+    # value of the plateau [1/4,1/2]: F(2/9,1/20) = finv(5/9 * 9/10) =
+    # finv(1/2) = 1/4, while T's centre lies within its radius of 1/2
+    f = parse_fn("monotone: nonincreasing\n"
+                 "segment [0,1/4) linear -2 1\n"
+                 "segment [1/4,1/2] const 1/2\n"
+                 "segment (1/2,1] linear -1 1\n")
+    x, y = F(2, 9), F(1, 20)
+    exact = f_eval(make_op(f, parse_tnorm("product")), x, y)
+    assert exact == F(1, 4)
+    assert _covers(f_eval(make_op(f, parse_tnorm("gen:neglog")), x, y), exact)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
+def test_neglog_interval_contains_product_value(f):
+    # -ln generates product, so gen:neglog's F must contain product's
+    # exact F, whichever way f (and so finv) runs
+    neglog = make_op(f, parse_tnorm("gen:neglog"))
+    product = make_op(f, parse_tnorm("product"))
+    pts = [F(i, 16) for i in range(17)]
+    for x in pts:
+        for y in pts:
+            assert _covers(f_eval(neglog, x, y), f_eval(product, x, y)), (x, y)
