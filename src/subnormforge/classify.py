@@ -600,13 +600,36 @@ def check_archimedean(op: GeneratedOp, grid_n: int = 20) -> Verdict:
     """Grid-and-cap Archimedean check: every interior grid x must have a
     self-composition power dropping below every interior grid y.  An
     exactly stabilized power sequence above some y is a rigorous No;
-    hitting the cap without stabilizing leaves Unknown."""
+    hitting the cap without stabilizing leaves Unknown.
+
+    One power sequence runs per f-value class, for the first grid point of
+    the class.  Step k computes nxt = F(acc, x) = finv(T(f(acc), f(x))),
+    with acc = x at step 1 and acc the previous nxt after it.  So nxt at
+    step 1 is F(x, x), which depends on x only through f(x), and by
+    induction so does every later nxt, its radius, and the tests at each
+    step: the descent below y_min, the stall test and, from step 2 on,
+    the fixed-point test nxt == acc.  Only step 1's fixed-point test reads
+    x itself.  Let x be the first grid point of its class, whose powers
+    descend, and x' a later point with f(x') = f(x); then x' descends
+    too.  Its sequence is x's, so x' could only differ by stopping at step
+    1 with F(x', x') = x'.  Then x's step 1 gives nxt = F(x, x) = x',
+    exact, and not below y_min, as x' is a grid point; x's step 2 gives
+    F(x', x) = F(x', x') = x' = acc, a fixed point, and x would have
+    stopped with No (ARCH_CAP >= 2), not descended.  A point whose
+    sequence does not descend ends the scan, so every other point of the
+    class comes after that verdict, and the verdict is the one a scan of
+    every grid point returns.
+    """
     if grid_n < 2:
         raise ValueError(
             f"grid_n must be >= 2 for an interior grid point, got {grid_n}")
     ys = [Fraction(i, grid_n) for i in range(1, grid_n)]
     y_min = ys[0]
+    descended = set()  # the f values, as reduced pairs, of the classes done
     for x in ys:
+        cls = op.f_pair((x.numerator, x.denominator))[0]
+        if cls in descended:
+            continue
         acc = x
         prev = None
         for _ in range(ARCH_CAP):
@@ -627,6 +650,7 @@ def check_archimedean(op: GeneratedOp, grid_n: int = 20) -> Verdict:
         else:
             return Verdict.unknown(
                 f"powers of {x} did not descend below {y_min} within {ARCH_CAP} steps")
+        descended.add(cls)
     return Verdict.yes(f"all grid powers descend below {y_min}",
                        note=f"grid n={grid_n}, cap {ARCH_CAP}")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .intervals import Interval, ONE, ZERO, frac
+from .intervals import Interval, frac
 from .pwfn import PiecewiseMonotoneFn, Segment, eval_pair, pseudo_inverse
 from .tnorms import Approx, Generator, GeneratorSpec, Lambda, TNormDescriptor, t_eval
 
@@ -44,13 +44,16 @@ class GeneratedOp:
     """F(x,y) = finv(T(f(x), f(y))), with f and finv evaluated once per
     argument: ``_f_cache`` maps the reduced pair of x to f(x), and
     ``_finv_cache`` the reduced pair of y to finv(y), each value held as
-    its reduced pair and its Fraction (``_both``)."""
+    its reduced pair and its Fraction (``_both``).  ``_g_cache`` is the
+    memo that ``f_compose`` hands to T's family with each evaluation; a
+    generator family keeps g of each f value there."""
 
     f: PiecewiseMonotoneFn
     finv: PiecewiseMonotoneFn
     t: TNormDescriptor
     _f_cache: dict = field(default_factory=dict, repr=False)
     _finv_cache: dict = field(default_factory=dict, repr=False)
+    _g_cache: dict = field(default_factory=dict, repr=False)
 
     def f_pair(self, k: tuple) -> tuple:
         """f(p/q) as (reduced pair, Fraction), for the reduced pair k = (p, q)."""
@@ -105,16 +108,29 @@ def f_eval(op: GeneratedOp, x, y):
 def f_compose(op: GeneratedOp, fx, fy):
     """finv(T(fx, fy)), so F(x,y) from fx = f(x) and fy = f(y), for an
     inexact family: an Approx whose radius accounts for the local variation
-    of the pseudo-inverse, or an exact Fraction where T's value is exact."""
-    tv = t_eval(op.t, fx, fy)
-    if isinstance(tv, Approx):
-        center = op.finv_at(tv.value)
-        lo = op.finv_at(max(ZERO, tv.value - tv.radius))
-        hi = op.finv_at(min(ONE, tv.value + tv.radius))
-        # finv is non-increasing when f is, so take each side's distance
-        spread = max(abs(center - lo), abs(hi - center))
-        return Approx(center, max(tv.radius, spread))
-    return op.finv_at(tv)
+    of the pseudo-inverse, or an exact Fraction where T's value is exact.
+
+    For T's value v = p/q with radius r = m/n, finv is taken at v and at
+    v - r and v + r, clamped to [0,1], on integer pairs over the common
+    denominator qn (``eval_pair``), and the spread is the larger distance
+    from finv(v) to either side, compared by cross-multiplying; only the
+    centre and the radius become Fractions."""
+    tv = t_eval(op.t, fx, fy, op._g_cache)
+    if not isinstance(tv, Approx):
+        return op.finv_at(tv)
+    finv, v, r = op.finv, tv.value, tv.radius
+    p, q, m, n = v.numerator, v.denominator, r.numerator, r.denominator
+    cn, cd = eval_pair(finv, p, q)
+    den = q * n
+    ln, ld = eval_pair(finv, max(0, p * n - m * q), den)
+    hn, hd = eval_pair(finv, min(den, p * n + m * q), den)
+    # finv is non-increasing when f is, so each side's distance is taken
+    # as an absolute value
+    sn, sd = abs(cn * ld - ln * cd), cd * ld
+    bn, bd = abs(hn * cd - cn * hd), hd * cd
+    if bn * sd > sn * bd:
+        sn, sd = bn, bd
+    return Approx(Fraction(cn, cd), Fraction(sn, sd) if sn * n > m * sd else r)
 
 
 def additive_generated(gen: GeneratorSpec):

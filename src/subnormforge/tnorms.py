@@ -5,14 +5,28 @@ based constructions evaluated in high precision with a carried radius.
 The exact families evaluate T(a/b, c/d) on integers, as a pair (n, d)
 with d > 0 (``eval_pair``), which ``eval`` builds as one Fraction; the
 domain check of ``t_eval`` compares numerators with denominators.
+
+The generator families evaluate on ``mpmath.libmp`` values, the
+(sign, mantissa, exponent, bitcount) tuples that mpmath's ``mpf`` numbers
+wrap, at ``PREC`` bits rounded to nearest.  Each step is the libmp
+operation that mpmath's own ``mpf`` arithmetic runs at ``workdps(DIGITS)``,
+so the values are bit for bit those of ``-mpmath.ln(mpmath.mpf(p) / q)``
+and ``mpmath.e ** -u``, with no ``mpf`` object built and no precision
+context entered.  A caller may hand ``t_eval`` a dict that it keeps for one
+operation (``memo``): the generator families keep g of each argument
+there, keyed by the argument's reduced pair, as one operation meets the
+same arguments again and again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-import mpmath
+from mpmath.libmp import (dps_to_prec, fone, from_int, fzero, mpf_add, mpf_div,
+                         mpf_e, mpf_exp, mpf_gt, mpf_log, mpf_lt, mpf_mul, mpf_neg,
+                         mpf_pow, mpf_sub, round_nearest, to_rational)
 
 from .intervals import Interval, IntervalSet, ONE, ZERO, frac
 from .pwfn import DomainError
@@ -48,17 +62,34 @@ def approx_diff(a, b):
     return (a - b if b else a), ZERO
 
 
-def _to_fraction(x) -> Fraction:
-    """Exact binary rational held by an mpf."""
-    return Fraction(*mpmath.libmp.to_rational(mpmath.mpf(x)._mpf_))
-
-
 # -- generator registry -----------------------------------------------------
 
-# Generator families evaluate at DIGITS significant digits and carry the
+# Generator families evaluate at DIGITS significant digits, which is PREC
+# bits rounded to nearest as in ``mpmath.workdps(DIGITS)``, and carry the
 # error radius RADIUS.
 DIGITS = 30
 RADIUS = Fraction(1, 10 ** (DIGITS - 5))
+PREC = dps_to_prec(DIGITS)
+_RND = round_nearest
+_E = mpf_e(PREC, _RND)
+_LOG_E = mpf_log(_E, PREC + 10, _RND)  # as libmp.mpf_pow takes it, below
+
+
+def _from_pair(p: int, q: int) -> tuple:
+    """p/q as ``mpmath.mpf(p) / q`` computes it: p rounded to PREC bits,
+    then the quotient rounded.  That rounds twice, where ``from_rational``
+    would round once, and the low bits differ."""
+    return mpf_div(from_int(p, PREC, _RND), from_int(q), PREC, _RND)
+
+
+def _e_pow(w: tuple) -> tuple:
+    """``mpmath.e ** w``, which is ``libmp.mpf_pow(e, w)``: an integer or
+    half-integer w (exponent >= 0 or -1) takes its power or square-root
+    branch, and any other w its general branch exp(w * log e), with log e
+    at PREC + 10 bits taken once, in ``_LOG_E``."""
+    if w[2] >= 0 or w[2] == -1:
+        return mpf_pow(_E, w, PREC, _RND)
+    return mpf_exp(mpf_mul(w, _LOG_E), PREC, _RND)
 
 
 @dataclass(frozen=True)
@@ -80,23 +111,24 @@ class GeneratorSpec:
     def g1_zero(self) -> bool:
         return _GENERATORS[self.name][2]
 
-    def g(self, x):
-        if x == 0:
-            return mpmath.inf
-        return _GENERATORS[self.name][0](x)
+    def g(self, v: tuple) -> tuple:
+        """g(v) for a positive libmp value v; g(0) = inf is the caller's
+        case."""
+        return _GENERATORS[self.name][0](v)
 
-    def g_inv(self, u):
-        """Unclamped formula inverse; the caller applies the pseudo-inverse
-        clamp to the relevant domain."""
-        if u == mpmath.inf:
-            return mpmath.mpf(0)
+    def g_inv(self, u: tuple) -> tuple:
+        """Unclamped formula inverse of a finite libmp value u; the caller
+        applies the pseudo-inverse clamp to the relevant domain."""
         return _GENERATORS[self.name][1](u)
 
 
 _GENERATORS = {
-    # name: (g, formula inverse, g(1) == 0)
-    "neglog": (lambda x: -mpmath.ln(x), lambda u: mpmath.e**-u, True),
-    "one-minus-log": (lambda x: 1 - mpmath.ln(x), lambda u: mpmath.e ** (1 - u), False),
+    # name: (g, formula inverse, g(1) == 0), on libmp values: -ln v and
+    # e**-u, 1 - ln v and e**(1 - u), each step as mpmath rounds it
+    "neglog": (lambda v: mpf_neg(mpf_log(v, PREC, _RND), PREC, _RND),
+               lambda u: _e_pow(mpf_neg(u, PREC, _RND)), True),
+    "one-minus-log": (lambda v: mpf_sub(fone, mpf_log(v, PREC, _RND), PREC, _RND),
+                      lambda u: _e_pow(mpf_sub(fone, u, PREC, _RND)), False),
 }
 
 
@@ -138,7 +170,8 @@ class TNormDescriptor:
     def __str__(self) -> str:
         return self.name
 
-    def eval(self, x: Fraction, y: Fraction) -> Fraction:
+    def eval(self, x: Fraction, y: Fraction, memo=None) -> Fraction:
+        """T(x, y); an exact family keeps nothing in `memo`."""
         return Fraction(*self.eval_pair(x.numerator, x.denominator,
                                         y.numerator, y.denominator))
 
@@ -242,13 +275,23 @@ class Halfprod(TNormDescriptor):
         return super().dir_limit(v, side, c)
 
 
-def _mpf(x: Fraction):
-    return mpmath.mpf(x.numerator) / x.denominator
+def _clamped(v: tuple) -> Approx:
+    """The libmp value v clamped to [0,1], by the comparisons that
+    ``min(max(v, mpf(0)), mpf(1))`` makes, as an Approx."""
+    if mpf_gt(fzero, v):
+        v = fzero
+    if mpf_lt(fone, v):
+        v = fone
+    return Approx(Fraction(*to_rational(v)), RADIUS)
 
 
-def _clamped(v) -> Approx:
-    """v clamped to [0,1] as an Approx; call inside ``workdps(DIGITS)``."""
-    return Approx(_to_fraction(min(max(v, mpmath.mpf(0)), mpmath.mpf(1))), RADIUS)
+def _memo_g(memo: dict, x: Fraction, g_at) -> tuple:
+    """g_at(p, q) for x = p/q, kept in `memo` under x's reduced pair."""
+    k = x.numerator, x.denominator
+    v = memo.get(k)
+    if v is None:
+        v = memo[k] = g_at(*k)
+    return v
 
 
 @dataclass(frozen=True)
@@ -263,12 +306,16 @@ class Generator(TNormDescriptor):
     def neutral_one(self) -> bool:
         return self.gen.g1_zero
 
-    def eval(self, x: Fraction, y: Fraction):
+    def _g_at(self, p: int, q: int) -> tuple:
+        return self.gen.g(_from_pair(p, q))
+
+    def eval(self, x: Fraction, y: Fraction, memo=None):
+        """T(x, y) as an Approx, with g of x and y kept in `memo`."""
         if x == 0 or y == 0:
             return ZERO
-        g = self.gen
-        with mpmath.workdps(DIGITS):
-            return _clamped(g.g_inv(g.g(_mpf(x)) + g.g(_mpf(y))))
+        memo = {} if memo is None else memo
+        gx, gy = _memo_g(memo, x, self._g_at), _memo_g(memo, y, self._g_at)
+        return _clamped(self.gen.g_inv(mpf_add(gx, gy, PREC, _RND)))
 
     def __str__(self) -> str:
         return f"gen:{self.gen.name}"
@@ -290,13 +337,22 @@ class Lambda(TNormDescriptor):
         if not (0 < self.lam < 1):
             raise ValueError(f"lambda must lie in (0,1), got {self.lam}")
 
-    def eval(self, x: Fraction, y: Fraction):
+    @cached_property
+    def _lam(self) -> tuple:
+        return _from_pair(self.lam.numerator, self.lam.denominator)
+
+    def _g_at(self, p: int, q: int) -> tuple:
+        return self.gen.g(mpf_div(_from_pair(p, q), self._lam, PREC, _RND))
+
+    def eval(self, x: Fraction, y: Fraction, memo=None):
+        """T(x, y): exact on the boundary of the unit square, else an
+        Approx, with g(x/lam) and g(y/lam) kept in `memo`."""
         if x in (0, 1) or y in (0, 1):  # the boundary of the unit square
             return min(x, y)
-        g = self.gen
-        with mpmath.workdps(DIGITS):
-            lam = _mpf(self.lam)
-            return _clamped(lam * g.g_inv(g.g(_mpf(x) / lam) + g.g(_mpf(y) / lam)))
+        memo = {} if memo is None else memo
+        gx, gy = _memo_g(memo, x, self._g_at), _memo_g(memo, y, self._g_at)
+        return _clamped(mpf_mul(self._lam, self.gen.g_inv(mpf_add(gx, gy, PREC, _RND)),
+                                PREC, _RND))
 
     def __str__(self) -> str:
         return f"lambda:{self.gen.name}:{self.lam}"
@@ -328,12 +384,14 @@ def parse_tnorm(desc: str) -> TNormDescriptor:
 # -- evaluation -------------------------------------------------------------
 
 
-def t_eval(t: TNormDescriptor, x, y):
-    """T(x,y): a Fraction for exact families, an Approx otherwise."""
+def t_eval(t: TNormDescriptor, x, y, memo=None):
+    """T(x,y): a Fraction for exact families, an Approx otherwise.  `memo`
+    is a dict that the caller keeps for one operation, in which a family
+    may keep values of its arguments (the generator families keep g)."""
     x, y = frac(x), frac(y)
     if not (0 <= x.numerator <= x.denominator and 0 <= y.numerator <= y.denominator):
         raise DomainError(f"t-norm arguments ({x},{y}) outside [0,1]^2")
-    return t.eval(x, y)
+    return t.eval(x, y, memo)
 
 
 def t_power(t: TNormDescriptor, x, n: int):

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import monotone_fns, random_strictly_increasing_fn
+from conftest import monotone_fns, nonincreasing_fns, random_strictly_increasing_fn
 from subnormforge import classify, decompose, f_eval, make_op, parse_fn, parse_tnorm
 from subnormforge.classify import (
+    ARCH_CAP,
     _assoc_search,
     check_archimedean,
     check_cancellative,
@@ -21,6 +23,7 @@ from subnormforge.classify import (
     Verdict,
 )
 from subnormforge.oracle import consistency_harness
+from subnormforge.tnorms import approx_diff
 
 F = Fraction
 
@@ -310,6 +313,43 @@ def test_archimedean_grid_needs_an_interior_point(f_identity, grid_n):
         check_archimedean(make_op(f_identity, PRODUCT), grid_n=grid_n)
     with pytest.raises(ValueError, match="grid_n must be >= 2"):
         classify(f_identity, PRODUCT, arch_grid_n=grid_n)
+
+
+def reference_archimedean(op, grid_n):
+    """check_archimedean with one power sequence per grid point."""
+    ys = [F(i, grid_n) for i in range(1, grid_n)]
+    y_min = ys[0]
+    for x in ys:
+        acc, prev = x, None
+        for _ in range(ARCH_CAP):
+            nxt, r = approx_diff(f_eval(op, acc, x), F(0))
+            if nxt + r < y_min:
+                break
+            if r:
+                if prev is not None and abs(nxt - prev) <= r:
+                    return Verdict.unknown(
+                        f"power sequence at x={x} stalls within the error radius")
+                prev = nxt
+            elif nxt == acc:
+                return Verdict.no((x, y_min), note=f"powers of {x} stabilize at {acc}")
+            acc = nxt
+        else:
+            return Verdict.unknown(
+                f"powers of {x} did not descend below {y_min} within {ARCH_CAP} steps")
+    return Verdict.yes(f"all grid powers descend below {y_min}",
+                       note=f"grid n={grid_n}, cap {ARCH_CAP}")
+
+
+@pytest.mark.parametrize("tdesc", ["product", "hamacher2", "min", "halfprod",
+                                   "gen:neglog"])
+@settings(max_examples=40, deadline=None)
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
+def test_archimedean_by_class_matches_per_point_scan(tdesc, f):
+    # one power sequence per f-value class must give the whole Verdict of
+    # a scan of every grid point
+    for grid_n in (6, 8, 20):
+        want = reference_archimedean(make_op(f, parse_tnorm(tdesc)), grid_n)
+        assert check_archimedean(make_op(f, parse_tnorm(tdesc)), grid_n) == want, grid_n
 
 
 # f(1) = 1/4 is a plateau value, so classify takes the degenerate-shape return

@@ -19,8 +19,8 @@ from subnormforge import (
     parse_tnorm,
 )
 from subnormforge.oracle import _Memo, check_property
-from subnormforge.pwfn import eval_pair
-from subnormforge.tnorms import Approx, Generator, Lambda, approx_diff
+from subnormforge.pwfn import eval_fn, eval_pair
+from subnormforge.tnorms import Approx, Generator, Lambda, approx_diff, t_eval
 
 F = Fraction
 
@@ -181,3 +181,51 @@ def test_neglog_interval_contains_product_value(f):
     for x in pts:
         for y in pts:
             assert _covers(f_eval(neglog, x, y), f_eval(product, x, y)), (x, y)
+
+
+def reference_f_compose(op, fx, fy):
+    """f_compose on Fractions: finv at T's centre and at centre -+ radius,
+    clamped to [0,1], with the larger distance as the spread."""
+    tv = t_eval(op.t, fx, fy)
+    if not isinstance(tv, Approx):
+        return eval_fn(op.finv, tv)
+    center = eval_fn(op.finv, tv.value)
+    lo = eval_fn(op.finv, max(F(0), tv.value - tv.radius))
+    hi = eval_fn(op.finv, min(F(1), tv.value + tv.radius))
+    return Approx(center, max(tv.radius, abs(center - lo), abs(hi - center)))
+
+
+# f values with T's value within its radius of 0 (clamped at 0), T's value
+# 1 (clamped at 1), and products on the plateau values 1/2 and 3/4, where
+# finv jumps within the radius
+COMPOSE_EDGES = [(F(1, 10 ** 13), F(1, 10 ** 13)), (F(1, 10 ** 30), F(1, 2)),
+                 (F(1), F(1)), (F(1), F(1, 2)), (F(5, 9), F(9, 10)),
+                 (F(3, 4), F(1)), (F(1, 2), F(1)), (F(0), F(1, 2))]
+
+
+@pytest.mark.parametrize("tdesc", ["gen:neglog", "gen:one-minus-log",
+                                   "lambda:neglog:1/2"])
+@settings(max_examples=30, deadline=None)
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()),
+       extra=st.lists(st.tuples(st.fractions(0, 1, max_denominator=10 ** 9),
+                                st.fractions(0, 1, max_denominator=10 ** 9)),
+                      max_size=4))
+def test_f_compose_on_pairs_matches_fraction_path(tdesc, f, extra):
+    op = make_op(f, parse_tnorm(tdesc))
+    grid = [F(i, 8) for i in range(9)]
+    for fx, fy in COMPOSE_EDGES + extra + [(a, b) for a in grid for b in grid[::2]]:
+        assert generated.f_compose(op, fx, fy) == reference_f_compose(op, fx, fy), (fx, fy)
+
+
+@pytest.mark.parametrize("tdesc", ["gen:neglog", "gen:one-minus-log",
+                                   "lambda:one-minus-log:1/3"])
+def test_warm_op_returns_what_a_fresh_op_returns(f_half_jump, tdesc):
+    # g kept per op by f value: a warm op must give the values a fresh
+    # op gives, in any order of evaluation
+    t = parse_tnorm(tdesc)
+    warm = make_op(f_half_jump, t)
+    pts = [F(i, 7) for i in range(8)]
+    pairs = [(x, y) for x in pts for y in pts]
+    for x, y in pairs + pairs[::-1]:
+        assert f_eval(warm, x, y) == f_eval(make_op(f_half_jump, t), x, y), (x, y)
+    assert warm._g_cache

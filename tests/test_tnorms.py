@@ -4,17 +4,22 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subnormforge.intervals import Interval, IntervalSet
 from subnormforge.pwfn import DomainError
 from subnormforge.tnorms import (
     HALF,
+    DIGITS,
+    RADIUS,
     Approx,
     Generator,
     GeneratorSpec,
+    Lambda,
+    _e_pow,
     parse_tnorm,
     t_eval,
     t_image,
@@ -180,6 +185,90 @@ def test_neglog_matches_product():
             v = t_eval(t, x, y)
             val = v.value if isinstance(v, Approx) else v
             assert abs(float(val) - float(x * y)) <= 1e-12
+
+
+# -- the generator families against mpmath's mpf arithmetic -----------------
+
+# g and its formula inverse as mpf expressions, the arithmetic that the
+# libmp kernel in tnorms.py must reproduce bit for bit
+_MPF_GENERATORS = {
+    "neglog": (lambda v: -mpmath.ln(v), lambda u: mpmath.e ** -u),
+    "one-minus-log": (lambda v: 1 - mpmath.ln(v), lambda u: mpmath.e ** (1 - u)),
+}
+
+
+def _mpf(x):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _mpf_clamped(v):
+    v = min(max(v, mpmath.mpf(0)), mpmath.mpf(1))
+    return Approx(F(*mpmath.libmp.to_rational(mpmath.mpf(v)._mpf_)), RADIUS)
+
+
+def reference_generator_eval(t, x, y):
+    """T(x, y) for a Generator or a Lambda, by mpf arithmetic at DIGITS."""
+    g, g_inv = _MPF_GENERATORS[t.gen.name]
+    with mpmath.workdps(DIGITS):
+        if t.lam is None:
+            if x == 0 or y == 0:
+                return F(0)
+            return _mpf_clamped(g_inv(g(_mpf(x)) + g(_mpf(y))))
+        if x in (0, 1) or y in (0, 1):
+            return min(x, y)
+        lam = _mpf(t.lam)
+        return _mpf_clamped(lam * g_inv(g(_mpf(x) / lam) + g(_mpf(y) / lam)))
+
+
+GENERATOR_FAMILIES = [Generator(GeneratorSpec(name)) for name in _MPF_GENERATORS] + [
+    Lambda(GeneratorSpec(name), lam) for name in _MPF_GENERATORS
+    for lam in (F(1, 4), F(1, 3), F(1, 2), F(99, 100))]
+TINY = F(1, 10 ** 40)
+BIG_DEN = F(2 ** 200 + 1, 2 ** 201 + 3)
+# numerators beyond PREC bits, where rounding p first and then p/q differs
+# in the last bit from rounding p/q once
+TWICE_ROUNDED = (F(1529845630986851850355555041111280052368,
+                   2561519556081548986640586492247333131511),
+                 F(2480584140668343678734250119327973734555,
+                   2612296193394931722487717189818667199547))
+wide_fractions_01 = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 60)
+
+
+@pytest.mark.parametrize("t", GENERATOR_FAMILIES, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(x=wide_fractions_01, y=wide_fractions_01)
+@example(x=F(0), y=F(1, 2))
+@example(x=F(1), y=F(1))
+@example(x=F(1), y=F(1, 2))
+@example(x=F(1, 2), y=F(1, 2))
+@example(x=TINY, y=F(1, 2))
+@example(x=TINY, y=TINY)
+@example(x=1 - TINY, y=1 - TINY)
+@example(x=1 - TINY, y=F(1))
+@example(x=BIG_DEN, y=F(1, 3))
+@example(x=F(10 ** 30 - 1, 10 ** 30), y=BIG_DEN)
+@example(x=TWICE_ROUNDED[0], y=TWICE_ROUNDED[1])
+@example(x=TWICE_ROUNDED[1], y=F(1, 2))
+def test_generator_kernel_is_bit_identical_to_mpf_arithmetic(t, x, y):
+    # equal Approx values are equal binary rationals, so equal bits; a warm
+    # memo must return what no memo does
+    want = reference_generator_eval(t, x, y)
+    assert t_eval(t, x, y) == want
+    memo = {}
+    for _ in range(2):
+        assert t_eval(t, x, y, memo) == want
+
+
+@pytest.mark.parametrize("w", [F(0), F(-1), F(2), F(-3), F(-1, 2), F(3, 2), F(-5, 2),
+                               F(27), F(27, 2), F(-394), F(-397, 2),
+                               F(-1, 4), F(1, 3), F(-7, 10)])
+def test_e_pow_takes_each_branch_of_mpf_pow(w):
+    # integer and half-integer exponents take mpf_pow's power and square
+    # root branches, the others its exp(w log e) branch; at 27, 27/2, -394
+    # and -397/2 the general branch would round differently
+    with mpmath.workdps(DIGITS):
+        v = _mpf(w)
+        assert _e_pow(v._mpf_) == (mpmath.e ** v)._mpf_
 
 
 def test_generator_results_carry_radius():
