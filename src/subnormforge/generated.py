@@ -10,7 +10,12 @@ evaluation whose f and finv values are cached builds no ``Fraction``, and
 its keys are tuples of ints, which hash in C where a ``Fraction`` rehashes
 in Python.  ``f_eval`` returns the cached Fraction, and the oracle's
 ``_Memo`` keys its ids by the pair.  Inexact families go through
-``f_compose``, which carries T's error radius through the pseudo-inverse.
+``f_compose``, which carries T's error radius through the pseudo-inverse:
+it evaluates finv at T's centre and at either end of its radius on integer
+pairs too, and builds only the centre and the radius as Fractions.  It
+hands T's family the op's ``_g_cache``, where a generator family keeps g
+of each f value by its reduced pair, so an f value that recurs, as f(x)
+does at every step of a power sequence of x, costs g once per op.
 """
 
 from __future__ import annotations
