@@ -285,13 +285,19 @@ def _clamped(v: tuple) -> Approx:
     return Approx(Fraction(*to_rational(v)), RADIUS)
 
 
-def _memo_g(memo: dict, x: Fraction, g_at) -> tuple:
-    """g_at(p, q) for x = p/q, kept in `memo` under x's reduced pair."""
-    k = x.numerator, x.denominator
-    v = memo.get(k)
-    if v is None:
-        v = memo[k] = g_at(*k)
-    return v
+def _g_sum(memo, x: Fraction, y: Fraction, g_at) -> tuple:
+    """g_at(p, q) + g_at(r, s) at PREC bits for x = p/q and y = r/s, each
+    term kept in `memo` (when given) under its argument's reduced pair."""
+    if memo is None:
+        memo = {}
+    kx, ky = (x.numerator, x.denominator), (y.numerator, y.denominator)
+    gx = memo.get(kx)
+    if gx is None:
+        gx = memo[kx] = g_at(*kx)
+    gy = memo.get(ky)
+    if gy is None:
+        gy = memo[ky] = g_at(*ky)
+    return mpf_add(gx, gy, PREC, _RND)
 
 
 @dataclass(frozen=True)
@@ -313,9 +319,7 @@ class Generator(TNormDescriptor):
         """T(x, y) as an Approx, with g of x and y kept in `memo`."""
         if x == 0 or y == 0:
             return ZERO
-        memo = {} if memo is None else memo
-        gx, gy = _memo_g(memo, x, self._g_at), _memo_g(memo, y, self._g_at)
-        return _clamped(self.gen.g_inv(mpf_add(gx, gy, PREC, _RND)))
+        return _clamped(self.gen.g_inv(_g_sum(memo, x, y, self._g_at)))
 
     def __str__(self) -> str:
         return f"gen:{self.gen.name}"
@@ -349,9 +353,7 @@ class Lambda(TNormDescriptor):
         Approx, with g(x/lam) and g(y/lam) kept in `memo`."""
         if x in (0, 1) or y in (0, 1):  # the boundary of the unit square
             return min(x, y)
-        memo = {} if memo is None else memo
-        gx, gy = _memo_g(memo, x, self._g_at), _memo_g(memo, y, self._g_at)
-        return _clamped(mpf_mul(self._lam, self.gen.g_inv(mpf_add(gx, gy, PREC, _RND)),
+        return _clamped(mpf_mul(self._lam, self.gen.g_inv(_g_sum(memo, x, y, self._g_at)),
                                 PREC, _RND))
 
     def __str__(self) -> str:
