@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Optional
 
 from .generated import GeneratedOp, f_eval, make_op
@@ -244,42 +243,16 @@ def check_inclusion_conditions(t: TNormDescriptor, d: Decomposition):
         (a) T(M\\C, M) subset of M union [0, f(0+)]
         (b) T(Q, M)   subset of [0, f(0+)]
 
+    Returns their escape values (z_a, z_b): None where the inclusion
+    holds, else the image value outside the target set that
+    ``IntervalSet.is_subset_of`` reports; z_b is None when Q is empty.
     Both are decided exactly via interval images, so only for the exact
-    t-norm families (``t_image`` raises ValueError for the others);
-    failures carry a value-space witness (u, v, T(u,v)).
+    t-norm families (``t_image`` raises ValueError for the others).
     """
     low = IntervalSet.single(Interval.closed(ZERO, d.f0plus))
-    img_a = t_image(t, d.m_minus_c, d.m)
-    ok_a, z_a = img_a.is_subset_of(d.m.union(low))
-    if ok_a:
-        va = Verdict.yes("T(M\\C,M) within M plus the low band")
-    else:
-        va = Verdict.no(_value_witness(t, d.m_minus_c, d.m, z_a),
-                        note=f"image value {z_a} escapes")
-    if d.q.is_empty:
-        vb = Verdict.yes("no repeated values (Q empty)")
-    else:
-        img_b = t_image(t, d.q, d.m)
-        ok_b, z_b = img_b.is_subset_of(low)
-        if ok_b:
-            vb = Verdict.yes("T(Q,M) within the low band")
-        else:
-            vb = Verdict.no(_value_witness(t, d.q, d.m, z_b),
-                            note=f"image value {z_b} escapes")
-    return va, vb
-
-
-def _value_witness(t, a: IntervalSet, b: IntervalSet, z: Fraction):
-    """(u, v, z) with u in a, v in b, T(u,v)=z, by deterministic search
-    over small-denominator v, then over b's sample points; falls back to
-    (None, None, z).  A v < z is skipped: every exact family is bounded
-    by min, so T(u, v) <= v < z, and ``t_solve_x`` keeps only verified x."""
-    pq = (v for v in _PQ_VALUES if v >= z and b.contains(v))
-    for v in chain(pq, (v for v in b.sample_points() if v >= z)):
-        for u in t_solve_x(t, v, z):
-            if a.contains(u):
-                return (u, v, z)
-    return (None, None, z)
+    z_a = t_image(t, d.m_minus_c, d.m).is_subset_of(d.m.union(low))[1]
+    z_b = None if d.q.is_empty else t_image(t, d.q, d.m).is_subset_of(low)[1]
+    return z_a, z_b
 
 
 # -- gap-hull condition -----------------------------------------------------
@@ -433,8 +406,9 @@ def _gap_collisions(op, d: Decomposition, domain: IntervalSet, z: Fraction):
 
 def _cc_witness(op, d: Decomposition, which: str, z: Fraction):
     """(x1, x2, y) violating the conditional cancellation law, i.e.
-    F(x1,y)=F(x2,y)>0 with x1 != x2, from a failed inclusion with escape
-    value z; verified by evaluation.  Only runs for the strict exact
+    F(x1,y)=F(x2,y)>0 with x1 != x2, from the escape value z of a failed
+    inclusion condition: T(Q,M)'s for `which` "plateau", T(M\\C,M)'s for
+    "gap"; verified by evaluation.  Only runs for the strict exact
     families, so every value is an exact Fraction."""
     t = op.t
     if which == "plateau":
@@ -717,12 +691,14 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
                         "Archimedean and conditional cancellation coincide for "
                         "continuous t-subnorms", "cross-check available"))
         if t.exact:
-            cond_a, cond_b = check_inclusion_conditions(t, d)
+            z_a, z_b = check_inclusion_conditions(t, d)
             log.append(("T(M\\C,M) within M plus [0,f(0+)]",
-                        f"M={d.m} C={d.c_set} f(0+)={d.f0plus}", cond_a.status))
-            log.append(("T(Q,M) within [0,f(0+)]", f"Q={d.q}", cond_b.status))
+                        f"M={d.m} C={d.c_set} f(0+)={d.f0plus}",
+                        "yes" if z_a is None else "no"))
+            log.append(("T(Q,M) within [0,f(0+)]", f"Q={d.q}",
+                        "yes" if z_b is None else "no"))
         if t.exact and t.strict:
-            props.update(_strict_exact_verdicts(op, d, cond_a, cond_b, log))
+            props.update(_strict_exact_verdicts(op, d, z_a, z_b, log))
         elif t.strict and f.is_strictly_monotone and not _jumps(f) \
                 and eval_fn(f, ZERO) == 0:
             # corollary route for strict but inexact families
@@ -738,15 +714,15 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
     return ClassificationReport({p: props[p] for p in PROPERTIES}, d, log, op)
 
 
-def _strict_exact_verdicts(op, d: Decomposition, cond_a, cond_b, log) -> dict:
+def _strict_exact_verdicts(op, d: Decomposition, z_a, z_b, log) -> dict:
     """The properties in ``_ROUTED`` for product and hamacher2, from the
-    two inclusion conditions; appends the conditions it checks to `log`."""
+    escape values z_a and z_b of the two inclusion conditions (None where
+    one holds); appends the conditions it checks to `log`."""
     f, t = op.f, op.t
-    if cond_a.status == "yes" and cond_b.status == "yes":
+    if z_a is None and z_b is None:
         cc = Verdict.yes("T(M\\C,M) within M plus [0,f(0+)]", "T(Q,M) within [0,f(0+)]")
     else:
-        bad, which = (cond_b, "plateau") if cond_b.status == "no" else (cond_a, "gap")
-        z = bad.witness[2]
+        z, which = (z_b, "plateau") if z_b is not None else (z_a, "gap")
         triple = _cc_witness(op, d, which, z)
         if triple is not None:
             x1, x2, y = triple

@@ -118,8 +118,6 @@ def cmd_grid(args) -> int:
     _require(args, "fn", "tnorm")
     t = parse_tnorm(args.tnorm)
     n = args.grid_n
-    if n < 1:
-        raise ValueError(f"--grid-n must be >= 1, got {n}")
     op = make_op(load_fn(args.fn), t)
     lines = ["x,y,F,F_exact" if t.exact else "x,y,F"]
     for i in range(n + 1):
@@ -168,6 +166,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.grid_n < 1:
+            raise ValueError(f"--grid-n must be >= 1, got {args.grid_n}")
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as e:
         # bad input: ParseError, InvalidFunction and DomainError are

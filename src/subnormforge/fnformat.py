@@ -61,6 +61,8 @@ def parse_fn(text: str) -> PiecewiseMonotoneFn:
         if toks[0] == "monotone:":
             if len(toks) != 2 or toks[1] not in ("nondecreasing", "nonincreasing"):
                 raise ParseError(lineno, "expected 'monotone: nondecreasing|nonincreasing'")
+            if direction is not None:
+                raise ParseError(lineno, "repeated 'monotone:' directive")
             direction = toks[1] == "nondecreasing"
         elif toks[0] == "segment":
             if len(toks) < 3:

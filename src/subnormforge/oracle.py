@@ -15,9 +15,10 @@ and the value's own id for any other operation; points of one class have
 equal rows and columns in every table.  There is one table per point set:
 F is evaluated once per pair of classes into a table of ids, rebuilt only
 when a scan gets other points; the values of F at the off-grid
-intermediates of associativity and of the Archimedean powers sit in
-per-value rows and columns, one entry per class, filled on first use.
-One cache, keyed by pairs of classes, serves every table and direct call.
+intermediates of associativity and of the Archimedean powers sit in rows
+and columns kept per class of the intermediate, one entry per class of
+the grid, filled on first use.  The table is the only cache: a direct
+call ``memo(x, y)`` evaluates F afresh.
 A generated operation is evaluated by its own kernel (``GeneratedOp``),
 on integer pairs for an exact t-norm, since ``Fraction`` builds and
 compares in Python.  On an exact table, ids compare values: equal ids are
@@ -92,13 +93,13 @@ class _Memo:
 
     The class of an exact value x (``class_of``) is the id of f(x) for a
     GeneratedOp, whose F(x, y) depends on x and y only through f(x) and
-    f(y), and x's own id for any other operation.  The operation is
-    evaluated once per pair of classes (``eval``), and ``evals`` counts
-    them; a GeneratedOp takes f, T and finv from its own kernel, so the
-    memo keeps ids only.  ``memo(x,
-    y)`` reads the same cache; the law scans read ``table``, the ``_Grid``
-    of the last point set scanned (``memo.grid(pts)``), and add the
-    comparisons they make to ``compared``.
+    f(y), and x's own id for any other operation.  ``eval`` evaluates the
+    operation on the classes of its arguments, and ``evals`` counts the
+    evaluations; a GeneratedOp takes f, T and finv from its own kernel, so
+    the memo keeps ids only.  ``memo(x, y)`` evaluates without a cache; the
+    law scans read ``table``, the ``_Grid`` of the last point set scanned
+    (``memo.grid(pts)``), which holds every value they evaluate, and add
+    the comparisons they make to ``compared``.
     """
 
     def __init__(self, op: Callable):
@@ -109,7 +110,6 @@ class _Memo:
         self.vals = []  # id -> value
         self.centre = []  # id -> id of the value's centre
         self.f_ids = {}  # id of an exact x -> id of f(x), for a GeneratedOp
-        self.by_cls = {}  # (class of x, class of y) -> id of F(x, y)
         self.table = None  # _Grid of the last point set scanned
         self.evals = 0
         self.compared = 0
@@ -148,24 +148,16 @@ class _Memo:
         lookups of the classes and of the result's id are written out,
         not called, as this runs once per table entry."""
         gen, f_ids = self.generated, self.f_ids
-        key = (a, b) if gen is None else (
-            f_ids[a] if a in f_ids else self.class_of(a),
-            f_ids[b] if b in f_ids else self.class_of(b))
-        v = self.by_cls.get(key)
-        if v is None:
-            self.evals += 1
-            u, w = key
-            if gen is None:
-                v = self.intern(self.op(self.vals[u], self.vals[w]))
-            elif gen.t.exact:
-                k, r = gen.t_finv(*self.keys[u], *self.keys[w])
-                v = self.ids.get(k)
-                if v is None:
-                    v = self._intern_key(k, r)
-            else:
-                v = self.intern(f_compose(gen, self.vals[u], self.vals[w]))
-            self.by_cls[key] = v
-        return v
+        self.evals += 1
+        if gen is None:
+            return self.intern(self.op(self.vals[a], self.vals[b]))
+        u = f_ids[a] if a in f_ids else self.class_of(a)
+        w = f_ids[b] if b in f_ids else self.class_of(b)
+        if gen.t.exact:
+            k, r = gen.t_finv(*self.keys[u], *self.keys[w])
+            v = self.ids.get(k)
+            return self._intern_key(k, r) if v is None else v
+        return self.intern(f_compose(gen, self.vals[u], self.vals[w]))
 
     def grid(self, pts) -> "_Grid":
         pts = tuple(pts)
@@ -186,15 +178,18 @@ class _Grid:
     evaluated once per class pair, and ``CC`` the same table of centre
     ids; the table is ``exact`` when no value in it is an ``Approx`` (then
     ``CC == TC``).  ``T[i][j]`` and ``C[i][j]`` are the same tables by
-    point, read from ``TC`` and ``CC``.  For a value u of id v,
+    point, read from ``TC`` and ``CC``.  For an exact value u of id v,
     ``row(v)[c]`` is the id of F(u, p) and ``col(v)[c]`` that of F(p, u),
-    for p any point of class c.  A grid point's row and column are read
-    from ``TC``; those of other values start as None and are filled by the
-    scans on demand.
+    for p any point of class c.  Rows and columns are kept by u's class, as
+    F(u, p) depends on u only through it: the row and column of a grid
+    point's class are read from ``TC``, those of other classes start as
+    None and are filled by the scans on demand.  They are the only cache
+    of the operation's values.
     """
 
     def __init__(self, memo: _Memo, pts: tuple):
         self.pts = pts
+        self.class_of = memo.class_of
         self.pid = tuple(memo.intern(p) for p in pts)
         number = {}  # class -> its number
         self.first, self.cls = [], []
@@ -213,23 +208,25 @@ class _Grid:
         self.T = self._by_point(self.TC)
         self.C = self._by_point(self.CC)
         cols = [list(col) for col in zip(*self.TC)]
-        self._rows = {a: self.TC[c] for a, c in zip(self.pid, self.cls)}
-        self._cols = {a: cols[c] for a, c in zip(self.pid, self.cls)}
+        self._rows = {c: self.TC[i] for c, i in number.items()}
+        self._cols = {c: cols[i] for c, i in number.items()}
 
     def _by_point(self, table) -> list:
         rows = [[row[d] for d in self.cls] for row in table]
         return [rows[c] for c in self.cls]
 
     def row(self, v) -> list:
-        r = self._rows.get(v)
+        c = self.class_of(v)
+        r = self._rows.get(c)
         if r is None:
-            r = self._rows[v] = [None] * len(self.first)
+            r = self._rows[c] = [None] * len(self.first)
         return r
 
     def col(self, v) -> list:
-        r = self._cols.get(v)
+        c = self.class_of(v)
+        r = self._cols.get(c)
         if r is None:
-            r = self._cols[v] = [None] * len(self.first)
+            r = self._cols[c] = [None] * len(self.first)
         return r
 
 

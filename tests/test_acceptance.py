@@ -104,10 +104,10 @@ def test_criterion_2_worked_example_verdicts():
     x, y1, y2 = res.counterexample.inputs
     assert memo(x, y1) == memo(x, y2) > 0
 
-    cond_a, _ = check_inclusion_conditions(parse_tnorm("halfprod"),
-                                           decompose(parse_fn(F_GAP)))
-    assert cond_a.status == "no"
-    assert cond_a.witness == (F(1, 2), F(1, 2), F(1, 8))
+    z_a, _ = check_inclusion_conditions(parse_tnorm("halfprod"),
+                                        decompose(parse_fn(F_GAP)))
+    assert z_a is not None  # condition (a) fails
+    assert z_a == F(1, 8)
 
 
 @criterion(3, "oracle-classifier consistency, 200 random functions")

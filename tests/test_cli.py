@@ -148,3 +148,5 @@ def test_bad_input_fails_cleanly(argv, fn_file, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    if "--grid-n" in argv:  # oracle and grid name the option alike
+        assert lines[0].startswith("error: --grid-n must be >= 1")

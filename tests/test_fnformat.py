@@ -84,6 +84,15 @@ def test_missing_monotone_directive():
         parse_fn("segment [0,1] linear 1 0\n")
 
 
+def test_repeated_monotone_directive():
+    # a later directive must not override the first one
+    with pytest.raises(ParseError) as exc:
+        parse_fn("monotone: nonincreasing\n"
+                 "segment [0,1] const 1/2\n"
+                 "monotone: nondecreasing\n")
+    assert exc.value.lineno == 3
+
+
 def test_unknown_directive():
     with pytest.raises(ParseError):
         parse_fn("monotone: nondecreasing\nwibble [0,1]\n")

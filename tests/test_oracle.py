@@ -98,13 +98,6 @@ def test_archimedean_never_claims_counterexample(f_identity):
     assert res.note and "not witnessed" in res.note
 
 
-def test_memo_caches(f_identity):
-    op = op_for(f_identity, PRODUCT)
-    op(F(1, 2), F(1, 3))
-    op(F(1, 2), F(1, 3))
-    assert op.evals == 1
-
-
 def test_scan_continuity_flags_jump(f_half_jump):
     op = op_for(f_half_jump, PRODUCT)
     flagged = scan_continuity(op, f_half_jump.breakpoints(), grid(8))
@@ -394,7 +387,7 @@ def test_scans_by_class_count_every_point_of_a_class():
 @pytest.mark.parametrize("family", ["product", "min", "gen:neglog"])
 def test_one_memo_scanned_on_two_point_sets_in_turn(family):
     # every scan gets the other point set, so each one replaces the table
-    # and rebuilds it, while the memo's value cache carries over
+    # and rebuilds it, while the memo's interned ids and f values carry over
     t = parse_tnorm(family)
     for name, text in WORKED_EXAMPLES.items():
         f = parse_fn(text)
