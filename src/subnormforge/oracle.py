@@ -178,18 +178,17 @@ class _Grid:
     evaluated once per class pair, and ``CC`` the same table of centre
     ids; the table is ``exact`` when no value in it is an ``Approx`` (then
     ``CC == TC``).  ``T[i][j]`` and ``C[i][j]`` are the same tables by
-    point, read from ``TC`` and ``CC``.  For an exact value u of id v,
-    ``row(v)[c]`` is the id of F(u, p) and ``col(v)[c]`` that of F(p, u),
-    for p any point of class c.  Rows and columns are kept by u's class, as
-    F(u, p) depends on u only through it: the row and column of a grid
-    point's class are read from ``TC``, those of other classes start as
+    point, read from ``TC`` and ``CC``.  For an exact value u of class k
+    (``_Memo.class_of``), ``row(k)[c]`` is the id of F(u, p) and
+    ``col(k)[c]`` that of F(p, u), for p any point of class c: F(u, p)
+    depends on u only through its class.  The row and column of a grid
+    point's class are read from ``TC``; those of other classes start as
     None and are filled by the scans on demand.  They are the only cache
     of the operation's values.
     """
 
     def __init__(self, memo: _Memo, pts: tuple):
         self.pts = pts
-        self.class_of = memo.class_of
         self.pid = tuple(memo.intern(p) for p in pts)
         number = {}  # class -> its number
         self.first, self.cls = [], []
@@ -215,18 +214,16 @@ class _Grid:
         rows = [[row[d] for d in self.cls] for row in table]
         return [rows[c] for c in self.cls]
 
-    def row(self, v) -> list:
-        c = self.class_of(v)
-        r = self._rows.get(c)
+    def row(self, k) -> list:
+        r = self._rows.get(k)
         if r is None:
-            r = self._rows[c] = [None] * len(self.first)
+            r = self._rows[k] = [None] * len(self.first)
         return r
 
-    def col(self, v) -> list:
-        c = self.class_of(v)
-        r = self._cols.get(c)
+    def col(self, k) -> list:
+        r = self._cols.get(k)
         if r is None:
-            r = self._cols[c] = [None] * len(self.first)
+            r = self._cols[k] = [None] * len(self.first)
         return r
 
 
@@ -263,6 +260,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
     pts, pid, T, C = g.pts, g.pid, g.T, g.C
     TC, CC, first, size = g.TC, g.CC, g.first, g.size
     vals, keys, cen, ev = memo.vals, memo.keys, memo.centre, memo.eval
+    class_of = memo.class_of
     m, n = len(pts), len(first)
     undecided = 0
     count = 0  # comparisons made
@@ -344,15 +342,15 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
                 if cen[v] != lo and gt(v, lo):
                     return cex((x, y), vals[v], min(x, y))
     elif prop == "associativity":
-        # (xy)z is row(xy)[e] and x(yz) is col(yz)[c], with xy and yz the
-        # centres of F(x,y) and F(y,z) and c, d, e the classes of x, y, z;
-        # cols[d][e] is col(yz)
+        # (xy)z is row(class of xy)[e] and x(yz) is col(class of yz)[c],
+        # with xy and yz the centres of F(x,y) and F(y,z) and c, d, e the
+        # classes of x, y, z; cols[d][e] is col(class of yz)
         reps = [pid[i] for i in first]
-        cols = [[g.col(v) for v in CCd] for CCd in CC]
+        cols = [[g.col(class_of(v)) for v in CCd] for CCd in CC]
         for c in range(n):
             for d in range(n):
                 cxy, CCd, cols_d = CC[c][d], CC[d], cols[d]
-                row = g.row(cxy)
+                row = g.row(class_of(cxy))
                 for e in range(n):
                     count += 1
                     lhs = row[e]
@@ -370,7 +368,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
         checked = m ** 3
     elif prop == "neutral_one":
         one = memo.intern(ONE)
-        col = g.col(one)
+        col = g.col(class_of(one))
         for i, x in enumerate(pts):
             count += 1
             c = g.cls[i]
@@ -421,7 +419,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
             if run is None:
                 acc = pid[k]  # centre id of the current power
                 for steps in range(1, N_ITER + 1):
-                    row = g.row(acc)
+                    row = g.row(class_of(acc))
                     v = row[c]
                     if v is None:
                         v = row[c] = ev(acc, pid[k])
