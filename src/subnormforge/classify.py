@@ -122,14 +122,18 @@ def _dense_samples(s: IntervalSet) -> list:
 
 def _plateau_pair(f: PiecewiseMonotoneFn, w: Fraction):
     """(x1, x2) with x1 != x2 and f(x1) = f(x2) = w, for a value w in
-    plateau_set(f).  When the only piece taking w is a constant piece open
-    at both ends, arg_with_value finds its midpoint x1 alone; then x2 is
-    halfway between x1 and the piece's lower end."""
-    x1 = arg_with_value(f, w)
-    x2 = arg_with_value(f, w, avoid=x1)
-    if x2 is None:
-        x2 = (x1 + approach_segment(f, x1, "left").domain.lo) / 2
-    return x1, x2
+    plateau_set(f), found once per function and value (``f._plateau_pairs``).
+    When the only piece taking w is a constant piece open at both ends,
+    arg_with_value finds its midpoint x1 alone; then x2 is halfway between
+    x1 and the piece's lower end."""
+    pair = f._plateau_pairs.get(w)
+    if pair is None:
+        x1 = arg_with_value(f, w)
+        x2 = arg_with_value(f, w, avoid=x1)
+        if x2 is None:
+            x2 = (x1 + approach_segment(f, x1, "left").domain.lo) / 2
+        pair = f._plateau_pairs[w] = x1, x2
+    return pair
 
 
 # -- degenerate shapes ------------------------------------------------------
@@ -431,30 +435,28 @@ def _cc_witness(op, d: Decomposition, which: str, z: Fraction):
 
 
 def _jumps(f: PiecewiseMonotoneFn):
-    """(x0, lo, hi) at every discontinuity, using actual one-sided limits
-    (the pseudo-inverse boundary conventions play no role here)."""
-    out = []
-    for x0 in f.breakpoints():
-        v = eval_fn(f, x0)
-        lo = v if x0 == 0 else side_limit(f, x0, "left")
-        hi = v if x0 == 1 else side_limit(f, x0, "right")
-        if lo != hi or lo != v:
-            out.append((x0, min(lo, v), max(hi, v)))
-    return out
+    """(x0, lo, hi) at every discontinuity of f, built once per function
+    (``f._jumps``)."""
+    return f._jumps
 
 
-def _dir_limit(op: GeneratedOp, x0: Fraction, y0: Fraction, side: str):
-    """Exact lim F(x, y0) as x -> x0 from `side`; None when not computable."""
+def _dir_limit(op: GeneratedOp, x0: Fraction, y0: Fraction, side: str, approach: dict):
+    """Exact lim F(x, y0) as x -> x0 from `side`; None when not computable.
+    `approach` maps (x0, side) to the segment of f approaching x0 from
+    `side` and its value at x0, filled as asked: neither depends on y0."""
     t = op.t
     if (side == "left" and x0 == 0) or (side == "right" and x0 == 1):
         return None
     c = op.f_at(y0)
     if c == 0:
         return op.finv_at(ZERO)
-    # x0 is neither 0 from the left nor 1 from the right, so a segment
-    # approaches it
-    seg = approach_segment(op.f, x0, side)
-    v = seg.value_at(x0)
+    seg_v = approach.get((x0, side))
+    if seg_v is None:
+        # x0 is neither 0 from the left nor 1 from the right, so a segment
+        # approaches it
+        seg = approach_segment(op.f, x0, side)
+        seg_v = approach[x0, side] = seg, seg.value_at(x0)
+    seg, v = seg_v
     if seg.is_const:
         return op.finv_at(t_eval(t, v, c))
     w, const = t.dir_limit(v, side, c)
@@ -541,19 +543,20 @@ def check_continuity(op: GeneratedOp) -> Verdict:
     # refutation search via exact one-sided limits
     if f.nondecreasing:
         cands_x = set(f.breakpoints())
-        cands_y = set(f.breakpoints()) | {ONE}
+        ys = sorted(set(f.breakpoints()) | {ONE})
         for q in decompose(f).q.sample_points():
-            for y0 in sorted(cands_y):
+            for y0 in ys:
                 for u in t_solve_x(t, op.f_at(y0), q):
                     xa = arg_with_value(f, u)
                     if xa is not None:
                         cands_x.add(xa)
+        approach = {}
         for x0 in sorted(cands_x):
-            for y0 in sorted(cands_y):
+            for y0 in ys:
                 for (px, py) in ((x0, y0), (y0, x0)):
                     val = f_eval(op, px, py)
                     for side in ("left", "right"):
-                        lim = _dir_limit(op, px, py, side)
+                        lim = _dir_limit(op, px, py, side, approach)
                         if lim is not None and lim != val:
                             return Verdict.no(
                                 (px, py),

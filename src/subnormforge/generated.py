@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd
 
 from .intervals import Interval, frac
-from .pwfn import PiecewiseMonotoneFn, Segment, eval_pair, pseudo_inverse
+from .pwfn import PiecewiseMonotoneFn, Segment, eval_pair
 from .tnorms import Approx, Generator, GeneratorSpec, Lambda, TNormDescriptor, t_eval
 
 
@@ -97,7 +97,9 @@ class GeneratedOp:
 
 
 def make_op(f: PiecewiseMonotoneFn, t: TNormDescriptor) -> GeneratedOp:
-    return GeneratedOp(f, pseudo_inverse(f), t)
+    """F for f and T, on f's pseudo-inverse, which f builds once and every
+    operation on f shares."""
+    return GeneratedOp(f, f._pseudo_inverse, t)
 
 
 def f_eval(op: GeneratedOp, x, y):

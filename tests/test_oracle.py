@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WORKED_EXAMPLES, monotone_fns, nonincreasing_fns
-from subnormforge import (classify, f_eval, generated, make_op, parse_fn,
+from subnormforge import (classify, f_eval, make_op, parse_fn,
                           parse_tnorm, pseudo_inverse, pwfn)
 from subnormforge.intervals import ONE, ZERO
 from subnormforge.oracle import (
@@ -203,16 +203,32 @@ def test_interning_keys_exact_values_and_approx_values():
         memo.intern(0.5)
 
 
-def test_harness_builds_the_pseudo_inverse_once(f_step, monkeypatch):
+def test_harness_builds_the_pseudo_inverse_once(monkeypatch):
+    # every family's classify and the harness after them share one build,
+    # which happens on first use, not when the function is parsed
     built = []
 
     def counting(f):
         built.append(f)
         return pseudo_inverse(f)
 
-    monkeypatch.setattr(generated, "pseudo_inverse", counting)
-    consistency_harness(f_step, PRODUCT, n=6, arch_grid_n=6)
-    assert built == [f_step]
+    monkeypatch.setattr(pwfn, "pseudo_inverse", counting)
+    f = parse_fn(WORKED_EXAMPLES["step"])
+    assert built == []
+    for family in ("product", "hamacher2", "min", "halfprod", "gen:neglog"):
+        classify(f, parse_tnorm(family), arch_grid_n=6)
+    consistency_harness(f, PRODUCT, n=6, arch_grid_n=6)
+    assert built == [f]
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
+def test_make_op_uses_the_pseudo_inverse(f):
+    want = pseudo_inverse(f)
+    for family in ("product", "gen:neglog"):
+        op = make_op(f, parse_tnorm(family))
+        assert op.finv == want
+        assert op.finv is make_op(f, PRODUCT).finv
 
 
 def test_classify_and_harness_build_the_decomposition_once(f_step, monkeypatch):

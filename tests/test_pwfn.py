@@ -29,6 +29,7 @@ from subnormforge import (
     side_limit,
 )
 from subnormforge import pwfn
+from subnormforge.classify import _jumps, _plateau_pair, arg_with_value
 from subnormforge.intervals import ONE, ZERO, Interval, IntervalSet, frac
 from subnormforge.pwfn import (
     DomainError,
@@ -373,6 +374,52 @@ def test_cached_structure_matches_references(f):
                                           reference_first_arg_above(f, upsilon))
 
 
+def reference_jumps(f):
+    """(x0, lo, hi) at every discontinuity, from one-sided limits computed
+    afresh on every call."""
+    out = []
+    for x0 in f.breakpoints():
+        v = eval_fn(f, x0)
+        lo = v if x0 == 0 else side_limit(f, x0, "left")
+        hi = v if x0 == 1 else side_limit(f, x0, "right")
+        if lo != hi or lo != v:
+            out.append((x0, min(lo, v), max(hi, v)))
+    return out
+
+
+def reference_plateau_pair(f, w):
+    """(x1, x2) with x1 != x2 and f(x1) = f(x2) = w, found afresh."""
+    x1 = arg_with_value(f, w)
+    x2 = arg_with_value(f, w, avoid=x1)
+    if x2 is None:
+        x2 = (x1 + pwfn.approach_segment(f, x1, "left").domain.lo) / 2
+    return x1, x2
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
+def test_per_function_caches_match_references(f):
+    q = plateau_set(f)
+    assert "_plateau_pairs" not in vars(f)
+    classify(f, parse_tnorm("product"), arch_grid_n=6)
+    if q.is_empty:
+        assert "_plateau_pairs" not in vars(f)
+    assert list(_jumps(f)) == reference_jumps(f)
+    assert _jumps(f) is f._jumps
+    for w in q.sample_points():
+        pair = _plateau_pair(f, w)
+        assert pair == reference_plateau_pair(f, w)
+        x1, x2 = pair
+        assert x1 != x2 and eval_fn(f, x1) == eval_fn(f, x2) == w
+        assert _plateau_pair(f, w) is pair
+    if f.nondecreasing:
+        d = decompose(f)
+        c_set = IntervalSet.points(d.c)
+        assert d.c_set == c_set
+        assert d.m_minus_c == d.m.minus(c_set)
+        assert d.m_minus_c is d.m_minus_c
+
+
 # 1/(3 * 2^2000): added to a rational of small denominator, it gives one of
 # denominator above 2^2000, the size the Archimedean power walks reach
 TINY = F(1, 3 * 2 ** 2000)
@@ -482,13 +529,23 @@ def test_pseudo_inverse_builds_without_pointwise_queries(f):
         pseudo_inverse(f)
 
 
+PER_FUNCTION_CACHES = {"_values", "_breakpoints", "_plateau", "_decomposition",
+                       "_pseudo_inverse", "_jumps", "_plateau_pairs"}
+
+
 def test_caches_leave_identity_alone(f_step):
     before = (hash(f_step), repr(f_step))
+    d_before = (hash(decompose(f_step)), repr(decompose(f_step)))
     for family in ("product", "min"):
         classify(f_step, parse_tnorm(family), arch_grid_n=6)
-    assert {"_values", "_breakpoints", "_plateau", "_decomposition"} <= set(vars(f_step))
+    assert PER_FUNCTION_CACHES <= set(vars(f_step))
+    assert {"c_set", "m_minus_c"} <= set(vars(decompose(f_step)))
+    assert (hash(decompose(f_step)), repr(decompose(f_step))) == d_before
+    # the pseudo-inverse is validated like any function, which keeps no
+    # value intervals on it
+    assert "_values" not in vars(f_step._pseudo_inverse)
     fresh = parse_fn(render_fn(f_step))
-    assert not {"_plateau", "_decomposition"} & set(vars(fresh))
+    assert not PER_FUNCTION_CACHES & set(vars(fresh))
     assert f_step == fresh
     assert (hash(f_step), repr(f_step)) == before == (hash(fresh), repr(fresh))
     assert isinstance(f_step.segments, tuple)
