@@ -434,12 +434,6 @@ def _cc_witness(op, d: Decomposition, which: str, z: Fraction):
 # -- continuity -------------------------------------------------------------
 
 
-def _jumps(f: PiecewiseMonotoneFn):
-    """(x0, lo, hi) at every discontinuity of f, built once per function
-    (``f._jumps``)."""
-    return f._jumps
-
-
 def _dir_limit(op: GeneratedOp, x0: Fraction, y0: Fraction, side: str, approach: dict):
     """Exact lim F(x, y0) as x -> x0 from `side`; None when not computable.
     `approach` maps (x0, side) to the segment of f approaching x0 from
@@ -490,7 +484,7 @@ def check_continuity(op: GeneratedOp) -> Verdict:
                 "generated operation, which is continuous")
         return Verdict.unknown("non-canonical generator composition")
 
-    jumps = _jumps(f)
+    jumps = f._jumps
     if (f.nondecreasing and f.is_strictly_monotone and not jumps
             and t.continuous):
         # finv is continuous on [0, f(1)] for continuous strictly
@@ -702,7 +696,7 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
                         "yes" if z_b is None else "no"))
         if t.exact and t.strict:
             props.update(_strict_exact_verdicts(op, d, z_a, z_b, log))
-        elif t.strict and f.is_strictly_monotone and not _jumps(f) \
+        elif t.strict and f.is_strictly_monotone and not f._jumps \
                 and eval_fn(f, ZERO) == 0:
             # corollary route for strict but inexact families
             props.update(dict.fromkeys(_ROUTED, Verdict.yes(

@@ -17,7 +17,7 @@ segments.  The pseudo-inverse is validated like any function but keeps no
 value intervals, so it holds its segments and ``_kernel`` alone.  Over
 every (function, family) pair of the classify benchmark's corpus, seed 4,
 these caches raise the Python heap retained per function from about 3.5
-to 5.5 KB (tracemalloc), and the benchmark's peak RSS by about 7%.
+to 5.5 KB (tracemalloc), and the benchmark's peak RSS by about 8%.
 
 ``eval_pair`` runs on one more cache, the integer table ``_kernel``: per
 piece in x order, its upper end as numerator, denominator and closedness,
