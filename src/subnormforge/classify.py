@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .generated import GeneratedOp, f_eval, make_op
@@ -23,6 +24,7 @@ from .pwfn import (
     approach_segment,
     decompose,
     eval_fn,
+    eval_pair,
     plateau_set,
     side_limit,
 )
@@ -590,6 +592,11 @@ def check_archimedean(op: GeneratedOp, grid_n: int = 20) -> Verdict:
     sequence does not descend ends the scan, so every other point of the
     class comes after that verdict, and the verdict is the one a scan of
     every grid point returns.
+
+    For an exact family the sequence runs in ``_exact_powers`` on reduced
+    integer pairs, around the op's caches: a power sequence meets each
+    value once, so caching f(acc) and finv(T) would only store values
+    that are never read again.  The inexact families keep ``f_eval``.
     """
     if grid_n < 2:
         raise ValueError(
@@ -601,29 +608,66 @@ def check_archimedean(op: GeneratedOp, grid_n: int = 20) -> Verdict:
         cls = op.f_pair((x.numerator, x.denominator))[0]
         if cls in descended:
             continue
-        acc = x
-        prev = None
-        for _ in range(ARCH_CAP):
-            nxt, r = approx_diff(f_eval(op, acc, x), ZERO)
-            if nxt + r < y_min:
-                break
-            if r:
-                # an approximate power can be seen to stall, never to be
-                # an exact fixed point
-                if prev is not None and abs(nxt - prev) <= r:
-                    return Verdict.unknown(
-                        f"power sequence at x={x} stalls within the error radius")
-                prev = nxt
-            elif nxt == acc:
-                # exact fixed point at acc >= y_min: powers never descend below y_min
-                return Verdict.no((x, y_min), note=f"powers of {x} stabilize at {acc}")
-            acc = nxt
-        else:
-            return Verdict.unknown(
-                f"powers of {x} did not descend below {y_min} within {ARCH_CAP} steps")
+        stop = (_exact_powers(op, x, cls, grid_n) if op.t.exact
+                else _approx_powers(op, x, y_min))
+        if stop is not None:
+            return stop
         descended.add(cls)
     return Verdict.yes(f"all grid powers descend below {y_min}",
                        note=f"grid n={grid_n}, cap {ARCH_CAP}")
+
+
+def _approx_powers(op: GeneratedOp, x: Fraction, y_min: Fraction):
+    """The Verdict that ends ``check_archimedean``'s scan at x, or None when
+    the powers of x descend below y_min, for an inexact family, through
+    ``f_eval``: its values may be Approx, or exact, as T = 0 is."""
+    acc = x
+    prev = None
+    for _ in range(ARCH_CAP):
+        nxt, r = approx_diff(f_eval(op, acc, x), ZERO)
+        if nxt + r < y_min:
+            return None
+        if r:
+            # an approximate power can be seen to stall, never to be
+            # an exact fixed point
+            if prev is not None and abs(nxt - prev) <= r:
+                return Verdict.unknown(
+                    f"power sequence at x={x} stalls within the error radius")
+            prev = nxt
+        elif nxt == acc:
+            # exact fixed point at acc >= y_min: powers never descend below y_min
+            return Verdict.no((x, y_min), note=f"powers of {x} stabilize at {acc}")
+        acc = nxt
+    return Verdict.unknown(
+        f"powers of {x} did not descend below {y_min} within {ARCH_CAP} steps")
+
+
+def _exact_powers(op: GeneratedOp, x: Fraction, fx: tuple, grid_n: int):
+    """The Verdict that ends ``check_archimedean``'s scan at x, or None when
+    the powers of x descend below 1/grid_n, for an exact family; fx is f(x)
+    as a reduced pair.  Each step is finv(T(f(acc), f(x))) on integer
+    pairs, each reduced as ``GeneratedOp.f_pair`` and ``t_finv`` reduce
+    them, so a reduced pair equal to acc's is the exact fixed point; only
+    the Verdict's text builds a Fraction."""
+    f, finv, t_pair = op.f, op.finv, op.t.eval_pair
+    a, b = fx
+    p, q = x.numerator, x.denominator
+    for _ in range(ARCH_CAP):
+        n, d = eval_pair(f, p, q)
+        g = gcd(n, d)
+        n, d = t_pair(n // g, d // g, a, b)
+        g = gcd(n, d)
+        n, d = eval_pair(finv, n // g, d // g)
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        if n * grid_n < d:
+            return None
+        if n == p and d == q:
+            return Verdict.no((x, Fraction(1, grid_n)),
+                              note=f"powers of {x} stabilize at {Fraction(n, d)}")
+        p, q = n, d
+    return Verdict.unknown(f"powers of {x} did not descend below {Fraction(1, grid_n)} "
+                           f"within {ARCH_CAP} steps")
 
 
 # -- orchestration ----------------------------------------------------------

@@ -343,9 +343,60 @@ def reference_archimedean(op, grid_n):
 def test_archimedean_by_class_matches_per_point_scan(tdesc, f):
     # one power sequence per f-value class must give the whole Verdict of
     # a scan of every grid point
-    for grid_n in (6, 8, 20):
+    for grid_n in (2, 6, 8, 20):
         want = reference_archimedean(make_op(f, parse_tnorm(tdesc)), grid_n)
         assert check_archimedean(make_op(f, parse_tnorm(tdesc)), grid_n) == want, grid_n
+
+
+# the powers of 95/97 reach the plateau's lower end 11/16 and stay there,
+# as F(11/16, 95/97) = 11/16 with product and halfprod
+F_ARCH_TRAP = """\
+monotone: nondecreasing
+segment [0,11/16) linear 4/11 7/16
+segment [11/16,13/16) const 3/4
+segment [13/16,1] linear 1 -1/16
+"""
+
+# the powers of any x > 1/4 fall towards 1/4 without reaching it
+F_ARCH_SLOW = """\
+monotone: nondecreasing
+segment [0,1/4] const 0
+segment (1/4,1] linear 4/3 -1/3
+"""
+
+_SLOW_CAP = Verdict.unknown(
+    f"powers of 3/8 did not descend below 1/8 within {ARCH_CAP} steps")
+
+
+@pytest.mark.parametrize("fn, tdesc, grid_n, want", [
+    (F_ARCH_TRAP, "product", 97,
+     Verdict.no((F(95, 97), F(1, 97)), note="powers of 95/97 stabilize at 11/16")),
+    (F_ARCH_TRAP, "halfprod", 97,
+     Verdict.no((F(95, 97), F(1, 97)), note="powers of 95/97 stabilize at 11/16")),
+    (F_ARCH_TRAP, "hamacher2", 97,
+     Verdict.yes("all grid powers descend below 1/97", note=f"grid n=97, cap {ARCH_CAP}")),
+    (F_ARCH_TRAP, "product", 2,
+     Verdict.yes("all grid powers descend below 1/2", note=f"grid n=2, cap {ARCH_CAP}")),
+    (F_ARCH_SLOW, "product", 8, _SLOW_CAP),
+    (F_ARCH_SLOW, "hamacher2", 8, _SLOW_CAP),
+    (F_ARCH_SLOW, "halfprod", 8, _SLOW_CAP),
+    (F_ARCH_SLOW, "min", 8,
+     Verdict.no((F(3, 8), F(1, 8)), note="powers of 3/8 stabilize at 3/8")),
+    (F_ARCH_SLOW, "gen:neglog", 8,
+     Verdict.unknown("power sequence at x=3/8 stalls within the error radius")),
+])
+def test_archimedean_power_loop_endings(fn, tdesc, grid_n, want):
+    # each way a power sequence ends: descent, an exact fixed point, the
+    # cap, and a stall within the error radius
+    op = make_op(parse_fn(fn), parse_tnorm(tdesc))
+    assert check_archimedean(op, grid_n) == want
+    assert reference_archimedean(op, grid_n) == want
+
+
+def test_classify_accepts_the_smallest_grid():
+    r = classify(parse_fn(F_ARCH_TRAP), PRODUCT, arch_grid_n=2)
+    assert r.properties["archimedean"] == Verdict.yes(
+        "all grid powers descend below 1/2", note=f"grid n=2, cap {ARCH_CAP}")
 
 
 # f(1) = 1/4 is a plateau value, so classify takes the degenerate-shape return
@@ -423,6 +474,34 @@ def test_render_text_mentions_all_properties(f_plateau):
                  "cancellative", "strictly_monotone_op", "archimedean",
                  "continuous", "proper"):
         assert name in out
+
+
+def test_render_text_full():
+    # Yes with evidence, No with witness and note, an Unknown resolution,
+    # the decomposition and the conditions log
+    out = render_text(classify(parse_fn(F_ARCH_SLOW), PRODUCT))
+    assert out == """\
+t_subnorm: Yes (gap-hull condition; both inclusion conditions)
+t_norm: No witness=1/8,1  # F(1/8,1)=0 != 1/8
+conditionally_cancellative: Yes (T(M\\C,M) within M plus [0,f(0+)]; T(Q,M) within [0,f(0+)])
+cancellative: No witness=1,0,1/8  # f(0)=f(1/8)=0, so F(1,0)=F(1,1/8)
+strictly_monotone_op: No witness=1,0,1/8  # f(0)=f(1/8)=0, so F(1,0)=F(1,1/8)
+archimedean: Unknown (powers of 3/10 did not descend below 1/20 within 256 steps)
+continuous: No witness=1/4,1  # right limit 1/4 != value 0 along the first argument
+proper: No witness=1,1  # F(1,1)=1
+M=[0,1]
+S=[1,1]:c=1
+C={1}
+Q={0}
+f0plus=0
+f1minus=1
+tau=1/4
+upsilon=0
+K1={0}
+condition: T(M\\C,M) within M plus [0,f(0+)] [M=[0,1] C={1} f(0+)=0] -> yes
+condition: T(Q,M) within [0,f(0+)] [Q={0}] -> yes
+condition: gap-hull condition [K1=(0,)] -> yes
+"""
 
 
 def test_render_structured_stable(f_plateau):
