@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Optional
 
 from .generated import GeneratedOp, f_eval, make_op
@@ -24,7 +23,6 @@ from .pwfn import (
     approach_segment,
     decompose,
     eval_fn,
-    eval_pair,
     plateau_set,
     side_limit,
 )
@@ -419,7 +417,7 @@ def _cc_witness(op, d: Decomposition, which: str, z: Fraction):
     t = op.t
     if which == "plateau":
         # z = T(w, v) > f(0+) with w a repeated value
-        for w in d.q.sample_points():
+        for w in (p.lo for p in d.q.parts):
             x1, x2 = _plateau_pair(op.f, w)
             for v in t_solve_x(t, w, z):
                 if not d.m.contains(v):
@@ -540,7 +538,7 @@ def check_continuity(op: GeneratedOp) -> Verdict:
     if f.nondecreasing:
         cands_x = set(f.breakpoints())
         ys = sorted(set(f.breakpoints()) | {ONE})
-        for q in decompose(f).q.sample_points():
+        for q in (p.lo for p in decompose(f).q.parts):
             for y0 in ys:
                 for u in t_solve_x(t, op.f_at(y0), q):
                     xa = arg_with_value(f, u)
@@ -593,10 +591,9 @@ def check_archimedean(op: GeneratedOp, grid_n: int = 20) -> Verdict:
     class comes after that verdict, and the verdict is the one a scan of
     every grid point returns.
 
-    For an exact family the sequence runs in ``_exact_powers`` on reduced
-    integer pairs, around the op's caches: a power sequence meets each
-    value once, so caching f(acc) and finv(T) would only store values
-    that are never read again.  The inexact families keep ``f_eval``.
+    For an exact family the sequence runs in ``_exact_powers`` on the
+    op's reduced integer pairs (``GeneratedOp.power_step``); the inexact
+    families run in ``_approx_powers`` through ``f_eval``.
     """
     if grid_n < 2:
         raise ValueError(
@@ -645,21 +642,11 @@ def _approx_powers(op: GeneratedOp, x: Fraction, y_min: Fraction):
 def _exact_powers(op: GeneratedOp, x: Fraction, fx: tuple, grid_n: int):
     """The Verdict that ends ``check_archimedean``'s scan at x, or None when
     the powers of x descend below 1/grid_n, for an exact family; fx is f(x)
-    as a reduced pair.  Each step is finv(T(f(acc), f(x))) on integer
-    pairs, each reduced as ``GeneratedOp.f_pair`` and ``t_finv`` reduce
-    them, so a reduced pair equal to acc's is the exact fixed point; only
-    the Verdict's text builds a Fraction."""
-    f, finv, t_pair = op.f, op.finv, op.t.eval_pair
-    a, b = fx
+    as a reduced pair.  Each step, ``op.power_step``, gives F(acc, x) as a
+    reduced pair, so a pair equal to acc's is the exact fixed point."""
     p, q = x.numerator, x.denominator
     for _ in range(ARCH_CAP):
-        n, d = eval_pair(f, p, q)
-        g = gcd(n, d)
-        n, d = t_pair(n // g, d // g, a, b)
-        g = gcd(n, d)
-        n, d = eval_pair(finv, n // g, d // g)
-        g = gcd(n, d)
-        n, d = n // g, d // g
+        n, d = op.power_step((p, q), fx)
         if n * grid_n < d:
             return None
         if n == p and d == q:

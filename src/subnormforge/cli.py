@@ -149,6 +149,8 @@ def cmd_construct_subnorm(args) -> int:
     if gen.g1_zero:
         lines.append("warning: generator has g(1)=0, so the generated "
                      "operation has neutral element 1 and is not proper")
+    if not t.is_t_norm:
+        lines.append(f"warning: {t} is not a t-norm, so --tnorm rejects it")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

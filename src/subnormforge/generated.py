@@ -67,30 +67,40 @@ class GeneratedOp:
             v = self._f_cache[k] = _both(eval_pair(self.f, *k))
         return v
 
-    def t_finv(self, a: int, b: int, c: int, d: int) -> tuple:
-        """finv(T(a/b, c/d)) as (reduced pair, Fraction), for an exact
-        family and f values a/b, c/d.  No domain check, as f's values lie
-        in [0,1].  The reduction and the finv lookup are written out, not
-        called, as this runs once per evaluation."""
-        n, e = self.t.eval_pair(a, b, c, d)
-        g = gcd(n, e)
-        k = n // g, e // g
+    def finv_pair(self, k: tuple) -> tuple:
+        """finv(p/q) as (reduced pair, Fraction), for the reduced pair k = (p, q)."""
         v = self._finv_cache.get(k)
         if v is None:
             v = self._finv_cache[k] = _both(eval_pair(self.finv, *k))
         return v
+
+    def t_finv(self, a: int, b: int, c: int, d: int) -> tuple:
+        """finv(T(a/b, c/d)) as (reduced pair, Fraction), for an exact
+        family and f values a/b, c/d: T's pair, reduced, looked up by
+        ``finv_pair``.  No domain check, as f's values lie in [0,1]."""
+        n, e = self.t.eval_pair(a, b, c, d)
+        g = gcd(n, e)
+        return self.finv_pair((n // g, e // g))
+
+    def power_step(self, k: tuple, fx: tuple) -> tuple:
+        """finv(T(f(p/q), fx)) as a reduced pair, for an exact family and the
+        reduced pairs k = (p, q) and fx, outside the caches: a power sequence
+        F(acc, x) meets each acc once, so a cached value would not be read."""
+        n, d = eval_pair(self.f, *k)
+        g = gcd(n, d)
+        n, d = self.t.eval_pair(n // g, d // g, *fx)
+        g = gcd(n, d)
+        n, d = eval_pair(self.finv, n // g, d // g)
+        g = gcd(n, d)
+        return n // g, d // g
 
     def f_at(self, x: Fraction) -> Fraction:
         """f(x) for an exact x."""
         return self.f_pair((x.numerator, x.denominator))[1]
 
     def finv_at(self, y: Fraction) -> Fraction:
-        """finv(y) for an exact y, from ``t_finv``'s cache."""
-        k = y.numerator, y.denominator
-        v = self._finv_cache.get(k)
-        if v is None:
-            v = self._finv_cache[k] = _both(eval_pair(self.finv, *k))
-        return v[1]
+        """finv(y) for an exact y."""
+        return self.finv_pair((y.numerator, y.denominator))[1]
 
     def __call__(self, x, y):
         return f_eval(self, x, y)
@@ -149,8 +159,9 @@ def additive_generated(gen: GeneratorSpec):
 
 def lambda_decompose(gen: GeneratorSpec, lam) -> tuple:
     """Split the additively generated operation into (f, T) with
-    f(x) = lam*x and the strictly monotone t-norm built from the scaled
-    generator t(x) = g(x/lam) for x < 1, t(1) = 0.
+    f(x) = lam*x and the strictly monotone operation built from the scaled
+    generator t(x) = g(x/lam) for x < 1, t(1) = 0, which is a t-norm only
+    where ``Lambda.is_t_norm`` says so.
 
     Composing f_eval over the result reproduces the additively generated
     operation on the whole square.

@@ -215,19 +215,6 @@ class IntervalSet:
     def has_multiple_points(self) -> bool:
         return len(self.parts) > 1 or (len(self.parts) == 1 and not self.parts[0].is_point)
 
-    def sample_points(self) -> list:
-        """Deterministic attained sample: closed endpoints and midpoints."""
-        out = []
-        for p in self.parts:
-            if p.lo_closed:
-                out.append(p.lo)
-            if p.is_point:
-                continue
-            out.append(p.midpoint())
-            if p.hi_closed:
-                out.append(p.hi)
-        return sorted(set(out))
-
     def __str__(self) -> str:
         if not self.parts:
             return "∅"

@@ -26,12 +26,12 @@ equal values, unequal ids differ, and signs come from cross-multiplied
 pairs.  Comparisons that may involve Approx values call ``approx_diff``,
 with the boundary rules described in ``check_property``.
 
-Commutativity and associativity compare the first point of each class
-only, and the Archimedean powers run once per class; ``check_property``
-says why the first counterexample stays the same.  Its values, the notes
-and the ``checked`` counts are those of a direct scan that evaluates F at
-every comparison of every point; ``_Memo.compared`` counts the
-comparisons actually made.
+Associativity compares the first point of each class only, and the
+Archimedean powers run once per class; ``check_property`` says why the
+first counterexample stays the same.  Its values, the notes and the
+``checked`` counts are those of a direct scan that evaluates F at every
+comparison of every point; ``_Memo.compared`` counts the comparisons
+actually made.
 """
 
 from __future__ import annotations
@@ -144,9 +144,9 @@ class _Memo:
         return i
 
     def eval(self, a: int, b: int) -> int:
-        """Id of op(x, y) for the values x and y of ids a and b.  The
-        lookups of the classes and of the result's id are written out,
-        not called, as this runs once per table entry."""
+        """Id of op(x, y) for the values x and y of ids a and b, on their
+        classes for a GeneratedOp; this runs once per table entry, so it calls
+        ``class_of`` and ``_intern_key`` only for an id or value not yet seen."""
         gen, f_ids = self.generated, self.f_ids
         self.evals += 1
         if gen is None:
@@ -240,25 +240,22 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
     """Exhaustive scan of one law over the grid; the first counterexample
     in lexicographic input order is returned.
 
-    Commutativity and associativity scan the first point of each class
-    only.  If a tuple fails, so does the tuple with each member replaced
-    by the first point of its class, which is lexicographically no
-    greater; so the first failing tuple is made of first points, in any
-    point order.  ``checked`` is the number of tuples up to and including
-    the first failing one, i*m + j + 1 for commutativity at (p_i, p_j)
-    and (i*m + j)*m + k + 1 for associativity at (p_i, p_j, p_k), else
-    all m**2 or m**3 of them; an undecided comparison counts once per
-    tuple of its classes' points.  ``archimedean_at`` runs one power
-    sequence per class: after its first step, F(x,x), the sequence
-    depends on x only through its class.  The other laws compare
-    neighbouring points or the points themselves and scan every point.
+    Associativity scans the first point of each class only.  If a triple
+    fails, so does the triple with each member replaced by the first point
+    of its class, which is lexicographically no greater; so the first
+    failing triple is made of first points, in any point order.  Its
+    ``checked`` is (i*m + j)*m + k + 1 at (p_i, p_j, p_k), else m**3, and an
+    undecided comparison counts once per triple of its classes' points.
+    ``archimedean_at`` runs one power sequence per class: after its first
+    step, F(x,x), the sequence depends on x only through its class.  The
+    other laws, commutativity included, scan every point.
     """
     if prop not in PROPERTY_NAMES:
         raise ValueError(f"unknown property {prop!r}")
     memo = op if isinstance(op, _Memo) else _Memo(op)
     g = memo.grid(pts)
     pts, pid, T, C = g.pts, g.pid, g.T, g.C
-    TC, CC, first, size = g.TC, g.CC, g.first, g.size
+    CC, first, size = g.CC, g.first, g.size
     vals, keys, cen, ev = memo.vals, memo.keys, memo.centre, memo.eval
     class_of = memo.class_of
     m, n = len(pts), len(first)
@@ -311,15 +308,12 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
     checked = None  # tuples checked, where a scan by class compares fewer
     note = None
     if prop == "commutativity":
-        for c in range(n):
-            for d in range(n):
+        for i in range(m):
+            Ti, Ci = T[i], C[i]
+            for j in range(m):
                 count += 1
-                if CC[c][d] != CC[d][c] and differ(vals[TC[c][d]], vals[TC[d][c]],
-                                                   size[c] * size[d]):
-                    i, j = first[c], first[d]
-                    return cex((pts[i], pts[j]), vals[TC[c][d]], vals[TC[d][c]],
-                               i * m + j + 1)
-        checked = m * m
+                if Ci[j] != C[j][i] and differ(vals[Ti[j]], vals[T[j][i]]):
+                    return cex((pts[i], pts[j]), vals[Ti[j]], vals[T[j][i]])
     elif prop == "monotonicity":
         for i in range(m):
             Ti, Ci = T[i], C[i]

@@ -356,6 +356,21 @@ class Lambda(TNormDescriptor):
         return _clamped(mpf_mul(self._lam, self.gen.g_inv(_g_sum(memo, x, y, self._g_at)),
                                 PREC, _RND))
 
+    @property
+    def is_t_norm(self) -> bool:
+        """Whether the operation is a t-norm.  Inside the unit square it is
+        min(1, xy e^(-g(1)) / lam), at most min(x, y) only when lam e^g(1) >= 1:
+        never for neglog (g(1) = 0, lam < 1); for one-minus-log when lam e >= 1."""
+        if self.gen.g1_zero:
+            return False
+        # s_n = 1/0! + ... + 1/n! < e < s_n + 1/(n n!), and lam e != 1
+        lam, s, term, n = self.lam, Fraction(2), Fraction(1), 1  # s_1 and 1/1!
+        while lam * s < 1 < lam * (s + term / n):
+            n += 1
+            term /= n
+            s += term
+        return lam * s >= 1
+
     def __str__(self) -> str:
         return f"lambda:{self.gen.name}:{self.lam}"
 
@@ -379,7 +394,10 @@ def parse_tnorm(desc: str) -> TNormDescriptor:
             lam = Fraction(lam)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad lambda descriptor {desc!r}") from None
-        return Lambda(GeneratorSpec(gen), lam)
+        t = Lambda(GeneratorSpec(gen), lam)
+        if not t.is_t_norm:
+            raise ValueError(f"{desc!r} is not a t-norm: it needs one-minus-log, lambda >= 1/e")
+        return t
     raise ValueError(f"unknown t-norm descriptor {desc!r}")
 
 

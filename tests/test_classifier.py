@@ -240,6 +240,35 @@ def test_onto_f_decides_conditional_cancellation():
     assert seen > 0
 
 
+# two functions of the seeded bench corpus: r138 of corpus(1, 1500) and
+# r1069 of corpus(3, 1500)
+GAP_HULL_ONLY = {
+    "r138": ("monotone: nondecreasing\n"
+             "segment [0,9/16) linear 1/9 1/2\n"
+             "segment [9/16,1] linear 2/7 5/7\n"),
+    "r1069": ("monotone: nondecreasing\n"
+              "segment [0,3/4) linear 1/12 1/2\n"
+              "segment [3/4,1] linear 1/4 11/16\n"),
+}
+
+
+@pytest.mark.parametrize("tdesc", ["product", "hamacher2"])
+@pytest.mark.parametrize("name", sorted(GAP_HULL_ONLY))
+def test_t_subnorm_from_the_gap_hull_condition_alone(name, tdesc):
+    # f is strictly increasing with jumps, and T(M\C,M) escapes M plus
+    # [0,f(0+)], so F is not conditionally cancellative and f is not
+    # cancellative; the gap-hull condition alone makes F a t-subnorm
+    f, t = parse_fn(GAP_HULL_ONLY[name]), parse_tnorm(tdesc)
+    r = classify(f, t)
+    assert r.properties["conditionally_cancellative"].status == "no"
+    assert r.properties["cancellative"].status == "no"
+    assert r.properties["t_subnorm"] == Verdict.yes(
+        "gap-hull condition", note="f strictly increasing")
+    rep = consistency_harness(f, t, n=24)
+    assert rep.ok
+    assert ("t_subnorm", "yes", "ok") in [row[:3] for row in rep.rows]
+
+
 # -- associativity search ----------------------------------------------------
 
 

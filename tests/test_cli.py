@@ -115,6 +115,17 @@ def test_construct_subnorm_neutral_warning(capsys):
     main(["construct-subnorm", "--gen", "neglog", "--lam", "1/2"])
     out = capsys.readouterr().out
     assert "warning" in out and "neutral element 1" in out
+    assert "warning: lambda:neglog:1/2 is not a t-norm" in out
+
+
+def test_construct_subnorm_warns_below_one_over_e(capsys):
+    # the pair is built directly, as acceptance criterion 4 builds it,
+    # though --tnorm rejects its descriptor
+    rc = main(["construct-subnorm", "--gen", "one-minus-log", "--lam", "1/4"])
+    out = capsys.readouterr().out
+    assert rc == 0 and "tnorm=lambda:one-minus-log:1/4" in out
+    assert [l for l in out.splitlines() if l.startswith("warning:")] == [
+        "warning: lambda:one-minus-log:1/4 is not a t-norm, so --tnorm rejects it"]
 
 
 F_SHORT = """\
@@ -136,9 +147,13 @@ segment [0,1/2] linear 1 0
     ["construct-subnorm", "--gen", "neglog", "--lam", "1/0"],
     ["eval", "--fn", "{gap}", "--tnorm", "lambda:neglog:1/0", "--x", "1/2",
      "--y", "1/2"],
+    ["eval", "--fn", "{gap}", "--tnorm", "lambda:neglog:1/2", "--x", "1/2",
+     "--y", "1/2"],
+    ["classify", "--fn", "{gap}", "--tnorm", "lambda:one-minus-log:1/3"],
 ], ids=["unknown-tnorm", "bad-rational", "x-outside-unit", "domain-short",
         "missing-file", "grid-n-zero", "grid-grid-n-zero", "grid-grid-n-negative",
-        "x-zero-denominator", "lam-zero-denominator", "lambda-zero-denominator"])
+        "x-zero-denominator", "lam-zero-denominator", "lambda-zero-denominator",
+        "lambda-neglog-not-a-t-norm", "lambda-below-one-over-e"])
 def test_bad_input_fails_cleanly(argv, fn_file, tmp_path, capsys):
     paths = {"gap": fn_file(F_GAP), "short": fn_file(F_SHORT, "short.txt"),
              "missing": str(tmp_path / "missing.txt")}

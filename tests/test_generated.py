@@ -204,7 +204,7 @@ COMPOSE_EDGES = [(F(1, 10 ** 13), F(1, 10 ** 13)), (F(1, 10 ** 30), F(1, 2)),
 
 
 @pytest.mark.parametrize("tdesc", ["gen:neglog", "gen:one-minus-log",
-                                   "lambda:neglog:1/2"])
+                                   "lambda:one-minus-log:2/5"])
 @settings(max_examples=30, deadline=None)
 @given(f=st.one_of(monotone_fns(), nonincreasing_fns()),
        extra=st.lists(st.tuples(st.fractions(0, 1, max_denominator=10 ** 9),
@@ -218,7 +218,7 @@ def test_f_compose_on_pairs_matches_fraction_path(tdesc, f, extra):
 
 
 @pytest.mark.parametrize("tdesc", ["gen:neglog", "gen:one-minus-log",
-                                   "lambda:one-minus-log:1/3"])
+                                   "lambda:one-minus-log:2/5"])
 def test_warm_op_returns_what_a_fresh_op_returns(f_half_jump, tdesc):
     # g kept per op by f value: a warm op must give the values a fresh
     # op gives, in any order of evaluation

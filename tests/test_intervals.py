@@ -118,12 +118,6 @@ def test_o_hull_is_open_span(s):
         assert not p.lo_closed and not p.hi_closed
 
 
-@given(interval_sets())
-def test_sample_points_are_members(s):
-    for x in s.sample_points():
-        assert s.contains(x)
-
-
 def test_invalid_grid_rejected():
     with pytest.raises(ValueError):
         Interval.closed(frac("3/4"), frac("1/4"))

@@ -385,7 +385,7 @@ def test_table_oracle_matches_direct_scan_at_harness_scale(family, n):
 
 def test_scans_by_class_count_every_point_of_a_class():
     # 1/2 comes twice, so both copies form one class: commutativity scans
-    # the first copy only, and checked still counts the tuples in between
+    # every point, and checked counts the tuples up to the failing one
     pts = [F(1, 2), F(1, 2), F(0)]
     res = check_property(lambda x, y: x, "commutativity", pts)
     assert res.counterexample == Counterexample(

@@ -122,7 +122,7 @@ def test_parse_render_roundtrip():
     # equality is by family and parameters, not by object identity
     assert Generator(GeneratorSpec("neglog")) == parse_tnorm("gen:neglog")
     assert parse_tnorm("gen:neglog") != parse_tnorm("gen:one-minus-log")
-    assert parse_tnorm("lambda:one-minus-log:1/2") != parse_tnorm("lambda:one-minus-log:1/3")
+    assert parse_tnorm("lambda:one-minus-log:1/2") != parse_tnorm("lambda:one-minus-log:2/5")
     assert len({parse_tnorm(d) for d in ("product", "min", "hamacher2", "halfprod")}) == 4
 
 
@@ -131,6 +131,33 @@ def test_parse_rejects_unknown():
         parse_tnorm("lukewarm")
     with pytest.raises(ValueError):
         parse_tnorm("lambda:one-minus-log:3/2")
+
+
+@pytest.mark.parametrize("desc,ok", [
+    ("lambda:neglog:1/2", False), ("lambda:neglog:99/100", False),
+    ("lambda:one-minus-log:1/3", False), ("lambda:one-minus-log:1/4", False),
+    # 1/e = 0.36787944..., between 0.367879 and 0.36788 = 9197/25000
+    ("lambda:one-minus-log:367879/1000000", False),
+    ("lambda:one-minus-log:9197/25000", True),
+    ("lambda:one-minus-log:2/5", True), ("lambda:one-minus-log:1/2", True)])
+def test_parse_accepts_lambda_descriptors_that_are_t_norms(desc, ok):
+    # inside the unit square lambda:<g>:lam is min(1, xy e^(-g(1)) / lam),
+    # at most min(x, y) only when lam e^g(1) >= 1
+    if ok:
+        assert str(parse_tnorm(desc)) == desc
+    else:
+        with pytest.raises(ValueError, match="not a t-norm"):
+            parse_tnorm(desc)
+    _, name, lam = desc.split(":")
+    t = Lambda(GeneratorSpec(name), F(lam))
+    assert t.is_t_norm == ok
+    # lam e^g(1) >= 1, with g(1) = -ln 1 = 0 or 1 - ln 1 = 1; mpmath's e
+    # at 30 digits settles each case here
+    g1 = {"neglog": 0, "one-minus-log": 1}[name]
+    assert ok == (mpmath.e ** g1 * F(lam).numerator >= F(lam).denominator)
+    if not ok:  # an interior value above min(x, y) = T(x, 1)
+        x, y = F(3, 4), 1 - F(1, 10 ** 9)
+        assert t_eval(t, x, y).value > min(x, y)
 
 
 def test_descriptor_flags():
