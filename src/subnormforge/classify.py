@@ -591,9 +591,12 @@ def check_archimedean(op: GeneratedOp, grid_n: int = 20) -> Verdict:
     class comes after that verdict, and the verdict is the one a scan of
     every grid point returns.
 
-    For an exact family the sequence runs in ``_exact_powers`` on the
-    op's reduced integer pairs (``GeneratedOp.power_step``); the inexact
-    families run in ``_approx_powers`` through ``f_eval``.
+    Both kinds of family run the sequence on the op's integer pairs, with
+    a Fraction built only for the Verdict: an exact family in
+    ``_exact_powers``, one ``GeneratedOp.power_step`` per step, and a
+    generator family in ``_approx_powers``, one ``GeneratedOp.approx_step``
+    per step, which carries T's error radius as a pair and reads g(f(x))
+    from the op's ``_g_cache``.
     """
     if grid_n < 2:
         raise ValueError(
@@ -605,8 +608,7 @@ def check_archimedean(op: GeneratedOp, grid_n: int = 20) -> Verdict:
         cls = op.f_pair((x.numerator, x.denominator))[0]
         if cls in descended:
             continue
-        stop = (_exact_powers(op, x, cls, grid_n) if op.t.exact
-                else _approx_powers(op, x, y_min))
+        stop = (_exact_powers if op.t.exact else _approx_powers)(op, x, cls, grid_n)
         if stop is not None:
             return stop
         descended.add(cls)
@@ -614,29 +616,34 @@ def check_archimedean(op: GeneratedOp, grid_n: int = 20) -> Verdict:
                        note=f"grid n={grid_n}, cap {ARCH_CAP}")
 
 
-def _approx_powers(op: GeneratedOp, x: Fraction, y_min: Fraction):
+def _approx_powers(op: GeneratedOp, x: Fraction, fx: tuple, grid_n: int):
     """The Verdict that ends ``check_archimedean``'s scan at x, or None when
-    the powers of x descend below y_min, for an inexact family, through
-    ``f_eval``: its values may be Approx, or exact, as T = 0 is."""
-    acc = x
-    prev = None
+    the powers of x descend below 1/grid_n, for an inexact family; fx is
+    f(x) as a reduced pair.  Each step, ``op.approx_step``, gives F(acc, x)
+    as its centre c, a reduced pair, and its radius s, a pair that is 0
+    only where T's value is exact.  The descent c + s < 1/grid_n and the
+    stall |c - prev| <= s are cross-multiplied; only an exact step can be
+    the exact fixed point, a centre pair equal to acc's."""
+    p, q = x.numerator, x.denominator
+    pn = pd = None  # the last inexact centre
     for _ in range(ARCH_CAP):
-        nxt, r = approx_diff(f_eval(op, acc, x), ZERO)
-        if nxt + r < y_min:
+        cn, cd, sn, sd = op.approx_step((p, q), fx)
+        if (cn * sd + sn * cd) * grid_n < cd * sd:
             return None
-        if r:
+        if sn:
             # an approximate power can be seen to stall, never to be
             # an exact fixed point
-            if prev is not None and abs(nxt - prev) <= r:
+            if pn is not None and abs(cn * pd - pn * cd) * sd <= sn * cd * pd:
                 return Verdict.unknown(
                     f"power sequence at x={x} stalls within the error radius")
-            prev = nxt
-        elif nxt == acc:
-            # exact fixed point at acc >= y_min: powers never descend below y_min
-            return Verdict.no((x, y_min), note=f"powers of {x} stabilize at {acc}")
-        acc = nxt
-    return Verdict.unknown(
-        f"powers of {x} did not descend below {y_min} within {ARCH_CAP} steps")
+            pn, pd = cn, cd
+        elif cn == p and cd == q:
+            # exact fixed point at acc >= 1/grid_n: powers never descend below it
+            return Verdict.no((x, Fraction(1, grid_n)),
+                              note=f"powers of {x} stabilize at {Fraction(p, q)}")
+        p, q = cn, cd
+    return Verdict.unknown(f"powers of {x} did not descend below {Fraction(1, grid_n)} "
+                           f"within {ARCH_CAP} steps")
 
 
 def _exact_powers(op: GeneratedOp, x: Fraction, fx: tuple, grid_n: int):

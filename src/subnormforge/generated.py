@@ -10,12 +10,17 @@ evaluation whose f and finv values are cached builds no ``Fraction``, and
 its keys are tuples of ints, which hash in C where a ``Fraction`` rehashes
 in Python.  ``f_eval`` returns the cached Fraction, and the oracle's
 ``_Memo`` keys its ids by the pair.  Inexact families go through
-``f_compose``, which carries T's error radius through the pseudo-inverse:
-it evaluates finv at T's centre and at either end of its radius on integer
-pairs too, and builds only the centre and the radius as Fractions.  It
-hands T's family the op's ``_g_cache``, where a generator family keeps g
-of each f value by its reduced pair, so an f value that recurs, as f(x)
-does at every step of a power sequence of x, costs g once per op.
+``f_compose``, which carries T's error radius through the pseudo-inverse
+(``_spread``): it evaluates finv at T's centre and at either end of its
+radius on integer pairs too, and builds only the centre and the radius as
+Fractions.  It hands T's family the op's ``_g_cache``, where a generator
+family keeps g of each f value by its reduced pair, so an f value that
+recurs, as f(x) does at every step of a power sequence of x, costs g once
+per op.  The classifier's power sequences run outside the f cache, one
+step per call on pairs alone: ``power_step`` for an exact family, and
+``approx_step`` for a generator family, which takes T's centre pair from
+the family's ``approx_pair``, reads g(f(x)) from ``_g_cache``, and returns
+``_spread``'s centre and radius as pairs.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from math import gcd
 
 from .intervals import Interval, frac
 from .pwfn import PiecewiseMonotoneFn, Segment, eval_pair
-from .tnorms import Approx, Generator, GeneratorSpec, Lambda, TNormDescriptor, t_eval
+from .tnorms import (RADIUS, Approx, Generator, GeneratorSpec, Lambda, TNormDescriptor,
+                     t_eval)
 
 
 def value_key(v) -> tuple:
@@ -50,8 +56,8 @@ class GeneratedOp:
     argument: ``_f_cache`` maps the reduced pair of x to f(x), and
     ``_finv_cache`` the reduced pair of y to finv(y), each value held as
     its reduced pair and its Fraction (``_both``).  ``_g_cache`` is the
-    memo that ``f_compose`` hands to T's family with each evaluation; a
-    generator family keeps g of each f value there."""
+    memo that ``f_compose`` and ``approx_step`` hand to T's family with
+    each evaluation; a generator family keeps g of each f value there."""
 
     f: PiecewiseMonotoneFn
     finv: PiecewiseMonotoneFn
@@ -94,6 +100,20 @@ class GeneratedOp:
         g = gcd(n, d)
         return n // g, d // g
 
+    def approx_step(self, k: tuple, fx: tuple) -> tuple:
+        """finv(T(f(p/q), fx)) for an inexact family, as (cn, cd, sn, sd):
+        the centre, a reduced pair, and the radius sn/sd, which is 0/1 where
+        T's value is exact, for the reduced pairs k = (p, q) and fx.  f(p/q)
+        is evaluated outside ``_f_cache``, as in ``power_step``; g of both
+        f values is kept in ``_g_cache``, where g(fx) is read at every step
+        of a power sequence of x."""
+        n, d = eval_pair(self.f, *k)
+        g = gcd(n, d)
+        n, d, exact = self.t.approx_pair(n // g, d // g, *fx, self._g_cache)
+        if exact:
+            return (*self.finv_pair((n, d))[0], 0, 1)
+        return _spread(self.finv, n, d, RADIUS.numerator, RADIUS.denominator)
+
     def f_at(self, x: Fraction) -> Fraction:
         """f(x) for an exact x."""
         return self.f_pair((x.numerator, x.denominator))[1]
@@ -125,19 +145,28 @@ def f_eval(op: GeneratedOp, x, y):
 def f_compose(op: GeneratedOp, fx, fy):
     """finv(T(fx, fy)), so F(x,y) from fx = f(x) and fy = f(y), for an
     inexact family: an Approx whose radius accounts for the local variation
-    of the pseudo-inverse, or an exact Fraction where T's value is exact.
-
-    For T's value v = p/q with radius r = m/n, finv is taken at v and at
-    v - r and v + r, clamped to [0,1], on integer pairs over the common
-    denominator qn (``eval_pair``), and the spread is the larger distance
-    from finv(v) to either side, compared by cross-multiplying; only the
-    centre and the radius become Fractions."""
+    of the pseudo-inverse (``_spread``), or an exact Fraction where T's
+    value is exact."""
     tv = t_eval(op.t, fx, fy, op._g_cache)
     if not isinstance(tv, Approx):
         return op.finv_at(tv)
-    finv, v, r = op.finv, tv.value, tv.radius
-    p, q, m, n = v.numerator, v.denominator, r.numerator, r.denominator
+    v, r = tv.value, tv.radius
+    cn, cd, sn, sd = _spread(op.finv, v.numerator, v.denominator, r.numerator, r.denominator)
+    return Approx(Fraction(cn, cd), Fraction(sn, sd))
+
+
+def _spread(finv: PiecewiseMonotoneFn, p: int, q: int, m: int, n: int) -> tuple:
+    """finv at T's value p/q with radius m/n, as (cn, cd, sn, sd): the
+    centre finv(p/q), a reduced pair, and the radius sn/sd, the larger of
+    m/n and the spread of finv over [p/q - m/n, p/q + m/n].
+
+    finv is taken at p/q and at p/q - m/n and p/q + m/n, clamped to [0,1],
+    on integer pairs over the common denominator qn (``eval_pair``), and
+    the spread is the larger distance from finv(p/q) to either side, each
+    comparison made by cross-multiplying."""
     cn, cd = eval_pair(finv, p, q)
+    g = gcd(cn, cd)
+    cn, cd = cn // g, cd // g
     den = q * n
     ln, ld = eval_pair(finv, max(0, p * n - m * q), den)
     hn, hd = eval_pair(finv, min(den, p * n + m * q), den)
@@ -147,7 +176,9 @@ def f_compose(op: GeneratedOp, fx, fy):
     bn, bd = abs(hn * cd - cn * hd), hd * cd
     if bn * sd > sn * bd:
         sn, sd = bn, bd
-    return Approx(Fraction(cn, cd), Fraction(sn, sd) if sn * n > m * sd else r)
+    if sn * n <= m * sd:
+        sn, sd = m, n
+    return cn, cd, sn, sd
 
 
 def additive_generated(gen: GeneratorSpec):

@@ -6,16 +6,21 @@ The exact families evaluate T(a/b, c/d) on integers, as a pair (n, d)
 with d > 0 (``eval_pair``), which ``eval`` builds as one Fraction; the
 domain check of ``t_eval`` compares numerators with denominators.
 
-The generator families evaluate on ``mpmath.libmp`` values, the
-(sign, mantissa, exponent, bitcount) tuples that mpmath's ``mpf`` numbers
-wrap, at ``PREC`` bits rounded to nearest.  Each step is the libmp
-operation that mpmath's own ``mpf`` arithmetic runs at ``workdps(DIGITS)``,
-so the values are bit for bit those of ``-mpmath.ln(mpmath.mpf(p) / q)``
-and ``mpmath.e ** -u``, with no ``mpf`` object built and no precision
-context entered.  A caller may hand ``t_eval`` a dict that it keeps for one
-operation (``memo``): the generator families keep g of each argument
-there, keyed by the argument's reduced pair, as one operation meets the
-same arguments again and again.
+The generator families evaluate T(a/b, c/d) on integers too
+(``approx_pair``): the arguments come in as reduced pairs, and T's centre
+goes out as a reduced pair, the clamped libmp value's ``to_rational``,
+with whether it is exact; ``eval`` builds a Fraction or an ``Approx`` of
+radius ``RADIUS`` from it.  In between they run on ``mpmath.libmp``
+values, the (sign, mantissa, exponent, bitcount) tuples that mpmath's
+``mpf`` numbers wrap, at ``PREC`` bits rounded to nearest.  Each step is
+the libmp operation that mpmath's own ``mpf`` arithmetic runs at
+``workdps(DIGITS)``, so the values are bit for bit those of
+``-mpmath.ln(mpmath.mpf(p) / q)`` and ``mpmath.e ** -u``, with no ``mpf``
+object built and no precision context entered.  A caller may hand
+``t_eval`` or ``approx_pair`` a dict that it keeps for one operation
+(``memo``): the generator families keep g of each argument there, keyed
+by the argument's reduced pair, as one operation meets the same arguments
+again and again.  ``GeneratedOp`` keeps it as ``_g_cache``.
 """
 
 from __future__ import annotations
@@ -275,38 +280,53 @@ class Halfprod(TNormDescriptor):
         return super().dir_limit(v, side, c)
 
 
-def _clamped(v: tuple) -> Approx:
+def _clamped_pair(v: tuple) -> tuple:
     """The libmp value v clamped to [0,1], by the comparisons that
-    ``min(max(v, mpf(0)), mpf(1))`` makes, as an Approx."""
+    ``min(max(v, mpf(0)), mpf(1))`` makes, as a reduced pair: libmp keeps
+    mantissas odd, so ``to_rational`` gives one."""
     if mpf_gt(fzero, v):
         v = fzero
     if mpf_lt(fone, v):
         v = fone
-    return Approx(Fraction(*to_rational(v)), RADIUS)
+    return to_rational(v)
 
 
-def _g_sum(memo, x: Fraction, y: Fraction, g_at) -> tuple:
-    """g_at(p, q) + g_at(r, s) at PREC bits for x = p/q and y = r/s, each
-    term kept in `memo` (when given) under its argument's reduced pair."""
-    if memo is None:
-        memo = {}
-    kx, ky = (x.numerator, x.denominator), (y.numerator, y.denominator)
-    gx = memo.get(kx)
-    if gx is None:
-        gx = memo[kx] = g_at(*kx)
-    gy = memo.get(ky)
-    if gy is None:
-        gy = memo[ky] = g_at(*ky)
-    return mpf_add(gx, gy, PREC, _RND)
+class _GeneratorFamily(TNormDescriptor):
+    """A family built on the registered generator ``gen``, evaluated on
+    integer pairs by ``approx_pair(a, b, c, d, memo)``: for x = a/b and
+    y = c/d, each a reduced pair, the reduced pair of T's centre and
+    whether that value is exact; an inexact value carries the radius
+    RADIUS.  ``eval`` and ``GeneratedOp.approx_step`` both wrap it."""
+
+    exact = False
+
+    def eval(self, x: Fraction, y: Fraction, memo=None):
+        """T(x, y): a Fraction where exact, else an Approx, with g of x
+        and y kept in `memo`."""
+        n, d, exact = self.approx_pair(x.numerator, x.denominator,
+                                       y.numerator, y.denominator, memo)
+        return Fraction(n, d) if exact else Approx(Fraction(n, d), RADIUS)
+
+    def _g_sum(self, a: int, b: int, c: int, d: int, memo) -> tuple:
+        """g_at(a, b) + g_at(c, d) at PREC bits, each term kept in `memo`
+        (when given) under its argument's reduced pair."""
+        if memo is None:
+            memo = {}
+        gx = memo.get((a, b))
+        if gx is None:
+            gx = memo[a, b] = self._g_at(a, b)
+        gy = memo.get((c, d))
+        if gy is None:
+            gy = memo[c, d] = self._g_at(c, d)
+        return mpf_add(gx, gy, PREC, _RND)
 
 
 @dataclass(frozen=True)
-class Generator(TNormDescriptor):
+class Generator(_GeneratorFamily):
     """The additively generated operation g^(-1)(g(x)+g(y)); a strict
     t-norm when g is a bijection onto [0,inf] (g(1)=0)."""
 
     gen: GeneratorSpec
-    exact = False
 
     @property
     def neutral_one(self) -> bool:
@@ -315,25 +335,25 @@ class Generator(TNormDescriptor):
     def _g_at(self, p: int, q: int) -> tuple:
         return self.gen.g(_from_pair(p, q))
 
-    def eval(self, x: Fraction, y: Fraction, memo=None):
-        """T(x, y) as an Approx, with g of x and y kept in `memo`."""
-        if x == 0 or y == 0:
-            return ZERO
-        return _clamped(self.gen.g_inv(_g_sum(memo, x, y, self._g_at)))
+    def approx_pair(self, a: int, b: int, c: int, d: int, memo=None) -> tuple:
+        """T(a/b, c/d) as a reduced pair and whether it is exact: exactly
+        0 when an argument is 0."""
+        if a == 0 or c == 0:
+            return 0, 1, True
+        return (*_clamped_pair(self.gen.g_inv(self._g_sum(a, b, c, d, memo))), False)
 
     def __str__(self) -> str:
         return f"gen:{self.gen.name}"
 
 
 @dataclass(frozen=True)
-class Lambda(TNormDescriptor):
+class Lambda(_GeneratorFamily):
     """The strictly monotone operation built from the scaled generator
     g(x/lam): min on the boundary of the unit square and
     lam * g^(-1)(g(x/lam) + g(y/lam)) inside."""
 
     gen: GeneratorSpec
     lam: Fraction = field()  # no default: the base's lam = None is not one
-    exact = False
     continuous = False
     strict = False
 
@@ -348,13 +368,14 @@ class Lambda(TNormDescriptor):
     def _g_at(self, p: int, q: int) -> tuple:
         return self.gen.g(mpf_div(_from_pair(p, q), self._lam, PREC, _RND))
 
-    def eval(self, x: Fraction, y: Fraction, memo=None):
-        """T(x, y): exact on the boundary of the unit square, else an
-        Approx, with g(x/lam) and g(y/lam) kept in `memo`."""
-        if x in (0, 1) or y in (0, 1):  # the boundary of the unit square
-            return min(x, y)
-        return _clamped(mpf_mul(self._lam, self.gen.g_inv(_g_sum(memo, x, y, self._g_at)),
-                                PREC, _RND))
+    def approx_pair(self, a: int, b: int, c: int, d: int, memo=None) -> tuple:
+        """T(a/b, c/d) as a reduced pair and whether it is exact: exactly
+        min(a/b, c/d) on the boundary of the unit square, else inexact, with
+        g(x/lam) and g(y/lam) kept in `memo`."""
+        if a == 0 or a == b or c == 0 or c == d:
+            return (a, b, True) if a * d <= c * b else (c, d, True)
+        v = self.gen.g_inv(self._g_sum(a, b, c, d, memo))
+        return (*_clamped_pair(mpf_mul(self._lam, v, PREC, _RND)), False)
 
     @property
     def is_t_norm(self) -> bool:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import monotone_fns, nonincreasing_fns, random_strictly_increasing_fn
+from conftest import (WORKED_EXAMPLES, monotone_fns, nonincreasing_fns,
+                      random_strictly_increasing_fn)
 from subnormforge import classify, decompose, f_eval, make_op, parse_fn, parse_tnorm
 from subnormforge.classify import (
     ARCH_CAP,
@@ -169,8 +170,6 @@ def test_proper_reads_finv_of_one_when_t_has_neutral_one():
     ("plateau", "product"), ("half_jump", "hamacher2"),
     ("step", "product"), ("gap", "product")])
 def test_witnesses_recheck(name, tdesc):
-    from conftest import WORKED_EXAMPLES
-
     f = parse_fn(WORKED_EXAMPLES[name])
     t = parse_tnorm(tdesc)
     recheck_no_witnesses(f, t, classify(f, t, arch_grid_n=8))
@@ -302,8 +301,6 @@ def test_assoc_search_matches_direct_scan(tdesc, f):
 @pytest.mark.parametrize("name,want", [
     ("gap", (F(1, 6), F(1, 4), F(5, 6))), ("plateau", None)])
 def test_assoc_search_worked_examples(name, want):
-    from conftest import WORKED_EXAMPLES
-
     f = parse_fn(WORKED_EXAMPLES[name])
     op = make_op(f, PRODUCT)
     assert _assoc_search(op, assoc_pts(f)) == want
@@ -366,7 +363,8 @@ def reference_archimedean(op, grid_n):
 
 
 @pytest.mark.parametrize("tdesc", ["product", "hamacher2", "min", "halfprod",
-                                   "gen:neglog"])
+                                   "gen:neglog", "gen:one-minus-log",
+                                   "lambda:one-minus-log:2/5"])
 @settings(max_examples=40, deadline=None)
 @given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
 def test_archimedean_by_class_matches_per_point_scan(tdesc, f):
@@ -396,6 +394,26 @@ segment (1/4,1] linear 4/3 -1/3
 _SLOW_CAP = Verdict.unknown(
     f"powers of 3/8 did not descend below 1/8 within {ARCH_CAP} steps")
 
+# with gen:neglog the powers of 1/4 fall towards 1/8 by steps far wider
+# than the error radius, and reach neither it nor a stall within the cap
+F_ARCH_NEGLOG_CAP = """\
+monotone: nondecreasing
+segment [0,1/8) const 0
+segment [1/8,1/4) linear 7 -7/8
+segment [1/4,1] const 7/8
+"""
+
+# f(3/8) = 1 lies on the boundary of the unit square, where
+# lambda:one-minus-log:2/5 is exactly min, so F(3/8, 3/8) = finv(1) = 3/8
+F_ARCH_LAMBDA_FIXED = """\
+monotone: nondecreasing
+segment [0,3/8) linear 1 5/8
+segment [3/8,1] const 1
+"""
+
+_IDENTITY_YES = Verdict.yes("all grid powers descend below 1/8",
+                            note=f"grid n=8, cap {ARCH_CAP}")
+
 
 @pytest.mark.parametrize("fn, tdesc, grid_n, want", [
     (F_ARCH_TRAP, "product", 97,
@@ -413,10 +431,17 @@ _SLOW_CAP = Verdict.unknown(
      Verdict.no((F(3, 8), F(1, 8)), note="powers of 3/8 stabilize at 3/8")),
     (F_ARCH_SLOW, "gen:neglog", 8,
      Verdict.unknown("power sequence at x=3/8 stalls within the error radius")),
+    (WORKED_EXAMPLES["identity"], "gen:neglog", 8, _IDENTITY_YES),
+    (WORKED_EXAMPLES["identity"], "gen:one-minus-log", 8, _IDENTITY_YES),
+    (F_ARCH_NEGLOG_CAP, "gen:neglog", 8, Verdict.unknown(
+        f"powers of 1/4 did not descend below 1/8 within {ARCH_CAP} steps")),
+    (F_ARCH_LAMBDA_FIXED, "lambda:one-minus-log:2/5", 8,
+     Verdict.no((F(3, 8), F(1, 8)), note="powers of 3/8 stabilize at 3/8")),
 ])
 def test_archimedean_power_loop_endings(fn, tdesc, grid_n, want):
     # each way a power sequence ends: descent, an exact fixed point, the
-    # cap, and a stall within the error radius
+    # cap, and a stall within the error radius, for exact and generator
+    # families
     op = make_op(parse_fn(fn), parse_tnorm(tdesc))
     assert check_archimedean(op, grid_n) == want
     assert reference_archimedean(op, grid_n) == want

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import monotone_fns, nonincreasing_fns
@@ -215,6 +215,37 @@ def test_f_compose_on_pairs_matches_fraction_path(tdesc, f, extra):
     grid = [F(i, 8) for i in range(9)]
     for fx, fy in COMPOSE_EDGES + extra + [(a, b) for a in grid for b in grid[::2]]:
         assert generated.f_compose(op, fx, fy) == reference_f_compose(op, fx, fy), (fx, fy)
+
+
+# x/3 at this x is the unreduced pair (3m, 3q), and its g differs in the
+# last bit from g at the reduced (m, q): mpf(3m) rounds 3m to PREC bits
+THIRD_OF_WIDE = F(1006537778523317770056129382391295442128,
+                  1921627667807796331291132878440231527309)
+
+
+@pytest.mark.parametrize("tdesc", ["gen:neglog", "gen:one-minus-log",
+                                   "lambda:one-minus-log:2/5"])
+@settings(max_examples=30, deadline=None)
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()),
+       accs=st.lists(st.fractions(0, 1, max_denominator=10 ** 40), max_size=4))
+@example(f=parse_fn("monotone: nondecreasing\nsegment [0,1] linear 1/3 0\n"),
+         accs=[THIRD_OF_WIDE])
+def test_approx_step_matches_f_compose(tdesc, f, accs):
+    # a power sequence's step on pairs must give f_compose's value bit for
+    # bit, with a reduced centre, for powers as wide as the centres it
+    # carries; the step's op is warm, the reference op fresh
+    t = parse_tnorm(tdesc)
+    op = make_op(f, t)
+    grid = [F(i, 8) for i in range(9)]
+    for acc in grid + accs:
+        for x in grid[1:]:
+            fx = op.f_at(x)
+            cn, cd, sn, sd = op.approx_step((acc.numerator, acc.denominator),
+                                            (fx.numerator, fx.denominator))
+            assert math.gcd(cn, cd) == 1 and cd > 0 and sn >= 0 and sd > 0
+            got = Approx(F(cn, cd), F(sn, sd)) if sn else F(cn, cd)
+            ref = make_op(f, t)
+            assert got == generated.f_compose(ref, ref.f_at(acc), fx), (acc, x)
 
 
 @pytest.mark.parametrize("tdesc", ["gen:neglog", "gen:one-minus-log",
