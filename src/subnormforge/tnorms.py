@@ -335,7 +335,7 @@ class Generator(_GeneratorFamily):
     def _g_at(self, p: int, q: int) -> tuple:
         return self.gen.g(_from_pair(p, q))
 
-    def approx_pair(self, a: int, b: int, c: int, d: int, memo=None) -> tuple:
+    def approx_pair(self, a: int, b: int, c: int, d: int, memo) -> tuple:
         """T(a/b, c/d) as a reduced pair and whether it is exact: exactly
         0 when an argument is 0."""
         if a == 0 or c == 0:
@@ -368,7 +368,7 @@ class Lambda(_GeneratorFamily):
     def _g_at(self, p: int, q: int) -> tuple:
         return self.gen.g(mpf_div(_from_pair(p, q), self._lam, PREC, _RND))
 
-    def approx_pair(self, a: int, b: int, c: int, d: int, memo=None) -> tuple:
+    def approx_pair(self, a: int, b: int, c: int, d: int, memo) -> tuple:
         """T(a/b, c/d) as a reduced pair and whether it is exact: exactly
         min(a/b, c/d) on the boundary of the unit square, else inexact, with
         g(x/lam) and g(y/lam) kept in `memo`."""

@@ -394,8 +394,10 @@ segment (1/4,1] linear 4/3 -1/3
 _SLOW_CAP = Verdict.unknown(
     f"powers of 3/8 did not descend below 1/8 within {ARCH_CAP} steps")
 
-# with gen:neglog the powers of 1/4 fall towards 1/8 by steps far wider
-# than the error radius, and reach neither it nor a stall within the cap
+# with gen:neglog the powers of 1/4 fall towards 1/8, never below it, by
+# steps that shrink by 7/8 each time; after the cap's 256 steps they still
+# move by about 3e-17, far more than the error radius, so the cap ends
+# the scan and not a stall
 F_ARCH_NEGLOG_CAP = """\
 monotone: nondecreasing
 segment [0,1/8) const 0

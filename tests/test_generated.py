@@ -217,8 +217,9 @@ def test_f_compose_on_pairs_matches_fraction_path(tdesc, f, extra):
         assert generated.f_compose(op, fx, fy) == reference_f_compose(op, fx, fy), (fx, fy)
 
 
-# x/3 at this x is the unreduced pair (3m, 3q), and its g differs in the
-# last bit from g at the reduced (m, q): mpf(3m) rounds 3m to PREC bits
+# f(x) = x/3 at this x = 3m/q comes out of eval_pair as the unreduced pair
+# (3m, 3q), and g there differs in the last bit from g at the reduced
+# (m, q), as mpf(3m) rounds 3m to PREC bits
 THIRD_OF_WIDE = F(1006537778523317770056129382391295442128,
                   1921627667807796331291132878440231527309)
 
