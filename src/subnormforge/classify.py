@@ -534,30 +534,49 @@ def check_continuity(op: GeneratedOp) -> Verdict:
         return Verdict.unknown("inexact t-norm with a discontinuous or "
                                "non-injective generator function")
 
-    # refutation search via exact one-sided limits
     if f.nondecreasing:
-        cands_x = set(f.breakpoints())
-        ys = sorted(set(f.breakpoints()) | {ONE})
-        for q in (p.lo for p in decompose(f).q.parts):
-            for y0 in ys:
-                for u in t_solve_x(t, op.f_at(y0), q):
-                    xa = arg_with_value(f, u)
-                    if xa is not None:
-                        cands_x.add(xa)
-        approach = {}
-        for x0 in sorted(cands_x):
-            for y0 in ys:
-                for (px, py) in ((x0, y0), (y0, x0)):
-                    val = f_eval(op, px, py)
-                    for side in ("left", "right"):
-                        lim = _dir_limit(op, px, py, side, approach)
-                        if lim is not None and lim != val:
-                            return Verdict.no(
-                                (px, py),
-                                note=f"{side} limit {lim} != value {val} "
-                                     f"along the first argument")
+        v = _limit_search(op)
+        if v is not None:
+            return v
     return Verdict.unknown("no exact limit mismatch found; criterion "
                            "preconditions unmet")
+
+
+def _limit_search(op: GeneratedOp):
+    """``check_continuity``'s refutation search for non-decreasing f and an
+    exact T: the first pair (px, py) at which a one-sided limit along the
+    first argument differs from F(px, py), as a No, else None.
+
+    The limit and F(px, py) depend on py only through f(py), so a pair whose
+    (px, f(py)) was checked before is skipped: it would give the values of
+    that earlier pair, which matched, so the first mismatch is unchanged."""
+    f, t = op.f, op.t
+    cands_x = set(f.breakpoints())
+    ys = sorted(set(f.breakpoints()) | {ONE})
+    for q in (p.lo for p in decompose(f).q.parts):
+        for y0 in ys:
+            for u in t_solve_x(t, op.f_at(y0), q):
+                xa = arg_with_value(f, u)
+                if xa is not None:
+                    cands_x.add(xa)
+    approach = {}
+    seen = set()  # (px, reduced pair of f(py)) of the pairs checked
+    for x0 in sorted(cands_x):
+        for y0 in ys:
+            for (px, py) in ((x0, y0), (y0, x0)):
+                key = px, op.f_pair((py.numerator, py.denominator))
+                if key in seen:
+                    continue
+                seen.add(key)
+                val = f_eval(op, px, py)
+                for side in ("left", "right"):
+                    lim = _dir_limit(op, px, py, side, approach)
+                    if lim is not None and lim != val:
+                        return Verdict.no(
+                            (px, py),
+                            note=f"{side} limit {lim} != value {val} "
+                                 f"along the first argument")
+    return None
 
 
 # -- Archimedean ------------------------------------------------------------
@@ -605,7 +624,7 @@ def check_archimedean(op: GeneratedOp, grid_n: int = 20) -> Verdict:
     y_min = ys[0]
     descended = set()  # the f values, as reduced pairs, of the classes done
     for x in ys:
-        cls = op.f_pair((x.numerator, x.denominator))[0]
+        cls = op.f_pair((x.numerator, x.denominator))
         if cls in descended:
             continue
         stop = (_exact_powers if op.t.exact else _approx_powers)(op, x, cls, grid_n)

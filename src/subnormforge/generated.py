@@ -5,15 +5,15 @@ scaled-generator constructions.
 (numerator, denominator): f and finv run on pairs (``pwfn.eval_pair``), and
 for an exact t-norm family so does T (the family's ``eval_pair``).  Each op
 caches f by its argument's reduced pair and finv by T's reduced pair, and
-holds each value as both its reduced pair and its Fraction.  So an
-evaluation whose f and finv values are cached builds no ``Fraction``, and
-its keys are tuples of ints, which hash in C where a ``Fraction`` rehashes
-in Python.  ``f_eval`` returns the cached Fraction, and the oracle's
-``_Memo`` keys its ids by the pair.  Inexact families go through
-``f_compose``, which carries T's error radius through the pseudo-inverse
-(``_spread``): it evaluates finv at T's centre and at either end of its
-radius on integer pairs too, and builds only the centre and the radius as
-Fractions.  It hands T's family the op's ``_g_cache``, where a generator
+holds each value as its reduced pair, plus its Fraction once the value has
+been read as one (``f_at``, ``finv_at``, ``f_eval``).  So an evaluation on
+pairs builds no ``Fraction``, cached or not, and its keys are tuples of
+ints, which hash in C where a ``Fraction`` rehashes in Python.  The
+oracle's ``_Memo`` reads the pairs only and keys its ids by them.
+Inexact families go through ``f_compose``, which carries T's error radius
+through the pseudo-inverse (``_spread``): it evaluates finv at T's centre
+and at either end of its radius on integer pairs too, and builds only the
+centre and the radius as Fractions.  It hands T's family the op's ``_g_cache``, where a generator
 family keeps g of each f value by its reduced pair, so an f value that
 recurs, as f(x) does at every step of a power sequence of x, costs g once
 per op.  The classifier's power sequences run outside the f cache, one
@@ -44,10 +44,20 @@ def value_key(v) -> tuple:
     return v.numerator, v.denominator
 
 
-def _both(pair: tuple) -> tuple:
-    """The value of an integer pair as (its reduced pair, its Fraction)."""
-    v = Fraction(*pair)
-    return (v.numerator, v.denominator), v
+def _entry(pair: tuple) -> list:
+    """A cache entry for the value of an integer pair: [its reduced pair,
+    None], the None replaced by the value's Fraction when first read."""
+    n, d = pair
+    g = gcd(n, d)
+    return [(n // g, d // g), None]
+
+
+def _fraction(entry: list) -> Fraction:
+    """The Fraction of a cache entry, built on first read."""
+    v = entry[1]
+    if v is None:
+        v = entry[1] = Fraction(*entry[0])
+    return v
 
 
 @dataclass
@@ -55,9 +65,10 @@ class GeneratedOp:
     """F(x,y) = finv(T(f(x), f(y))), with f and finv evaluated once per
     argument: ``_f_cache`` maps the reduced pair of x to f(x), and
     ``_finv_cache`` the reduced pair of y to finv(y), each value held as
-    its reduced pair and its Fraction (``_both``).  ``_g_cache`` is the
-    memo that ``f_compose`` and ``approx_step`` hand to T's family with
-    each evaluation; a generator family keeps g of each f value there."""
+    its reduced pair and, once ``f_at`` or ``finv_at`` has read it, its
+    Fraction (``_entry``).  ``_g_cache`` is the memo that ``f_compose`` and
+    ``approx_step`` hand to T's family with each evaluation; a generator
+    family keeps g of each f value there."""
 
     f: PiecewiseMonotoneFn
     finv: PiecewiseMonotoneFn
@@ -66,27 +77,31 @@ class GeneratedOp:
     _finv_cache: dict = field(default_factory=dict, repr=False)
     _g_cache: dict = field(default_factory=dict, repr=False)
 
-    def f_pair(self, k: tuple) -> tuple:
-        """f(p/q) as (reduced pair, Fraction), for the reduced pair k = (p, q)."""
+    def _f_entry(self, k: tuple) -> list:
+        """The ``_f_cache`` entry of f(p/q), for the reduced pair k = (p, q)."""
         v = self._f_cache.get(k)
         if v is None:
-            v = self._f_cache[k] = _both(eval_pair(self.f, *k))
+            v = self._f_cache[k] = _entry(eval_pair(self.f, *k))
         return v
 
-    def finv_pair(self, k: tuple) -> tuple:
-        """finv(p/q) as (reduced pair, Fraction), for the reduced pair k = (p, q)."""
+    def _finv_entry(self, k: tuple) -> list:
+        """The ``_finv_cache`` entry of finv(p/q), for the reduced pair k = (p, q)."""
         v = self._finv_cache.get(k)
         if v is None:
-            v = self._finv_cache[k] = _both(eval_pair(self.finv, *k))
+            v = self._finv_cache[k] = _entry(eval_pair(self.finv, *k))
         return v
 
-    def t_finv(self, a: int, b: int, c: int, d: int) -> tuple:
-        """finv(T(a/b, c/d)) as (reduced pair, Fraction), for an exact
-        family and f values a/b, c/d: T's pair, reduced, looked up by
-        ``finv_pair``.  No domain check, as f's values lie in [0,1]."""
+    def f_pair(self, k: tuple) -> tuple:
+        """f(p/q) as a reduced pair, for the reduced pair k = (p, q)."""
+        return self._f_entry(k)[0]
+
+    def t_finv(self, a: int, b: int, c: int, d: int) -> list:
+        """finv(T(a/b, c/d)) as its ``_finv_cache`` entry, for an exact
+        family and f values a/b, c/d: T's pair, reduced, is the key.  No
+        domain check, as f's values lie in [0,1]."""
         n, e = self.t.eval_pair(a, b, c, d)
         g = gcd(n, e)
-        return self.finv_pair((n // g, e // g))
+        return self._finv_entry((n // g, e // g))
 
     def power_step(self, k: tuple, fx: tuple) -> tuple:
         """finv(T(f(p/q), fx)) as a reduced pair, for an exact family and the
@@ -111,16 +126,16 @@ class GeneratedOp:
         g = gcd(n, d)
         n, d, exact = self.t.approx_pair(n // g, d // g, *fx, self._g_cache)
         if exact:
-            return (*self.finv_pair((n, d))[0], 0, 1)
+            return (*self._finv_entry((n, d))[0], 0, 1)
         return _spread(self.finv, n, d, RADIUS.numerator, RADIUS.denominator)
 
     def f_at(self, x: Fraction) -> Fraction:
         """f(x) for an exact x."""
-        return self.f_pair((x.numerator, x.denominator))[1]
+        return _fraction(self._f_entry((x.numerator, x.denominator)))
 
     def finv_at(self, y: Fraction) -> Fraction:
         """finv(y) for an exact y."""
-        return self.finv_pair((y.numerator, y.denominator))[1]
+        return _fraction(self._finv_entry((y.numerator, y.denominator)))
 
     def __call__(self, x, y):
         return f_eval(self, x, y)
@@ -137,8 +152,8 @@ def f_eval(op: GeneratedOp, x, y):
     exact family, else through ``f_compose``."""
     x, y = frac(x), frac(y)
     if op.t.exact:
-        return op.t_finv(*op.f_pair((x.numerator, x.denominator))[0],
-                         *op.f_pair((y.numerator, y.denominator))[0])[1]
+        return _fraction(op.t_finv(*op.f_pair((x.numerator, x.denominator)),
+                                   *op.f_pair((y.numerator, y.denominator))))
     return f_compose(op, op.f_at(x), op.f_at(y))
 
 

@@ -15,16 +15,21 @@ and the value's own id for any other operation; points of one class have
 equal rows and columns in every table.  There is one table per point set:
 F is evaluated once per pair of classes into a table of ids, rebuilt only
 when a scan gets other points; the values of F at the off-grid
-intermediates of associativity and of the Archimedean powers sit in rows
-and columns kept per class of the intermediate, one entry per class of
-the grid, filled on first use.  The table is the only cache: a direct
+intermediates of associativity and of the Archimedean powers sit in lists
+kept per class of the intermediate, one entry per class of the grid,
+filled on first use.  A generated operation is symmetric, as its T is, so
+one list per class serves as both its row and its column; any other
+operation keeps the two apart.  The table is the only cache: a direct
 call ``memo(x, y)`` evaluates F afresh.
 A generated operation is evaluated by its own kernel (``GeneratedOp``),
 on integer pairs for an exact t-norm, since ``Fraction`` builds and
-compares in Python.  On an exact table, ids compare values: equal ids are
-equal values, unequal ids differ, and signs come from cross-multiplied
-pairs.  Comparisons that may involve Approx values call ``approx_diff``,
-with the boundary rules described in ``check_property``.
+compares in Python.  Its exact values are interned by their reduced pair
+alone, and get a ``Fraction`` only when read: by a counterexample, a
+note, ``memo(x, y)`` or a comparison of Approx values.  On an exact table,
+ids compare values: equal ids are equal values, unequal ids differ, and
+signs come from cross-multiplied pairs.  Comparisons that may involve
+Approx values call ``approx_diff``, with the boundary rules described in
+``check_property``.
 
 Associativity compares the first point of each class only, and the
 Archimedean powers run once per class; ``check_property`` says why the
@@ -89,17 +94,28 @@ class _Memo:
     Equal values get equal ids; ``keys[v]`` is value v's ``value_key`` and
     ``centre[v]`` the id of its centre: v itself unless the value is an
     ``Approx``.  ``intern`` keys a value by ``value_key``, after ``frac`` if
-    exact (so 0 and Fraction(0) share an id).
+    exact (so 0 and Fraction(0) share an id).  ``vals[v]`` is the value, or
+    None for an exact value interned by its pair alone and not read yet:
+    ``value(v)`` reads it, building its Fraction from ``keys[v]`` once.
 
     The class of an exact value x (``class_of``) is the id of f(x) for a
     GeneratedOp, whose F(x, y) depends on x and y only through f(x) and
     f(y), and x's own id for any other operation.  ``eval`` evaluates the
     operation on the classes of its arguments, and ``evals`` counts the
     evaluations; a GeneratedOp takes f, T and finv from its own kernel, so
-    the memo keeps ids only.  ``memo(x, y)`` evaluates without a cache; the
-    law scans read ``table``, the ``_Grid`` of the last point set scanned
-    (``memo.grid(pts)``), which holds every value they evaluate, and add
-    the comparisons they make to ``compared``.
+    the memo keeps ids and pairs only.  ``memo(x, y)`` evaluates without a
+    cache; the law scans read ``table``, the ``_Grid`` of the last point set
+    scanned (``memo.grid(pts)``), which holds every value they evaluate, and
+    add the comparisons they make to ``compared``.
+
+    A GeneratedOp is symmetric: F(x, y) = finv(T(f(x), f(y))) and
+    F(y, x) = finv(T(f(y), f(x))) are finv of equal arguments, as every
+    registered T is symmetric: a t-norm is commutative by definition, and
+    halfprod's formula and the generator families' g^(-1)(g(x) + g(y)),
+    whose sum is rounded once, are symmetric in x and y.  So its ``_Grid``
+    keeps one list per class for the row and the column.  The commutativity
+    scan still compares the full table of the grid classes, evaluated in
+    both orders, so a kernel that breaks symmetry is still caught there.
     """
 
     def __init__(self, op: Callable):
@@ -107,7 +123,7 @@ class _Memo:
         self.generated = op if isinstance(op, GeneratedOp) else None
         self.ids = {}  # value_key(value) -> id
         self.keys = []  # id -> value_key(value)
-        self.vals = []  # id -> value
+        self.vals = []  # id -> value, None until read for an exact pair
         self.centre = []  # id -> id of the value's centre
         self.f_ids = {}  # id of an exact x -> id of f(x), for a GeneratedOp
         self.table = None  # _Grid of the last point set scanned
@@ -115,7 +131,14 @@ class _Memo:
         self.compared = 0
 
     def __call__(self, x, y):
-        return self.vals[self.eval(self.intern(x), self.intern(y))]
+        return self.value(self.eval(self.intern(x), self.intern(y)))
+
+    def value(self, i: int):
+        """The value of id i; an exact value's Fraction is built on first read."""
+        v = self.vals[i]
+        if v is None:
+            v = self.vals[i] = Fraction(*self.keys[i])
+        return v
 
     def intern(self, v) -> int:
         if not isinstance(v, Approx):
@@ -123,7 +146,8 @@ class _Memo:
         return self._intern_key(value_key(v), v)
 
     def _intern_key(self, k: tuple, v) -> int:
-        """Id of the value v of key k."""
+        """Id of the value v of key k; v is None for an exact value known
+        by its reduced pair k alone."""
         i = self.ids.get(k)
         if i is None:
             i = self.ids[k] = len(self.vals)
@@ -140,7 +164,7 @@ class _Memo:
             return a
         i = self.f_ids.get(a)
         if i is None:
-            i = self.f_ids[a] = self._intern_key(*self.generated.f_pair(self.keys[a]))
+            i = self.f_ids[a] = self._intern_key(self.generated.f_pair(self.keys[a]), None)
         return i
 
     def eval(self, a: int, b: int) -> int:
@@ -150,14 +174,14 @@ class _Memo:
         gen, f_ids = self.generated, self.f_ids
         self.evals += 1
         if gen is None:
-            return self.intern(self.op(self.vals[a], self.vals[b]))
+            return self.intern(self.op(self.value(a), self.value(b)))
         u = f_ids[a] if a in f_ids else self.class_of(a)
         w = f_ids[b] if b in f_ids else self.class_of(b)
         if gen.t.exact:
-            k, r = gen.t_finv(*self.keys[u], *self.keys[w])
+            k = gen.t_finv(*self.keys[u], *self.keys[w])[0]
             v = self.ids.get(k)
-            return self._intern_key(k, r) if v is None else v
-        return self.intern(f_compose(gen, self.vals[u], self.vals[w]))
+            return self._intern_key(k, None) if v is None else v
+        return self.intern(f_compose(gen, self.value(u), self.value(w)))
 
     def grid(self, pts) -> "_Grid":
         pts = tuple(pts)
@@ -184,7 +208,10 @@ class _Grid:
     depends on u only through its class.  The row and column of a grid
     point's class are read from ``TC``; those of other classes start as
     None and are filled by the scans on demand.  They are the only cache
-    of the operation's values.
+    of the operation's values.  For a GeneratedOp, F(u, p) = F(p, u)
+    (``_Memo``), so ``col(k)`` is ``row(k)``, one list: associativity's
+    x(yz) reads F(yz, x) from the row that (xy)z filled for the class of
+    yz, and ``TC`` stays evaluated in full for the commutativity scan.
     """
 
     def __init__(self, memo: _Memo, pts: tuple):
@@ -206,9 +233,11 @@ class _Grid:
         self.exact = self.CC == self.TC
         self.T = self._by_point(self.TC)
         self.C = self._by_point(self.CC)
-        cols = [list(col) for col in zip(*self.TC)]
         self._rows = {c: self.TC[i] for c, i in number.items()}
-        self._cols = {c: cols[i] for c, i in number.items()}
+        self._cols = self._rows
+        if memo.generated is None:
+            cols = [list(col) for col in zip(*self.TC)]
+            self._cols = {c: cols[i] for c, i in number.items()}
 
     def _by_point(self, table) -> list:
         rows = [[row[d] for d in self.cls] for row in table]
@@ -256,7 +285,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
     g = memo.grid(pts)
     pts, pid, T, C = g.pts, g.pid, g.T, g.C
     CC, first, size = g.CC, g.first, g.size
-    vals, keys, cen, ev = memo.vals, memo.keys, memo.centre, memo.eval
+    val, keys, cen, ev = memo.value, memo.keys, memo.centre, memo.eval
     class_of = memo.class_of
     m, n = len(pts), len(first)
     undecided = 0
@@ -298,11 +327,11 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
             return a == b or above(a, b)
     else:
         def gt(a, b):
-            d, r = approx_diff(vals[a], vals[b])
+            d, r = approx_diff(val(a), val(b))
             return d > r
 
         def ge(a, b):
-            d, r = approx_diff(vals[a], vals[b])
+            d, r = approx_diff(val(a), val(b))
             return d >= r
 
     checked = None  # tuples checked, where a scan by class compares fewer
@@ -312,8 +341,8 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
             Ti, Ci = T[i], C[i]
             for j in range(m):
                 count += 1
-                if Ci[j] != C[j][i] and differ(vals[Ti[j]], vals[T[j][i]]):
-                    return cex((pts[i], pts[j]), vals[Ti[j]], vals[T[j][i]])
+                if Ci[j] != C[j][i] and differ(val(Ti[j]), val(T[j][i])):
+                    return cex((pts[i], pts[j]), val(Ti[j]), val(T[j][i]))
     elif prop == "monotonicity":
         for i in range(m):
             Ti, Ci = T[i], C[i]
@@ -321,24 +350,25 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
                 count += 1
                 if Ci[k] != Ci[k + 1] and gt(Ti[k], Ti[k + 1]):
                     return cex((pts[i], pts[k], pts[k + 1]),
-                               vals[Ti[k]], vals[Ti[k + 1]])
+                               val(Ti[k]), val(Ti[k + 1]))
         for j in range(m):
             for k in range(m - 1):
                 count += 1
                 if C[k][j] != C[k + 1][j] and gt(T[k][j], T[k + 1][j]):
                     return cex((pts[k], pts[k + 1], pts[j]),
-                               vals[T[k][j]], vals[T[k + 1][j]])
+                               val(T[k][j]), val(T[k + 1][j]))
     elif prop == "bounded_by_min":
         for i, x in enumerate(pts):
             for j, y in enumerate(pts):
                 count += 1
                 v, lo = T[i][j], pid[j] if above(pid[i], pid[j]) else pid[i]
                 if cen[v] != lo and gt(v, lo):
-                    return cex((x, y), vals[v], min(x, y))
+                    return cex((x, y), val(v), min(x, y))
     elif prop == "associativity":
         # (xy)z is row(class of xy)[e] and x(yz) is col(class of yz)[c],
         # with xy and yz the centres of F(x,y) and F(y,z) and c, d, e the
-        # classes of x, y, z; cols[d][e] is col(class of yz)
+        # classes of x, y, z; cols[d][e] is col(class of yz), the very list
+        # of row(class of yz) for a GeneratedOp
         reps = [pid[i] for i in first]
         cols = [[g.col(class_of(v)) for v in CCd] for CCd in CC]
         for c in range(n):
@@ -354,9 +384,9 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
                     if rhs is None:
                         rhs = cols_d[e][c] = ev(reps[c], CCd[e])
                     if cen[lhs] != cen[rhs] and differ(
-                            vals[lhs], vals[rhs], size[c] * size[d] * size[e]):
+                            val(lhs), val(rhs), size[c] * size[d] * size[e]):
                         i, j, k = first[c], first[d], first[e]
-                        return cex((pts[i], pts[j], pts[k]), vals[lhs], vals[rhs],
+                        return cex((pts[i], pts[j], pts[k]), val(lhs), val(rhs),
                                    (i * m + j) * m + k + 1)
         assert count == n ** 3, "associativity scan must cover the class cube"
         checked = m ** 3
@@ -369,8 +399,8 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
             v = col[c]
             if v is None:
                 v = col[c] = ev(pid[i], one)
-            if cen[v] != pid[i] and differ(vals[v], x):
-                return cex((x,), vals[v], x)
+            if cen[v] != pid[i] and differ(val(v), x):
+                return cex((x,), val(v), x)
     elif prop in ("conditional_cancellation", "cancellation"):
         # F(x,a) = F(x,b) with a < b breaks cancellation when x > 0, and
         # conditional cancellation when the value is certainly positive
@@ -386,10 +416,10 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
                     if Ci[a] == Ci[b]:
                         v = Ti[a]
                         if cond and v not in positive:
-                            va, ra = approx_diff(vals[v], ZERO)
+                            va, ra = approx_diff(val(v), ZERO)
                             positive[v] = va > ra
                         if not cond or positive[v]:
-                            return cex((x, pts[a], pts[b]), vals[v], vals[Ti[b]])
+                            return cex((x, pts[a], pts[b]), val(v), val(Ti[b]))
     elif prop == "strict_monotonicity":
         for i, x in enumerate(pts):
             if x == 0:
@@ -398,7 +428,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
             for k in range(m - 1):
                 count += 1
                 if ge(Ti[k], Ti[k + 1]):
-                    return cex((x, pts[k], pts[k + 1]), vals[Ti[k]], vals[Ti[k + 1]])
+                    return cex((x, pts[k], pts[k + 1]), val(Ti[k]), val(Ti[k + 1]))
     else:  # archimedean_at
         # asymptotic property: failure to descend within the cap is
         # reported as a note, never as a counterexample

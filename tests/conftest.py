@@ -1,5 +1,6 @@
 """Shared fixtures: worked-example functions and random-function builders."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -237,3 +238,24 @@ def nonincreasing_fns():
     """Non-increasing f on [0,1]: 1 - f for f drawn from monotone_fns, so
     with the same joins, isolated points and constant pieces."""
     return monotone_fns().map(_one_minus)
+
+
+def lattice_fns(nb: int = 3, nv: int = 3):
+    """Every non-decreasing f whose breakpoints are k/nb and whose values
+    and one-sided limits are k/nv: an explicit value at each breakpoint and
+    an open linear or constant piece between neighbours, so jumps, plateaus,
+    isolated values and vanishing shapes all occur.  The 3*nb + 1 levels,
+    read left to right, are any non-decreasing sequence, so there are
+    C(3*nb + nv + 1, nv) functions: 286 for nb = nv = 3."""
+    for levels in itertools.combinations_with_replacement(range(nv + 1), 3 * nb + 1):
+        v = [Fraction(k, nv) for k in levels]
+        segments = [Segment.const(Interval.point(Fraction(0)), v[0])]
+        for i in range(nb):
+            a, b = Fraction(i, nb), Fraction(i + 1, nb)
+            lo, hi, at_b = v[3 * i + 1:3 * i + 4]
+            dom = Interval.make(a, b, False, False)
+            slope = (hi - lo) / (b - a)
+            segments.append(Segment.linear(dom, slope, lo - slope * a) if slope
+                            else Segment.const(dom, lo))
+            segments.append(Segment.const(Interval.point(b), at_b))
+        yield PiecewiseMonotoneFn(True, tuple(segments))

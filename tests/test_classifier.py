@@ -2,17 +2,20 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (WORKED_EXAMPLES, monotone_fns, nonincreasing_fns,
-                      random_strictly_increasing_fn)
+from conftest import (WORKED_EXAMPLES, _one_minus, lattice_fns, monotone_fns,
+                      nonincreasing_fns, random_strictly_increasing_fn)
 from subnormforge import classify, decompose, f_eval, make_op, parse_fn, parse_tnorm
 from subnormforge.classify import (
     ARCH_CAP,
     _assoc_search,
+    _dir_limit,
+    arg_with_value,
     check_archimedean,
     check_cancellative,
     check_continuity,
@@ -24,7 +27,7 @@ from subnormforge.classify import (
     Verdict,
 )
 from subnormforge.oracle import consistency_harness
-from subnormforge.tnorms import approx_diff
+from subnormforge.tnorms import approx_diff, t_solve_x
 
 F = Fraction
 
@@ -166,6 +169,58 @@ def test_proper_reads_finv_of_one_when_t_has_neutral_one():
         assert (v.status, v.evidence) == ("yes", ("F(1,1)=0 < 1",)), tdesc
 
 
+# -- continuity ----------------------------------------------------------------
+
+
+def reference_limit_search(op):
+    """check_continuity's refutation search, checking every pair (px, py)
+    even when an earlier pair had the same px and f(py)."""
+    f, t = op.f, op.t
+    cands_x = set(f.breakpoints())
+    ys = sorted(set(f.breakpoints()) | {F(1)})
+    for q in (p.lo for p in decompose(f).q.parts):
+        for y0 in ys:
+            for u in t_solve_x(t, op.f_at(y0), q):
+                xa = arg_with_value(f, u)
+                if xa is not None:
+                    cands_x.add(xa)
+    approach = {}
+    for x0 in sorted(cands_x):
+        for y0 in ys:
+            for px, py in ((x0, y0), (y0, x0)):
+                val = f_eval(op, px, py)
+                for side in ("left", "right"):
+                    lim = _dir_limit(op, px, py, side, approach)
+                    if lim is not None and lim != val:
+                        return Verdict.no((px, py), note=f"{side} limit {lim} != value "
+                                                         f"{val} along the first argument")
+    return None
+
+
+@pytest.mark.parametrize("tdesc", ["product", "hamacher2", "min", "halfprod"])
+@settings(max_examples=40, deadline=None)
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
+def test_limit_search_skips_no_mismatch(tdesc, f):
+    # skipping a pair whose (px, f(py)) was checked must leave the whole
+    # Verdict of check_continuity as it is without the skip
+    t = parse_tnorm(tdesc)
+    got = check_continuity(make_op(f, t))
+    with mock.patch("subnormforge.classify._limit_search", reference_limit_search):
+        want = check_continuity(make_op(f, t))
+    assert got == want
+
+
+def test_lambda_continuity_needs_the_line_through_0():
+    # only f(x) = lam*x makes F the additively generated operation
+    t = parse_tnorm("lambda:one-minus-log:2/5")
+    assert check_continuity(make_op(parse_fn(
+        "monotone: nondecreasing\nsegment [0,1] linear 2/5 0\n"), t)).status == "yes"
+    for line in ("2/5 1/10", "1/2 0"):
+        f = parse_fn(f"monotone: nondecreasing\nsegment [0,1] linear {line}\n")
+        assert check_continuity(make_op(f, t)) == Verdict.unknown(
+            "non-canonical generator composition"), line
+
+
 @pytest.mark.parametrize("name,tdesc", [
     ("plateau", "product"), ("half_jump", "hamacher2"),
     ("step", "product"), ("gap", "product")])
@@ -173,6 +228,23 @@ def test_witnesses_recheck(name, tdesc):
     f = parse_fn(WORKED_EXAMPLES[name])
     t = parse_tnorm(tdesc)
     recheck_no_witnesses(f, t, classify(f, t, arch_grid_n=8))
+
+
+LATTICE = list(lattice_fns())
+
+
+@pytest.mark.parametrize("tdesc", ["product", "hamacher2", "min", "halfprod"])
+def test_lattice_harness(tdesc):
+    # every lattice function with nb = nv = 3 and its mirror 1 - f: no
+    # classifier Yes may meet an oracle counterexample, and every No must
+    # re-check.  Budget: 10 s for the four families together; they take
+    # about 3 s on a 2-core host
+    t = parse_tnorm(tdesc)
+    assert len(LATTICE) == 286
+    for f in LATTICE + [_one_minus(g) for g in LATTICE]:
+        rep = consistency_harness(f, t, n=8, arch_grid_n=8)
+        assert rep.ok, (str(f), rep.hard_failures)
+        recheck_no_witnesses(f, t, classify(f, t, arch_grid_n=8))
 
 
 # -- implications between verdicts ------------------------------------------

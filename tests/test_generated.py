@@ -92,6 +92,18 @@ def test_operation_caches_function_values(f_gap, monkeypatch):
     assert sorted(f_args) == [0, F(1, 3), F(1, 2), F(2, 3), F(3, 4)]
 
 
+def test_cache_entries_build_their_fraction_when_read(f_gap):
+    # an oracle scan reads pairs only, so the op's caches hold no Fraction
+    # until f_at, finv_at or f_eval reads one, and then hold it
+    op = make_op(f_gap, parse_tnorm("product"))
+    check_property(_Memo(op), "associativity", [F(0), F(1, 3), F(3, 4), F(1)])
+    assert op._finv_cache and all(v is None for _, v in op._finv_cache.values())
+    (n, d), entry = next(iter(op._finv_cache.items()))
+    v = op.finv_at(F(n, d))
+    assert v == F(*entry[0]) and op._finv_cache[n, d][1] is v
+    assert op.f_at(F(1, 3)) is op._f_cache[1, 3][1] == F(5, 18)
+
+
 def test_additive_generated_product_like():
     direct = additive_generated(GeneratorSpec("one-minus-log"))
     for i in range(1, 11):

@@ -145,9 +145,11 @@ def test_compared_counts_comparisons_made_by_class(f_step):
 
 
 # (op_evals, interned_values) of the harness at n=12 with product: the
-# counts of an oracle that evaluates F on Fractions, without integer pairs
-HARNESS_STATS = {"plateau": (181, 36), "half_jump": (1473, 228), "gap": (330, 221),
-                 "shifted_jump": (169, 22), "step": (100, 21), "identity": (1440, 244)}
+# counts of an oracle that evaluates F once per pair of classes, with one
+# entry for F(u, p) and F(p, u) at an off-grid intermediate u, as T is
+# symmetric
+HARNESS_STATS = {"plateau": (118, 36), "half_jump": (823, 228), "gap": (324, 221),
+                 "shifted_jump": (169, 22), "step": (100, 21), "identity": (829, 244)}
 
 
 @pytest.mark.parametrize("name", sorted(HARNESS_STATS))
@@ -182,9 +184,10 @@ def test_pair_path_and_intern_give_one_id():
     memo = _Memo(make_op(f, PRODUCT))
     x, y = memo.intern(F(3, 4)), memo.intern(F(5, 6))
     v = memo.eval(x, y)
+    assert memo.vals[v] is None  # interned by its pair, no Fraction until read
     assert memo.intern(F(2, 3)) == v
     assert memo.intern(F(1, 2)) == memo.f_ids[x]
-    assert memo.vals[v] == F(2, 3) and memo.keys[v] == (2, 3)
+    assert memo.value(v) == F(2, 3) and memo.keys[v] == (2, 3)
 
 
 def test_interning_keys_exact_values_and_approx_values():
@@ -243,6 +246,20 @@ def test_classify_and_harness_build_the_decomposition_once(f_step, monkeypatch):
         classify(f_step, parse_tnorm(family), arch_grid_n=6)
     consistency_harness(f_step, PRODUCT, n=6, arch_grid_n=6)
     assert len(built) == 1
+
+
+def test_a_generated_op_keeps_one_list_per_class():
+    # F(u, p) = F(p, u) for a GeneratedOp, as T is symmetric, so its grid
+    # serves row(k) and col(k) from one list, for a grid point's class and
+    # for an off-grid one; a plain callable keeps the two apart
+    pts = grid(4)
+    for op, shared in ((make_op(parse_fn(WORKED_EXAMPLES["gap"]), PRODUCT), True),
+                       (lambda x, y: x * y, False)):
+        memo = _Memo(op)
+        g = memo.grid(pts)
+        for x in (F(1, 4), F(1, 3)):
+            k = memo.class_of(memo.intern(x))
+            assert (g.row(k) is g.col(k)) == shared, x
 
 
 # -- counterexample paths on plain callables ----------------------------------
@@ -346,7 +363,8 @@ def reference_check(op, prop, pts):
 
 
 @pytest.mark.parametrize("family", ["product", "hamacher2", "min", "halfprod",
-                                    "gen:neglog"])
+                                    "gen:neglog", "gen:one-minus-log",
+                                    "lambda:one-minus-log:2/5"])
 @settings(max_examples=12, deadline=None)
 @given(f=st.one_of(monotone_fns(), nonincreasing_fns()),
        rnd=st.randoms(use_true_random=False))

@@ -1,5 +1,6 @@
 """T-norm families: evaluation, algebraic laws, images and preimages."""
 
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -284,6 +285,39 @@ def test_generator_kernel_is_bit_identical_to_mpf_arithmetic(t, x, y):
     memo = {}
     for _ in range(2):
         assert t_eval(t, x, y, memo) == want
+
+
+# reduced pairs of [0,1], with the corners and 1/2 drawn often
+reduced_pairs_01 = st.one_of(
+    st.sampled_from([F(0), HALF, F(1)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6),
+).map(lambda v: (v.numerator, v.denominator))
+
+
+def reduced(n: int, d: int) -> tuple:
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+@pytest.mark.parametrize("t", EXACT, ids=family_id)
+@given(x=reduced_pairs_01, y=reduced_pairs_01)
+def test_exact_pair_kernel_is_symmetric(t, x, y):
+    # the oracle keeps one entry for F(u, p) and F(p, u), which holds only
+    # while T(x, y) and T(y, x) reduce to one pair
+    assert reduced(*t.eval_pair(*x, *y)) == reduced(*t.eval_pair(*y, *x))
+
+
+@pytest.mark.parametrize("tdesc", ["gen:neglog", "gen:one-minus-log",
+                                   "lambda:one-minus-log:2/5"])
+@settings(max_examples=60, deadline=None)
+@given(x=reduced_pairs_01, y=reduced_pairs_01)
+def test_approx_pair_kernel_is_symmetric(tdesc, x, y):
+    # the same for the generator families: centre and exactness alike,
+    # with fresh memos and with one memo that both orders share
+    t = parse_tnorm(tdesc)
+    assert t.approx_pair(*x, *y, {}) == t.approx_pair(*y, *x, {})
+    memo = {}
+    assert t.approx_pair(*x, *y, memo) == t.approx_pair(*y, *x, memo)
 
 
 @pytest.mark.parametrize("w", [F(0), F(-1), F(2), F(-3), F(-1, 2), F(3, 2), F(-5, 2),
