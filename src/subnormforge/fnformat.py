@@ -26,8 +26,22 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
+def _digits(s: str) -> bool:
+    """Whether s is a non-empty run of the ASCII digits 0-9."""
+    return s.isascii() and s.isdigit()
+
+
 def _parse_fraction(tok: str, lineno: int) -> Fraction:
+    """The rational of a token, as ``Fraction(tok)`` reads it.  A token of
+    ASCII digits, or two such runs around one '/', is read with ``int``,
+    without ``Fraction``'s regular expression; every other token, a sign,
+    a decimal point, an exponent, an underscore or a non-ASCII digit
+    included, goes to ``Fraction(tok)``, so the value and any error are
+    the same either way."""
+    p, slash, q = tok.partition("/")
     try:
+        if _digits(p) and (not slash or _digits(q)):
+            return Fraction(int(p), int(q) if slash else 1)
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(lineno, f"bad rational {tok!r}: {e}") from None

@@ -28,11 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING
 
 from .intervals import Interval, frac
 from .pwfn import PiecewiseMonotoneFn, Segment, eval_pair
-from .tnorms import (RADIUS, Approx, Generator, GeneratorSpec, Lambda, TNormDescriptor,
-                     t_eval)
+from .tnorms import RADIUS, Approx, TNormDescriptor, t_eval
+
+if TYPE_CHECKING:
+    from .generators import GeneratorSpec
 
 
 def value_key(v) -> tuple:
@@ -199,6 +202,7 @@ def _spread(finv: PiecewiseMonotoneFn, p: int, q: int, m: int, n: int) -> tuple:
 def additive_generated(gen: GeneratorSpec):
     """(x,y) -> g^(-1)(g(x)+g(y)) with the pseudo-inverse clamp to [0,1];
     a continuous cancellative t-subnorm when g(0) = inf."""
+    from .generators import Generator
     t = Generator(gen)
     return lambda x, y: t_eval(t, x, y)
 
@@ -212,6 +216,7 @@ def lambda_decompose(gen: GeneratorSpec, lam) -> tuple:
     Composing f_eval over the result reproduces the additively generated
     operation on the whole square.
     """
+    from .generators import Lambda
     t = Lambda(gen, frac(lam))
     f = PiecewiseMonotoneFn(True, (Segment.linear(Interval.closed(0, 1), t.lam, 0),))
     return f, t

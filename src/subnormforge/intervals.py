@@ -52,12 +52,12 @@ class Interval:
             return None
         if lo == hi and not (lo_closed and hi_closed):
             return None
-        return Interval(lo, hi, lo_closed, hi_closed)
+        return _nonempty(lo, hi, lo_closed, hi_closed)
 
     @staticmethod
     def point(v: Rat) -> "Interval":
         v = frac(v)
-        return Interval(v, v, True, True)
+        return _nonempty(v, v, True, True)
 
     @staticmethod
     def closed(lo: Rat, hi: Rat) -> "Interval":
@@ -100,6 +100,22 @@ class Interval:
         lb = "[" if self.lo_closed else "("
         rb = "]" if self.hi_closed else ")"
         return f"{lb}{self.lo},{self.hi}{rb}"
+
+
+_set_lo, _set_hi, _set_lo_closed, _set_hi_closed = (
+    getattr(Interval, name).__set__ for name in ("lo", "hi", "lo_closed", "hi_closed"))
+
+
+def _nonempty(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> Interval:
+    """An Interval that the caller knows is not empty, built without
+    ``__post_init__``, which would test emptiness again: the slots are
+    set through their descriptors, which a frozen class leaves writable."""
+    iv = object.__new__(Interval)
+    _set_lo(iv, lo)
+    _set_hi(iv, hi)
+    _set_lo_closed(iv, lo_closed)
+    _set_hi_closed(iv, hi_closed)
+    return iv
 
 
 UNIT = Interval.closed(0, 1)

@@ -41,8 +41,10 @@ actually made.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .classify import PROPERTIES, arg_with_value, classify
@@ -256,13 +258,26 @@ class _Grid:
         return r
 
 
+@lru_cache(maxsize=None)
+def _base_grid(n: int) -> tuple:
+    return tuple(Fraction(i, n) for i in range(n + 1))
+
+
 def grid(n: int, extra=()) -> list:
-    """{0, 1/n, ..., 1} plus any extra rationals, sorted and deduplicated."""
+    """{0, 1/n, ..., 1} plus any extra rationals in [0,1], sorted and
+    deduplicated.  The points are ordered and deduplicated by exact
+    integer keys: over L, the lcm of the denominators, the point p/q is
+    p * (L // q)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    pts = {Fraction(i, n) for i in range(n + 1)}
-    pts.update(frac(e) for e in extra)
-    return sorted(p for p in pts if 0 <= p <= 1)
+    base = _base_grid(n)
+    extra = [e for e in map(frac, extra) if 0 <= e.numerator <= e.denominator]
+    lcm = math.lcm(n, *(e.denominator for e in extra))
+    step = lcm // n
+    pts = {i * step: p for i, p in enumerate(base)}
+    for e in extra:
+        pts.setdefault(e.numerator * (lcm // e.denominator), e)
+    return [pts[k] for k in sorted(pts)]
 
 
 def check_property(op: Callable, prop: str, pts) -> CheckResult:
@@ -433,7 +448,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
         # asymptotic property: failure to descend within the cap is
         # reported as a note, never as a counterexample
         missing = []
-        interior = [k for k, p in enumerate(pts) if 0 < p < 1]
+        interior = [k for k, i in enumerate(pid) if 0 < keys[i][0] < keys[i][1]]
         floor = pid[min(interior, key=pts.__getitem__)] if interior else None
         powers = {}  # class -> (powers taken, whether one fell below floor)
         checked = 0

@@ -215,23 +215,33 @@ def _validate(fn: PiecewiseMonotoneFn) -> None:
         cur, cur_closed = d.hi, not d.hi_closed
     if cur != ONE or cur_closed:
         raise InvalidFunction(f"domain does not reach 1 (stops at {cur})")
-    # each piece's values are computed here and not kept: a pseudo-inverse,
-    # which is validated like any function, never reads them again
-    prev_vals: Optional[Interval] = None
+    # each piece's values are checked at its two ends, as integer pairs
+    # over a positive denominator, by the formula of ``eval_pair``; they
+    # are not kept, as a pseudo-inverse, which is validated like any
+    # function, never reads them again.  ``bottom`` and ``top`` are the
+    # values at the piece's two ends, the lesser first, whether the ends
+    # are attained or not, and ``prev`` is the previous piece's end value
+    # next to this piece: its top for non-decreasing f, its bottom otherwise
+    up = fn.nondecreasing
+    prev = None
     for p in fn.segments:
-        vals = p.attained_values()
-        if vals.lo < 0 or vals.hi > 1:
+        s, c = p.slope, p.intercept
+        sn, sd, cn, cd = s.numerator, s.denominator, c.numerator, c.denominator
+        lo, hi = ((sn * x.numerator * cd + cn * sd * x.denominator, sd * cd * x.denominator)
+                  for x in (p.domain.lo, p.domain.hi))
+        bottom, top = (hi, lo) if sn < 0 else (lo, hi)
+        if bottom[0] < 0 or top[0] > top[1]:
             raise InvalidFunction(f"values escape [0,1] on {p.domain}")
-        if fn.nondecreasing and p.slope < 0:
+        if up and sn < 0:
             raise InvalidFunction("decreasing segment in a non-decreasing function")
-        if not fn.nondecreasing and p.slope > 0:
+        if not up and sn > 0:
             raise InvalidFunction("increasing segment in a non-increasing function")
-        if prev_vals is not None:
-            if fn.nondecreasing and vals.lo < prev_vals.hi:
+        if prev is not None:
+            if up and bottom[0] * prev[1] < prev[0] * bottom[1]:
                 raise InvalidFunction("values not non-decreasing across pieces")
-            if not fn.nondecreasing and vals.hi > prev_vals.lo:
+            if not up and top[0] * prev[1] > prev[0] * top[1]:
                 raise InvalidFunction("values not non-increasing across pieces")
-        prev_vals = vals
+        prev = top if up else bottom
 
 
 def eval_fn(f: PiecewiseMonotoneFn, x) -> Fraction:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import (WORKED_EXAMPLES, monotone_fns, nonincreasing_fns,
                       random_nondecreasing_fn)
 from subnormforge import eval_fn, parse_fn, pseudo_inverse, render_fn
-from subnormforge.fnformat import ParseError, parse_interval
+from subnormforge.fnformat import ParseError, _parse_fraction, parse_interval
 
 
 def test_parse_interval_forms():
@@ -96,3 +96,43 @@ def test_repeated_monotone_directive():
 def test_unknown_directive():
     with pytest.raises(ParseError):
         parse_fn("monotone: nondecreasing\nwibble [0,1]\n")
+
+
+# -- rationals read with int where Fraction's parser is not needed -----------
+
+
+def _fraction_or_error(tok):
+    """(value, None) as Fraction(tok) reads the token, or (None, the
+    ParseError text that its error gives on line 7)."""
+    try:
+        return Fraction(tok), None
+    except (ValueError, ZeroDivisionError) as e:
+        return None, f"line 7: bad rational {tok!r}: {e}"
+
+
+def _assert_parses_like_fraction(tok):
+    value, error = _fraction_or_error(tok)
+    if error is None:
+        got = _parse_fraction(tok, 7)
+        assert type(got) is Fraction and got == value, tok
+    else:
+        with pytest.raises(ParseError) as exc:
+            _parse_fraction(tok, 7)
+        assert str(exc.value) == error and exc.value.lineno == 7
+
+
+@pytest.mark.parametrize("tok", [
+    "0", "1", "3/4", "12/8", "07/08", "00/000", "+1/2", "-0", "-3/7", " 1/2", "1/2 ",
+    "0.5", ".5", "1e-1", "1E2", "1_0", "1/1_0", "²", "١", "1/١", "1/0", "0/0", "1/-2",
+    "/2", "2/", "/", "1//2", "1/2/3", "", "a", "0x10", "1 /2",
+    # past int's digit limit, where there is one: both readers call int
+    "9" * 5000, "1/" + "9" * 5000,
+])
+def test_parse_fraction_matches_fraction(tok):
+    _assert_parses_like_fraction(tok)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789/+-._eE ²١", max_size=8))
+def test_parse_fraction_matches_fraction_on_random_tokens(tok):
+    _assert_parses_like_fraction(tok)

@@ -18,9 +18,10 @@ from subnormforge import (
     parse_fn,
     parse_tnorm,
 )
+from subnormforge.generators import Generator, Lambda
 from subnormforge.oracle import _Memo, check_property
 from subnormforge.pwfn import eval_fn, eval_pair
-from subnormforge.tnorms import Approx, Generator, Lambda, approx_diff, t_eval
+from subnormforge.tnorms import Approx, approx_diff, t_eval
 
 F = Fraction
 

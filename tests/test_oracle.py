@@ -41,6 +41,36 @@ def test_grid_contents():
     assert grid(1) == [F(0), F(1)]
 
 
+def _reference_grid(n, extra=()):
+    """The grid as a sorted set of Fractions."""
+    pts = {F(i, n) for i in range(n + 1)}
+    pts.update(F(e) for e in extra)
+    return sorted(p for p in pts if 0 <= p <= 1)
+
+
+_grid_extras = st.lists(st.one_of(
+    st.fractions(min_value=-1, max_value=2, max_denominator=40),
+    st.integers(min_value=-2, max_value=3),
+    st.fractions(min_value=0, max_value=1, max_denominator=40).map(
+        lambda v: f"{v.numerator}/{v.denominator}")), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=24), _grid_extras)
+def test_grid_matches_sorted_set(n, extra):
+    extra = extra + extra[:3]  # duplicates among the extras
+    pts = grid(n, extra)
+    assert pts == _reference_grid(n, extra)
+    assert all(type(p) is Fraction for p in pts)
+
+
+def test_grid_rejects_floats_and_empty_steps():
+    with pytest.raises(TypeError):
+        grid(4, [0.5])
+    with pytest.raises(ValueError):
+        grid(0)
+
+
 def test_default_extra_includes_breakpoints(f_step):
     extra = default_extra(f_step)
     assert F(1, 4) in extra and F(1, 2) in extra

@@ -572,3 +572,117 @@ def test_rejects_decreasing_values():
 def test_rejects_value_outside_unit():
     with pytest.raises(ValueError):
         parse_fn("monotone: nondecreasing\nsegment [0,1] linear 2 0\n")
+
+
+def _fn(nondecreasing, *pieces):
+    """A function from (domain text, slope, intercept) triples."""
+    from subnormforge.fnformat import parse_interval
+    return PiecewiseMonotoneFn(nondecreasing, tuple(
+        Segment.linear(parse_interval(dom), F(s), F(c)) for dom, s, c in pieces))
+
+
+# one case per InvalidFunction message of _validate, for each direction
+# where the message has two sides
+_INVALID = [
+    ("no pieces", True, ()),
+    ("domain gap or overlap at 1/2 (next piece starts [3/4,1])", True,
+     (("[0,1/2)", 1, 0), ("[3/4,1]", 1, 0))),
+    ("domain gap or overlap at 1/2 (next piece starts [1/4,1])", True,
+     (("[0,1/2)", 1, 0), ("[1/4,1]", 0, 1))),
+    ("domain gap or overlap at 1/2 (next piece starts (1/2,1])", True,
+     (("[0,1/2)", 1, 0), ("(1/2,1]", 1, 0))),
+    ("domain gap or overlap at 0 (next piece starts (0,1])", False, (("(0,1]", 0, 1),)),
+    ("domain does not reach 1 (stops at 3/4)", True, (("[0,3/4]", 1, 0),)),
+    ("domain does not reach 1 (stops at 1)", False, (("[0,1)", -1, 1),)),
+    # values below 0 or above 1: at either end of a line, or as a constant
+    ("values escape [0,1] on [0,1]", True, (("[0,1]", 1, F(-1, 8)),)),
+    ("values escape [0,1] on [0,1]", True, (("[0,1]", 1, F(1, 8)),)),
+    ("values escape [0,1] on [0,1]", False, (("[0,1]", -1, F(9, 8)),)),
+    ("values escape [0,1] on [0,1]", False, (("[0,1]", -1, F(7, 8)),)),
+    ("values escape [0,1] on (0,1]", True, (("{0}", 0, 0), ("(0,1]", 1, F(-1, 8)))),
+    ("values escape [0,1] on [1/2,1]", True, (("[0,1/2)", 0, 0), ("[1/2,1]", 0, F(-1, 8)))),
+    ("values escape [0,1] on [1/2,1]", False, (("[0,1/2)", 0, 1), ("[1/2,1]", 0, F(9, 8)))),
+    ("decreasing segment in a non-decreasing function", True, (("[0,1]", F(-1, 2), F(1, 2)),)),
+    ("increasing segment in a non-increasing function", False, (("[0,1]", F(1, 2), 0),)),
+    ("values not non-decreasing across pieces", True,
+     (("[0,1/2]", 1, 0), ("(1/2,1]", 1, F(-1, 8)))),
+    ("values not non-decreasing across pieces", True,
+     (("[0,1/2)", 1, 0), ("[1/2,1]", 0, F(1, 4)))),
+    ("values not non-increasing across pieces", False,
+     (("[0,1/2]", -1, 1), ("(1/2,1]", -1, F(9, 8)))),
+    ("values not non-increasing across pieces", False,
+     (("[0,1/2)", -1, 1), ("[1/2,1]", 0, F(3, 4)))),
+]
+
+
+@pytest.mark.parametrize("message, up, pieces", _INVALID)
+def test_validate_rejects_with_its_message(message, up, pieces):
+    with pytest.raises(InvalidFunction) as exc:
+        _fn(up, *pieces)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("up, pieces", [
+    # end values exactly 0 and 1, attained or not
+    (True, (("[0,1]", 1, 0),)),
+    (False, (("[0,1]", -1, 1),)),
+    (True, (("[0,1/2)", 2, 0), ("{1/2}", 0, 1), ("(1/2,1]", 0, 1))),
+    (False, (("[0,1/2)", -2, 1), ("[1/2,1]", 0, 0))),
+    (True, (("{0}", 0, 0), ("(0,1)", 0, F(1, 2)), ("{1}", 0, 1))),
+    # neighbours that meet at one value, with and without a jump between
+    (True, (("[0,1/2]", 1, 0), ("(1/2,1]", 1, 0))),
+    (True, (("[0,1/2)", 1, 0), ("[1/2,1]", 0, F(1, 2)))),
+    (True, (("[0,1/2]", 0, F(1, 2)), ("(1/2,1]", 1, 0))),
+    (False, (("[0,1/2]", -1, 1), ("(1/2,1]", -1, 1))),
+    (False, (("[0,1/2)", -1, 1), ("[1/2,1]", 0, F(1, 2)))),
+    (False, (("[0,1/2]", 0, F(1, 2)), ("(1/2,1]", -1, 1))),
+    # constants are both non-decreasing and non-increasing
+    (True, (("[0,1]", 0, F(1, 3)),)),
+    (False, (("[0,1]", 0, F(1, 3)),)),
+])
+def test_validate_accepts_boundary_cases(up, pieces):
+    f = _fn(up, *pieces)
+    assert f.nondecreasing is up
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.lists(st.tuples(
+    st.fractions(min_value=-2, max_value=2, max_denominator=6),
+    st.fractions(min_value=-1, max_value=2, max_denominator=6)), min_size=1, max_size=3))
+def test_validate_matches_value_intervals(up, lines):
+    # the pieces [0,1/3), [1/3,2/3), ... with arbitrary lines, judged by the
+    # attained-value intervals as the pre-pair check judged them
+    k = len(lines)
+    segs = [Segment.linear(Interval.make(F(i, k), F(i + 1, k), True, i == k - 1), s, c)
+            for i, (s, c) in enumerate(lines)]
+    expected = None
+    prev = None
+    for p in segs:
+        vals = p.attained_values()
+        if vals.lo < 0 or vals.hi > 1:
+            expected = f"values escape [0,1] on {p.domain}"
+        elif up and p.slope < 0:
+            expected = "decreasing segment in a non-decreasing function"
+        elif not up and p.slope > 0:
+            expected = "increasing segment in a non-increasing function"
+        elif prev is not None and up and vals.lo < prev.hi:
+            expected = "values not non-decreasing across pieces"
+        elif prev is not None and not up and vals.hi > prev.lo:
+            expected = "values not non-increasing across pieces"
+        if expected:
+            break
+        prev = vals
+    if expected is None:
+        assert PiecewiseMonotoneFn(up, tuple(segs)).segments == tuple(segs)
+    else:
+        with pytest.raises(InvalidFunction) as exc:
+            PiecewiseMonotoneFn(up, tuple(segs))
+        assert str(exc.value) == expected
+
+
+def test_approach_segment_is_none_only_outside_the_unit_interval(f_half_jump, f_plateau):
+    for f in (f_half_jump, f_plateau):
+        assert pwfn.approach_segment(f, ZERO, "left") is None
+        assert pwfn.approach_segment(f, ONE, "right") is None
+        assert pwfn.approach_segment(f, ZERO, "right") is f.segments[0]
+        assert pwfn.approach_segment(f, ONE, "left") is not None

@@ -1,7 +1,11 @@
 """T-norm families: evaluation, algebraic laws, images and preimages."""
 
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import subnormforge
+from conftest import WORKED_EXAMPLES
+from subnormforge.generators import Generator, GeneratorSpec, Lambda, _e_pow
 from subnormforge.intervals import Interval, IntervalSet
 from subnormforge.pwfn import DomainError
 from subnormforge.tnorms import (
@@ -17,10 +24,6 @@ from subnormforge.tnorms import (
     DIGITS,
     RADIUS,
     Approx,
-    Generator,
-    GeneratorSpec,
-    Lambda,
-    _e_pow,
     parse_tnorm,
     t_eval,
     t_image,
@@ -218,7 +221,7 @@ def test_neglog_matches_product():
 # -- the generator families against mpmath's mpf arithmetic -----------------
 
 # g and its formula inverse as mpf expressions, the arithmetic that the
-# libmp kernel in tnorms.py must reproduce bit for bit
+# libmp kernel in generators.py must reproduce bit for bit
 _MPF_GENERATORS = {
     "neglog": (lambda v: -mpmath.ln(v), lambda u: mpmath.e ** -u),
     "one-minus-log": (lambda v: 1 - mpmath.ln(v), lambda u: mpmath.e ** (1 - u)),
@@ -499,3 +502,32 @@ def test_name_dispatch_pattern_catches_each_form():
                  "if isinstance(tv, Approx):",
                  'return Verdict.unknown("min is not strict")'):
         assert not NAME_DISPATCH.search(line), line
+
+
+# -- mpmath loads with the generator families only ---------------------------
+
+_LAZY_BOUNDARY = """
+import json, sys
+import subnormforge as s
+for text in json.loads(sys.argv[1]):
+    f = s.parse_fn(text)
+    for name in ("product", "hamacher2"):
+        t = s.parse_tnorm(name)
+        s.classify(f, t)
+        s.consistency_harness(f, t, n=6, arch_grid_n=6)
+print("mpmath" in sys.modules)
+s.parse_tnorm("gen:neglog")
+print("mpmath" in sys.modules)
+from subnormforge import Generator, GeneratorSpec
+print(Generator(GeneratorSpec("neglog")) == s.parse_tnorm("gen:neglog"))
+"""
+
+
+def test_exact_families_run_without_mpmath():
+    # a fresh interpreter, as this one has imported mpmath already
+    src = str(Path(subnormforge.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _LAZY_BOUNDARY,
+                          json.dumps(list(WORKED_EXAMPLES.values()))],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.split() == ["False", "True", "True"]
