@@ -10,6 +10,11 @@ One directive per line::
 Comments start with ``#``; blank lines are ignored.  ``point x = v`` is
 shorthand for ``segment {x} const v``, and ``render_fn`` writes segments
 only.  Domain coverage of [0,1] and monotonicity are validated on load.
+
+Rationals are read as ``Fraction(tok)`` reads them, with the same errors;
+the common tokens, ``p`` and ``p/q`` in ASCII digits, are read with
+``int`` (``_parse_fraction``), as ``Fraction``'s own string parser runs a
+regular expression per token.
 """
 
 from __future__ import annotations

@@ -448,6 +448,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
         # asymptotic property: failure to descend within the cap is
         # reported as a note, never as a counterexample
         missing = []
+        # 0 < p < 1, read on each point's interned (numerator, denominator)
         interior = [k for k, i in enumerate(pid) if 0 < keys[i][0] < keys[i][1]]
         floor = pid[min(interior, key=pts.__getitem__)] if interior else None
         powers = {}  # class -> (powers taken, whether one fell below floor)

@@ -30,6 +30,12 @@ or below x: it holds x.  The tests are sign tests on cross products of
 numerators and denominators, and the value is an integer pair; ``eval_fn``
 builds it as one Fraction, normalised once.
 
+Validation (``_validate``, run by the constructor) checks that the
+pieces partition [0,1], then each piece's values at its two ends, as
+integer pairs by ``eval_pair``'s formula: within [0,1], in the function's
+direction, and, by cross-multiplication, not going back across pieces.
+No ``Interval`` of values is built for it.
+
 ``pseudo_inverse`` builds the closed form of the pseudo-inverse in one
 sweep over the segments and their cached value intervals; ``pseudo_inverse_at``
 is the pointwise definition that the tests hold it against.
