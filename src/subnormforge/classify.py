@@ -5,8 +5,9 @@ conditions, No with a witness that re-checks by direct evaluation, or
 Unknown with the resolution reached.  Yes verdicts are only emitted on
 routes where the characterization theorems apply (strictly monotone,
 continuous t-norms with exact rational evaluation, plus a corollary route
-for continuous strictly increasing f with f(0)=0); everything else falls
-back to Unknown and the brute-force oracle.
+for continuous strictly increasing f with f(0)=0, and the Archimedean
+rules proved in ``check_archimedean``); everything else falls back to
+Unknown and the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .pwfn import (
     approach_segment,
     decompose,
     eval_fn,
+    first_arg_above,
     plateau_set,
     side_limit,
 )
@@ -582,105 +584,175 @@ def _limit_search(op: GeneratedOp):
 # -- Archimedean ------------------------------------------------------------
 
 
-# Self-composition steps check_archimedean tries per grid point.
-ARCH_CAP = 256
+# A No witness (x, y) must show the powers of x reaching an exact fixed
+# point, none of them below y, within this many steps.
+ARCH_WITNESS_STEPS = 1024
 
 
-def check_archimedean(op: GeneratedOp, grid_n: int = 20) -> Verdict:
-    """Grid-and-cap Archimedean check: every interior grid x must have a
-    self-composition power dropping below every interior grid y.  An
-    exactly stabilized power sequence above some y is a rigorous No;
-    hitting the cap without stabilizing leaves Unknown.
+def check_archimedean(op: GeneratedOp) -> Verdict:
+    """The Archimedean property: the powers x, F(x,x), F(F(x,x),x), ...
+    of every x in (0,1) fall below every y in (0,1).  Decided by rules on
+    f's jumps, for non-decreasing f outside ``check_degenerate``'s shapes,
+    without running the powers.
 
-    One power sequence runs per f-value class, for the first grid point of
-    the class.  Step k computes nxt = F(acc, x) = finv(T(f(acc), f(x))),
-    with acc = x at step 1 and acc the previous nxt after it.  So nxt at
-    step 1 is F(x, x), which depends on x only through f(x), and by
-    induction so does every later nxt, its radius, and the tests at each
-    step: the descent below y_min, the stall test and, from step 2 on,
-    the fixed-point test nxt == acc.  Only step 1's fixed-point test reads
-    x itself.  Let x be the first grid point of its class, whose powers
-    descend, and x' a later point with f(x') = f(x); then x' descends
-    too.  Its sequence is x's, so x' could only differ by stopping at step
-    1 with F(x', x') = x'.  Then x's step 1 gives nxt = F(x, x) = x',
-    exact, and not below y_min, as x' is a grid point; x's step 2 gives
-    F(x', x) = F(x', x') = x' = acc, a fixed point, and x would have
-    stopped with No (ARCH_CAP >= 2), not descended.  A point whose
-    sequence does not descend ends the scan, so every other point of the
-    class comes after that verdict, and the verdict is the one a scan of
-    every grid point returns.
+    Write f(p-) for the left limit at p, f(1-) for the one at 1, and
+    a0 = inf{x : f(x) > 0}.  Outside the degenerate shapes f(1-) is not a
+    plateau value, so f(x) < f(1-) <= 1 for every x < 1.  F(a, x) =
+    finv(T(f(a), f(x))) is non-decreasing in a, and at most
+    finv(f(a)) <= a, so the powers of x fall.
 
-    Both kinds of family run the sequence on the op's integer pairs, with
-    a Fraction built only for the Verdict: an exact family in
-    ``_exact_powers``, one ``GeneratedOp.power_step`` per step, and a
-    generator family in ``_approx_powers``, one ``GeneratedOp.approx_step``
-    per step, which carries T's error radius as a pair and reads g(f(x))
-    from the op's ``_g_cache``.
+    - Rule J, a jump that traps: a p in (0,1) with f(p) > f(p-) and
+      lim T(f(p), v) > f(p-) as v rises to f(1-).  Then some x in [p,1)
+      has f(x) close enough to f(1-) that v = T(f(p), f(x)) lies in
+      (f(p-), f(p)], so F(p, x) = p; every power of x then stays at or
+      above F(p, x) = p.  No, with the witness (x, p) for the x of
+      ``_trap_witness``, re-checked here; on a generator family, whose F
+      is not exact, Unknown.
+    - Rule M, an idempotent point: a p in (0,1) with F(p, p) = p, whose
+      powers stay at p.  For min this is every p of a rising line with
+      f(p) > 0, and one always exists outside the degenerate shapes.  It
+      runs for the exact families that do not shrink (below).  No.
+    - Rule Z, a zero plateau: a0 > 0 and f(a0+) = 0.  Then f(x) > 0 for
+      some x < 1, T has no zero divisors, and every power of x has a
+      positive f value, so it lies above a0.  An exact fixed point does
+      not certify it, so Unknown.
+    - Otherwise Yes, when T shrinks (``TNormDescriptor.shrinks``): T(u, .)
+      is strictly increasing for u > 0, T(u, c) <= u, and lim sup T(u, c)
+      < v as u falls to v, for v > 0 and c < 1.
+      Proof.  Let x in (0,1), c = f(x) < 1, and let the powers a_n fall to
+      L > 0; c > 0, as c = 0 makes F(x, x) = finv(0) = 0.  If a_n = L
+      from some n on, F(L, x) = L: then w = T(f(L), c) has finv(w) = L,
+      so f(L) > 0 (else w = 0), w < f(L), and f(t) < w for every t < L,
+      so f(L-) <= w < f(L): L is a jump in (0,1) with x in [L,1), and
+      T(f(L), f(x)) >= f(L-) with f(x) < f(1-) puts rule J's limit above
+      f(L-), as a shrinking T(f(L), .) is strictly increasing.
+      Otherwise a_n > L for every n, so finv(T(f(a_n), c)) > L and
+      f(L+) <= T(f(a_n), c), while f(a_n) falls to f(L+); then f(L+) > 0
+      contradicts the lim sup, and f(L+) = 0 with every f(a_n) > 0 (else
+      the next power is 0) makes L = a0 and f(a0+) = 0, rule Z.  So when
+      no rule applies, L = 0 for every x.
+
+    Any other family gets Unknown.  Rule J compares T exactly, through
+    the family's ``left_limit_above``.
     """
-    if grid_n < 2:
-        raise ValueError(
-            f"grid_n must be >= 2 for an interior grid point, got {grid_n}")
-    ys = [Fraction(i, grid_n) for i in range(1, grid_n)]
-    y_min = ys[0]
-    descended = set()  # the f values, as reduced pairs, of the classes done
-    for x in ys:
-        cls = op.f_pair((x.numerator, x.denominator))
-        if cls in descended:
+    f, t = op.f, op.t
+    if not f.nondecreasing:
+        return Verdict.unknown("the rules cover non-decreasing f")
+    d = decompose(f)
+    if d.q.contains(d.f1minus):
+        return Verdict.unknown("f(1-) is a plateau value: a degenerate shape")
+    if not t.shrinks:
+        p = _idempotent_point(op) if t.exact else None
+        if p is None:
+            return Verdict.unknown("T does not shrink and no exact idempotent "
+                                   "point was found")
+        return Verdict.no((p, p), note=f"F({p},{p})={p}, so the powers of {p} stay at {p}")
+    # (p, f(p), f(p-)) at each trapping jump in (0,1); T <= min keeps the
+    # limit at or below f(p), so only a jump with f(p) > f(p-) passes
+    traps = [(p, op.f_at(p), fpm) for p, fpm, _ in f._jumps
+             if 0 < p < 1 and t.left_limit_above(op.f_at(p), d.f1minus, fpm)]
+    if traps:
+        if not t.exact:
+            return Verdict.unknown(
+                f"the jump at {traps[0][0]} traps the powers, but an inexact F "
+                "cannot show their fixed point")
+        found = _trap_witness(op, traps)
+        if found is None:
+            return Verdict.unknown(
+                f"the jump at {traps[0][0]} traps the powers, but no witness "
+                f"stabilizes within {ARCH_WITNESS_STEPS} steps")
+        x, p, v = found
+        return Verdict.no((x, p), note=f"powers of {x} stabilize at {v}; "
+                                       f"F({p},{x})={p} at the jump {p}")
+    if d.q.contains(ZERO):
+        a0 = first_arg_above(f, ZERO)
+        if side_limit(f, a0, "right") == 0:
+            return Verdict.unknown(
+                f"f vanishes up to {a0} with f({a0}+)=0, so the powers stay "
+                f"above {a0}; no fixed point certifies it")
+    return Verdict.yes("no jump of f traps the powers", "no zero plateau ends "
+                       "at a zero limit", "T shrinks positive values")
+
+
+def _idempotent_point(op: GeneratedOp):
+    """The first p in (0,1) with F(p, p) = p, in x order, among the closed
+    lower ends of f's pieces and the midpoints of its lines; None when
+    none of them is."""
+    for s in op.f.segments:
+        d = s.domain
+        for p in ((d.lo,) if d.lo_closed else ()) + (() if s.is_const else (d.midpoint(),)):
+            if 0 < p < 1 and f_eval(op, p, p) == p:
+                return p
+    return None
+
+
+# Halvings that move _trap_witness's least trapped candidate towards the
+# least x that F(p, .) sends to p, and the nearest 1 - 2^-k it tries.
+TRAP_HALVINGS = 16
+TRAP_NEAR_ONE = 64
+
+
+def _trap_witness(op: GeneratedOp, traps):
+    """(x, p, v) for the rule-J jumps (p, f(p), f(p-)) in `traps` of an
+    exact family: an x in [p,1) with F(p, x) = p whose powers reach the
+    exact fixed point v in the fewest steps, at most
+    ``ARCH_WITNESS_STEPS``; None when no candidate x does.
+
+    X = {x in [p,1) : F(p, x) = p} runs up to 1, as F(p, .) does not
+    fall, and the powers of a smaller x are no larger, so the candidates
+    lie near inf X.  For each p they are p, finv(v) and inf{x : f(x) > v}
+    for the solutions v of T(v, f(p)) = f(p-), where F(p, .) reaches p,
+    f's breakpoints in (p,1), and the midpoints between these points and
+    1.  Where T(f(p), .) jumps over f(p-), no v solves it; then the least
+    trapped candidate, or the first trapped 1 - 2^-k, moves towards inf X
+    by halving.  The candidates found in X run in order of denominator,
+    each capped at one step fewer than the best so far."""
+    f, t = op.f, op.t
+    best, cap = None, ARCH_WITNESS_STEPS
+    for p, fp, fpm in traps:
+        xs = {p}
+        for v in t_solve_x(t, fp, fpm):
+            xs.update((op.finv_at(v), first_arg_above(f, v)))
+        xs.update(f.breakpoints())
+        ends = sorted(x for x in xs if p <= x < 1) + [ONE]
+        cands = sorted(set(ends[:-1]) | {(a + b) / 2 for a, b in zip(ends, ends[1:])})
+        trapped = [x for x in cands if f_eval(op, p, x) == p]
+        hi = trapped[0] if trapped else next(
+            (h for h in (1 - Fraction(1, 2 ** k) for k in range(1, TRAP_NEAR_ONE + 1))
+             if f_eval(op, p, h) == p), None)
+        if hi is None:
             continue
-        stop = (_exact_powers if op.t.exact else _approx_powers)(op, x, cls, grid_n)
-        if stop is not None:
-            return stop
-        descended.add(cls)
-    return Verdict.yes(f"all grid powers descend below {y_min}",
-                       note=f"grid n={grid_n}, cap {ARCH_CAP}")
+        trapped = set(trapped) | {hi}
+        lo = max((x for x in cands if x < hi), default=None)
+        if lo is not None:  # a candidate outside X, as all below hi are
+            for _ in range(TRAP_HALVINGS):
+                mid = (lo + hi) / 2
+                if f_eval(op, p, mid) == p:
+                    hi = mid
+                    trapped.add(hi)
+                else:
+                    lo = mid
+        for x in sorted(trapped, key=lambda x: (x.denominator, x)):
+            run = _stabilizes(op, x, p, cap)
+            if run is not None:
+                best, cap = (x, p, run[1]), run[0] - 1
+                if not cap:
+                    return best
+    return best
 
 
-def _approx_powers(op: GeneratedOp, x: Fraction, fx: tuple, grid_n: int):
-    """The Verdict that ends ``check_archimedean``'s scan at x, or None when
-    the powers of x descend below 1/grid_n, for an inexact family; fx is
-    f(x) as a reduced pair.  Each step, ``op.approx_step``, gives F(acc, x)
-    as its centre c, a reduced pair, and its radius s, a pair that is 0
-    only where T's value is exact.  The descent c + s < 1/grid_n and the
-    stall |c - prev| <= s are cross-multiplied; only an exact step can be
-    the exact fixed point, a centre pair equal to acc's."""
-    p, q = x.numerator, x.denominator
-    pn = pd = None  # the last inexact centre
-    for _ in range(ARCH_CAP):
-        cn, cd, sn, sd = op.approx_step((p, q), fx)
-        if (cn * sd + sn * cd) * grid_n < cd * sd:
+def _stabilizes(op: GeneratedOp, x: Fraction, y: Fraction, cap: int):
+    """(steps, v) when the powers of x reach the exact fixed point v within
+    `cap` steps, none of them below y; else None."""
+    acc = x
+    for steps in range(1, cap + 1):
+        nxt = f_eval(op, acc, x)
+        if nxt < y:
             return None
-        if sn:
-            # an approximate power can be seen to stall, never to be
-            # an exact fixed point
-            if pn is not None and abs(cn * pd - pn * cd) * sd <= sn * cd * pd:
-                return Verdict.unknown(
-                    f"power sequence at x={x} stalls within the error radius")
-            pn, pd = cn, cd
-        elif cn == p and cd == q:
-            # exact fixed point at acc >= 1/grid_n: powers never descend below it
-            return Verdict.no((x, Fraction(1, grid_n)),
-                              note=f"powers of {x} stabilize at {Fraction(p, q)}")
-        p, q = cn, cd
-    return Verdict.unknown(f"powers of {x} did not descend below {Fraction(1, grid_n)} "
-                           f"within {ARCH_CAP} steps")
-
-
-def _exact_powers(op: GeneratedOp, x: Fraction, fx: tuple, grid_n: int):
-    """The Verdict that ends ``check_archimedean``'s scan at x, or None when
-    the powers of x descend below 1/grid_n, for an exact family; fx is f(x)
-    as a reduced pair.  Each step, ``op.power_step``, gives F(acc, x) as a
-    reduced pair, so a pair equal to acc's is the exact fixed point."""
-    p, q = x.numerator, x.denominator
-    for _ in range(ARCH_CAP):
-        n, d = op.power_step((p, q), fx)
-        if n * grid_n < d:
-            return None
-        if n == p and d == q:
-            return Verdict.no((x, Fraction(1, grid_n)),
-                              note=f"powers of {x} stabilize at {Fraction(n, d)}")
-        p, q = n, d
-    return Verdict.unknown(f"powers of {x} did not descend below {Fraction(1, grid_n)} "
-                           f"within {ARCH_CAP} steps")
+        if nxt == acc:
+            return steps, nxt
+        acc = nxt
+    return None
 
 
 # -- orchestration ----------------------------------------------------------
@@ -719,17 +791,13 @@ _ROUTED = ("t_subnorm", "conditionally_cancellative", "cancellative",
            "strictly_monotone_op")
 
 
-def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
-             arch_grid_n: int = 20) -> ClassificationReport:
+def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor) -> ClassificationReport:
     """Full property report for F(x,y) = finv(T(f(x),f(y))).
 
     This is where the routes are chosen: the inclusion conditions run for
     the exact families, the strict exact route for product and hamacher2,
     and a corollary route for the other strict families.
     """
-    if arch_grid_n < 2:
-        raise ValueError(
-            f"arch_grid_n must be >= 2 for an interior grid point, got {arch_grid_n}")
     op = make_op(f, t)
     top = f_eval(op, ONE, ONE)
     log = []
@@ -738,7 +806,7 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor,
     if props is not None:
         log.append(("degenerate shape", "", "forced classification"))
     else:
-        props = {"archimedean": check_archimedean(op, grid_n=arch_grid_n),
+        props = {"archimedean": check_archimedean(op),
                  "continuous": check_continuity(op)}
         if props["continuous"].status == "yes":
             log.append(("continuity",

@@ -13,14 +13,9 @@ oracle's ``_Memo`` reads the pairs only and keys its ids by them.
 Inexact families go through ``f_compose``, which carries T's error radius
 through the pseudo-inverse (``_spread``): it evaluates finv at T's centre
 and at either end of its radius on integer pairs too, and builds only the
-centre and the radius as Fractions.  It hands T's family the op's ``_g_cache``, where a generator
-family keeps g of each f value by its reduced pair, so an f value that
-recurs, as f(x) does at every step of a power sequence of x, costs g once
-per op.  The classifier's power sequences run outside the f cache, one
-step per call on pairs alone: ``power_step`` for an exact family, and
-``approx_step`` for a generator family, which takes T's centre pair from
-the family's ``approx_pair``, reads g(f(x)) from ``_g_cache``, and returns
-``_spread``'s centre and radius as pairs.
+centre and the radius as Fractions.  It hands T's family the op's
+``_g_cache``, where a generator family keeps g of each f value by its
+reduced pair, so an f value that recurs costs g once per op.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from .intervals import Interval, frac
 from .pwfn import PiecewiseMonotoneFn, Segment, eval_pair
-from .tnorms import RADIUS, Approx, TNormDescriptor, t_eval
+from .tnorms import Approx, TNormDescriptor, t_eval
 
 if TYPE_CHECKING:
     from .generators import GeneratorSpec
@@ -69,9 +64,9 @@ class GeneratedOp:
     argument: ``_f_cache`` maps the reduced pair of x to f(x), and
     ``_finv_cache`` the reduced pair of y to finv(y), each value held as
     its reduced pair and, once ``f_at`` or ``finv_at`` has read it, its
-    Fraction (``_entry``).  ``_g_cache`` is the memo that ``f_compose`` and
-    ``approx_step`` hand to T's family with each evaluation; a generator
-    family keeps g of each f value there."""
+    Fraction (``_entry``).  ``_g_cache`` is the memo that ``f_compose``
+    hands to T's family with each evaluation; a generator family keeps g
+    of each f value there."""
 
     f: PiecewiseMonotoneFn
     finv: PiecewiseMonotoneFn
@@ -105,32 +100,6 @@ class GeneratedOp:
         n, e = self.t.eval_pair(a, b, c, d)
         g = gcd(n, e)
         return self._finv_entry((n // g, e // g))
-
-    def power_step(self, k: tuple, fx: tuple) -> tuple:
-        """finv(T(f(p/q), fx)) as a reduced pair, for an exact family and the
-        reduced pairs k = (p, q) and fx, outside the caches: a power sequence
-        F(acc, x) meets each acc once, so a cached value would not be read."""
-        n, d = eval_pair(self.f, *k)
-        g = gcd(n, d)
-        n, d = self.t.eval_pair(n // g, d // g, *fx)
-        g = gcd(n, d)
-        n, d = eval_pair(self.finv, n // g, d // g)
-        g = gcd(n, d)
-        return n // g, d // g
-
-    def approx_step(self, k: tuple, fx: tuple) -> tuple:
-        """finv(T(f(p/q), fx)) for an inexact family, as (cn, cd, sn, sd):
-        the centre, a reduced pair, and the radius sn/sd, which is 0/1 where
-        T's value is exact, for the reduced pairs k = (p, q) and fx.  f(p/q)
-        is evaluated outside ``_f_cache``, as in ``power_step``; g of both
-        f values is kept in ``_g_cache``, where g(fx) is read at every step
-        of a power sequence of x."""
-        n, d = eval_pair(self.f, *k)
-        g = gcd(n, d)
-        n, d, exact = self.t.approx_pair(n // g, d // g, *fx, self._g_cache)
-        if exact:
-            return (*self._finv_entry((n, d))[0], 0, 1)
-        return _spread(self.finv, n, d, RADIUS.numerator, RADIUS.denominator)
 
     def f_at(self, x: Fraction) -> Fraction:
         """f(x) for an exact x."""

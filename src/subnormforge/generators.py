@@ -118,12 +118,32 @@ _GENERATORS = {
 # -- families ---------------------------------------------------------------
 
 
+def _e_below(r: Fraction) -> bool:
+    """Whether e < r, decided exactly from the partial sums s_n = 1/0! +
+    ... + 1/n! of e, which satisfy s_n < e < s_n + 1/(n n!): e is
+    irrational, so refining them until r falls outside that interval
+    always ends."""
+    s, term, n = Fraction(2), Fraction(1), 1  # s_1 and 1/1!
+    while s < r < s + term / n:
+        n += 1
+        term /= n
+        s += term
+    return r > s
+
+
 class _GeneratorFamily(TNormDescriptor):
     """A family built on the registered generator ``gen``, evaluated on
     integer pairs by ``approx_pair(a, b, c, d, memo)``: for x = a/b and
     y = c/d, each a reduced pair, the reduced pair of T's centre and
     whether that value is exact; an inexact value carries the radius
-    RADIUS.  ``eval`` and ``GeneratedOp.approx_step`` both wrap it."""
+    RADIUS.  ``eval`` wraps it.
+
+    Inside the unit square T has the closed form min(1, xy e^(-g(1)) /
+    lam), with lam = 1 for ``Generator``, whose ``lam`` is None: g(x) =
+    k - ln x for both registered generators, so g^(-1)(g(x) + g(y)) =
+    xy e^(-k) with k = g(1).  The clamp binds only for a ``Lambda`` that
+    is not a t-norm.  ``left_limit_above`` decides T's order exactly
+    from this form."""
 
     exact = False
 
@@ -146,6 +166,16 @@ class _GeneratorFamily(TNormDescriptor):
         if gy is None:
             gy = memo[c, d] = self._g_at(c, d)
         return mpf_add(gx, gy, PREC, _RND)
+
+    def left_limit_above(self, u: Fraction, v: Fraction, z: Fraction) -> bool:
+        """Whether lim T(u, w) as w rises to v exceeds z, for u in [0,1),
+        v in (0,1] and z in [0,1): the closed form w = uv / lam at v, the
+        clamp aside as z < 1, against z; with g(1) = 1 the form is w/e,
+        which exceeds z > 0 exactly when e < w/z."""
+        w = u * v / (self.lam or 1)
+        if self.gen.g1_zero or not z:
+            return w > z
+        return _e_below(w / z)
 
 
 @dataclass(frozen=True)
@@ -188,6 +218,13 @@ class Lambda(_GeneratorFamily):
         if not (0 < self.lam < 1):
             raise ValueError(f"lambda must lie in (0,1), got {self.lam}")
 
+    @property
+    def shrinks(self) -> bool:
+        """Inside the unit square T is uc / (lam e^g(1)), below u for c < 1
+        once lam e^g(1) >= 1, and min on its boundary: so T shrinks exactly
+        when it is a t-norm."""
+        return self.is_t_norm
+
     @cached_property
     def _lam(self) -> tuple:
         return _from_pair(self.lam.numerator, self.lam.denominator)
@@ -211,13 +248,7 @@ class Lambda(_GeneratorFamily):
         never for neglog (g(1) = 0, lam < 1); for one-minus-log when lam e >= 1."""
         if self.gen.g1_zero:
             return False
-        # s_n = 1/0! + ... + 1/n! < e < s_n + 1/(n n!), and lam e != 1
-        lam, s, term, n = self.lam, Fraction(2), Fraction(1), 1  # s_1 and 1/1!
-        while lam * s < 1 < lam * (s + term / n):
-            n += 1
-            term /= n
-            s += term
-        return lam * s >= 1
+        return not _e_below(1 / self.lam)  # lam e != 1, as e is irrational
 
     def __str__(self) -> str:
         return f"lambda:{self.gen.name}:{self.lam}"

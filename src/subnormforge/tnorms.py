@@ -87,12 +87,19 @@ class TNormDescriptor:
     (exact families, see above) or ``eval``, its box image, its solution
     candidates and its one-sided limits.  The defaults fit an exact family
     that is continuous and strictly increasing in each argument, with
-    neutral element 1."""
+    neutral element 1.
+
+    ``shrinks`` says that T(u, .) is strictly increasing for u > 0, that
+    T(u, c) <= u, and that lim sup T(u, c) < v as u falls to v, for every
+    v > 0 and c < 1: what the Archimedean route's proof uses
+    (``classify.check_archimedean``).  min lacks it, as min(v, c) = v for
+    v <= c."""
 
     exact = True
     continuous = True
     strict = True  # continuous and strictly monotone
     neutral_one = True
+    shrinks = True
     lam = None  # the scale of the lambda construction
 
     def __str__(self) -> str:
@@ -111,6 +118,11 @@ class TNormDescriptor:
         """(lim T(u,c) as u -> v from `side`, whether T(u,c) is constant
         for u on that side of v)."""
         return self.eval(v, c), False
+
+    def left_limit_above(self, u: Fraction, v: Fraction, z: Fraction) -> bool:
+        """Whether lim T(u, w) as w rises to v exceeds z, decided exactly;
+        T is symmetric, so this is ``dir_limit`` from the left with c = u."""
+        return self.dir_limit(v, "left", u)[0] > z
 
 
 class Product(TNormDescriptor):
@@ -141,6 +153,7 @@ class Hamacher2(TNormDescriptor):
 class Minimum(TNormDescriptor):
     name = "min"
     strict = False
+    shrinks = False
 
     def eval_pair(self, a: int, b: int, c: int, d: int) -> tuple:
         """The lesser of a/b and c/d, by the sign of ad - cb."""

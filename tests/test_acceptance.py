@@ -86,12 +86,11 @@ def test_criterion_1_golden_values():
 
 @criterion(2, "classifier verdicts on worked examples")
 def test_criterion_2_worked_example_verdicts():
-    r = classify(parse_fn(F_PLATEAU), parse_tnorm("product"), arch_grid_n=8)
+    r = classify(parse_fn(F_PLATEAU), parse_tnorm("product"))
     assert r.properties["conditionally_cancellative"].status == "yes"
     assert r.properties["t_subnorm"].status == "yes"
 
-    r = classify(parse_fn(F_HALF_JUMP), parse_tnorm("hamacher2"),
-                 arch_grid_n=8)
+    r = classify(parse_fn(F_HALF_JUMP), parse_tnorm("hamacher2"))
     assert r.properties["cancellative"].status == "yes"
     assert r.properties["t_subnorm"].status == "yes"
 
@@ -118,7 +117,7 @@ def test_criterion_3_consistency_harness():
     failures = []
     for i in range(200):
         f = random_nondecreasing_fn(rng)
-        rep = consistency_harness(f, t, n=12, arch_grid_n=5)
+        rep = consistency_harness(f, t, n=12)
         if not rep.ok:
             failures.append((i, rep.hard_failures))
     elapsed = time.monotonic() - start
@@ -207,11 +206,11 @@ def test_criterion_7_adjudication():
         for line in lines[1:]:
             xs, ys, vs = line.split(",")
             assert f_eval(op, F(xs), F(ys)) == F(vs), (name, xs, ys)
-        rep = consistency_harness(f, t, n=12, arch_grid_n=6)
+        rep = consistency_harness(f, t, n=12)
         assert rep.ok, rep.hard_failures
     # the two spot values where the recomputed forms disagree with the
     # simplified closed-form tables
     op = make_op(parse_fn(F_HALF_JUMP), parse_tnorm("hamacher2"))
     assert f_eval(op, F(1, 2), F(1, 2)) == F(2, 25)  # not 1/25
-    r = classify(parse_fn(F_STEP), parse_tnorm("product"), arch_grid_n=6)
+    r = classify(parse_fn(F_STEP), parse_tnorm("product"))
     assert r.properties["conditionally_cancellative"].status == "no"

@@ -10,24 +10,24 @@ from hypothesis import strategies as st
 
 from conftest import (WORKED_EXAMPLES, _one_minus, lattice_fns, monotone_fns,
                       nonincreasing_fns, random_strictly_increasing_fn)
-from subnormforge import classify, decompose, f_eval, make_op, parse_fn, parse_tnorm
+from subnormforge import (Interval, PiecewiseMonotoneFn, Segment, classify, decompose,
+                          f_eval, make_op, parse_fn, parse_tnorm)
 from subnormforge.classify import (
-    ARCH_CAP,
     _assoc_search,
     _dir_limit,
     arg_with_value,
     check_archimedean,
     check_cancellative,
     check_continuity,
-    check_degenerate,
     check_inclusion_conditions,
     l_set_check,
     render_structured,
     render_text,
     Verdict,
 )
+from subnormforge.generators import GeneratorSpec, Lambda
 from subnormforge.oracle import consistency_harness
-from subnormforge.tnorms import approx_diff, t_solve_x
+from subnormforge.tnorms import Approx, t_image, t_solve_x
 
 F = Fraction
 
@@ -45,7 +45,7 @@ def statuses(report):
 
 
 def test_plateau_product(f_plateau):
-    r = classify(f_plateau, PRODUCT, arch_grid_n=8)
+    r = classify(f_plateau, PRODUCT)
     s = statuses(r)
     assert s["t_subnorm"] == "yes"
     assert s["conditionally_cancellative"] == "yes"
@@ -58,7 +58,7 @@ def test_plateau_product(f_plateau):
 
 
 def test_half_jump_hamacher2(f_half_jump):
-    r = classify(f_half_jump, HAMACHER2, arch_grid_n=8)
+    r = classify(f_half_jump, HAMACHER2)
     s = statuses(r)
     assert s["t_subnorm"] == "yes"
     assert s["t_norm"] == "yes"
@@ -77,7 +77,7 @@ def test_gap_halfprod_inclusion_escape_values(f_gap):
 def test_gap_halfprod_properties_unknown(f_gap):
     # halfprod is outside every theorem route, so algebraic properties
     # stay three-valued Unknown rather than guessing
-    r = classify(f_gap, HALFPROD, arch_grid_n=8)
+    r = classify(f_gap, HALFPROD)
     s = statuses(r)
     assert s["conditionally_cancellative"] == "unknown"
     assert s["t_subnorm"] == "unknown"
@@ -89,7 +89,7 @@ def test_shifted_jump_min_gate(f_shifted_jump):
     # classifier must not upgrade this to Yes
     d = decompose(f_shifted_jump)
     assert check_inclusion_conditions(MINIMUM, d) == (None, None)
-    r = classify(f_shifted_jump, MINIMUM, arch_grid_n=8)
+    r = classify(f_shifted_jump, MINIMUM)
     assert statuses(r)["conditionally_cancellative"] == "unknown"
 
 
@@ -108,7 +108,7 @@ def test_min_continuity_witness_jumps_on_its_stated_side(f_plateau):
 
 
 def test_step_product(f_step):
-    r = classify(f_step, PRODUCT, arch_grid_n=8)
+    r = classify(f_step, PRODUCT)
     s = statuses(r)
     assert s["conditionally_cancellative"] == "no"
     assert s["t_subnorm"] == "no"
@@ -117,7 +117,7 @@ def test_step_product(f_step):
 
 
 def test_identity_product(f_identity):
-    r = classify(f_identity, PRODUCT, arch_grid_n=8)
+    r = classify(f_identity, PRODUCT)
     s = statuses(r)
     assert s["t_subnorm"] == "yes"
     assert s["t_norm"] == "yes"
@@ -128,7 +128,7 @@ def test_identity_product(f_identity):
 
 
 def test_identity_min_archimedean_no(f_identity):
-    r = classify(f_identity, MINIMUM, arch_grid_n=8)
+    r = classify(f_identity, MINIMUM)
     assert statuses(r)["archimedean"] == "no"
     assert statuses(r)["continuous"] == "yes"
 
@@ -136,8 +136,33 @@ def test_identity_min_archimedean_no(f_identity):
 # -- witness soundness -------------------------------------------------------
 
 
+# The benchmark's re-check of an Archimedean No (bench/checks.py): the
+# powers of x reach an exact fixed point within this many steps, none of
+# them below y.  Here x and y must also lie in (0,1), which the bench does
+# not ask.
+ARCH_RECHECK_STEPS = 1024
+
+
+def arch_witness_rechecks(op, witness) -> bool:
+    x, y = witness
+    if not (0 < x < 1 and 0 < y < 1):
+        return False
+    acc = x
+    for _ in range(ARCH_RECHECK_STEPS):
+        nxt = f_eval(op, acc, x)
+        if isinstance(nxt, Approx) or nxt < y:
+            return False
+        if nxt == acc:
+            return True
+        acc = nxt
+    return False
+
+
 def recheck_no_witnesses(f, t, report):
     op = make_op(f, t)
+    v = report.properties["archimedean"]
+    if v.status == "no":
+        assert arch_witness_rechecks(op, v.witness), v
     v = report.properties["conditionally_cancellative"]
     if v.status == "no" and v.witness and len(v.witness) == 3:
         x1, x2, y = v.witness
@@ -227,7 +252,7 @@ def test_lambda_continuity_needs_the_line_through_0():
 def test_witnesses_recheck(name, tdesc):
     f = parse_fn(WORKED_EXAMPLES[name])
     t = parse_tnorm(tdesc)
-    recheck_no_witnesses(f, t, classify(f, t, arch_grid_n=8))
+    recheck_no_witnesses(f, t, classify(f, t))
 
 
 LATTICE = list(lattice_fns())
@@ -242,9 +267,59 @@ def test_lattice_harness(tdesc):
     t = parse_tnorm(tdesc)
     assert len(LATTICE) == 286
     for f in LATTICE + [_one_minus(g) for g in LATTICE]:
-        rep = consistency_harness(f, t, n=8, arch_grid_n=8)
+        rep = consistency_harness(f, t, n=8)
         assert rep.ok, (str(f), rep.hard_failures)
-        recheck_no_witnesses(f, t, classify(f, t, arch_grid_n=8))
+        recheck_no_witnesses(f, t, classify(f, t))
+
+
+# -- a change of representation ----------------------------------------------
+
+
+def split_lines(f):
+    """f with every line cut at its midpoint: the same function, and so the
+    same F, with one more breakpoint per line."""
+    segs = []
+    for s in f.segments:
+        d = s.domain
+        if s.is_const:
+            segs.append(s)
+            continue
+        m = d.midpoint()
+        segs += [Segment(Interval(d.lo, m, d.lo_closed, False), s.slope, s.intercept),
+                 Segment(Interval(m, d.hi, True, d.hi_closed), s.slope, s.intercept)]
+    return PiecewiseMonotoneFn(f.nondecreasing, tuple(segs))
+
+
+CLASSIFY_MIX = ("product", "hamacher2", "min", "halfprod", "gen:neglog")
+
+
+def assert_split_agrees(f, t):
+    # the extra breakpoints are extra search points, which may turn an
+    # Unknown into a No; a Yes and a No for the same F would contradict
+    g = split_lines(f)
+    assert g(F(1, 3)) == f(F(1, 3)) and len(g.breakpoints()) >= len(f.breakpoints())
+    a, b = classify(f, t), classify(g, t)
+    for prop in a.properties:
+        pair = {a.verdict(prop).status, b.verdict(prop).status}
+        assert pair != {"yes", "no"}, (prop, str(f))
+    # F is the same operation, so each No witness re-checks on the other f
+    if t.exact:
+        recheck_no_witnesses(f, t, b)
+        recheck_no_witnesses(g, t, a)
+
+
+@pytest.mark.parametrize("tdesc", CLASSIFY_MIX)
+@settings(max_examples=100, deadline=None)
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
+def test_splitting_lines_flips_no_verdict(tdesc, f):
+    assert_split_agrees(f, parse_tnorm(tdesc))
+
+
+@pytest.mark.parametrize("tdesc", CLASSIFY_MIX)
+def test_splitting_lines_flips_no_verdict_on_the_lattice(tdesc):
+    t = parse_tnorm(tdesc)
+    for f in LATTICE + [parse_fn(text) for text in WORKED_EXAMPLES.values()]:
+        assert_split_agrees(f, t)
 
 
 # -- implications between verdicts ------------------------------------------
@@ -254,7 +329,7 @@ def test_verdict_implications_random():
     rng = random.Random(13)
     for _ in range(30):
         f = random_strictly_increasing_fn(rng)
-        r = classify(f, PRODUCT, arch_grid_n=6)
+        r = classify(f, PRODUCT)
         s = statuses(r)
         # cancellation implies conditional cancellation and associativity
         if s["cancellative"] == "yes":
@@ -292,7 +367,7 @@ def test_continuous_strictly_increasing_always_cancellative():
     rng = random.Random(14)
     for _ in range(100):
         f = random_strictly_increasing_fn(rng)
-        r = classify(f, PRODUCT, arch_grid_n=4)
+        r = classify(f, PRODUCT)
         assert statuses(r)["cancellative"] == "yes"
 
 
@@ -306,7 +381,7 @@ def test_onto_f_decides_conditional_cancellation():
         if f(F(1)) != 1:
             continue
         seen += 1
-        r = classify(f, PRODUCT, arch_grid_n=4)
+        r = classify(f, PRODUCT)
         assert statuses(r)["conditionally_cancellative"] in ("yes", "no")
     assert seen > 0
 
@@ -401,54 +476,12 @@ def test_plateau_to_one_collapses():
     assert s["conditionally_cancellative"] in ("yes", "no")
 
 
-@pytest.mark.parametrize("grid_n", [1, 0, -3])
-def test_archimedean_grid_needs_an_interior_point(f_identity, grid_n):
-    with pytest.raises(ValueError, match="grid_n must be >= 2"):
-        check_archimedean(make_op(f_identity, PRODUCT), grid_n=grid_n)
-    with pytest.raises(ValueError, match="grid_n must be >= 2"):
-        classify(f_identity, PRODUCT, arch_grid_n=grid_n)
+# -- Archimedean ----------------------------------------------------------------
 
 
-def reference_archimedean(op, grid_n):
-    """check_archimedean with one power sequence per grid point."""
-    ys = [F(i, grid_n) for i in range(1, grid_n)]
-    y_min = ys[0]
-    for x in ys:
-        acc, prev = x, None
-        for _ in range(ARCH_CAP):
-            nxt, r = approx_diff(f_eval(op, acc, x), F(0))
-            if nxt + r < y_min:
-                break
-            if r:
-                if prev is not None and abs(nxt - prev) <= r:
-                    return Verdict.unknown(
-                        f"power sequence at x={x} stalls within the error radius")
-                prev = nxt
-            elif nxt == acc:
-                return Verdict.no((x, y_min), note=f"powers of {x} stabilize at {acc}")
-            acc = nxt
-        else:
-            return Verdict.unknown(
-                f"powers of {x} did not descend below {y_min} within {ARCH_CAP} steps")
-    return Verdict.yes(f"all grid powers descend below {y_min}",
-                       note=f"grid n={grid_n}, cap {ARCH_CAP}")
-
-
-@pytest.mark.parametrize("tdesc", ["product", "hamacher2", "min", "halfprod",
-                                   "gen:neglog", "gen:one-minus-log",
-                                   "lambda:one-minus-log:2/5"])
-@settings(max_examples=40, deadline=None)
-@given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
-def test_archimedean_by_class_matches_per_point_scan(tdesc, f):
-    # one power sequence per f-value class must give the whole Verdict of
-    # a scan of every grid point
-    for grid_n in (2, 6, 8, 20):
-        want = reference_archimedean(make_op(f, parse_tnorm(tdesc)), grid_n)
-        assert check_archimedean(make_op(f, parse_tnorm(tdesc)), grid_n) == want, grid_n
-
-
-# the powers of 95/97 reach the plateau's lower end 11/16 and stay there,
-# as F(11/16, 95/97) = 11/16 with product and halfprod
+# T(3/4, f(x)) > 11/16 = f(11/16-) once f(x) is close to f(1-) = 15/16, so
+# F(11/16, x) = 11/16 there: the jump at 11/16 traps the powers of such an
+# x (rule J).  The grid of the old sampled check never met one of them
 F_ARCH_TRAP = """\
 monotone: nondecreasing
 segment [0,11/16) linear 4/11 7/16
@@ -456,99 +489,162 @@ segment [11/16,13/16) const 3/4
 segment [13/16,1] linear 1 -1/16
 """
 
-# the powers of any x > 1/4 fall towards 1/4 without reaching it
+# f vanishes up to 1/4 and rises from 0 there, so the powers of any
+# x > 1/4 fall towards 1/4 without reaching it (rule Z)
 F_ARCH_SLOW = """\
 monotone: nondecreasing
 segment [0,1/4] const 0
 segment (1/4,1] linear 4/3 -1/3
 """
 
-_SLOW_CAP = Verdict.unknown(
-    f"powers of 3/8 did not descend below 1/8 within {ARCH_CAP} steps")
-
-# with gen:neglog the powers of 1/4 fall towards 1/8, never below it, by
-# steps that shrink by 7/8 each time; after the cap's 256 steps they still
-# move by about 3e-17, far more than the error radius, so the cap ends
-# the scan and not a stall
-F_ARCH_NEGLOG_CAP = """\
+# halfprod's T(3/8, v) jumps from 3/32 to 3/16 over f(9/16-) = 1/8 at
+# v = 1/2, so no v solves T(v, 3/8) = 1/8 and the witness search halves
+# its way down from the first trapped 1 - 2^-k
+F_ARCH_HALFPROD_JUMP = """\
 monotone: nondecreasing
-segment [0,1/8) const 0
-segment [1/8,1/4) linear 7 -7/8
-segment [1/4,1] const 7/8
+segment [0,9/16) const 1/8
+segment [9/16,1] linear 4/7 3/56
 """
 
-# f(3/8) = 1 lies on the boundary of the unit square, where
-# lambda:one-minus-log:2/5 is exactly min, so F(3/8, 3/8) = finv(1) = 3/8
-F_ARCH_LAMBDA_FIXED = """\
+# f is continuous and rises to 15/16 at 3/16, then crawls to 1: the
+# powers descend so slowly that the old check's cap of 256 steps ended
+# at 19/20 (r717 of the bench's corpus(3, 1500))
+F_ARCH_CRAWL = """\
 monotone: nondecreasing
-segment [0,3/8) linear 1 5/8
-segment [3/8,1] const 1
+segment [0,3/16) linear 14/3 1/16
+segment [3/16,1] linear 1/13 12/13
 """
 
-_IDENTITY_YES = Verdict.yes("all grid powers descend below 1/8",
-                            note=f"grid n=8, cap {ARCH_CAP}")
+
+# T(1/2, v) rises to 3/8 = f(1/2-) as v rises to f(1-) = 3/4 with
+# product, but only in the limit: no x < 1 has F(1/2, x) = 1/2
+F_ARCH_LIMIT_EQUAL = """\
+monotone: nondecreasing
+segment [0,1/2) linear 3/4 0
+segment [1/2,1] linear 1/2 1/4
+"""
+
+# f jumps at 1/2 from f(1/2) = 0 to f(1/2+) = 1/2: the powers land on 1/2
+# and then on F(1/2, x) = 0, so this jump traps nothing
+F_ARCH_RISE_FROM_ZERO = """\
+monotone: nondecreasing
+segment [0,1/2] const 0
+segment (1/2,1] linear 1 0
+"""
 
 
-@pytest.mark.parametrize("fn, tdesc, grid_n, want", [
-    (F_ARCH_TRAP, "product", 97,
-     Verdict.no((F(95, 97), F(1, 97)), note="powers of 95/97 stabilize at 11/16")),
-    (F_ARCH_TRAP, "halfprod", 97,
-     Verdict.no((F(95, 97), F(1, 97)), note="powers of 95/97 stabilize at 11/16")),
-    (F_ARCH_TRAP, "hamacher2", 97,
-     Verdict.yes("all grid powers descend below 1/97", note=f"grid n=97, cap {ARCH_CAP}")),
-    (F_ARCH_TRAP, "product", 2,
-     Verdict.yes("all grid powers descend below 1/2", note=f"grid n=2, cap {ARCH_CAP}")),
-    (F_ARCH_SLOW, "product", 8, _SLOW_CAP),
-    (F_ARCH_SLOW, "hamacher2", 8, _SLOW_CAP),
-    (F_ARCH_SLOW, "halfprod", 8, _SLOW_CAP),
-    (F_ARCH_SLOW, "min", 8,
-     Verdict.no((F(3, 8), F(1, 8)), note="powers of 3/8 stabilize at 3/8")),
-    (F_ARCH_SLOW, "gen:neglog", 8,
-     Verdict.unknown("power sequence at x=3/8 stalls within the error radius")),
-    (WORKED_EXAMPLES["identity"], "gen:neglog", 8, _IDENTITY_YES),
-    (WORKED_EXAMPLES["identity"], "gen:one-minus-log", 8, _IDENTITY_YES),
-    (F_ARCH_NEGLOG_CAP, "gen:neglog", 8, Verdict.unknown(
-        f"powers of 1/4 did not descend below 1/8 within {ARCH_CAP} steps")),
-    (F_ARCH_LAMBDA_FIXED, "lambda:one-minus-log:2/5", 8,
-     Verdict.no((F(3, 8), F(1, 8)), note="powers of 3/8 stabilize at 3/8")),
+def _e_edge(r):
+    """f with f(1/2) f(1-) / f(1/2-) = r: the jump at 1/2 traps the powers
+    under xy/e exactly when e < r."""
+    return (f"monotone: nondecreasing\nsegment [0,1/2) linear {1 / F(r)} 0\n"
+            "segment [1/2,1] linear 1 0\n")
+
+
+_ARCH_YES = Verdict.yes("no jump of f traps the powers",
+                        "no zero plateau ends at a zero limit",
+                        "T shrinks positive values")
+_ARCH_Z = Verdict.unknown("f vanishes up to 1/4 with f(1/4+)=0, so the powers "
+                          "stay above 1/4; no fixed point certifies it")
+
+
+def _trap_no(x, p, v=None):
+    return Verdict.no((x, p), note=f"powers of {x} stabilize at {v or p}; "
+                                   f"F({p},{x})={p} at the jump {p}")
+
+
+def _idempotent_no(p):
+    return Verdict.no((p, p), note=f"F({p},{p})={p}, so the powers of {p} stay at {p}")
+
+
+def _trap_unknown(p):
+    return Verdict.unknown(f"the jump at {p} traps the powers, but an inexact F "
+                           "cannot show their fixed point")
+
+
+@pytest.mark.parametrize("fn, tdesc, want", [
+    (F_ARCH_TRAP, "product", _trap_no(F(47, 48), F(11, 16))),
+    (F_ARCH_TRAP, "hamacher2", _trap_no(F(939, 944), F(11, 16))),
+    (F_ARCH_TRAP, "halfprod", _trap_no(F(47, 48), F(11, 16))),
+    (F_ARCH_TRAP, "min", _idempotent_no(F(11, 32))),
+    (F_ARCH_TRAP, "gen:neglog", _trap_unknown(F(11, 16))),
+    (F_ARCH_TRAP, "gen:one-minus-log", _ARCH_YES),
+    (F_ARCH_TRAP, "lambda:one-minus-log:1/2", _ARCH_YES),
+    (F_ARCH_SLOW, "product", _ARCH_Z),
+    (F_ARCH_SLOW, "hamacher2", _ARCH_Z),
+    (F_ARCH_SLOW, "halfprod", _ARCH_Z),
+    (F_ARCH_SLOW, "gen:neglog", _ARCH_Z),
+    (F_ARCH_SLOW, "min", _idempotent_no(F(5, 8))),
+    (F_ARCH_HALFPROD_JUMP, "halfprod", _trap_no(F(7, 8), F(9, 16))),
+    (F_ARCH_HALFPROD_JUMP, "product", _trap_no(F(9, 16), F(9, 16))),
+    (F_ARCH_LIMIT_EQUAL, "product", _ARCH_YES),
+    (F_ARCH_LIMIT_EQUAL, "gen:neglog", _ARCH_YES),
+    (F_ARCH_RISE_FROM_ZERO, "product", _ARCH_YES),
+    (F_ARCH_RISE_FROM_ZERO, "gen:neglog", _ARCH_YES),
+    (F_ARCH_RISE_FROM_ZERO, "gen:one-minus-log", _ARCH_YES),
+    (F_ARCH_CRAWL, "product", _ARCH_YES),
+    (F_ARCH_CRAWL, "hamacher2", _ARCH_YES),
+    (WORKED_EXAMPLES["identity"], "product", _ARCH_YES),
+    (WORKED_EXAMPLES["identity"], "halfprod", _ARCH_YES),
+    (WORKED_EXAMPLES["identity"], "gen:neglog", _ARCH_YES),
+    (WORKED_EXAMPLES["identity"], "lambda:one-minus-log:2/5", _ARCH_YES),
+    (WORKED_EXAMPLES["identity"], "min", _idempotent_no(F(1, 2))),
+    # e = 2.71828..., on either side of the two boundaries
+    (_e_edge("1359/500"), "gen:one-minus-log", _ARCH_YES),
+    (_e_edge("2719/1000"), "gen:one-minus-log", _trap_unknown(F(1, 2))),
+    (_e_edge("1359/1000"), "lambda:one-minus-log:1/2", _ARCH_YES),
+    (_e_edge("2719/2000"), "lambda:one-minus-log:1/2", _trap_unknown(F(1, 2))),
+    (_e_edge("1359/500"), "product", _trap_no(F(1, 2), F(1, 2))),
+    # f(1) = 1 is a plateau value, a degenerate shape that classify
+    # decides before the rules, and f falls
+    ("monotone: nondecreasing\nsegment [0,3/8) linear 1 5/8\nsegment [3/8,1] const 1\n",
+     "product", Verdict.unknown("f(1-) is a plateau value: a degenerate shape")),
+    ("monotone: nonincreasing\nsegment [0,1] linear -1/2 1\n", "product",
+     Verdict.unknown("the rules cover non-decreasing f")),
 ])
-def test_archimedean_power_loop_endings(fn, tdesc, grid_n, want):
-    # each way a power sequence ends: descent, an exact fixed point, the
-    # cap, and a stall within the error radius, for exact and generator
-    # families
+def test_archimedean_rules(fn, tdesc, want):
     op = make_op(parse_fn(fn), parse_tnorm(tdesc))
-    assert check_archimedean(op, grid_n) == want
-    assert reference_archimedean(op, grid_n) == want
+    assert check_archimedean(op) == want
+    if want.status == "no":
+        assert arch_witness_rechecks(op, want.witness)
 
 
-def test_classify_accepts_the_smallest_grid():
-    r = classify(parse_fn(F_ARCH_TRAP), PRODUCT, arch_grid_n=2)
-    assert r.properties["archimedean"] == Verdict.yes(
-        "all grid powers descend below 1/2", note=f"grid n=2, cap {ARCH_CAP}")
+def test_archimedean_yes_needs_a_shrinking_t():
+    # lambda:neglog:1/2 is xy/(1/2) inside the unit square, above min, so
+    # the proof of the Yes route does not reach it
+    t = Lambda(GeneratorSpec("neglog"), F(1, 2))
+    op = make_op(parse_fn(WORKED_EXAMPLES["identity"]), t)
+    assert not t.shrinks and check_archimedean(op) == Verdict.unknown(
+        "T does not shrink and no exact idempotent point was found")
 
 
-# f(1) = 1/4 is a plateau value, so classify takes the degenerate-shape return
-F_PLATEAU_AT_ONE = """\
-monotone: nondecreasing
-segment [0,1/2) linear 1/2 0
-segment [1/2,1] const 1/4
-"""
+@pytest.mark.parametrize("tdesc", ["product", "hamacher2", "halfprod"])
+def test_archimedean_trap_is_a_rechecked_no(tdesc):
+    # the regression of the old sampled Yes: classify now says No, and the
+    # witness's powers stay at or above the jump
+    f, t = parse_fn(F_ARCH_TRAP), parse_tnorm(tdesc)
+    r = classify(f, t)
+    assert r.properties["archimedean"].status == "no"
+    recheck_no_witnesses(f, t, r)
+    assert classify(f, parse_tnorm("gen:neglog")).verdict("archimedean").status == "unknown"
 
 
-@pytest.mark.parametrize("shape", ["plateau_at_one", "identity"])
-@pytest.mark.parametrize("kwargs, match", [
-    ({"arch_grid_n": 1}, "arch_grid_n must be >= 2"),
-    ({"arch_grid_n": 0}, "arch_grid_n must be >= 2"),
-])
-def test_classify_rejects_bad_arguments_for_every_f(f_identity, shape, kwargs, match):
-    f = parse_fn(F_PLATEAU_AT_ONE) if shape == "plateau_at_one" else f_identity
-    op = make_op(f, PRODUCT)
-    degenerate = check_degenerate(op, f_eval(op, 1, 1)) is not None
-    assert degenerate == (shape == "plateau_at_one")
-    with pytest.raises(ValueError, match=match):
-        classify(f, PRODUCT, **kwargs)
-    with pytest.raises(ValueError, match=match):
-        consistency_harness(f, PRODUCT, n=4, **kwargs)
+def test_archimedean_trap_falls_back_to_unknown_past_the_step_bound():
+    # the powers of every candidate take more steps than the bound allows
+    op = make_op(parse_fn(F_ARCH_TRAP), PRODUCT)
+    with mock.patch("subnormforge.classify.ARCH_WITNESS_STEPS", 1):
+        assert check_archimedean(op) == Verdict.unknown(
+            "the jump at 11/16 traps the powers, but no witness stabilizes "
+            "within 1 steps")
+
+
+@pytest.mark.parametrize("tdesc", ["product", "hamacher2", "min", "halfprod"])
+@settings(max_examples=150, deadline=None)
+@given(f=monotone_fns())
+def test_every_archimedean_no_rechecks(tdesc, f):
+    t = parse_tnorm(tdesc)
+    v = classify(f, t).verdict("archimedean")
+    if v.status == "no":
+        assert arch_witness_rechecks(make_op(f, t), v.witness), v
 
 
 # f(1) = 3/4 lies above the line's values and below 1, so the gap-hull
@@ -593,11 +689,34 @@ def test_open_plateau_witnesses_recheck(t):
     assert x1 != x2 and f_eval(op, x1, y) == f_eval(op, x2, y) > 0
 
 
+# M = [0,1/4) u {1/2} u (3/4,1]: T(1/2,1/2) = 1/4 escapes M at the closed
+# lower end of the range gap [1/4,1/2), so the witness builder must take a
+# gap that holds its escape value at an end
+F_ESCAPE_AT_GAP_END = """\
+monotone: nondecreasing
+segment [0,1/3) linear 3/4 0
+point 1/3 = 1/2
+segment (1/3,1] linear 3/8 5/8
+"""
+
+
+def test_cancellation_witness_from_an_escape_value_at_a_gap_end():
+    f = parse_fn(F_ESCAPE_AT_GAP_END)
+    op = make_op(f, PRODUCT)
+    assert t_image(PRODUCT, decompose(f).m, decompose(f).m).is_subset_of(
+        decompose(f).m) == (False, F(1, 4))
+    v = check_cancellative(op, decompose(f))
+    assert v == Verdict.no((F(1, 3), F(1, 3), F(7, 15)),
+                           note="image value 1/4 in a range gap collapses "
+                                "distinct arguments")
+    assert f_eval(op, F(1, 3), F(1, 3)) == f_eval(op, F(1, 3), F(7, 15))
+
+
 # -- rendering ---------------------------------------------------------------
 
 
 def test_render_text_mentions_all_properties(f_plateau):
-    out = render_text(classify(f_plateau, PRODUCT, arch_grid_n=6))
+    out = render_text(classify(f_plateau, PRODUCT))
     for name in ("t_subnorm", "t_norm", "conditionally_cancellative",
                  "cancellative", "strictly_monotone_op", "archimedean",
                  "continuous", "proper"):
@@ -614,7 +733,7 @@ t_norm: No witness=1/8,1  # F(1/8,1)=0 != 1/8
 conditionally_cancellative: Yes (T(M\\C,M) within M plus [0,f(0+)]; T(Q,M) within [0,f(0+)])
 cancellative: No witness=1,0,1/8  # f(0)=f(1/8)=0, so F(1,0)=F(1,1/8)
 strictly_monotone_op: No witness=1,0,1/8  # f(0)=f(1/8)=0, so F(1,0)=F(1,1/8)
-archimedean: Unknown (powers of 3/10 did not descend below 1/20 within 256 steps)
+archimedean: Unknown (f vanishes up to 1/4 with f(1/4+)=0, so the powers stay above 1/4; no fixed point certifies it)
 continuous: No witness=1/4,1  # right limit 1/4 != value 0 along the first argument
 proper: No witness=1,1  # F(1,1)=1
 M=[0,1]
@@ -633,7 +752,7 @@ condition: gap-hull condition [K1=(0,)] -> yes
 
 
 def test_render_structured_stable(f_plateau):
-    a = render_structured(classify(f_plateau, PRODUCT, arch_grid_n=6))
-    b = render_structured(classify(f_plateau, PRODUCT, arch_grid_n=6))
+    a = render_structured(classify(f_plateau, PRODUCT))
+    b = render_structured(classify(f_plateau, PRODUCT))
     assert a == b
     assert "t_subnorm.status=yes" in a

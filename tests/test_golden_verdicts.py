@@ -74,7 +74,7 @@ def _harness():
     for name, text in WORKED_EXAMPLES.items():
         f = parse_fn(text)
         for desc in HARNESS_TNORMS:
-            rep = consistency_harness(f, parse_tnorm(desc), n=6, arch_grid_n=6)
+            rep = consistency_harness(f, parse_tnorm(desc), n=6)
             out[f"{name} x {desc}"] = {
                 "rows": [list(row) for row in rep.rows],
                 "hard_failures": list(rep.hard_failures),

@@ -1,13 +1,14 @@
 """Brute-force law checking and classifier/oracle agreement."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WORKED_EXAMPLES, monotone_fns, nonincreasing_fns
-from subnormforge import (classify, f_eval, make_op, parse_fn,
+from subnormforge import (Verdict, classify, f_eval, make_op, parse_fn,
                           parse_tnorm, pseudo_inverse, pwfn)
 from subnormforge.intervals import ONE, ZERO
 from subnormforge.oracle import (
@@ -121,11 +122,33 @@ def test_neutral_one_counterexample(f_plateau):
     assert not res.ok  # F(1/4,1)=0 != 1/4
 
 
-def test_archimedean_never_claims_counterexample(f_identity):
-    op = op_for(f_identity, MINIMUM)
-    res = check_property(op, "archimedean_at", grid(6))
-    assert res.ok
-    assert res.note and "not witnessed" in res.note
+def test_archimedean_reports_an_exact_fixed_point(f_identity):
+    # min is idempotent, so F(1/6, 1/6) = 1/6: the powers of the first
+    # interior point never leave it
+    for op in (op_for(f_identity, MINIMUM), make_op(f_identity, MINIMUM)):
+        res = check_property(op, "archimedean_at", grid(6))
+        assert res.counterexample == Counterexample(
+            "archimedean_at", (F(1, 6), F(1, 6)), F(1, 6), F(1, 6))
+        assert res.checked == 1
+
+
+def test_archimedean_cap_is_only_a_note(f_identity):
+    # the product's powers of 5/6 descend below 1/6, but slowly: a cap of
+    # 4 steps leaves a note, not a counterexample
+    op = make_op(f_identity, PRODUCT)
+    with mock.patch("subnormforge.oracle.N_ITER", 4):
+        res = check_property(op, "archimedean_at", grid(6))
+    assert res.ok and res.note == "not witnessed at cap for x in 5/6"
+
+
+def test_harness_flags_an_archimedean_yes_with_a_fixed_point():
+    # a classifier Yes next to an exact fixed point is a hard failure
+    f = parse_fn(WORKED_EXAMPLES["identity"])
+    with mock.patch("subnormforge.classify.check_archimedean",
+                    lambda op: Verdict.yes("assumed")):
+        rep = consistency_harness(f, MINIMUM, n=6)
+    assert rep.hard_failures == [
+        "archimedean: classifier Yes but archimedean_at at (1/6,1/6): 1/6 vs 1/6"]
 
 
 def test_scan_continuity_flags_jump(f_half_jump):
@@ -140,7 +163,7 @@ def test_scan_continuity_clean_for_identity(f_identity):
 
 
 def test_harness_plateau_product(f_plateau):
-    rep = consistency_harness(f_plateau, PRODUCT, n=10, arch_grid_n=6)
+    rep = consistency_harness(f_plateau, PRODUCT, n=10)
     assert rep.ok
     by_prop = {row[0]: row for row in rep.rows}
     assert by_prop["t_subnorm"][2] == "ok"
@@ -151,13 +174,13 @@ def test_harness_plateau_product(f_plateau):
 def test_harness_step_product(f_step):
     # classifier No verdicts coexisting with oracle counterexamples are
     # agreement, not contradiction
-    rep = consistency_harness(f_step, PRODUCT, n=12, arch_grid_n=6)
+    rep = consistency_harness(f_step, PRODUCT, n=12)
     assert rep.ok
     assert "conditionally_cancellative" in rep.counterexamples
 
 
 def test_harness_reports_oracle_counters(f_step):
-    rep = consistency_harness(f_step, PRODUCT, n=6, arch_grid_n=6)
+    rep = consistency_harness(f_step, PRODUCT, n=6)
     assert sorted(rep.stats) == ["compared", "interned_values", "op_evals"]
     assert all(v > 0 for v in rep.stats.values())
     assert "op_evals" not in rep.render()
@@ -178,7 +201,7 @@ def test_compared_counts_comparisons_made_by_class(f_step):
 # counts of an oracle that evaluates F once per pair of classes, with one
 # entry for F(u, p) and F(p, u) at an off-grid intermediate u, as T is
 # symmetric
-HARNESS_STATS = {"plateau": (118, 36), "half_jump": (823, 228), "gap": (324, 221),
+HARNESS_STATS = {"plateau": (118, 36), "half_jump": (823, 228), "gap": (301, 179),
                  "shifted_jump": (169, 22), "step": (100, 21), "identity": (829, 244)}
 
 
@@ -249,8 +272,8 @@ def test_harness_builds_the_pseudo_inverse_once(monkeypatch):
     f = parse_fn(WORKED_EXAMPLES["step"])
     assert built == []
     for family in ("product", "hamacher2", "min", "halfprod", "gen:neglog"):
-        classify(f, parse_tnorm(family), arch_grid_n=6)
-    consistency_harness(f, PRODUCT, n=6, arch_grid_n=6)
+        classify(f, parse_tnorm(family))
+    consistency_harness(f, PRODUCT, n=6)
     assert built == [f]
 
 
@@ -273,8 +296,8 @@ def test_classify_and_harness_build_the_decomposition_once(f_step, monkeypatch):
 
     monkeypatch.setattr(pwfn, "Decomposition", counting)
     for family in ("product", "hamacher2", "min", "halfprod", "gen:neglog"):
-        classify(f_step, parse_tnorm(family), arch_grid_n=6)
-    consistency_harness(f_step, PRODUCT, n=6, arch_grid_n=6)
+        classify(f_step, parse_tnorm(family))
+    consistency_harness(f_step, PRODUCT, n=6)
     assert len(built) == 1
 
 
@@ -361,10 +384,14 @@ def reference_check(op, prop, pts):
         interior = [p for p in pts if 0 < p < 1]
         missing = []
         for x in interior:
-            acc = x
+            acc, exact = x, True
             for _ in range(N_ITER):
-                acc = approx_diff(F_(acc, x), ZERO)[0]
+                v = F_(acc, x)
                 count += 1
+                if exact and v == acc:  # a fixed point after exact powers
+                    return cex((x, min(interior)), v, min(interior))
+                exact = exact and not isinstance(v, Approx)
+                acc = approx_diff(v, ZERO)[0]
                 if acc < min(interior):
                     break
             else:
@@ -468,7 +495,7 @@ def test_one_memo_scanned_on_two_point_sets_in_turn(family):
 @settings(max_examples=100, deadline=None)
 @given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
 def test_harness_on_fuzzed_functions(family, f):
-    rep = consistency_harness(f, parse_tnorm(family), n=12, arch_grid_n=8)
+    rep = consistency_harness(f, parse_tnorm(family), n=12)
     assert rep.ok, rep.hard_failures
 
 

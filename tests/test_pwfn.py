@@ -401,7 +401,7 @@ def reference_plateau_pair(f, w):
 def test_per_function_caches_match_references(f):
     q = plateau_set(f)
     assert "_plateau_pairs" not in vars(f)
-    classify(f, parse_tnorm("product"), arch_grid_n=6)
+    classify(f, parse_tnorm("product"))
     if q.is_empty:
         assert "_plateau_pairs" not in vars(f)
     assert list(f._jumps) == reference_jumps(f)
@@ -536,7 +536,7 @@ def test_caches_leave_identity_alone(f_step):
     before = (hash(f_step), repr(f_step))
     d_before = (hash(decompose(f_step)), repr(decompose(f_step)))
     for family in ("product", "min"):
-        classify(f_step, parse_tnorm(family), arch_grid_n=6)
+        classify(f_step, parse_tnorm(family))
     assert PER_FUNCTION_CACHES <= set(vars(f_step))
     assert {"c_set", "m_minus_c"} <= set(vars(decompose(f_step)))
     assert (hash(decompose(f_step)), repr(decompose(f_step))) == d_before

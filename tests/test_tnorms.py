@@ -514,7 +514,7 @@ for text in json.loads(sys.argv[1]):
     for name in ("product", "hamacher2"):
         t = s.parse_tnorm(name)
         s.classify(f, t)
-        s.consistency_harness(f, t, n=6, arch_grid_n=6)
+        s.consistency_harness(f, t, n=6)
 print("mpmath" in sys.modules)
 s.parse_tnorm("gen:neglog")
 print("mpmath" in sys.modules)
