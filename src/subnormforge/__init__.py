@@ -1,10 +1,6 @@
 """Exact piecewise monotone functions, t-norms, and the generated
 operation F(x,y) = finv(T(f(x),f(y))) with a three-valued algebraic
-classifier and a brute-force oracle.
-
-``Generator`` and ``GeneratorSpec`` are read from ``generators`` on first
-use (``__getattr__``), as that module loads mpmath, which only the
-generator families need."""
+classifier and a brute-force oracle."""
 
 from .intervals import Interval, IntervalSet, frac
 from .pwfn import (
@@ -20,7 +16,15 @@ from .pwfn import (
     side_limit,
 )
 from .fnformat import load_fn, parse_fn, render_fn
-from .tnorms import TNormDescriptor, parse_tnorm, t_eval, t_image, t_power
+from .tnorms import (
+    Generator,
+    GeneratorSpec,
+    TNormDescriptor,
+    parse_tnorm,
+    t_eval,
+    t_image,
+    t_power,
+)
 from .generated import (
     GeneratedOp,
     additive_generated,
@@ -44,10 +48,3 @@ __all__ = [
     "ClassificationReport", "Verdict", "classify",
     "check_property", "consistency_harness", "grid",
 ]
-
-
-def __getattr__(name):
-    if name in ("Generator", "GeneratorSpec"):
-        from . import generators
-        return getattr(generators, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

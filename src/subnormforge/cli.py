@@ -21,7 +21,7 @@ from .generated import f_eval, lambda_decompose, make_op, additive_generated
 from .intervals import ZERO
 from .oracle import consistency_harness
 from .pwfn import decompose
-from .tnorms import approx_diff, parse_tnorm
+from .tnorms import GeneratorSpec, approx_diff, parse_tnorm
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -134,7 +134,6 @@ def cmd_grid(args) -> int:
 
 def cmd_construct_subnorm(args) -> int:
     _require(args, "gen", "lam")
-    from .generators import GeneratorSpec
     gen = GeneratorSpec(args.gen)
     lam = _rational(args.lam, "lam")
     f, t = lambda_decompose(gen, lam)

@@ -13,9 +13,7 @@ oracle's ``_Memo`` reads the pairs only and keys its ids by them.
 Inexact families go through ``f_compose``, which carries T's error radius
 through the pseudo-inverse (``_spread``): it evaluates finv at T's centre
 and at either end of its radius on integer pairs too, and builds only the
-centre and the radius as Fractions.  It hands T's family the op's
-``_g_cache``, where a generator family keeps g of each f value by its
-reduced pair, so an f value that recurs costs g once per op.
+centre and the radius as Fractions.
 """
 
 from __future__ import annotations
@@ -23,14 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING
 
 from .intervals import Interval, frac
 from .pwfn import PiecewiseMonotoneFn, Segment, eval_pair
-from .tnorms import Approx, TNormDescriptor, t_eval
-
-if TYPE_CHECKING:
-    from .generators import GeneratorSpec
+from .tnorms import Approx, Generator, GeneratorSpec, Lambda, TNormDescriptor, t_eval
 
 
 def value_key(v) -> tuple:
@@ -64,16 +58,13 @@ class GeneratedOp:
     argument: ``_f_cache`` maps the reduced pair of x to f(x), and
     ``_finv_cache`` the reduced pair of y to finv(y), each value held as
     its reduced pair and, once ``f_at`` or ``finv_at`` has read it, its
-    Fraction (``_entry``).  ``_g_cache`` is the memo that ``f_compose``
-    hands to T's family with each evaluation; a generator family keeps g
-    of each f value there."""
+    Fraction (``_entry``)."""
 
     f: PiecewiseMonotoneFn
     finv: PiecewiseMonotoneFn
     t: TNormDescriptor
     _f_cache: dict = field(default_factory=dict, repr=False)
     _finv_cache: dict = field(default_factory=dict, repr=False)
-    _g_cache: dict = field(default_factory=dict, repr=False)
 
     def _f_entry(self, k: tuple) -> list:
         """The ``_f_cache`` entry of f(p/q), for the reduced pair k = (p, q)."""
@@ -134,7 +125,7 @@ def f_compose(op: GeneratedOp, fx, fy):
     inexact family: an Approx whose radius accounts for the local variation
     of the pseudo-inverse (``_spread``), or an exact Fraction where T's
     value is exact."""
-    tv = t_eval(op.t, fx, fy, op._g_cache)
+    tv = t_eval(op.t, fx, fy)
     if not isinstance(tv, Approx):
         return op.finv_at(tv)
     v, r = tv.value, tv.radius
@@ -171,7 +162,6 @@ def _spread(finv: PiecewiseMonotoneFn, p: int, q: int, m: int, n: int) -> tuple:
 def additive_generated(gen: GeneratorSpec):
     """(x,y) -> g^(-1)(g(x)+g(y)) with the pseudo-inverse clamp to [0,1];
     a continuous cancellative t-subnorm when g(0) = inf."""
-    from .generators import Generator
     t = Generator(gen)
     return lambda x, y: t_eval(t, x, y)
 
@@ -185,7 +175,6 @@ def lambda_decompose(gen: GeneratorSpec, lam) -> tuple:
     Composing f_eval over the result reproduces the additively generated
     operation on the whole square.
     """
-    from .generators import Lambda
     t = Lambda(gen, frac(lam))
     f = PiecewiseMonotoneFn(True, (Segment.linear(Interval.closed(0, 1), t.lam, 0),))
     return f, t

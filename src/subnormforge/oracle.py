@@ -113,8 +113,8 @@ class _Memo:
     A GeneratedOp is symmetric: F(x, y) = finv(T(f(x), f(y))) and
     F(y, x) = finv(T(f(y), f(x))) are finv of equal arguments, as every
     registered T is symmetric: a t-norm is commutative by definition, and
-    halfprod's formula and the generator families' g^(-1)(g(x) + g(y)),
-    whose sum is rounded once, are symmetric in x and y.  So its ``_Grid``
+    halfprod's formula and the generator families' centre min(1, xy·kappa),
+    an exact product of Fractions, are symmetric in x and y.  So its ``_Grid``
     keeps one list per class for the row and the column.  The commutativity
     scan still compares the full table of the grid classes, evaluated in
     both orders, so a kernel that breaks symmetry is still caught there.

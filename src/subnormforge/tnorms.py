@@ -1,24 +1,24 @@
 """T-norm families, one class each: exact evaluation on rationals where
 possible, interval images for the exact families, and the error-radius
-values (``Approx``) of the additive-generator families, whose classes
-live in ``generators``.
+values (``Approx``) of the additive-generator families.
 
 The exact families evaluate T(a/b, c/d) on integers, as a pair (n, d)
 with d > 0 (``eval_pair``), which ``eval`` builds as one Fraction; the
 domain check of ``t_eval`` compares numerators with denominators.
 
-The generator families (``generators.Generator`` and
-``generators.Lambda``) run on mpmath's libmp kernel at ``DIGITS``
-significant digits and carry the error radius ``RADIUS``.  ``generators``
-is the only module that imports mpmath, and ``parse_tnorm`` imports it
-only for a ``gen:`` or ``lambda:`` descriptor, so a run on the exact
-families never loads mpmath.
+The generator families (``Generator`` and ``Lambda``) evaluate their
+closed form min(1, xy·κ), with κ = e^(-g(1)) / λ, on Fractions: κ is
+exact for neglog, and for one-minus-log it holds a rational just below
+1/e.  Each value off a zero argument (``Generator``) or the boundary of
+the unit square (``Lambda``) is an ``Approx`` of radius ``RADIUS``
+around that rational centre (``_GeneratorFamily``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .intervals import Interval, IntervalSet, ONE, ZERO, frac
 from .pwfn import DomainError
@@ -54,10 +54,8 @@ def approx_diff(a, b):
     return (a - b if b else a), ZERO
 
 
-# Generator families evaluate at DIGITS significant digits and carry the
-# error radius RADIUS (``generators``).
-DIGITS = 30
-RADIUS = Fraction(1, 10 ** (DIGITS - 5))
+# the error radius that every inexact value of a generator family carries
+RADIUS = Fraction(1, 10 ** 25)
 
 
 # -- families ---------------------------------------------------------------
@@ -105,8 +103,8 @@ class TNormDescriptor:
     def __str__(self) -> str:
         return self.name
 
-    def eval(self, x: Fraction, y: Fraction, memo=None) -> Fraction:
-        """T(x, y); an exact family keeps nothing in `memo`."""
+    def eval(self, x: Fraction, y: Fraction) -> Fraction:
+        """T(x, y)."""
         return Fraction(*self.eval_pair(x.numerator, x.denominator,
                                         y.numerator, y.denominator))
 
@@ -222,16 +220,164 @@ HAMACHER2 = Hamacher2()
 HALFPROD = Halfprod()
 
 
+# -- the additive-generator families ---------------------------------------
+
+# name: g(1), for the registered generators g(x) = g(1) - ln x
+_GENERATORS = {"neglog": 0, "one-minus-log": 1}
+
+
+@dataclass(frozen=True)
+class GeneratorSpec:
+    """A registered decreasing generator g:[0,1]->[0,inf] with g(0)=inf,
+    g(x) = g(1) - ln x; the registry is closed."""
+
+    name: str
+
+    def __post_init__(self):
+        if self.name not in _GENERATORS:
+            raise ValueError(f"unknown generator {self.name!r}")
+
+    @property
+    def g1_zero(self) -> bool:
+        """Whether g(1) = 0, i.e. the generated operation has neutral 1."""
+        return _GENERATORS[self.name] == 0
+
+
+def _e_sums():
+    """(s_n, 1/(n n!)) for n = 1, 2, ...: the partial sums s_n = 1/0! +
+    ... + 1/n! of e, which satisfy s_n < e < s_n + 1/(n n!)."""
+    s, term, n = Fraction(2), Fraction(1), 1  # s_1 and 1/1!
+    while True:
+        yield s, term / n
+        n += 1
+        term /= n
+        s += term
+
+
+def _e_below(r: Fraction) -> bool:
+    """Whether e < r, decided exactly from ``_e_sums``: e is irrational, so
+    refining them until r falls outside (s_n, s_n + 1/(n n!)) always ends."""
+    for s, w in _e_sums():
+        if not s < r < s + w:
+            return r > s
+
+
+# 1/E for the first upper bound E = s_n + w of e with w = 1/(n n!) <= RADIUS
+# (n = 24): a rational below 1/e with 1 - e/E < RADIUS (``_GeneratorFamily``)
+_INV_E = next(1 / (s + w) for s, w in _e_sums() if w <= RADIUS)
+
+
+class _GeneratorFamily(TNormDescriptor):
+    """A family built on the registered generator ``gen``.
+
+    g(x) = k - ln x with k = g(1), so g^(-1)(g(x) + g(y)) = xy e^(-k), and
+    inside the unit square T is min(1, xy e^(-k) / lam), with lam = 1 for
+    ``Generator``, whose ``lam`` is None.  ``eval`` returns the centre
+    min(1, xy·kappa), kappa = e^(-k) / lam taken as ``_INV_E`` / lam for
+    one-minus-log (k = 1) and exactly 1 / lam for neglog (k = 0), as an
+    Approx of radius RADIUS.  The bound: with a = xy e^(-k) / lam and
+    e^(-1) replaced by 1/E, E = s_n + w > e, the centre is min(1, a e/E)
+    and T is min(1, a).  For a <= 1, T - centre = a (1 - e/E); for a > 1,
+    T = 1 and the centre is at least e/E.  So 0 <= T - centre <= 1 - e/E
+    = (E - e)/E < w/E < w <= RADIUS, whatever lam is: a tiny lam from
+    ``lambda_decompose`` included.  As ``_INV_E`` < 1/e, the clamp at 1
+    binds only for a ``Lambda`` that is not a t-norm.  ``left_limit_above``
+    decides T's order exactly from the closed form."""
+
+    exact = False
+
+    @cached_property
+    def kappa(self) -> Fraction:
+        """e^(-g(1)) / lam: exact for neglog, from ``_INV_E`` for
+        one-minus-log."""
+        return (ONE if self.gen.g1_zero else _INV_E) / (self.lam or 1)
+
+    def _inside(self, x: Fraction, y: Fraction) -> Approx:
+        """T(x, y) inside the unit square."""
+        return Approx(min(ONE, x * y * self.kappa), RADIUS)
+
+    def left_limit_above(self, u: Fraction, v: Fraction, z: Fraction) -> bool:
+        """Whether lim T(u, w) as w rises to v exceeds z, for u in [0,1),
+        v in (0,1] and z in [0,1): the closed form w = uv / lam at v, the
+        clamp aside as z < 1, against z; with g(1) = 1 the form is w/e,
+        which exceeds z > 0 exactly when e < w/z."""
+        w = u * v / (self.lam or 1)
+        if self.gen.g1_zero or not z:
+            return w > z
+        return _e_below(w / z)
+
+
+@dataclass(frozen=True)
+class Generator(_GeneratorFamily):
+    """The additively generated operation g^(-1)(g(x)+g(y)); a strict
+    t-norm when g is a bijection onto [0,inf] (g(1)=0)."""
+
+    gen: GeneratorSpec
+
+    @property
+    def neutral_one(self) -> bool:
+        return self.gen.g1_zero
+
+    def eval(self, x: Fraction, y: Fraction):
+        """T(x, y): exactly 0 when an argument is 0, else inexact."""
+        if not x or not y:
+            return ZERO
+        return self._inside(x, y)
+
+    def __str__(self) -> str:
+        return f"gen:{self.gen.name}"
+
+
+@dataclass(frozen=True)
+class Lambda(_GeneratorFamily):
+    """The strictly monotone operation built from the scaled generator
+    g(x/lam): min on the boundary of the unit square and
+    lam * g^(-1)(g(x/lam) + g(y/lam)) inside."""
+
+    gen: GeneratorSpec
+    lam: Fraction = field()  # no default: the base's lam = None is not one
+    continuous = False
+    strict = False
+
+    def __post_init__(self):
+        if not (0 < self.lam < 1):
+            raise ValueError(f"lambda must lie in (0,1), got {self.lam}")
+
+    @property
+    def shrinks(self) -> bool:
+        """Inside the unit square T is uc / (lam e^g(1)), below u for c < 1
+        once lam e^g(1) >= 1, and min on its boundary: so T shrinks exactly
+        when it is a t-norm."""
+        return self.is_t_norm
+
+    def eval(self, x: Fraction, y: Fraction):
+        """T(x, y): exactly min(x, y) on the boundary of the unit square,
+        else inexact."""
+        if x in (0, 1) or y in (0, 1):
+            return min(x, y)
+        return self._inside(x, y)
+
+    @property
+    def is_t_norm(self) -> bool:
+        """Whether the operation is a t-norm.  Inside the unit square it is
+        min(1, xy e^(-g(1)) / lam), at most min(x, y) only when lam e^g(1) >= 1:
+        never for neglog (g(1) = 0, lam < 1); for one-minus-log when lam e >= 1."""
+        if self.gen.g1_zero:
+            return False
+        return not _e_below(1 / self.lam)  # lam e != 1, as e is irrational
+
+    def __str__(self) -> str:
+        return f"lambda:{self.gen.name}:{self.lam}"
+
+
 def parse_tnorm(desc: str) -> TNormDescriptor:
     desc = desc.strip()
     plain = {str(t): t for t in (PRODUCT, MINIMUM, HAMACHER2, HALFPROD)}
     if desc in plain:
         return plain[desc]
     if desc.startswith("gen:"):
-        from .generators import Generator, GeneratorSpec
         return Generator(GeneratorSpec(desc[4:]))
     if desc.startswith("lambda:"):
-        from .generators import GeneratorSpec, Lambda
         try:
             _, gen, lam = desc.split(":")
             lam = Fraction(lam)
@@ -247,14 +393,12 @@ def parse_tnorm(desc: str) -> TNormDescriptor:
 # -- evaluation -------------------------------------------------------------
 
 
-def t_eval(t: TNormDescriptor, x, y, memo=None):
-    """T(x,y): a Fraction for exact families, an Approx otherwise.  `memo`
-    is a dict that the caller keeps for one operation, in which a family
-    may keep values of its arguments (the generator families keep g)."""
+def t_eval(t: TNormDescriptor, x, y):
+    """T(x,y): a Fraction for exact families, an Approx otherwise."""
     x, y = frac(x), frac(y)
     if not (0 <= x.numerator <= x.denominator and 0 <= y.numerator <= y.denominator):
         raise DomainError(f"t-norm arguments ({x},{y}) outside [0,1]^2")
-    return t.eval(x, y, memo)
+    return t.eval(x, y)
 
 
 def t_power(t: TNormDescriptor, x, n: int):

@@ -25,9 +25,8 @@ from subnormforge.classify import (
     render_text,
     Verdict,
 )
-from subnormforge.generators import GeneratorSpec, Lambda
 from subnormforge.oracle import consistency_harness
-from subnormforge.tnorms import Approx, t_image, t_solve_x
+from subnormforge.tnorms import Approx, GeneratorSpec, Lambda, t_image, t_solve_x
 
 F = Fraction
 

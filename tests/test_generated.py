@@ -18,10 +18,9 @@ from subnormforge import (
     parse_fn,
     parse_tnorm,
 )
-from subnormforge.generators import Generator, Lambda
 from subnormforge.oracle import _Memo, check_property
 from subnormforge.pwfn import eval_fn, eval_pair
-from subnormforge.tnorms import Approx, approx_diff, t_eval
+from subnormforge.tnorms import Approx, Generator, Lambda, approx_diff, t_eval
 
 F = Fraction
 
@@ -233,12 +232,11 @@ def test_f_compose_on_pairs_matches_fraction_path(tdesc, f, extra):
 @pytest.mark.parametrize("tdesc", ["gen:neglog", "gen:one-minus-log",
                                    "lambda:one-minus-log:2/5"])
 def test_warm_op_returns_what_a_fresh_op_returns(f_half_jump, tdesc):
-    # g kept per op by f value: a warm op must give the values a fresh
-    # op gives, in any order of evaluation
+    # a warm op, its f and finv caches filled, must give the values a
+    # fresh op gives, in any order of evaluation
     t = parse_tnorm(tdesc)
     warm = make_op(f_half_jump, t)
     pts = [F(i, 7) for i in range(8)]
     pairs = [(x, y) for x in pts for y in pts]
     for x, y in pairs + pairs[::-1]:
         assert f_eval(warm, x, y) == f_eval(make_op(f_half_jump, t), x, y), (x, y)
-    assert warm._g_cache
