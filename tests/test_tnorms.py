@@ -28,6 +28,7 @@ from subnormforge.tnorms import (
     Generator,
     GeneratorSpec,
     Lambda,
+    _e_below,
     parse_tnorm,
     t_eval,
     t_image,
@@ -293,6 +294,38 @@ def test_neglog_centre_is_product(name):
         for y in pts:
             v = f_eval(neglog, x, y)
             assert (v.value if isinstance(v, Approx) else v) == f_eval(product, x, y), (x, y)
+
+
+# e = 2.718281828459045235360287..., s_24 and its upper bound 1/_INV_E
+# among the rationals to either side
+@pytest.mark.parametrize("r", [F(2), F(3), F(27, 10), F(2719, 1000),
+                               F(2718281828459045235360, 10 ** 21),
+                               F(2718281828459045235361, 10 ** 21),
+                               1 / _INV_E, 1 / _INV_E - RADIUS], ids=str)
+def test_e_below_decides_exactly(r):
+    # is_t_norm and left_limit_above rest on this order with e
+    with mpmath.workdps(60):
+        want = mpmath.e < mpmath.mpf(r.numerator) / r.denominator
+    assert _e_below(r) == want
+
+
+@pytest.mark.parametrize("t", GENERATOR_FAMILIES, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(u=st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6).filter(lambda v: v < 1),
+       v=st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6).filter(lambda v: v > 0),
+       z=st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6).filter(lambda v: v < 1))
+@example(u=F(0), v=F(1), z=F(0))
+@example(u=F(1, 2), v=F(1), z=F(1, 2))
+@example(u=F(99, 100), v=F(99, 100), z=F(0))
+def test_left_limit_above_decides_the_closed_form(t, u, v, z):
+    # lim T(u, w) as w rises to v is the closed form at v, the clamp aside
+    # as z < 1; for neglog it is a rational, decided on Fractions
+    if t.gen.g1_zero:
+        want = u * v / (t.lam or 1) > z
+    else:
+        with mpmath.workdps(60):
+            want = closed_form(t, u, v) > mpmath.mpf(z.numerator) / z.denominator
+    assert t.left_limit_above(u, v, z) == want
 
 
 # reduced pairs of [0,1], with the corners and 1/2 drawn often
