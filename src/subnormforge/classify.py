@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .generated import GeneratedOp, f_eval, make_op
@@ -25,6 +26,7 @@ from .pwfn import (
     decompose,
     eval_fn,
     first_arg_above,
+    limit_pair,
     plateau_set,
     side_limit,
 )
@@ -436,33 +438,33 @@ def _cc_witness(op, d: Decomposition, which: str, z: Fraction):
 # -- continuity -------------------------------------------------------------
 
 
-def _dir_limit(op: GeneratedOp, x0: Fraction, y0: Fraction, side: str, approach: dict):
-    """Exact lim F(x, y0) as x -> x0 from `side`; None when not computable.
-    `approach` maps (x0, side) to the segment of f approaching x0 from
-    `side` and its value at x0, filled as asked: neither depends on y0."""
-    t = op.t
-    if (side == "left" and x0 == 0) or (side == "right" and x0 == 1):
+def _dir_limit(op: GeneratedOp, x0: tuple, c: tuple, side: str, approach: dict):
+    """Exact lim F(x, y0) as x -> x0 from `side`, for f(y0) = c, with x0 and
+    c reduced pairs and the limit an integer pair; None when not computable.
+    `approach` maps (x0, side) to ``limit_pair(f, x0, side)``, filled as
+    asked: it does not depend on c.
+
+    Where neither f nor T(., c) is constant on that side, T(f(x), c)
+    approaches its limit w strictly from `side`, so F's limit is finv's
+    limit at w from that side.  From the right w < 1, so finv's convention
+    at 1 never enters: the line of f beside x0 rises above v = f(x0+) and
+    stays at most 1, and w, a limit of T(u, c) <= u as u falls to v, is at
+    most v < 1."""
+    if x0[0] == (0 if side == "left" else x0[1]):
         return None
-    c = op.f_at(y0)
-    if c == 0:
-        return op.finv_at(ZERO)
-    seg_v = approach.get((x0, side))
-    if seg_v is None:
-        # x0 is neither 0 from the left nor 1 from the right, so a segment
-        # approaches it
-        seg = approach_segment(op.f, x0, side)
-        seg_v = approach[x0, side] = seg, seg.value_at(x0)
-    seg, v = seg_v
-    if seg.is_const:
-        return op.finv_at(t_eval(t, v, c))
-    w, const = t.dir_limit(v, side, c)
+    if c[0] == 0:
+        return op._finv_entry((0, 1))[0]
+    v_const = approach.get((x0, side))
+    if v_const is None:
+        v_const = approach[x0, side] = limit_pair(op.f, *x0, side)
+    v, const = v_const
     if const:
-        return op.finv_at(w)
-    if side == "left":
-        return side_limit(op.finv, w, "left")
-    if w == 1:
-        return op.finv_at(ONE)
-    return side_limit(op.finv, w, "right")
+        return op.t_finv(*v, *c)[0]
+    (n, d), const = op.t.dir_limit(v, side, c)
+    if const:
+        g = gcd(n, d)
+        return op._finv_entry((n // g, d // g))[0]
+    return limit_pair(op.finv, n, d, side)[0]
 
 
 def check_continuity(op: GeneratedOp) -> Verdict:
@@ -549,35 +551,46 @@ def _limit_search(op: GeneratedOp):
     exact T: the first pair (px, py) at which a one-sided limit along the
     first argument differs from F(px, py), as a No, else None.
 
-    The limit and F(px, py) depend on py only through f(py), so a pair whose
-    (px, f(py)) was checked before is skipped: it would give the values of
-    that earlier pair, which matched, so the first mismatch is unchanged."""
+    The search runs on reduced integer pairs: f and F through the op's
+    caches (``f_pair``, ``t_finv``), the one-sided limits of f and finv by
+    ``limit_pair`` and those of T by the family's ``dir_limit``; only a No
+    builds Fractions, for its note.  The limit and F(px, py) depend on py
+    only through f(py), so a pair whose (px, f(py)) was checked before is
+    skipped: it would give the values of that earlier pair, which matched,
+    so the first mismatch is unchanged.  The candidate first arguments are
+    f's breakpoints and an x with f(x) = u for each solution u of
+    T(u, f(y0)) = q, q a plateau value; each distinct (q, f(y0)) is solved
+    once and each distinct u looked up once."""
     f, t = op.f, op.t
     cands_x = set(f.breakpoints())
-    ys = sorted(set(f.breakpoints()) | {ONE})
-    for q in (p.lo for p in decompose(f).q.parts):
-        for y0 in ys:
-            for u in t_solve_x(t, op.f_at(y0), q):
-                xa = arg_with_value(f, u)
-                if xa is not None:
-                    cands_x.add(xa)
+    cands_y = sorted(set(f.breakpoints()) | {ONE})
+    fys = {op.f_at(y0) for y0 in cands_y}
+    for u in {u for q in (p.lo for p in decompose(f).q.parts) for c in fys
+              for u in t_solve_x(t, c, q)}:
+        xa = arg_with_value(f, u)
+        if xa is not None:
+            cands_x.add(xa)
+    # each candidate with its reduced pair
+    xs = [(x, (x.numerator, x.denominator)) for x in sorted(cands_x)]
+    ys = [(y, (y.numerator, y.denominator)) for y in cands_y]
     approach = {}
-    seen = set()  # (px, reduced pair of f(py)) of the pairs checked
-    for x0 in sorted(cands_x):
+    seen = set()  # (px, f(py)) of the pairs checked, as reduced pairs
+    for x0 in xs:
         for y0 in ys:
-            for (px, py) in ((x0, y0), (y0, x0)):
-                key = px, op.f_pair((py.numerator, py.denominator))
+            for (px, kx), (py, ky) in ((x0, y0), (y0, x0)):
+                c = op.f_pair(ky)
+                key = kx, c
                 if key in seen:
                     continue
                 seen.add(key)
-                val = f_eval(op, px, py)
+                vn, vd = op.t_finv(*op.f_pair(kx), *c)[0]
                 for side in ("left", "right"):
-                    lim = _dir_limit(op, px, py, side, approach)
-                    if lim is not None and lim != val:
+                    lim = _dir_limit(op, kx, c, side, approach)
+                    if lim is not None and lim[0] * vd != vn * lim[1]:
                         return Verdict.no(
                             (px, py),
-                            note=f"{side} limit {lim} != value {val} "
-                                 f"along the first argument")
+                            note=f"{side} limit {Fraction(*lim)} != value "
+                                 f"{Fraction(vn, vd)} along the first argument")
     return None
 
 

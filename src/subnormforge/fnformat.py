@@ -20,14 +20,19 @@ regular expression per token.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 from .intervals import Interval, frac
 from .pwfn import InvalidFunction, PiecewiseMonotoneFn, Segment
 
 
 class ParseError(ValueError):
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
+    """An error in a function description: on line ``lineno``, or, with
+    ``lineno`` None, about the function as a whole, such as a domain that
+    does not reach 1, which no one line holds."""
+
+    def __init__(self, lineno: Optional[int], message: str):
+        super().__init__(message if lineno is None else f"line {lineno}: {message}")
         self.lineno = lineno
 
 
@@ -36,7 +41,7 @@ def _digits(s: str) -> bool:
     return s.isascii() and s.isdigit()
 
 
-def _parse_fraction(tok: str, lineno: int) -> Fraction:
+def _parse_fraction(tok: str, lineno: Optional[int]) -> Fraction:
     """The rational of a token, as ``Fraction(tok)`` reads it.  A token of
     ASCII digits, or two such runs around one '/', is read with ``int``,
     without ``Fraction``'s regular expression; every other token, a sign,
@@ -52,7 +57,7 @@ def _parse_fraction(tok: str, lineno: int) -> Fraction:
         raise ParseError(lineno, f"bad rational {tok!r}: {e}") from None
 
 
-def parse_interval(tok: str, lineno: int = 0) -> Interval:
+def parse_interval(tok: str, lineno: Optional[int] = None) -> Interval:
     tok = tok.strip()
     if tok.startswith("{") and tok.endswith("}"):
         return Interval.point(_parse_fraction(tok[1:-1], lineno))
@@ -104,11 +109,11 @@ def parse_fn(text: str) -> PiecewiseMonotoneFn:
         else:
             raise ParseError(lineno, f"unknown directive {toks[0]!r}")
     if direction is None:
-        raise ParseError(0, "missing 'monotone:' directive")
+        raise ParseError(None, "missing 'monotone:' directive")
     try:
         return PiecewiseMonotoneFn(direction, tuple(segments))
     except InvalidFunction as e:
-        raise ParseError(0, str(e)) from None
+        raise ParseError(None, str(e)) from None
 
 
 def load_fn(path) -> PiecewiseMonotoneFn:

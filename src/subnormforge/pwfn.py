@@ -30,6 +30,19 @@ or below x: it holds x.  The tests are sign tests on cross products of
 numerators and denominators, and the value is an integer pair; ``eval_fn``
 builds it as one Fraction, normalised once.
 
+``limit_pair``, the one-sided twin of ``eval_pair``, scans the same table
+for the piece that approaches a: from the left the first piece whose
+upper end is >= a, from the right the first whose upper end is > a,
+closedness aside.  Every piece before it ends below a from the left, and
+at or below a from the right, and it starts where the one before ends.
+So from the left it starts below a (a > 0 there, as 0 takes the
+convention) and reaches a, and from the right it starts at or below a
+and ends past a: it holds an open interval that ends, or starts, at a,
+and its formula at a is the limit.  An isolated point {a} is never that
+piece: from the left the piece before it, which ends at a, comes first,
+and from the right its upper end is not > a.  ``side_limit`` builds the
+pair as one Fraction.
+
 Validation (``_validate``, run by the constructor) checks that the
 pieces partition [0,1], then each piece's values at its two ends, as
 integer pairs by ``eval_pair``'s formula: within [0,1], in the function's
@@ -128,10 +141,11 @@ class PiecewiseMonotoneFn:
 
     @cached_property
     def _kernel(self) -> tuple:
-        """``eval_pair``'s table, one entry per piece in x order: the upper
-        end as (hn, hd, closed) with hi = hn/hd, then the intercept cn/cd
-        as (cn, cd), which is a constant piece's value, and the line: None
-        for a constant piece, else (sn, sd, cn, cd) for slope sn/sd."""
+        """``eval_pair``'s and ``limit_pair``'s table, one entry per piece
+        in x order: the upper end as (hn, hd, closed) with hi = hn/hd, then
+        the intercept cn/cd as (cn, cd), which is a constant piece's value,
+        and the line: None for a constant piece, else (sn, sd, cn, cd) for
+        slope sn/sd."""
         out = []
         for p in self.segments:
             d, s, c = p.domain, p.slope, p.intercept
@@ -283,18 +297,36 @@ def _unit_arg(v) -> Fraction:
 
 def side_limit(f: PiecewiseMonotoneFn, a, side: str) -> Fraction:
     """One-sided limit, with f(0^-)=0, f(1^+)=1 for non-decreasing f and
-    the mirrored conventions for non-increasing f."""
+    the mirrored conventions for non-increasing f: ``limit_pair`` built as
+    one Fraction."""
     a = _unit_arg(a)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if side == "left" and a == 0:
-        return ZERO if f.nondecreasing else ONE
-    if side == "right" and a == 1:
-        return ONE if f.nondecreasing else ZERO
-    s = approach_segment(f, a, side)
-    if s is None:
-        raise InvalidFunction(f"no segment approaches {a} from the {side}")
-    return s.value_at(a)
+    return Fraction(*limit_pair(f, a.numerator, a.denominator, side)[0])
+
+
+def limit_pair(f: PiecewiseMonotoneFn, p: int, q: int, side: str) -> tuple:
+    """(lim f(x) as x -> p/q from `side`, whether f is constant on that
+    side of p/q), for q > 0 and `side` "left" or "right": the limit as an
+    integer pair by ``eval_pair``'s formula on the piece that approaches
+    p/q, found by the scan of ``f._kernel`` described above.  The ends
+    take ``side_limit``'s conventions, as constant.  DomainError unless
+    0 <= p <= q."""
+    if p < 0 or p > q:
+        raise DomainError(f"argument {Fraction(p, q)} outside [0,1]")
+    left = side == "left"
+    if p == (0 if left else q):
+        # f(0^-) and f(1^+): 1 just left of 0 for non-increasing f and just
+        # right of 1 for non-decreasing f, else 0
+        return ((1, 1) if f.nondecreasing != left else (0, 1)), True
+    for hn, hd, _, value, line in f._kernel:
+        c = p * hd - hn * q
+        if c < 0 or (c == 0 and left):
+            if line is None:
+                return value, True
+            sn, sd, cn, cd = line
+            return (sn * p * cd + cn * sd * q, sd * cd * q), False
+    raise InvalidFunction(f"no segment approaches {Fraction(p, q)} from the {side}")
 
 
 def approach_segment(f: PiecewiseMonotoneFn, a: Fraction, side: str) -> Optional[Segment]:

@@ -112,15 +112,18 @@ class TNormDescriptor:
         """T(A,B) for one box, as a list of intervals."""
         return [_box_image_mono(self.eval, A, B)]
 
-    def dir_limit(self, v: Fraction, side: str, c: Fraction) -> tuple:
+    def dir_limit(self, v: tuple, side: str, c: tuple) -> tuple:
         """(lim T(u,c) as u -> v from `side`, whether T(u,c) is constant
-        for u on that side of v)."""
-        return self.eval(v, c), False
+        for u on that side of v), for an exact family, with v, c and the
+        limit as integer pairs (n, d), d > 0, as ``eval_pair`` takes them."""
+        return self.eval_pair(*v, *c), False
 
     def left_limit_above(self, u: Fraction, v: Fraction, z: Fraction) -> bool:
         """Whether lim T(u, w) as w rises to v exceeds z, decided exactly;
         T is symmetric, so this is ``dir_limit`` from the left with c = u."""
-        return self.dir_limit(v, "left", u)[0] > z
+        (n, d), _ = self.dir_limit((v.numerator, v.denominator), "left",
+                                   (u.numerator, u.denominator))
+        return n * z.denominator > z.numerator * d
 
 
 class Product(TNormDescriptor):
@@ -167,9 +170,11 @@ class Minimum(TNormDescriptor):
     def solve_candidates(self, y: Fraction, z: Fraction) -> list:
         return [z, y, ONE, (y + 1) / 2]
 
-    def dir_limit(self, v: Fraction, side: str, c: Fraction) -> tuple:
-        # min(u,c) = c for every u near v once c < v, and for u > v once c = v
-        return self.eval(v, c), c < v or (c == v and side == "right")
+    def dir_limit(self, v: tuple, side: str, c: tuple) -> tuple:
+        # min(u,c) = c for every u near v once c < v, and for u > v once c = v;
+        # s has the sign of c - v
+        s = c[0] * v[1] - v[0] * c[1]
+        return self.eval_pair(*v, *c), s < 0 or (s == 0 and side == "right")
 
 
 _LOWER_HALF = Interval.closed(0, HALF)
@@ -208,9 +213,12 @@ class Halfprod(TNormDescriptor):
     def solve_candidates(self, y: Fraction, z: Fraction) -> list:
         return [2 * z / y, z / y]
 
-    def dir_limit(self, v: Fraction, side: str, c: Fraction) -> tuple:
-        if side == "right" and v == HALF and 0 < c <= HALF:
-            return c / 2, False  # the plain-product branch takes over just above 1/2
+    def dir_limit(self, v: tuple, side: str, c: tuple) -> tuple:
+        # just above 1/2 the plain-product branch takes over; for c = 0 its
+        # limit c/2 is T(1/2, c) = 0, so c > 0 need not be asked
+        (a, b), (m, n) = v, c
+        if side == "right" and 2 * a == b and 2 * m <= n:
+            return (m, 2 * n), False
         return super().dir_limit(v, side, c)
 
 

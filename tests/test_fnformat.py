@@ -84,6 +84,18 @@ def test_missing_monotone_directive():
         parse_fn("segment [0,1] linear 1 0\n")
 
 
+def test_parse_error_messages():
+    # an error about one line names it; an error about the whole function
+    # has no line to name
+    with pytest.raises(ParseError) as exc:
+        parse_fn("monotone: nondecreasing\nsegment [0,1] linear\n")
+    assert str(exc.value) == "line 2: bad segment shape 'segment [0,1] linear'"
+    with pytest.raises(ParseError) as exc:
+        parse_fn("monotone: nondecreasing\nsegment [0,1/2] const 0\n")
+    assert exc.value.lineno is None
+    assert str(exc.value) == "domain does not reach 1 (stops at 1/2)"
+
+
 def test_repeated_monotone_directive():
     # a later directive must not override the first one
     with pytest.raises(ParseError) as exc:

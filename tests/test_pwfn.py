@@ -77,6 +77,44 @@ def test_side_limits(f_half_jump, f_step):
     assert side_limit(f_step, F(1), "right") == 1
 
 
+def test_side_limit_errors(f_step):
+    with pytest.raises(DomainError):
+        side_limit(f_step, F(5, 4), "left")
+    with pytest.raises(ValueError, match="side must be"):
+        side_limit(f_step, F(1, 2), "up")
+    with pytest.raises(DomainError):
+        pwfn.limit_pair(f_step, -1, 2, "right")
+
+
+# the conventions at 0 from the left and 1 from the right, by side and
+# direction (non-decreasing first)
+_END_LIMITS = {("left", True): 0, ("left", False): 1, ("right", True): 1, ("right", False): 0}
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
+def test_limit_pair_matches_the_approaching_segment(f):
+    # on f and its pseudo-inverse, at every breakpoint, midpoint between
+    # breakpoints and sixteenth, from both sides: the value of the segment
+    # that reaches a from that side, and constant when that segment is.
+    # Isolated points sit at breakpoints; no side reaches them.  The pair
+    # may come in unreduced, as the classifier's T limits do
+    for g in (f, pseudo_inverse(f)):
+        bps = g.breakpoints()
+        pts = set(bps) | {(a + b) / 2 for a, b in zip(bps, bps[1:])} | set(grid(16))
+        for a in sorted(pts):
+            for side in ("left", "right"):
+                for k in (1, 3):
+                    (n, d), const = pwfn.limit_pair(g, k * a.numerator, k * a.denominator, side)
+                    assert d > 0
+                    s = pwfn.approach_segment(g, a, side)
+                    if s is None:
+                        assert (F(n, d), const) == (_END_LIMITS[side, g.nondecreasing], True)
+                    else:
+                        assert (F(n, d), const) == (s.value_at(a), s.is_const), (a, side)
+                assert side_limit(g, a, side) == F(n, d)
+
+
 # -- pseudo-inverse ----------------------------------------------------------
 
 

@@ -412,6 +412,12 @@ def test_t_solve_x_halfprod_both_branches():
     assert xs
 
 
+def dir_limit(t, v, side, c):
+    """The family's dir_limit, which runs on integer pairs, on Fractions."""
+    (n, d), const = t.dir_limit((v.numerator, v.denominator), side, (c.numerator, c.denominator))
+    return F(n, d), const
+
+
 @pytest.mark.parametrize("t", EXACT, ids=family_id)
 def test_dir_limit_matches_nearby_values(t):
     # every branch of an exact family is 1-Lipschitz in u, so the value
@@ -424,7 +430,7 @@ def test_dir_limit_matches_nearby_values(t):
             for side, u in (("left", v - eps), ("right", v + eps)):
                 if not 0 <= u <= 1:
                     continue
-                lim, const = t.dir_limit(v, side, c)
+                lim, const = dir_limit(t, v, side, c)
                 near = t_eval(t, u, c)
                 assert abs(near - lim) <= eps, (v, c, side)
                 if const:
@@ -437,13 +443,13 @@ def test_dir_limit_halfprod_right_of_half():
     t = parse_tnorm("halfprod")
     above = HALF + F(1, BIG)
     for c in (F(1, 7), F(1, 4), F(1, 3), HALF):
-        assert t.dir_limit(HALF, "right", c) == (c / 2, False)
+        assert dir_limit(t, HALF, "right", c) == (c / 2, False)
         assert t_eval(t, HALF, c) == c / 4
         assert abs(t_eval(t, above, c) - c / 2) <= F(1, BIG)
     # outside 0 < c <= 1/2 both branches agree with T(1/2, c)
     for c in (F(0), F(3, 4), F(1)):
-        assert t.dir_limit(HALF, "right", c) == (t_eval(t, HALF, c), False)
-    assert t.dir_limit(HALF, "left", F(1, 4)) == (F(1, 16), False)
+        assert dir_limit(t, HALF, "right", c) == (t_eval(t, HALF, c), False)
+    assert dir_limit(t, HALF, "left", F(1, 4)) == (F(1, 16), False)
 
 
 def test_dir_limit_min_constant_side():
@@ -453,14 +459,14 @@ def test_dir_limit_min_constant_side():
     for v, c in ((HALF, F(1, 4)), (F(1), F(2, 3)), (F(1, 3), F(0))):
         for side, u in (("left", v - eps), ("right", v + eps)):
             if u <= 1:
-                assert t.dir_limit(v, side, c) == (c, True)
+                assert dir_limit(t, v, side, c) == (c, True)
                 assert t_eval(t, u, c) == c
     # c > v: min(u, c) follows u, so the limit is v and not constant
     for side in ("left", "right"):
-        assert t.dir_limit(F(1, 4), side, HALF) == (F(1, 4), False)
+        assert dir_limit(t, F(1, 4), side, HALF) == (F(1, 4), False)
     # c = v: min(u, c) follows u on the left and is c on the right
-    assert t.dir_limit(HALF, "left", HALF) == (HALF, False)
-    assert t.dir_limit(HALF, "right", HALF) == (HALF, True)
+    assert dir_limit(t, HALF, "left", HALF) == (HALF, False)
+    assert dir_limit(t, HALF, "right", HALF) == (HALF, True)
     assert t_eval(t, HALF - eps, HALF) == HALF - eps
     assert t_eval(t, HALF + eps, HALF) == HALF
 
