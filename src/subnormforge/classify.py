@@ -88,20 +88,36 @@ _PQ_VALUES = tuple(dict.fromkeys(
 
 def arg_with_value(f: PiecewiseMonotoneFn, v: Fraction, avoid=None):
     """Some x with f(x)=v, optionally distinct from `avoid`; None if v is
-    not attained (or only attained at `avoid`)."""
-    for p, vals in zip(f.segments, f._values):
-        if not vals.contains(v):
+    not attained (or only attained at `avoid`): on the first piece whose
+    values hold v, the first of its closed lower end, its midpoint and its
+    closed upper end for a constant piece, all of which lie in it, or
+    x = (v - c)/s on a line.
+
+    The scan runs on integer pairs: membership by ``contains_pair``, the
+    line from the piece's entry in ``f._kernel`` and each test against
+    `avoid` by cross-multiplication; only the x returned is a Fraction."""
+    vn, vd = v.numerator, v.denominator
+
+    def allowed(n, d):  # n/d != avoid
+        return avoid is None or n * avoid.denominator != avoid.numerator * d
+
+    for p, vals, entry in zip(f.segments, f._values, f._kernel):
+        if not vals.contains_pair(vn, vd):
             continue
-        d = p.domain
-        if p.is_const:
-            for cand in (d.lo if d.lo_closed else None, d.midpoint(),
-                         d.hi if d.hi_closed else None):
-                if cand is not None and d.contains(cand) and cand != avoid:
-                    return cand
+        line = entry[4]
+        if line is None:
+            d = p.domain
+            if d.lo_closed and allowed(d.ln, d.ld):
+                return d.lo
+            if allowed(d.ln * d.hd + d.hn * d.ld, 2 * d.ld * d.hd):
+                return d.midpoint()
+            if d.hi_closed and allowed(d.hn, d.hd):
+                return d.hi
         else:
-            x = (v - p.intercept) / p.slope
-            if x != avoid:
-                return x
+            sn, sd, cn, cd = line
+            n, d = (vn * cd - cn * vd) * sd, vd * cd * sn
+            if allowed(n, d):
+                return Fraction(n, d)
     return None
 
 
@@ -266,12 +282,11 @@ def check_inclusion_conditions(t: TNormDescriptor, d: Decomposition):
 # -- gap-hull condition -----------------------------------------------------
 
 
-def check_prop_sufficient(t: TNormDescriptor, d: Decomposition) -> Verdict:
+def check_prop_sufficient(t: TNormDescriptor, d: Decomposition, mm: IntervalSet) -> Verdict:
     """The hull condition: T(union of H_k, M\\{0}) must avoid M\\C.  For
     each high gap [b_k,d_k] (those above the plateau maximum), H_k is the
-    open hull of the kept boundary value together with the part of T(M,M)
-    in that gap."""
-    mm = t_image(t, d.m, d.m)
+    open hull of the kept boundary value together with the part of
+    mm = T(M,M) in that gap."""
     hull = IntervalSet.empty()
     for k in d.k1:
         b, dd, c = d.s[k]
@@ -356,16 +371,16 @@ def l_set_check(t: TNormDescriptor, d: Decomposition) -> Verdict:
 # -- cancellation -----------------------------------------------------------
 
 
-def check_cancellative(op: GeneratedOp, d: Decomposition) -> Verdict:
+def check_cancellative(op: GeneratedOp, d: Decomposition, mm: IntervalSet) -> Verdict:
     """Cancellative t-subnorm test for an exact T: f strictly increasing
-    and T(M,M) within M, both verified exactly."""
+    and mm = T(M,M) within M, both verified exactly."""
     f, t = op.f, op.t
     if not f.is_strictly_monotone:
         w = d.q.first_member()
         x1, x2 = _plateau_pair(f, w)
         return Verdict.no((ONE, x1, x2),
                           note=f"f({x1})=f({x2})={w}, so F(1,{x1})=F(1,{x2})")
-    ok, z = t_image(t, d.m, d.m).is_subset_of(d.m)
+    ok, z = mm.is_subset_of(d.m)
     if ok:
         return Verdict.yes("f strictly increasing", "T(M,M) within M")
     # (x, y1, y2) with F(x,y1)=F(x,y2), y1 != y2, x != 0
@@ -771,6 +786,23 @@ def _stabilizes(op: GeneratedOp, x: Fraction, y: Fraction, cap: int):
 # -- orchestration ----------------------------------------------------------
 
 
+# The steps of the neutral-element and associativity search grids, and
+# each grid's points k/n, which every function's grid shares
+NEUTRAL_GRID, ASSOC_GRID = 8, 6
+_GRID_POINTS = {n: tuple(Fraction(i, n) for i in range(n + 1))
+                for n in (NEUTRAL_GRID, ASSOC_GRID)}
+
+
+def _search_grid(f: PiecewiseMonotoneFn, n: int) -> tuple:
+    """The points k/n of ``_GRID_POINTS`` and f's breakpoints, sorted: the
+    points of a search, built once per function and step
+    (``f._search_grids``)."""
+    pts = f._search_grids.get(n)
+    if pts is None:
+        pts = f._search_grids[n] = tuple(sorted(set(f._breakpoints).union(_GRID_POINTS[n])))
+    return pts
+
+
 def _assoc_search(op: GeneratedOp, pts):
     """The first (x, y, z) of pts^3, in lexicographic order, with
     F(F(x,y),z) != F(x,F(y,z)); None when there is none.
@@ -790,7 +822,16 @@ def _assoc_search(op: GeneratedOp, pts):
 
 def _neutral_search(op: GeneratedOp, pts):
     """The first x of pts with F(x,1) != x beyond the error radius, and
-    F(x,1); None when there is none."""
+    F(x,1); None when there is none.  For an exact family F(x,1) is read
+    as a reduced pair through the op's caches (``f_pair``, ``t_finv``) and
+    compared with x's own."""
+    if op.t.exact:
+        c = op.f_pair((1, 1))
+        for x in pts:
+            k = x.numerator, x.denominator
+            if op.t_finv(*op.f_pair(k), *c)[0] != k:
+                return x, f_eval(op, x, ONE)
+        return None
     for x in pts:
         v = f_eval(op, x, ONE)
         d, r = approx_diff(v, x)
@@ -866,8 +907,9 @@ def _strict_exact_verdicts(op, d: Decomposition, z_a, z_b, log) -> dict:
             cc = Verdict.unknown(f"inclusion fails at {z} but no argument-space "
                                  "witness was constructed")
 
-    canc = check_cancellative(op, d)
-    hk = check_prop_sufficient(t, d)
+    mm = t_image(t, d.m, d.m)
+    canc = check_cancellative(op, d, mm)
+    hk = check_prop_sufficient(t, d, mm)
     log.append(("gap-hull condition", f"K1={d.k1}", hk.status))
     if canc.status == "yes":
         ts = Verdict.yes("cancellative route")
@@ -876,8 +918,7 @@ def _strict_exact_verdicts(op, d: Decomposition, z_a, z_b, log) -> dict:
     elif cc.status != "yes" and f.is_strictly_monotone and hk.status == "yes":
         ts = Verdict.yes("gap-hull condition", note="f strictly increasing")
     else:
-        pts = sorted(set(f.breakpoints()) | {Fraction(i, 6) for i in range(7)})
-        triple = _assoc_search(op, pts)
+        triple = _assoc_search(op, _search_grid(f, ASSOC_GRID))
         if triple is not None:
             ts = Verdict.no(triple, note="associativity fails")
         elif cc.status != "yes":
@@ -903,8 +944,7 @@ def _strict_exact_verdicts(op, d: Decomposition, z_a, z_b, log) -> dict:
 
 def _t_norm_verdict(op, props) -> Verdict:
     f, t = op.f, op.t
-    pts = sorted({Fraction(i, 8) for i in range(9)} | set(f.breakpoints()))
-    bad = _neutral_search(op, pts)
+    bad = _neutral_search(op, _search_grid(f, NEUTRAL_GRID))
     if bad is not None:
         x, v = bad
         c, _ = approx_diff(v, ZERO)

@@ -10,7 +10,8 @@ The structure that depends on f alone is computed once per function
 object, on first use, and cached on it: the value interval each segment
 attains, the breakpoints, the plateau set, the range decomposition, the
 pseudo-inverse that ``make_op`` hands every operation on f, the jumps,
-and the argument pairs of the plateau values that ``classify`` asks for.
+and the argument pairs of the plateau values and the search grids that
+``classify`` asks for.
 The caches live in the instance ``__dict__``, outside the dataclass
 fields, so equality, hashing and ``repr`` see only the direction and the
 segments.  The pseudo-inverse is validated like any function but keeps no
@@ -44,8 +45,9 @@ and from the right its upper end is not > a.  ``side_limit`` builds the
 pair as one Fraction.
 
 Validation (``_validate``, run by the constructor) checks that the
-pieces partition [0,1], then each piece's values at its two ends, as
-integer pairs by ``eval_pair``'s formula: within [0,1], in the function's
+pieces partition [0,1], comparing the domains' ends as the integer pairs
+that each ``Interval`` holds, then each piece's values at its two ends,
+as integer pairs by ``eval_pair``'s formula: within [0,1], in the function's
 direction, and, by cross-multiplication, not going back across pieces.
 No ``Interval`` of values is built for it.
 
@@ -59,6 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Optional
 
 from .intervals import Interval, IntervalSet, ZERO, ONE, frac
@@ -82,10 +85,14 @@ class Segment:
 
     @property
     def is_const(self) -> bool:
-        return self.slope == 0
+        return not self.slope
 
     def value_at(self, x: Fraction) -> Fraction:
-        return self.slope * x + self.intercept
+        """slope * x + intercept, from the three numbers' integer pairs,
+        built as one Fraction."""
+        s, c = self.slope, self.intercept
+        sd, cd, xd = s.denominator, c.denominator, x.denominator
+        return Fraction(s.numerator * x.numerator * cd + c.numerator * sd * xd, sd * cd * xd)
 
     @staticmethod
     def const(domain: Interval, value) -> "Segment":
@@ -101,7 +108,7 @@ class Segment:
         if self.is_const:
             return Interval.point(self.intercept)
         v_lo, v_hi = self.value_at(d.lo), self.value_at(d.hi)
-        if self.slope > 0:
+        if self.slope.numerator > 0:
             return Interval(v_lo, v_hi, d.lo_closed, d.hi_closed)
         return Interval(v_hi, v_lo, d.hi_closed, d.lo_closed)
 
@@ -109,14 +116,18 @@ class Segment:
 @dataclass(frozen=True)
 class PiecewiseMonotoneFn:
     """A monotone function on [0,1] given by its segments, which
-    ``__post_init__`` sorts into ascending x order and validates."""
+    ``__post_init__`` sorts into ascending x order and validates.  The sort
+    keys are integers: over m, the lcm of the lower ends' denominators, the
+    lower end n/d is n * (m // d)."""
 
     nondecreasing: bool
     segments: tuple = ()
 
     def __post_init__(self):
+        segs = tuple(self.segments)
+        m = lcm(*(s.domain.ld for s in segs))
         object.__setattr__(self, "segments", tuple(sorted(
-            self.segments, key=lambda s: (s.domain.lo, not s.domain.lo_closed))))
+            segs, key=lambda s: (s.domain.ln * (m // s.domain.ld), not s.domain.lo_closed))))
         _validate(self)
 
     # -- evaluation ---------------------------------------------------------
@@ -178,14 +189,22 @@ class PiecewiseMonotoneFn:
     def _jumps(self) -> tuple:
         """(x0, lo, hi) at every discontinuity, using actual one-sided
         limits (the pseudo-inverse boundary conventions play no role
-        here)."""
+        here): lo is the lesser of f(x0-) and f(x0), hi the greater of
+        f(x0+) and f(x0), with f(0-) and f(1+) read as f's values there.
+        The values and limits are integer pairs from ``eval_pair`` and
+        ``limit_pair``, compared by cross-multiplication; only a jump's
+        two values are built as Fractions."""
         out = []
         for x0 in self._breakpoints:
-            v = eval_fn(self, x0)
-            lo = v if x0 == 0 else side_limit(self, x0, "left")
-            hi = v if x0 == 1 else side_limit(self, x0, "right")
-            if lo != hi or lo != v:
-                out.append((x0, min(lo, v), max(hi, v)))
+            p, q = x0.numerator, x0.denominator
+            v = eval_pair(self, p, q)
+            lo = v if p == 0 else limit_pair(self, p, q, "left")[0]
+            hi = v if p == q else limit_pair(self, p, q, "right")[0]
+            lo_v = lo[0] * v[1] - v[0] * lo[1]  # the sign of lo - v
+            hi_v = hi[0] * v[1] - v[0] * hi[1]  # the sign of hi - v
+            if lo_v or hi_v:
+                out.append((x0, Fraction(*(lo if lo_v <= 0 else v)),
+                            Fraction(*(hi if hi_v >= 0 else v))))
         return tuple(out)
 
     @cached_property
@@ -196,12 +215,18 @@ class PiecewiseMonotoneFn:
         return {}
 
     @cached_property
+    def _search_grids(self) -> dict:
+        """``classify._search_grid``'s result per grid step, filled as it
+        is asked."""
+        return {}
+
+    @cached_property
     def _decomposition(self) -> "Decomposition":
         """``decompose``'s result; defined for non-decreasing f only."""
         m = range_of(self)
         q = plateau_set(self)
-        f0plus = side_limit(self, 0, "right")
-        f1minus = side_limit(self, 1, "left")
+        f0plus = Fraction(*limit_pair(self, 0, 1, "right")[0])
+        f1minus = Fraction(*limit_pair(self, 1, 1, "left")[0])
         if q.is_empty:
             upsilon = tau = ZERO
         else:
@@ -227,13 +252,14 @@ class PiecewiseMonotoneFn:
 def _validate(fn: PiecewiseMonotoneFn) -> None:
     if not fn.segments:
         raise InvalidFunction("no pieces")
-    cur, cur_closed = ZERO, True
+    # the ends are compared as the reduced pairs that the domains hold
+    cur, cur_n, cur_d, cur_closed = ZERO, 0, 1, True
     for p in fn.segments:
         d = p.domain
-        if d.lo != cur or d.lo_closed != cur_closed:
+        if d.ln != cur_n or d.ld != cur_d or d.lo_closed != cur_closed:
             raise InvalidFunction(f"domain gap or overlap at {cur} (next piece starts {d})")
-        cur, cur_closed = d.hi, not d.hi_closed
-    if cur != ONE or cur_closed:
+        cur, cur_n, cur_d, cur_closed = d.hi, d.hn, d.hd, not d.hi_closed
+    if cur_n != cur_d or cur_closed:
         raise InvalidFunction(f"domain does not reach 1 (stops at {cur})")
     # each piece's values are checked at its two ends, as integer pairs
     # over a positive denominator, by the formula of ``eval_pair``; they
@@ -247,8 +273,9 @@ def _validate(fn: PiecewiseMonotoneFn) -> None:
     for p in fn.segments:
         s, c = p.slope, p.intercept
         sn, sd, cn, cd = s.numerator, s.denominator, c.numerator, c.denominator
-        lo, hi = ((sn * x.numerator * cd + cn * sd * x.denominator, sd * cd * x.denominator)
-                  for x in (p.domain.lo, p.domain.hi))
+        d = p.domain
+        lo, hi = ((sn * xn * cd + cn * sd * xd, sd * cd * xd)
+                  for xn, xd in ((d.ln, d.ld), (d.hn, d.hd)))
         bottom, top = (hi, lo) if sn < 0 else (lo, hi)
         if bottom[0] < 0 or top[0] > top[1]:
             raise InvalidFunction(f"values escape [0,1] on {p.domain}")

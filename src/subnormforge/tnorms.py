@@ -4,7 +4,10 @@ values (``Approx``) of the additive-generator families.
 
 The exact families evaluate T(a/b, c/d) on integers, as a pair (n, d)
 with d > 0 (``eval_pair``), which ``eval`` builds as one Fraction; the
-domain check of ``t_eval`` compares numerators with denominators.
+domain check of ``t_eval`` compares numerators with denominators.  Box
+images read the corners' pairs from the ``Interval`` slots, and
+``t_solve_x`` takes each family's solution candidates as pairs
+(``solve_candidates``) and checks them by ``eval_pair``.
 
 The generator families (``Generator`` and ``Lambda``) evaluate their
 closed form min(1, xy·κ), with κ = e^(-g(1)) / λ, on Fractions: κ is
@@ -66,13 +69,15 @@ HALF = Fraction(1, 2)
 def _box_image_mono(phi, A: Interval, B: Interval) -> Interval:
     """Image of a box under a continuous t-norm branch that is strictly
     increasing in each argument on positive arguments and vanishes only
-    when an argument vanishes."""
-    lo, hi = phi(A.lo, B.lo), phi(A.hi, B.hi)
+    when an argument vanishes.  phi is the branch on integer pairs, as
+    ``eval_pair`` is, applied to the corners' pairs; only the image's two
+    ends are built as Fractions."""
+    (ln, ld), (hn, hd) = phi(A.ln, A.ld, B.ln, B.ld), phi(A.hn, A.hd, B.hn, B.hd)
     lo_att = (A.lo_closed and B.lo_closed) or (
-        lo == 0 and ((A.lo == 0 and A.lo_closed) or (B.lo == 0 and B.lo_closed))
+        ln == 0 and ((A.ln == 0 and A.lo_closed) or (B.ln == 0 and B.lo_closed))
     )
-    hi_att = (A.hi_closed and B.hi_closed) or hi == 0
-    iv = Interval.make(lo, hi, lo_att, hi_att)
+    hi_att = (A.hi_closed and B.hi_closed) or hn == 0
+    iv = Interval.make(Fraction(ln, ld), Fraction(hn, hd), lo_att, hi_att)
     if iv is None:
         raise AssertionError("inconsistent box image")  # degenerate unattained point
     return iv
@@ -110,7 +115,7 @@ class TNormDescriptor:
 
     def box_image(self, A: Interval, B: Interval) -> list:
         """T(A,B) for one box, as a list of intervals."""
-        return [_box_image_mono(self.eval, A, B)]
+        return [_box_image_mono(self.eval_pair, A, B)]
 
     def dir_limit(self, v: tuple, side: str, c: tuple) -> tuple:
         """(lim T(u,c) as u -> v from `side`, whether T(u,c) is constant
@@ -133,8 +138,9 @@ class Product(TNormDescriptor):
         """ac/(bd) for x = a/b and y = c/d."""
         return a * c, b * d
 
-    def solve_candidates(self, y: Fraction, z: Fraction) -> list:
-        return [z / y]
+    def solve_candidates(self, yn: int, yd: int, zn: int, zd: int) -> list:
+        """x = z/y."""
+        return [(zn * yd, zd * yn)]
 
 
 class Hamacher2(TNormDescriptor):
@@ -146,9 +152,9 @@ class Hamacher2(TNormDescriptor):
         ac = a * c
         return ac, 2 * b * d - a * d - b * c + ac
 
-    def solve_candidates(self, y: Fraction, z: Fraction) -> list:
-        den = y + z - z * y
-        return [z * (2 - y) / den] if den != 0 else []
+    def solve_candidates(self, yn: int, yd: int, zn: int, zd: int) -> list:
+        """x = z(2 - y)/(y + z - zy), whose denominator is y + z(1 - y) > 0."""
+        return [(zn * (2 * yd - yn), yn * zd + zn * yd - zn * yn)]
 
 
 class Minimum(TNormDescriptor):
@@ -161,14 +167,20 @@ class Minimum(TNormDescriptor):
         return (a, b) if a * d <= c * b else (c, d)
 
     def box_image(self, A: Interval, B: Interval) -> list:
-        # each end is the lesser of the two ends; on a tie the lower end is
-        # closed if either is, the upper end only if both are
-        lo, lo_open = min((A.lo, not A.lo_closed), (B.lo, not B.lo_closed))
-        hi, hi_closed = min((A.hi, A.hi_closed), (B.hi, B.hi_closed))
-        return [Interval.make(lo, hi, not lo_open, hi_closed)]
+        # each end is the lesser of the two ends, found by the sign of a
+        # cross product; on a tie the lower end is closed if either is, the
+        # upper end only if both are
+        c = A.ln * B.ld - B.ln * A.ld  # the sign of A.lo - B.lo
+        a = A if c <= 0 else B
+        lo_closed = a.lo_closed if c else A.lo_closed or B.lo_closed
+        c = A.hn * B.hd - B.hn * A.hd  # the sign of A.hi - B.hi
+        b = A if c <= 0 else B
+        hi_closed = b.hi_closed if c else A.hi_closed and B.hi_closed
+        return [Interval.make(a.lo, b.hi, lo_closed, hi_closed)]
 
-    def solve_candidates(self, y: Fraction, z: Fraction) -> list:
-        return [z, y, ONE, (y + 1) / 2]
+    def solve_candidates(self, yn: int, yd: int, zn: int, zd: int) -> list:
+        """z, y, 1 and (y + 1)/2."""
+        return [(zn, zd), (yn, yd), (1, 1), (yn + yd, 2 * yd)]
 
     def dir_limit(self, v: tuple, side: str, c: tuple) -> tuple:
         # min(u,c) = c for every u near v once c < v, and for u > v once c = v;
@@ -204,14 +216,15 @@ class Halfprod(TNormDescriptor):
         b_lo, b_hi = B.intersect(_LOWER_HALF), B.intersect(_UPPER_HALF)
         out = []
         if a_lo and b_lo:
-            out.append(_box_image_mono(lambda x, y: x * y / 2, a_lo, b_lo))
+            out.append(_box_image_mono(lambda a, b, c, d: (a * c, 2 * b * d), a_lo, b_lo))
         for A2, B2 in ((a_lo, b_hi), (a_hi, b_lo), (a_hi, b_hi)):
             if A2 and B2:
-                out.append(_box_image_mono(lambda x, y: x * y, A2, B2))
+                out.append(_box_image_mono(PRODUCT.eval_pair, A2, B2))
         return out
 
-    def solve_candidates(self, y: Fraction, z: Fraction) -> list:
-        return [2 * z / y, z / y]
+    def solve_candidates(self, yn: int, yd: int, zn: int, zd: int) -> list:
+        """x = 2z/y on the halved branch and z/y on the plain one."""
+        return [(2 * zn * yd, zd * yn), (zn * yd, zd * yn)]
 
     def dir_limit(self, v: tuple, side: str, c: tuple) -> tuple:
         # just above 1/2 the plain-product branch takes over; for c = 0 its
@@ -439,18 +452,30 @@ def t_image(t: TNormDescriptor, a: IntervalSet, b: IntervalSet) -> IntervalSet:
 
 
 def t_solve_x(t: TNormDescriptor, y: Fraction, z: Fraction) -> list:
-    """Verified solutions x in [0,1] of T(x,y) = z for exact families."""
+    """Verified solutions x in [0,1] of T(x,y) = z for exact families, for
+    y and z in [0,1], in the order of the family's candidates.
+
+    The candidates, and their checks by the family's ``eval_pair``, run on
+    integer pairs; only a verified solution is built as a Fraction."""
     if not t.exact:
         return []
-    candidates = []
-    if y != 0:
-        candidates = t.solve_candidates(y, z)
-    elif z == 0:
-        candidates = [ZERO, HALF, ONE]
-    out = []
-    for x in candidates:
-        if 0 <= x <= 1 and t_eval(t, x, y) == z and x not in out:
-            out.append(x)
+    yn, yd, zn, zd = y.numerator, y.denominator, z.numerator, z.denominator
+    if yn:
+        candidates = t.solve_candidates(yn, yd, zn, zd)  # positive denominators for y > 0
+    elif not zn:
+        candidates = [(0, 1), (1, 2), (1, 1)]
+    else:
+        return []
+    out, seen = [], []
+    for xn, xd in candidates:
+        if 0 <= xn <= xd:
+            n, d = t.eval_pair(xn, xd, yn, yd)
+            if n * zd == zn * d:
+                x = Fraction(xn, xd)
+                k = x.numerator, x.denominator
+                if k not in seen:
+                    seen.append(k)
+                    out.append(x)
     return out
 
 

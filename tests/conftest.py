@@ -259,3 +259,24 @@ def lattice_fns(nb: int = 3, nv: int = 3):
                             else Segment.const(dom, lo))
             segments.append(Segment.const(Interval.point(b), at_b))
         yield PiecewiseMonotoneFn(True, tuple(segments))
+
+
+# 1/WIDE_BIG moves a small-denominator value off its denominator
+WIDE_BIG = 3 * 2 ** 100 + 1
+small_fractions = st.fractions(min_value=0, max_value=1, max_denominator=12)
+# rationals in [0,1] for the integer-pair kernels' reference tests: small
+# denominators, which give equal and touching values, large ones, and small
+# ones moved by 1/WIDE_BIG, which make the cross products large
+wide_fractions = st.one_of(
+    small_fractions,
+    st.integers(0, WIDE_BIG).map(lambda n: Fraction(n, WIDE_BIG)),
+    st.tuples(small_fractions, st.integers(-2, 2)).map(
+        lambda t: min(Fraction(1), max(Fraction(0), t[0] + Fraction(t[1], WIDE_BIG)))),
+)
+
+
+def fraction_contains(iv, x):
+    """x in the interval iv, by Fraction comparisons: the reference for
+    the integer-pair membership tests."""
+    return ((iv.lo < x or (x == iv.lo and iv.lo_closed))
+            and (x < iv.hi or (x == iv.hi and iv.hi_closed)))

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (WORKED_EXAMPLES, _one_minus, lattice_fns, monotone_fns,
-                      nonincreasing_fns, random_strictly_increasing_fn)
+from conftest import (WIDE_BIG, WORKED_EXAMPLES, _one_minus, fraction_contains, lattice_fns,
+                      monotone_fns, nonincreasing_fns, random_strictly_increasing_fn)
 from subnormforge import (Interval, PiecewiseMonotoneFn, Segment, classify, decompose,
                           f_eval, make_op, parse_fn, parse_tnorm)
 from subnormforge.classify import (
     _assoc_search,
     _limit_search,
+    _neutral_search,
+    _search_grid,
     arg_with_value,
     check_archimedean,
     check_cancellative,
@@ -27,7 +29,8 @@ from subnormforge.classify import (
 )
 from subnormforge.oracle import consistency_harness
 from subnormforge.pwfn import approach_segment
-from subnormforge.tnorms import Approx, GeneratorSpec, Lambda, t_eval, t_image, t_solve_x
+from subnormforge.tnorms import (Approx, GeneratorSpec, Lambda, approx_diff, t_eval, t_image,
+                                 t_solve_x)
 
 F = Fraction
 
@@ -325,6 +328,89 @@ def test_lattice_harness(tdesc):
         recheck_no_witnesses(f, t, classify(f, t))
 
 
+# -- range queries on integer pairs -----------------------------------------
+#
+# The reference_* functions do the work of arg_with_value and
+# _neutral_search on Fractions; the pair versions must agree with them.
+
+
+def reference_arg_with_value(f, v, avoid=None):
+    for p, vals in zip(f.segments, f._values):
+        if not fraction_contains(vals, v):
+            continue
+        d = p.domain
+        if p.is_const:
+            for cand in (d.lo if d.lo_closed else None, (d.lo + d.hi) / 2,
+                         d.hi if d.hi_closed else None):
+                if cand is not None and fraction_contains(d, cand) and cand != avoid:
+                    return cand
+        else:
+            x = (v - p.intercept) / p.slope
+            if x != avoid:
+                return x
+    return None
+
+
+def value_probes(f):
+    """The ends and midpoint of every piece's values, each also moved up
+    by 1/WIDE_BIG, off the small denominators of f's values, and the
+    sevenths."""
+    vals = {F(i, 7) for i in range(8)}
+    for iv in f._values:
+        vals.update((iv.lo, iv.hi, iv.midpoint()))
+    vals |= {min(F(1), v + F(1, WIDE_BIG)) for v in vals}
+    return sorted(vals)
+
+
+def assert_arg_with_value_matches(f, extra=()):
+    for v in value_probes(f):
+        x = reference_arg_with_value(f, v)
+        assert arg_with_value(f, v) == x, (str(f), v)
+        for avoid in (x, *extra):
+            assert arg_with_value(f, v, avoid=avoid) == reference_arg_with_value(
+                f, v, avoid), (str(f), v, avoid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()),
+       avoid=st.fractions(min_value=0, max_value=1, max_denominator=2 ** 64))
+def test_arg_with_value_matches_reference(f, avoid):
+    assert_arg_with_value_matches(f, (avoid,))
+
+
+def test_arg_with_value_matches_reference_on_the_lattice():
+    # the lattice's constant pieces are open at both ends, so the scan
+    # takes their midpoints
+    for f in LATTICE:
+        assert_arg_with_value_matches(f, (F(1, 3), F(1, 2)))
+    f = parse_fn(F_OPEN_PLATEAU)
+    assert arg_with_value(f, F(1, 2)) == F(3, 8)
+    assert arg_with_value(f, F(1, 2), avoid=F(3, 8)) is None
+
+
+def reference_neutral_search(op, pts):
+    for x in pts:
+        v = f_eval(op, x, F(1))
+        d, r = approx_diff(v, x)
+        if abs(d) > r:
+            return x, v
+    return None
+
+
+@pytest.mark.parametrize("tdesc", ["product", "hamacher2", "min", "halfprod"])
+def test_neutral_search_matches_reference_on_the_lattice(tdesc):
+    t = parse_tnorm(tdesc)
+    for f in LATTICE + [_one_minus(g) for g in LATTICE]:
+        pts = _search_grid(f, 8)
+        assert pts == tuple(sorted({F(i, 8) for i in range(9)} | set(f.breakpoints())))
+        assert _search_grid(f, 8) is pts
+        op = make_op(f, t)
+        got = _neutral_search(op, pts)
+        assert got == reference_neutral_search(make_op(f, t), pts), str(f)
+        if got is not None:
+            assert type(got[1]) is F
+
+
 # -- a change of representation ----------------------------------------------
 
 
@@ -394,10 +480,11 @@ def test_verdict_implications_random():
 
 def test_check_cancellative_needs_an_exact_family(f_identity):
     # classify decides inexact families by its corollary route and never
-    # calls check_cancellative for them; a direct call cannot build T(M,M)
-    op = make_op(f_identity, parse_tnorm("gen:neglog"))
+    # calls check_cancellative for them: the image T(M,M) that it takes
+    # cannot be built for them
+    m = decompose(f_identity).m
     with pytest.raises(ValueError, match="exact families"):
-        check_cancellative(op, decompose(f_identity))
+        t_image(parse_tnorm("gen:neglog"), m, m)
 
 
 def test_check_inclusion_conditions_needs_an_exact_family(f_identity):
@@ -756,9 +843,10 @@ segment (1/3,1] linear 3/8 5/8
 def test_cancellation_witness_from_an_escape_value_at_a_gap_end():
     f = parse_fn(F_ESCAPE_AT_GAP_END)
     op = make_op(f, PRODUCT)
-    assert t_image(PRODUCT, decompose(f).m, decompose(f).m).is_subset_of(
-        decompose(f).m) == (False, F(1, 4))
-    v = check_cancellative(op, decompose(f))
+    d = decompose(f)
+    mm = t_image(PRODUCT, d.m, d.m)
+    assert mm.is_subset_of(d.m) == (False, F(1, 4))
+    v = check_cancellative(op, d, mm)
     assert v == Verdict.no((F(1, 3), F(1, 3), F(7, 15)),
                            note="image value 1/4 in a range gap collapses "
                                 "distinct arguments")

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subnormforge
-from conftest import WORKED_EXAMPLES
+from conftest import WORKED_EXAMPLES, wide_fractions
 from subnormforge.fnformat import parse_fn
 from subnormforge.generated import f_eval, make_op
 from subnormforge.intervals import Interval, IntervalSet
@@ -410,6 +410,93 @@ def test_t_solve_x_halfprod_both_branches():
     assert all(t_eval(parse_tnorm("halfprod"), x, F(4, 5)) == F(1, 5)
                for x in xs)
     assert xs
+
+
+# t_solve_x's candidates per family, on Fractions
+REFERENCE_CANDIDATES = {
+    "product": lambda y, z: [z / y],
+    "hamacher2": lambda y, z: [z * (2 - y) / (y + z - z * y)] if y + z - z * y != 0 else [],
+    "min": lambda y, z: [z, y, F(1), (y + 1) / 2],
+    "halfprod": lambda y, z: [2 * z / y, z / y],
+}
+
+
+def reference_t_solve_x(t, y, z):
+    """t_solve_x on Fractions: each candidate checked by t_eval."""
+    candidates = []
+    if y != 0:
+        candidates = REFERENCE_CANDIDATES[str(t)](y, z)
+    elif z == 0:
+        candidates = [F(0), HALF, F(1)]
+    out = []
+    for x in candidates:
+        if 0 <= x <= 1 and t_eval(t, x, y) == z and x not in out:
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("t", EXACT, ids=family_id)
+@settings(max_examples=60)
+@given(y=wide_fractions, z=wide_fractions, x=wide_fractions)
+@example(y=F(0), z=F(0), x=F(1, 2))
+@example(y=F(0), z=F(1, 3), x=F(1, 2))
+@example(y=F(4, 5), z=F(1, 5), x=F(1, 4))
+def test_t_solve_x_matches_reference(t, y, z, x):
+    # z and T(x, y), which has a solution, at y = 0 among others
+    for zz in (z, reference_exact_eval(t, x, y)):
+        got = t_solve_x(t, y, zz)
+        assert got == reference_t_solve_x(t, y, zz), (y, zz)
+        assert all(type(v) is F for v in got)
+
+
+def reference_box_image_mono(phi, A, B):
+    """_box_image_mono on Fractions."""
+    lo, hi = phi(A.lo, B.lo), phi(A.hi, B.hi)
+    lo_att = (A.lo_closed and B.lo_closed) or (
+        lo == 0 and ((A.lo == 0 and A.lo_closed) or (B.lo == 0 and B.lo_closed)))
+    hi_att = (A.hi_closed and B.hi_closed) or hi == 0
+    return Interval.make(lo, hi, lo_att, hi_att)
+
+
+def reference_box_image(t, A, B):
+    """Each exact family's box_image on Fractions."""
+    name = str(t)
+    if name == "min":
+        lo, lo_open = min((A.lo, not A.lo_closed), (B.lo, not B.lo_closed))
+        hi, hi_closed = min((A.hi, A.hi_closed), (B.hi, B.hi_closed))
+        return [Interval.make(lo, hi, not lo_open, hi_closed)]
+    if name == "halfprod":
+        lower, upper = Interval.closed(0, HALF), Interval.make(HALF, 1, False, True)
+        a_lo, a_hi = A.intersect(lower), A.intersect(upper)
+        b_lo, b_hi = B.intersect(lower), B.intersect(upper)
+        out = []
+        if a_lo and b_lo:
+            out.append(reference_box_image_mono(lambda x, y: x * y / 2, a_lo, b_lo))
+        for A2, B2 in ((a_lo, b_hi), (a_hi, b_lo), (a_hi, b_hi)):
+            if A2 and B2:
+                out.append(reference_box_image_mono(lambda x, y: x * y, A2, B2))
+        return out
+    return [reference_box_image_mono(lambda x, y: reference_exact_eval(t, x, y), A, B)]
+
+
+@st.composite
+def wide_intervals(draw):
+    a, b = draw(wide_fractions), draw(wide_fractions)
+    iv = Interval.make(min(a, b), max(a, b), draw(st.booleans()), draw(st.booleans()))
+    return Interval.point(a) if iv is None else iv
+
+
+@pytest.mark.parametrize("t", EXACT, ids=family_id)
+@settings(max_examples=60)
+@given(A=wide_intervals(), B=wide_intervals(), C=wide_intervals())
+@example(A=Interval.make(0, HALF, False, True), B=Interval.make(0, 1, True, False),
+         C=Interval.point(HALF))
+def test_box_images_match_reference(t, A, B, C):
+    for X, Y in ((A, B), (B, A), (A, C), (C, B)):
+        assert t.box_image(X, Y) == reference_box_image(t, X, Y), (X, Y)
+    sa, sb = IntervalSet.of([A, C]), IntervalSet.of([B, C])
+    assert t_image(t, sa, sb) == IntervalSet.of(
+        iv for X in sa.parts for Y in sb.parts for iv in reference_box_image(t, X, Y))
 
 
 def dir_limit(t, v, side, c):
