@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from .generated import GeneratedOp, f_eval, make_op
@@ -81,8 +81,8 @@ class ClassificationReport:
 
 
 # All p/q in (0,1] with q <= 32, once each, in ascending denominator
-# order: the deterministic search order of the witness builders.
-_PQ_VALUES = tuple(dict.fromkeys(
+# order, each with its pair: the witness builders' deterministic search order.
+_PQ_VALUES = tuple((v, v.numerator, v.denominator) for v in dict.fromkeys(
     Fraction(p, q) for q in range(1, 33) for p in range(1, q + 1)))
 
 
@@ -127,17 +127,25 @@ DENSE_PROBES = 4
 
 def _dense_samples(s: IntervalSet) -> list:
     """Several interior points per part (plus closed endpoints), so that
-    even a single open interval contributes multiple probes."""
+    even a single open interval contributes multiple probes: reduced pairs,
+    sorted by integer keys over the lcm of their denominators."""
     out = set()
+    k = DENSE_PROBES + 1
     for p in s.parts:
         if p.lo_closed:
-            out.add(p.lo)
+            out.add((p.ln, p.ld))
         if p.hi_closed:
-            out.add(p.hi)
-        if p.lo < p.hi:
-            for j in range(1, DENSE_PROBES + 1):
-                out.add(p.lo + (p.hi - p.lo) * Fraction(j, DENSE_PROBES + 1))
-    return sorted(out)
+            out.add((p.hn, p.hd))
+        w = p.hn * p.ld - p.ln * p.hd  # (hi - lo) * ld * hd
+        if w > 0:
+            # lo + (hi - lo) * j/k = (k * ln * hd + j * w) / (k * ld * hd)
+            base, den = k * p.ln * p.hd, k * p.ld * p.hd
+            for j in range(1, k):
+                n = base + j * w
+                g = gcd(n, den)
+                out.add((n // g, den // g))
+    m = lcm(*(d for _, d in out))
+    return sorted(out, key=lambda u: u[0] * (m // u[1]))
 
 
 def _plateau_pair(f: PiecewiseMonotoneFn, w: Fraction):
@@ -193,9 +201,17 @@ def check_degenerate(op: GeneratedOp, top):
     return None
 
 
+# _undecided's verdicts per note, built once: a Verdict is frozen, so units share them
+_UNDECIDED = {}
+
+
 def _undecided(note) -> dict:
-    """Unknown for every property but ``proper``."""
-    return {p: Verdict.unknown("none", note=note) for p in PROPERTIES if p != "proper"}
+    """Unknown for every property but ``proper``, as a dict the caller may edit."""
+    out = _UNDECIDED.get(note)
+    if out is None:
+        out = _UNDECIDED[note] = {p: Verdict.unknown("none", note=note)
+                                  for p in PROPERTIES if p != "proper"}
+    return dict(out)
 
 
 def _plateau_at_one(w, x1, x2, probe, top, evidence, note):
@@ -239,13 +255,15 @@ def _vanishing_verdicts(top, evidence, note):
 
 def _proper_verdict(op, top) -> Verdict:
     """Proper means F(1,1) = `top` < 1: the operation cannot have neutral
-    element 1."""
-    c, r = approx_diff(top, ZERO)
-    shown = f"{float(c):.12f}" if r else f"{c}"
+    element 1.  An Approx `top` has a positive radius."""
+    if not isinstance(top, Approx):
+        if top < 1:
+            return Verdict.yes(f"F(1,1)={top} < 1")
+        return Verdict.no((ONE, ONE), note="F(1,1)=1")
+    c, r = top.value, top.radius
+    shown = f"{float(c):.12f}"
     if c + r < 1:
         return Verdict.yes(f"F(1,1)={shown} < 1")
-    if not r:
-        return Verdict.no((ONE, ONE), note="F(1,1)=1")
     if op.t.neutral_one and eval_fn(op.f, ONE) == 1:
         # T(1,1) = 1 exactly, so F(1,1) = finv(1) exactly, whatever T's radius
         exact = op.finv_at(ONE)
@@ -402,29 +420,39 @@ def _gap_collisions(op, d: Decomposition, domain: IntervalSet, z: Fraction):
 
     Only the strict exact families reach here, where F is symmetric, so
     the same collisions serve with x as the first or the second argument.
-    z lies outside the range M, so some gap holds it.
-    """
-    t = op.t
-    b, dd, c = next(g for g in d.s if g[0] <= z <= g[1])
-    for v in _PQ_VALUES:
-        if not d.m.contains(v):
+    z lies outside the range M, so some gap holds it.  The values v = f(x)
+    and samples u = f(y) are pairs, T read by ``eval_pair``; each u gets
+    its y and F(x, y) = finv(T(v, u)) once, when a pair first needs them.
+    Distinct samples give distinct y."""
+    t, f = op.t, op.f
+    zn, zd = z.numerator, z.denominator
+    b, dd, c = next(g for g in d.s
+                    if g[0].numerator * zd <= zn * g[0].denominator
+                    and zn * g[1].denominator <= g[1].numerator * zd)
+    cn, cd = c.numerator, c.denominator
+    gap = Interval.closed(b, dd)
+    for v, vn, vd in _PQ_VALUES:
+        if not d.m.contains_pair(vn, vd):
             continue
-        pre = domain.intersect(t_preimage(t, v, Interval.closed(b, dd)))
-        us = [u for u in _dense_samples(pre) if t_eval(t, u, v) != c][:6]
+        us = [u for u in _dense_samples(domain.intersect(t_preimage(t, v, gap)))
+              if (w := t.eval_pair(*u, vn, vd))[0] * cd != cn * w[1]][:6]
         if len(us) < 2:
             continue
-        x = arg_with_value(op.f, v)
+        x = arg_with_value(f, v)
         if x is None:
             continue
+        ys, fs = [], [None] * len(us)
         for i in range(len(us)):
             for j in range(i + 1, len(us)):
-                y1 = arg_with_value(op.f, us[i])
-                y2 = arg_with_value(op.f, us[j])
-                if y1 is None or y2 is None or y1 == y2:
+                while len(ys) <= j:
+                    ys.append(arg_with_value(f, Fraction(*us[len(ys)])))
+                if ys[i] is None or ys[j] is None:
                     continue
-                a = f_eval(op, x, y1)
-                if a == f_eval(op, x, y2):
-                    yield x, y1, y2, a
+                for k in (i, j):
+                    if fs[k] is None:
+                        fs[k] = op.t_finv(vn, vd, *us[k])[0]
+                if fs[i] == fs[j]:
+                    yield x, ys[i], ys[j], Fraction(*fs[i])
 
 
 def _cc_witness(op, d: Decomposition, which: str, z: Fraction):

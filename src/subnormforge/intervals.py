@@ -12,7 +12,8 @@ Every order test here is the sign of a cross product of those ints, and
 two ends are equal when their pairs are, so the algebra compares no
 Fraction.  ``contains_pair`` asks membership of a point p/q held as a
 pair, and ``IntervalSet.of`` sorts its parts by integer keys over the lcm
-of their denominators.
+of their denominators; ``IntervalSet.merged`` takes parts already in that
+order, such as a monotone function's value intervals.
 """
 
 from __future__ import annotations
@@ -170,6 +171,12 @@ class IntervalSet:
             m = lcm(*(p.ld for p in items), *(p.hd for p in items))
             items.sort(key=lambda p: (p.ln * (m // p.ld), not p.lo_closed,
                                       p.hn * (m // p.hd), not p.hi_closed))
+        return IntervalSet.merged(items)
+
+    @staticmethod
+    def merged(items: Iterable[Interval]) -> "IntervalSet":
+        """The set of the Intervals `items`, which come in ``of``'s order:
+        ``of`` without the sort."""
         merged: list[Interval] = []
         for p in items:
             if merged:
@@ -213,7 +220,10 @@ class IntervalSet:
 
     def contains(self, x: Rat) -> bool:
         x = frac(x)
-        p, q = x.numerator, x.denominator
+        return self.contains_pair(x.numerator, x.denominator)
+
+    def contains_pair(self, p: int, q: int) -> bool:
+        """Whether p/q lies in the set, for q > 0."""
         for part in self.parts:
             if part.contains_pair(p, q):
                 return True
@@ -268,10 +278,6 @@ class IntervalSet:
             return IntervalSet(())
         a, b = self.parts[0], self.parts[-1]
         return IntervalSet.single(_span(a.lo, b.hi, False, False, a.ln, a.ld, b.hn, b.hd))
-
-    @property
-    def sup(self) -> Fraction:
-        return self.parts[-1].hi
 
     def has_multiple_points(self) -> bool:
         return len(self.parts) > 1 or (len(self.parts) == 1 and not self.parts[0].is_point)

@@ -16,9 +16,9 @@ The caches live in the instance ``__dict__``, outside the dataclass
 fields, so equality, hashing and ``repr`` see only the direction and the
 segments.  The pseudo-inverse is validated like any function but keeps no
 value intervals, so it holds its segments and ``_kernel`` alone.  Over
-every (function, family) pair of the classify benchmark's corpus, seed 4,
-these caches raise the Python heap retained per function from about 3.5
-to 5.5 KB (tracemalloc), and the benchmark's peak RSS by about 8%.
+every (function, family) pair of the classify benchmark's corpus, seed 4
+(1506 functions), classifying raises the Python heap retained per
+function from about 1.4 KB, parsed, to 5.9 KB (tracemalloc, Python 3.11).
 
 ``eval_pair`` runs on one more cache, the integer table ``_kernel``: per
 piece in x order, its upper end as numerator, denominator and closedness,
@@ -52,8 +52,11 @@ direction, and, by cross-multiplication, not going back across pieces.
 No ``Interval`` of values is built for it.
 
 ``pseudo_inverse`` builds the closed form of the pseudo-inverse in one
-sweep over the segments and their cached value intervals; ``pseudo_inverse_at``
-is the pointwise definition that the tests hold it against.
+sweep over the pieces, comparing the integer pairs of their value
+intervals and lines, and emits its pieces in x order; ``pseudo_inverse_at``
+is the pointwise definition that the tests hold it against, a scan of
+``_kernel`` like ``first_arg_above``.  The range, the plateau set and the
+decomposition are built in one pass each over values that come in order.
 """
 
 from __future__ import annotations
@@ -61,10 +64,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
-from .intervals import Interval, IntervalSet, ZERO, ONE, frac
+from .intervals import Interval, IntervalSet, ZERO, ONE, _nonempty, frac
 
 
 class DomainError(ValueError):
@@ -175,9 +178,13 @@ class PiecewiseMonotoneFn:
         with x1 < x2, monotonicity makes f equal v on [x1,x2], and a piece
         covering part of (x1,x2) that is more than a point is a constant
         segment with value v.  So these are the constant values of the
-        segments whose domain is not a single point."""
-        return IntervalSet.points(s.intercept for s in self.segments
-                                  if s.is_const and not s.domain.is_point)
+        segments whose domain is not a single point.  They come in f's
+        direction, so one pass collects them, keyed by their pairs in
+        ``_kernel`` to drop repeats."""
+        values = {e[3]: s.intercept for s, e in zip(self.segments, self._kernel)
+                  if e[4] is None and not s.domain.is_point}
+        parts = [Interval.point(v) for v in values.values()]
+        return IntervalSet(tuple(parts if self.nondecreasing else parts[::-1]))
 
     @cached_property
     def _pseudo_inverse(self) -> "PiecewiseMonotoneFn":
@@ -222,31 +229,35 @@ class PiecewiseMonotoneFn:
 
     @cached_property
     def _decomposition(self) -> "Decomposition":
-        """``decompose``'s result; defined for non-decreasing f only."""
+        """``decompose``'s result; defined for non-decreasing f only.  The
+        gaps are M's complement in order, so C, their ends in M keyed by
+        their pairs, comes out ascending."""
         m = range_of(self)
         q = plateau_set(self)
         f0plus = Fraction(*limit_pair(self, 0, 1, "right")[0])
         f1minus = Fraction(*limit_pair(self, 1, 1, "left")[0])
         if q.is_empty:
             upsilon = tau = ZERO
+            un, ud = 0, 1
         else:
-            upsilon = q.sup
+            top = q.parts[-1]
+            upsilon, un, ud = top.hi, top.hn, top.hd
             tau = first_arg_above(self, upsilon)
-        if m == IntervalSet.unit():
-            s, c = ((ONE, ONE, ONE),), (ONE,)
-        else:
-            # each gap [b,d] of the range gives one (b, d, c) with c its
-            # first kept endpoint; C holds every kept endpoint
-            gaps = m.complement().parts
-            kept = [[v for v in (g.lo, g.hi) if m.contains(v)] for g in gaps]
-            for g, cs in zip(gaps, kept):
-                if not cs:
-                    raise InvalidFunction(f"range gap [{g.lo},{g.hi}] keeps neither endpoint")
-            s = tuple((g.lo, g.hi, cs[0]) for g, cs in zip(gaps, kept))
-            c = tuple(sorted({cv for cs in kept for cv in cs}))
+        # M = [0,1] reads as having the gap [1,1], which keeps 1
+        gaps = m.complement().parts or (Interval.point(ONE),)
+        s, c = [], {}
+        for g in gaps:
+            # (b, d, c) for the gap [b,d], with c its first end in M
+            kept = [(k, v) for k, v in (((g.ln, g.ld), g.lo), ((g.hn, g.hd), g.hi))
+                    if m.contains_pair(*k)]
+            if not kept:
+                raise InvalidFunction(f"range gap [{g.lo},{g.hi}] keeps neither endpoint")
+            s.append((g.lo, g.hi, kept[0][1]))
+            c.update(kept)
         # every b >= 0 = upsilon when Q is empty, so then K1 is every gap
-        k1 = tuple(i for i, (b, _, _) in enumerate(s) if b >= upsilon)
-        return Decomposition(m, s, c, q, f0plus, f1minus, tau, upsilon, k1)
+        k1 = tuple(i for i, g in enumerate(gaps) if g.ln * ud >= un * g.ld)
+        return Decomposition(m, tuple(s), tuple(c.values()), q, f0plus, f1minus, tau,
+                             upsilon, k1)
 
 
 def _validate(fn: PiecewiseMonotoneFn) -> None:
@@ -317,7 +328,7 @@ def eval_pair(f: PiecewiseMonotoneFn, p: int, q: int) -> tuple:
 def _unit_arg(v) -> Fraction:
     """v as a Fraction; DomainError when it lies outside [0,1]."""
     v = frac(v)
-    if v < 0 or v > 1:
+    if v.numerator < 0 or v.numerator > v.denominator:
         raise DomainError(f"argument {v} outside [0,1]")
     return v
 
@@ -378,29 +389,36 @@ def pseudo_inverse_at(f: PiecewiseMonotoneFn, y) -> Fraction:
     = inf{x : f(x) <= y}.
     """
     y = _unit_arg(y)
-    return _first_arg(f, Interval(y, ONE) if f.nondecreasing else Interval(ZERO, y))
+    return _first_arg(f, y.numerator, y.denominator, True)
 
 
-def _first_arg(f, target: Interval) -> Fraction:
-    """inf{x : f(x) in target}, inf(empty) = 1, for a target that holds
-    every value of [0,1] beyond its near end y: above y for non-decreasing
-    f, below y for non-increasing f.  Then every x after one whose value
-    hits the target hits it too, so the first piece whose values meet the
-    target holds the infimum: its first x for a constant piece, and for a
-    line the x where it reaches y, or its first x when it starts past y."""
-    y = target.lo if f.nondecreasing else target.hi
-    for p, vals in zip(f.segments, f._values):
-        if vals.intersect(target) is not None:
-            if p.is_const:
+def _first_arg(f, yn: int, yd: int, closed: bool) -> Fraction:
+    """inf{x : f(x) in target}, inf(empty) = 1, for y = yn/yd, yd > 0, and
+    the target of the values of [0,1] beyond y (above y for non-decreasing
+    f, below y otherwise), with y itself when `closed`.  Every x after one
+    whose value hits the target hits it too, so the first piece whose
+    values meet the target holds the infimum: its first x for a constant
+    piece, and for a line the x where it reaches y, or its first x when it
+    starts past y.  The scan reads ``f._kernel``: a piece's value at its
+    upper end goes farthest into the target, attained by a constant piece
+    and by a line closed there."""
+    sign = 1 if f.nondecreasing else -1
+    for p, (hn, hd, hi_closed, (vn, vd), line) in zip(f.segments, f._kernel):
+        if line is not None:  # a line's value at its upper end
+            sn, sd, cn, cd = line
+            vn, vd = sn * hn * cd + cn * sd * hd, sd * cd * hd
+        c = (vn * yd - yn * vd) * sign  # the sign of that value - y, into the target
+        if c > 0 or (c == 0 and closed and (line is None or hi_closed)):
+            if line is None:
                 return p.domain.lo
-            return max(p.domain.lo, (y - p.intercept) / p.slope)
+            return max(p.domain.lo, Fraction((yn * cd - cn * yd) * sd, yd * cd * sn))
     return ONE
 
 
 def first_arg_above(f: PiecewiseMonotoneFn, v) -> Fraction:
     """inf{x : f(x) > v} for non-decreasing f; inf(empty) = 1."""
-    above = Interval.make(_unit_arg(v), ONE, False, True)
-    return ONE if above is None else _first_arg(f, above)
+    v = _unit_arg(v)
+    return _first_arg(f, v.numerator, v.denominator, False)
 
 
 def pseudo_inverse(f: PiecewiseMonotoneFn) -> PiecewiseMonotoneFn:
@@ -427,37 +445,66 @@ def pseudo_inverse(f: PiecewiseMonotoneFn) -> PiecewiseMonotoneFn:
     0, joins the first one when that piece starts at 0 and is an isolated
     point otherwise.  Neighbours with the same line are merged as they are
     built.
+
+    The sweep compares the u-values, the value intervals' pairs (1 - n/d
+    is (d - n)/d), by cross products, and lines by their reduced (slope,
+    intercept) pairs; only the kept lines are built as Fractions.  The
+    pieces come in ascending u, descending y for non-increasing f, where
+    they are reversed, so the constructor finds them in x order.
     """
     up = f.nondecreasing
-    out = []  # [u_top, slope, intercept]: finv on (previous u_top, u_top], the first from 0
+    # [u_top, y at u_top, line, (slope, intercept)]: finv on (previous
+    # u_top, u_top], the first from 0, with its line as pairs and Fractions.
+    # A constant line reuses ZERO and its piece's lower end, as the Fraction
+    # sweep did, so finv holds no more Fractions than it did then
+    out = []
 
-    def take(top, slope, intercept, first):
-        if top <= (out[-1][0] if out else ZERO):
+    def take(u, y, line, fracs, at_zero):
+        if out:
+            last = out[-1]
+            if u[0] * last[0][1] <= last[0][0] * u[1]:
+                return
+            if last[2] == line:
+                last[0], last[1] = u, y
+                return
+        elif not u[0]:
             return
-        if not out and first != 0:
-            out.append([ZERO, ZERO, ZERO])
-        if out and out[-1][1:] == [slope, intercept]:
-            out[-1][0] = top
-        else:
-            out.append([top, slope, intercept])
+        elif not at_zero:
+            # finv is 0 at 0 alone; no line taking over here is 0 there
+            out.append([(0, 1), ZERO if up else ONE, ((0, 1), (0, 1)), (ZERO, ZERO)])
+        out.append([u, y, line, fracs or (Fraction(*line[0]), Fraction(*line[1]))])
 
-    for p, vals in zip(f.segments, f._values):
-        first = p.domain.lo
-        bottom, top = (vals.lo, vals.hi) if up else (1 - vals.hi, 1 - vals.lo)
-        if p.is_const:
-            take(top, ZERO, first, first)
+    for p, vals, entry in zip(f.segments, f._values, f._kernel):
+        d = p.domain
+        const, at_zero = (((0, 1), (d.ln, d.ld)), (ZERO, d.lo)), not d.ln
+        if up:
+            bottom, top = ((vals.ln, vals.ld), vals.lo), ((vals.hn, vals.hd), vals.hi)
         else:
-            take(bottom, ZERO, first, first)
-            take(top, 1 / p.slope, -p.intercept / p.slope, first)
-    take(ONE, ZERO, ONE, ONE)
+            bottom = (vals.hd - vals.hn, vals.hd), vals.hi
+            top = (vals.ld - vals.ln, vals.ld), vals.lo
+        if entry[4] is None:
+            take(*top, *const, at_zero)
+        else:
+            take(*bottom, *const, at_zero)
+            sn, sd, cn, cd = entry[4]
+            if sn < 0:
+                sn, sd = -sn, -sd
+            n, e = -cn * sd, cd * sn  # x = (y - c)/s: slope sd/sn, intercept n/e
+            g = gcd(n, e)
+            take(*top, ((sd, sn), (n // g, e // g)), None, at_zero)
+    take((1, 1), ONE if up else ZERO, ((0, 1), (1, 1)), (ZERO, ONE), False)
 
+    # the u_top rise strictly, so no domain is empty; y = 1 - u otherwise
     segments = []
-    lo, lo_closed = ZERO, True
-    for top, slope, intercept in out:
-        dom = (Interval(lo, top, lo_closed, True) if up
-               else Interval(1 - top, 1 - lo, True, lo_closed))
+    lo, ln, ld, lo_closed = (ZERO, 0, 1, True) if up else (ONE, 1, 1, True)
+    for (un, ud), y, _, (slope, intercept) in out:
+        yn = un if up else ud - un
+        dom = (_nonempty(lo, y, lo_closed, True, ln, ld, yn, ud) if up
+               else _nonempty(y, lo, True, lo_closed, yn, ud, ln, ld))
         segments.append(Segment(dom, slope, intercept))
-        lo, lo_closed = top, False
+        lo, ln, ld, lo_closed = y, yn, ud, False
+    if not up:
+        segments.reverse()
     return PiecewiseMonotoneFn(up, tuple(segments))
 
 
@@ -465,7 +512,9 @@ def pseudo_inverse(f: PiecewiseMonotoneFn) -> PiecewiseMonotoneFn:
 
 
 def range_of(f: PiecewiseMonotoneFn) -> IntervalSet:
-    return IntervalSet.of(f._values)
+    """The values f attains: f's value intervals, which come in ascending
+    order for non-decreasing f and descending otherwise, merged."""
+    return IntervalSet.merged(f._values if f.nondecreasing else reversed(f._values))
 
 
 def plateau_set(f: PiecewiseMonotoneFn) -> IntervalSet:

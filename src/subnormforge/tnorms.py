@@ -481,19 +481,22 @@ def t_solve_x(t: TNormDescriptor, y: Fraction, z: Fraction) -> list:
 
 def t_preimage(t: TNormDescriptor, y: Fraction, z_iv: Interval) -> IntervalSet:
     """{x in [0,1] : T(x,y) in Z} for the strict exact families, where
-    T(.,y) is continuous and strictly increasing for y > 0."""
+    T(.,y) is continuous and strictly increasing for y > 0.  Z's ends are
+    compared with top = T(1, y) by cross products of their pairs."""
     if not (t.exact and t.strict):
         raise ValueError("preimages are only available for strict exact families")
     y = frac(y)
-    if y == 0:
-        return IntervalSet.unit() if z_iv.contains(ZERO) else IntervalSet.empty()
-    top = t_eval(t, ONE, y)  # = y for these families
-    if z_iv.lo > top:
+    yn, yd = y.numerator, y.denominator
+    if not yn:
+        return IntervalSet.unit() if z_iv.contains_pair(0, 1) else IntervalSet.empty()
+    tn, td = t.eval_pair(1, 1, yn, yd)  # = y for these families
+    if z_iv.ln * td > tn * z_iv.ld:  # Z starts above top
         return IntervalSet.empty()
     xs = t_solve_x(t, y, z_iv.lo)
     x_lo, lo_closed = (xs[0], z_iv.lo_closed) if xs else (ZERO, True)
-    if z_iv.hi >= top:
-        x_hi, hi_closed = ONE, True if z_iv.hi > top else z_iv.hi_closed
+    c = z_iv.hn * td - tn * z_iv.hd  # the sign of Z's upper end - top
+    if c >= 0:
+        x_hi, hi_closed = ONE, True if c > 0 else z_iv.hi_closed
     else:
         xs = t_solve_x(t, y, z_iv.hi)
         if not xs:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -9,11 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (WIDE_BIG, WORKED_EXAMPLES, _one_minus, fraction_contains, lattice_fns,
-                      monotone_fns, nonincreasing_fns, random_strictly_increasing_fn)
-from subnormforge import (Interval, PiecewiseMonotoneFn, Segment, classify, decompose,
+                      monotone_fns, nonincreasing_fns, random_strictly_increasing_fn,
+                      wide_fractions)
+from subnormforge import (Interval, IntervalSet, PiecewiseMonotoneFn, Segment, classify, decompose,
                           f_eval, make_op, parse_fn, parse_tnorm)
 from subnormforge.classify import (
+    _PQ_VALUES,
+    DENSE_PROBES,
     _assoc_search,
+    _dense_samples,
+    _gap_collisions,
     _limit_search,
     _neutral_search,
     _search_grid,
@@ -30,7 +36,7 @@ from subnormforge.classify import (
 from subnormforge.oracle import consistency_harness
 from subnormforge.pwfn import approach_segment
 from subnormforge.tnorms import (Approx, GeneratorSpec, Lambda, approx_diff, t_eval, t_image,
-                                 t_solve_x)
+                                 t_preimage, t_solve_x)
 
 F = Fraction
 
@@ -409,6 +415,93 @@ def test_neutral_search_matches_reference_on_the_lattice(tdesc):
         assert got == reference_neutral_search(make_op(f, t), pts), str(f)
         if got is not None:
             assert type(got[1]) is F
+
+
+def reference_dense_samples(s):
+    """``_dense_samples`` on Fractions: a set, sorted."""
+    out = set()
+    for p in s.parts:
+        if p.lo_closed:
+            out.add(p.lo)
+        if p.hi_closed:
+            out.add(p.hi)
+        if p.lo < p.hi:
+            for j in range(1, DENSE_PROBES + 1):
+                out.add(p.lo + (p.hi - p.lo) * F(j, DENSE_PROBES + 1))
+    return sorted(out)
+
+
+def reference_gap_collisions(op, d, domain, z):
+    """``_gap_collisions`` on Fractions, which the pair search replaced:
+    membership by ``IntervalSet.contains``, T(u, v) by ``t_eval``, and
+    ``arg_with_value`` and F evaluated afresh for every pair of samples."""
+    t = op.t
+    b, dd, c = next(g for g in d.s if g[0] <= z <= g[1])
+    for v in (pq[0] for pq in _PQ_VALUES):
+        if not d.m.contains(v):
+            continue
+        pre = domain.intersect(t_preimage(t, v, Interval.closed(b, dd)))
+        us = [u for u in reference_dense_samples(pre) if t_eval(t, u, v) != c][:6]
+        if len(us) < 2:
+            continue
+        x = arg_with_value(op.f, v)
+        if x is None:
+            continue
+        for i in range(len(us)):
+            for j in range(i + 1, len(us)):
+                y1 = arg_with_value(op.f, us[i])
+                y2 = arg_with_value(op.f, us[j])
+                if y1 is None or y2 is None or y1 == y2:
+                    continue
+                a = f_eval(op, x, y1)
+                if a == f_eval(op, x, y2):
+                    yield x, y1, y2, a
+
+
+def escape_values(t, d):
+    """The escape values that reach ``_gap_collisions``, each with its
+    domain: T(M,M)'s from M (``check_cancellative``) and T(M\\C,M)'s
+    from M\\C (``_cc_witness``)."""
+    out = []
+    z = t_image(t, d.m, d.m).is_subset_of(d.m)[1]
+    if z is not None:
+        out.append((d.m, z))
+    z_a = check_inclusion_conditions(t, d)[0]
+    if z_a is not None:
+        out.append((d.m_minus_c, z_a))
+    return out
+
+
+# the yields compared per search; the classifier reads the first only
+COLLISIONS_COMPARED = 40
+
+
+@pytest.mark.parametrize("tdesc", ["product", "hamacher2"])
+def test_gap_collisions_match_reference_on_the_lattice(tdesc):
+    # the first yields, in order, for every escape value of every
+    # non-decreasing f with breakpoints k/3 and values k/4; each search
+    # starts on a fresh op, so no cache is shared
+    t = parse_tnorm(tdesc)
+    searches = yields = 0
+    for f in lattice_fns(3, 4):
+        d = decompose(f)
+        for domain, z in escape_values(t, d):
+            got = list(islice(_gap_collisions(make_op(f, t), d, domain, z),
+                              COLLISIONS_COMPARED))
+            want = islice(reference_gap_collisions(make_op(f, t), d, domain, z),
+                          COLLISIONS_COMPARED)
+            assert got == list(want), str(f)
+            assert all(type(w) is F for item in got for w in item)
+            searches, yields = searches + 1, yields + len(got)
+    assert searches > 1000 and yields > 20000
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(wide_fractions, wide_fractions, st.booleans(), st.booleans()),
+                max_size=4))
+def test_dense_samples_match_reference(ends):
+    s = IntervalSet.of(Interval.make(min(a, b), max(a, b), lc, hc) for a, b, lc, hc in ends)
+    assert [F(*u) for u in _dense_samples(s)] == reference_dense_samples(s)
 
 
 # -- a change of representation ----------------------------------------------
@@ -851,6 +944,42 @@ def test_cancellation_witness_from_an_escape_value_at_a_gap_end():
                            note="image value 1/4 in a range gap collapses "
                                 "distinct arguments")
     assert f_eval(op, F(1, 3), F(1, 3)) == f_eval(op, F(1, 3), F(7, 15))
+
+
+# T(M,M) = [0,3/16) u {1/4} with product, whose escape value 1/4 is the
+# upper end of the gap [3/16,1/4] (f approaches 1/4 from above at 1/3)
+F_ESCAPE_AT_GAP_TOP = """\
+monotone: nondecreasing
+segment [0,1/3] linear 9/16 0
+segment (1/3,1) linear 3/16 3/16
+point 1 = 1/2
+"""
+
+
+def test_cancellation_search_from_an_escape_value_at_a_gap_top():
+    f = parse_fn(F_ESCAPE_AT_GAP_TOP)
+    d = decompose(f)
+    mm = t_image(PRODUCT, d.m, d.m)
+    assert mm.is_subset_of(d.m) == (False, F(1, 4))
+    assert d.s[0][:2] == (F(3, 16), F(1, 4))
+    assert check_cancellative(make_op(f, PRODUCT), d, mm) == Verdict.unknown(
+        "T(M,M) escapes M but no cancellation counterexample was constructed "
+        "(escape value 1/4)")
+
+
+# corpus(1, 1500)'s r92 in the bench: with product every continuity window
+# meets the range in at most one point, once in the single point 3/16
+F_WINDOW_MEETS_ONE_POINT = """\
+monotone: nondecreasing
+point 0 = 3/16
+segment (0,7/8] linear 9/14 1/4
+segment (7/8,1] linear 1 -1/16
+"""
+
+
+def test_a_window_meeting_the_range_in_one_point_keeps_continuity():
+    v = classify(parse_fn(F_WINDOW_MEETS_ONE_POINT), PRODUCT).verdict("continuous")
+    assert v == Verdict.yes("all discontinuity windows meet the range in at most one point")
 
 
 # -- rendering ---------------------------------------------------------------

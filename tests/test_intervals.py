@@ -111,6 +111,13 @@ def test_o_hull_basics():
     assert str(s.o_hull()) == "(1/4,3/4)"
 
 
+def test_has_multiple_points():
+    assert not IntervalSet.empty().has_multiple_points()
+    assert not IntervalSet.points([frac("1/3")]).has_multiple_points()
+    assert IntervalSet.points([frac("1/4"), frac("3/4")]).has_multiple_points()
+    assert IntervalSet.single(Interval.make(0, frac("1/4"), False, False)).has_multiple_points()
+
+
 @given(interval_sets())
 def test_o_hull_is_open_span(s):
     h = s.o_hull()

@@ -1,6 +1,7 @@
 """Piecewise monotone functions: evaluation, pseudo-inverse, range
 decomposition."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _one_minus,
     bisect_pseudo_inverse,
+    lattice_fns,
     monotone_fns,
     nonincreasing_fns,
     random_nondecreasing_fn,
@@ -347,6 +350,68 @@ def reference_pseudo_inverse(f):
     return PiecewiseMonotoneFn(f.nondecreasing, tuple(merged + isolated))
 
 
+def reference_sweep(f):
+    """``pseudo_inverse``'s sweep on Fractions, which the pair sweep
+    replaced: tops compared and lines inverted as Fractions, the pieces
+    sorted by the constructor."""
+    up = f.nondecreasing
+    out = []  # [u_top, slope, intercept]: finv on (previous u_top, u_top], the first from 0
+
+    def take(top, slope, intercept, first):
+        if top <= (out[-1][0] if out else ZERO):
+            return
+        if not out and first != 0:
+            out.append([ZERO, ZERO, ZERO])
+        if out and out[-1][1:] == [slope, intercept]:
+            out[-1][0] = top
+        else:
+            out.append([top, slope, intercept])
+
+    for p, vals in zip(f.segments, f._values):
+        first = p.domain.lo
+        bottom, top = (vals.lo, vals.hi) if up else (1 - vals.hi, 1 - vals.lo)
+        if p.is_const:
+            take(top, ZERO, first, first)
+        else:
+            take(bottom, ZERO, first, first)
+            take(top, 1 / p.slope, -p.intercept / p.slope, first)
+    take(ONE, ZERO, ONE, ONE)
+
+    segments = []
+    lo, lo_closed = ZERO, True
+    for top, slope, intercept in out:
+        dom = (Interval(lo, top, lo_closed, True) if up
+               else Interval(1 - top, 1 - lo, True, lo_closed))
+        segments.append(Segment(dom, slope, intercept))
+        lo, lo_closed = top, False
+    return PiecewiseMonotoneFn(up, tuple(segments))
+
+
+def reference_decomposition(f):
+    """``decompose``'s result built on Fractions, as ``_decomposition`` did
+    before its pair rewrite, from the per-call references above: the range
+    sorted by ``IntervalSet.of``, the kept ends tested by
+    ``IntervalSet.contains``, C as a sorted set and K1 by Fraction order."""
+    m = IntervalSet.of(p.attained_values() for p in reference_pieces(f))
+    q = reference_plateau_set(f)
+    f0plus, f1minus = side_limit(f, ZERO, "right"), side_limit(f, ONE, "left")
+    if q.is_empty:
+        upsilon = tau = ZERO
+    else:
+        upsilon = q.parts[-1].hi
+        tau = reference_first_arg_above(f, upsilon)
+    if m == IntervalSet.unit():
+        s, c = ((ONE, ONE, ONE),), (ONE,)
+    else:
+        gaps = m.complement().parts
+        kept = [[v for v in (g.lo, g.hi) if m.contains(v)] for g in gaps]
+        assert all(kept)
+        s = tuple((g.lo, g.hi, cs[0]) for g, cs in zip(gaps, kept))
+        c = tuple(sorted({cv for cs in kept for cv in cs}))
+    k1 = tuple(i for i, (b, _, _) in enumerate(s) if b >= upsilon)
+    return pwfn.Decomposition(m, s, c, q, f0plus, f1minus, tau, upsilon, k1)
+
+
 def reference_eval_fn(f, x):
     """f(x) by scanning the segments with ``Interval.contains``: the
     evaluation that ``eval_fn``'s integer table replaced."""
@@ -399,17 +464,29 @@ def test_cached_structure_matches_references(f):
         if f.nondecreasing:
             assert first_arg_above(f, y) == reference_first_arg_above(f, y), y
     g = pseudo_inverse(f)
+    # the pair sweep builds the Fraction sweep's segments, already in order
+    assert g == reference_sweep(f)
     for y in sorted(set(ys) | set(inverse_probes(f))):
         assert eval_fn(g, y) == reference_first_arg(f, y, f.nondecreasing), y
     assert_same_inverse(g, reference_pseudo_inverse(f), inverse_probes(f))
     if f.nondecreasing:
-        d = decompose(f)
-        assert (d.m, d.q) == (m, q)
+        d, ref = decompose(f), reference_decomposition(f)
         assert d.reconstruct() == m
-        if not q.is_empty:
-            upsilon = q.parts[-1].hi
-            assert (d.upsilon, d.tau) == (upsilon,
-                                          reference_first_arg_above(f, upsilon))
+        names = [fld.name for fld in dataclasses.fields(d)]
+        assert len(names) == 9
+        for name in names:
+            assert getattr(d, name) == getattr(ref, name), name
+
+
+def test_pair_structure_matches_references_on_the_lattice():
+    # every non-decreasing f with breakpoints k/3 and values k/4, and the
+    # mirrors 1 - f of those with values k/3
+    for f in list(lattice_fns(3, 4)) + [_one_minus(g) for g in lattice_fns()]:
+        assert pseudo_inverse(f) == reference_sweep(f), str(f)
+        assert plateau_set(f) == reference_plateau_set(f), str(f)
+        if f.nondecreasing:
+            d, ref = decompose(f), reference_decomposition(f)
+            assert dataclasses.astuple(d) == dataclasses.astuple(ref), str(f)
 
 
 def reference_jumps(f):

@@ -569,6 +569,23 @@ def test_t_preimage_membership(fam):
             assert pre.contains(x) == ziv.contains(t_eval(t, x, yq))
 
 
+@pytest.mark.parametrize("fam", ["product", "hamacher2"])
+def test_t_preimage_at_the_top_value(fam):
+    # Z ending at top = T(1, y), the largest value of T(., y): the preimage
+    # reaches x = 1 exactly when Z is closed there
+    t = parse_tnorm(fam)
+    for yq in (F(1, 2), F(3, 4), F(1)):
+        top, mid = t_eval(t, F(1), yq), t_eval(t, HALF, yq)
+        for ziv, want in ((Interval.closed(top, top), Interval.point(1)),
+                          (Interval.make(mid, top, True, False), Interval.make(HALF, 1, True, False)),
+                          (Interval.closed(mid, top), Interval.closed(HALF, 1))):
+            pre = t_preimage(t, yq, ziv)
+            assert pre == IntervalSet.single(want), (yq, str(ziv))
+            for i in range(33):
+                x = F(i, 32)
+                assert pre.contains(x) == ziv.contains(t_eval(t, x, yq))
+
+
 # -- no dispatch on the family's name outside tnorms.py ----------------------
 
 _FAMILY_CLASSES = r"\b(?:Product|Minimum|Hamacher2|Halfprod|Generator|Lambda)\b"
