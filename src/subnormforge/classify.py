@@ -14,24 +14,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Optional
 
 from .generated import GeneratedOp, f_eval, make_op
-from .intervals import Interval, IntervalSet, ONE, ZERO
+from .intervals import Interval, IntervalSet, ONE, ZERO, reduced, sorted_pairs
 from .pwfn import (
     Decomposition,
     PiecewiseMonotoneFn,
+    _first_arg,
     approach_segment,
     decompose,
     eval_fn,
+    eval_pair,
     first_arg_above,
     limit_pair,
     plateau_set,
     side_limit,
 )
-from .tnorms import (Approx, TNormDescriptor, approx_diff, t_eval, t_image, t_solve_x,
-                     t_preimage)
+from .tnorms import (Approx, TNormDescriptor, approx_diff, t_eval, t_image, t_solve_pairs,
+                     t_solve_x, t_preimage)
 
 PROPERTIES = (
     "t_subnorm",
@@ -88,18 +89,21 @@ _PQ_VALUES = tuple((v, v.numerator, v.denominator) for v in dict.fromkeys(
 
 def arg_with_value(f: PiecewiseMonotoneFn, v: Fraction, avoid=None):
     """Some x with f(x)=v, optionally distinct from `avoid`; None if v is
-    not attained (or only attained at `avoid`): on the first piece whose
-    values hold v, the first of its closed lower end, its midpoint and its
-    closed upper end for a constant piece, all of which lie in it, or
-    x = (v - c)/s on a line.
+    not attained (or only attained at `avoid`): ``arg_pair`` built as a
+    Fraction."""
+    k = arg_pair(f, v.numerator, v.denominator,
+                 None if avoid is None else (avoid.numerator, avoid.denominator))
+    return None if k is None else Fraction(*k)
 
-    The scan runs on integer pairs: membership by ``contains_pair``, the
-    line from the piece's entry in ``f._kernel`` and each test against
-    `avoid` by cross-multiplication; only the x returned is a Fraction."""
-    vn, vd = v.numerator, v.denominator
+
+def arg_pair(f: PiecewiseMonotoneFn, vn: int, vd: int, avoid=None):
+    """``arg_with_value`` on pairs, v = vn/vd with vd > 0 and `avoid` a pair
+    or None: on the first piece whose values hold v (``contains_pair``),
+    the first of its closed lower end, its midpoint and its closed upper
+    end for a constant piece, or x = (v - c)/s on a line (``f._kernel``)."""
 
     def allowed(n, d):  # n/d != avoid
-        return avoid is None or n * avoid.denominator != avoid.numerator * d
+        return avoid is None or n * avoid[1] != avoid[0] * d
 
     for p, vals, entry in zip(f.segments, f._values, f._kernel):
         if not vals.contains_pair(vn, vd):
@@ -108,16 +112,17 @@ def arg_with_value(f: PiecewiseMonotoneFn, v: Fraction, avoid=None):
         if line is None:
             d = p.domain
             if d.lo_closed and allowed(d.ln, d.ld):
-                return d.lo
-            if allowed(d.ln * d.hd + d.hn * d.ld, 2 * d.ld * d.hd):
-                return d.midpoint()
+                return d.ln, d.ld
+            mid = reduced(d.ln * d.hd + d.hn * d.ld, 2 * d.ld * d.hd)
+            if allowed(*mid):
+                return mid
             if d.hi_closed and allowed(d.hn, d.hd):
-                return d.hi
+                return d.hn, d.hd
         else:
             sn, sd, cn, cd = line
             n, d = (vn * cd - cn * vd) * sd, vd * cd * sn
             if allowed(n, d):
-                return Fraction(n, d)
+                return reduced(n, d)
     return None
 
 
@@ -141,26 +146,26 @@ def _dense_samples(s: IntervalSet) -> list:
             # lo + (hi - lo) * j/k = (k * ln * hd + j * w) / (k * ld * hd)
             base, den = k * p.ln * p.hd, k * p.ld * p.hd
             for j in range(1, k):
-                n = base + j * w
-                g = gcd(n, den)
-                out.add((n // g, den // g))
-    m = lcm(*(d for _, d in out))
-    return sorted(out, key=lambda u: u[0] * (m // u[1]))
+                out.add(reduced(base + j * w, den))
+    return sorted_pairs(out)
 
 
-def _plateau_pair(f: PiecewiseMonotoneFn, w: Fraction):
+def _plateau_pair(f: PiecewiseMonotoneFn, k: tuple):
     """(x1, x2) with x1 != x2 and f(x1) = f(x2) = w, for a value w in
-    plateau_set(f), found once per function and value (``f._plateau_pairs``).
-    When the only piece taking w is a constant piece open at both ends,
-    arg_with_value finds its midpoint x1 alone; then x2 is halfway between
-    x1 and the piece's lower end."""
-    pair = f._plateau_pairs.get(w)
+    plateau_set(f) given as an integer pair k, found once per function and
+    value (``f._plateau_pairs``, keyed by w's reduced pair).  When the only
+    piece taking w is a constant piece open at both ends, arg_with_value
+    finds its midpoint x1 alone; then x2 is halfway between x1 and the
+    piece's lower end."""
+    k = reduced(*k)
+    pair = f._plateau_pairs.get(k)
     if pair is None:
+        w = Fraction(*k)
         x1 = arg_with_value(f, w)
         x2 = arg_with_value(f, w, avoid=x1)
         if x2 is None:
             x2 = (x1 + approach_segment(f, x1, "left").domain.lo) / 2
-        pair = f._plateau_pairs[w] = x1, x2
+        pair = f._plateau_pairs[k] = x1, x2
     return pair
 
 
@@ -176,24 +181,25 @@ def check_degenerate(op: GeneratedOp, top):
     with f(1) off the plateau) forces F to be zero away from (1,1) if the
     conditional cancellation law is to hold at all.  Returns a dict of
     every property but ``proper``, which ``classify`` decides for every f,
-    or None when none of these shapes apply.
+    or None when none of these shapes apply.  f(1) and the limits of f are
+    read as integer pairs.
     """
     f = op.f
     if not f.nondecreasing:
         # f is non-increasing with values in [0,1], so it vanishes on
         # (0,1] exactly when its limit at 0 from the right is 0
-        if side_limit(f, ZERO, "right") == 0:
+        if limit_pair(f, 0, 1, "right")[0][0] == 0:
             return _vanishing_verdicts(top, "F identically 0", "f vanishes on (0,1]")
         return _undecided("non-increasing f outside the vanishing case; use the oracle")
 
     q = plateau_set(f)
-    f1 = eval_fn(f, ONE)
-    if q.contains(f1):
+    f1 = eval_pair(f, 1, 1)
+    if q.contains_pair(*f1):
         x1, x2 = _plateau_pair(f, f1)
         return _plateau_at_one(f1, x1, x2, top, top,
                                "F identically 0", "plateau value at 1 and F(1,1)=0")
-    f1m = side_limit(f, ONE, "left")
-    if q.contains(f1m):
+    f1m = limit_pair(f, 1, 1, "left")[0]
+    if q.contains_pair(*f1m):
         # plateau approached at 1 but f(1) above it: F must vanish off (1,1)
         x2, x1 = _plateau_pair(f, f1m)
         return _plateau_at_one(f1m, x1, x2, f_eval(op, x2, ONE), top,
@@ -215,11 +221,11 @@ def _undecided(note) -> dict:
 
 
 def _plateau_at_one(w, x1, x2, probe, top, evidence, note):
-    """Verdicts for a plateau value w at 1, which f takes at x1 != x2, from
-    the probe F(x1,1) = F(x2,1): F sees its arguments only through f.  An
-    exact 0 makes F vanish off (1,1), with `evidence` and `note` naming the
-    shape; an exact positive value refutes conditional cancellation; an
-    Approx decides nothing.  `top` is F(1,1)."""
+    """Verdicts for a plateau value w at 1, an integer pair, which f takes
+    at x1 != x2, from the probe F(x1,1) = F(x2,1): F sees its arguments
+    only through f.  An exact 0 makes F vanish off (1,1), with `evidence`
+    and `note` naming the shape; an exact positive value refutes
+    conditional cancellation; an Approx decides nothing.  `top` is F(1,1)."""
     if isinstance(probe, Approx):
         return _undecided("degenerate shape undecided")
     if probe == 0:
@@ -227,7 +233,7 @@ def _plateau_at_one(w, x1, x2, probe, top, evidence, note):
     out = _undecided("degenerate shape; use the oracle")
     out["conditionally_cancellative"] = Verdict.no(
         (x1, x2, ONE),
-        note=f"F({x1},1)=F({x2},1)={probe}>0 with f({x1})=f({x2})={w}")
+        note=f"F({x1},1)=F({x2},1)={probe}>0 with f({x1})=f({x2})={Fraction(*w)}")
     out["cancellative"] = Verdict.no((ONE, x1, x2), note="repeated f value")
     out["strictly_monotone_op"] = out["cancellative"]
     return out
@@ -395,7 +401,7 @@ def check_cancellative(op: GeneratedOp, d: Decomposition, mm: IntervalSet) -> Ve
     f, t = op.f, op.t
     if not f.is_strictly_monotone:
         w = d.q.first_member()
-        x1, x2 = _plateau_pair(f, w)
+        x1, x2 = _plateau_pair(f, (w.numerator, w.denominator))
         return Verdict.no((ONE, x1, x2),
                           note=f"f({x1})=f({x2})={w}, so F(1,{x1})=F(1,{x2})")
     ok, z = mm.is_subset_of(d.m)
@@ -445,14 +451,14 @@ def _gap_collisions(op, d: Decomposition, domain: IntervalSet, z: Fraction):
         for i in range(len(us)):
             for j in range(i + 1, len(us)):
                 while len(ys) <= j:
-                    ys.append(arg_with_value(f, Fraction(*us[len(ys)])))
+                    ys.append(arg_pair(f, *us[len(ys)]))
                 if ys[i] is None or ys[j] is None:
                     continue
                 for k in (i, j):
                     if fs[k] is None:
                         fs[k] = op.t_finv(vn, vd, *us[k])[0]
                 if fs[i] == fs[j]:
-                    yield x, ys[i], ys[j], Fraction(*fs[i])
+                    yield x, Fraction(*ys[i]), Fraction(*ys[j]), Fraction(*fs[i])
 
 
 def _cc_witness(op, d: Decomposition, which: str, z: Fraction):
@@ -464,8 +470,9 @@ def _cc_witness(op, d: Decomposition, which: str, z: Fraction):
     t = op.t
     if which == "plateau":
         # z = T(w, v) > f(0+) with w a repeated value
-        for w in (p.lo for p in d.q.parts):
-            x1, x2 = _plateau_pair(op.f, w)
+        for p in d.q.parts:
+            w = p.lo
+            x1, x2 = _plateau_pair(op.f, (p.ln, p.ld))
             for v in t_solve_x(t, w, z):
                 if not d.m.contains(v):
                     continue
@@ -505,8 +512,7 @@ def _dir_limit(op: GeneratedOp, x0: tuple, c: tuple, side: str, approach: dict):
         return op.t_finv(*v, *c)[0]
     (n, d), const = op.t.dir_limit(v, side, c)
     if const:
-        g = gcd(n, d)
-        return op._finv_entry((n // g, d // g))[0]
+        return op._finv_entry(reduced(n, d))[0]
     return limit_pair(op.finv, n, d, side)[0]
 
 
@@ -597,30 +603,28 @@ def _limit_search(op: GeneratedOp):
     The search runs on reduced integer pairs: f and F through the op's
     caches (``f_pair``, ``t_finv``), the one-sided limits of f and finv by
     ``limit_pair`` and those of T by the family's ``dir_limit``; only a No
-    builds Fractions, for its note.  The limit and F(px, py) depend on py
-    only through f(py), so a pair whose (px, f(py)) was checked before is
-    skipped: it would give the values of that earlier pair, which matched,
-    so the first mismatch is unchanged.  The candidate first arguments are
-    f's breakpoints and an x with f(x) = u for each solution u of
-    T(u, f(y0)) = q, q a plateau value; each distinct (q, f(y0)) is solved
-    once and each distinct u looked up once."""
+    builds Fractions, for its witness and note.  The limit and F(px, py)
+    depend on py only through f(py), so a pair whose (px, f(py)) was
+    checked before is skipped: it would give the values of that earlier
+    pair, which matched, so the first mismatch is unchanged.  The candidate
+    arguments are f's breakpoints, 1 among them, and, first arguments only,
+    an x with f(x) = u for each solution u of T(u, f(y0)) = q, q a plateau
+    value; each distinct (q, f(y0)) is solved once and each u looked up
+    once."""
     f, t = op.f, op.t
-    cands_x = set(f.breakpoints())
-    cands_y = sorted(set(f.breakpoints()) | {ONE})
-    fys = {op.f_at(y0) for y0 in cands_y}
-    for u in {u for q in (p.lo for p in decompose(f).q.parts) for c in fys
-              for u in t_solve_x(t, c, q)}:
-        xa = arg_with_value(f, u)
+    ys = [(n, d) for _, n, d in f._breakpoints]
+    cs = {op.f_pair(k) for k in ys}
+    xs = set(ys)
+    for u in {u for q in decompose(f).q.parts for c in cs
+              for u in t_solve_pairs(t, *c, q.ln, q.ld)}:
+        xa = arg_pair(f, *u)
         if xa is not None:
-            cands_x.add(xa)
-    # each candidate with its reduced pair
-    xs = [(x, (x.numerator, x.denominator)) for x in sorted(cands_x)]
-    ys = [(y, (y.numerator, y.denominator)) for y in cands_y]
+            xs.add(xa)
     approach = {}
     seen = set()  # (px, f(py)) of the pairs checked, as reduced pairs
-    for x0 in xs:
+    for x0 in sorted_pairs(xs):
         for y0 in ys:
-            for (px, kx), (py, ky) in ((x0, y0), (y0, x0)):
+            for kx, ky in ((x0, y0), (y0, x0)):
                 c = op.f_pair(ky)
                 key = kx, c
                 if key in seen:
@@ -631,7 +635,7 @@ def _limit_search(op: GeneratedOp):
                     lim = _dir_limit(op, kx, c, side, approach)
                     if lim is not None and lim[0] * vd != vn * lim[1]:
                         return Verdict.no(
-                            (px, py),
+                            (Fraction(*kx), Fraction(*ky)),
                             note=f"{side} limit {Fraction(*lim)} != value "
                                  f"{Fraction(vn, vd)} along the first argument")
     return None
@@ -762,48 +766,61 @@ def _trap_witness(op: GeneratedOp, traps):
     1.  Where T(f(p), .) jumps over f(p-), no v solves it; then the least
     trapped candidate, or the first trapped 1 - 2^-k, moves towards inf X
     by halving.  The candidates found in X run in order of denominator,
-    each capped at one step fewer than the best so far."""
+    each capped at one step fewer than the best so far.
+
+    It runs on reduced pairs, ordered by cross products and integer keys;
+    a midpoint lies strictly between its neighbours, so the candidates need
+    no sort of their own.  Only a best (x, p, v) is built of Fractions."""
     f, t = op.f, op.t
     best, cap = None, ARCH_WITNESS_STEPS
     for p, fp, fpm in traps:
-        xs = {p}
-        for v in t_solve_x(t, fp, fpm):
-            xs.update((op.finv_at(v), first_arg_above(f, v)))
-        xs.update(f.breakpoints())
-        ends = sorted(x for x in xs if p <= x < 1) + [ONE]
-        cands = sorted(set(ends[:-1]) | {(a + b) / 2 for a, b in zip(ends, ends[1:])})
-        trapped = [x for x in cands if f_eval(op, p, x) == p]
-        hi = trapped[0] if trapped else next(
-            (h for h in (1 - Fraction(1, 2 ** k) for k in range(1, TRAP_NEAR_ONE + 1))
-             if f_eval(op, p, h) == p), None)
+        kp = pn, pd = p.numerator, p.denominator
+        fkp = op.f_pair(kp)
+
+        def trapped(k):  # F(p, k) = p
+            return op.t_finv(*fkp, *op.f_pair(k))[0] == kp
+
+        xs = {kp} | {(n, d) for _, n, d in f._breakpoints}
+        for v in t_solve_pairs(t, fp.numerator, fp.denominator, fpm.numerator, fpm.denominator):
+            xs.update((op._finv_entry(v)[0], _first_arg(f, *v, False)))
+        ends = sorted_pairs([x for x in xs if x[0] * pd >= pn * x[1] and x[0] < x[1]])
+        cands = []
+        for a, b in zip(ends, ends[1:] + [(1, 1)]):
+            cands += [a, reduced(a[0] * b[1] + b[0] * a[1], 2 * a[1] * b[1])]
+        hits = [x for x in cands if trapped(x)]
+        hi = hits[0] if hits else next(
+            (h for h in ((2 ** k - 1, 2 ** k) for k in range(1, TRAP_NEAR_ONE + 1))
+             if trapped(h)), None)
         if hi is None:
             continue
-        trapped = set(trapped) | {hi}
-        lo = max((x for x in cands if x < hi), default=None)
+        hits = set(hits) | {hi}
+        lo = next((x for x in reversed(cands) if x[0] * hi[1] < hi[0] * x[1]), None)
         if lo is not None:  # a candidate outside X, as all below hi are
             for _ in range(TRAP_HALVINGS):
-                mid = (lo + hi) / 2
-                if f_eval(op, p, mid) == p:
+                mid = reduced(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
+                if trapped(mid):
                     hi = mid
-                    trapped.add(hi)
+                    hits.add(hi)
                 else:
                     lo = mid
-        for x in sorted(trapped, key=lambda x: (x.denominator, x)):
-            run = _stabilizes(op, x, p, cap)
+        for x in sorted(hits, key=lambda k: (k[1], k[0])):
+            run = _stabilizes(op, x, kp, cap)
             if run is not None:
-                best, cap = (x, p, run[1]), run[0] - 1
+                best, cap = (Fraction(*x), p, Fraction(*run[1])), run[0] - 1
                 if not cap:
                     return best
     return best
 
 
-def _stabilizes(op: GeneratedOp, x: Fraction, y: Fraction, cap: int):
+def _stabilizes(op: GeneratedOp, x: tuple, y: tuple, cap: int):
     """(steps, v) when the powers of x reach the exact fixed point v within
-    `cap` steps, none of them below y; else None."""
+    `cap` steps, none of them below y; else None.  x, y and v are reduced
+    pairs, and the powers run on the op's ``t_finv``."""
+    fx = op.f_pair(x)
     acc = x
     for steps in range(1, cap + 1):
-        nxt = f_eval(op, acc, x)
-        if nxt < y:
+        nxt = op.t_finv(*op.f_pair(acc), *fx)[0]
+        if nxt[0] * y[1] < y[0] * nxt[1]:
             return None
         if nxt == acc:
             return steps, nxt
@@ -815,19 +832,28 @@ def _stabilizes(op: GeneratedOp, x: Fraction, y: Fraction, cap: int):
 
 
 # The steps of the neutral-element and associativity search grids, and
-# each grid's points k/n, which every function's grid shares
+# each grid's points k/n, which every function's grid shares, each with
+# its reduced pair as in ``f._breakpoints``
 NEUTRAL_GRID, ASSOC_GRID = 8, 6
-_GRID_POINTS = {n: tuple(Fraction(i, n) for i in range(n + 1))
+_GRID_POINTS = {n: tuple((Fraction(i, n), *reduced(i, n)) for i in range(n + 1))
                 for n in (NEUTRAL_GRID, ASSOC_GRID)}
 
 
 def _search_grid(f: PiecewiseMonotoneFn, n: int) -> tuple:
-    """The points k/n of ``_GRID_POINTS`` and f's breakpoints, sorted: the
-    points of a search, built once per function and step
-    (``f._search_grids``)."""
+    """The points k/n of ``_GRID_POINTS`` and f's breakpoints, ascending:
+    the points of a search, built once per function and step
+    (``f._search_grids``).  Both lists ascend from 0 to 1, so one merge by
+    cross products of their pairs builds it, a point in both taken once,
+    and both lists run out together, at 1."""
     pts = f._search_grids.get(n)
     if pts is None:
-        pts = f._search_grids[n] = tuple(sorted(set(f._breakpoints).union(_GRID_POINTS[n])))
+        a, b, i, j, out = f._breakpoints, _GRID_POINTS[n], 0, 0, []
+        while i < len(a):
+            c = a[i][1] * b[j][2] - b[j][1] * a[i][2]  # the sign of a[i] - b[j]
+            out.append(a[i][0] if c <= 0 else b[j][0])
+            i += c <= 0
+            j += c >= 0
+        pts = f._search_grids[n] = tuple(out)
     return pts
 
 

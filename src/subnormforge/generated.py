@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .intervals import Interval, frac
+from .intervals import Interval, frac, reduced
 from .pwfn import PiecewiseMonotoneFn, Segment, eval_pair
 from .tnorms import Approx, Generator, GeneratorSpec, Lambda, TNormDescriptor, t_eval
 
@@ -39,9 +39,7 @@ def value_key(v) -> tuple:
 def _entry(pair: tuple) -> list:
     """A cache entry for the value of an integer pair: [its reduced pair,
     None], the None replaced by the value's Fraction when first read."""
-    n, d = pair
-    g = gcd(n, d)
-    return [(n // g, d // g), None]
+    return [reduced(*pair), None]
 
 
 def _fraction(entry: list) -> Fraction:
@@ -142,9 +140,7 @@ def _spread(finv: PiecewiseMonotoneFn, p: int, q: int, m: int, n: int) -> tuple:
     on integer pairs over the common denominator qn (``eval_pair``), and
     the spread is the larger distance from finv(p/q) to either side, each
     comparison made by cross-multiplying."""
-    cn, cd = eval_pair(finv, p, q)
-    g = gcd(cn, cd)
-    cn, cd = cn // g, cd // g
+    cn, cd = reduced(*eval_pair(finv, p, q))
     den = q * n
     ln, ld = eval_pair(finv, max(0, p * n - m * q), den)
     hn, hd = eval_pair(finv, min(den, p * n + m * q), den)

@@ -13,14 +13,15 @@ two ends are equal when their pairs are, so the algebra compares no
 Fraction.  ``contains_pair`` asks membership of a point p/q held as a
 pair, and ``IntervalSet.of`` sorts its parts by integer keys over the lcm
 of their denominators; ``IntervalSet.merged`` takes parts already in that
-order, such as a monotone function's value intervals.
+order, such as a monotone function's value intervals.  ``sorted_pairs``
+sorts points held as reduced pairs (``reduced``) the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
 Rat = Union[Fraction, int, str]
@@ -38,6 +39,19 @@ def frac(v: Rat) -> Fraction:
     if isinstance(v, (float, bool)):
         raise TypeError(f"expected an int, a Fraction or a 'p/q' string, got {v!r}")
     return Fraction(v)
+
+
+def reduced(n: int, d: int) -> tuple:
+    """n/d, for d != 0, as a reduced pair with a positive denominator."""
+    g = gcd(n, d)
+    return (n // g, d // g) if d > 0 else (-n // g, -d // g)
+
+
+def sorted_pairs(pairs) -> list:
+    """The reduced pairs (n, d), d > 0, of the collection `pairs`, sorted by
+    the integer keys n * (m // d) over m, the lcm of their denominators."""
+    m = lcm(*(d for _, d in pairs))
+    return sorted(pairs, key=lambda u: u[0] * (m // u[1]))
 
 
 def _empty(ln: int, ld: int, hn: int, hd: int, lo_closed: bool, hi_closed: bool) -> bool:

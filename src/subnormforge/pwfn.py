@@ -55,8 +55,11 @@ No ``Interval`` of values is built for it.
 sweep over the pieces, comparing the integer pairs of their value
 intervals and lines, and emits its pieces in x order; ``pseudo_inverse_at``
 is the pointwise definition that the tests hold it against, a scan of
-``_kernel`` like ``first_arg_above``.  The range, the plateau set and the
-decomposition are built in one pass each over values that come in order.
+``_kernel`` on pairs (``_first_arg``) like ``first_arg_above``.  The value
+intervals come from ``_kernel``'s pairs, the breakpoints, each with its
+pair, from one pass over the pieces, and the range, the plateau set and
+the decomposition from one pass each over values that come in order; no
+Fraction is sorted or hashed to build them.
 """
 
 from __future__ import annotations
@@ -64,10 +67,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from typing import Optional
 
-from .intervals import Interval, IntervalSet, ZERO, ONE, _nonempty, frac
+from .intervals import Interval, IntervalSet, ZERO, ONE, _nonempty, frac, reduced
 
 
 class DomainError(ValueError):
@@ -90,13 +93,6 @@ class Segment:
     def is_const(self) -> bool:
         return not self.slope
 
-    def value_at(self, x: Fraction) -> Fraction:
-        """slope * x + intercept, from the three numbers' integer pairs,
-        built as one Fraction."""
-        s, c = self.slope, self.intercept
-        sd, cd, xd = s.denominator, c.denominator, x.denominator
-        return Fraction(s.numerator * x.numerator * cd + c.numerator * sd * xd, sd * cd * xd)
-
     @staticmethod
     def const(domain: Interval, value) -> "Segment":
         return Segment(domain, ZERO, frac(value))
@@ -104,16 +100,6 @@ class Segment:
     @staticmethod
     def linear(domain: Interval, slope, intercept) -> "Segment":
         return Segment(domain, frac(slope), frac(intercept))
-
-    def attained_values(self) -> Interval:
-        """The set of values taken on the domain, with exact openness."""
-        d = self.domain
-        if self.is_const:
-            return Interval.point(self.intercept)
-        v_lo, v_hi = self.value_at(d.lo), self.value_at(d.hi)
-        if self.slope.numerator > 0:
-            return Interval(v_lo, v_hi, d.lo_closed, d.hi_closed)
-        return Interval(v_hi, v_lo, d.hi_closed, d.lo_closed)
 
 
 @dataclass(frozen=True)
@@ -140,7 +126,7 @@ class PiecewiseMonotoneFn:
 
     def breakpoints(self) -> list:
         """Domain endpoints of all pieces (candidate discontinuities)."""
-        return list(self._breakpoints)
+        return [x for x, _, _ in self._breakpoints]
 
     @property
     def is_strictly_monotone(self) -> bool:
@@ -150,8 +136,20 @@ class PiecewiseMonotoneFn:
 
     @cached_property
     def _values(self) -> tuple:
-        """The value interval each segment attains, in segment order."""
-        return tuple(p.attained_values() for p in self.segments)
+        """The value interval each segment attains, in segment order, from
+        ``_kernel``: a constant's value, or a line's values at its ends."""
+        out = []
+        for p, (_, _, _, (cn, cd), line) in zip(self.segments, self._kernel):
+            if line is None:
+                out.append(_nonempty(p.intercept, p.intercept, True, True, cn, cd, cn, cd))
+                continue
+            sn, sd, d = line[0], line[1], p.domain
+            ends = [(Fraction(sn * xn * cd + cn * sd * xd, sd * cd * xd), closed)
+                    for xn, xd, closed in ((d.ln, d.ld, d.lo_closed), (d.hn, d.hd, d.hi_closed))]
+            (lo, lo_closed), (hi, hi_closed) = ends if sn > 0 else ends[::-1]
+            out.append(_nonempty(lo, hi, lo_closed, hi_closed, lo.numerator, lo.denominator,
+                                 hi.numerator, hi.denominator))
+        return tuple(out)
 
     @cached_property
     def _kernel(self) -> tuple:
@@ -170,7 +168,12 @@ class PiecewiseMonotoneFn:
 
     @cached_property
     def _breakpoints(self) -> tuple:
-        return tuple(sorted({e for p in self.segments for e in (p.domain.lo, p.domain.hi)}))
+        """The ends of the pieces, ascending, as (x, n, d) with x = n/d: 0
+        and the upper end of each piece that is not a point, as the pieces
+        come in x order, each starting where the one before ends."""
+        first = self.segments[0].domain
+        return ((first.lo, first.ln, first.ld),) + tuple(
+            (d.hi, d.hn, d.hd) for d in (p.domain for p in self.segments) if not d.is_point)
 
     @cached_property
     def _plateau(self) -> IntervalSet:
@@ -202,8 +205,7 @@ class PiecewiseMonotoneFn:
         ``limit_pair``, compared by cross-multiplication; only a jump's
         two values are built as Fractions."""
         out = []
-        for x0 in self._breakpoints:
-            p, q = x0.numerator, x0.denominator
+        for x0, p, q in self._breakpoints:
             v = eval_pair(self, p, q)
             lo = v if p == 0 else limit_pair(self, p, q, "left")[0]
             hi = v if p == q else limit_pair(self, p, q, "right")[0]
@@ -389,19 +391,19 @@ def pseudo_inverse_at(f: PiecewiseMonotoneFn, y) -> Fraction:
     = inf{x : f(x) <= y}.
     """
     y = _unit_arg(y)
-    return _first_arg(f, y.numerator, y.denominator, True)
+    return Fraction(*_first_arg(f, y.numerator, y.denominator, True))
 
 
-def _first_arg(f, yn: int, yd: int, closed: bool) -> Fraction:
-    """inf{x : f(x) in target}, inf(empty) = 1, for y = yn/yd, yd > 0, and
-    the target of the values of [0,1] beyond y (above y for non-decreasing
-    f, below y otherwise), with y itself when `closed`.  Every x after one
-    whose value hits the target hits it too, so the first piece whose
-    values meet the target holds the infimum: its first x for a constant
-    piece, and for a line the x where it reaches y, or its first x when it
-    starts past y.  The scan reads ``f._kernel``: a piece's value at its
-    upper end goes farthest into the target, attained by a constant piece
-    and by a line closed there."""
+def _first_arg(f, yn: int, yd: int, closed: bool) -> tuple:
+    """inf{x : f(x) in target} as a reduced pair, inf(empty) = 1, for
+    y = yn/yd, yd > 0, and the target of the values of [0,1] beyond y
+    (above y for non-decreasing f, below y otherwise), with y itself when
+    `closed`.  Every x after one whose value hits the target hits it too,
+    so the first piece whose values meet the target holds the infimum: its
+    first x for a constant piece, and for a line the x where it reaches y,
+    or its first x when it starts past y.  The scan reads ``f._kernel``: a
+    piece's value at its upper end goes farthest into the target, attained
+    by a constant piece and by a line closed there."""
     sign = 1 if f.nondecreasing else -1
     for p, (hn, hd, hi_closed, (vn, vd), line) in zip(f.segments, f._kernel):
         if line is not None:  # a line's value at its upper end
@@ -409,16 +411,18 @@ def _first_arg(f, yn: int, yd: int, closed: bool) -> Fraction:
             vn, vd = sn * hn * cd + cn * sd * hd, sd * cd * hd
         c = (vn * yd - yn * vd) * sign  # the sign of that value - y, into the target
         if c > 0 or (c == 0 and closed and (line is None or hi_closed)):
+            d = p.domain
             if line is None:
-                return p.domain.lo
-            return max(p.domain.lo, Fraction((yn * cd - cn * yd) * sd, yd * cd * sn))
-    return ONE
+                return d.ln, d.ld
+            x = reduced((yn * cd - cn * yd) * sd, yd * cd * sn)
+            return x if x[0] * d.ld > d.ln * x[1] else (d.ln, d.ld)
+    return 1, 1
 
 
 def first_arg_above(f: PiecewiseMonotoneFn, v) -> Fraction:
     """inf{x : f(x) > v} for non-decreasing f; inf(empty) = 1."""
     v = _unit_arg(v)
-    return _first_arg(f, v.numerator, v.denominator, False)
+    return Fraction(*_first_arg(f, v.numerator, v.denominator, False))
 
 
 def pseudo_inverse(f: PiecewiseMonotoneFn) -> PiecewiseMonotoneFn:
@@ -489,9 +493,8 @@ def pseudo_inverse(f: PiecewiseMonotoneFn) -> PiecewiseMonotoneFn:
             sn, sd, cn, cd = entry[4]
             if sn < 0:
                 sn, sd = -sn, -sd
-            n, e = -cn * sd, cd * sn  # x = (y - c)/s: slope sd/sn, intercept n/e
-            g = gcd(n, e)
-            take(*top, ((sd, sn), (n // g, e // g)), None, at_zero)
+            # x = (y - c)/s: slope sd/sn, intercept -c/s
+            take(*top, ((sd, sn), reduced(-cn * sd, cd * sn)), None, at_zero)
     take((1, 1), ONE if up else ZERO, ((0, 1), (1, 1)), (ZERO, ONE), False)
 
     # the u_top rise strictly, so no domain is empty; y = 1 - u otherwise
@@ -544,10 +547,6 @@ class Decomposition:
     @cached_property
     def m_minus_c(self) -> IntervalSet:
         return self.m.minus(self.c_set)
-
-    def reconstruct(self) -> IntervalSet:
-        gaps = IntervalSet.of(Interval.closed(b, d) for b, d, _ in self.s)
-        return self.c_set.union(gaps.complement())
 
 
 def decompose(f: PiecewiseMonotoneFn) -> Decomposition:

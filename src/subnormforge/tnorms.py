@@ -6,8 +6,9 @@ The exact families evaluate T(a/b, c/d) on integers, as a pair (n, d)
 with d > 0 (``eval_pair``), which ``eval`` builds as one Fraction; the
 domain check of ``t_eval`` compares numerators with denominators.  Box
 images read the corners' pairs from the ``Interval`` slots, and
-``t_solve_x`` takes each family's solution candidates as pairs
-(``solve_candidates``) and checks them by ``eval_pair``.
+``t_solve_pairs`` takes each family's solution candidates as pairs
+(``solve_candidates``) and checks them by ``eval_pair``; ``t_solve_x``
+builds its solutions as Fractions.
 
 The generator families (``Generator`` and ``Lambda``) evaluate their
 closed form min(1, xy·κ), with κ = e^(-g(1)) / λ, on Fractions: κ is
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .intervals import Interval, IntervalSet, ONE, ZERO, frac
+from .intervals import Interval, IntervalSet, ONE, ZERO, frac, reduced
 from .pwfn import DomainError
 
 
@@ -453,29 +454,32 @@ def t_image(t: TNormDescriptor, a: IntervalSet, b: IntervalSet) -> IntervalSet:
 
 def t_solve_x(t: TNormDescriptor, y: Fraction, z: Fraction) -> list:
     """Verified solutions x in [0,1] of T(x,y) = z for exact families, for
-    y and z in [0,1], in the order of the family's candidates.
-
-    The candidates, and their checks by the family's ``eval_pair``, run on
-    integer pairs; only a verified solution is built as a Fraction."""
+    y and z in [0,1], in the order of the family's candidates:
+    ``t_solve_pairs`` built as Fractions."""
     if not t.exact:
         return []
-    yn, yd, zn, zd = y.numerator, y.denominator, z.numerator, z.denominator
+    return [Fraction(*k) for k in t_solve_pairs(t, y.numerator, y.denominator,
+                                                z.numerator, z.denominator)]
+
+
+def t_solve_pairs(t: TNormDescriptor, yn: int, yd: int, zn: int, zd: int) -> list:
+    """``t_solve_x`` on integer pairs, for an exact family and y = yn/yd,
+    z = zn/zd with positive denominators: each candidate is checked by the
+    family's ``eval_pair``, and each solution is a reduced pair."""
     if yn:
         candidates = t.solve_candidates(yn, yd, zn, zd)  # positive denominators for y > 0
     elif not zn:
         candidates = [(0, 1), (1, 2), (1, 1)]
     else:
         return []
-    out, seen = [], []
+    out = []
     for xn, xd in candidates:
         if 0 <= xn <= xd:
             n, d = t.eval_pair(xn, xd, yn, yd)
             if n * zd == zn * d:
-                x = Fraction(xn, xd)
-                k = x.numerator, x.denominator
-                if k not in seen:
-                    seen.append(k)
-                    out.append(x)
+                k = reduced(xn, xd)
+                if k not in out:
+                    out.append(k)
     return out
 
 

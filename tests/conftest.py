@@ -18,7 +18,7 @@ def pytest_terminal_summary(terminalreporter):
 
 from subnormforge import parse_fn
 from subnormforge.pwfn import PiecewiseMonotoneFn, Segment
-from subnormforge.intervals import Interval
+from subnormforge.intervals import Interval, IntervalSet
 
 # f with a half-height plateau; range [1/2,1]
 F_PLATEAU = """\
@@ -280,3 +280,32 @@ def fraction_contains(iv, x):
     the integer-pair membership tests."""
     return ((iv.lo < x or (x == iv.lo and iv.lo_closed))
             and (x < iv.hi or (x == iv.hi and iv.hi_closed)))
+
+
+# -- the Fraction bodies that the pair code replaced, kept as references ------
+
+
+def reference_value_at(s: Segment, x: Fraction) -> Fraction:
+    """s's slope * x + intercept on Fractions: the former
+    ``Segment.value_at``, which ``PiecewiseMonotoneFn._values`` replaced by
+    ``eval_pair``'s formula on ``_kernel``."""
+    return s.slope * x + s.intercept
+
+
+def reference_attained_values(s: Segment) -> Interval:
+    """The set of values s takes on its domain, with exact openness: the
+    former ``Segment.attained_values``."""
+    d = s.domain
+    if s.is_const:
+        return Interval.point(s.intercept)
+    v_lo, v_hi = reference_value_at(s, d.lo), reference_value_at(s, d.hi)
+    if s.slope > 0:
+        return Interval(v_lo, v_hi, d.lo_closed, d.hi_closed)
+    return Interval(v_hi, v_lo, d.hi_closed, d.lo_closed)
+
+
+def reference_reconstruct(d):
+    """The range rebuilt from a decomposition: the kept boundary values and
+    the complement of the gaps (the former ``Decomposition.reconstruct``)."""
+    gaps = IntervalSet.of(Interval.closed(b, dd) for b, dd, _ in d.s)
+    return d.c_set.union(gaps.complement())

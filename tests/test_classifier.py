@@ -11,18 +11,24 @@ from hypothesis import strategies as st
 
 from conftest import (WIDE_BIG, WORKED_EXAMPLES, _one_minus, fraction_contains, lattice_fns,
                       monotone_fns, nonincreasing_fns, random_strictly_increasing_fn,
-                      wide_fractions)
+                      reference_value_at, wide_fractions)
 from subnormforge import (Interval, IntervalSet, PiecewiseMonotoneFn, Segment, classify, decompose,
                           f_eval, make_op, parse_fn, parse_tnorm)
 from subnormforge.classify import (
     _PQ_VALUES,
+    ARCH_WITNESS_STEPS,
+    ASSOC_GRID,
     DENSE_PROBES,
+    NEUTRAL_GRID,
+    TRAP_HALVINGS,
+    TRAP_NEAR_ONE,
     _assoc_search,
     _dense_samples,
     _gap_collisions,
     _limit_search,
     _neutral_search,
     _search_grid,
+    _trap_witness,
     arg_with_value,
     check_archimedean,
     check_cancellative,
@@ -34,7 +40,7 @@ from subnormforge.classify import (
     Verdict,
 )
 from subnormforge.oracle import consistency_harness
-from subnormforge.pwfn import approach_segment
+from subnormforge.pwfn import approach_segment, first_arg_above
 from subnormforge.tnorms import (Approx, GeneratorSpec, Lambda, approx_diff, t_eval, t_image,
                                  t_preimage, t_solve_x)
 
@@ -214,7 +220,7 @@ def reference_side_limit(g, a, side):
         return F(0) if g.nondecreasing else F(1)
     if side == "right" and a == 1:
         return F(1) if g.nondecreasing else F(0)
-    return approach_segment(g, a, side).value_at(a)
+    return reference_value_at(approach_segment(g, a, side), a)
 
 
 def reference_dir_limit(op, x0, y0, side, approach):
@@ -233,7 +239,7 @@ def reference_dir_limit(op, x0, y0, side, approach):
         # x0 is neither 0 from the left nor 1 from the right, so a segment
         # approaches it
         seg = approach_segment(op.f, x0, side)
-        seg_v = approach[x0, side] = seg, seg.value_at(x0)
+        seg_v = approach[x0, side] = seg, reference_value_at(seg, x0)
     seg, v = seg_v
     if seg.is_const:
         return op.finv_at(t_eval(t, v, c))
@@ -868,6 +874,93 @@ def test_archimedean_trap_falls_back_to_unknown_past_the_step_bound():
         assert check_archimedean(op) == Verdict.unknown(
             "the jump at 11/16 traps the powers, but no witness stabilizes "
             "within 1 steps")
+
+
+def reference_trap_witness(op, traps):
+    """``_trap_witness`` on Fractions, which the pair search replaced: the
+    candidates in Fraction sets sorted by Fraction comparisons,
+    ``first_arg_above`` and ``finv_at`` on each solution of ``t_solve_x``,
+    and F by ``f_eval``."""
+    f, t = op.f, op.t
+    best, cap = None, ARCH_WITNESS_STEPS
+    for p, fp, fpm in traps:
+        xs = {p}
+        for v in t_solve_x(t, fp, fpm):
+            xs.update((op.finv_at(v), first_arg_above(f, v)))
+        xs.update(f.breakpoints())
+        ends = sorted(x for x in xs if p <= x < 1) + [F(1)]
+        cands = sorted(set(ends[:-1]) | {(a + b) / 2 for a, b in zip(ends, ends[1:])})
+        trapped = [x for x in cands if f_eval(op, p, x) == p]
+        hi = trapped[0] if trapped else next(
+            (h for h in (1 - F(1, 2 ** k) for k in range(1, TRAP_NEAR_ONE + 1))
+             if f_eval(op, p, h) == p), None)
+        if hi is None:
+            continue
+        trapped = set(trapped) | {hi}
+        lo = max((x for x in cands if x < hi), default=None)
+        if lo is not None:
+            for _ in range(TRAP_HALVINGS):
+                mid = (lo + hi) / 2
+                if f_eval(op, p, mid) == p:
+                    hi = mid
+                    trapped.add(hi)
+                else:
+                    lo = mid
+        for x in sorted(trapped, key=lambda x: (x.denominator, x)):
+            run = reference_stabilizes(op, x, p, cap)
+            if run is not None:
+                best, cap = (x, p, run[1]), run[0] - 1
+                if not cap:
+                    return best
+    return best
+
+
+def reference_stabilizes(op, x, y, cap):
+    """``_stabilizes`` on Fractions, each power by ``f_eval``."""
+    acc = x
+    for steps in range(1, cap + 1):
+        nxt = f_eval(op, acc, x)
+        if nxt < y:
+            return None
+        if nxt == acc:
+            return steps, nxt
+        acc = nxt
+    return None
+
+
+F_ARCH_EXAMPLES = (F_ARCH_TRAP, F_ARCH_SLOW, F_ARCH_HALFPROD_JUMP, F_ARCH_CRAWL,
+                   F_ARCH_LIMIT_EQUAL, F_ARCH_RISE_FROM_ZERO)
+
+
+@pytest.mark.parametrize("tdesc", ["product", "hamacher2", "halfprod"])
+def test_trap_witness_matches_reference(tdesc):
+    # the pair search against the Fraction reference, result for result, on
+    # every rule-J trap list that check_archimedean hands it over the
+    # lattice with breakpoints k/3 and values k/4 and the examples above;
+    # each search starts on a fresh op, so no cache is shared
+    t = parse_tnorm(tdesc)
+    searches = found = 0
+    for f in [*lattice_fns(3, 4), *map(parse_fn, F_ARCH_EXAMPLES)]:
+        with mock.patch("subnormforge.classify._trap_witness", wraps=_trap_witness) as spy:
+            check_archimedean(make_op(f, t))
+        for (_, traps), _ in spy.call_args_list:
+            got = _trap_witness(make_op(f, t), traps)
+            assert got == reference_trap_witness(make_op(f, t), traps), str(f)
+            assert got is None or all(type(w) is F for w in got)
+            searches, found = searches + 1, found + (got is not None)
+    assert searches > 100 and found > 100
+
+
+@pytest.mark.parametrize("n", [ASSOC_GRID, NEUTRAL_GRID])
+@settings(max_examples=100, deadline=None)
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
+def test_breakpoints_and_search_grids_match_references(n, f):
+    # the one-pass breakpoints and the merged grid against the set-and-sort
+    # bodies they replaced, each point with its own reduced pair
+    bps = tuple(sorted({e for p in f.segments for e in (p.domain.lo, p.domain.hi)}))
+    assert f._breakpoints == tuple((x, x.numerator, x.denominator) for x in bps)
+    assert f.breakpoints() == list(bps)
+    assert _search_grid(f, n) == tuple(sorted(set(bps).union(F(i, n) for i in range(n + 1))))
 
 
 @pytest.mark.parametrize("tdesc", ["product", "hamacher2", "min", "halfprod"])

@@ -17,6 +17,9 @@ from conftest import (
     nonincreasing_fns,
     random_nondecreasing_fn,
     random_strictly_increasing_fn,
+    reference_attained_values,
+    reference_reconstruct,
+    reference_value_at,
 )
 from subnormforge import (
     classify,
@@ -114,7 +117,7 @@ def test_limit_pair_matches_the_approaching_segment(f):
                     if s is None:
                         assert (F(n, d), const) == (_END_LIMITS[side, g.nondecreasing], True)
                     else:
-                        assert (F(n, d), const) == (s.value_at(a), s.is_const), (a, side)
+                        assert (F(n, d), const) == (reference_value_at(s, a), s.is_const), (a, side)
                 assert side_limit(g, a, side) == F(n, d)
 
 
@@ -220,7 +223,7 @@ def test_decompose_reconstruct_random():
     for _ in range(40):
         f = random_nondecreasing_fn(rng)
         d = decompose(f)
-        assert d.reconstruct() == d.m
+        assert reference_reconstruct(d) == d.m
         for b, dd, c in d.s:
             assert d.m.contains(c)
             assert c == b or c == dd
@@ -241,9 +244,9 @@ def reference_plateau_set(f):
     for i, p in enumerate(pieces):
         if p.is_const and not p.domain.is_point:
             out = out.union(IntervalSet.single(Interval.point(p.intercept)))
-        vi = IntervalSet.single(p.attained_values())
+        vi = IntervalSet.single(reference_attained_values(p))
         for q in pieces[i + 1:]:
-            out = out.union(vi.intersect(IntervalSet.single(q.attained_values())))
+            out = out.union(vi.intersect(IntervalSet.single(reference_attained_values(q))))
     return out
 
 
@@ -251,7 +254,7 @@ def reference_first_arg(f, y, at_least):
     """inf{x : f(x) >= y} (at_least) or inf{x : f(x) <= y}, inf(empty)=1,
     building each piece's value interval on every call."""
     for p in reference_pieces(f):
-        d, vals = p.domain, p.attained_values()
+        d, vals = p.domain, reference_attained_values(p)
         if p.is_const:
             if (p.intercept >= y) if at_least else (p.intercept <= y):
                 return d.lo
@@ -271,7 +274,7 @@ def reference_first_arg_above(f, v):
             if p.intercept > v:
                 return p.domain.lo
             continue
-        if p.attained_values().hi > v:
+        if reference_attained_values(p).hi > v:
             return max(p.domain.lo, (v - p.intercept) / p.slope)
     return F(1)
 
@@ -392,7 +395,7 @@ def reference_decomposition(f):
     before its pair rewrite, from the per-call references above: the range
     sorted by ``IntervalSet.of``, the kept ends tested by
     ``IntervalSet.contains``, C as a sorted set and K1 by Fraction order."""
-    m = IntervalSet.of(p.attained_values() for p in reference_pieces(f))
+    m = IntervalSet.of(reference_attained_values(p) for p in reference_pieces(f))
     q = reference_plateau_set(f)
     f0plus, f1minus = side_limit(f, ZERO, "right"), side_limit(f, ONE, "left")
     if q.is_empty:
@@ -420,7 +423,7 @@ def reference_eval_fn(f, x):
         raise DomainError(f"argument {x} outside [0,1]")
     for s in f.segments:
         if s.domain.contains(x):
-            return s.value_at(x)
+            return reference_value_at(s, x)
     raise InvalidFunction(f"no piece covers {x}")  # unreachable for valid fns
 
 
@@ -437,8 +440,8 @@ def inverse_probes(f):
     the pseudo-inverse is linear between critical values, so agreeing on
     values and both one-sided limits here pins it down everywhere."""
     crit = sorted({F(0), F(1)} | {e for p in reference_pieces(f)
-                                  for e in (p.attained_values().lo,
-                                            p.attained_values().hi)})
+                                  for e in (reference_attained_values(p).lo,
+                                            reference_attained_values(p).hi)})
     inner = [a + (b - a) * k / 4 for a, b in zip(crit, crit[1:]) for k in (1, 2, 3)]
     return sorted(set(crit) | set(inner))
 
@@ -456,7 +459,7 @@ def test_cached_structure_matches_references(f):
     q = reference_plateau_set(f)
     assert plateau_set(f) == q
     assert f.is_strictly_monotone == q.is_empty
-    m = IntervalSet.of(p.attained_values() for p in reference_pieces(f))
+    m = IntervalSet.of(reference_attained_values(p) for p in reference_pieces(f))
     assert range_of(f) == m
     ys = probe_values(f)
     for y in ys:
@@ -471,7 +474,7 @@ def test_cached_structure_matches_references(f):
     assert_same_inverse(g, reference_pseudo_inverse(f), inverse_probes(f))
     if f.nondecreasing:
         d, ref = decompose(f), reference_decomposition(f)
-        assert d.reconstruct() == m
+        assert reference_reconstruct(d) == m
         names = [fld.name for fld in dataclasses.fields(d)]
         assert len(names) == 9
         for name in names:
@@ -521,11 +524,14 @@ def test_per_function_caches_match_references(f):
         assert "_plateau_pairs" not in vars(f)
     assert list(f._jumps) == reference_jumps(f)
     for w in (p.lo for p in q.parts):
-        pair = _plateau_pair(f, w)
+        pair = _plateau_pair(f, (w.numerator, w.denominator))
         assert pair == reference_plateau_pair(f, w)
         x1, x2 = pair
         assert x1 != x2 and eval_fn(f, x1) == eval_fn(f, x2) == w
-        assert _plateau_pair(f, w) is pair
+        assert _plateau_pair(f, (w.numerator, w.denominator)) is pair
+    for got, want in zip(f._values, map(reference_attained_values, f.segments)):
+        assert got == want
+        assert (got.ln, got.ld, got.hn, got.hd) == (want.ln, want.ld, want.hn, want.hd)
     if f.nondecreasing:
         d = decompose(f)
         c_set = IntervalSet.points(d.c)
@@ -773,7 +779,7 @@ def test_validate_matches_value_intervals(up, lines):
     expected = None
     prev = None
     for p in segs:
-        vals = p.attained_values()
+        vals = reference_attained_values(p)
         if vals.lo < 0 or vals.hi > 1:
             expected = f"values escape [0,1] on {p.domain}"
         elif up and p.slope < 0:
