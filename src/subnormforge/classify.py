@@ -261,9 +261,10 @@ def _vanishing_verdicts(top, evidence, note):
 
 def _proper_verdict(op, top) -> Verdict:
     """Proper means F(1,1) = `top` < 1: the operation cannot have neutral
-    element 1.  An Approx `top` has a positive radius."""
+    element 1.  An Approx `top` has a positive radius; an exact one, a
+    Fraction, is below 1 when its numerator is below its denominator."""
     if not isinstance(top, Approx):
-        if top < 1:
+        if top.numerator < top.denominator:
             return Verdict.yes(f"F(1,1)={top} < 1")
         return Verdict.no((ONE, ONE), note="F(1,1)=1")
     c, r = top.value, top.radius

@@ -31,12 +31,12 @@ signs come from cross-multiplied pairs.  Comparisons that may involve
 Approx values call ``approx_diff``, with the boundary rules described in
 ``check_property``.
 
-Associativity compares the first point of each class only, and the
-Archimedean powers run once per class; ``check_property`` says why the
-first counterexample stays the same.  Its values, the notes and the
-``checked`` counts are those of a direct scan that evaluates F at every
-comparison of every point; ``_Memo.compared`` counts the comparisons
-actually made.
+Every law but neutral_one is decided on the table by class, and reads
+single points only to place a counterexample; ``check_property`` says,
+law by law, why the first counterexample is that of a scan by point.
+Its values, the notes and the ``checked`` counts are those of a direct
+scan that evaluates F at every comparison of every point;
+``_Memo.compared`` counts the comparisons made (``check_property``).
 """
 
 from __future__ import annotations
@@ -203,9 +203,11 @@ class _Grid:
     class c.  ``TC[c][d]`` is the id of F(p_first[c], p_first[d]),
     evaluated once per class pair, and ``CC`` the same table of centre
     ids; the table is ``exact`` when no value in it is an ``Approx`` (then
-    ``CC == TC``).  ``T[i][j]`` and ``C[i][j]`` are the same tables by
-    point, read from ``TC`` and ``CC``.  For an exact value u of class k
-    (``_Memo.class_of``), ``row(k)[c]`` is the id of F(u, p) and
+    ``CC == TC``).  F(p_i, p_j) is ``TC[cls[i]][cls[j]]``, ``cols`` is
+    ``TC`` transposed and ``symmetric`` whether the two are equal.
+    ``steps`` lists each pair (a, b) of the classes of neighbours p_k,
+    p_k+1 once, as (k, a, b) at its first k, in the order of k.  For an
+    exact value u of class k, ``row(k)[c]`` is the id of F(u, p) and
     ``col(k)[c]`` that of F(p, u), for p any point of class c: F(u, p)
     depends on u only through its class.  The row and column of a grid
     point's class are read from ``TC``; those of other classes start as
@@ -233,17 +235,16 @@ class _Grid:
         self.TC = [[ev(a, b) for b in reps] for a in reps]
         self.CC = [[cen[v] for v in row] for row in self.TC]
         self.exact = self.CC == self.TC
-        self.T = self._by_point(self.TC)
-        self.C = self._by_point(self.CC)
+        steps = {}  # (cls[k], cls[k + 1]) -> its first k
+        for k in range(len(pts) - 1):
+            steps.setdefault((self.cls[k], self.cls[k + 1]), k)
+        self.steps = [(k, a, b) for (a, b), k in steps.items()]
+        self.cols = [list(col) for col in zip(*self.TC)]
+        self.symmetric = self.cols == self.TC
         self._rows = {c: self.TC[i] for c, i in number.items()}
         self._cols = self._rows
         if memo.generated is None:
-            cols = [list(col) for col in zip(*self.TC)]
-            self._cols = {c: cols[i] for c, i in number.items()}
-
-    def _by_point(self, table) -> list:
-        rows = [[row[d] for d in self.cls] for row in table]
-        return [rows[c] for c in self.cls]
+            self._cols = {c: self.cols[i] for c, i in number.items()}
 
     def row(self, k) -> list:
         r = self._rows.get(k)
@@ -282,28 +283,48 @@ def grid(n: int, extra=()) -> list:
 
 def check_property(op: Callable, prop: str, pts) -> CheckResult:
     """Exhaustive scan of one law over the grid; the first counterexample
-    in lexicographic input order is returned.
+    in lexicographic input order is returned, with the ``checked`` count
+    and note of a scan by point, in any point order.
 
-    Associativity scans the first point of each class only.  If a triple
-    fails, so does the triple with each member replaced by the first point
-    of its class, which is lexicographically no greater; so the first
-    failing triple is made of first points, in any point order.  Its
-    ``checked`` is (i*m + j)*m + k + 1 at (p_i, p_j, p_k), else m**3, and an
-    undecided comparison counts once per triple of its classes' points.
-    ``archimedean_at`` runs one power sequence per class: after its first
-    step, F(x,x), the sequence depends on x only through its class, so a
-    later point x' of the class differs only in step 1's fixed-point test,
-    F(x',x') = x'.  Were that to hold, the class's first point x would
-    have stopped at step 2, as F(x,x) = x' and F(x',x) = F(x',x') = x'; so
-    the first counterexample is that of a scan by point.  The other laws,
-    commutativity included, scan every point.
+    A comparison depends on its points only through their classes, and a
+    point before ``first[c]`` belongs to a class before c.  So, law by law:
+    - commutativity: the first failing class pair (c, d) gives the points
+      (first[c], first[d]);
+    - monotonicity, each pass, and strict_monotonicity: the neighbours
+      p_k, p_k+1 are compared at the first k of their classes' pair
+      (``_Grid.steps``), and the first failing row (column) class c gives
+      the row first[c], or, with x = 0 skipped, the class's first other row;
+    - bounded_by_min: F(x,y) > min(x,y) holds the more easily the smaller
+      min(x,y), so a block of two classes fails when its value exceeds the
+      smaller of their least points.  Every pair before (first[c],
+      first[d]) lies in a block that passed, so the search by point for
+      the first failing pair starts there;
+    - the cancellation laws: a row fails when two positions hold one centre
+      (a positive value, for the conditional law), which needs two classes
+      with one centre or a class of two points; one pass from the right
+      then finds each position's next equal centre, and the first position
+      that has one gives the pair;
+    - associativity: if a triple fails, so does the triple of the first
+      points of its classes, which is lexicographically no greater;
+    - archimedean_at: after its first step, F(x,x), the power sequence
+      depends on x only through its class, so a later point x' of the class
+      differs only in step 1's fixed-point test, F(x',x') = x'.  Were that
+      to hold, the class's first point x would have stopped at step 2, as
+      F(x,x) = x' and F(x',x) = F(x',x') = x'; one sequence runs per class.
+    When ``TC`` is symmetric, monotonicity's column pass and bounded_by_min's
+    blocks below the diagonal would repeat checks that passed, and are
+    skipped.  neutral_one scans every point.  An undecided comparison
+    counts once per tuple of its classes' points.  ``_Memo.compared``
+    counts one comparison per class tuple decided, and one per point tuple
+    that a search by point passes up to a counterexample: with one point
+    per class it equals ``checked``.
     """
     if prop not in PROPERTY_NAMES:
         raise ValueError(f"unknown property {prop!r}")
     memo = op if isinstance(op, _Memo) else _Memo(op)
     g = memo.grid(pts)
-    pts, pid, T, C = g.pts, g.pid, g.T, g.C
-    CC, first, size = g.CC, g.first, g.size
+    pts, pid, TC, CC = g.pts, g.pid, g.TC, g.CC
+    first, size, cls, steps = g.first, g.size, g.cls, g.steps
     val, keys, cen, ev = memo.value, memo.keys, memo.centre, memo.eval
     class_of = memo.class_of
     m, n = len(pts), len(first)
@@ -339,6 +360,10 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
         (p, q), (r, s) = keys[a], keys[b]
         return p * s > r * q
 
+    def positive(v):  # value v certainly above 0
+        d, r = (keys[v][0], 0) if cen[v] == v else approx_diff(val(v), ZERO)
+        return d > r
+
     if g.exact:
         gt = above
 
@@ -356,33 +381,55 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
     checked = None  # tuples checked, where a scan by class compares fewer
     note = None
     if prop == "commutativity":
-        for i in range(m):
-            Ti, Ci = T[i], C[i]
-            for j in range(m):
+        for c in range(n):
+            TCc, CCc = TC[c], CC[c]
+            for d in range(n):
                 count += 1
-                if Ci[j] != C[j][i] and differ(val(Ti[j]), val(T[j][i])):
-                    return cex((pts[i], pts[j]), val(Ti[j]), val(T[j][i]))
+                if CCc[d] != CC[d][c] and differ(val(TCc[d]), val(TC[d][c]),
+                                                 size[c] * size[d]):
+                    i, j = first[c], first[d]
+                    return cex((pts[i], pts[j]), val(TCc[d]), val(TC[d][c]),
+                               i * m + j + 1)
+        checked = m * m
     elif prop == "monotonicity":
-        for i in range(m):
-            Ti, Ci = T[i], C[i]
-            for k in range(m - 1):
-                count += 1
-                if Ci[k] != Ci[k + 1] and gt(Ti[k], Ti[k + 1]):
-                    return cex((pts[i], pts[k], pts[k + 1]),
-                               val(Ti[k]), val(Ti[k + 1]))
-        for j in range(m):
-            for k in range(m - 1):
-                count += 1
-                if C[k][j] != C[k + 1][j] and gt(T[k][j], T[k + 1][j]):
-                    return cex((pts[k], pts[k + 1], pts[j]),
-                               val(T[k][j]), val(T[k + 1][j]))
+        # the row pass on TC, then the column pass on its transpose
+        passes = [(0, TC, CC)] + ([] if g.symmetric else [(m, g.cols, list(zip(*CC)))])
+        for base, rows, cens in passes:
+            for c in range(n):
+                row, crow = rows[c], cens[c]
+                for k, a, b in steps:
+                    count += 1
+                    if crow[a] != crow[b] and gt(row[a], row[b]):
+                        i = first[c]
+                        ins = (pts[k], pts[k + 1])
+                        return cex((pts[i], *ins) if base == 0 else (*ins, pts[i]),
+                                   val(row[a]), val(row[b]),
+                                   (base + i) * (m - 1) + k + 1)
+        count += (2 - len(passes)) * n * len(steps)
+        checked = 2 * m * (m - 1)
     elif prop == "bounded_by_min":
-        for i, x in enumerate(pts):
-            for j, y in enumerate(pts):
+        least = [pid[i] for i in first]  # id of each class's least point
+        for i, a in enumerate(pid):
+            if above(least[cls[i]], a):
+                least[cls[i]] = a
+
+        def exceeds(v, a, b):  # value v certainly above the least of points a, b
+            lo = b if above(a, b) else a
+            return cen[v] != lo and gt(v, lo)
+
+        for c in range(n):
+            count += c if g.symmetric else 0
+            for d in range(c if g.symmetric else 0, n):
+                if exceeds(TC[c][d], least[c], least[d]):
+                    for i in range(first[c], m):
+                        row = TC[cls[i]]
+                        for j in range(first[d] if i == first[c] else 0, m):
+                            count += 1
+                            if exceeds(row[cls[j]], pid[i], pid[j]):
+                                return cex((pts[i], pts[j]), val(row[cls[j]]),
+                                           min(pts[i], pts[j]), i * m + j + 1)
                 count += 1
-                v, lo = T[i][j], pid[j] if above(pid[i], pid[j]) else pid[i]
-                if cen[v] != lo and gt(v, lo):
-                    return cex((x, y), val(v), min(x, y))
+        checked = m * m
     elif prop == "associativity":
         # (xy)z is row(class of xy)[e] and x(yz) is col(class of yz)[c],
         # with xy and yz the centres of F(x,y) and F(y,z) and c, d, e the
@@ -414,40 +461,52 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
         col = g.col(class_of(one))
         for i, x in enumerate(pts):
             count += 1
-            c = g.cls[i]
+            c = cls[i]
             v = col[c]
             if v is None:
                 v = col[c] = ev(pid[i], one)
             if cen[v] != pid[i] and differ(val(v), x):
                 return cex((x,), val(v), x)
-    elif prop in ("conditional_cancellation", "cancellation"):
-        # F(x,a) = F(x,b) with a < b breaks cancellation when x > 0, and
-        # conditional cancellation when the value is certainly positive
-        cond = prop == "conditional_cancellation"
-        positive = {}  # value id -> certainly positive
-        for i, x in enumerate(pts):
-            if x == 0 and not cond:
-                continue
-            Ti, Ci = T[i], C[i]
-            for a in range(m):
-                for b in range(a + 1, m):
+    elif prop in ("conditional_cancellation", "cancellation", "strict_monotonicity"):
+        # laws by row: F(x,a) = F(x,b) with a < b breaks cancellation when
+        # x > 0, and conditional cancellation when the value is certainly
+        # positive; strict monotonicity fails where F(x,.) does not rise, x > 0
+        cond, strict = prop == "conditional_cancellation", prop == "strict_monotonicity"
+        zero = None if cond else memo.ids.get((0, 1))  # rows x = 0 are skipped
+        per_row = m - 1 if strict else m * (m - 1) // 2
+
+        def rows():  # (row class, its first row, tuples checked before it)
+            seen = set()
+            for i, c in enumerate(cls):
+                if pid[i] != zero and c not in seen:
+                    seen.add(c)
+                    yield c, i, (i - pid[:i].count(zero)) * per_row
+
+        for c, i, before in rows():
+            row, crow = TC[c], CC[c]
+            if strict:
+                for k, a, b in steps:
                     count += 1
-                    if Ci[a] == Ci[b]:
-                        v = Ti[a]
-                        if cond and v not in positive:
-                            va, ra = approx_diff(val(v), ZERO)
-                            positive[v] = va > ra
-                        if not cond or positive[v]:
-                            return cex((x, pts[a], pts[b]), val(v), val(Ti[b]))
-    elif prop == "strict_monotonicity":
-        for i, x in enumerate(pts):
-            if x == 0:
-                continue
-            Ti = T[i]
-            for k in range(m - 1):
-                count += 1
-                if ge(Ti[k], Ti[k + 1]):
-                    return cex((x, pts[k], pts[k + 1]), val(Ti[k]), val(Ti[k + 1]))
+                    if ge(row[a], row[b]):
+                        return cex((pts[i], pts[k], pts[k + 1]), val(row[a]),
+                                   val(row[b]), before + k + 1)
+            elif n < m or len(set(crow)) < n:
+                # some centre repeats along the row: find the first pair
+                later, hit = {}, None  # centre -> its first position after a
+                for a in range(m - 1, -1, -1):
+                    u = crow[cls[a]]
+                    if u in later and (not cond or positive(row[cls[a]])):
+                        hit = a, later[u]
+                    later[u] = a
+                if hit:
+                    a, b = hit
+                    rank = a * (2 * m - a - 1) // 2 + b - a
+                    count += rank
+                    return cex((pts[i], pts[a], pts[b]), val(row[cls[a]]),
+                               val(row[cls[b]]), before + rank)
+            if not strict:
+                count += n * (n - 1) // 2
+        checked = (m - pid.count(zero)) * per_row
     else:  # archimedean_at
         # a power equal to the one before, at or above the floor, after
         # exact powers only, is a fixed point that the powers never leave:
@@ -460,7 +519,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
         powers = {}  # class -> (powers taken, whether one fell below floor)
         checked = 0
         for k in interior:
-            c = g.cls[k]
+            c = cls[k]
             run = powers.get(c)
             if run is None:
                 acc = pid[k]  # centre id of the current power
@@ -535,7 +594,7 @@ class HarnessReport:
     rows: list = field(default_factory=list)  # (property, classifier, oracle, detail)
     hard_failures: list = field(default_factory=list)
     counterexamples: dict = field(default_factory=dict)
-    stats: dict = field(default_factory=dict)  # oracle counters, not rendered
+    stats: dict = field(default_factory=dict)  # _Memo counters (README), not rendered
 
     @property
     def ok(self) -> bool:

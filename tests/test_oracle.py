@@ -1,5 +1,6 @@
 """Brute-force law checking and classifier/oracle agreement."""
 
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import WORKED_EXAMPLES, monotone_fns, nonincreasing_fns
+from conftest import WORKED_EXAMPLES, _one_minus, lattice_fns, monotone_fns, nonincreasing_fns
 from subnormforge import (Verdict, classify, f_eval, make_op, parse_fn,
                           parse_tnorm, pseudo_inverse, pwfn)
 from subnormforge.intervals import ONE, ZERO
@@ -441,6 +442,31 @@ def test_table_oracle_matches_direct_scan(family, f, rnd):
             assert got == want, (law, layout)
 
 
+LATTICE_SAMPLE = list(lattice_fns(3, 4))[::13]
+CLASS_LAWS = ("commutativity", "monotonicity", "bounded_by_min",
+              "conditional_cancellation", "cancellation", "strict_monotonicity")
+
+
+@pytest.mark.parametrize("family", ["product", "hamacher2", "min", "halfprod",
+                                    "gen:neglog"])
+def test_laws_by_class_match_direct_scan_on_the_lattice(family):
+    # every 13th lattice function and every 4th mirror, each on its sorted
+    # grid, a fixed shuffle of it and a copy with one point repeated: the
+    # laws decided on the class table find the direct scan's counterexample
+    t = parse_tnorm(family)
+    for idx, f in enumerate(LATTICE_SAMPLE + [_one_minus(g) for g in LATTICE_SAMPLE[::4]]):
+        op = make_op(f, t)
+        pts = grid(4, default_extra(f))
+        rnd = random.Random(idx)
+        repeated = list(pts)
+        repeated.insert(rnd.randrange(len(pts) + 1), rnd.choice(pts))
+        for layout in (pts, rnd.sample(pts, len(pts)), repeated):
+            memo = _Memo(op)
+            for law in CLASS_LAWS:
+                want = reference_check(op, law, layout)
+                assert check_property(memo, law, layout) == want, (idx, law, layout)
+
+
 @pytest.mark.parametrize("family,n", [("product", 12), ("hamacher2", 12),
                                       ("min", 12), ("halfprod", 12),
                                       ("gen:neglog", 6)])
@@ -537,3 +563,35 @@ def test_equal_centres_count_as_equal():
         res = check_property(op, law, pts)
         assert res.counterexample == Counterexample(
             law, (x, F(0), F(1, 2)), op(x, F(0)), op(x, F(1, 2))), law
+
+
+F_FALLING_STEPS = """\
+monotone: nonincreasing
+segment [0,1/3] const 1
+segment (1/3,2/3] const 3/4
+segment (2/3,1] const 1/2
+"""
+
+
+def test_bounded_by_min_searches_later_rows_from_their_first_column():
+    # classes {1/3, 1/4, 0}, {1/2, 2/3}, {3/4, 1}; gen:neglog's radii are
+    # finv's spread across f's steps, up to 1/3.  The first failing block
+    # is F({1/3, 1/4, 0}, {3/4, 1}) = 2/3 +- 1/3, certainly above 0 only;
+    # row 1/3 then holds no certain failure, and the first one, (1/2, 1/2),
+    # lies in a later row and an earlier column than the block's
+    op = make_op(parse_fn(F_FALLING_STEPS), parse_tnorm("gen:neglog"))
+    pts = [F(1, 3), F(1, 2), F(3, 4), F(1), F(1, 4), F(0), F(2, 3)]
+    res = check_property(op, "bounded_by_min", pts)
+    assert res == reference_check(op, "bounded_by_min", pts)
+    assert res.counterexample.inputs == (F(1, 2), F(1, 2)) and res.checked == 9
+
+
+@pytest.mark.parametrize("op", [lambda x, y: x * y, lambda x, y: x, max, min,
+                                lambda x, y: x * y if y < 1 else 0])
+def test_compared_equals_checked_with_one_point_per_class(op):
+    # distinct points of a plain callable are one class each, so every scan,
+    # failing or not, compares exactly the tuples it checks
+    for law in PROPERTY_NAMES:
+        memo = _Memo(op)
+        res = check_property(memo, law, grid(4))
+        assert memo.compared == res.checked, law
