@@ -100,16 +100,15 @@ def arg_pair(f: PiecewiseMonotoneFn, vn: int, vd: int, avoid=None):
     """``arg_with_value`` on pairs, v = vn/vd with vd > 0 and `avoid` a pair
     or None: on the first piece whose values hold v (``contains_pair``),
     the first of its closed lower end, its midpoint and its closed upper
-    end for a constant piece, or x = (v - c)/s on a line (``f._kernel``)."""
+    end for a constant piece, or x = (v - c)/s on a line."""
 
     def allowed(n, d):  # n/d != avoid
         return avoid is None or n * avoid[1] != avoid[0] * d
 
-    for p, vals, entry in zip(f.segments, f._values, f._kernel):
+    for p, vals in zip(f.segments, f._values):
         if not vals.contains_pair(vn, vd):
             continue
-        line = entry[4]
-        if line is None:
+        if not p.sn:
             d = p.domain
             if d.lo_closed and allowed(d.ln, d.ld):
                 return d.ln, d.ld
@@ -119,8 +118,7 @@ def arg_pair(f: PiecewiseMonotoneFn, vn: int, vd: int, avoid=None):
             if d.hi_closed and allowed(d.hn, d.hd):
                 return d.hn, d.hd
         else:
-            sn, sd, cn, cd = line
-            n, d = (vn * cd - cn * vd) * sd, vd * cd * sn
+            n, d = (vn * p.cd - p.cn * vd) * p.sd, vd * p.cd * p.sn
             if allowed(n, d):
                 return reduced(n, d)
     return None
@@ -262,20 +260,21 @@ def _vanishing_verdicts(top, evidence, note):
 def _proper_verdict(op, top) -> Verdict:
     """Proper means F(1,1) = `top` < 1: the operation cannot have neutral
     element 1.  An Approx `top` has a positive radius; an exact one, a
-    Fraction, is below 1 when its numerator is below its denominator."""
+    Fraction, is below 1 when its numerator is below its denominator; each
+    comparison is a sign test on numerators and denominators."""
     if not isinstance(top, Approx):
         if top.numerator < top.denominator:
             return Verdict.yes(f"F(1,1)={top} < 1")
         return Verdict.no((ONE, ONE), note="F(1,1)=1")
     c, r = top.value, top.radius
     shown = f"{float(c):.12f}"
-    if c + r < 1:
+    if c.numerator * r.denominator + r.numerator * c.denominator < c.denominator * r.denominator:
         return Verdict.yes(f"F(1,1)={shown} < 1")
-    if op.t.neutral_one and eval_fn(op.f, ONE) == 1:
+    if op.t.neutral_one and op.f_pair((1, 1)) == (1, 1):
         # T(1,1) = 1 exactly, so F(1,1) = finv(1) exactly, whatever T's radius
-        exact = op.finv_at(ONE)
-        if exact < 1:
-            return Verdict.yes(f"F(1,1)={exact} < 1")
+        n, d = op._finv_entry((1, 1))[0]
+        if n < d:
+            return Verdict.yes(f"F(1,1)={Fraction(n, d)} < 1")
         return Verdict.no((ONE, ONE),
                           note="T has neutral element 1 and f(1)=1, "
                                "so F(1,1)=1 exactly")
@@ -470,14 +469,13 @@ def _cc_witness(op, d: Decomposition, which: str, z: Fraction):
     families, so every value is an exact Fraction."""
     t = op.t
     if which == "plateau":
-        # z = T(w, v) > f(0+) with w a repeated value
+        # z = T(w, v) > f(0+) with w = p.ln/p.ld a repeated value
         for p in d.q.parts:
-            w = p.lo
             x1, x2 = _plateau_pair(op.f, (p.ln, p.ld))
-            for v in t_solve_x(t, w, z):
-                if not d.m.contains(v):
+            for v in t_solve_pairs(t, p.ln, p.ld, z.numerator, z.denominator):
+                if not d.m.contains_pair(*v):
                     continue
-                y = arg_with_value(op.f, v)  # v is in the range M
+                y = Fraction(*arg_pair(op.f, *v))  # v is in the range M
                 a1, a2 = f_eval(op, x1, y), f_eval(op, x2, y)
                 if a1 == a2 and a1 > 0:
                     return (x1, x2, y)
@@ -737,13 +735,14 @@ def check_archimedean(op: GeneratedOp) -> Verdict:
 
 def _idempotent_point(op: GeneratedOp):
     """The first p in (0,1) with F(p, p) = p, in x order, among the closed
-    lower ends of f's pieces and the midpoints of its lines; None when
-    none of them is."""
+    lower ends of f's pieces and the midpoints of its lines, as pairs, for
+    an exact family; None when none of them is."""
     for s in op.f.segments:
         d = s.domain
-        for p in ((d.lo,) if d.lo_closed else ()) + (() if s.is_const else (d.midpoint(),)):
-            if 0 < p < 1 and f_eval(op, p, p) == p:
-                return p
+        for k in ([(d.ln, d.ld)] if d.lo_closed else []) + (
+                [reduced(d.ln * d.hd + d.hn * d.ld, 2 * d.ld * d.hd)] if s.sn else []):
+            if 0 < k[0] < k[1] and op.t_finv(*op.f_pair(k), *op.f_pair(k))[0] == k:
+                return Fraction(*k)
     return None
 
 

@@ -11,10 +11,10 @@ Comments start with ``#``; blank lines are ignored.  ``point x = v`` is
 shorthand for ``segment {x} const v``, and ``render_fn`` writes segments
 only.  Domain coverage of [0,1] and monotonicity are validated on load.
 
-Rationals are read as ``Fraction(tok)`` reads them, with the same errors;
-the common tokens, ``p`` and ``p/q`` in ASCII digits, are read with
-``int`` (``_parse_fraction``), as ``Fraction``'s own string parser runs a
-regular expression per token.
+Rationals are read as ``Fraction(tok)`` reads them, with the same errors,
+straight to the integer pairs that ``Interval`` and ``Segment`` hold
+(``_parse_pair``); the common tokens, ``p`` and ``p/q`` in ASCII digits,
+are read with ``int``, as ``Fraction``'s string parser runs a regex.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .intervals import Interval, frac
-from .pwfn import InvalidFunction, PiecewiseMonotoneFn, Segment
+from .intervals import Interval, _nonempty, _span, reduced
+from .pwfn import InvalidFunction, PiecewiseMonotoneFn, _segment
 
 
 class ParseError(ValueError):
@@ -36,23 +36,20 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-def _digits(s: str) -> bool:
-    """Whether s is a non-empty run of the ASCII digits 0-9."""
-    return s.isascii() and s.isdigit()
-
-
-def _parse_fraction(tok: str, lineno: Optional[int]) -> Fraction:
-    """The rational of a token, as ``Fraction(tok)`` reads it.  A token of
-    ASCII digits, or two such runs around one '/', is read with ``int``,
-    without ``Fraction``'s regular expression; every other token, a sign,
-    a decimal point, an exponent, an underscore or a non-ASCII digit
-    included, goes to ``Fraction(tok)``, so the value and any error are
-    the same either way."""
+def _parse_pair(tok: str, lineno: Optional[int]) -> tuple:
+    """The rational of a token, as ``Fraction(tok)`` reads it, as a reduced
+    pair (n, d), d > 0.  A token of ASCII digits, or two such runs around
+    one '/' with a denominator that is not 0, is read with ``int``, without
+    ``Fraction``'s regular expression; every other token, a sign, a
+    decimal point, an exponent, an underscore or a non-ASCII digit
+    included, goes to ``Fraction(tok)``, so the value and any error are the
+    same either way."""
     p, slash, q = tok.partition("/")
     try:
-        if _digits(p) and (not slash or _digits(q)):
-            return Fraction(int(p), int(q) if slash else 1)
-        return Fraction(tok)
+        if tok.isascii() and p.isdigit() and (not slash or q.isdigit() and q.strip("0")):
+            return reduced(int(p), int(q) if slash else 1)
+        v = Fraction(tok)
+        return v.numerator, v.denominator
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(lineno, f"bad rational {tok!r}: {e}") from None
 
@@ -60,15 +57,15 @@ def _parse_fraction(tok: str, lineno: Optional[int]) -> Fraction:
 def parse_interval(tok: str, lineno: Optional[int] = None) -> Interval:
     tok = tok.strip()
     if tok.startswith("{") and tok.endswith("}"):
-        return Interval.point(_parse_fraction(tok[1:-1], lineno))
+        n, d = _parse_pair(tok[1:-1], lineno)
+        return _nonempty(n, d, n, d, True, True)
     if len(tok) < 2 or tok[0] not in "[(" or tok[-1] not in "])":
         raise ParseError(lineno, f"bad interval {tok!r}")
     body = tok[1:-1].split(",")
     if len(body) != 2:
         raise ParseError(lineno, f"bad interval {tok!r}")
-    lo = _parse_fraction(body[0], lineno)
-    hi = _parse_fraction(body[1], lineno)
-    iv = Interval.make(lo, hi, tok[0] == "[", tok[-1] == "]")
+    iv = _span(*_parse_pair(body[0], lineno), *_parse_pair(body[1], lineno),
+               tok[0] == "[", tok[-1] == "]")
     if iv is None:
         raise ParseError(lineno, f"empty interval {tok!r}")
     return iv
@@ -82,6 +79,10 @@ def parse_fn(text: str) -> PiecewiseMonotoneFn:
         if not line:
             continue
         toks = line.split()
+        if toks[0] == "point":
+            if len(toks) != 4 or toks[2] != "=":
+                raise ParseError(lineno, "expected 'point <p/q> = <p/q>'")
+            toks = ["segment", "{" + toks[1] + "}", "const", toks[3]]
         if toks[0] == "monotone:":
             if len(toks) != 2 or toks[1] not in ("nondecreasing", "nonincreasing"):
                 raise ParseError(lineno, "expected 'monotone: nondecreasing|nonincreasing'")
@@ -93,19 +94,14 @@ def parse_fn(text: str) -> PiecewiseMonotoneFn:
                 raise ParseError(lineno, "segment needs an interval and a shape")
             dom = parse_interval(toks[1], lineno)
             if toks[2] == "const" and len(toks) == 4:
-                segments.append(Segment.const(dom, _parse_fraction(toks[3], lineno)))
+                segments.append(_segment(dom, 0, 1, *_parse_pair(toks[3], lineno)))
             elif toks[2] == "linear" and len(toks) == 5:
-                slope = _parse_fraction(toks[3], lineno)
-                if slope == 0:
+                slope = _parse_pair(toks[3], lineno)
+                if not slope[0]:
                     raise ParseError(lineno, "linear slope must be nonzero; use const")
-                segments.append(Segment.linear(dom, slope, _parse_fraction(toks[4], lineno)))
+                segments.append(_segment(dom, *slope, *_parse_pair(toks[4], lineno)))
             else:
                 raise ParseError(lineno, f"bad segment shape {line!r}")
-        elif toks[0] == "point":
-            if len(toks) != 4 or toks[2] != "=":
-                raise ParseError(lineno, "expected 'point <p/q> = <p/q>'")
-            segments.append(Segment.const(Interval.point(_parse_fraction(toks[1], lineno)),
-                                          _parse_fraction(toks[3], lineno)))
         else:
             raise ParseError(lineno, f"unknown directive {toks[0]!r}")
     if direction is None:

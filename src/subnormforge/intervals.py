@@ -1,25 +1,20 @@
 """Exact interval sets on [0,1] with open/closed endpoint flags.
 
-Endpoints are `fractions.Fraction`, so membership, union, intersection,
-complement and the order-hull are all exact.  A set is a normalized tuple
-of pairwise disjoint, non-mergeable parts in ascending order.  A degenerate
-open interval (a,a) is identified with the empty set.
-
-Each ``Interval`` also holds its ends as integer pairs, lo = ln/ld and
-hi = hn/hd: the Fractions' own reduced numerators and positive
-denominators, kept in slots that equality, hashing and ``repr`` leave out.
-Every order test here is the sign of a cross product of those ints, and
-two ends are equal when their pairs are, so the algebra compares no
-Fraction.  ``contains_pair`` asks membership of a point p/q held as a
-pair, and ``IntervalSet.of`` sorts its parts by integer keys over the lcm
-of their denominators; ``IntervalSet.merged`` takes parts already in that
-order, such as a monotone function's value intervals.  ``sorted_pairs``
-sorts points held as reduced pairs (``reduced``) the same way.
+An ``Interval`` is its ends as integer pairs, lo = ln/ld and hi = hn/hd,
+reduced over positive denominators, and its two flags: the pairs are the
+data, and ``lo`` and ``hi`` are ``Fraction`` views, each built on its
+first read and kept.  Every order test here is the sign of a cross
+product of those ints, and two ends are equal when their pairs are, so
+membership, union, intersection, complement and the order-hull are exact
+and build no Fraction.  A set is a normalized tuple of pairwise disjoint,
+non-mergeable parts in ascending order, which ``IntervalSet.of`` sorts
+by integer keys over the lcm of their denominators.  A degenerate open
+interval (a,a) is identified with the empty set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Union
@@ -61,46 +56,66 @@ def _empty(ln: int, ld: int, hn: int, hd: int, lo_closed: bool, hi_closed: bool)
     return c > 0 or (c == 0 and not (lo_closed and hi_closed))
 
 
-@dataclass(frozen=True, slots=True)
+def _view(n: str, d: str, slot: str) -> property:
+    """The read-only Fraction view of the pair held in the slots `n` and
+    `d`: built on first read and kept in the slot `slot`."""
+
+    def read(self) -> Fraction:
+        v = getattr(self, slot)
+        if v is None:
+            v = Fraction(getattr(self, n), getattr(self, d))
+            setattr(self, slot, v)
+        return v
+
+    return property(read)
+
+
 class Interval:
-    """A non-empty interval with independent endpoint openness."""
+    """A non-empty interval with independent endpoint openness.  The
+    constructors write its slots and nothing else does.  Equality compares
+    the pairs and flags; hashing and ``repr`` read the views, so all three
+    are those of the tuple (lo, hi, lo_closed, hi_closed)."""
 
-    lo: Fraction
-    hi: Fraction
-    lo_closed: bool = True
-    hi_closed: bool = True
-    # lo = ln/ld and hi = hn/hd as reduced pairs, ld, hd > 0
-    ln: int = field(init=False, repr=False, compare=False)
-    ld: int = field(init=False, repr=False, compare=False)
-    hn: int = field(init=False, repr=False, compare=False)
-    hd: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("ln", "ld", "hn", "hd", "lo_closed", "hi_closed", "_lo", "_hi")
 
-    def __post_init__(self):
-        lo, hi = self.lo, self.hi
+    def __init__(self, lo: Rat, hi: Rat, lo_closed: bool = True, hi_closed: bool = True):
+        lo, hi = frac(lo), frac(hi)
         ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        if _empty(ln, ld, hn, hd, self.lo_closed, self.hi_closed):
-            raise ValueError(f"empty interval: {self.lo}..{self.hi}")
-        _set_ln(self, ln)
-        _set_ld(self, ld)
-        _set_hn(self, hn)
-        _set_hd(self, hd)
+        if _empty(ln, ld, hn, hd, lo_closed, hi_closed):
+            raise ValueError(f"empty interval: {lo}..{hi}")
+        self.ln, self.ld, self.hn, self.hd = ln, ld, hn, hd
+        self.lo_closed, self.hi_closed, self._lo, self._hi = lo_closed, hi_closed, None, None
+
+    lo, hi = _view("ln", "ld", "_lo"), _view("hn", "hd", "_hi")
+
+    def __eq__(self, o):
+        if o.__class__ is not Interval:
+            return NotImplemented
+        return (self.ln == o.ln and self.ld == o.ld and self.hn == o.hn and self.hd == o.hd
+                and self.lo_closed == o.lo_closed and self.hi_closed == o.hi_closed)
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi, self.lo_closed, self.hi_closed))
+
+    def __repr__(self) -> str:
+        return (f"Interval(lo={self.lo!r}, hi={self.hi!r}, lo_closed={self.lo_closed!r}, "
+                f"hi_closed={self.hi_closed!r})")
 
     @staticmethod
     def make(lo: Rat, hi: Rat, lo_closed: bool = True, hi_closed: bool = True) -> Optional["Interval"]:
         """Like the constructor but returns None for an empty interval."""
         lo, hi = frac(lo), frac(hi)
-        return _span(lo, hi, lo_closed, hi_closed,
-                     lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+        return _span(lo.numerator, lo.denominator, hi.numerator, hi.denominator,
+                     lo_closed, hi_closed)
 
     @staticmethod
     def point(v: Rat) -> "Interval":
         v = frac(v)
-        n, d = v.numerator, v.denominator
-        return _nonempty(v, v, True, True, n, d, n, d)
+        return _nonempty(v.numerator, v.denominator, v.numerator, v.denominator, True, True)
 
     @staticmethod
     def closed(lo: Rat, hi: Rat) -> "Interval":
-        return Interval(frac(lo), frac(hi), True, True)
+        return Interval(lo, hi, True, True)
 
     @property
     def is_point(self) -> bool:
@@ -124,7 +139,7 @@ class Interval:
         c = self.hn * o.hd - o.hn * self.hd  # the sign of self.hi - o.hi
         b = self if c <= 0 else o
         hc = b.hi_closed if c else self.hi_closed and o.hi_closed
-        return _span(a.lo, b.hi, lc, hc, a.ln, a.ld, b.hn, b.hd)
+        return _span(a.ln, a.ld, b.hn, b.hd, lc, hc)
 
     def midpoint(self) -> Fraction:
         return Fraction(self.ln * self.hd + self.hn * self.ld, 2 * self.ld * self.hd)
@@ -137,35 +152,22 @@ class Interval:
         return f"{lb}{self.lo},{self.hi}{rb}"
 
 
-_set_lo, _set_hi, _set_lo_closed, _set_hi_closed, _set_ln, _set_ld, _set_hn, _set_hd = (
-    getattr(Interval, name).__set__
-    for name in ("lo", "hi", "lo_closed", "hi_closed", "ln", "ld", "hn", "hd"))
-
-
-def _nonempty(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool,
-              ln: int, ld: int, hn: int, hd: int) -> Interval:
-    """An Interval that the caller knows is not empty, from its ends and
-    their pairs, built without ``__post_init__``, which would test
-    emptiness again: the slots are set through their descriptors, which a
-    frozen class leaves writable."""
+def _nonempty(ln: int, ld: int, hn: int, hd: int, lo_closed: bool, hi_closed: bool) -> Interval:
+    """An Interval that the caller knows is not empty, from its ends'
+    reduced pairs, built without the constructor's ``frac`` and emptiness
+    test."""
     iv = object.__new__(Interval)
-    _set_lo(iv, lo)
-    _set_hi(iv, hi)
-    _set_lo_closed(iv, lo_closed)
-    _set_hi_closed(iv, hi_closed)
-    _set_ln(iv, ln)
-    _set_ld(iv, ld)
-    _set_hn(iv, hn)
-    _set_hd(iv, hd)
+    iv.ln, iv.ld, iv.hn, iv.hd = ln, ld, hn, hd
+    iv.lo_closed, iv.hi_closed, iv._lo, iv._hi = lo_closed, hi_closed, None, None
     return iv
 
 
-def _span(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool,
-          ln: int, ld: int, hn: int, hd: int) -> Optional[Interval]:
+def _span(ln: int, ld: int, hn: int, hd: int, lo_closed: bool,
+          hi_closed: bool) -> Optional[Interval]:
     """``_nonempty``'s Interval, or None when it would be empty."""
     if _empty(ln, ld, hn, hd, lo_closed, hi_closed):
         return None
-    return _nonempty(lo, hi, lo_closed, hi_closed, ln, ld, hn, hd)
+    return _nonempty(ln, ld, hn, hd, lo_closed, hi_closed)
 
 
 UNIT = Interval.closed(0, 1)
@@ -202,8 +204,7 @@ class IntervalSet:
                     # it closed where q's is open
                     c = p.hn * q.hd - q.hn * p.hd  # the sign of p.hi - q.hi
                     if c > 0 or (c == 0 and p.hi_closed and not q.hi_closed):
-                        merged[-1] = _nonempty(q.lo, p.hi, q.lo_closed, p.hi_closed,
-                                               q.ln, q.ld, p.hn, p.hd)
+                        merged[-1] = _nonempty(q.ln, q.ld, p.hn, p.hd, q.lo_closed, p.hi_closed)
                     continue
             merged.append(p)
         return IntervalSet(tuple(merged))
@@ -259,11 +260,11 @@ class IntervalSet:
         closed, as a part lies between any two, so they need no
         normalizing."""
         out = []
-        cur, cn, cd, cur_closed = ZERO, 0, 1, True
+        cn, cd, cur_closed = 0, 1, True
         for p in self.parts:
-            out.append(_span(cur, p.lo, cur_closed, not p.lo_closed, cn, cd, p.ln, p.ld))
-            cur, cn, cd, cur_closed = p.hi, p.hn, p.hd, not p.hi_closed
-        out.append(_span(cur, ONE, cur_closed, True, cn, cd, 1, 1))
+            out.append(_span(cn, cd, p.ln, p.ld, cur_closed, not p.lo_closed))
+            cn, cd, cur_closed = p.hn, p.hd, not p.hi_closed
+        out.append(_span(cn, cd, 1, 1, cur_closed, True))
         return IntervalSet(tuple(p for p in out if p is not None))
 
     def minus(self, other: "IntervalSet") -> "IntervalSet":
@@ -291,7 +292,7 @@ class IntervalSet:
         if self.is_empty or self.is_single_point:
             return IntervalSet(())
         a, b = self.parts[0], self.parts[-1]
-        return IntervalSet.single(_span(a.lo, b.hi, False, False, a.ln, a.ld, b.hn, b.hd))
+        return IntervalSet.single(_span(a.ln, a.ld, b.hn, b.hd, False, False))
 
     def has_multiple_points(self) -> bool:
         return len(self.parts) > 1 or (len(self.parts) == 1 and not self.parts[0].is_point)

@@ -4,34 +4,34 @@ A function is a finite sequence of rational-linear or constant segments
 whose domains exactly partition [0,1]; an isolated value f(x) = v is the
 constant segment on {x}.  All evaluation, one-sided limits,
 pseudo-inversion, range and plateau computations are exact over the
-rationals.
+rationals.  A ``Segment`` is its domain, an ``Interval``, and its slope
+and intercept as reduced integer pairs: the pairs are the data, and
+``slope`` and ``intercept`` are Fraction views, built on first read and
+kept, as ``Interval``'s ``lo`` and ``hi`` are.
 
 The structure that depends on f alone is computed once per function
-object, on first use, and cached on it: the value interval each segment
-attains, the breakpoints, the plateau set, the range decomposition, the
+object, on first use, and cached in the instance ``__dict__``, outside
+the dataclass fields, so equality, hashing and ``repr`` see only the
+direction and the segments: the value interval each segment attains,
+the breakpoints, the plateau set, the range decomposition, the
 pseudo-inverse that ``make_op`` hands every operation on f, the jumps,
 and the argument pairs of the plateau values and the search grids that
-``classify`` asks for.
-The caches live in the instance ``__dict__``, outside the dataclass
-fields, so equality, hashing and ``repr`` see only the direction and the
-segments.  The pseudo-inverse is validated like any function but keeps no
-value intervals, so it holds its segments and ``_kernel`` alone.  Over
+``classify`` asks for.  The pseudo-inverse is validated like any function
+but keeps no value intervals, so it holds its segments alone.  Over
 every (function, family) pair of the classify benchmark's corpus, seed 4
 (1506 functions), classifying raises the Python heap retained per
-function from about 1.4 KB, parsed, to 5.9 KB (tracemalloc, Python 3.11).
+function from about 0.9 KB, parsed, to 4.4 KB (tracemalloc, Python 3.11).
 
-``eval_pair`` runs on one more cache, the integer table ``_kernel``: per
-piece in x order, its upper end as numerator, denominator and closedness,
-then a constant piece's value as a reduced (numerator, denominator) pair,
-or a line's slope and intercept as four integers.  The pieces partition
-[0,1] in order, each starting where the one before ends, with the
-opposite closedness.  So every piece before the first whose upper end
-covers x ends below x, or at x but open, and that first piece starts at
-or below x: it holds x.  The tests are sign tests on cross products of
+``eval_pair`` scans the pieces in x order, reading each one's upper end,
+and then a constant piece's value or a line's slope and intercept, as
+integer pairs.  The pieces partition [0,1] in order, each starting where
+the one before ends, with the opposite closedness.  So every piece before
+the first whose upper end covers x ends below x, or at x but open, and
+that first piece starts at or below x: it holds x.  The tests are sign tests on cross products of
 numerators and denominators, and the value is an integer pair; ``eval_fn``
 builds it as one Fraction, normalised once.
 
-``limit_pair``, the one-sided twin of ``eval_pair``, scans the same table
+``limit_pair``, the one-sided twin of ``eval_pair``, scans the same way
 for the piece that approaches a: from the left the first piece whose
 upper end is >= a, from the right the first whose upper end is > a,
 closedness aside.  Every piece before it ends below a from the left, and
@@ -44,21 +44,16 @@ piece: from the left the piece before it, which ends at a, comes first,
 and from the right its upper end is not > a.  ``side_limit`` builds the
 pair as one Fraction.
 
-Validation (``_validate``, run by the constructor) checks that the
-pieces partition [0,1], comparing the domains' ends as the integer pairs
-that each ``Interval`` holds, then each piece's values at its two ends,
-as integer pairs by ``eval_pair``'s formula: within [0,1], in the function's
-direction, and, by cross-multiplication, not going back across pieces.
-No ``Interval`` of values is built for it.
-
-``pseudo_inverse`` builds the closed form of the pseudo-inverse in one
-sweep over the pieces, comparing the integer pairs of their value
-intervals and lines, and emits its pieces in x order; ``pseudo_inverse_at``
-is the pointwise definition that the tests hold it against, a scan of
-``_kernel`` on pairs (``_first_arg``) like ``first_arg_above``.  The value
-intervals come from ``_kernel``'s pairs, the breakpoints, each with its
-pair, from one pass over the pieces, and the range, the plateau set and
-the decomposition from one pass each over values that come in order; no
+Validation (``_validate``, run by the constructor) checks on pairs that
+the pieces partition [0,1], and that each piece's values at its two
+ends, by ``eval_pair``'s formula, lie in [0,1], go in the function's
+direction and do not go back across pieces.  ``pseudo_inverse`` builds
+the closed form of the pseudo-inverse in one sweep over the pieces on
+pairs, and builds its Segments of pairs; ``pseudo_inverse_at`` is the
+pointwise definition that the tests hold it against, a scan of the
+pieces on pairs (``_first_arg``) like ``first_arg_above``.  The
+value intervals, the breakpoints, the range, the plateau set and the
+decomposition take one pass each over values that come in order; no
 Fraction is sorted or hashed to build them.
 """
 
@@ -70,7 +65,7 @@ from functools import cached_property
 from math import lcm
 from typing import Optional
 
-from .intervals import Interval, IntervalSet, ZERO, ONE, _nonempty, frac, reduced
+from .intervals import Interval, IntervalSet, ZERO, ONE, _nonempty, _view, frac, reduced
 
 
 class DomainError(ValueError):
@@ -81,25 +76,54 @@ class InvalidFunction(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
 class Segment:
-    """A linear (slope != 0) or constant (slope == 0) piece."""
+    """A linear (slope != 0) or constant (slope == 0) piece: its domain, and
+    its slope sn/sd and intercept cn/cd as reduced pairs, sd, cd > 0.
+    Equality, hashing and ``repr`` are those of (domain, slope, intercept)."""
 
-    domain: Interval
-    slope: Fraction
-    intercept: Fraction
+    __slots__ = ("domain", "sn", "sd", "cn", "cd", "_slope", "_intercept")
+
+    def __init__(self, domain: Interval, slope, intercept):
+        s, c = frac(slope), frac(intercept)
+        self.domain, self.sn, self.sd, self.cn, self.cd = (
+            domain, s.numerator, s.denominator, c.numerator, c.denominator)
+        self._slope, self._intercept = None, None
+
+    slope, intercept = _view("sn", "sd", "_slope"), _view("cn", "cd", "_intercept")
+
+    def __eq__(self, o):
+        if o.__class__ is not Segment:
+            return NotImplemented
+        return (self.sn == o.sn and self.sd == o.sd and self.cn == o.cn and self.cd == o.cd
+                and self.domain == o.domain)
+
+    def __hash__(self) -> int:
+        return hash((self.domain, self.slope, self.intercept))
+
+    def __repr__(self) -> str:
+        return (f"Segment(domain={self.domain!r}, slope={self.slope!r}, "
+                f"intercept={self.intercept!r})")
 
     @property
     def is_const(self) -> bool:
-        return not self.slope
+        return not self.sn
 
     @staticmethod
     def const(domain: Interval, value) -> "Segment":
-        return Segment(domain, ZERO, frac(value))
+        return Segment(domain, 0, value)
 
     @staticmethod
     def linear(domain: Interval, slope, intercept) -> "Segment":
-        return Segment(domain, frac(slope), frac(intercept))
+        return Segment(domain, slope, intercept)
+
+
+def _segment(domain: Interval, sn: int, sd: int, cn: int, cd: int) -> Segment:
+    """A Segment from its domain and the reduced pairs of its slope and
+    intercept, built without the constructor's ``frac``."""
+    s = object.__new__(Segment)
+    s.domain, s.sn, s.sd, s.cn, s.cd = domain, sn, sd, cn, cd
+    s._slope, s._intercept = None, None
+    return s
 
 
 @dataclass(frozen=True)
@@ -136,34 +160,18 @@ class PiecewiseMonotoneFn:
 
     @cached_property
     def _values(self) -> tuple:
-        """The value interval each segment attains, in segment order, from
-        ``_kernel``: a constant's value, or a line's values at its ends."""
-        out = []
-        for p, (_, _, _, (cn, cd), line) in zip(self.segments, self._kernel):
-            if line is None:
-                out.append(_nonempty(p.intercept, p.intercept, True, True, cn, cd, cn, cd))
-                continue
-            sn, sd, d = line[0], line[1], p.domain
-            ends = [(Fraction(sn * xn * cd + cn * sd * xd, sd * cd * xd), closed)
-                    for xn, xd, closed in ((d.ln, d.ld, d.lo_closed), (d.hn, d.hd, d.hi_closed))]
-            (lo, lo_closed), (hi, hi_closed) = ends if sn > 0 else ends[::-1]
-            out.append(_nonempty(lo, hi, lo_closed, hi_closed, lo.numerator, lo.denominator,
-                                 hi.numerator, hi.denominator))
-        return tuple(out)
-
-    @cached_property
-    def _kernel(self) -> tuple:
-        """``eval_pair``'s and ``limit_pair``'s table, one entry per piece
-        in x order: the upper end as (hn, hd, closed) with hi = hn/hd, then
-        the intercept cn/cd as (cn, cd), which is a constant piece's value,
-        and the line: None for a constant piece, else (sn, sd, cn, cd) for
-        slope sn/sd."""
+        """The value interval each segment attains, in segment order: a
+        constant's value, or a line's values at its ends, reduced."""
         out = []
         for p in self.segments:
-            d, s, c = p.domain, p.slope, p.intercept
-            cn, cd = c.numerator, c.denominator
-            line = None if p.is_const else (s.numerator, s.denominator, cn, cd)
-            out.append((d.hi.numerator, d.hi.denominator, d.hi_closed, (cn, cd), line))
+            sn, sd, cn, cd, d = p.sn, p.sd, p.cn, p.cd, p.domain
+            if not sn:
+                out.append(_nonempty(cn, cd, cn, cd, True, True))
+                continue
+            lo = reduced(sn * d.ln * cd + cn * sd * d.ld, sd * cd * d.ld)
+            hi = reduced(sn * d.hn * cd + cn * sd * d.hd, sd * cd * d.hd)
+            out.append(_nonempty(*lo, *hi, d.lo_closed, d.hi_closed) if sn > 0
+                       else _nonempty(*hi, *lo, d.hi_closed, d.lo_closed))
         return tuple(out)
 
     @cached_property
@@ -182,11 +190,11 @@ class PiecewiseMonotoneFn:
         covering part of (x1,x2) that is more than a point is a constant
         segment with value v.  So these are the constant values of the
         segments whose domain is not a single point.  They come in f's
-        direction, so one pass collects them, keyed by their pairs in
-        ``_kernel`` to drop repeats."""
-        values = {e[3]: s.intercept for s, e in zip(self.segments, self._kernel)
-                  if e[4] is None and not s.domain.is_point}
-        parts = [Interval.point(v) for v in values.values()]
+        direction, so one pass collects them, keyed by their pairs to drop
+        repeats."""
+        values = dict.fromkeys((s.cn, s.cd) for s in self.segments
+                               if not s.sn and not s.domain.is_point)
+        parts = [_nonempty(n, d, n, d, True, True) for n, d in values]
         return IntervalSet(tuple(parts if self.nondecreasing else parts[::-1]))
 
     @cached_property
@@ -266,29 +274,26 @@ def _validate(fn: PiecewiseMonotoneFn) -> None:
     if not fn.segments:
         raise InvalidFunction("no pieces")
     # the ends are compared as the reduced pairs that the domains hold
-    cur, cur_n, cur_d, cur_closed = ZERO, 0, 1, True
+    cur_n, cur_d, cur_closed = 0, 1, True
     for p in fn.segments:
         d = p.domain
         if d.ln != cur_n or d.ld != cur_d or d.lo_closed != cur_closed:
-            raise InvalidFunction(f"domain gap or overlap at {cur} (next piece starts {d})")
-        cur, cur_n, cur_d, cur_closed = d.hi, d.hn, d.hd, not d.hi_closed
+            raise InvalidFunction(f"domain gap or overlap at {Fraction(cur_n, cur_d)} "
+                                  f"(next piece starts {d})")
+        cur_n, cur_d, cur_closed = d.hn, d.hd, not d.hi_closed
     if cur_n != cur_d or cur_closed:
-        raise InvalidFunction(f"domain does not reach 1 (stops at {cur})")
-    # each piece's values are checked at its two ends, as integer pairs
-    # over a positive denominator, by the formula of ``eval_pair``; they
-    # are not kept, as a pseudo-inverse, which is validated like any
-    # function, never reads them again.  ``bottom`` and ``top`` are the
-    # values at the piece's two ends, the lesser first, whether the ends
-    # are attained or not, and ``prev`` is the previous piece's end value
-    # next to this piece: its top for non-decreasing f, its bottom otherwise
+        raise InvalidFunction(f"domain does not reach 1 (stops at {Fraction(cur_n, cur_d)})")
+    # ``bottom`` and ``top`` are the values at the piece's two ends, the
+    # lesser first, attained or not, as unreduced pairs; ``prev`` is the
+    # previous piece's end value next to this piece: its top for
+    # non-decreasing f, its bottom otherwise.  They are not kept, as a
+    # pseudo-inverse, which is validated too, never reads them again
     up = fn.nondecreasing
     prev = None
     for p in fn.segments:
-        s, c = p.slope, p.intercept
-        sn, sd, cn, cd = s.numerator, s.denominator, c.numerator, c.denominator
-        d = p.domain
-        lo, hi = ((sn * xn * cd + cn * sd * xd, sd * cd * xd)
-                  for xn, xd in ((d.ln, d.ld), (d.hn, d.hd)))
+        sn, sd, cn, cd, d = p.sn, p.sd, p.cn, p.cd, p.domain
+        lo = sn * d.ln * cd + cn * sd * d.ld, sd * cd * d.ld
+        hi = sn * d.hn * cd + cn * sd * d.hd, sd * cd * d.hd
         bottom, top = (hi, lo) if sn < 0 else (lo, hi)
         if bottom[0] < 0 or top[0] > top[1]:
             raise InvalidFunction(f"values escape [0,1] on {p.domain}")
@@ -312,18 +317,18 @@ def eval_fn(f: PiecewiseMonotoneFn, x) -> Fraction:
 
 def eval_pair(f: PiecewiseMonotoneFn, p: int, q: int) -> tuple:
     """f(p/q) as an integer pair (n, d), d > 0, for q > 0, by the scan of
-    ``f._kernel`` described above: a constant piece's reduced pair, or a
+    the pieces described above: a constant piece's reduced pair, or a
     line's (sn*p*cd + cn*sd*q, sd*cd*q), not reduced.  DomainError unless
     0 <= p <= q."""
     if p < 0 or p > q:
         raise DomainError(f"argument {Fraction(p, q)} outside [0,1]")
-    for hn, hd, closed, value, line in f._kernel:
-        c = p * hd - hn * q
-        if c < 0 or (c == 0 and closed):
-            if line is None:
-                return value
-            sn, sd, cn, cd = line
-            return sn * p * cd + cn * sd * q, sd * cd * q
+    for s in f.segments:
+        d = s.domain
+        c = p * d.hd - d.hn * q
+        if c < 0 or (c == 0 and d.hi_closed):
+            if not s.sn:
+                return s.cn, s.cd
+            return s.sn * p * s.cd + s.cn * s.sd * q, s.sd * s.cd * q
     raise InvalidFunction(f"no piece covers {p}/{q}")  # unreachable for valid fns
 
 
@@ -349,7 +354,7 @@ def limit_pair(f: PiecewiseMonotoneFn, p: int, q: int, side: str) -> tuple:
     """(lim f(x) as x -> p/q from `side`, whether f is constant on that
     side of p/q), for q > 0 and `side` "left" or "right": the limit as an
     integer pair by ``eval_pair``'s formula on the piece that approaches
-    p/q, found by the scan of ``f._kernel`` described above.  The ends
+    p/q, found by the scan of the pieces described above.  The ends
     take ``side_limit``'s conventions, as constant.  DomainError unless
     0 <= p <= q."""
     if p < 0 or p > q:
@@ -359,13 +364,12 @@ def limit_pair(f: PiecewiseMonotoneFn, p: int, q: int, side: str) -> tuple:
         # f(0^-) and f(1^+): 1 just left of 0 for non-increasing f and just
         # right of 1 for non-decreasing f, else 0
         return ((1, 1) if f.nondecreasing != left else (0, 1)), True
-    for hn, hd, _, value, line in f._kernel:
-        c = p * hd - hn * q
+    for s in f.segments:
+        c = p * s.domain.hd - s.domain.hn * q
         if c < 0 or (c == 0 and left):
-            if line is None:
-                return value, True
-            sn, sd, cn, cd = line
-            return (sn * p * cd + cn * sd * q, sd * cd * q), False
+            if not s.sn:
+                return (s.cn, s.cd), True
+            return (s.sn * p * s.cd + s.cn * s.sd * q, s.sd * s.cd * q), False
     raise InvalidFunction(f"no segment approaches {Fraction(p, q)} from the {side}")
 
 
@@ -373,9 +377,11 @@ def approach_segment(f: PiecewiseMonotoneFn, a: Fraction, side: str) -> Optional
     """The segment whose domain reaches a from `side`: it contains points
     arbitrarily close to a on that side.  None when no segment does, which
     for a valid f happens only at 0 from the left and 1 from the right."""
+    p, q = a.numerator, a.denominator
     for s in f.segments:
         d = s.domain
-        if (d.lo < a <= d.hi) if side == "left" else (d.lo <= a < d.hi):
+        lo, hi = p * d.ld - d.ln * q, p * d.hd - d.hn * q  # the signs of a - lo, a - hi
+        if (lo > 0 and hi <= 0) if side == "left" else (lo >= 0 and hi < 0):
             return s
     return None
 
@@ -401,18 +407,17 @@ def _first_arg(f, yn: int, yd: int, closed: bool) -> tuple:
     `closed`.  Every x after one whose value hits the target hits it too,
     so the first piece whose values meet the target holds the infimum: its
     first x for a constant piece, and for a line the x where it reaches y,
-    or its first x when it starts past y.  The scan reads ``f._kernel``: a
-    piece's value at its upper end goes farthest into the target, attained
-    by a constant piece and by a line closed there."""
+    or its first x when it starts past y.  A piece's value at its upper end
+    goes farthest into the target, attained by a constant piece and by a
+    line closed there."""
     sign = 1 if f.nondecreasing else -1
-    for p, (hn, hd, hi_closed, (vn, vd), line) in zip(f.segments, f._kernel):
-        if line is not None:  # a line's value at its upper end
-            sn, sd, cn, cd = line
-            vn, vd = sn * hn * cd + cn * sd * hd, sd * cd * hd
+    for p in f.segments:
+        d, sn, sd, cn, cd = p.domain, p.sn, p.sd, p.cn, p.cd
+        # the piece's value at its upper end
+        vn, vd = (sn * d.hn * cd + cn * sd * d.hd, sd * cd * d.hd) if sn else (cn, cd)
         c = (vn * yd - yn * vd) * sign  # the sign of that value - y, into the target
-        if c > 0 or (c == 0 and closed and (line is None or hi_closed)):
-            d = p.domain
-            if line is None:
+        if c > 0 or (c == 0 and closed and (not sn or d.hi_closed)):
+            if not sn:
                 return d.ln, d.ld
             x = reduced((yn * cd - cn * yd) * sd, yd * cd * sn)
             return x if x[0] * d.ld > d.ln * x[1] else (d.ln, d.ld)
@@ -452,62 +457,57 @@ def pseudo_inverse(f: PiecewiseMonotoneFn) -> PiecewiseMonotoneFn:
 
     The sweep compares the u-values, the value intervals' pairs (1 - n/d
     is (d - n)/d), by cross products, and lines by their reduced (slope,
-    intercept) pairs; only the kept lines are built as Fractions.  The
-    pieces come in ascending u, descending y for non-increasing f, where
-    they are reversed, so the constructor finds them in x order.
+    intercept) pairs, and builds its Segments of those pairs.  The pieces
+    come in ascending u, which is descending y for non-increasing f; the
+    constructor's sort puts them in x order.
     """
     up = f.nondecreasing
-    # [u_top, y at u_top, line, (slope, intercept)]: finv on (previous
-    # u_top, u_top], the first from 0, with its line as pairs and Fractions.
-    # A constant line reuses ZERO and its piece's lower end, as the Fraction
-    # sweep did, so finv holds no more Fractions than it did then
+    # [u_top, line]: finv on (previous u_top, u_top], the first from 0,
+    # with its line as (slope, intercept) pairs
     out = []
 
-    def take(u, y, line, fracs, at_zero):
+    def take(u, line, at_zero):
         if out:
             last = out[-1]
             if u[0] * last[0][1] <= last[0][0] * u[1]:
                 return
-            if last[2] == line:
-                last[0], last[1] = u, y
+            if last[1] == line:
+                last[0] = u
                 return
         elif not u[0]:
             return
         elif not at_zero:
             # finv is 0 at 0 alone; no line taking over here is 0 there
-            out.append([(0, 1), ZERO if up else ONE, ((0, 1), (0, 1)), (ZERO, ZERO)])
-        out.append([u, y, line, fracs or (Fraction(*line[0]), Fraction(*line[1]))])
+            out.append([(0, 1), ((0, 1), (0, 1))])
+        out.append([u, line])
 
-    for p, vals, entry in zip(f.segments, f._values, f._kernel):
+    for p, vals in zip(f.segments, f._values):
         d = p.domain
-        const, at_zero = (((0, 1), (d.ln, d.ld)), (ZERO, d.lo)), not d.ln
+        const, at_zero = ((0, 1), (d.ln, d.ld)), not d.ln
         if up:
-            bottom, top = ((vals.ln, vals.ld), vals.lo), ((vals.hn, vals.hd), vals.hi)
+            bottom, top = (vals.ln, vals.ld), (vals.hn, vals.hd)
         else:
-            bottom = (vals.hd - vals.hn, vals.hd), vals.hi
-            top = (vals.ld - vals.ln, vals.ld), vals.lo
-        if entry[4] is None:
-            take(*top, *const, at_zero)
+            bottom, top = (vals.hd - vals.hn, vals.hd), (vals.ld - vals.ln, vals.ld)
+        if not p.sn:
+            take(top, const, at_zero)
         else:
-            take(*bottom, *const, at_zero)
-            sn, sd, cn, cd = entry[4]
+            take(bottom, const, at_zero)
+            sn, sd, cn, cd = p.sn, p.sd, p.cn, p.cd
             if sn < 0:
                 sn, sd = -sn, -sd
             # x = (y - c)/s: slope sd/sn, intercept -c/s
-            take(*top, ((sd, sn), reduced(-cn * sd, cd * sn)), None, at_zero)
-    take((1, 1), ONE if up else ZERO, ((0, 1), (1, 1)), (ZERO, ONE), False)
+            take(top, ((sd, sn), reduced(-cn * sd, cd * sn)), at_zero)
+    take((1, 1), ((0, 1), (1, 1)), False)
 
     # the u_top rise strictly, so no domain is empty; y = 1 - u otherwise
     segments = []
-    lo, ln, ld, lo_closed = (ZERO, 0, 1, True) if up else (ONE, 1, 1, True)
-    for (un, ud), y, _, (slope, intercept) in out:
+    ln, ld, lo_closed = (0, 1, True) if up else (1, 1, True)
+    for (un, ud), (slope, intercept) in out:
         yn = un if up else ud - un
-        dom = (_nonempty(lo, y, lo_closed, True, ln, ld, yn, ud) if up
-               else _nonempty(y, lo, True, lo_closed, yn, ud, ln, ld))
-        segments.append(Segment(dom, slope, intercept))
-        lo, ln, ld, lo_closed = y, yn, ud, False
-    if not up:
-        segments.reverse()
+        dom = (_nonempty(ln, ld, yn, ud, lo_closed, True) if up
+               else _nonempty(yn, ud, ln, ld, True, lo_closed))
+        segments.append(_segment(dom, *slope, *intercept))
+        ln, ld, lo_closed = yn, ud, False
     return PiecewiseMonotoneFn(up, tuple(segments))
 
 

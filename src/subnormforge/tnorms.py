@@ -5,10 +5,10 @@ values (``Approx``) of the additive-generator families.
 The exact families evaluate T(a/b, c/d) on integers, as a pair (n, d)
 with d > 0 (``eval_pair``), which ``eval`` builds as one Fraction; the
 domain check of ``t_eval`` compares numerators with denominators.  Box
-images read the corners' pairs from the ``Interval`` slots, and
-``t_solve_pairs`` takes each family's solution candidates as pairs
-(``solve_candidates``) and checks them by ``eval_pair``; ``t_solve_x``
-builds its solutions as Fractions.
+images and preimages read the ``Interval``s' pairs and build their
+results from pairs, and ``t_solve_pairs`` takes each family's solution
+candidates as pairs (``solve_candidates``) and checks them by
+``eval_pair``; ``t_solve_x`` builds its solutions as Fractions.
 
 The generator families (``Generator`` and ``Lambda``) evaluate their
 closed form min(1, xy·κ), with κ = e^(-g(1)) / λ, on Fractions: κ is
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .intervals import Interval, IntervalSet, ONE, ZERO, frac, reduced
+from .intervals import Interval, IntervalSet, ONE, ZERO, _span, frac, reduced
 from .pwfn import DomainError
 
 
@@ -71,14 +71,14 @@ def _box_image_mono(phi, A: Interval, B: Interval) -> Interval:
     """Image of a box under a continuous t-norm branch that is strictly
     increasing in each argument on positive arguments and vanishes only
     when an argument vanishes.  phi is the branch on integer pairs, as
-    ``eval_pair`` is, applied to the corners' pairs; only the image's two
-    ends are built as Fractions."""
-    (ln, ld), (hn, hd) = phi(A.ln, A.ld, B.ln, B.ld), phi(A.hn, A.hd, B.hn, B.hd)
+    ``eval_pair`` is, applied to the corners' pairs, and the image's ends
+    are those pairs reduced."""
+    lo, hi = phi(A.ln, A.ld, B.ln, B.ld), phi(A.hn, A.hd, B.hn, B.hd)
     lo_att = (A.lo_closed and B.lo_closed) or (
-        ln == 0 and ((A.ln == 0 and A.lo_closed) or (B.ln == 0 and B.lo_closed))
+        lo[0] == 0 and ((A.ln == 0 and A.lo_closed) or (B.ln == 0 and B.lo_closed))
     )
-    hi_att = (A.hi_closed and B.hi_closed) or hn == 0
-    iv = Interval.make(Fraction(ln, ld), Fraction(hn, hd), lo_att, hi_att)
+    hi_att = (A.hi_closed and B.hi_closed) or hi[0] == 0
+    iv = _span(*reduced(*lo), *reduced(*hi), lo_att, hi_att)
     if iv is None:
         raise AssertionError("inconsistent box image")  # degenerate unattained point
     return iv
@@ -177,7 +177,7 @@ class Minimum(TNormDescriptor):
         c = A.hn * B.hd - B.hn * A.hd  # the sign of A.hi - B.hi
         b = A if c <= 0 else B
         hi_closed = b.hi_closed if c else A.hi_closed and B.hi_closed
-        return [Interval.make(a.lo, b.hi, lo_closed, hi_closed)]
+        return [_span(a.ln, a.ld, b.hn, b.hd, lo_closed, hi_closed)]
 
     def solve_candidates(self, yn: int, yd: int, zn: int, zd: int) -> list:
         """z, y, 1 and (y + 1)/2."""
@@ -496,14 +496,14 @@ def t_preimage(t: TNormDescriptor, y: Fraction, z_iv: Interval) -> IntervalSet:
     tn, td = t.eval_pair(1, 1, yn, yd)  # = y for these families
     if z_iv.ln * td > tn * z_iv.ld:  # Z starts above top
         return IntervalSet.empty()
-    xs = t_solve_x(t, y, z_iv.lo)
-    x_lo, lo_closed = (xs[0], z_iv.lo_closed) if xs else (ZERO, True)
+    xs = t_solve_pairs(t, yn, yd, z_iv.ln, z_iv.ld)
+    x_lo, lo_closed = (xs[0], z_iv.lo_closed) if xs else ((0, 1), True)
     c = z_iv.hn * td - tn * z_iv.hd  # the sign of Z's upper end - top
     if c >= 0:
-        x_hi, hi_closed = ONE, True if c > 0 else z_iv.hi_closed
+        x_hi, hi_closed = (1, 1), True if c > 0 else z_iv.hi_closed
     else:
-        xs = t_solve_x(t, y, z_iv.hi)
+        xs = t_solve_pairs(t, yn, yd, z_iv.hn, z_iv.hd)
         if not xs:
             raise AssertionError("preimage endpoint did not solve")
         x_hi, hi_closed = xs[0], z_iv.hi_closed
-    return IntervalSet.single(Interval.make(x_lo, x_hi, lo_closed, hi_closed))
+    return IntervalSet.single(_span(*x_lo, *x_hi, lo_closed, hi_closed))

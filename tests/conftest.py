@@ -288,7 +288,7 @@ def fraction_contains(iv, x):
 def reference_value_at(s: Segment, x: Fraction) -> Fraction:
     """s's slope * x + intercept on Fractions: the former
     ``Segment.value_at``, which ``PiecewiseMonotoneFn._values`` replaced by
-    ``eval_pair``'s formula on ``_kernel``."""
+    ``eval_pair``'s formula on the pieces' pairs."""
     return s.slope * x + s.intercept
 
 

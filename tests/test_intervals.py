@@ -1,7 +1,6 @@
 """Interval set algebra: normalization, set operations, hulls."""
 
 import itertools
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -291,13 +290,29 @@ def test_touching_parts_merge_as_reference(xs):
             assert len(s.parts) == (1 if hc or lc else 2)
 
 
-def test_pair_slots_stay_out_of_eq_hash_and_repr():
-    iv = Interval(F(1, 3), F(1, 2), True, False)
-    assert [fd.name for fd in fields(Interval) if fd.compare] == [
-        "lo", "hi", "lo_closed", "hi_closed"]
-    assert repr(iv) == ("Interval(lo=Fraction(1, 3), hi=Fraction(1, 2), "
-                        "lo_closed=True, hi_closed=False)")
-    assert hash(iv) == hash((F(1, 3), F(1, 2), True, False))
-    twin = Interval(F(1, 3), F(1, 2), True, False)
-    Interval.ln.__set__(twin, 2)  # the slot no longer matches lo
-    assert twin == iv and hash(twin) == hash(iv) and repr(twin) == repr(iv)
+def test_interval_views_keep_eq_hash_and_repr():
+    # the pairs are the data and lo, hi are Fraction views, built on first
+    # read and kept; equality, hashing and repr are those of the tuple
+    # (lo, hi, lo_closed, hi_closed), however the ends were given
+    built = [Interval(F(1, 3), F(1, 2), True, False), Interval("1/3", "2/4", True, False),
+             Interval.make(F(2, 6), "1/2", True, False),
+             Interval.make("3/9", F(1, 2), True, False)]
+    for iv in built:
+        assert (iv.ln, iv.ld, iv.hn, iv.hd, iv._lo, iv._hi) == (1, 3, 1, 2, None, None)
+        assert iv == built[0] and not iv != built[0]
+        assert hash(iv) == hash((F(1, 3), F(1, 2), True, False))
+        assert repr(iv) == ("Interval(lo=Fraction(1, 3), hi=Fraction(1, 2), "
+                            "lo_closed=True, hi_closed=False)")
+        assert iv.lo is iv.lo and iv.hi is iv.hi and iv.lo == F(1, 3)
+    for iv in (Interval(0, 1), Interval(F(0), F(1)), Interval("0", "3/3"), Interval.closed(0, 1),
+               Interval.make("0/5", 1)):
+        assert iv == Interval(0, 1) and hash(iv) == hash((0, 1, True, True))
+        assert repr(iv) == ("Interval(lo=Fraction(0, 1), hi=Fraction(1, 1), "
+                            "lo_closed=True, hi_closed=True)")
+    assert Interval.point("2/4") == Interval(F(1, 2), F(1, 2)) == Interval.closed("1/2", "1/2")
+    for other in (Interval(F(1, 3), F(1, 2), False, False), Interval(F(1, 3), F(1, 2)),
+                  Interval(F(1, 4), F(1, 2), True, False),
+                  Interval(F(1, 3), F(2, 3), True, False)):
+        assert other != built[0]
+    assert built[0] != (F(1, 3), F(1, 2), True, False)
+    assert built[0].__eq__((F(1, 3), F(1, 2), True, False)) is NotImplemented

@@ -672,6 +672,53 @@ def test_caches_leave_identity_alone(f_step):
     assert f_step.breakpoints() is not f_step.breakpoints()
 
 
+def test_segment_views_keep_eq_hash_and_repr():
+    # the slope and intercept pairs are the data and slope, intercept are
+    # Fraction views; equality, hashing and repr are those of the tuple
+    # (domain, slope, intercept), however the numbers were given
+    dom = Interval(F(1, 4), F(1, 2), False, True)
+    built = [Segment(dom, F(1, 2), F(1, 8)), Segment.linear(dom, F(2, 4), "2/16"),
+             Segment(Interval("1/4", "2/4", False, True), "2/4", 1 - F(7, 8))]
+    for s in built:
+        assert (s.sn, s.sd, s.cn, s.cd, s._slope, s._intercept) == (1, 2, 1, 8, None, None)
+        assert s == built[0] and not s != built[0] and not s.is_const
+        assert hash(s) == hash(((F(1, 4), F(1, 2), False, True), F(1, 2), F(1, 8)))
+        assert repr(s) == (f"Segment(domain={dom!r}, slope=Fraction(1, 2), "
+                           "intercept=Fraction(1, 8))")
+        assert s.slope is s.slope and s.intercept == F(1, 8)
+    for s in (Segment.const(dom, "1/2"), Segment(dom, 0, F(1, 2)), Segment(dom, "0/3", "2/4")):
+        assert s.is_const and s == Segment(dom, F(0), F(1, 2))
+        assert hash(s) == hash((dom, F(0), F(1, 2)))
+    for other in (Segment(dom, F(1, 2), F(1, 4)), Segment(dom, F(1, 3), F(1, 8)),
+                  Segment(Interval(F(1, 4), F(1, 2)), F(1, 2), F(1, 8))):
+        assert other != built[0]
+    assert built[0].__eq__((dom, F(1, 2), F(1, 8))) is NotImplemented
+
+
+def test_fn_eq_hash_and_repr_match_across_constructors():
+    parsed = parse_fn("monotone: nondecreasing\nsegment [0,1/2) linear 1/2 0\n"
+                      "point 1/2 = 1/2\nsegment (1/2,1] const 3/4\n")
+    built = PiecewiseMonotoneFn(True, (
+        Segment.const(Interval.make("1/2", 1, False, True), F(3, 4)),
+        Segment.linear(Interval.make(0, F(1, 2), True, False), "1/2", 0),
+        Segment.const(Interval.point(F(1, 2)), "1/2")))
+    assert parsed == built and hash(parsed) == hash(built)
+    assert hash(parsed) == hash((True, (
+        ((F(0), F(1, 2), True, False), F(1, 2), F(0)),
+        ((F(1, 2), F(1, 2), True, True), F(0), F(1, 2)),
+        ((F(1, 2), F(1), False, True), F(0), F(3, 4)))))
+    assert repr(parsed) == repr(built) == (
+        "PiecewiseMonotoneFn(nondecreasing=True, segments=("
+        "Segment(domain=Interval(lo=Fraction(0, 1), hi=Fraction(1, 2), lo_closed=True, "
+        "hi_closed=False), slope=Fraction(1, 2), intercept=Fraction(0, 1)), "
+        "Segment(domain=Interval(lo=Fraction(1, 2), hi=Fraction(1, 2), lo_closed=True, "
+        "hi_closed=True), slope=Fraction(0, 1), intercept=Fraction(1, 2)), "
+        "Segment(domain=Interval(lo=Fraction(1, 2), hi=Fraction(1, 1), lo_closed=False, "
+        "hi_closed=True), slope=Fraction(0, 1), intercept=Fraction(3, 4))))")
+    assert parsed != parse_fn("monotone: nondecreasing\nsegment [0,1/2) linear 1/2 0\n"
+                              "point 1/2 = 1/2\nsegment (1/2,1] const 4/5\n")
+
+
 # -- validation --------------------------------------------------------------
 
 

@@ -586,6 +586,27 @@ def test_t_preimage_at_the_top_value(fam):
                 assert pre.contains(x) == ziv.contains(t_eval(t, x, yq))
 
 
+@pytest.mark.parametrize("fam", ["product", "hamacher2"])
+def test_t_preimage_at_y_zero_and_past_the_top(fam):
+    # T(x, 0) = 0 for every x, so at y = 0 the preimage is [0,1] when Z
+    # holds 0 and empty otherwise; a Z that runs past top = T(1, y) holds
+    # top, so its preimage reaches x = 1 closed, whether Z is closed or not
+    t = parse_tnorm(fam)
+    for ziv in (Interval.closed(0, HALF), Interval(0, 1, True, False)):
+        assert t_preimage(t, 0, ziv) == IntervalSet.unit()
+    for ziv in (Interval(0, 1, False, True), Interval.closed(F(1, 4), HALF)):
+        assert t_preimage(t, 0, ziv).is_empty
+    for ziv in (Interval(0, 1, True, False), Interval.closed(0, 1),
+                Interval(HALF, 1, True, False)):
+        pre = t_preimage(t, HALF, ziv)
+        assert pre.parts[-1].hi == 1 and pre.parts[-1].hi_closed, str(ziv)
+        for i in range(33):
+            x = F(i, 32)
+            assert pre.contains(x) == ziv.contains(t_eval(t, x, HALF))
+    with pytest.raises(ValueError):
+        t_preimage(parse_tnorm("min"), HALF, Interval.closed(0, 1))
+
+
 # -- no dispatch on the family's name outside tnorms.py ----------------------
 
 _FAMILY_CLASSES = r"\b(?:Product|Minimum|Hamacher2|Halfprod|Generator|Lambda)\b"
