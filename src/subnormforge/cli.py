@@ -23,6 +23,12 @@ from .oracle import consistency_harness
 from .pwfn import decompose
 from .tnorms import GeneratorSpec, approx_diff, parse_tnorm
 
+# --grid-n's largest value: the oracle's associativity scan grows as the
+# cube of the grid.  With the identity f and product, the oracle command
+# takes 0.25 s at 96 steps and 1.8 s at 192 on a 2-core VM, so about half
+# a minute at 512
+MAX_GRID_N = 512
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -36,7 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tnorm", help="t-norm descriptor, e.g. product, min, "
                                    "hamacher2, halfprod, gen:neglog, "
                                    "lambda:one-minus-log:1/2")
-    p.add_argument("--grid-n", type=int, default=12)
+    p.add_argument("--grid-n", type=int, default=12,
+                   help=f"grid steps for oracle and grid, 1 to {MAX_GRID_N} "
+                        "(default 12)")
     p.add_argument("--x", help="first argument as p/q")
     p.add_argument("--y", help="second argument as p/q")
     p.add_argument("--gen", help="generator name for construct-subnorm")
@@ -170,6 +178,8 @@ def main(argv=None) -> int:
     try:
         if args.grid_n < 1:
             raise ValueError(f"--grid-n must be >= 1, got {args.grid_n}")
+        if args.grid_n > MAX_GRID_N:
+            raise ValueError(f"--grid-n must be <= {MAX_GRID_N}, got {args.grid_n}")
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as e:
         # bad input: ParseError, InvalidFunction and DomainError are

@@ -9,7 +9,8 @@ holds each value as its reduced pair, plus its Fraction once the value has
 been read as one (``f_at``, ``finv_at``, ``f_eval``).  So an evaluation on
 pairs builds no ``Fraction``, cached or not, and its keys are tuples of
 ints, which hash in C where a ``Fraction`` rehashes in Python.  The
-oracle's ``_Memo`` reads the pairs only and keys its ids by them.
+oracle's ``_Memo`` reads f's pairs (``f_pair``) and keys its ids by them,
+and evaluates T and finv itself, a row at a time (``_Memo.eval_row``).
 Inexact families go through ``f_compose``, which carries T's error radius
 through the pseudo-inverse (``_spread``): it evaluates finv at T's centre
 and at either end of its radius on integer pairs too, and builds only the

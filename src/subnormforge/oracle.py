@@ -16,16 +16,22 @@ equal rows and columns in every table.  There is one table per point set:
 F is evaluated once per pair of classes into a table of ids, rebuilt only
 when a scan gets other points; the values of F at the off-grid
 intermediates of associativity and of the Archimedean powers sit in lists
-kept per class of the intermediate, one entry per class of the grid,
-filled on first use.  A generated operation is symmetric, as its T is, so
-one list per class serves as both its row and its column; any other
-operation keeps the two apart.  The table is the only cache: a direct
-call ``memo(x, y)`` evaluates F afresh.
-A generated operation is evaluated by its own kernel (``GeneratedOp``),
-on integer pairs for an exact t-norm, since ``Fraction`` builds and
-compares in Python.  Its exact values are interned by their reduced pair
+kept per class of the intermediate, one entry per class of the grid.
+Every list is evaluated a row at a time: the table row by row, and an
+intermediate's row whole when associativity first reads it.  Only the
+Archimedean powers, which read most rows at one or two places, evaluate
+single entries.  A generated operation is symmetric, as its T is, so one
+list per class serves as both its row and its column; any other operation
+keeps the two apart.  The table is the only cache: a direct call
+``memo(x, y)`` evaluates F afresh.
+A generated operation with an exact t-norm is evaluated on integer pairs,
+since ``Fraction`` builds and compares in Python: along a row, f's value
+at the row's argument is read once, T runs over the row and finv over
+T's values in one forward sweep of its pieces (``_Memo.eval_row``,
+``pwfn.eval_pairs``).  Its exact values are interned by their reduced pair
 alone, and get a ``Fraction`` only when read: by a counterexample, a
-note, ``memo(x, y)`` or a comparison of Approx values.  On an exact table,
+note, ``memo(x, y)`` or a comparison of Approx values.  An inexact t-norm
+goes through ``f_compose``, one entry at a time.  On an exact table,
 ids compare values: equal ids are equal values, unequal ids differ, and
 signs come from cross-multiplied pairs.  Comparisons that may involve
 Approx values call ``approx_diff``, with the boundary rules described in
@@ -42,6 +48,7 @@ scan that evaluates F at every comparison of every point;
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -50,7 +57,7 @@ from typing import Callable, Optional
 from .classify import PROPERTIES, arg_with_value, classify
 from .generated import GeneratedOp, f_compose, value_key
 from .intervals import ONE, ZERO, frac
-from .pwfn import PiecewiseMonotoneFn, decompose
+from .pwfn import PiecewiseMonotoneFn, decompose, eval_pairs
 from .tnorms import Approx, TNormDescriptor, approx_diff
 
 PROPERTY_NAMES = (
@@ -102,13 +109,17 @@ class _Memo:
 
     The class of an exact value x (``class_of``) is the id of f(x) for a
     GeneratedOp, whose F(x, y) depends on x and y only through f(x) and
-    f(y), and x's own id for any other operation.  ``eval`` evaluates the
-    operation on the classes of its arguments, and ``evals`` counts the
-    evaluations; a GeneratedOp takes f, T and finv from its own kernel, so
-    the memo keeps ids and pairs only.  ``memo(x, y)`` evaluates without a
-    cache; the law scans read ``table``, the ``_Grid`` of the last point set
-    scanned (``memo.grid(pts)``), which holds every value they evaluate, and
-    add the comparisons they make to ``compared``.
+    f(y), and x's own id for any other operation.  ``eval_row(a, bs)``
+    evaluates the operation at a and each id of bs, on their classes, and
+    ``eval(a, b)`` at one pair; ``evals`` counts the values evaluated.  For
+    a GeneratedOp with an exact T, ``eval`` is a row of one, and a row
+    takes a's f value once, T along the row and finv over it in one sweep
+    of finv's pieces (``pwfn.eval_pairs``): the only exact evaluation path
+    here, on ids and pairs only.  Any other operation is evaluated entry by
+    entry (``f_compose`` for an inexact T).  ``memo(x, y)`` evaluates
+    without a cache; the law scans read ``table``, the ``_Grid`` of the
+    last point set scanned (``memo.grid(pts)``), which holds every value
+    they evaluate, and add the comparisons they make to ``compared``.
 
     A GeneratedOp is symmetric: F(x, y) = finv(T(f(x), f(y))) and
     F(y, x) = finv(T(f(y), f(x))) are finv of equal arguments, as every
@@ -129,6 +140,7 @@ class _Memo:
         self.centre = []  # id -> id of the value's centre
         self.f_ids = {}  # id of an exact x -> id of f(x), for a GeneratedOp
         self.table = None  # _Grid of the last point set scanned
+        self._row_ids = self._row_fs = None  # eval_row's last ids and their f values
         self.evals = 0
         self.compared = 0
 
@@ -171,19 +183,50 @@ class _Memo:
 
     def eval(self, a: int, b: int) -> int:
         """Id of op(x, y) for the values x and y of ids a and b, on their
-        classes for a GeneratedOp; this runs once per table entry, so it calls
-        ``class_of`` and ``_intern_key`` only for an id or value not yet seen."""
-        gen, f_ids = self.generated, self.f_ids
+        classes for a GeneratedOp; an exact one takes ``eval_row``'s kernel."""
+        gen = self.generated
+        if gen is not None and gen.t.exact:
+            return self.eval_row(a, (b,))[0]
         self.evals += 1
         if gen is None:
             return self.intern(self.op(self.value(a), self.value(b)))
-        u = f_ids[a] if a in f_ids else self.class_of(a)
-        w = f_ids[b] if b in f_ids else self.class_of(b)
-        if gen.t.exact:
-            k = gen.t_finv(*self.keys[u], *self.keys[w])[0]
-            v = self.ids.get(k)
-            return self._intern_key(k, None) if v is None else v
-        return self.intern(f_compose(gen, self.value(u), self.value(w)))
+        return self.intern(f_compose(gen, self.value(self.class_of(a)),
+                                     self.value(self.class_of(b))))
+
+    def eval_row(self, a: int, bs) -> list:
+        """[eval(a, b) for b in bs].  For a GeneratedOp with an exact T it
+        takes a's class once, T along the row on the pairs of f's values,
+        and finv over the row in one ``eval_pairs`` sweep, which takes one
+        pass over finv's pieces when the f values of bs ascend (T is
+        non-decreasing in its second argument); each value is reduced and
+        interned here, and a new one interned by its pair alone.  The f
+        values of bs are kept for the next call with the same tuple, as a
+        grid passes one tuple for all its rows."""
+        gen = self.generated
+        if gen is None or not gen.t.exact:
+            return [self.eval(a, b) for b in bs]
+        self.evals += len(bs)
+        f_ids, keys, class_of = self.f_ids, self.keys, self.class_of
+        an, ad = keys[f_ids[a] if a in f_ids else class_of(a)]
+        if bs is not self._row_ids:
+            self._row_fs = [keys[f_ids[b] if b in f_ids else class_of(b)] for b in bs]
+            self._row_ids = bs
+        t, gcd, ids = gen.t.eval_pair, math.gcd, self.ids
+        ts = [t(an, ad, c, d) for c, d in self._row_fs]
+        out, new, nxt = [], [], len(keys)
+        for n, d in eval_pairs(gen.finv, ts):
+            g = gcd(n, d)
+            k = (n // g, d // g)
+            v = ids.setdefault(k, nxt)
+            if v == nxt:
+                nxt += 1
+                new.append(k)
+            out.append(v)
+        if new:
+            self.vals += [None] * len(new)
+            self.centre += range(len(keys), nxt)
+            keys += new
+        return out
 
     def grid(self, pts) -> "_Grid":
         pts = tuple(pts)
@@ -206,16 +249,21 @@ class _Grid:
     ``CC == TC``).  F(p_i, p_j) is ``TC[cls[i]][cls[j]]``, ``cols`` is
     ``TC`` transposed and ``symmetric`` whether the two are equal.
     ``steps`` lists each pair (a, b) of the classes of neighbours p_k,
-    p_k+1 once, as (k, a, b) at its first k, in the order of k.  For an
-    exact value u of class k, ``row(k)[c]`` is the id of F(u, p) and
-    ``col(k)[c]`` that of F(p, u), for p any point of class c: F(u, p)
-    depends on u only through its class.  The row and column of a grid
-    point's class are read from ``TC``; those of other classes start as
-    None and are filled by the scans on demand.  They are the only cache
-    of the operation's values.  For a GeneratedOp, F(u, p) = F(p, u)
-    (``_Memo``), so ``col(k)`` is ``row(k)``, one list: associativity's
-    x(yz) reads F(yz, x) from the row that (xy)z filled for the class of
-    yz, and ``TC`` stays evaluated in full for the commutativity scan.
+    p_k+1 once, as (k, a, b) at its first k, in the order of k.  For the
+    exact value u of id a, ``row(a)[c]`` is the id of F(u, p) and
+    ``col(a)[c]`` that of F(p, u), for p any point of class c: F(u, p)
+    depends on u only through its class, which keys the lists.  The rows of
+    the grid classes are ``TC``'s; every other row or column is evaluated
+    whole when a scan first reads it, in one ``_Memo.eval_row`` call over
+    the classes in ``asc`` order, ascending in f for a GeneratedOp, so that
+    T ascends along the row and finv's pieces are swept once.  Only the
+    Archimedean powers read single entries (``entry``), as most of their
+    rows are read at one or two places; a row they began keeps those
+    entries when it is read whole.  These lists are the only cache of the
+    operation's values.  For a GeneratedOp, F(u, p) = F(p, u) (``_Memo``),
+    so ``col(a)`` is ``row(a)``, one list: associativity's x(yz) reads
+    F(yz, x) from the row that (xy)z reads, and ``TC`` stays evaluated in
+    full for the commutativity scan.
     """
 
     def __init__(self, memo: _Memo, pts: tuple):
@@ -229,10 +277,23 @@ class _Grid:
                 number[c] = len(self.first)
                 self.first.append(i)
             self.cls.append(number[c])
-        self.size = [self.cls.count(c) for c in range(len(self.first))]
-        reps = [self.pid[i] for i in self.first]
-        ev, cen = memo.eval, memo.centre
-        self.TC = [[ev(a, b) for b in reps] for a in reps]
+        n = len(self.first)
+        self.size = [self.cls.count(c) for c in range(n)]
+        # the memo holds its table, so the table holds the memo weakly: a
+        # cycle would keep every unit's tables alive until the cyclic
+        # garbage collector runs
+        self.memo = weakref.proxy(memo)
+        self.reps = reps = [self.pid[i] for i in self.first]
+        # the classes by ascending value of their class id, f(p) for a
+        # GeneratedOp, which makes T ascend along a row.  Any order gives
+        # the same values, so the float key only has to be mostly right
+        fk = [memo.keys[k] for k in number]
+        self.asc = sorted(range(n), key=lambda c: fk[c][0] / fk[c][1])
+        self._asc_reps = tuple(reps[c] for c in self.asc)
+        self._in_order = self.asc == list(range(n))
+        self._rows, self._part = {}, {}  # class -> whole row; -> row in part
+        self.TC = [self._fill(a) for a in reps]
+        cen = memo.centre
         self.CC = [[cen[v] for v in row] for row in self.TC]
         self.exact = self.CC == self.TC
         steps = {}  # (cls[k], cls[k + 1]) -> its first k
@@ -241,22 +302,59 @@ class _Grid:
         self.steps = [(k, a, b) for (a, b), k in steps.items()]
         self.cols = [list(col) for col in zip(*self.TC)]
         self.symmetric = self.cols == self.TC
-        self._rows = {c: self.TC[i] for c, i in number.items()}
+        self._rows.update((c, self.TC[i]) for c, i in number.items())
         self._cols = self._rows
         if memo.generated is None:
             self._cols = {c: self.cols[i] for c, i in number.items()}
 
-    def row(self, k) -> list:
+    def _fill(self, a: int, part: Optional[list] = None) -> list:
+        """The row of id a's class, evaluated by one ``_Memo.eval_row`` call
+        over the classes in ascending order; the entries of ``part`` that
+        single reads have evaluated are kept, the rest filled in."""
+        if part is None:
+            vals = self.memo.eval_row(a, self._asc_reps)
+            if self._in_order:
+                return vals
+            part, order = [None] * len(vals), self.asc
+        else:
+            order = [c for c in self.asc if part[c] is None]
+            vals = self.memo.eval_row(a, [self.reps[c] for c in order])
+        for c, v in zip(order, vals):
+            part[c] = v
+        return part
+
+    def row(self, a: int) -> list:
+        """The row of the exact value u of id a, by class: ``row(a)[c]`` is
+        the id of F(u, p) for p any point of class c; evaluated whole on
+        first read."""
+        k = self.memo.class_of(a)
         r = self._rows.get(k)
         if r is None:
-            r = self._rows[k] = [None] * len(self.first)
+            r = self._rows[k] = self._fill(a, self._part.pop(k, None))
         return r
 
-    def col(self, k) -> list:
+    def col(self, a: int) -> list:
+        """The column of the exact value u of id a: ``col(a)[c]`` is the id
+        of F(p, u), evaluated whole on first read; ``row(a)`` itself for a
+        GeneratedOp."""
+        if self._cols is self._rows:
+            return self.row(a)
+        k = self.memo.class_of(a)
         r = self._cols.get(k)
         if r is None:
-            r = self._cols[k] = [None] * len(self.first)
+            r = self._cols[k] = [self.memo.eval(b, a) for b in self.reps]
         return r
+
+    def entry(self, a: int, c: int) -> int:
+        """``row(a)[c]``, evaluated alone when the row is not whole yet."""
+        k = self.memo.class_of(a)
+        r = self._rows.get(k) or self._part.get(k)
+        if r is None:
+            r = self._part[k] = [None] * len(self.reps)
+        v = r[c]
+        if v is None:
+            v = r[c] = self.memo.eval(a, self.reps[c])
+        return v
 
 
 @lru_cache(maxsize=None)
@@ -325,8 +423,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
     g = memo.grid(pts)
     pts, pid, TC, CC = g.pts, g.pid, g.TC, g.CC
     first, size, cls, steps = g.first, g.size, g.cls, g.steps
-    val, keys, cen, ev = memo.value, memo.keys, memo.centre, memo.eval
-    class_of = memo.class_of
+    val, keys, cen = memo.value, memo.keys, memo.centre
     m, n = len(pts), len(first)
     undecided = 0
     count = 0  # comparisons made
@@ -431,24 +528,29 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
                 count += 1
         checked = m * m
     elif prop == "associativity":
-        # (xy)z is row(class of xy)[e] and x(yz) is col(class of yz)[c],
-        # with xy and yz the centres of F(x,y) and F(y,z) and c, d, e the
-        # classes of x, y, z; cols[d][e] is col(class of yz), the very list
-        # of row(class of yz) for a GeneratedOp
-        reps = [pid[i] for i in first]
-        cols = [[g.col(class_of(v)) for v in CCd] for CCd in CC]
+        # (xy)z is row(xy)[e] and x(yz) is col(yz)[c], with xy and yz the
+        # centres of F(x,y) and F(y,z) and c, d, e the classes of x, y, z:
+        # rows[c][d] is row(xy) and cols[d][e] is col(yz) (col is row for a
+        # GeneratedOp).  A scan that passes reads every one of them, so
+        # they are evaluated whole at the start.  Equal lists of ids are
+        # equal values, so a (c, d) whose (xy)z and x(yz) lists over e are
+        # equal passes without a comparison by e
+        row_of = dict.fromkeys(v for CCc in CC for v in CCc)
+        col_of = {}
+        for v in row_of:
+            row_of[v], col_of[v] = g.row(v), g.col(v)
+        rows = [[row_of[v] for v in CCc] for CCc in CC]
+        cols = [[col_of[v] for v in CCd] for CCd in CC]
         for c in range(n):
+            rows_c = rows[c]
             for d in range(n):
-                cxy, CCd, cols_d = CC[c][d], CC[d], cols[d]
-                row = g.row(class_of(cxy))
+                lhs_e, rhs_e = rows_c[d], [col[c] for col in cols[d]]
+                if lhs_e == rhs_e:
+                    count += n
+                    continue
                 for e in range(n):
                     count += 1
-                    lhs = row[e]
-                    if lhs is None:
-                        lhs = row[e] = ev(cxy, reps[e])
-                    rhs = cols_d[e][c]
-                    if rhs is None:
-                        rhs = cols_d[e][c] = ev(reps[c], CCd[e])
+                    lhs, rhs = lhs_e[e], rhs_e[e]
                     if cen[lhs] != cen[rhs] and differ(
                             val(lhs), val(rhs), size[c] * size[d] * size[e]):
                         i, j, k = first[c], first[d], first[e]
@@ -457,14 +559,10 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
         assert count == n ** 3, "associativity scan must cover the class cube"
         checked = m ** 3
     elif prop == "neutral_one":
-        one = memo.intern(ONE)
-        col = g.col(class_of(one))
+        col = g.col(memo.intern(ONE))
         for i, x in enumerate(pts):
             count += 1
-            c = cls[i]
-            v = col[c]
-            if v is None:
-                v = col[c] = ev(pid[i], one)
+            v = col[cls[i]]
             if cen[v] != pid[i] and differ(val(v), x):
                 return cex((x,), val(v), x)
     elif prop in ("conditional_cancellation", "cancellation", "strict_monotonicity"):
@@ -525,10 +623,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
                 acc = pid[k]  # centre id of the current power
                 exact = True  # no power so far is an Approx
                 for steps in range(1, N_ITER + 1):
-                    row = g.row(class_of(acc))
-                    v = row[c]
-                    if v is None:
-                        v = row[c] = ev(acc, pid[k])
+                    v = g.entry(acc, c)
                     if v == acc and exact:
                         count += steps
                         return cex((pts[k], val(floor)), val(v), val(floor),

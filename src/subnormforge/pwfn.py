@@ -29,7 +29,10 @@ the one before ends, with the opposite closedness.  So every piece before
 the first whose upper end covers x ends below x, or at x but open, and
 that first piece starts at or below x: it holds x.  The tests are sign tests on cross products of
 numerators and denominators, and the value is an integer pair; ``eval_fn``
-builds it as one Fraction, normalised once.
+builds it as one Fraction, normalised once.  ``eval_pairs`` takes a list
+of arguments in one forward sweep: each scan starts at the piece that held
+the argument before, and at the first piece only when the argument is
+below that one, so ascending arguments take one pass over the pieces.
 
 ``limit_pair``, the one-sided twin of ``eval_pair``, scans the same way
 for the piece that approaches a: from the left the first piece whose
@@ -330,6 +333,36 @@ def eval_pair(f: PiecewiseMonotoneFn, p: int, q: int) -> tuple:
                 return s.cn, s.cd
             return s.sn * p * s.cd + s.cn * s.sd * q, s.sd * s.cd * q
     raise InvalidFunction(f"no piece covers {p}/{q}")  # unreachable for valid fns
+
+
+def eval_pairs(f: PiecewiseMonotoneFn, args) -> list:
+    """[eval_pair(f, p, q) for (p, q) in args], the same pairs and the same
+    DomainError, in one forward sweep over the pieces: the scan for an
+    argument starts at the piece that held the one before, and at the first
+    piece only when the argument is below it.  Every piece before that one
+    ends below the argument before, or at it but open, so it cannot hold a
+    larger or equal argument either.  Ascending arguments take one pass."""
+    segs = f.segments
+    out = []
+    i, pp, pq = 0, 0, 1  # the piece that held the argument before, and that argument
+    for p, q in args:
+        if p < 0 or p > q:
+            raise DomainError(f"argument {Fraction(p, q)} outside [0,1]")
+        if p * pq < pp * q:
+            i = 0
+        pp, pq = p, q
+        while True:
+            s = segs[i]
+            d = s.domain
+            c = p * d.hd - d.hn * q
+            if c < 0 or (c == 0 and d.hi_closed):
+                break
+            i += 1
+        if s.sn:
+            out.append((s.sn * p * s.cd + s.cn * s.sd * q, s.sd * s.cd * q))
+        else:
+            out.append((s.cn, s.cd))
+    return out
 
 
 def _unit_arg(v) -> Fraction:

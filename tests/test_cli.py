@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import F_GAP, F_IDENTITY, F_PLATEAU
+from subnormforge import cli, oracle
 from subnormforge.cli import main
 
 F = Fraction
@@ -132,6 +133,30 @@ F_SHORT = """\
 monotone: nondecreasing
 segment [0,1/2] linear 1 0
 """
+
+
+@pytest.mark.parametrize("command", ["oracle", "grid"])
+@pytest.mark.parametrize("n", [513, 10 ** 12])
+def test_grid_n_above_the_limit_fails_before_any_grid(command, n, fn_file, capsys,
+                                                      monkeypatch):
+    # a grid of 10**12 steps would hang: it is refused before the oracle
+    # builds its grid or the grid command evaluates F anywhere
+    def never(*args):
+        raise AssertionError("evaluated with --grid-n above the limit")
+
+    monkeypatch.setattr(oracle, "grid", never)
+    monkeypatch.setattr(cli, "f_eval", never)
+    rc = main([command, "--fn", fn_file(F_GAP), "--tnorm", "product", "--grid-n", str(n)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: --grid-n must be <= {cli.MAX_GRID_N}, got {n}\n"
+
+
+def test_grid_n_at_the_limit_passes_the_check(fn_file, capsys):
+    rc = main(["eval", "--fn", fn_file(F_GAP), "--tnorm", "product", "--x", "1/2",
+               "--y", "1/2", "--grid-n", str(cli.MAX_GRID_N)])
+    assert rc == 0 and capsys.readouterr().err == ""
+    assert cli.MAX_GRID_N == 512
 
 
 @pytest.mark.parametrize("argv", [

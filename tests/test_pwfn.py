@@ -43,6 +43,7 @@ from subnormforge.pwfn import (
     PiecewiseMonotoneFn,
     Segment,
     eval_pair,
+    eval_pairs,
     first_arg_above,
 )
 
@@ -576,6 +577,73 @@ def test_eval_kernel_matches_segment_scan(f, big):
             assert isinstance(got, F) or got in (DomainError, TypeError), x
             if isinstance(x, F):
                 assert outcome(pair_value, g, x) == want, x
+
+
+def pairs_or_error(fn, g, args):
+    """fn(g, args), or the type and message of the DomainError it raised."""
+    try:
+        return fn(g, args)
+    except DomainError as e:
+        return DomainError, str(e)
+
+
+def one_by_one(g, args):
+    return [eval_pair(g, p, q) for p, q in args]
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()), seed=st.integers(0, 2 ** 32))
+def test_eval_pairs_matches_eval_pair(f, seed):
+    # every breakpoint with its neighbours and the sixteenths, ascending,
+    # descending, shuffled and repeated, some as unreduced pairs, and then
+    # with an argument outside [0,1] in the middle or at either end
+    rng = random.Random(seed)
+    for g in (f, pseudo_inverse(f)):
+        xs = sorted(set(probe_values(g)) | {x + e for x in g.breakpoints()
+                                            for e in (-TINY, TINY) if 0 <= x + e <= 1})
+        up = [(x.numerator, x.denominator) for x in xs]
+        up[1::3] = [(3 * p, 3 * q) for p, q in up[1::3]]
+        shuffled = up[:]
+        rng.shuffle(shuffled)
+        repeated = [k for k in up for _ in range(2)] + up[::-1] + up
+        for args in (up, up[::-1], shuffled, repeated, up[:1], []):
+            assert eval_pairs(g, args) == one_by_one(g, args)
+            for bad in ((-1, 3), (4, 3)):
+                for at in (0, len(args) // 2, len(args)):
+                    wrong = args[:at] + [bad] + args[at:]
+                    got = pairs_or_error(eval_pairs, g, wrong)
+                    assert got == pairs_or_error(one_by_one, g, wrong) == (
+                        DomainError, "argument %s outside [0,1]" % Fraction(*bad))
+
+
+class _CountingPieces(tuple):
+    """A function's segments that count how often a piece is read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        type(self).reads += 1
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("text", [
+    "monotone: nondecreasing\nsegment [0,1/4] const 0\nsegment (1/4,1/2) linear 1 -1/4\n"
+    "point 1/2 = 1/2\nsegment (1/2,3/4] const 3/4\nsegment (3/4,1] linear 1 0\n",
+    "monotone: nonincreasing\nsegment [0,1/3] linear -1 1\nsegment (1/3,2/3] const 1/3\n"
+    "segment (2/3,1] linear -1 1\n",
+], ids=["nondecreasing", "nonincreasing"])
+def test_eval_pairs_takes_one_pass_for_ascending_arguments(text, monkeypatch):
+    # each argument three times, ascending: every piece is read once on the
+    # way up, and each argument's scan reads its own piece once more, so the
+    # repeats, equal to the argument before, start where it ended
+    f = parse_fn(text)
+    args = [(k, 12) for k in range(13) for _ in range(3)]
+    pieces = _CountingPieces(f.segments)
+    monkeypatch.setattr(_CountingPieces, "reads", 0)
+    stub = dataclasses.replace(f)
+    object.__setattr__(stub, "segments", pieces)
+    assert eval_pairs(stub, args) == one_by_one(f, args)
+    assert _CountingPieces.reads <= len(args) + len(f.segments)
 
 
 def test_eval_open_and_closed_ends():
