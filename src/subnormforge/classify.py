@@ -74,9 +74,6 @@ class ClassificationReport:
     conditions_log: list
     op: GeneratedOp = field(repr=False, compare=False)  # the operation classified
 
-    def verdict(self, name: str) -> Verdict:
-        return self.properties[name]
-
 
 # -- small helpers ----------------------------------------------------------
 
@@ -272,7 +269,7 @@ def _proper_verdict(op, top) -> Verdict:
         return Verdict.yes(f"F(1,1)={shown} < 1")
     if op.t.neutral_one and op.f_pair((1, 1)) == (1, 1):
         # T(1,1) = 1 exactly, so F(1,1) = finv(1) exactly, whatever T's radius
-        n, d = op._finv_entry((1, 1))[0]
+        n, d = op.finv_pair((1, 1))
         if n < d:
             return Verdict.yes(f"F(1,1)={Fraction(n, d)} < 1")
         return Verdict.no((ONE, ONE),
@@ -456,7 +453,7 @@ def _gap_collisions(op, d: Decomposition, domain: IntervalSet, z: Fraction):
                     continue
                 for k in (i, j):
                     if fs[k] is None:
-                        fs[k] = op.t_finv(vn, vd, *us[k])[0]
+                        fs[k] = op.t_finv(vn, vd, *us[k])
                 if fs[i] == fs[j]:
                     yield x, Fraction(*ys[i]), Fraction(*ys[j]), Fraction(*fs[i])
 
@@ -502,16 +499,16 @@ def _dir_limit(op: GeneratedOp, x0: tuple, c: tuple, side: str, approach: dict):
     if x0[0] == (0 if side == "left" else x0[1]):
         return None
     if c[0] == 0:
-        return op._finv_entry((0, 1))[0]
+        return op.finv_pair((0, 1))
     v_const = approach.get((x0, side))
     if v_const is None:
         v_const = approach[x0, side] = limit_pair(op.f, *x0, side)
     v, const = v_const
     if const:
-        return op.t_finv(*v, *c)[0]
+        return op.t_finv(*v, *c)
     (n, d), const = op.t.dir_limit(v, side, c)
     if const:
-        return op._finv_entry(reduced(n, d))[0]
+        return op.finv_pair(reduced(n, d))
     return limit_pair(op.finv, n, d, side)[0]
 
 
@@ -629,7 +626,7 @@ def _limit_search(op: GeneratedOp):
                 if key in seen:
                     continue
                 seen.add(key)
-                vn, vd = op.t_finv(*op.f_pair(kx), *c)[0]
+                vn, vd = op.t_finv(*op.f_pair(kx), *c)
                 for side in ("left", "right"):
                     lim = _dir_limit(op, kx, c, side, approach)
                     if lim is not None and lim[0] * vd != vn * lim[1]:
@@ -741,7 +738,7 @@ def _idempotent_point(op: GeneratedOp):
         d = s.domain
         for k in ([(d.ln, d.ld)] if d.lo_closed else []) + (
                 [reduced(d.ln * d.hd + d.hn * d.ld, 2 * d.ld * d.hd)] if s.sn else []):
-            if 0 < k[0] < k[1] and op.t_finv(*op.f_pair(k), *op.f_pair(k))[0] == k:
+            if 0 < k[0] < k[1] and op.t_finv(*op.f_pair(k), *op.f_pair(k)) == k:
                 return Fraction(*k)
     return None
 
@@ -778,11 +775,11 @@ def _trap_witness(op: GeneratedOp, traps):
         fkp = op.f_pair(kp)
 
         def trapped(k):  # F(p, k) = p
-            return op.t_finv(*fkp, *op.f_pair(k))[0] == kp
+            return op.t_finv(*fkp, *op.f_pair(k)) == kp
 
         xs = {kp} | {(n, d) for _, n, d in f._breakpoints}
         for v in t_solve_pairs(t, fp.numerator, fp.denominator, fpm.numerator, fpm.denominator):
-            xs.update((op._finv_entry(v)[0], _first_arg(f, *v, False)))
+            xs.update((op.finv_pair(v), _first_arg(f, *v, False)))
         ends = sorted_pairs([x for x in xs if x[0] * pd >= pn * x[1] and x[0] < x[1]])
         cands = []
         for a, b in zip(ends, ends[1:] + [(1, 1)]):
@@ -819,7 +816,7 @@ def _stabilizes(op: GeneratedOp, x: tuple, y: tuple, cap: int):
     fx = op.f_pair(x)
     acc = x
     for steps in range(1, cap + 1):
-        nxt = op.t_finv(*op.f_pair(acc), *fx)[0]
+        nxt = op.t_finv(*op.f_pair(acc), *fx)
         if nxt[0] * y[1] < y[0] * nxt[1]:
             return None
         if nxt == acc:
@@ -883,7 +880,7 @@ def _neutral_search(op: GeneratedOp, pts):
         c = op.f_pair((1, 1))
         for x in pts:
             k = x.numerator, x.denominator
-            if op.t_finv(*op.f_pair(k), *c)[0] != k:
+            if op.t_finv(*op.f_pair(k), *c) != k:
                 return x, f_eval(op, x, ONE)
         return None
     for x in pts:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .classify import classify, decomposition_fields, render_structured, render_text
 from .fnformat import load_fn, render_fn
 from .generated import f_eval, lambda_decompose, make_op, additive_generated
-from .intervals import ZERO
+from .intervals import ZERO, parse_rational
 from .oracle import consistency_harness
 from .pwfn import decompose
 from .tnorms import GeneratorSpec, approx_diff, parse_tnorm
@@ -73,7 +73,7 @@ def _rational(text: str, opt: str) -> Fraction:
     """The p/q text of option --opt as a Fraction; bad text, a zero
     denominator included, is a ValueError."""
     try:
-        return Fraction(text)
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--{opt}: bad rational {text!r}") from None
 

@@ -14,15 +14,16 @@ only.  Domain coverage of [0,1] and monotonicity are validated on load.
 Rationals are read as ``Fraction(tok)`` reads them, with the same errors,
 straight to the integer pairs that ``Interval`` and ``Segment`` hold
 (``_parse_pair``); the common tokens, ``p`` and ``p/q`` in ASCII digits,
-are read with ``int``, as ``Fraction``'s string parser runs a regex.
+are read with ``int``, as ``Fraction``'s string parser runs a regex, and
+the rest by ``intervals.parse_rational``, which refuses a value too long
+to print.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
-from .intervals import Interval, _nonempty, _span, reduced
+from .intervals import Interval, _nonempty, _span, parse_rational, reduced
 from .pwfn import InvalidFunction, PiecewiseMonotoneFn, _segment
 
 
@@ -42,13 +43,14 @@ def _parse_pair(tok: str, lineno: Optional[int]) -> tuple:
     one '/' with a denominator that is not 0, is read with ``int``, without
     ``Fraction``'s regular expression; every other token, a sign, a
     decimal point, an exponent, an underscore or a non-ASCII digit
-    included, goes to ``Fraction(tok)``, so the value and any error are the
-    same either way."""
+    included, goes to ``parse_rational``, which reads it as
+    ``Fraction(tok)`` does but refuses a value too long to print, so the
+    value and any error are the same either way."""
     p, slash, q = tok.partition("/")
     try:
         if tok.isascii() and p.isdigit() and (not slash or q.isdigit() and q.strip("0")):
             return reduced(int(p), int(q) if slash else 1)
-        v = Fraction(tok)
+        v = parse_rational(tok)
         return v.numerator, v.denominator
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(lineno, f"bad rational {tok!r}: {e}") from None

@@ -5,12 +5,12 @@ scaled-generator constructions.
 (numerator, denominator): f and finv run on pairs (``pwfn.eval_pair``), and
 for an exact t-norm family so does T (the family's ``eval_pair``).  Each op
 caches f by its argument's reduced pair and finv by T's reduced pair, and
-holds each value as its reduced pair, plus its Fraction once the value has
-been read as one (``f_at``, ``finv_at``, ``f_eval``).  So an evaluation on
-pairs builds no ``Fraction``, cached or not, and its keys are tuples of
-ints, which hash in C where a ``Fraction`` rehashes in Python.  The
-oracle's ``_Memo`` reads f's pairs (``f_pair``) and keys its ids by them,
-and evaluates T and finv itself, a row at a time (``_Memo.eval_row``).
+holds each value as its reduced pair; ``f_at``, ``finv_at`` and ``f_eval``
+build a ``Fraction`` of the pair they return.  So an evaluation on pairs
+builds no ``Fraction``, cached or not, and its keys are tuples of ints,
+which hash in C where a ``Fraction`` rehashes in Python.  The oracle's
+``_Memo`` reads f's pairs (``f_pair``) and keys its ids by them, and
+evaluates T and finv itself, a row at a time (``_Memo.eval_row``).
 Inexact families go through ``f_compose``, which carries T's error radius
 through the pseudo-inverse (``_spread``): it evaluates finv at T's centre
 and at either end of its radius on integer pairs too, and builds only the
@@ -28,36 +28,13 @@ from .pwfn import PiecewiseMonotoneFn, Segment, eval_pair
 from .tnorms import Approx, Generator, GeneratorSpec, Lambda, TNormDescriptor, t_eval
 
 
-def value_key(v) -> tuple:
-    """A value's cache key: (numerator, denominator), and for an Approx its
-    value's pair then its radius's.  Unlike ``Fraction``, which recomputes
-    its hash in Python on every call, a tuple of ints hashes in C."""
-    if isinstance(v, Approx):
-        return value_key(v.value) + value_key(v.radius)
-    return v.numerator, v.denominator
-
-
-def _entry(pair: tuple) -> list:
-    """A cache entry for the value of an integer pair: [its reduced pair,
-    None], the None replaced by the value's Fraction when first read."""
-    return [reduced(*pair), None]
-
-
-def _fraction(entry: list) -> Fraction:
-    """The Fraction of a cache entry, built on first read."""
-    v = entry[1]
-    if v is None:
-        v = entry[1] = Fraction(*entry[0])
-    return v
-
-
 @dataclass
 class GeneratedOp:
     """F(x,y) = finv(T(f(x), f(y))), with f and finv evaluated once per
-    argument: ``_f_cache`` maps the reduced pair of x to f(x), and
-    ``_finv_cache`` the reduced pair of y to finv(y), each value held as
-    its reduced pair and, once ``f_at`` or ``finv_at`` has read it, its
-    Fraction (``_entry``)."""
+    argument: ``_f_cache`` maps the reduced pair of x to that of f(x), and
+    ``_finv_cache`` the reduced pair of y to that of finv(y).  ``f_pair``,
+    ``finv_pair`` and ``t_finv`` return these pairs; ``f_at``, ``finv_at``
+    and ``f_eval`` build a Fraction of one as they return it."""
 
     f: PiecewiseMonotoneFn
     finv: PiecewiseMonotoneFn
@@ -65,39 +42,35 @@ class GeneratedOp:
     _f_cache: dict = field(default_factory=dict, repr=False)
     _finv_cache: dict = field(default_factory=dict, repr=False)
 
-    def _f_entry(self, k: tuple) -> list:
-        """The ``_f_cache`` entry of f(p/q), for the reduced pair k = (p, q)."""
-        v = self._f_cache.get(k)
-        if v is None:
-            v = self._f_cache[k] = _entry(eval_pair(self.f, *k))
-        return v
-
-    def _finv_entry(self, k: tuple) -> list:
-        """The ``_finv_cache`` entry of finv(p/q), for the reduced pair k = (p, q)."""
-        v = self._finv_cache.get(k)
-        if v is None:
-            v = self._finv_cache[k] = _entry(eval_pair(self.finv, *k))
-        return v
-
     def f_pair(self, k: tuple) -> tuple:
         """f(p/q) as a reduced pair, for the reduced pair k = (p, q)."""
-        return self._f_entry(k)[0]
+        v = self._f_cache.get(k)
+        if v is None:
+            v = self._f_cache[k] = reduced(*eval_pair(self.f, *k))
+        return v
 
-    def t_finv(self, a: int, b: int, c: int, d: int) -> list:
-        """finv(T(a/b, c/d)) as its ``_finv_cache`` entry, for an exact
-        family and f values a/b, c/d: T's pair, reduced, is the key.  No
-        domain check, as f's values lie in [0,1]."""
+    def finv_pair(self, k: tuple) -> tuple:
+        """finv(p/q) as a reduced pair, for the reduced pair k = (p, q)."""
+        v = self._finv_cache.get(k)
+        if v is None:
+            v = self._finv_cache[k] = reduced(*eval_pair(self.finv, *k))
+        return v
+
+    def t_finv(self, a: int, b: int, c: int, d: int) -> tuple:
+        """finv(T(a/b, c/d)) as a reduced pair, for an exact family and f
+        values a/b, c/d: T's pair, reduced, is the key.  No domain check,
+        as f's values lie in [0,1]."""
         n, e = self.t.eval_pair(a, b, c, d)
         g = gcd(n, e)
-        return self._finv_entry((n // g, e // g))
+        return self.finv_pair((n // g, e // g))
 
     def f_at(self, x: Fraction) -> Fraction:
         """f(x) for an exact x."""
-        return _fraction(self._f_entry((x.numerator, x.denominator)))
+        return Fraction(*self.f_pair((x.numerator, x.denominator)))
 
     def finv_at(self, y: Fraction) -> Fraction:
         """finv(y) for an exact y."""
-        return _fraction(self._finv_entry((y.numerator, y.denominator)))
+        return Fraction(*self.finv_pair((y.numerator, y.denominator)))
 
     def __call__(self, x, y):
         return f_eval(self, x, y)
@@ -114,7 +87,7 @@ def f_eval(op: GeneratedOp, x, y):
     exact family, else through ``f_compose``."""
     x, y = frac(x), frac(y)
     if op.t.exact:
-        return _fraction(op.t_finv(*op.f_pair((x.numerator, x.denominator)),
+        return Fraction(*op.t_finv(*op.f_pair((x.numerator, x.denominator)),
                                    *op.f_pair((y.numerator, y.denominator))))
     return f_compose(op, op.f_at(x), op.f_at(y))
 

@@ -14,6 +14,7 @@ interval (a,a) is identified with the empty set.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -26,14 +27,37 @@ ONE = Fraction(1)
 
 
 def frac(v: Rat) -> Fraction:
-    """Coerce an int or a 'p/q' string to an exact Fraction.  A float or a
-    bool raises TypeError: a float such as 0.1 is not the rational it
-    spells, and a bool is not a number."""
+    """Coerce an int or a 'p/q' string to an exact Fraction, a string by
+    ``parse_rational``.  A float or a bool raises TypeError: a float such
+    as 0.1 is not the rational it spells, and a bool is not a number."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, (float, bool)):
         raise TypeError(f"expected an int, a Fraction or a 'p/q' string, got {v!r}")
-    return Fraction(v)
+    return parse_rational(v) if isinstance(v, str) else Fraction(v)
+
+
+# The digits of the longest int that str() prints, by Python's default
+# limit on int/str conversion
+MAX_DIGITS = 4300
+_DIGIT_LIMIT = 10 ** MAX_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def parse_rational(tok: str) -> Fraction:
+    """``Fraction(tok)``, with its errors, save that a value whose numerator
+    or denominator has more than ``MAX_DIGITS`` digits is a ValueError, as
+    no such int can be printed.  An exponent beyond ``MAX_DIGITS`` plus the
+    token's length in magnitude, which gives such a value unless the
+    mantissa is 0, is refused before ``Fraction`` builds its power of ten:
+    1e-10000000 would take seconds."""
+    m = _EXPONENT.search(tok)
+    if m and abs(int(m.group(1))) > MAX_DIGITS + len(tok):
+        raise ValueError(f"exponent {m.group(1)} out of range")
+    v = Fraction(tok)
+    if abs(v.numerator) >= _DIGIT_LIMIT or v.denominator >= _DIGIT_LIMIT:
+        raise ValueError(f"numerator or denominator over {MAX_DIGITS} digits")
+    return v
 
 
 def reduced(n: int, d: int) -> tuple:

@@ -7,7 +7,7 @@ violation is only reported when it exceeds the carried radii, and
 borderline comparisons surface as notes instead of verdicts.
 
 The scans run on interned value tables.  Every value is interned to a
-small int id, equal values to equal ids, keyed by ``value_key``: integer
+small int id, equal values to equal ids, keyed by tuples of ints: their
 (numerator, denominator) pairs, because ``Fraction`` recomputes its hash
 on every call.  Every value has a class: the id of f(x) for a generated
 operation, whose F(x, y) depends on x and y only through f(x) and f(y),
@@ -55,7 +55,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .classify import PROPERTIES, arg_with_value, classify
-from .generated import GeneratedOp, f_compose, value_key
+from .generated import GeneratedOp, f_compose
 from .intervals import ONE, ZERO, frac
 from .pwfn import PiecewiseMonotoneFn, decompose, eval_pairs
 from .tnorms import Approx, TNormDescriptor, approx_diff
@@ -73,8 +73,6 @@ PROPERTY_NAMES = (
 )
 
 N_ITER = 64  # powers of x tried by archimedean_at before its note
-SCAN_DELTA = Fraction(1, 1000)  # scan_continuity's perturbation
-SCAN_THRESHOLD = 0.05  # a spread of F above this flags a jump
 
 
 @dataclass(frozen=True)
@@ -100,12 +98,13 @@ class CheckResult:
 class _Memo:
     """A binary operation whose values are interned to small int ids.
 
-    Equal values get equal ids; ``keys[v]`` is value v's ``value_key`` and
-    ``centre[v]`` the id of its centre: v itself unless the value is an
-    ``Approx``.  ``intern`` keys a value by ``value_key``, after ``frac`` if
-    exact (so 0 and Fraction(0) share an id).  ``vals[v]`` is the value, or
-    None for an exact value interned by its pair alone and not read yet:
-    ``value(v)`` reads it, building its Fraction from ``keys[v]`` once.
+    Equal values get equal ids; ``keys[v]`` is value v's (numerator,
+    denominator), after ``frac`` if exact (so 0 and Fraction(0) share an
+    id), and for an Approx its value's pair then its radius's; ``centre[v]``
+    is the id of its centre: v itself unless the value is an ``Approx``.
+    ``vals[v]`` is the value, or None for an exact value interned by its
+    pair alone and not read yet: ``value(v)`` reads it, building its
+    Fraction from ``keys[v]`` once.
 
     The class of an exact value x (``class_of``) is the id of f(x) for a
     GeneratedOp, whose F(x, y) depends on x and y only through f(x) and
@@ -134,8 +133,8 @@ class _Memo:
     def __init__(self, op: Callable):
         self.op = op
         self.generated = op if isinstance(op, GeneratedOp) else None
-        self.ids = {}  # value_key(value) -> id
-        self.keys = []  # id -> value_key(value)
+        self.ids = {}  # key of a value -> id
+        self.keys = []  # id -> key of the value
         self.vals = []  # id -> value, None until read for an exact pair
         self.centre = []  # id -> id of the value's centre
         self.f_ids = {}  # id of an exact x -> id of f(x), for a GeneratedOp
@@ -155,9 +154,11 @@ class _Memo:
         return v
 
     def intern(self, v) -> int:
-        if not isinstance(v, Approx):
-            v = frac(v)
-        return self._intern_key(value_key(v), v)
+        if isinstance(v, Approx):
+            c, r = v.value, v.radius
+            return self._intern_key((c.numerator, c.denominator, r.numerator, r.denominator), v)
+        v = frac(v)
+        return self._intern_key((v.numerator, v.denominator), v)
 
     def _intern_key(self, k: tuple, v) -> int:
         """Id of the value v of key k; v is None for an exact value known
@@ -647,27 +648,6 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
     if undecided:
         note = f"{undecided} comparisons undecided within error radii"
     return CheckResult(True, note=note, checked=count if checked is None else checked)
-
-
-def scan_continuity(op: Callable, breakpoints, pts):
-    """Numeric jump detection: around every breakpoint pair, compare the
-    operation at the corners perturbed by ``SCAN_DELTA``; a spread above
-    ``SCAN_THRESHOLD`` flags a jump.  Returns the list of flagged
-    locations."""
-    probes = sorted(set(frac(b) for b in breakpoints) | {ONE})
-    cells = sorted(set(pts) | set(probes))
-    jumps = []
-    for a in probes:
-        for b in cells:
-            corners = []
-            for da in (-SCAN_DELTA, ZERO, SCAN_DELTA):
-                for db in (-SCAN_DELTA, ZERO, SCAN_DELTA):
-                    x, y = a + da, b + db
-                    if 0 <= x <= 1 and 0 <= y <= 1:
-                        corners.append(float(op(x, y)))
-            if corners and max(corners) - min(corners) > SCAN_THRESHOLD:
-                jumps.append((a, b))
-    return jumps
 
 
 # -- classifier/oracle agreement --------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .intervals import Interval, IntervalSet, ONE, ZERO, _span, frac, reduced
+from .intervals import Interval, IntervalSet, ONE, ZERO, _span, frac, parse_rational, reduced
 from .pwfn import DomainError
 
 
@@ -402,7 +402,7 @@ def parse_tnorm(desc: str) -> TNormDescriptor:
     if desc.startswith("lambda:"):
         try:
             _, gen, lam = desc.split(":")
-            lam = Fraction(lam)
+            lam = parse_rational(lam)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad lambda descriptor {desc!r}") from None
         t = Lambda(GeneratorSpec(gen), lam)

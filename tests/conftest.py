@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from typing import Callable
 
 import pytest
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ def pytest_terminal_summary(terminalreporter):
 
 from subnormforge import parse_fn
 from subnormforge.pwfn import PiecewiseMonotoneFn, Segment
-from subnormforge.intervals import Interval, IntervalSet
+from subnormforge.intervals import ONE, ZERO, Interval, IntervalSet, frac
 
 # f with a half-height plateau; range [1/2,1]
 F_PLATEAU = """\
@@ -309,3 +310,31 @@ def reference_reconstruct(d):
     the complement of the gaps (the former ``Decomposition.reconstruct``)."""
     gaps = IntervalSet.of(Interval.closed(b, dd) for b, dd, _ in d.s)
     return d.c_set.union(gaps.complement())
+
+
+# -- a numeric jump detector, the reference of criterion 6 and the oracle ----
+# -- tests; no library code calls it -----------------------------------------
+
+SCAN_DELTA = Fraction(1, 1000)  # scan_continuity's perturbation
+SCAN_THRESHOLD = 0.05  # a spread of F above this flags a jump
+
+
+def scan_continuity(op: Callable, breakpoints, pts):
+    """Numeric jump detection: around every breakpoint pair, compare the
+    operation at the corners perturbed by ``SCAN_DELTA``; a spread above
+    ``SCAN_THRESHOLD`` flags a jump.  Returns the list of flagged
+    locations."""
+    probes = sorted(set(frac(b) for b in breakpoints) | {ONE})
+    cells = sorted(set(pts) | set(probes))
+    jumps = []
+    for a in probes:
+        for b in cells:
+            corners = []
+            for da in (-SCAN_DELTA, ZERO, SCAN_DELTA):
+                for db in (-SCAN_DELTA, ZERO, SCAN_DELTA):
+                    x, y = a + da, b + db
+                    if 0 <= x <= 1 and 0 <= y <= 1:
+                        corners.append(float(op(x, y)))
+            if corners and max(corners) - min(corners) > SCAN_THRESHOLD:
+                jumps.append((a, b))
+    return jumps

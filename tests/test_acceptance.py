@@ -22,6 +22,7 @@ from conftest import (
     bisect_pseudo_inverse,
     random_nondecreasing_fn,
     random_strictly_increasing_fn,
+    scan_continuity,
 )
 from subnormforge import (
     GeneratorSpec,
@@ -44,7 +45,6 @@ from subnormforge.oracle import (
     consistency_harness,
     default_extra,
     grid,
-    scan_continuity,
 )
 from subnormforge.tnorms import Approx
 

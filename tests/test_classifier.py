@@ -205,7 +205,7 @@ def test_proper_reads_finv_of_one_when_t_has_neutral_one():
     # either family, so F(1,1) = finv(1) = 0, whatever gen:neglog's radius
     f = parse_fn("monotone: nonincreasing\nsegment [0,1] const 1\n")
     for tdesc in ("product", "gen:neglog"):
-        v = classify(f, parse_tnorm(tdesc)).verdict("proper")
+        v = classify(f, parse_tnorm(tdesc)).properties["proper"]
         assert (v.status, v.evidence) == ("yes", ("F(1,1)=0 < 1",)), tdesc
 
 
@@ -538,7 +538,7 @@ def assert_split_agrees(f, t):
     assert g(F(1, 3)) == f(F(1, 3)) and len(g.breakpoints()) >= len(f.breakpoints())
     a, b = classify(f, t), classify(g, t)
     for prop in a.properties:
-        pair = {a.verdict(prop).status, b.verdict(prop).status}
+        pair = {a.properties[prop].status, b.properties[prop].status}
         assert pair != {"yes", "no"}, (prop, str(f))
     # F is the same operation, so each No witness re-checks on the other f
     if t.exact:
@@ -864,7 +864,7 @@ def test_archimedean_trap_is_a_rechecked_no(tdesc):
     r = classify(f, t)
     assert r.properties["archimedean"].status == "no"
     recheck_no_witnesses(f, t, r)
-    assert classify(f, parse_tnorm("gen:neglog")).verdict("archimedean").status == "unknown"
+    assert classify(f, parse_tnorm("gen:neglog")).properties["archimedean"].status == "unknown"
 
 
 def test_archimedean_trap_falls_back_to_unknown_past_the_step_bound():
@@ -968,7 +968,7 @@ def test_breakpoints_and_search_grids_match_references(n, f):
 @given(f=monotone_fns())
 def test_every_archimedean_no_rechecks(tdesc, f):
     t = parse_tnorm(tdesc)
-    v = classify(f, t).verdict("archimedean")
+    v = classify(f, t).properties["archimedean"]
     if v.status == "no":
         assert arch_witness_rechecks(make_op(f, t), v.witness), v
 
@@ -1071,7 +1071,7 @@ segment (7/8,1] linear 1 -1/16
 
 
 def test_a_window_meeting_the_range_in_one_point_keeps_continuity():
-    v = classify(parse_fn(F_WINDOW_MEETS_ONE_POINT), PRODUCT).verdict("continuous")
+    v = classify(parse_fn(F_WINDOW_MEETS_ONE_POINT), PRODUCT).properties["continuous"]
     assert v == Verdict.yes("all discontinuity windows meet the range in at most one point")
 
 

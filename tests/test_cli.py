@@ -1,11 +1,12 @@
 """Command-line interface: outputs, formats, exit codes."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from conftest import F_GAP, F_IDENTITY, F_PLATEAU
-from subnormforge import cli, oracle
+from subnormforge import cli, oracle, parse_tnorm
 from subnormforge.cli import main
 
 F = Fraction
@@ -190,3 +191,35 @@ def test_bad_input_fails_cleanly(argv, fn_file, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     if "--grid-n" in argv:  # oracle and grid name the option alike
         assert lines[0].startswith("error: --grid-n must be >= 1")
+
+
+HUGE = "1e-10000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--fn", "{huge}", "--tnorm", "product"],
+    ["eval", "--fn", "{gap}", "--tnorm", "product", "--x", HUGE, "--y", "1/2"],
+    ["construct-subnorm", "--gen", "neglog", "--lam", HUGE],
+    ["classify", "--fn", "{gap}", "--tnorm", f"lambda:one-minus-log:{HUGE}"],
+], ids=["fn-file", "x", "lam", "lambda-descriptor"])
+def test_huge_exponent_fails_fast(argv, fn_file, capsys):
+    # Fraction would build 10**10000000 before anything can fail: each
+    # reader refuses the token first and names it
+    paths = {"gap": fn_file(F_GAP),
+             "huge": fn_file(f"monotone: nondecreasing\nsegment [0,1] const {HUGE}\n")}
+    start = time.perf_counter()
+    rc = main([a.format(**paths) for a in argv])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and HUGE in lines[0]
+
+
+def test_small_exponents_read_as_before():
+    assert cli._rational("1e-3", "x") == F(1, 1000) and cli._rational("5E2", "x") == 500
+    assert parse_tnorm("lambda:one-minus-log:5E-1").lam == F(1, 2)
+    with pytest.raises(ValueError, match="got 500$"):
+        parse_tnorm("lambda:one-minus-log:5E2")
+    with pytest.raises(ValueError, match="is not a t-norm"):  # read as 1/1000
+        parse_tnorm("lambda:one-minus-log:1e-3")

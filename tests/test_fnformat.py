@@ -129,11 +129,12 @@ def test_parse_fn_rejects_malformed_lines(line, message):
 
 def test_digit_tokens_build_no_fraction(monkeypatch):
     # p and p/q in ASCII digits are read with int, so a function of such
-    # tokens parses without fnformat building a Fraction
+    # tokens parses without fnformat building a Fraction: parse_rational,
+    # its one path to Fraction's parser, is never called
     def refuse(*args):
         raise AssertionError("fnformat built a Fraction")
 
-    monkeypatch.setattr(fnformat, "Fraction", refuse)
+    monkeypatch.setattr(fnformat, "parse_rational", refuse)
     f = parse_fn("monotone: nondecreasing\nsegment [0,1/2) linear 1/2 0\n"
                  "point 1/2 = 1/2\nsegment (1/2,1] const 06/8\n")
     assert f.segments[-1].cn == 3 and f.segments[-1].cd == 4
@@ -186,11 +187,21 @@ def test_parsed_functions_store_only_ints_and_bools(f):
 
 def _fraction_or_error(tok):
     """(value, None) as Fraction(tok) reads the token, or (None, the
-    ParseError text that its error gives on line 7)."""
+    ParseError text that its error gives on line 7).  A value whose
+    numerator or denominator has more than 4300 digits, which str() cannot
+    print, is an error too, and so is an exponent beyond 4300 plus the
+    token's length, whose power of ten would give such a value unless the
+    mantissa is 0."""
+    exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", tok)
+    if exp and abs(int(exp.group(1))) > 4300 + len(tok):
+        return None, f"line 7: bad rational {tok!r}: exponent {exp.group(1)} out of range"
     try:
-        return Fraction(tok), None
+        v = Fraction(tok)
     except (ValueError, ZeroDivisionError) as e:
         return None, f"line 7: bad rational {tok!r}: {e}"
+    if max(abs(v.numerator), v.denominator) >= 10 ** 4300:
+        return None, f"line 7: bad rational {tok!r}: numerator or denominator over 4300 digits"
+    return v, None
 
 
 def _assert_parses_like_fraction(tok):
@@ -216,6 +227,10 @@ def _assert_parses_like_fraction(tok):
     "/2", "2/", "/", "1//2", "1/2/3", "", "a", "0x10", "1 /2",
     # past int's digit limit, where there is one: both readers call int
     "9" * 5000, "1/" + "9" * 5000,
+    # exponents: at and past the 4300 digits that str() prints, and beyond
+    # what is refused before Fraction builds its power of ten
+    "1e-3", "5E2", "1e4299", "1e4300", "1e-4299", "1e-4300", "2e-4300", "0.5e-4300",
+    "1e4304", "1e-4305", "1e-10000000", "1e+1_0000_000", "0e99999", "1/2e99999",
 ])
 def test_parse_fraction_matches_fraction(tok):
     _assert_parses_like_fraction(tok)

@@ -56,7 +56,7 @@ def _fields(report) -> dict:
             "resolution": v.resolution,
             "note": v.note,
         }
-        for prop, v in ((p, report.verdict(p)) for p in PROPERTIES)
+        for prop, v in ((p, report.properties[p]) for p in PROPERTIES)
     }
 
 
@@ -139,12 +139,12 @@ def test_neglog_verdicts_match_product():
     for i, f in enumerate(fns):
         want, got = classify(f, product), classify(f, neglog)
         for prop in PROPERTIES:
-            status = got.verdict(prop).status
+            status = got.properties[prop].status
             if status != "unknown":
                 decisive += 1
-                if status != want.verdict(prop).status:
+                if status != want.properties[prop].status:
                     conflicts.append(f"f{i} {prop}: neglog {status}, "
-                                     f"product {want.verdict(prop).status}")
+                                     f"product {want.properties[prop].status}")
     assert not conflicts, "; ".join(conflicts)
     assert decisive >= 100, decisive  # 217 when written: not a vacuous pass
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import WORKED_EXAMPLES, _one_minus, lattice_fns, monotone_fns, nonincreasing_fns
+from conftest import (WORKED_EXAMPLES, _one_minus, lattice_fns, monotone_fns,
+                      nonincreasing_fns, scan_continuity)
 from subnormforge import (Verdict, classify, f_eval, make_op, parse_fn,
                           parse_tnorm, pseudo_inverse, pwfn)
 from subnormforge.intervals import ONE, ZERO
@@ -22,7 +23,6 @@ from subnormforge.oracle import (
     consistency_harness,
     default_extra,
     grid,
-    scan_continuity,
 )
 from subnormforge.tnorms import Approx, approx_diff
 
