@@ -7,7 +7,9 @@ routes where the characterization theorems apply (strictly monotone,
 continuous t-norms with exact rational evaluation, plus a corollary route
 for continuous strictly increasing f with f(0)=0, and the Archimedean
 rules proved in ``check_archimedean``); everything else falls back to
-Unknown and the brute-force oracle.
+Unknown and the brute-force oracle, whose scans the classifier does not
+run: t_subnorm's No comes from a search that compares only where f∘finv
+moves a value of T, for an associative T (``_assoc_search``).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .pwfn import (
     decompose,
     eval_fn,
     eval_pair,
+    eval_pairs,
     first_arg_above,
     limit_pair,
     plateau_set,
@@ -856,19 +859,59 @@ def _search_grid(f: PiecewiseMonotoneFn, n: int) -> tuple:
 
 def _assoc_search(op: GeneratedOp, pts):
     """The first (x, y, z) of pts^3, in lexicographic order, with
-    F(F(x,y),z) != F(x,F(y,z)); None when there is none.
+    F(F(x,y),z) != F(x,F(y,z)); None when there is none.  Only for a T
+    associative and commutative on exact rationals, as product and
+    hamacher2 are, the t-norms of ``_strict_exact_verdicts``.
 
-    Runs the oracle's associativity scan, which evaluates F once per pair
-    of f values on interned value tables.  It is only called on the strict
-    exact path, where every value is an exact Fraction: the scan visits
-    the triples in the same order and, on an exact table, unequal value
-    ids are unequal values, so its first counterexample is the first
-    triple a direct scan would find.
+    Points of one f value form a class, and the first failing triple is
+    that of its classes' first points (``oracle.check_property``).  With
+    a, b, s = f(x), f(y), f(z) and h = f∘finv, F(F(x,y),z) =
+    finv(T(h(T(a,b)), s)) and F(x,F(y,z)) = finv(T(a, h(T(b,s)))): both
+    are finv(T(a,T(b,s))) where h fixes T(a,b) and T(b,s), as T is
+    associative.  So only class triples whose first or second pair moves,
+    h(T) != T, are compared.  finv(T(w, .)) is evaluated whole, in one
+    ``eval_pairs`` sweep, for a moved w that such a triple reads, and a
+    fixed value's entry alone, by ``op.t_finv``.
     """
-    from .oracle import check_property
+    f_pair, t_finv, t, finv = op.f_pair, op.t_finv, op.t.eval_pair, op.finv
+    first, fs = [], []  # each class's first point and f value a_c
+    for p in pts:
+        a = f_pair((p.numerator, p.denominator))
+        if a not in fs:
+            first.append(p)
+            fs.append(a)
+    n = len(fs)
+    ws = [[None] * n for _ in range(n)]  # ws[c][d] = h(T(a_c, a_d))
+    moves = [[False] * n for _ in range(n)]
+    for c, (an, ad) in enumerate(fs):  # each pair once, as T is commutative
+        ts = [t(an, ad, *b) for b in fs[c:]]
+        for d, u, (p, q) in zip(range(c, n), eval_pairs(finv, ts), ts):
+            w = ws[c][d] = ws[d][c] = f_pair(reduced(*u))
+            moves[c][d] = moves[d][c] = w[0] * q != p * w[1]
+    movers = [[e for e in range(n) if m[e]] for m in moves]
+    rows = {}  # a moved value w -> [finv(T(w, a_e)) for each class e]
+    row = rows.get
 
-    res = check_property(op, "associativity", pts)
-    return None if res.ok else res.counterexample.inputs
+    def new_row(w):
+        r = rows[w] = [reduced(*u) for u in eval_pairs(finv, [t(*w, *b) for b in fs])]
+        return r
+
+    for c in range(n):
+        for d in range(n):
+            w, ws_d, moves_d = ws[c][d], ws[d], moves[d]
+            if moves[c][d]:
+                lhs = row(w) or new_row(w)
+                for e in range(n):
+                    v = ws_d[e]
+                    if lhs[e] != ((row(v) or new_row(v))[c] if moves_d[e]
+                                  else t_finv(*fs[c], *v)):
+                        return first[c], first[d], first[e]
+            else:
+                for e in movers[d]:
+                    v = ws_d[e]
+                    if t_finv(*w, *fs[e]) != (row(v) or new_row(v))[c]:
+                        return first[c], first[d], first[e]
+    return None
 
 
 def _neutral_search(op: GeneratedOp, pts):
@@ -944,7 +987,9 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor) -> ClassificationReport
 def _strict_exact_verdicts(op, d: Decomposition, z_a, z_b, log) -> dict:
     """The properties in ``_ROUTED`` for product and hamacher2, from the
     escape values z_a and z_b of the two inclusion conditions (None where
-    one holds); appends the conditions it checks to `log`."""
+    one holds); appends the conditions it checks to `log`.  t_subnorm's
+    No comes from ``_assoc_search``, which needs T associative; it only
+    refutes, so a None leaves Unknown or ``l_set_check``, never a Yes."""
     f, t = op.f, op.t
     if z_a is None and z_b is None:
         cc = Verdict.yes("T(M\\C,M) within M plus [0,f(0+)]", "T(Q,M) within [0,f(0+)]")

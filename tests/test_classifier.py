@@ -39,8 +39,8 @@ from subnormforge.classify import (
     render_text,
     Verdict,
 )
-from subnormforge.oracle import consistency_harness
-from subnormforge.pwfn import approach_segment, first_arg_above
+from subnormforge.oracle import check_property, consistency_harness
+from subnormforge.pwfn import approach_segment, eval_pairs, first_arg_above
 from subnormforge.tnorms import (Approx, GeneratorSpec, Lambda, approx_diff, t_eval, t_image,
                                  t_preimage, t_solve_x)
 
@@ -670,9 +670,14 @@ def reference_assoc_search(op, pts):
     return None
 
 
+def kn_grid(f, n):
+    """The points k/n and f's breakpoints, ascending."""
+    return sorted(set(f.breakpoints()) | {F(k, n) for k in range(n + 1)})
+
+
 def assoc_pts(f):
     """The search grid of classify's t_subnorm block."""
-    return sorted(set(f.breakpoints()) | {F(i, 6) for i in range(7)})
+    return kn_grid(f, ASSOC_GRID)
 
 
 @pytest.mark.parametrize("tdesc", ["product", "hamacher2"])
@@ -690,6 +695,67 @@ def test_assoc_search_worked_examples(name, want):
     f = parse_fn(WORKED_EXAMPLES[name])
     op = make_op(f, PRODUCT)
     assert _assoc_search(op, assoc_pts(f)) == want
+
+
+def oracle_assoc_triple(op, pts):
+    """The oracle's associativity scan: its first counterexample, or None."""
+    res = check_property(op, "associativity", pts)
+    return None if res.ok else res.counterexample.inputs
+
+
+def test_assoc_search_matches_the_oracle_on_the_lattice():
+    # the search compares only the triples whose pairs f∘finv moves; the
+    # oracle's scan compares every class triple.  Both must name the same
+    # first triple, on classify's grid and on k/n grids of other steps
+    found = 0
+    for f in lattice_fns(3, 4):
+        grids = [_search_grid(f, ASSOC_GRID)] + [kn_grid(f, n) for n in range(4, 13)]
+        for t in (PRODUCT, HAMACHER2):
+            for pts in grids:
+                want = oracle_assoc_triple(make_op(f, t), pts)
+                assert _assoc_search(make_op(f, t), pts) == want
+                found += want is not None
+    assert found > 0
+
+
+def test_assoc_search_marks_a_pair_moved_in_both_orders():
+    # the first failing triple (1/4, 3/8, 1/3) of classify's grid has a
+    # moved second pair whose classes run against the class order: 3/8's
+    # f value 5/8 comes after 1/3's 7/16.  A search that marked only the
+    # pairs (c, d) with c <= d as moved would skip it and name a later triple
+    f = parse_fn("monotone: nondecreasing\nsegment [0,1/8] const 1/16\n"
+                 "segment (1/8,1/4] linear 1 0\nsegment (1/4,3/8) const 7/16\n"
+                 "segment [3/8,1] const 5/8\n")
+    pts = _search_grid(f, ASSOC_GRID)
+    want = (F(1, 4), F(3, 8), F(1, 3))
+    assert oracle_assoc_triple(make_op(f, PRODUCT), pts) == want
+    assert _assoc_search(make_op(f, PRODUCT), pts) == want
+
+
+@pytest.mark.parametrize("text", [
+    WORKED_EXAMPLES["identity"],
+    "monotone: nondecreasing\nsegment [0,1/2] linear 1/2 0\nsegment (1/2,1] linear 3/2 -1/2\n"])
+@pytest.mark.parametrize("t", [PRODUCT, HAMACHER2], ids=str)
+def test_assoc_search_compares_no_triple_where_h_fixes_every_value(t, text):
+    # f is continuous and strictly increasing onto [0,1], so h = f∘finv
+    # fixes every value of T: the search sweeps its table of h(T), one row
+    # per class from the diagonal, and evaluates no side of any triple
+    f = parse_fn(text)
+    op = make_op(f, t)
+    op.t_finv = None  # a call would fail
+    pts = kn_grid(f, 12)
+    with mock.patch("subnormforge.classify.eval_pairs", wraps=eval_pairs) as sweep:
+        assert _assoc_search(op, pts) is None
+    assert [len(c.args[1]) for c in sweep.call_args_list] == list(range(len(pts), 0, -1))
+
+
+@pytest.mark.parametrize("tdesc", ["product", "hamacher2"])
+@settings(max_examples=200, deadline=None)
+@given(f=monotone_fns(), n=st.integers(2, 12))
+def test_assoc_search_matches_the_oracle(tdesc, f, n):
+    t = parse_tnorm(tdesc)
+    for pts in (_search_grid(f, ASSOC_GRID), kn_grid(f, n)):
+        assert _assoc_search(make_op(f, t), pts) == oracle_assoc_triple(make_op(f, t), pts)
 
 
 # -- degenerate shapes -------------------------------------------------------

@@ -11,11 +11,12 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 import subnormforge
 from conftest import WORKED_EXAMPLES, wide_fractions
+from subnormforge import tnorms
 from subnormforge.fnformat import parse_fn
 from subnormforge.generated import f_eval, make_op
 from subnormforge.intervals import Interval, IntervalSet
@@ -27,6 +28,7 @@ from subnormforge.tnorms import (
     Approx,
     Generator,
     GeneratorSpec,
+    HALFPROD,
     Lambda,
     _e_below,
     parse_tnorm,
@@ -211,6 +213,45 @@ def test_halfprod_not_associative():
     t = parse_tnorm("halfprod")
     x, y, z = F(1, 10), F(3, 5), F(3, 5)
     assert t_eval(t, t_eval(t, x, y), z) != t_eval(t, x, t_eval(t, y, z))
+
+
+# every t-norm family the package registers: the descriptors at module level
+REGISTERED = [v for v in vars(tnorms).values() if isinstance(v, tnorms.TNormDescriptor)]
+# the families of classify's strict exact route, whose associativity search
+# skips every triple where f∘finv fixes both values of T: it needs T associative
+STRICT_EXACT = [t for t in REGISTERED if t.exact and t.strict]
+
+# reduced pairs in [0,1]: the ends, small denominators and huge ones
+assoc_pairs_01 = st.one_of(st.sampled_from([F(0), F(1)]), wide_fractions).map(
+    lambda v: (v.numerator, v.denominator))
+
+
+def pair_associative(t, a, b, c) -> bool:
+    """T(T(a,b),c) and T(a,T(b,c)) reduce to one pair, on ``t.eval_pair``."""
+    return (reduced(*t.eval_pair(*t.eval_pair(*a, *b), *c))
+            == reduced(*t.eval_pair(*a, *t.eval_pair(*b, *c))))
+
+
+def test_registered_families_are_the_parsed_ones():
+    assert sorted(map(str, REGISTERED)) == ["halfprod", "hamacher2", "min", "product"]
+    assert all(parse_tnorm(str(t)) is t for t in REGISTERED)
+    assert sorted(map(str, STRICT_EXACT)) == ["hamacher2", "product"]
+
+
+@pytest.mark.parametrize("t", STRICT_EXACT, ids=family_id)
+@settings(max_examples=300)
+@given(a=assoc_pairs_01, b=assoc_pairs_01, c=assoc_pairs_01)
+def test_strict_exact_families_are_associative_on_pairs(t, a, b, c):
+    assert pair_associative(t, a, b, c)
+
+
+def test_pair_associativity_check_rejects_halfprod():
+    # the negative control: halfprod is exact but not associative
+    assert not (HALFPROD.exact and HALFPROD.strict)
+    assert not pair_associative(HALFPROD, (1, 10), (3, 5), (3, 5))
+    a, b, c = find(st.tuples(assoc_pairs_01, assoc_pairs_01, assoc_pairs_01),
+                   lambda abc: not pair_associative(HALFPROD, *abc))
+    assert not pair_associative(HALFPROD, a, b, c)
 
 
 def test_neglog_matches_product():
