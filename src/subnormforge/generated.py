@@ -9,8 +9,9 @@ holds each value as its reduced pair; ``f_at``, ``finv_at`` and ``f_eval``
 build a ``Fraction`` of the pair they return.  So an evaluation on pairs
 builds no ``Fraction``, cached or not, and its keys are tuples of ints,
 which hash in C where a ``Fraction`` rehashes in Python.  The oracle's
-``_Memo`` reads f's pairs (``f_pair``) and keys its ids by them, and
-evaluates T and finv itself, a row at a time (``_Memo.eval_row``).
+``_Memo`` reads f's pairs (``f_pair``) as the classes of its values, with
+no f cache of its own, and evaluates T and finv itself, a row at a time
+(``_Memo.eval_row``), holding each value as its reduced pair.
 Inexact families go through ``f_compose``, which carries T's error radius
 through the pseudo-inverse (``_spread``): it evaluates finv at T's centre
 and at either end of its radius on integer pairs too, and builds only the

@@ -6,14 +6,15 @@ the lexicographically first counterexample; on approximate values a
 violation is only reported when it exceeds the carried radii, and
 borderline comparisons surface as notes instead of verdicts.
 
-The scans run on interned value tables.  Every value is interned to a
-small int id, equal values to equal ids, keyed by tuples of ints: their
-(numerator, denominator) pairs, because ``Fraction`` recomputes its hash
-on every call.  Every value has a class: the id of f(x) for a generated
-operation, whose F(x, y) depends on x and y only through f(x) and f(y),
-and the value's own id for any other operation; points of one class have
-equal rows and columns in every table.  There is one table per point set:
-F is evaluated once per pair of classes into a table of ids, rebuilt only
+The scans hold every value as its key (``_key``), a tuple of ints that
+hashes in C, where a ``Fraction`` rehashes in Python: an exact value's
+reduced (numerator, denominator), and an ``Approx``'s centre's pair
+followed by its radius's, so a value's centre is its key's first two
+ints.  Every value has a class: f(x) for a generated operation, whose
+F(x, y) depends on x and y only through f(x) and f(y), and the value's
+own key for any other operation; points of one class have equal rows and
+columns in every table.  There is one table per point set: F is
+evaluated once per pair of classes into a table of keys, rebuilt only
 when a scan gets other points; the values of F at the off-grid
 intermediates of associativity and of the Archimedean powers sit in lists
 kept per class of the intermediate, one entry per class of the grid.
@@ -28,11 +29,11 @@ A generated operation with an exact t-norm is evaluated on integer pairs,
 since ``Fraction`` builds and compares in Python: along a row, f's value
 at the row's argument is read once, T runs over the row and finv over
 T's values in one forward sweep of its pieces (``_Memo.eval_row``,
-``pwfn.eval_pairs``).  Its exact values are interned by their reduced pair
-alone, and get a ``Fraction`` only when read: by a counterexample, a
-note, ``memo(x, y)`` or a comparison of Approx values.  An inexact t-norm
-goes through ``f_compose``, one entry at a time.  On an exact table,
-ids compare values: equal ids are equal values, unequal ids differ, and
+``pwfn.eval_pairs``).  Its values stay reduced pairs, and get a
+``Fraction`` only when read (``_value``): by a counterexample, a note,
+``memo(x, y)`` or a comparison of Approx values.  An inexact t-norm goes
+through ``f_compose``, one entry at a time.  On an exact table, keys
+compare values: equal keys are equal values, unequal keys differ, and
 signs come from cross-multiplied pairs.  Comparisons that may involve
 Approx values call ``approx_diff``, with the boundary rules described in
 ``check_property``.
@@ -56,7 +57,7 @@ from typing import Callable, Optional
 
 from .classify import PROPERTIES, arg_with_value, classify
 from .generated import GeneratedOp, f_compose
-from .intervals import ONE, ZERO, frac
+from .intervals import ONE, ZERO, frac, reduced
 from .pwfn import PiecewiseMonotoneFn, decompose, eval_pairs
 from .tnorms import Approx, TNormDescriptor, approx_diff
 
@@ -95,26 +96,36 @@ class CheckResult:
     checked: int = 0
 
 
+def _key(v) -> tuple:
+    """The key of value v: (numerator, denominator) after ``frac``, which
+    reduces it (so 0, Fraction(0, 5) and "0" share one) and raises
+    TypeError for a float; for an ``Approx``, its centre's pair followed by
+    its radius's."""
+    if isinstance(v, Approx):
+        c, r = v.value, v.radius
+        return c.numerator, c.denominator, r.numerator, r.denominator
+    v = frac(v)
+    return v.numerator, v.denominator
+
+
+def _value(k: tuple):
+    """The value of key k: a ``Fraction``, or an ``Approx`` for four ints."""
+    if len(k) == 2:
+        return Fraction(*k)
+    return Approx(Fraction(k[0], k[1]), Fraction(k[2], k[3]))
+
+
 class _Memo:
-    """A binary operation whose values are interned to small int ids.
+    """A binary operation evaluated on the keys of its values (``_key``).
 
-    Equal values get equal ids; ``keys[v]`` is value v's (numerator,
-    denominator), after ``frac`` if exact (so 0 and Fraction(0) share an
-    id), and for an Approx its value's pair then its radius's; ``centre[v]``
-    is the id of its centre: v itself unless the value is an ``Approx``.
-    ``vals[v]`` is the value, or None for an exact value interned by its
-    pair alone and not read yet: ``value(v)`` reads it, building its
-    Fraction from ``keys[v]`` once.
-
-    The class of an exact value x (``class_of``) is the id of f(x) for a
-    GeneratedOp, whose F(x, y) depends on x and y only through f(x) and
-    f(y), and x's own id for any other operation.  ``eval_row(a, bs)``
-    evaluates the operation at a and each id of bs, on their classes, and
-    ``eval(a, b)`` at one pair; ``evals`` counts the values evaluated.  For
-    a GeneratedOp with an exact T, ``eval`` is a row of one, and a row
-    takes a's f value once, T along the row and finv over it in one sweep
-    of finv's pieces (``pwfn.eval_pairs``): the only exact evaluation path
-    here, on ids and pairs only.  Any other operation is evaluated entry by
+    The class of an exact value of key k (``class_of``) is the key of f(x)
+    for a GeneratedOp, whose F(x, y) depends on x and y only through f(x)
+    and f(y), read from the operation's own f cache (``f_pair``), and k
+    itself for any other operation.  ``eval_row(a, bs)`` evaluates the
+    operation at a and each key of bs, on their classes, and ``eval(a, b)``
+    at one pair; ``evals`` counts the values evaluated.  For a GeneratedOp
+    with an exact T, ``eval`` is a row of one: ``eval_row`` is the only
+    exact evaluation path here.  Any other operation is evaluated entry by
     entry (``f_compose`` for an inexact T).  ``memo(x, y)`` evaluates
     without a cache; the law scans read ``table``, the ``_Grid`` of the
     last point set scanned (``memo.grid(pts)``), which holds every value
@@ -133,101 +144,49 @@ class _Memo:
     def __init__(self, op: Callable):
         self.op = op
         self.generated = op if isinstance(op, GeneratedOp) else None
-        self.ids = {}  # key of a value -> id
-        self.keys = []  # id -> key of the value
-        self.vals = []  # id -> value, None until read for an exact pair
-        self.centre = []  # id -> id of the value's centre
-        self.f_ids = {}  # id of an exact x -> id of f(x), for a GeneratedOp
         self.table = None  # _Grid of the last point set scanned
-        self._row_ids = self._row_fs = None  # eval_row's last ids and their f values
+        self._row_keys = self._row_fs = None  # eval_row's last keys and their f values
         self.evals = 0
         self.compared = 0
 
     def __call__(self, x, y):
-        return self.value(self.eval(self.intern(x), self.intern(y)))
+        return _value(self.eval(_key(x), _key(y)))
 
-    def value(self, i: int):
-        """The value of id i; an exact value's Fraction is built on first read."""
-        v = self.vals[i]
-        if v is None:
-            v = self.vals[i] = Fraction(*self.keys[i])
-        return v
+    def class_of(self, k: tuple) -> tuple:
+        """The class of the exact value of key k."""
+        return k if self.generated is None else self.generated.f_pair(k)
 
-    def intern(self, v) -> int:
-        if isinstance(v, Approx):
-            c, r = v.value, v.radius
-            return self._intern_key((c.numerator, c.denominator, r.numerator, r.denominator), v)
-        v = frac(v)
-        return self._intern_key((v.numerator, v.denominator), v)
-
-    def _intern_key(self, k: tuple, v) -> int:
-        """Id of the value v of key k; v is None for an exact value known
-        by its reduced pair k alone."""
-        i = self.ids.get(k)
-        if i is None:
-            i = self.ids[k] = len(self.vals)
-            self.keys.append(k)
-            self.vals.append(v)
-            self.centre.append(i)
-            if isinstance(v, Approx):
-                self.centre[i] = self.intern(v.value)
-        return i
-
-    def class_of(self, a: int) -> int:
-        """The class of the exact value of id a."""
-        if self.generated is None:
-            return a
-        i = self.f_ids.get(a)
-        if i is None:
-            i = self.f_ids[a] = self._intern_key(self.generated.f_pair(self.keys[a]), None)
-        return i
-
-    def eval(self, a: int, b: int) -> int:
-        """Id of op(x, y) for the values x and y of ids a and b, on their
+    def eval(self, a: tuple, b: tuple) -> tuple:
+        """Key of op(x, y) for the values x and y of keys a and b, on their
         classes for a GeneratedOp; an exact one takes ``eval_row``'s kernel."""
         gen = self.generated
         if gen is not None and gen.t.exact:
             return self.eval_row(a, (b,))[0]
         self.evals += 1
         if gen is None:
-            return self.intern(self.op(self.value(a), self.value(b)))
-        return self.intern(f_compose(gen, self.value(self.class_of(a)),
-                                     self.value(self.class_of(b))))
+            return _key(self.op(_value(a), _value(b)))
+        return _key(f_compose(gen, _value(gen.f_pair(a)), _value(gen.f_pair(b))))
 
-    def eval_row(self, a: int, bs) -> list:
+    def eval_row(self, a: tuple, bs) -> list:
         """[eval(a, b) for b in bs].  For a GeneratedOp with an exact T it
         takes a's class once, T along the row on the pairs of f's values,
         and finv over the row in one ``eval_pairs`` sweep, which takes one
         pass over finv's pieces when the f values of bs ascend (T is
-        non-decreasing in its second argument); each value is reduced and
-        interned here, and a new one interned by its pair alone.  The f
-        values of bs are kept for the next call with the same tuple, as a
-        grid passes one tuple for all its rows."""
+        non-decreasing in its second argument); each value is reduced here.
+        The f values of bs are kept for the next call with the same tuple,
+        as a grid passes one tuple for all its rows."""
         gen = self.generated
         if gen is None or not gen.t.exact:
             return [self.eval(a, b) for b in bs]
         self.evals += len(bs)
-        f_ids, keys, class_of = self.f_ids, self.keys, self.class_of
-        an, ad = keys[f_ids[a] if a in f_ids else class_of(a)]
-        if bs is not self._row_ids:
-            self._row_fs = [keys[f_ids[b] if b in f_ids else class_of(b)] for b in bs]
-            self._row_ids = bs
-        t, gcd, ids = gen.t.eval_pair, math.gcd, self.ids
+        f_pair = gen.f_pair
+        an, ad = f_pair(a)
+        if bs is not self._row_keys:
+            self._row_fs = [f_pair(b) for b in bs]
+            self._row_keys = bs
+        t = gen.t.eval_pair
         ts = [t(an, ad, c, d) for c, d in self._row_fs]
-        out, new, nxt = [], [], len(keys)
-        for n, d in eval_pairs(gen.finv, ts):
-            g = gcd(n, d)
-            k = (n // g, d // g)
-            v = ids.setdefault(k, nxt)
-            if v == nxt:
-                nxt += 1
-                new.append(k)
-            out.append(v)
-        if new:
-            self.vals += [None] * len(new)
-            self.centre += range(len(keys), nxt)
-            keys += new
-        return out
+        return [reduced(n, d) for n, d in eval_pairs(gen.finv, ts)]
 
     def grid(self, pts) -> "_Grid":
         pts = tuple(pts)
@@ -237,21 +196,22 @@ class _Memo:
 
 
 class _Grid:
-    """The operation on the points p_0..p_{m-1}, as value ids, by class.
+    """The operation on the points p_0..p_{m-1}, as value keys, by class.
 
-    ``pid[i]`` is the id of p_i, interned once when the table is built.
+    ``pid[i]`` is the key of p_i, taken once when the table is built.
     Points of one class (``_Memo.class_of``) have equal rows and columns in
     every table, so the classes are numbered in the order of their first
     points: ``first[c]`` is the index of class c's first point, ``cls[i]``
     the number of p_i's class, and ``size[c]`` the number of points in
-    class c.  ``TC[c][d]`` is the id of F(p_first[c], p_first[d]),
-    evaluated once per class pair, and ``CC`` the same table of centre
-    ids; the table is ``exact`` when no value in it is an ``Approx`` (then
-    ``CC == TC``).  F(p_i, p_j) is ``TC[cls[i]][cls[j]]``, ``cols`` is
-    ``TC`` transposed and ``symmetric`` whether the two are equal.
+    class c.  ``TC[c][d]`` is the key of F(p_first[c], p_first[d]),
+    evaluated once per class pair, and ``CC`` the same table of centres,
+    each key's first two ints; the table is ``exact`` when no value in it
+    is an ``Approx`` (then ``CC == TC``).  F(p_i, p_j) is
+    ``TC[cls[i]][cls[j]]``, ``cols`` is ``TC`` transposed and ``symmetric``
+    whether the two are equal.
     ``steps`` lists each pair (a, b) of the classes of neighbours p_k,
     p_k+1 once, as (k, a, b) at its first k, in the order of k.  For the
-    exact value u of id a, ``row(a)[c]`` is the id of F(u, p) and
+    exact value u of key a, ``row(a)[c]`` is the key of F(u, p) and
     ``col(a)[c]`` that of F(p, u), for p any point of class c: F(u, p)
     depends on u only through its class, which keys the lists.  The rows of
     the grid classes are ``TC``'s; every other row or column is evaluated
@@ -269,7 +229,7 @@ class _Grid:
 
     def __init__(self, memo: _Memo, pts: tuple):
         self.pts = pts
-        self.pid = tuple(memo.intern(p) for p in pts)
+        self.pid = tuple(map(_key, pts))
         number = {}  # class -> its number
         self.first, self.cls = [], []
         for i, a in enumerate(self.pid):
@@ -285,17 +245,16 @@ class _Grid:
         # garbage collector runs
         self.memo = weakref.proxy(memo)
         self.reps = reps = [self.pid[i] for i in self.first]
-        # the classes by ascending value of their class id, f(p) for a
+        # the classes by ascending value of their key, f(p) for a
         # GeneratedOp, which makes T ascend along a row.  Any order gives
         # the same values, so the float key only has to be mostly right
-        fk = [memo.keys[k] for k in number]
+        fk = list(number)
         self.asc = sorted(range(n), key=lambda c: fk[c][0] / fk[c][1])
         self._asc_reps = tuple(reps[c] for c in self.asc)
         self._in_order = self.asc == list(range(n))
         self._rows, self._part = {}, {}  # class -> whole row; -> row in part
         self.TC = [self._fill(a) for a in reps]
-        cen = memo.centre
-        self.CC = [[cen[v] for v in row] for row in self.TC]
+        self.CC = [[v[:2] for v in row] for row in self.TC]
         self.exact = self.CC == self.TC
         steps = {}  # (cls[k], cls[k + 1]) -> its first k
         for k in range(len(pts) - 1):
@@ -308,8 +267,8 @@ class _Grid:
         if memo.generated is None:
             self._cols = {c: self.cols[i] for c, i in number.items()}
 
-    def _fill(self, a: int, part: Optional[list] = None) -> list:
-        """The row of id a's class, evaluated by one ``_Memo.eval_row`` call
+    def _fill(self, a: tuple, part: Optional[list] = None) -> list:
+        """The row of key a's class, evaluated by one ``_Memo.eval_row`` call
         over the classes in ascending order; the entries of ``part`` that
         single reads have evaluated are kept, the rest filled in."""
         if part is None:
@@ -324,9 +283,9 @@ class _Grid:
             part[c] = v
         return part
 
-    def row(self, a: int) -> list:
-        """The row of the exact value u of id a, by class: ``row(a)[c]`` is
-        the id of F(u, p) for p any point of class c; evaluated whole on
+    def row(self, a: tuple) -> list:
+        """The row of the exact value u of key a, by class: ``row(a)[c]`` is
+        the key of F(u, p) for p any point of class c; evaluated whole on
         first read."""
         k = self.memo.class_of(a)
         r = self._rows.get(k)
@@ -334,8 +293,8 @@ class _Grid:
             r = self._rows[k] = self._fill(a, self._part.pop(k, None))
         return r
 
-    def col(self, a: int) -> list:
-        """The column of the exact value u of id a: ``col(a)[c]`` is the id
+    def col(self, a: tuple) -> list:
+        """The column of the exact value u of key a: ``col(a)[c]`` is the key
         of F(p, u), evaluated whole on first read; ``row(a)`` itself for a
         GeneratedOp."""
         if self._cols is self._rows:
@@ -346,7 +305,7 @@ class _Grid:
             r = self._cols[k] = [self.memo.eval(b, a) for b in self.reps]
         return r
 
-    def entry(self, a: int, c: int) -> int:
+    def entry(self, a: tuple, c: int) -> tuple:
         """``row(a)[c]``, evaluated alone when the row is not whole yet."""
         k = self.memo.class_of(a)
         r = self._rows.get(k) or self._part.get(k)
@@ -424,19 +383,19 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
     g = memo.grid(pts)
     pts, pid, TC, CC = g.pts, g.pid, g.TC, g.CC
     first, size, cls, steps = g.first, g.size, g.cls, g.steps
-    val, keys, cen = memo.value, memo.keys, memo.centre
     m, n = len(pts), len(first)
     undecided = 0
     count = 0  # comparisons made
     # Comparisons are sign tests on (d, r) = approx_diff(a, b): a and b
     # differ when |d| > r and count as equal when their centres agree
     # (d == 0); a > b is certain when d > r, and a >= b when d >= r.
-    # Equal centre ids mean d == 0, so approx_diff is only called on
-    # values whose centres differ, and on an exact table two different ids
-    # always differ by more than r = 0.  Only ">=" cannot use equal ids on
-    # Approx values: their summed radius is positive, so d = 0 < r.  Ids of
-    # exact values (points, centres, every id of an exact table) are
-    # ordered by ``above``, which cross-multiplies their pairs.
+    # Equal centres, the first two ints of two keys, mean d == 0, so
+    # approx_diff is only called on values whose centres differ, and on an
+    # exact table two different keys always differ by more than r = 0.  Only
+    # ">=" cannot use equal keys on Approx values: their summed radius is
+    # positive, so d = 0 < r.  Keys of exact values (points, centres, every
+    # key of an exact table) are ordered by ``above``, which
+    # cross-multiplies their pairs.
 
     def cex(inputs, lhs, rhs, checked=None):
         memo.compared += count
@@ -455,11 +414,11 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
         return False
 
     def above(a, b):
-        (p, q), (r, s) = keys[a], keys[b]
+        (p, q), (r, s) = a, b
         return p * s > r * q
 
     def positive(v):  # value v certainly above 0
-        d, r = (keys[v][0], 0) if cen[v] == v else approx_diff(val(v), ZERO)
+        d, r = (v[0], 0) if len(v) == 2 else approx_diff(_value(v), ZERO)
         return d > r
 
     if g.exact:
@@ -469,11 +428,11 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
             return a == b or above(a, b)
     else:
         def gt(a, b):
-            d, r = approx_diff(val(a), val(b))
+            d, r = approx_diff(_value(a), _value(b))
             return d > r
 
         def ge(a, b):
-            d, r = approx_diff(val(a), val(b))
+            d, r = approx_diff(_value(a), _value(b))
             return d >= r
 
     checked = None  # tuples checked, where a scan by class compares fewer
@@ -483,10 +442,10 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
             TCc, CCc = TC[c], CC[c]
             for d in range(n):
                 count += 1
-                if CCc[d] != CC[d][c] and differ(val(TCc[d]), val(TC[d][c]),
+                if CCc[d] != CC[d][c] and differ(_value(TCc[d]), _value(TC[d][c]),
                                                  size[c] * size[d]):
                     i, j = first[c], first[d]
-                    return cex((pts[i], pts[j]), val(TCc[d]), val(TC[d][c]),
+                    return cex((pts[i], pts[j]), _value(TCc[d]), _value(TC[d][c]),
                                i * m + j + 1)
         checked = m * m
     elif prop == "monotonicity":
@@ -501,19 +460,19 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
                         i = first[c]
                         ins = (pts[k], pts[k + 1])
                         return cex((pts[i], *ins) if base == 0 else (*ins, pts[i]),
-                                   val(row[a]), val(row[b]),
+                                   _value(row[a]), _value(row[b]),
                                    (base + i) * (m - 1) + k + 1)
         count += (2 - len(passes)) * n * len(steps)
         checked = 2 * m * (m - 1)
     elif prop == "bounded_by_min":
-        least = [pid[i] for i in first]  # id of each class's least point
+        least = [pid[i] for i in first]  # key of each class's least point
         for i, a in enumerate(pid):
             if above(least[cls[i]], a):
                 least[cls[i]] = a
 
         def exceeds(v, a, b):  # value v certainly above the least of points a, b
             lo = b if above(a, b) else a
-            return cen[v] != lo and gt(v, lo)
+            return v[:2] != lo and gt(v, lo)
 
         for c in range(n):
             count += c if g.symmetric else 0
@@ -524,7 +483,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
                         for j in range(first[d] if i == first[c] else 0, m):
                             count += 1
                             if exceeds(row[cls[j]], pid[i], pid[j]):
-                                return cex((pts[i], pts[j]), val(row[cls[j]]),
+                                return cex((pts[i], pts[j]), _value(row[cls[j]]),
                                            min(pts[i], pts[j]), i * m + j + 1)
                 count += 1
         checked = m * m
@@ -533,7 +492,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
         # centres of F(x,y) and F(y,z) and c, d, e the classes of x, y, z:
         # rows[c][d] is row(xy) and cols[d][e] is col(yz) (col is row for a
         # GeneratedOp).  A scan that passes reads every one of them, so
-        # they are evaluated whole at the start.  Equal lists of ids are
+        # they are evaluated whole at the start.  Equal lists of keys are
         # equal values, so a (c, d) whose (xy)z and x(yz) lists over e are
         # equal passes without a comparison by e
         row_of = dict.fromkeys(v for CCc in CC for v in CCc)
@@ -552,26 +511,26 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
                 for e in range(n):
                     count += 1
                     lhs, rhs = lhs_e[e], rhs_e[e]
-                    if cen[lhs] != cen[rhs] and differ(
-                            val(lhs), val(rhs), size[c] * size[d] * size[e]):
+                    if lhs[:2] != rhs[:2] and differ(
+                            _value(lhs), _value(rhs), size[c] * size[d] * size[e]):
                         i, j, k = first[c], first[d], first[e]
-                        return cex((pts[i], pts[j], pts[k]), val(lhs), val(rhs),
+                        return cex((pts[i], pts[j], pts[k]), _value(lhs), _value(rhs),
                                    (i * m + j) * m + k + 1)
         assert count == n ** 3, "associativity scan must cover the class cube"
         checked = m ** 3
     elif prop == "neutral_one":
-        col = g.col(memo.intern(ONE))
+        col = g.col(_key(ONE))
         for i, x in enumerate(pts):
             count += 1
             v = col[cls[i]]
-            if cen[v] != pid[i] and differ(val(v), x):
-                return cex((x,), val(v), x)
+            if v[:2] != pid[i] and differ(_value(v), x):
+                return cex((x,), _value(v), x)
     elif prop in ("conditional_cancellation", "cancellation", "strict_monotonicity"):
         # laws by row: F(x,a) = F(x,b) with a < b breaks cancellation when
         # x > 0, and conditional cancellation when the value is certainly
         # positive; strict monotonicity fails where F(x,.) does not rise, x > 0
         cond, strict = prop == "conditional_cancellation", prop == "strict_monotonicity"
-        zero = None if cond else memo.ids.get((0, 1))  # rows x = 0 are skipped
+        zero = None if cond else (0, 1)  # rows x = 0 are skipped
         per_row = m - 1 if strict else m * (m - 1) // 2
 
         def rows():  # (row class, its first row, tuples checked before it)
@@ -587,8 +546,8 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
                 for k, a, b in steps:
                     count += 1
                     if ge(row[a], row[b]):
-                        return cex((pts[i], pts[k], pts[k + 1]), val(row[a]),
-                                   val(row[b]), before + k + 1)
+                        return cex((pts[i], pts[k], pts[k + 1]), _value(row[a]),
+                                   _value(row[b]), before + k + 1)
             elif n < m or len(set(crow)) < n:
                 # some centre repeats along the row: find the first pair
                 later, hit = {}, None  # centre -> its first position after a
@@ -601,8 +560,8 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
                     a, b = hit
                     rank = a * (2 * m - a - 1) // 2 + b - a
                     count += rank
-                    return cex((pts[i], pts[a], pts[b]), val(row[cls[a]]),
-                               val(row[cls[b]]), before + rank)
+                    return cex((pts[i], pts[a], pts[b]), _value(row[cls[a]]),
+                               _value(row[cls[b]]), before + rank)
             if not strict:
                 count += n * (n - 1) // 2
         checked = (m - pid.count(zero)) * per_row
@@ -612,8 +571,8 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
         # a counterexample.  Failure to descend within the cap is only a
         # note
         missing = []
-        # 0 < p < 1, read on each point's interned (numerator, denominator)
-        interior = [k for k, i in enumerate(pid) if 0 < keys[i][0] < keys[i][1]]
+        # 0 < p < 1, read on each point's key (numerator, denominator)
+        interior = [k for k, (p, q) in enumerate(pid) if 0 < p < q]
         floor = pid[min(interior, key=pts.__getitem__)] if interior else None
         powers = {}  # class -> (powers taken, whether one fell below floor)
         checked = 0
@@ -621,16 +580,16 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
             c = cls[k]
             run = powers.get(c)
             if run is None:
-                acc = pid[k]  # centre id of the current power
+                acc = pid[k]  # key of the current power's centre
                 exact = True  # no power so far is an Approx
                 for steps in range(1, N_ITER + 1):
                     v = g.entry(acc, c)
                     if v == acc and exact:
                         count += steps
-                        return cex((pts[k], val(floor)), val(v), val(floor),
+                        return cex((pts[k], _value(floor)), _value(v), _value(floor),
                                    checked + steps)
-                    exact = exact and cen[v] == v
-                    acc = cen[v]
+                    exact = exact and len(v) == 2
+                    acc = v[:2]
                     if above(floor, acc):
                         run = steps, True
                         break
@@ -738,6 +697,5 @@ def consistency_harness(f: PiecewiseMonotoneFn, t: TNormDescriptor,
                 out.hard_failures.append(f"{prop}: classifier Yes but {failed}")
         else:
             out.rows.append((prop, v.status, "ok", "; ".join(notes)))
-    out.stats = {"op_evals": memo.evals, "interned_values": len(memo.vals),
-                 "compared": memo.compared}
+    out.stats = {"op_evals": memo.evals, "compared": memo.compared}
     return out

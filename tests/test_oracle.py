@@ -10,15 +10,18 @@ from hypothesis import strategies as st
 
 from conftest import (WORKED_EXAMPLES, _one_minus, lattice_fns, monotone_fns,
                       nonincreasing_fns, scan_continuity)
-from subnormforge import (Verdict, classify, f_eval, make_op, parse_fn,
+from subnormforge import (Verdict, classify, f_eval, make_op, oracle, parse_fn,
                           parse_tnorm, pseudo_inverse, pwfn)
+from subnormforge.generated import GeneratedOp
 from subnormforge.intervals import ONE, ZERO
 from subnormforge.oracle import (
     N_ITER,
     PROPERTY_NAMES,
     CheckResult,
     Counterexample,
+    _key,
     _Memo,
+    _value,
     check_property,
     consistency_harness,
     default_extra,
@@ -182,7 +185,7 @@ def test_harness_step_product(f_step):
 
 def test_harness_reports_oracle_counters(f_step):
     rep = consistency_harness(f_step, PRODUCT, n=6)
-    assert sorted(rep.stats) == ["compared", "interned_values", "op_evals"]
+    assert sorted(rep.stats) == ["compared", "op_evals"]
     assert all(v > 0 for v in rep.stats.values())
     assert "op_evals" not in rep.render()
 
@@ -198,66 +201,109 @@ def test_compared_counts_comparisons_made_by_class(f_step):
         assert (memo.compared < checked) if fewer else (memo.compared == checked)
 
 
-# (op_evals, interned_values) of the harness at n=12 with product: the
-# counts of an oracle that evaluates F once per pair of classes, with one
-# entry for F(u, p) and F(p, u) at an off-grid intermediate u, as T is
-# symmetric
-HARNESS_STATS = {"plateau": (118, 36), "half_jump": (823, 228), "gap": (932, 401),
-                 "shifted_jump": (169, 22), "step": (100, 21), "identity": (829, 244)}
+# op_evals of the harness at n=12 with product: the count of an oracle that
+# evaluates F once per pair of classes, with one entry for F(u, p) and
+# F(p, u) at an off-grid intermediate u, as T is symmetric
+HARNESS_STATS = {"plateau": 118, "half_jump": 823, "gap": 932,
+                 "shifted_jump": 169, "step": 100, "identity": 829}
 
 
 @pytest.mark.parametrize("name", sorted(HARNESS_STATS))
 def test_harness_counters_of_the_worked_examples(name):
     rep = consistency_harness(parse_fn(WORKED_EXAMPLES[name]), PRODUCT, n=12)
-    stats = rep.stats["op_evals"], rep.stats["interned_values"]
-    assert stats == HARNESS_STATS[name]
+    assert rep.stats["op_evals"] == HARNESS_STATS[name]
 
 
-def test_harness_interns_each_grid_point_once(monkeypatch):
-    # one table serves every law scan, so each point is interned once, when
-    # the table is built, and the neutral_one scan interns 1 once more;
-    # classify decides plateau with product without scanning a grid
-    f = parse_fn(WORKED_EXAMPLES["plateau"])
-    calls, intern = [], _Memo.intern
-
-    def counting(memo, v):
-        calls.append(v)
-        return intern(memo, v)
-
-    monkeypatch.setattr(_Memo, "intern", counting)
-    consistency_harness(f, PRODUCT, n=12)
-    assert sorted(calls) == sorted(grid(12, default_extra(f)) + [ONE])
+def test_keys_of_exact_values_and_approx_values():
+    # an exact value's key is its reduced pair, whatever form it comes in;
+    # an Approx's is its centre's pair then its radius's, so two radii give
+    # two keys with one centre
+    assert _key(0) == _key(F(0, 5)) == _key("0") == (0, 1)
+    assert _key(1) == _key(ONE) == _key("2/2") == (1, 1)
+    r = F(1, 10 ** 20)
+    a, b = _key(Approx(F(1, 3), r)), _key(Approx(F(1, 3), 2 * r))
+    assert a == _key(Approx(F(1, 3), r)) and a != b
+    assert a[:2] == b[:2] == _key(F(1, 3))
+    with pytest.raises(TypeError):
+        _key(0.5)
 
 
-def test_pair_path_and_intern_give_one_id():
+_radii = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.fractions(min_value=0, max_value=1),
+                 st.builds(Approx, st.fractions(min_value=0, max_value=1), _radii)))
+def test_keys_give_back_their_values(v):
+    back = _value(_key(v))
+    assert back == v and type(back) is type(v)
+    assert _key(back) == _key(v)
+
+
+def test_the_pair_path_gives_reduced_keys():
     # f(3/4) = 2*3/4 - 1 comes out of f's line as the pair (2, 4), and
-    # finv(y) = (y + 1)/2 at y = f(3/4) f(5/6) = 1/3 as (8, 12)
+    # finv(y) = (y + 1)/2 at y = f(3/4) f(5/6) = 1/3 as (8, 12): the keys
+    # are reduced, so equal values have equal keys
     f = parse_fn("monotone: nondecreasing\n"
                  "segment [0,1/2] const 0\n"
                  "segment (1/2,1] linear 2 -1\n")
     memo = _Memo(make_op(f, PRODUCT))
-    x, y = memo.intern(F(3, 4)), memo.intern(F(5, 6))
-    v = memo.eval(x, y)
-    assert memo.vals[v] is None  # interned by its pair, no Fraction until read
-    assert memo.intern(F(2, 3)) == v
-    assert memo.intern(F(1, 2)) == memo.f_ids[x]
-    assert memo.value(v) == F(2, 3) and memo.keys[v] == (2, 3)
+    assert memo.eval(_key(F(3, 4)), _key(F(5, 6))) == _key(F(2, 3)) == (2, 3)
+    assert memo.class_of(_key(F(3, 4))) == (1, 2)
+    assert memo(F(3, 4), "5/6") == F(2, 3)
 
 
-def test_interning_keys_exact_values_and_approx_values():
-    memo = _Memo(lambda x, y: x * y)
-    zero = memo.intern(0)
-    assert memo.intern(F(0)) == memo.intern(F(0, 5)) == zero
-    assert memo.vals[zero] == 0 and isinstance(memo.vals[zero], Fraction)
-    assert memo.intern(1) == memo.intern(ONE)
-    r = F(1, 10 ** 20)
-    a = memo.intern(Approx(F(1, 3), r))
-    assert memo.intern(Approx(F(1, 3), r)) == a
-    b = memo.intern(Approx(F(1, 3), 2 * r))
-    assert b != a
-    assert memo.centre[a] == memo.centre[b] == memo.intern(F(1, 3))
-    with pytest.raises(TypeError):
-        memo.intern(0.5)
+@pytest.mark.parametrize("family", ["product", "gen:neglog"])
+def test_the_oracle_reads_f_only_through_f_pair(family, monkeypatch):
+    # the memo keeps no cache of f beside the op's: every f value of the
+    # scans comes from f_pair, and finv's sweep is their only piece scan
+    f = parse_fn(WORKED_EXAMPLES["gap"])
+    op = make_op(f, parse_tnorm(family))
+    read, f_pair = [], GeneratedOp.f_pair
+
+    def counting(self, k):
+        read.append(k)
+        return f_pair(self, k)
+
+    def no_f(*args):
+        raise AssertionError("f read outside f_pair")
+
+    swept = []
+    monkeypatch.setattr(GeneratedOp, "f_pair", counting)
+    monkeypatch.setattr(GeneratedOp, "f_at", no_f)
+    monkeypatch.setattr(oracle, "eval_pairs",
+                        lambda fn, args: swept.append(fn) or pwfn.eval_pairs(fn, args))
+    memo = _Memo(op)
+    pts = grid(12, default_extra(f))
+    for law in PROPERTY_NAMES:
+        check_property(memo, law, pts)
+    assert set(map(_key, pts)) <= set(read) == set(op._f_cache)
+    assert all(fn is op.finv for fn in swept) and bool(swept) == op.t.exact
+    assert not [v for v in vars(memo).values() if isinstance(v, dict)]
+
+
+@pytest.mark.parametrize("family", ["product", "gen:neglog"])
+def test_a_direct_call_evaluates_afresh(family):
+    # memo(x, y) is F(x, y) as f_eval gives it, and neither builds a table
+    # nor touches the one the scans hold
+    f = parse_fn(WORKED_EXAMPLES["half_jump"])
+    op = make_op(f, parse_tnorm(family))
+    memo = _Memo(op)
+    pts = grid(6, default_extra(f))
+    args = pts + [F(1, 7), "2/9", 1]
+    for scanned in (False, True):
+        if scanned:
+            check_property(memo, "associativity", pts)
+        table = memo.table
+        held = table and ({k: list(r) for k, r in table._rows.items()},
+                          {k: list(r) for k, r in table._part.items()})
+        evals = memo.evals
+        for x in args:
+            for y in args:
+                assert memo(x, y) == f_eval(op, x, y), (x, y)
+        assert memo.table is table
+        assert held == (table and (table._rows, table._part))
+        assert memo.evals == evals + len(args) ** 2
 
 
 def test_harness_builds_the_pseudo_inverse_once(monkeypatch):
@@ -312,7 +358,7 @@ def test_a_generated_op_keeps_one_list_per_class():
         memo = _Memo(op)
         g = memo.grid(pts)
         for x in (F(1, 4), F(1, 3)):
-            a = memo.intern(x)
+            a = _key(x)
             assert (g.row(a) is g.col(a)) == shared, x
 
 
@@ -347,7 +393,7 @@ def test_neutral_one_fills_the_column_of_1_off_the_grid():
     pts = [F(0), F(1, 3), F(1, 2)]
     memo = _Memo(lambda x, y: x * y)
     assert check_property(memo, "neutral_one", pts) == CheckResult(True, checked=3)
-    assert [memo.vals[v] for v in memo.grid(pts).col(memo.intern(ONE))] == pts
+    assert [_value(v) for v in memo.grid(pts).col(_key(ONE))] == pts
     res = check_property(lambda x, y: x * y / 2, "neutral_one", pts)
     assert res.counterexample == Counterexample("neutral_one", (F(1, 3),), F(1, 6), F(1, 3))
     assert res.checked == 2
@@ -549,7 +595,7 @@ def test_scans_by_class_count_every_point_of_a_class():
 @pytest.mark.parametrize("family", ["product", "min", "gen:neglog"])
 def test_one_memo_scanned_on_two_point_sets_in_turn(family):
     # every scan gets the other point set, so each one replaces the table
-    # and rebuilds it, while the memo's interned ids and f values carry over
+    # and rebuilds it, while the op's f and finv values carry over
     t = parse_tnorm(family)
     for name, text in WORKED_EXAMPLES.items():
         f = parse_fn(text)
