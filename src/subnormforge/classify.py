@@ -34,7 +34,7 @@ from .pwfn import (
     plateau_set,
     side_limit,
 )
-from .tnorms import (Approx, TNormDescriptor, approx_diff, t_eval, t_image, t_solve_pairs,
+from .tnorms import (Approx, TNormDescriptor, _value, key_diff, t_eval, t_image, t_solve_pairs,
                      t_solve_x, t_preimage)
 
 PROPERTIES = (
@@ -916,21 +916,18 @@ def _assoc_search(op: GeneratedOp, pts):
 
 def _neutral_search(op: GeneratedOp, pts):
     """The first x of pts with F(x,1) != x beyond the error radius, and
-    F(x,1); None when there is none.  For an exact family F(x,1) is read
-    as a reduced pair through the op's caches (``f_pair``, ``t_finv``) and
-    compared with x's own."""
-    if op.t.exact:
-        c = op.f_pair((1, 1))
-        for x in pts:
-            k = x.numerator, x.denominator
-            if op.t_finv(*op.f_pair(k), *c) != k:
-                return x, f_eval(op, x, ONE)
-        return None
+    F(x,1); None when there is none.  F(x,1) is read as its key through
+    the op's caches (``f_pair``, ``t_finv``): a key other than x's own
+    pair is an exact value that differs from x, or an Approx, which
+    ``key_diff`` compares with x."""
+    c = op.f_pair((1, 1))
     for x in pts:
-        v = f_eval(op, x, ONE)
-        d, r = approx_diff(v, x)
-        if abs(d) > r:
-            return x, v
+        k = x.numerator, x.denominator
+        v = op.t_finv(*op.f_pair(k), *c)
+        if v != k:
+            d, r = key_diff(v, k)
+            if abs(d) > r:
+                return x, _value(v)
     return None
 
 
@@ -1043,7 +1040,7 @@ def _t_norm_verdict(op, props) -> Verdict:
     bad = _neutral_search(op, _search_grid(f, NEUTRAL_GRID))
     if bad is not None:
         x, v = bad
-        c, _ = approx_diff(v, ZERO)
+        c = v.value if isinstance(v, Approx) else v
         return Verdict.no((x, ONE), note=f"F({x},1)={c} != {x}")
     ts = props["t_subnorm"]
     if ts.status == "no":

@@ -18,10 +18,10 @@ from fractions import Fraction
 from .classify import classify, decomposition_fields, render_structured, render_text
 from .fnformat import load_fn, render_fn
 from .generated import f_eval, lambda_decompose, make_op, additive_generated
-from .intervals import ZERO, parse_rational
+from .intervals import parse_rational
 from .oracle import consistency_harness
 from .pwfn import decompose
-from .tnorms import GeneratorSpec, approx_diff, parse_tnorm
+from .tnorms import Approx, GeneratorSpec, parse_tnorm
 
 # --grid-n's largest value: the oracle's associativity scan grows as the
 # cube of the grid.  With the identity f and product, the oracle command
@@ -79,9 +79,8 @@ def _rational(text: str, opt: str) -> Fraction:
 
 
 def _fmt_value(v) -> str:
-    c, r = approx_diff(v, ZERO)
-    if r:
-        return f"{float(c):.12f} (+-{float(r):.2e})"
+    if isinstance(v, Approx):
+        return f"{float(v.value):.12f} (+-{float(v.radius):.2e})"
     return f"{v} = {float(v):.12f}"
 
 

@@ -1,21 +1,22 @@
 """Generated operations F(x,y) = finv(T(f(x), f(y))) and the additive /
 scaled-generator constructions.
 
-``GeneratedOp`` owns the exact evaluation of F, on reduced integer pairs
-(numerator, denominator): f and finv run on pairs (``pwfn.eval_pair``), and
-for an exact t-norm family so does T (the family's ``eval_pair``).  Each op
+``GeneratedOp`` owns the evaluation of F, on reduced integer pairs
+(numerator, denominator): f and finv run on pairs (``pwfn.eval_pair``),
+and so does T (the family's ``eval_pair``), for every family.  Each op
 caches f by its argument's reduced pair and finv by T's reduced pair, and
 holds each value as its reduced pair; ``f_at``, ``finv_at`` and ``f_eval``
 build a ``Fraction`` of the pair they return.  So an evaluation on pairs
 builds no ``Fraction``, cached or not, and its keys are tuples of ints,
-which hash in C where a ``Fraction`` rehashes in Python.  The oracle's
-``_Memo`` reads f's pairs (``f_pair``) as the classes of its values, with
-no f cache of its own, and evaluates T and finv itself, a row at a time
-(``_Memo.eval_row``), holding each value as its reduced pair.
-Inexact families go through ``f_compose``, which carries T's error radius
-through the pseudo-inverse (``_spread``): it evaluates finv at T's centre
-and at either end of its radius on integer pairs too, and builds only the
-centre and the radius as Fractions.
+which hash in C where a ``Fraction`` rehashes in Python.  ``t_finv``
+returns F's value as its key (``tnorms._key``): a reduced pair where T's
+value is exact, and otherwise the centre's and the radius's pairs, which
+carry T's error radius through the pseudo-inverse (``_spread``): finv is
+taken at T's centre and at either end of its radius, on integer pairs
+too.  The oracle's ``_Memo`` reads f's pairs (``f_pair``) as the classes
+of its values, with no f cache of its own, and evaluates T and finv
+itself, a row at a time (``_Memo.eval_row``), holding each value as its
+key.
 """
 
 from __future__ import annotations
@@ -26,16 +27,17 @@ from math import gcd
 
 from .intervals import Interval, frac, reduced
 from .pwfn import PiecewiseMonotoneFn, Segment, eval_pair
-from .tnorms import Approx, Generator, GeneratorSpec, Lambda, TNormDescriptor, t_eval
+from .tnorms import Generator, GeneratorSpec, Lambda, TNormDescriptor, _value, t_eval
 
 
 @dataclass
 class GeneratedOp:
     """F(x,y) = finv(T(f(x), f(y))), with f and finv evaluated once per
     argument: ``_f_cache`` maps the reduced pair of x to that of f(x), and
-    ``_finv_cache`` the reduced pair of y to that of finv(y).  ``f_pair``,
-    ``finv_pair`` and ``t_finv`` return these pairs; ``f_at``, ``finv_at``
-    and ``f_eval`` build a Fraction of one as they return it."""
+    ``_finv_cache`` the reduced pair of y to that of finv(y).  ``f_pair``
+    and ``finv_pair`` return these pairs, and ``t_finv`` the key of F's
+    value; ``f_at``, ``finv_at`` and ``f_eval`` build the value of one as
+    they return it."""
 
     f: PiecewiseMonotoneFn
     finv: PiecewiseMonotoneFn
@@ -58,12 +60,18 @@ class GeneratedOp:
         return v
 
     def t_finv(self, a: int, b: int, c: int, d: int) -> tuple:
-        """finv(T(a/b, c/d)) as a reduced pair, for an exact family and f
-        values a/b, c/d: T's pair, reduced, is the key.  No domain check,
-        as f's values lie in [0,1]."""
-        n, e = self.t.eval_pair(a, b, c, d)
-        g = gcd(n, e)
-        return self.finv_pair((n // g, e // g))
+        """The key of finv(T(a/b, c/d)), for f values a/b, c/d: where T's
+        value is exact, finv's reduced pair, through the finv cache keyed
+        by T's pair, reduced; else an Approx's key, whose radius accounts
+        for the local variation of the pseudo-inverse (``_spread``).  No
+        domain check, as f's values lie in [0,1]."""
+        k = self.t.eval_pair(a, b, c, d)
+        if len(k) == 2:
+            n, e = k
+            g = gcd(n, e)
+            return self.finv_pair((n // g, e // g))
+        cn, cd, sn, sd = _spread(self.finv, *k)
+        return (cn, cd, *reduced(sn, sd))
 
     def f_at(self, x: Fraction) -> Fraction:
         """f(x) for an exact x."""
@@ -84,31 +92,17 @@ def make_op(f: PiecewiseMonotoneFn, t: TNormDescriptor) -> GeneratedOp:
 
 
 def f_eval(op: GeneratedOp, x, y):
-    """F(x,y) = finv(T(f(x), f(y))): on integer pairs (``t_finv``) for an
-    exact family, else through ``f_compose``."""
+    """F(x,y) = finv(T(f(x), f(y))), on integer pairs (``t_finv``): a
+    Fraction where F's value is exact, else an Approx."""
     x, y = frac(x), frac(y)
-    if op.t.exact:
-        return Fraction(*op.t_finv(*op.f_pair((x.numerator, x.denominator)),
-                                   *op.f_pair((y.numerator, y.denominator))))
-    return f_compose(op, op.f_at(x), op.f_at(y))
-
-
-def f_compose(op: GeneratedOp, fx, fy):
-    """finv(T(fx, fy)), so F(x,y) from fx = f(x) and fy = f(y), for an
-    inexact family: an Approx whose radius accounts for the local variation
-    of the pseudo-inverse (``_spread``), or an exact Fraction where T's
-    value is exact."""
-    tv = t_eval(op.t, fx, fy)
-    if not isinstance(tv, Approx):
-        return op.finv_at(tv)
-    v, r = tv.value, tv.radius
-    cn, cd, sn, sd = _spread(op.finv, v.numerator, v.denominator, r.numerator, r.denominator)
-    return Approx(Fraction(cn, cd), Fraction(sn, sd))
+    return _value(op.t_finv(*op.f_pair((x.numerator, x.denominator)),
+                            *op.f_pair((y.numerator, y.denominator))))
 
 
 def _spread(finv: PiecewiseMonotoneFn, p: int, q: int, m: int, n: int) -> tuple:
     """finv at T's value p/q with radius m/n, as (cn, cd, sn, sd): the
-    centre finv(p/q), a reduced pair, and the radius sn/sd, the larger of
+    centre finv(p/q), a reduced pair, and the radius sn/sd, not reduced,
+    the larger of
     m/n and the spread of finv over [p/q - m/n, p/q + m/n].
 
     finv is taken at p/q and at p/q - m/n and p/q + m/n, clamped to [0,1],

@@ -6,10 +6,10 @@ the lexicographically first counterexample; on approximate values a
 violation is only reported when it exceeds the carried radii, and
 borderline comparisons surface as notes instead of verdicts.
 
-The scans hold every value as its key (``_key``), a tuple of ints that
-hashes in C, where a ``Fraction`` rehashes in Python: an exact value's
-reduced (numerator, denominator), and an ``Approx``'s centre's pair
-followed by its radius's, so a value's centre is its key's first two
+The scans hold every value as its key (``tnorms._key``), a tuple of ints
+that hashes in C, where a ``Fraction`` rehashes in Python: an exact
+value's reduced (numerator, denominator), and an ``Approx``'s centre's
+pair followed by its radius's, so a value's centre is its key's first two
 ints.  Every value has a class: f(x) for a generated operation, whose
 F(x, y) depends on x and y only through f(x) and f(y), and the value's
 own key for any other operation; points of one class have equal rows and
@@ -25,18 +25,17 @@ single entries.  A generated operation is symmetric, as its T is, so one
 list per class serves as both its row and its column; any other operation
 keeps the two apart.  The table is the only cache: a direct call
 ``memo(x, y)`` evaluates F afresh.
-A generated operation with an exact t-norm is evaluated on integer pairs,
-since ``Fraction`` builds and compares in Python: along a row, f's value
-at the row's argument is read once, T runs over the row and finv over
-T's values in one forward sweep of its pieces (``_Memo.eval_row``,
-``pwfn.eval_pairs``).  Its values stay reduced pairs, and get a
-``Fraction`` only when read (``_value``): by a counterexample, a note,
-``memo(x, y)`` or a comparison of Approx values.  An inexact t-norm goes
-through ``f_compose``, one entry at a time.  On an exact table, keys
-compare values: equal keys are equal values, unequal keys differ, and
-signs come from cross-multiplied pairs.  Comparisons that may involve
-Approx values call ``approx_diff``, with the boundary rules described in
-``check_property``.
+A generated operation is evaluated on integer pairs, since ``Fraction``
+builds and compares in Python: along a row, f's value at the row's
+argument is read once; for an exact t-norm, T runs over the row and finv
+over T's values in one forward sweep of its pieces (``_Memo.eval_row``,
+``pwfn.eval_pairs``), and an inexact one gives each entry's key by
+``GeneratedOp.t_finv``.  Values stay keys, and are built only when read
+(``_value``): by a counterexample, a note or ``memo(x, y)``.  On an exact
+table, keys compare values: equal keys are equal values, unequal keys
+differ, and signs come from cross-multiplied pairs.  Comparisons that may
+involve Approx values call ``tnorms.key_diff``, on keys too, with the
+boundary rules described in ``check_property``.
 
 Every law but neutral_one is decided on the table by class, and reads
 single points only to place a counterexample; ``check_property`` says,
@@ -56,10 +55,10 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .classify import PROPERTIES, arg_with_value, classify
-from .generated import GeneratedOp, f_compose
-from .intervals import ONE, ZERO, frac, reduced
+from .generated import GeneratedOp
+from .intervals import ONE, frac, reduced
 from .pwfn import PiecewiseMonotoneFn, decompose, eval_pairs
-from .tnorms import Approx, TNormDescriptor, approx_diff
+from .tnorms import TNormDescriptor, _key, _value, key_diff
 
 PROPERTY_NAMES = (
     "commutativity",
@@ -96,25 +95,6 @@ class CheckResult:
     checked: int = 0
 
 
-def _key(v) -> tuple:
-    """The key of value v: (numerator, denominator) after ``frac``, which
-    reduces it (so 0, Fraction(0, 5) and "0" share one) and raises
-    TypeError for a float; for an ``Approx``, its centre's pair followed by
-    its radius's."""
-    if isinstance(v, Approx):
-        c, r = v.value, v.radius
-        return c.numerator, c.denominator, r.numerator, r.denominator
-    v = frac(v)
-    return v.numerator, v.denominator
-
-
-def _value(k: tuple):
-    """The value of key k: a ``Fraction``, or an ``Approx`` for four ints."""
-    if len(k) == 2:
-        return Fraction(*k)
-    return Approx(Fraction(k[0], k[1]), Fraction(k[2], k[3]))
-
-
 class _Memo:
     """A binary operation evaluated on the keys of its values (``_key``).
 
@@ -123,19 +103,19 @@ class _Memo:
     and f(y), read from the operation's own f cache (``f_pair``), and k
     itself for any other operation.  ``eval_row(a, bs)`` evaluates the
     operation at a and each key of bs, on their classes, and ``eval(a, b)``
-    at one pair; ``evals`` counts the values evaluated.  For a GeneratedOp
-    with an exact T, ``eval`` is a row of one: ``eval_row`` is the only
-    exact evaluation path here.  Any other operation is evaluated entry by
-    entry (``f_compose`` for an inexact T).  ``memo(x, y)`` evaluates
-    without a cache; the law scans read ``table``, the ``_Grid`` of the
-    last point set scanned (``memo.grid(pts)``), which holds every value
-    they evaluate, and add the comparisons they make to ``compared``.
+    at one pair; ``evals`` counts the values evaluated.  For a GeneratedOp,
+    ``eval`` is a row of one: ``eval_row`` is its only evaluation path
+    here.  Any other operation is evaluated entry by entry, on the values
+    of the keys.  ``memo(x, y)`` evaluates without a cache; the law scans
+    read ``table``, the ``_Grid`` of the last point set scanned
+    (``memo.grid(pts)``), which holds every value they evaluate, and add
+    the comparisons they make to ``compared``.
 
     A GeneratedOp is symmetric: F(x, y) = finv(T(f(x), f(y))) and
     F(y, x) = finv(T(f(y), f(x))) are finv of equal arguments, as every
     registered T is symmetric: a t-norm is commutative by definition, and
     halfprod's formula and the generator families' centre min(1, xy·kappa),
-    an exact product of Fractions, are symmetric in x and y.  So its ``_Grid``
+    an exact product of ints, are symmetric in x and y.  So its ``_Grid``
     keeps one list per class for the row and the column.  The commutativity
     scan still compares the full table of the grid classes, evaluated in
     both orders, so a kernel that breaks symmetry is still caught there.
@@ -158,25 +138,23 @@ class _Memo:
 
     def eval(self, a: tuple, b: tuple) -> tuple:
         """Key of op(x, y) for the values x and y of keys a and b, on their
-        classes for a GeneratedOp; an exact one takes ``eval_row``'s kernel."""
-        gen = self.generated
-        if gen is not None and gen.t.exact:
+        classes for a GeneratedOp, which takes ``eval_row``'s kernel."""
+        if self.generated is not None:
             return self.eval_row(a, (b,))[0]
         self.evals += 1
-        if gen is None:
-            return _key(self.op(_value(a), _value(b)))
-        return _key(f_compose(gen, _value(gen.f_pair(a)), _value(gen.f_pair(b))))
+        return _key(self.op(_value(a), _value(b)))
 
     def eval_row(self, a: tuple, bs) -> list:
-        """[eval(a, b) for b in bs].  For a GeneratedOp with an exact T it
-        takes a's class once, T along the row on the pairs of f's values,
-        and finv over the row in one ``eval_pairs`` sweep, which takes one
-        pass over finv's pieces when the f values of bs ascend (T is
-        non-decreasing in its second argument); each value is reduced here.
-        The f values of bs are kept for the next call with the same tuple,
-        as a grid passes one tuple for all its rows."""
+        """[eval(a, b) for b in bs].  For a GeneratedOp it takes a's class
+        once and T along the row on the pairs of f's values.  With an exact
+        T, finv runs over the row in one ``eval_pairs`` sweep, which takes
+        one pass over finv's pieces when the f values of bs ascend (T is
+        non-decreasing in its second argument), and each value is reduced
+        here; an inexact T gives each entry's key by ``t_finv``.  The f
+        values of bs are kept for the next call with the same tuple, as a
+        grid passes one tuple for all its rows."""
         gen = self.generated
-        if gen is None or not gen.t.exact:
+        if gen is None:
             return [self.eval(a, b) for b in bs]
         self.evals += len(bs)
         f_pair = gen.f_pair
@@ -184,6 +162,9 @@ class _Memo:
         if bs is not self._row_keys:
             self._row_fs = [f_pair(b) for b in bs]
             self._row_keys = bs
+        if not gen.t.exact:
+            t_finv = gen.t_finv
+            return [t_finv(an, ad, c, d) for c, d in self._row_fs]
         t = gen.t.eval_pair
         ts = [t(an, ad, c, d) for c, d in self._row_fs]
         return [reduced(n, d) for n, d in eval_pairs(gen.finv, ts)]
@@ -386,11 +367,11 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
     m, n = len(pts), len(first)
     undecided = 0
     count = 0  # comparisons made
-    # Comparisons are sign tests on (d, r) = approx_diff(a, b): a and b
-    # differ when |d| > r and count as equal when their centres agree
+    # Comparisons are sign tests on the keys' (d, r) = key_diff(a, b): a
+    # and b differ when |d| > r and count as equal when their centres agree
     # (d == 0); a > b is certain when d > r, and a >= b when d >= r.
     # Equal centres, the first two ints of two keys, mean d == 0, so
-    # approx_diff is only called on values whose centres differ, and on an
+    # key_diff is only called on values whose centres differ, and on an
     # exact table two different keys always differ by more than r = 0.  Only
     # ">=" cannot use equal keys on Approx values: their summed radius is
     # positive, so d = 0 < r.  Keys of exact values (points, centres, every
@@ -403,11 +384,11 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
                            checked=count if checked is None else checked)
 
     def differ(a, b, tuples=1) -> bool:
-        """Values a and b, with different centres, differ beyond their
-        radii; otherwise the comparison is counted as undecided, once per
-        tuple it stands for."""
+        """The values of keys a and b, with different centres, differ
+        beyond their radii; otherwise the comparison is counted as
+        undecided, once per tuple it stands for."""
         nonlocal undecided
-        d, r = approx_diff(a, b)
+        d, r = key_diff(a, b)
         if abs(d) > r:
             return True
         undecided += tuples
@@ -418,7 +399,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
         return p * s > r * q
 
     def positive(v):  # value v certainly above 0
-        d, r = (v[0], 0) if len(v) == 2 else approx_diff(_value(v), ZERO)
+        d, r = key_diff(v, (0, 1))
         return d > r
 
     if g.exact:
@@ -428,11 +409,11 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
             return a == b or above(a, b)
     else:
         def gt(a, b):
-            d, r = approx_diff(_value(a), _value(b))
+            d, r = key_diff(a, b)
             return d > r
 
         def ge(a, b):
-            d, r = approx_diff(_value(a), _value(b))
+            d, r = key_diff(a, b)
             return d >= r
 
     checked = None  # tuples checked, where a scan by class compares fewer
@@ -442,8 +423,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
             TCc, CCc = TC[c], CC[c]
             for d in range(n):
                 count += 1
-                if CCc[d] != CC[d][c] and differ(_value(TCc[d]), _value(TC[d][c]),
-                                                 size[c] * size[d]):
+                if CCc[d] != CC[d][c] and differ(TCc[d], TC[d][c], size[c] * size[d]):
                     i, j = first[c], first[d]
                     return cex((pts[i], pts[j]), _value(TCc[d]), _value(TC[d][c]),
                                i * m + j + 1)
@@ -511,8 +491,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
                 for e in range(n):
                     count += 1
                     lhs, rhs = lhs_e[e], rhs_e[e]
-                    if lhs[:2] != rhs[:2] and differ(
-                            _value(lhs), _value(rhs), size[c] * size[d] * size[e]):
+                    if lhs[:2] != rhs[:2] and differ(lhs, rhs, size[c] * size[d] * size[e]):
                         i, j, k = first[c], first[d], first[e]
                         return cex((pts[i], pts[j], pts[k]), _value(lhs), _value(rhs),
                                    (i * m + j) * m + k + 1)
@@ -523,7 +502,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
         for i, x in enumerate(pts):
             count += 1
             v = col[cls[i]]
-            if v[:2] != pid[i] and differ(_value(v), x):
+            if v[:2] != pid[i] and differ(v, pid[i]):
                 return cex((x,), _value(v), x)
     elif prop in ("conditional_cancellation", "cancellation", "strict_monotonicity"):
         # laws by row: F(x,a) = F(x,b) with a < b breaks cancellation when

@@ -2,20 +2,25 @@
 possible, interval images for the exact families, and the error-radius
 values (``Approx``) of the additive-generator families.
 
-The exact families evaluate T(a/b, c/d) on integers, as a pair (n, d)
-with d > 0 (``eval_pair``), which ``eval`` builds as one Fraction; the
-domain check of ``t_eval`` compares numerators with denominators.  Box
-images and preimages read the ``Interval``s' pairs and build their
-results from pairs, and ``t_solve_pairs`` takes each family's solution
-candidates as pairs (``solve_candidates``) and checks them by
-``eval_pair``; ``t_solve_x`` builds its solutions as Fractions.
+Every family evaluates T(a/b, c/d) on integers (``eval_pair``) and returns
+the key of the value (``_key``): a pair (n, d) with d > 0 for an exact
+value, and for an ``Approx`` its centre's reduced pair followed by its
+radius's, four ints.  ``eval`` builds the value of that key (``_value``),
+a Fraction or an Approx; the domain check of ``t_eval`` compares
+numerators with denominators.  ``key_diff`` compares two keys, exact or
+not, by integer cross products.  Box images and preimages read the
+``Interval``s' pairs and build their results from pairs, and
+``t_solve_pairs`` takes each family's solution candidates as pairs
+(``solve_candidates``) and checks them by ``eval_pair``; ``t_solve_x``
+builds its solutions as Fractions.
 
 The generator families (``Generator`` and ``Lambda``) evaluate their
-closed form min(1, xy·κ), with κ = e^(-g(1)) / λ, on Fractions: κ is
-exact for neglog, and for one-minus-log it holds a rational just below
-1/e.  Each value off a zero argument (``Generator``) or the boundary of
-the unit square (``Lambda``) is an ``Approx`` of radius ``RADIUS``
-around that rational centre (``_GeneratorFamily``).
+closed form min(1, xy·κ), with κ = e^(-g(1)) / λ, on the pairs of κ and
+the arguments: κ is exact for neglog, and for one-minus-log it holds a
+rational just below 1/e.  Each value off a zero argument (``Generator``)
+or the boundary of the unit square (``Lambda``) is the key of an
+``Approx`` of radius ``RADIUS`` around that rational centre
+(``_GeneratorFamily``).
 """
 
 from __future__ import annotations
@@ -39,27 +44,45 @@ class Approx:
         return float(self.value)
 
 
-def approx_diff(a, b):
-    """(d, r) with a - b in [d - r, d + r], for a and b exact or Approx:
-    d is the difference of the centres and r the sum of the radii.
+def _key(v) -> tuple:
+    """The key of value v: (numerator, denominator) after ``frac``, which
+    reduces it (so 0, Fraction(0, 5) and "0" share one) and raises
+    TypeError for a float; for an ``Approx``, its centre's pair followed by
+    its radius's."""
+    if isinstance(v, Approx):
+        c, r = v.value, v.radius
+        return c.numerator, c.denominator, r.numerator, r.denominator
+    v = frac(v)
+    return v.numerator, v.denominator
+
+
+def _value(k: tuple):
+    """The value of key k: a ``Fraction``, or an ``Approx`` for four ints."""
+    if len(k) == 2:
+        return Fraction(*k)
+    return Approx(Fraction(k[0], k[1]), Fraction(k[2], k[3]))
+
+
+def key_diff(a: tuple, b: tuple) -> tuple:
+    """(d, r), ints, with a - b in [(d - r)/D, (d + r)/D] for some D > 0,
+    for the values of keys a and b (``_key``), exact or Approx: d/D is the
+    difference of the centres and r/D the sum of the radii, over the
+    product D of the denominators.
 
     Every comparison of values that may be Approx is a sign test on d
     against r; the caller picks the boundary rule.  An exact value has
-    radius 0, so approx_diff(v, ZERO) is v's centre and radius, and (0, 0)
-    means that a and b are equal exact values.
+    radius 0, so key_diff(k, (0, 1)) has the signs of k's centre and
+    radius, and (0, 0) means that a and b are equal exact values.
     """
-    if isinstance(a, Approx):
-        if isinstance(b, Approx):
-            return a.value - b.value, a.radius + b.radius
-        # b == 0 is the common centre-and-radius case; skip the subtraction
-        return (a.value - b if b else a.value), a.radius
-    if isinstance(b, Approx):
-        return a - b.value, b.radius
-    return (a - b if b else a), ZERO
+    rn, rd = a[2:] or (0, 1)  # an exact key's radius is 0/1
+    sn, sd = b[2:] or (0, 1)
+    return (a[0] * b[1] - b[0] * a[1]) * rd * sd, (rn * sd + sn * rd) * a[1] * b[1]
 
 
-# the error radius that every inexact value of a generator family carries
+# the error radius that every inexact value of a generator family carries,
+# and its pair
 RADIUS = Fraction(1, 10 ** 25)
+_RADIUS_PAIR = RADIUS.numerator, RADIUS.denominator
 
 
 # -- families ---------------------------------------------------------------
@@ -88,8 +111,8 @@ def _box_image_mono(phi, A: Interval, B: Interval) -> Interval:
 class TNormDescriptor:
     """A t-norm family, one subclass each, equal when family and parameters
     are.  The flags are class attributes; each family owns ``eval_pair``
-    (exact families, see above) or ``eval``, its box image, its solution
-    candidates and its one-sided limits.  The defaults fit an exact family
+    (see above) and, if exact, its box image, its solution candidates and
+    its one-sided limits.  The defaults fit an exact family
     that is continuous and strictly increasing in each argument, with
     neutral element 1.
 
@@ -109,10 +132,10 @@ class TNormDescriptor:
     def __str__(self) -> str:
         return self.name
 
-    def eval(self, x: Fraction, y: Fraction) -> Fraction:
-        """T(x, y)."""
-        return Fraction(*self.eval_pair(x.numerator, x.denominator,
-                                        y.numerator, y.denominator))
+    def eval(self, x: Fraction, y: Fraction):
+        """T(x, y): the value of ``eval_pair``'s key."""
+        return _value(self.eval_pair(x.numerator, x.denominator,
+                                     y.numerator, y.denominator))
 
     def box_image(self, A: Interval, B: Interval) -> list:
         """T(A,B) for one box, as a list of intervals."""
@@ -294,10 +317,11 @@ class _GeneratorFamily(TNormDescriptor):
 
     g(x) = k - ln x with k = g(1), so g^(-1)(g(x) + g(y)) = xy e^(-k), and
     inside the unit square T is min(1, xy e^(-k) / lam), with lam = 1 for
-    ``Generator``, whose ``lam`` is None.  ``eval`` returns the centre
+    ``Generator``, whose ``lam`` is None.  There ``eval_pair`` returns the
+    key of an Approx of radius RADIUS (``_inside``) whose centre is
     min(1, xy·kappa), kappa = e^(-k) / lam taken as ``_INV_E`` / lam for
-    one-minus-log (k = 1) and exactly 1 / lam for neglog (k = 0), as an
-    Approx of radius RADIUS.  The bound: with a = xy e^(-k) / lam and
+    one-minus-log (k = 1) and exactly 1 / lam for neglog (k = 0), computed
+    on the pairs of x, y and kappa.  The bound: with a = xy e^(-k) / lam and
     e^(-1) replaced by 1/E, E = s_n + w > e, the centre is min(1, a e/E)
     and T is min(1, a).  For a <= 1, T - centre = a (1 - e/E); for a > 1,
     T = 1 and the centre is at least e/E.  So 0 <= T - centre <= 1 - e/E
@@ -309,14 +333,18 @@ class _GeneratorFamily(TNormDescriptor):
     exact = False
 
     @cached_property
-    def kappa(self) -> Fraction:
-        """e^(-g(1)) / lam: exact for neglog, from ``_INV_E`` for
-        one-minus-log."""
-        return (ONE if self.gen.g1_zero else _INV_E) / (self.lam or 1)
+    def kappa(self) -> tuple:
+        """e^(-g(1)) / lam as a reduced pair: exact for neglog, from
+        ``_INV_E`` for one-minus-log."""
+        k = (ONE if self.gen.g1_zero else _INV_E) / (self.lam or 1)
+        return k.numerator, k.denominator
 
-    def _inside(self, x: Fraction, y: Fraction) -> Approx:
-        """T(x, y) inside the unit square."""
-        return Approx(min(ONE, x * y * self.kappa), RADIUS)
+    def _inside(self, a: int, b: int, c: int, d: int) -> tuple:
+        """The key of T(a/b, c/d) inside the unit square: the reduced pair
+        of min(1, ac·kappa/(bd)) and RADIUS's."""
+        kn, kd = self.kappa
+        e = b * d * kd
+        return (*reduced(min(a * c * kn, e), e), *_RADIUS_PAIR)
 
     def left_limit_above(self, u: Fraction, v: Fraction, z: Fraction) -> bool:
         """Whether lim T(u, w) as w rises to v exceeds z, for u in [0,1),
@@ -340,11 +368,12 @@ class Generator(_GeneratorFamily):
     def neutral_one(self) -> bool:
         return self.gen.g1_zero
 
-    def eval(self, x: Fraction, y: Fraction):
-        """T(x, y): exactly 0 when an argument is 0, else inexact."""
-        if not x or not y:
-            return ZERO
-        return self._inside(x, y)
+    def eval_pair(self, a: int, b: int, c: int, d: int) -> tuple:
+        """The key of T(a/b, c/d): exactly 0 when an argument is 0, else
+        inexact."""
+        if not a or not c:
+            return 0, 1
+        return self._inside(a, b, c, d)
 
     def __str__(self) -> str:
         return f"gen:{self.gen.name}"
@@ -372,12 +401,13 @@ class Lambda(_GeneratorFamily):
         when it is a t-norm."""
         return self.is_t_norm
 
-    def eval(self, x: Fraction, y: Fraction):
-        """T(x, y): exactly min(x, y) on the boundary of the unit square,
-        else inexact."""
-        if x in (0, 1) or y in (0, 1):
-            return min(x, y)
-        return self._inside(x, y)
+    def eval_pair(self, a: int, b: int, c: int, d: int) -> tuple:
+        """The key of T(a/b, c/d): exactly min(x, y) on the boundary of the
+        unit square (an argument's numerator 0 or its denominator), else
+        inexact."""
+        if not a or a == b or not c or c == d:
+            return (a, b) if a * d <= c * b else (c, d)
+        return self._inside(a, b, c, d)
 
     @property
     def is_t_norm(self) -> bool:

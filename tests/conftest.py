@@ -20,6 +20,7 @@ def pytest_terminal_summary(terminalreporter):
 from subnormforge import parse_fn
 from subnormforge.pwfn import PiecewiseMonotoneFn, Segment
 from subnormforge.intervals import ONE, ZERO, Interval, IntervalSet, frac
+from subnormforge.tnorms import _INV_E, RADIUS, Approx
 
 # f with a half-height plateau; range [1/2,1]
 F_PLATEAU = """\
@@ -303,6 +304,37 @@ def reference_attained_values(s: Segment) -> Interval:
     if s.slope > 0:
         return Interval(v_lo, v_hi, d.lo_closed, d.hi_closed)
     return Interval(v_hi, v_lo, d.hi_closed, d.lo_closed)
+
+
+def reference_generator_eval(t, x: Fraction, y: Fraction):
+    """T(x, y) on Fractions for a generator family t: the former bodies of
+    ``Generator.eval``, ``Lambda.eval`` and ``_GeneratorFamily._inside``,
+    which ``eval_pair`` replaced by the same closed form on pairs.  A
+    ``Generator`` (lam None) is exactly 0 at a zero argument, a ``Lambda``
+    exactly min on the boundary of the unit square; inside, the value is
+    min(1, xy·kappa) within RADIUS."""
+    if t.lam is None:
+        if not x or not y:
+            return ZERO
+    elif x in (0, 1) or y in (0, 1):
+        return min(x, y)
+    kappa = (ONE if t.gen.g1_zero else _INV_E) / (t.lam or 1)
+    return Approx(min(ONE, x * y * kappa), RADIUS)
+
+
+def approx_diff(a, b):
+    """(d, r) with a - b in [d - r, d + r], for a and b exact or Approx,
+    on Fractions: d is the difference of the centres and r the sum of the
+    radii.  The former ``tnorms.approx_diff``, which ``tnorms.key_diff``
+    replaced by the same sign rules on keys; the reference of
+    ``key_diff`` and of the tests' direct scans."""
+    if isinstance(a, Approx):
+        if isinstance(b, Approx):
+            return a.value - b.value, a.radius + b.radius
+        return (a.value - b if b else a.value), a.radius
+    if isinstance(b, Approx):
+        return a - b.value, b.radius
+    return (a - b if b else a), ZERO
 
 
 def reference_reconstruct(d):

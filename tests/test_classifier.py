@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (WIDE_BIG, WORKED_EXAMPLES, _one_minus, fraction_contains, lattice_fns,
-                      monotone_fns, nonincreasing_fns, random_strictly_increasing_fn,
-                      reference_value_at, wide_fractions)
+from conftest import (WIDE_BIG, WORKED_EXAMPLES, _one_minus, approx_diff, fraction_contains,
+                      lattice_fns, monotone_fns, nonincreasing_fns,
+                      random_strictly_increasing_fn, reference_value_at, wide_fractions)
 from subnormforge import (Interval, IntervalSet, PiecewiseMonotoneFn, Segment, classify, decompose,
                           f_eval, make_op, parse_fn, parse_tnorm)
 from subnormforge.classify import (
@@ -41,7 +41,7 @@ from subnormforge.classify import (
 )
 from subnormforge.oracle import check_property, consistency_harness
 from subnormforge.pwfn import approach_segment, eval_pairs, first_arg_above
-from subnormforge.tnorms import (Approx, GeneratorSpec, Lambda, approx_diff, t_eval, t_image,
+from subnormforge.tnorms import (Approx, GeneratorSpec, Lambda, t_eval, t_image,
                                  t_preimage, t_solve_x)
 
 F = Fraction
@@ -173,7 +173,25 @@ def arch_witness_rechecks(op, witness) -> bool:
     return False
 
 
+def differ_beyond_radii(a, b) -> bool:
+    """a != b, for values exact or Approx, beyond their summed radii."""
+    d, r = approx_diff(a, b)
+    return abs(d) > r
+
+
+def not_associative(op, x, y, z) -> bool:
+    """F(F(x,y),z) != F(x,F(y,z)), with exact intermediates F(x,y) and
+    F(y,z): the benchmark's re-check of a triple witness."""
+    xy, yz = f_eval(op, x, y), f_eval(op, y, z)
+    if isinstance(xy, Approx) or isinstance(yz, Approx):
+        return False
+    return differ_beyond_radii(f_eval(op, xy, z), f_eval(op, x, yz))
+
+
 def recheck_no_witnesses(f, t, report):
+    """Every No witness that ``bench/checks.py`` re-checks by evaluating F
+    at finitely many points, re-checked the same way; a No whose witness
+    is not of a known form fails."""
     op = make_op(f, t)
     v = report.properties["archimedean"]
     if v.status == "no":
@@ -183,21 +201,27 @@ def recheck_no_witnesses(f, t, report):
         x1, x2, y = v.witness
         a, b = f_eval(op, x1, y), f_eval(op, x2, y)
         assert a == b and a > 0 and x1 != x2
-    v = report.properties["cancellative"]
-    if v.status == "no" and v.witness and len(v.witness) == 3:
-        x, y1, y2 = v.witness
-        assert x != 0 and y1 != y2
-        assert f_eval(op, x, y1) == f_eval(op, x, y2)
+    for prop in ("cancellative", "strictly_monotone_op"):
+        v = report.properties[prop]
+        if v.status == "no":
+            x, y1, y2 = v.witness
+            assert x != 0 and y1 != y2, v
+            assert f_eval(op, x, y1) == f_eval(op, x, y2), v
     v = report.properties["proper"]
     if v.status == "yes":
         top = f_eval(op, F(1), F(1))
         assert top < 1
+    v = report.properties["t_subnorm"]
+    if v.status == "no":
+        assert not_associative(op, *v.witness), v
     v = report.properties["t_norm"]
-    if v.status == "no" and v.witness and len(v.witness) == 2:
-        x, one = v.witness
-        if one == 1:
-            assert f_eval(op, x, F(1)) != x or \
-                report.properties["t_subnorm"].status == "no"
+    if v.status == "no":
+        w = v.witness
+        if len(w) == 3:
+            assert not_associative(op, *w), v
+        else:  # F(x,1) != x, written (x, 1) or (x,)
+            assert len(w) == 1 or w[1] == 1, v
+            assert differ_beyond_radii(f_eval(op, w[0], F(1)), w[0]), v
 
 
 def test_proper_reads_finv_of_one_when_t_has_neutral_one():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import monotone_fns, nonincreasing_fns
+from conftest import approx_diff, monotone_fns, nonincreasing_fns, reference_generator_eval
 from subnormforge import (
     GeneratorSpec,
     additive_generated,
@@ -20,7 +20,7 @@ from subnormforge import (
 )
 from subnormforge.oracle import _Memo, check_property
 from subnormforge.pwfn import eval_fn, eval_pair
-from subnormforge.tnorms import Approx, Generator, Lambda, approx_diff, t_eval
+from subnormforge.tnorms import Approx, Generator, Lambda, _key
 
 F = Fraction
 
@@ -205,9 +205,10 @@ def test_neglog_interval_contains_product_value(f):
 
 
 def reference_f_compose(op, fx, fy):
-    """f_compose on Fractions: finv at T's centre and at centre -+ radius,
-    clamped to [0,1], with the larger distance as the spread."""
-    tv = t_eval(op.t, fx, fy)
+    """finv(T(fx, fy)) for a generator family, on Fractions: finv at T's
+    centre and at centre -+ radius, clamped to [0,1], with the larger
+    distance as the spread (the former ``generated.f_compose``)."""
+    tv = reference_generator_eval(op.t, fx, fy)
     if not isinstance(tv, Approx):
         return eval_fn(op.finv, tv)
     center = eval_fn(op.finv, tv.value)
@@ -232,10 +233,13 @@ COMPOSE_EDGES = [(F(1, 10 ** 13), F(1, 10 ** 13)), (F(1, 10 ** 30), F(1, 2)),
                                 st.fractions(0, 1, max_denominator=10 ** 9)),
                       max_size=4))
 def test_f_compose_on_pairs_matches_fraction_path(tdesc, f, extra):
+    # t_finv takes f values, as f_compose did, and returns the key of F's
+    # value: reduced pairs, so equal values have equal keys
     op = make_op(f, parse_tnorm(tdesc))
     grid = [F(i, 8) for i in range(9)]
     for fx, fy in COMPOSE_EDGES + extra + [(a, b) for a in grid for b in grid[::2]]:
-        assert generated.f_compose(op, fx, fy) == reference_f_compose(op, fx, fy), (fx, fy)
+        got = op.t_finv(fx.numerator, fx.denominator, fy.numerator, fy.denominator)
+        assert got == _key(reference_f_compose(op, fx, fy)), (fx, fy)
 
 
 @pytest.mark.parametrize("tdesc", ["gen:neglog", "gen:one-minus-log",

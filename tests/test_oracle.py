@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (WORKED_EXAMPLES, _one_minus, lattice_fns, monotone_fns,
+from conftest import (WORKED_EXAMPLES, _one_minus, approx_diff, lattice_fns, monotone_fns,
                       nonincreasing_fns, scan_continuity)
 from subnormforge import (Verdict, classify, f_eval, make_op, oracle, parse_fn,
                           parse_tnorm, pseudo_inverse, pwfn)
@@ -19,15 +19,13 @@ from subnormforge.oracle import (
     PROPERTY_NAMES,
     CheckResult,
     Counterexample,
-    _key,
     _Memo,
-    _value,
     check_property,
     consistency_harness,
     default_extra,
     grid,
 )
-from subnormforge.tnorms import Approx, approx_diff
+from subnormforge.tnorms import Approx, _key, _value
 
 F = Fraction
 

@@ -15,7 +15,7 @@ from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 import subnormforge
-from conftest import WORKED_EXAMPLES, wide_fractions
+from conftest import WORKED_EXAMPLES, approx_diff, reference_generator_eval, wide_fractions
 from subnormforge import tnorms
 from subnormforge.fnformat import parse_fn
 from subnormforge.generated import f_eval, make_op
@@ -31,6 +31,8 @@ from subnormforge.tnorms import (
     HALFPROD,
     Lambda,
     _e_below,
+    _key,
+    key_diff,
     parse_tnorm,
     t_eval,
     t_image,
@@ -316,6 +318,61 @@ def test_generator_families_are_their_closed_form_within_the_radius(t, x, y):
     with mpmath.workdps(60):
         centre = mpmath.mpf(v.value.numerator) / v.value.denominator
         assert abs(centre - closed_form(t, x, y)) <= mpmath.mpf(RADIUS.numerator) / RADIUS.denominator
+
+
+# lambdas in (0,1): below 1/e, where lambda:one-minus-log is no t-norm and
+# the clamp at 1 binds, and above it
+lambdas_01 = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6).filter(
+    lambda v: 0 < v < 1)
+# arguments on the square's boundary, next to it, and anywhere in [0,1]
+boundary_01 = st.one_of(st.sampled_from([F(0), F(1), 1 - TINY, TINY]), wide_fractions_01)
+
+
+@pytest.mark.parametrize("gen,is_lambda", [("neglog", False), ("one-minus-log", False),
+                                           ("one-minus-log", True)])
+@settings(max_examples=100, deadline=None)
+@given(x=boundary_01, y=boundary_01, lam=lambdas_01)
+@example(x=F(9, 10), y=F(9, 10), lam=F(1, 4))  # xy·kappa = 3.24/E > 1: the clamp
+@example(x=1 - TINY, y=F(1, 2), lam=F(1, 10 ** 6))  # far past the clamp
+@example(x=F(1), y=F(1, 3), lam=F(1, 2))  # the square's boundary
+@example(x=F(0), y=F(1), lam=F(2, 5))
+def test_t_eval_matches_the_fraction_reference(gen, is_lambda, x, y, lam):
+    # the pair kernel computes the rationals of the Fraction bodies it
+    # replaced: the same centre and radius, or the same exact value
+    t = Lambda(GeneratorSpec(gen), lam) if is_lambda else Generator(GeneratorSpec(gen))
+    want = reference_generator_eval(t, x, y)
+    got = t_eval(t, x, y)
+    assert got == want and type(got) is type(want), (x, y)
+
+
+# Fractions with denominators past 10^25 and their keys, exact or Approx
+_past_radius = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 40)
+_keys = st.one_of(
+    _past_radius, st.builds(Approx, _past_radius, st.sampled_from([RADIUS, RADIUS / 3])),
+    st.builds(Approx, _past_radius, _past_radius))
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_keys, b=_keys)
+@example(a=F(1, 3), b=F(1, 3))
+@example(a=Approx(F(1, 3), RADIUS), b=Approx(F(1, 3), RADIUS))
+@example(a=Approx(F(1, 3), RADIUS), b=F(1, 3) + RADIUS)
+@example(a=Approx(F(0), RADIUS), b=F(0))
+def test_key_diff_matches_approx_diff(a, b):
+    # key_diff's (d, r) is approx_diff's over one positive denominator, so
+    # every sign test that a comparison makes gives the same answer
+    d, r = key_diff(_key(a), _key(b))
+    want_d, want_r = approx_diff(a, b)
+    assert type(d) is int and type(r) is int and r >= 0
+    assert _sign(d) == _sign(want_d) and (r == 0) == (want_r == 0)
+    assert d * want_r == want_d * r
+    for rule in (lambda d, r: abs(d) > r, lambda d, r: d > r, lambda d, r: d >= r,
+                 lambda d, r: -d > r, lambda d, r: d == 0):
+        assert rule(d, r) == rule(want_d, want_r)
 
 
 def test_one_over_e_bound_lies_just_below_one_over_e():

@@ -7,7 +7,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "subnormforge"
 
 # Each is kept because bench/spans.py wraps it by name, and a traced bench
 # run fails when a wrapped name is gone.
-KEPT_FOR_THE_BENCH = ["pseudo_inverse_at", "t_power"]
+KEPT_FOR_THE_BENCH = ["finv_at", "pseudo_inverse_at", "t_power"]
 
 
 def unreached_functions() -> list:
