@@ -18,24 +18,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .generated import GeneratedOp, f_eval, make_op
-from .intervals import Interval, IntervalSet, ONE, ZERO, reduced, sorted_pairs
+from .generated import GeneratedOp, make_op
+from .intervals import IntervalSet, ONE, ZERO, _nonempty, _point, _span, reduced, sorted_pairs
 from .pwfn import (
     Decomposition,
     PiecewiseMonotoneFn,
     _first_arg,
     approach_segment,
     decompose,
-    eval_fn,
     eval_pair,
     eval_pairs,
-    first_arg_above,
     limit_pair,
     plateau_set,
-    side_limit,
 )
-from .tnorms import (Approx, TNormDescriptor, _value, key_diff, t_eval, t_image, t_solve_pairs,
-                     t_solve_x, t_preimage)
+from .tnorms import TNormDescriptor, _value, key_diff, t_image, t_solve_pairs, t_preimage
 
 PROPERTIES = (
     "t_subnorm",
@@ -112,7 +108,7 @@ def arg_pair(f: PiecewiseMonotoneFn, vn: int, vd: int, avoid=None):
             d = p.domain
             if d.lo_closed and allowed(d.ln, d.ld):
                 return d.ln, d.ld
-            mid = reduced(d.ln * d.hd + d.hn * d.ld, 2 * d.ld * d.hd)
+            mid = _midpoint(d)
             if allowed(*mid):
                 return mid
             if d.hi_closed and allowed(d.hn, d.hd):
@@ -122,6 +118,16 @@ def arg_pair(f: PiecewiseMonotoneFn, vn: int, vd: int, avoid=None):
             if allowed(n, d):
                 return reduced(n, d)
     return None
+
+
+def _fractions(*pairs) -> tuple:
+    """The values of the integer pairs `pairs`, as Fractions: a witness."""
+    return tuple(Fraction(*k) for k in pairs)
+
+
+def _midpoint(iv) -> tuple:
+    """The midpoint of the Interval iv as a reduced pair."""
+    return reduced(iv.ln * iv.hd + iv.hn * iv.ld, 2 * iv.ld * iv.hd)
 
 
 # Interior probes per part in _dense_samples.
@@ -151,18 +157,18 @@ def _dense_samples(s: IntervalSet) -> list:
 def _plateau_pair(f: PiecewiseMonotoneFn, k: tuple):
     """(x1, x2) with x1 != x2 and f(x1) = f(x2) = w, for a value w in
     plateau_set(f) given as an integer pair k, found once per function and
-    value (``f._plateau_pairs``, keyed by w's reduced pair).  When the only
-    piece taking w is a constant piece open at both ends, arg_with_value
-    finds its midpoint x1 alone; then x2 is halfway between x1 and the
-    piece's lower end."""
+    value (``f._plateau_pairs``, keyed by w's reduced pair), as Fractions,
+    the witnesses' format.  When the only piece taking w is a constant
+    piece open at both ends, ``arg_pair`` finds its midpoint x1 alone; then
+    x2 is halfway between x1 and the piece's lower end."""
     k = reduced(*k)
     pair = f._plateau_pairs.get(k)
     if pair is None:
-        w = Fraction(*k)
-        x1 = arg_with_value(f, w)
-        x2 = arg_with_value(f, w, avoid=x1)
-        if x2 is None:
-            x2 = (x1 + approach_segment(f, x1, "left").domain.lo) / 2
+        x1 = arg_pair(f, *k)
+        x2 = arg_pair(f, *k, x1)
+        x1 = Fraction(*x1)
+        x2 = (Fraction(*x2) if x2 is not None
+              else (x1 + approach_segment(f, x1, "left").domain.lo) / 2)
         pair = f._plateau_pairs[k] = x1, x2
     return pair
 
@@ -172,15 +178,15 @@ def _plateau_pair(f: PiecewiseMonotoneFn, k: tuple):
 
 def check_degenerate(op: GeneratedOp, top):
     """Forced verdicts when the generated operation collapses; `top` is
-    F(1,1).
+    F(1,1)'s key (``GeneratedOp.t_finv``).
 
     Non-increasing f vanishing on (0,1] gives F identically 0; for
     non-decreasing f, a plateau value attained at 1 (or approached at 1
     with f(1) off the plateau) forces F to be zero away from (1,1) if the
     conditional cancellation law is to hold at all.  Returns a dict of
     every property but ``proper``, which ``classify`` decides for every f,
-    or None when none of these shapes apply.  f(1) and the limits of f are
-    read as integer pairs.
+    or None when none of these shapes apply.  f(1), the limits of f and
+    F's values are read as integer pairs.
     """
     f = op.f
     if not f.nondecreasing:
@@ -200,8 +206,9 @@ def check_degenerate(op: GeneratedOp, top):
     if q.contains_pair(*f1m):
         # plateau approached at 1 but f(1) above it: F must vanish off (1,1)
         x2, x1 = _plateau_pair(f, f1m)
-        return _plateau_at_one(f1m, x1, x2, f_eval(op, x2, ONE), top,
-                               "F vanishes off (1,1)", None)
+        # F(x2, 1) = finv(T(f(x2), f(1))), and f(x2) is the plateau value
+        probe = op.t_finv(*reduced(*f1m), *op.f_pair((1, 1)))
+        return _plateau_at_one(f1m, x1, x2, probe, top, "F vanishes off (1,1)", None)
     return None
 
 
@@ -220,25 +227,26 @@ def _undecided(note) -> dict:
 
 def _plateau_at_one(w, x1, x2, probe, top, evidence, note):
     """Verdicts for a plateau value w at 1, an integer pair, which f takes
-    at x1 != x2, from the probe F(x1,1) = F(x2,1): F sees its arguments
-    only through f.  An exact 0 makes F vanish off (1,1), with `evidence`
-    and `note` naming the shape; an exact positive value refutes
-    conditional cancellation; an Approx decides nothing.  `top` is F(1,1)."""
-    if isinstance(probe, Approx):
+    at x1 != x2, from the key `probe` of F(x1,1) = F(x2,1): F sees its
+    arguments only through f.  An exact 0 makes F vanish off (1,1), with
+    `evidence` and `note` naming the shape; an exact positive value refutes
+    conditional cancellation; an Approx decides nothing.  `top` is F(1,1)'s
+    key."""
+    if len(probe) > 2:
         return _undecided("degenerate shape undecided")
-    if probe == 0:
+    if not probe[0]:
         return _vanishing_verdicts(top, evidence, note)
     out = _undecided("degenerate shape; use the oracle")
     out["conditionally_cancellative"] = Verdict.no(
         (x1, x2, ONE),
-        note=f"F({x1},1)=F({x2},1)={probe}>0 with f({x1})=f({x2})={Fraction(*w)}")
+        note=f"F({x1},1)=F({x2},1)={Fraction(*probe)}>0 with f({x1})=f({x2})={Fraction(*w)}")
     out["cancellative"] = Verdict.no((ONE, x1, x2), note="repeated f value")
     out["strictly_monotone_op"] = out["cancellative"]
     return out
 
 
 def _vanishing_verdicts(top, evidence, note):
-    """F is 0 everywhere except possibly at (1,1), where it is `top`."""
+    """F is 0 everywhere except possibly at (1,1), where its key is `top`."""
     half = Fraction(1, 2)
     out = {
         "t_subnorm": Verdict.yes(evidence, note=note),
@@ -249,26 +257,26 @@ def _vanishing_verdicts(top, evidence, note):
                                            note="F(1,0)=F(1,1/2)=0"),
         "archimedean": Verdict.yes(evidence),
     }
-    if not isinstance(top, Approx) and top == 0:
+    if top == (0, 1):
         out["continuous"] = Verdict.yes("F identically 0")
     else:
         out["continuous"] = Verdict.no((ONE, ONE),
-                                       note=f"isolated positive value {top} at (1,1)")
+                                       note=f"isolated positive value {_value(top)} at (1,1)")
     return out
 
 
 def _proper_verdict(op, top) -> Verdict:
-    """Proper means F(1,1) = `top` < 1: the operation cannot have neutral
-    element 1.  An Approx `top` has a positive radius; an exact one, a
-    Fraction, is below 1 when its numerator is below its denominator; each
-    comparison is a sign test on numerators and denominators."""
-    if not isinstance(top, Approx):
-        if top.numerator < top.denominator:
-            return Verdict.yes(f"F(1,1)={top} < 1")
+    """Proper means F(1,1) < 1, for `top` its key: the operation cannot
+    have neutral element 1.  An exact `top` is below 1 when its numerator
+    is below its denominator; an Approx one when its centre plus its
+    radius is, by ``key_diff``'s sign rule."""
+    if len(top) == 2:
+        if top[0] < top[1]:
+            return Verdict.yes(f"F(1,1)={Fraction(*top)} < 1")
         return Verdict.no((ONE, ONE), note="F(1,1)=1")
-    c, r = top.value, top.radius
-    shown = f"{float(c):.12f}"
-    if c.numerator * r.denominator + r.numerator * c.denominator < c.denominator * r.denominator:
+    shown = f"{top[0] / top[1]:.12f}"
+    d, r = key_diff(top, (1, 1))
+    if d < -r:
         return Verdict.yes(f"F(1,1)={shown} < 1")
     if op.t.neutral_one and op.f_pair((1, 1)) == (1, 1):
         # T(1,1) = 1 exactly, so F(1,1) = finv(1) exactly, whatever T's radius
@@ -297,7 +305,7 @@ def check_inclusion_conditions(t: TNormDescriptor, d: Decomposition):
     Both are decided exactly via interval images, so only for the exact
     t-norm families (``t_image`` raises ValueError for the others).
     """
-    low = IntervalSet.single(Interval.closed(ZERO, d.f0plus))
+    low = IntervalSet.single(_nonempty(0, 1, *d.f0plus, True, True))
     z_a = t_image(t, d.m_minus_c, d.m).is_subset_of(d.m.union(low))[1]
     z_b = None if d.q.is_empty else t_image(t, d.q, d.m).is_subset_of(low)[1]
     return z_a, z_b
@@ -314,11 +322,11 @@ def check_prop_sufficient(t: TNormDescriptor, d: Decomposition, mm: IntervalSet)
     hull = IntervalSet.empty()
     for k in d.k1:
         b, dd, c = d.s[k]
-        inside = mm.intersect(IntervalSet.single(Interval.closed(b, dd)))
-        hull = hull.union(inside.union(IntervalSet.points([c])).o_hull())
+        inside = mm.intersect(IntervalSet.single(_nonempty(*b, *dd, True, True)))
+        hull = hull.union(inside.union(IntervalSet.single(_point(*c))).o_hull())
     if hull.is_empty:
         return Verdict.yes("all gap hulls empty")
-    m_nz = d.m.minus(IntervalSet.points([ZERO]))
+    m_nz = d.m.minus(IntervalSet.single(_point(0, 1)))
     bad = t_image(t, hull, m_nz).intersect(d.m_minus_c)
     if bad.is_empty:
         return Verdict.yes("gap-hull image avoids M\\C")
@@ -343,37 +351,31 @@ def l_set_check(t: TNormDescriptor, d: Decomposition) -> Verdict:
     resolution.  Preimages exist for the strict exact families only
     (``t_preimage`` raises ValueError for the others).
     """
-    ys = set()
-    for b, dd, c in d.s:
-        for v in (b, dd, c):
-            if d.m.contains(v):
-                ys.add(v)
+    ys = {v for g in d.s for v in g if d.m.contains_pair(*v)}
     for p in d.m.parts:
         if p.lo_closed:
-            ys.add(p.lo)
+            ys.add((p.ln, p.ld))
         if p.hi_closed:
-            ys.add(p.hi)
-    for i in range(L_RESOLUTION + 1):
-        v = Fraction(i, L_RESOLUTION)
-        if d.m.contains(v):
-            ys.add(v)
+            ys.add((p.hn, p.hd))
+    ys.update(v for v in (reduced(i, L_RESOLUTION) for i in range(L_RESOLUTION + 1))
+              if d.m.contains_pair(*v))
     m_minus_c = d.m_minus_c
-    for y in sorted(ys):
-        if y == 0:
+    kept = {k: IntervalSet.single(_point(*d.s[k][2])) for k in d.k1}  # {c_k} per high gap
+    for yk in sorted_pairs(ys):
+        if not yk[0]:
             continue
+        y = Fraction(*yk)
         m_y = IntervalSet.empty()
         for part in m_minus_c.parts:
             m_y = m_y.union(d.m.intersect(t_preimage(t, y, part)))
         gaps = {}
         for k in d.k1:
-            b, dd, c = d.s[k]
-            mk = d.m.intersect(t_preimage(t, y, Interval.closed(b, dd)))
+            b, dd, _ = d.s[k]
+            mk = d.m.intersect(t_preimage(t, y, _nonempty(*b, *dd, True, True)))
             if not mk.is_empty:
                 gaps[k] = mk
         for k, mk in gaps.items():
-            c_k = d.s[k][2]
-            i_k = t_image(t, mk, IntervalSet.points([y])).union(
-                IntervalSet.points([c_k])).o_hull()
+            i_k = t_image(t, mk, IntervalSet.single(_point(*yk))).union(kept[k]).o_hull()
             if i_k.is_empty or m_y.is_empty:
                 continue
             bad = t_image(t, i_k, m_y).intersect(m_minus_c)
@@ -382,9 +384,7 @@ def l_set_check(t: TNormDescriptor, d: Decomposition) -> Verdict:
                                   note="hull image at witness y meets M\\C")
         for k, mk in gaps.items():
             for l, ml in gaps.items():
-                c_k, c_l = d.s[k][2], d.s[l][2]
-                j = t_image(t, mk, IntervalSet.points([c_l])).union(
-                    t_image(t, IntervalSet.points([c_k]), ml)).o_hull()
+                j = t_image(t, mk, kept[l]).union(t_image(t, kept[k], ml)).o_hull()
                 bad = j.intersect(m_minus_c)
                 if not bad.is_empty:
                     return Verdict.no((y, k, l, bad.first_member()),
@@ -400,16 +400,16 @@ def check_cancellative(op: GeneratedOp, d: Decomposition, mm: IntervalSet) -> Ve
     and mm = T(M,M) within M, both verified exactly."""
     f, t = op.f, op.t
     if not f.is_strictly_monotone:
-        w = d.q.first_member()
-        x1, x2 = _plateau_pair(f, (w.numerator, w.denominator))
+        w = d.q.parts[0]  # a point, as every plateau value is
+        x1, x2 = _plateau_pair(f, (w.ln, w.ld))
         return Verdict.no((ONE, x1, x2),
-                          note=f"f({x1})=f({x2})={w}, so F(1,{x1})=F(1,{x2})")
+                          note=f"f({x1})=f({x2})={w.lo}, so F(1,{x1})=F(1,{x2})")
     ok, z = mm.is_subset_of(d.m)
     if ok:
         return Verdict.yes("f strictly increasing", "T(M,M) within M")
     # (x, y1, y2) with F(x,y1)=F(x,y2), y1 != y2, x != 0
-    witness = next(((x, y1, y2) for x, y1, y2, _ in _gap_collisions(op, d, d.m, z)
-                    if x != 0), None)
+    witness = next((_fractions(x, y1, y2) for x, y1, y2, _ in _gap_collisions(op, d, d.m, z)
+                    if x[0]), None)
     if witness is not None:
         return Verdict.no(witness,
                           note=f"image value {z} in a range gap collapses "
@@ -420,9 +420,10 @@ def check_cancellative(op: GeneratedOp, d: Decomposition, mm: IntervalSet) -> Ve
 
 
 def _gap_collisions(op, d: Decomposition, domain: IntervalSet, z: Fraction):
-    """Yield (x, y1, y2, a) with y1 != y2 and F(x,y1) = F(x,y2) = a exactly,
-    built from a t-norm image value z that falls in a range gap: f(y1) and
-    f(y2) are taken from `domain` and sent into that gap by T(., f(x)).
+    """Yield (x, y1, y2, a), reduced integer pairs, with y1 != y2 and
+    F(x,y1) = F(x,y2) = a exactly, built from a t-norm image value z that
+    falls in a range gap: f(y1) and f(y2) are taken from `domain` and sent
+    into that gap by T(., f(x)).
 
     Only the strict exact families reach here, where F is symmetric, so
     the same collisions serve with x as the first or the second argument.
@@ -432,11 +433,9 @@ def _gap_collisions(op, d: Decomposition, domain: IntervalSet, z: Fraction):
     Distinct samples give distinct y."""
     t, f = op.t, op.f
     zn, zd = z.numerator, z.denominator
-    b, dd, c = next(g for g in d.s
-                    if g[0].numerator * zd <= zn * g[0].denominator
-                    and zn * g[1].denominator <= g[1].numerator * zd)
-    cn, cd = c.numerator, c.denominator
-    gap = Interval.closed(b, dd)
+    b, dd, (cn, cd) = next(g for g in d.s if g[0][0] * zd <= zn * g[0][1]
+                           and zn * g[1][1] <= g[1][0] * zd)
+    gap = _nonempty(*b, *dd, True, True)
     for v, vn, vd in _PQ_VALUES:
         if not d.m.contains_pair(vn, vd):
             continue
@@ -444,7 +443,7 @@ def _gap_collisions(op, d: Decomposition, domain: IntervalSet, z: Fraction):
               if (w := t.eval_pair(*u, vn, vd))[0] * cd != cn * w[1]][:6]
         if len(us) < 2:
             continue
-        x = arg_with_value(f, v)
+        x = arg_pair(f, vn, vd)
         if x is None:
             continue
         ys, fs = [], [None] * len(us)
@@ -458,16 +457,16 @@ def _gap_collisions(op, d: Decomposition, domain: IntervalSet, z: Fraction):
                     if fs[k] is None:
                         fs[k] = op.t_finv(vn, vd, *us[k])
                 if fs[i] == fs[j]:
-                    yield x, Fraction(*ys[i]), Fraction(*ys[j]), Fraction(*fs[i])
+                    yield x, ys[i], ys[j], fs[i]
 
 
 def _cc_witness(op, d: Decomposition, which: str, z: Fraction):
     """(x1, x2, y) violating the conditional cancellation law, i.e.
     F(x1,y)=F(x2,y)>0 with x1 != x2, from the escape value z of a failed
     inclusion condition: T(Q,M)'s for `which` "plateau", T(M\\C,M)'s for
-    "gap"; verified by evaluation.  Only runs for the strict exact
-    families, so every value is an exact Fraction."""
-    t = op.t
+    "gap"; verified by evaluation on the op's keys (``t_finv``).  Only
+    runs for the strict exact families, so every key is a reduced pair."""
+    t, f_pair = op.t, op.f_pair
     if which == "plateau":
         # z = T(w, v) > f(0+) with w = p.ln/p.ld a repeated value
         for p in d.q.parts:
@@ -475,13 +474,14 @@ def _cc_witness(op, d: Decomposition, which: str, z: Fraction):
             for v in t_solve_pairs(t, p.ln, p.ld, z.numerator, z.denominator):
                 if not d.m.contains_pair(*v):
                     continue
-                y = Fraction(*arg_pair(op.f, *v))  # v is in the range M
-                a1, a2 = f_eval(op, x1, y), f_eval(op, x2, y)
-                if a1 == a2 and a1 > 0:
-                    return (x1, x2, y)
+                y = arg_pair(op.f, *v)  # v is in the range M
+                a1, a2 = (op.t_finv(*f_pair((x.numerator, x.denominator)), *f_pair(y))
+                          for x in (x1, x2))
+                if a1 == a2 and a1[0] > 0:
+                    return (x1, x2, Fraction(*y))
         return None
-    return next(((x1, x2, y) for y, x1, x2, a in _gap_collisions(op, d, d.m_minus_c, z)
-                 if a > 0), None)
+    return next((_fractions(x1, x2, y) for y, x1, x2, a in
+                 _gap_collisions(op, d, d.m_minus_c, z) if a[0] > 0), None)
 
 
 # -- continuity -------------------------------------------------------------
@@ -543,41 +543,45 @@ def check_continuity(op: GeneratedOp) -> Verdict:
         # increasing f, so F inherits continuity from T
         return Verdict.yes("f continuous strictly increasing, T continuous")
     if f.nondecreasing and f.is_strictly_monotone and t.exact and t.strict:
-        # strict implies continuous, so f has a jump here
+        # strict implies continuous, so f has a jump here.  The jumps, the
+        # critical arguments and the samples are reduced pairs, and each
+        # window's ends are T's values on them, reduced
         m = decompose(f).m
+
+        def window(a, b, v, w):  # [T(a, v), T(b, w)], with T(a, v) <= T(b, w)
+            return _nonempty(*reduced(*t.eval_pair(*a, *v)), *reduced(*t.eval_pair(*b, *w)),
+                             True, True)
+
         # jump x jump windows
         for (x1, a1, b1) in jumps:
             for (x2, a2, b2) in jumps:
-                win = Interval.closed(t_eval(t, a1, a2), t_eval(t, b1, b2))
+                win = window(a1, b1, a2, b2)
                 hit = m.intersect(IntervalSet.single(win))
                 if hit.has_multiple_points():
-                    return Verdict.no((x1, x2),
+                    return Verdict.no(_fractions(x1, x2),
                                       note=f"range meets [{win}] in {hit}")
         # jump x continuity-point windows: critical second arguments
         for (x1, a1, b1) in jumps:
             crits = set()
             for part in m.parts:
-                for e in (part.lo, part.hi):
+                for e in ((part.ln, part.ld), (part.hn, part.hd)):
                     for side_val in (a1, b1):
-                        if side_val > 0:
-                            crits.update(t_solve_x(t, side_val, e))
-            vs = sorted(c for c in crits if 0 < c <= 1)
-            samples = set(v for v in vs if m.contains(v))
+                        if side_val[0] > 0:
+                            crits.update(t_solve_pairs(t, *side_val, *e))
+            vs = sorted_pairs([c for c in crits if 0 < c[0] <= c[1]])
+            samples = set(v for v in vs if m.contains_pair(*v))
             for i in range(len(vs) - 1):
-                mid = m.intersect(IntervalSet.single(
-                    Interval.make(vs[i], vs[i + 1], False, False)))
+                mid = m.intersect(IntervalSet.single(_span(*vs[i], *vs[i + 1], False, False)))
                 if not mid.is_empty:
-                    samples.add(mid.parts[0].midpoint()
-                                if not mid.parts[0].is_point else mid.parts[0].lo)
+                    samples.add(_midpoint(mid.parts[0]))
             for part in m.parts:
-                samples.update(x for x in (part.lo, part.hi, part.midpoint())
-                               if m.contains(x) and x > 0)
-            for v in sorted(samples):
-                win = Interval.closed(t_eval(t, a1, v), t_eval(t, b1, v))
+                samples.update(x for x in ((part.ln, part.ld), (part.hn, part.hd), _midpoint(part))
+                               if m.contains_pair(*x) and x[0] > 0)
+            for v in sorted_pairs(samples):
+                win = window(a1, b1, v, v)
                 hit = m.intersect(IntervalSet.single(win))
                 if hit.has_multiple_points():
-                    y0 = arg_with_value(f, v)
-                    return Verdict.no((x1, y0),
+                    return Verdict.no(_fractions(x1, arg_pair(f, *v)),
                                       note=f"range meets [{win}] in {hit}")
         return Verdict.yes("all discontinuity windows meet the range in "
                            "at most one point")
@@ -698,7 +702,7 @@ def check_archimedean(op: GeneratedOp) -> Verdict:
     if not f.nondecreasing:
         return Verdict.unknown("the rules cover non-decreasing f")
     d = decompose(f)
-    if d.q.contains(d.f1minus):
+    if d.q.contains_pair(*d.f1minus):
         return Verdict.unknown("f(1-) is a plateau value: a degenerate shape")
     if not t.shrinks:
         p = _idempotent_point(op) if t.exact else None
@@ -706,26 +710,29 @@ def check_archimedean(op: GeneratedOp) -> Verdict:
             return Verdict.unknown("T does not shrink and no exact idempotent "
                                    "point was found")
         return Verdict.no((p, p), note=f"F({p},{p})={p}, so the powers of {p} stay at {p}")
-    # (p, f(p), f(p-)) at each trapping jump in (0,1); T <= min keeps the
-    # limit at or below f(p), so only a jump with f(p) > f(p-) passes
-    traps = [(p, op.f_at(p), fpm) for p, fpm, _ in f._jumps
-             if 0 < p < 1 and t.left_limit_above(op.f_at(p), d.f1minus, fpm)]
+    # (p, f(p), f(p-)) at each trapping jump in (0,1), as pairs; T <= min
+    # keeps the limit at or below f(p), so only a jump with f(p) > f(p-)
+    # passes
+    traps = [(p, op.f_pair(p), fpm) for p, fpm, _ in f._jumps
+             if 0 < p[0] < p[1] and t.left_limit_above(op.f_pair(p), d.f1minus, fpm)]
     if traps:
+        at = Fraction(*traps[0][0])
         if not t.exact:
             return Verdict.unknown(
-                f"the jump at {traps[0][0]} traps the powers, but an inexact F "
+                f"the jump at {at} traps the powers, but an inexact F "
                 "cannot show their fixed point")
         found = _trap_witness(op, traps)
         if found is None:
             return Verdict.unknown(
-                f"the jump at {traps[0][0]} traps the powers, but no witness "
+                f"the jump at {at} traps the powers, but no witness "
                 f"stabilizes within {ARCH_WITNESS_STEPS} steps")
         x, p, v = found
         return Verdict.no((x, p), note=f"powers of {x} stabilize at {v}; "
                                        f"F({p},{x})={p} at the jump {p}")
-    if d.q.contains(ZERO):
-        a0 = first_arg_above(f, ZERO)
-        if side_limit(f, a0, "right") == 0:
+    if d.q.contains_pair(0, 1):
+        a0 = _first_arg(f, 0, 1, False)
+        if not limit_pair(f, *a0, "right")[0][0]:
+            a0 = Fraction(*a0)
             return Verdict.unknown(
                 f"f vanishes up to {a0} with f({a0}+)=0, so the powers stay "
                 f"above {a0}; no fixed point certifies it")
@@ -739,8 +746,7 @@ def _idempotent_point(op: GeneratedOp):
     an exact family; None when none of them is."""
     for s in op.f.segments:
         d = s.domain
-        for k in ([(d.ln, d.ld)] if d.lo_closed else []) + (
-                [reduced(d.ln * d.hd + d.hn * d.ld, 2 * d.ld * d.hd)] if s.sn else []):
+        for k in ([(d.ln, d.ld)] if d.lo_closed else []) + ([_midpoint(d)] if s.sn else []):
             if 0 < k[0] < k[1] and op.t_finv(*op.f_pair(k), *op.f_pair(k)) == k:
                 return Fraction(*k)
     return None
@@ -753,9 +759,9 @@ TRAP_NEAR_ONE = 64
 
 
 def _trap_witness(op: GeneratedOp, traps):
-    """(x, p, v) for the rule-J jumps (p, f(p), f(p-)) in `traps` of an
-    exact family: an x in [p,1) with F(p, x) = p whose powers reach the
-    exact fixed point v in the fewest steps, at most
+    """(x, p, v) for the rule-J jumps (p, f(p), f(p-)), reduced pairs, in
+    `traps` of an exact family: an x in [p,1) with F(p, x) = p whose powers
+    reach the exact fixed point v in the fewest steps, at most
     ``ARCH_WITNESS_STEPS``; None when no candidate x does.
 
     X = {x in [p,1) : F(p, x) = p} runs up to 1, as F(p, .) does not
@@ -773,15 +779,14 @@ def _trap_witness(op: GeneratedOp, traps):
     no sort of their own.  Only a best (x, p, v) is built of Fractions."""
     f, t = op.f, op.t
     best, cap = None, ARCH_WITNESS_STEPS
-    for p, fp, fpm in traps:
-        kp = pn, pd = p.numerator, p.denominator
-        fkp = op.f_pair(kp)
+    for kp, fkp, fpm in traps:
+        pn, pd = kp
 
         def trapped(k):  # F(p, k) = p
             return op.t_finv(*fkp, *op.f_pair(k)) == kp
 
         xs = {kp} | {(n, d) for _, n, d in f._breakpoints}
-        for v in t_solve_pairs(t, fp.numerator, fp.denominator, fpm.numerator, fpm.denominator):
+        for v in t_solve_pairs(t, *fkp, *fpm):
             xs.update((op.finv_pair(v), _first_arg(f, *v, False)))
         ends = sorted_pairs([x for x in xs if x[0] * pd >= pn * x[1] and x[0] < x[1]])
         cands = []
@@ -806,7 +811,7 @@ def _trap_witness(op: GeneratedOp, traps):
         for x in sorted(hits, key=lambda k: (k[1], k[0])):
             run = _stabilizes(op, x, kp, cap)
             if run is not None:
-                best, cap = (Fraction(*x), p, Fraction(*run[1])), run[0] - 1
+                best, cap = _fractions(x, kp, run[1]), run[0] - 1
                 if not cap:
                     return best
     return best
@@ -916,9 +921,9 @@ def _assoc_search(op: GeneratedOp, pts):
 
 def _neutral_search(op: GeneratedOp, pts):
     """The first x of pts with F(x,1) != x beyond the error radius, and
-    F(x,1); None when there is none.  F(x,1) is read as its key through
-    the op's caches (``f_pair``, ``t_finv``): a key other than x's own
-    pair is an exact value that differs from x, or an Approx, which
+    F(x,1)'s key; None when there is none.  F(x,1) is read as its key
+    through the op's caches (``f_pair``, ``t_finv``): a key other than x's
+    own pair is an exact value that differs from x, or an Approx, which
     ``key_diff`` compares with x."""
     c = op.f_pair((1, 1))
     for x in pts:
@@ -927,7 +932,7 @@ def _neutral_search(op: GeneratedOp, pts):
         if v != k:
             d, r = key_diff(v, k)
             if abs(d) > r:
-                return x, _value(v)
+                return x, v
     return None
 
 
@@ -944,7 +949,8 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor) -> ClassificationReport
     and a corollary route for the other strict families.
     """
     op = make_op(f, t)
-    top = f_eval(op, ONE, ONE)
+    one = op.f_pair((1, 1))
+    top = op.t_finv(*one, *one)  # F(1,1)'s key
     log = []
     props = check_degenerate(op, top)
     d = decompose(f) if f.nondecreasing else None
@@ -960,14 +966,14 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor) -> ClassificationReport
         if t.exact:
             z_a, z_b = check_inclusion_conditions(t, d)
             log.append(("T(M\\C,M) within M plus [0,f(0+)]",
-                        f"M={d.m} C={d.c_set} f(0+)={d.f0plus}",
+                        f"M={d.m} C={d.c_set} f(0+)={Fraction(*d.f0plus)}",
                         "yes" if z_a is None else "no"))
             log.append(("T(Q,M) within [0,f(0+)]", f"Q={d.q}",
                         "yes" if z_b is None else "no"))
         if t.exact and t.strict:
             props.update(_strict_exact_verdicts(op, d, z_a, z_b, log))
         elif t.strict and f.is_strictly_monotone and not f._jumps \
-                and eval_fn(f, ZERO) == 0:
+                and not eval_pair(f, 0, 1)[0]:
             # corollary route for strict but inexact families
             props.update(dict.fromkeys(_ROUTED, Verdict.yes(
                 "f continuous strictly increasing with f(0)=0",
@@ -1016,7 +1022,7 @@ def _strict_exact_verdicts(op, d: Decomposition, z_a, z_b, log) -> dict:
             ts = Verdict.no(triple, note="associativity fails")
         elif cc.status != "yes":
             ts = Verdict.unknown("no sufficient route applies; run the oracle")
-        elif eval_fn(f, ONE) == 1:
+        elif op.f_pair((1, 1)) == (1, 1):
             ts = Verdict.unknown(
                 "gap-hull condition refuted (necessary when f(1)=1) but no "
                 "associativity counterexample found on the search grid",
@@ -1040,13 +1046,12 @@ def _t_norm_verdict(op, props) -> Verdict:
     bad = _neutral_search(op, _search_grid(f, NEUTRAL_GRID))
     if bad is not None:
         x, v = bad
-        c = v.value if isinstance(v, Approx) else v
-        return Verdict.no((x, ONE), note=f"F({x},1)={c} != {x}")
+        return Verdict.no((x, ONE), note=f"F({x},1)={Fraction(*v[:2])} != {x}")
     ts = props["t_subnorm"]
     if ts.status == "no":
         return Verdict.no(ts.witness, note="not a t-subnorm")
     if (ts.status == "yes" and f.is_strictly_monotone
-            and eval_fn(f, ONE) == 1 and t.neutral_one):
+            and op.f_pair((1, 1)) == (1, 1) and t.neutral_one):
         return Verdict.yes("t-subnorm with neutral element 1",
                            note="f strictly increasing onto 1")
     return Verdict.unknown("neutral element holds on the grid but no "
@@ -1060,16 +1065,17 @@ _STATUS_TEXT = {"yes": "Yes", "no": "No", "unknown": "Unknown"}
 
 
 def decomposition_fields(d: Decomposition) -> list:
-    """The decomposition as (key, value) pairs, in display order."""
+    """The decomposition as (key, value) pairs, in display order, each
+    value of d's pairs shown as a Fraction."""
     return [
         ("M", str(d.m)),
-        ("S", " ".join(f"[{b},{dd}]:c={c}" for b, dd, c in d.s)),
+        ("S", " ".join("[{},{}]:c={}".format(*_fractions(*g)) for g in d.s)),
         ("C", str(d.c_set)),
         ("Q", str(d.q)),
-        ("f0plus", str(d.f0plus)),
-        ("f1minus", str(d.f1minus)),
-        ("tau", str(d.tau)),
-        ("upsilon", str(d.upsilon)),
+        ("f0plus", str(Fraction(*d.f0plus))),
+        ("f1minus", str(Fraction(*d.f1minus))),
+        ("tau", str(Fraction(*d.tau))),
+        ("upsilon", str(Fraction(*d.upsilon))),
         ("K1", "{" + ",".join(str(k) for k in d.k1) + "}" if d.k1 else "∅"),
     ]
 

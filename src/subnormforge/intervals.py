@@ -135,7 +135,7 @@ class Interval:
     @staticmethod
     def point(v: Rat) -> "Interval":
         v = frac(v)
-        return _nonempty(v.numerator, v.denominator, v.numerator, v.denominator, True, True)
+        return _point(v.numerator, v.denominator)
 
     @staticmethod
     def closed(lo: Rat, hi: Rat) -> "Interval":
@@ -144,9 +144,6 @@ class Interval:
     @property
     def is_point(self) -> bool:
         return self.ln == self.hn and self.ld == self.hd
-
-    def contains(self, x: Fraction) -> bool:
-        return self.contains_pair(x.numerator, x.denominator)
 
     def contains_pair(self, p: int, q: int) -> bool:
         """Whether p/q lies in the interval, for q > 0."""
@@ -184,6 +181,11 @@ def _nonempty(ln: int, ld: int, hn: int, hd: int, lo_closed: bool, hi_closed: bo
     iv.ln, iv.ld, iv.hn, iv.hd = ln, ld, hn, hd
     iv.lo_closed, iv.hi_closed, iv._lo, iv._hi = lo_closed, hi_closed, None, None
     return iv
+
+
+def _point(n: int, d: int) -> Interval:
+    """The point {n/d}, for a reduced pair with d > 0."""
+    return _nonempty(n, d, n, d, True, True)
 
 
 def _span(ln: int, ld: int, hn: int, hd: int, lo_closed: bool,
@@ -242,10 +244,6 @@ class IntervalSet:
         return IntervalSet(()) if iv is None else IntervalSet((iv,))
 
     @staticmethod
-    def points(values: Iterable[Rat]) -> "IntervalSet":
-        return IntervalSet.of(Interval.point(v) for v in values)
-
-    @staticmethod
     def unit() -> "IntervalSet":
         return IntervalSet((UNIT,))
 
@@ -256,10 +254,6 @@ class IntervalSet:
     @property
     def is_single_point(self) -> bool:
         return len(self.parts) == 1 and self.parts[0].is_point
-
-    def contains(self, x: Rat) -> bool:
-        x = frac(x)
-        return self.contains_pair(x.numerator, x.denominator)
 
     def contains_pair(self, p: int, q: int) -> bool:
         """Whether p/q lies in the set, for q > 0."""

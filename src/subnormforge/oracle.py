@@ -54,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .classify import PROPERTIES, arg_with_value, classify
+from .classify import PROPERTIES, arg_pair, classify
 from .generated import GeneratedOp
 from .intervals import ONE, frac, reduced
 from .pwfn import PiecewiseMonotoneFn, decompose, eval_pairs
@@ -101,15 +101,16 @@ class _Memo:
     The class of an exact value of key k (``class_of``) is the key of f(x)
     for a GeneratedOp, whose F(x, y) depends on x and y only through f(x)
     and f(y), read from the operation's own f cache (``f_pair``), and k
-    itself for any other operation.  ``eval_row(a, bs)`` evaluates the
-    operation at a and each key of bs, on their classes, and ``eval(a, b)``
-    at one pair; ``evals`` counts the values evaluated.  For a GeneratedOp,
-    ``eval`` is a row of one: ``eval_row`` is its only evaluation path
-    here.  Any other operation is evaluated entry by entry, on the values
-    of the keys.  ``memo(x, y)`` evaluates without a cache; the law scans
-    read ``table``, the ``_Grid`` of the last point set scanned
-    (``memo.grid(pts)``), which holds every value they evaluate, and add
-    the comparisons they make to ``compared``.
+    itself for any other operation.  ``eval_row(a, classes)`` evaluates the
+    operation at a and a point of each class of `classes`, and
+    ``eval(a, b)`` is a row of one, at b's class: ``eval_row`` is the only
+    evaluation path here.  A GeneratedOp is evaluated on f's pairs, which
+    its classes are; any other operation on the values of the keys, which
+    its classes are too.  ``evals`` counts the values evaluated.
+    ``memo(x, y)`` evaluates without a cache; the law scans read ``table``,
+    the ``_Grid`` of the last point set scanned (``memo.grid(pts)``), which
+    holds every value they evaluate, and add the comparisons they make to
+    ``compared``.
 
     A GeneratedOp is symmetric: F(x, y) = finv(T(f(x), f(y))) and
     F(y, x) = finv(T(f(y), f(x))) are finv of equal arguments, as every
@@ -125,7 +126,6 @@ class _Memo:
         self.op = op
         self.generated = op if isinstance(op, GeneratedOp) else None
         self.table = None  # _Grid of the last point set scanned
-        self._row_keys = self._row_fs = None  # eval_row's last keys and their f values
         self.evals = 0
         self.compared = 0
 
@@ -137,36 +137,29 @@ class _Memo:
         return k if self.generated is None else self.generated.f_pair(k)
 
     def eval(self, a: tuple, b: tuple) -> tuple:
-        """Key of op(x, y) for the values x and y of keys a and b, on their
-        classes for a GeneratedOp, which takes ``eval_row``'s kernel."""
-        if self.generated is not None:
-            return self.eval_row(a, (b,))[0]
-        self.evals += 1
-        return _key(self.op(_value(a), _value(b)))
+        """Key of op(x, y) for the values x and y of keys a and b."""
+        return self.eval_row(a, (self.class_of(b),))[0]
 
-    def eval_row(self, a: tuple, bs) -> list:
-        """[eval(a, b) for b in bs].  For a GeneratedOp it takes a's class
-        once and T along the row on the pairs of f's values.  With an exact
-        T, finv runs over the row in one ``eval_pairs`` sweep, which takes
-        one pass over finv's pieces when the f values of bs ascend (T is
-        non-decreasing in its second argument), and each value is reduced
-        here; an inexact T gives each entry's key by ``t_finv``.  The f
-        values of bs are kept for the next call with the same tuple, as a
-        grid passes one tuple for all its rows."""
+    def eval_row(self, a: tuple, classes) -> list:
+        """[eval(a, b) for a point b of each class of `classes`].  For a
+        GeneratedOp it takes a's class once and T along the row on the pairs
+        of f's values, the classes.  With an exact T, finv runs over the row
+        in one ``eval_pairs`` sweep, which takes one pass over finv's pieces
+        when the classes ascend (T is non-decreasing in its second
+        argument), and each value is reduced here; an inexact T gives each
+        entry's key by ``t_finv``.  Any other operation is evaluated entry
+        by entry, on the values of the keys."""
+        self.evals += len(classes)
         gen = self.generated
         if gen is None:
-            return [self.eval(a, b) for b in bs]
-        self.evals += len(bs)
-        f_pair = gen.f_pair
-        an, ad = f_pair(a)
-        if bs is not self._row_keys:
-            self._row_fs = [f_pair(b) for b in bs]
-            self._row_keys = bs
+            x = _value(a)
+            return [_key(self.op(x, _value(b))) for b in classes]
+        an, ad = gen.f_pair(a)
         if not gen.t.exact:
             t_finv = gen.t_finv
-            return [t_finv(an, ad, c, d) for c, d in self._row_fs]
+            return [t_finv(an, ad, c, d) for c, d in classes]
         t = gen.t.eval_pair
-        ts = [t(an, ad, c, d) for c, d in self._row_fs]
+        ts = [t(an, ad, c, d) for c, d in classes]
         return [reduced(n, d) for n, d in eval_pairs(gen.finv, ts)]
 
     def grid(self, pts) -> "_Grid":
@@ -183,8 +176,9 @@ class _Grid:
     Points of one class (``_Memo.class_of``) have equal rows and columns in
     every table, so the classes are numbered in the order of their first
     points: ``first[c]`` is the index of class c's first point, ``cls[i]``
-    the number of p_i's class, and ``size[c]`` the number of points in
-    class c.  ``TC[c][d]`` is the key of F(p_first[c], p_first[d]),
+    the number of p_i's class, ``size[c]`` the number of points in class
+    c, and ``classes[c]`` the class itself, which ``_Memo.eval_row`` takes.
+    ``TC[c][d]`` is the key of F(p_first[c], p_first[d]),
     evaluated once per class pair, and ``CC`` the same table of centres,
     each key's first two ints; the table is ``exact`` when no value in it
     is an ``Approx`` (then ``CC == TC``).  F(p_i, p_j) is
@@ -226,12 +220,12 @@ class _Grid:
         # garbage collector runs
         self.memo = weakref.proxy(memo)
         self.reps = reps = [self.pid[i] for i in self.first]
-        # the classes by ascending value of their key, f(p) for a
-        # GeneratedOp, which makes T ascend along a row.  Any order gives
-        # the same values, so the float key only has to be mostly right
-        fk = list(number)
-        self.asc = sorted(range(n), key=lambda c: fk[c][0] / fk[c][1])
-        self._asc_reps = tuple(reps[c] for c in self.asc)
+        # the classes by ascending value, f(p) for a GeneratedOp, which
+        # makes T ascend along a row.  Any order gives the same values, so
+        # the float key only has to be mostly right
+        self.classes = classes = list(number)
+        self.asc = sorted(range(n), key=lambda c: classes[c][0] / classes[c][1])
+        self._asc_classes = tuple(classes[c] for c in self.asc)
         self._in_order = self.asc == list(range(n))
         self._rows, self._part = {}, {}  # class -> whole row; -> row in part
         self.TC = [self._fill(a) for a in reps]
@@ -253,13 +247,13 @@ class _Grid:
         over the classes in ascending order; the entries of ``part`` that
         single reads have evaluated are kept, the rest filled in."""
         if part is None:
-            vals = self.memo.eval_row(a, self._asc_reps)
+            vals = self.memo.eval_row(a, self._asc_classes)
             if self._in_order:
                 return vals
             part, order = [None] * len(vals), self.asc
         else:
             order = [c for c in self.asc if part[c] is None]
-            vals = self.memo.eval_row(a, [self.reps[c] for c in order])
+            vals = self.memo.eval_row(a, [self.classes[c] for c in order])
         for c, v in zip(order, vals):
             part[c] = v
         return part
@@ -294,7 +288,7 @@ class _Grid:
             r = self._part[k] = [None] * len(self.reps)
         v = r[c]
         if v is None:
-            v = r[c] = self.memo.eval(a, self.reps[c])
+            v = r[c] = self.memo.eval_row(a, (self.classes[c],))[0]
         return v
 
 
@@ -632,11 +626,11 @@ def default_extra(f: PiecewiseMonotoneFn) -> list:
     so grids exercise every discontinuity."""
     extra = set(f.breakpoints())
     if f.nondecreasing:
-        for b, dd, c in decompose(f).s:
-            for v in (b, dd, c):
-                x = arg_with_value(f, v)
+        for g in decompose(f).s:
+            for v in g:
+                x = arg_pair(f, *v)
                 if x is not None:
-                    extra.add(x)
+                    extra.add(Fraction(*x))
     return sorted(extra)
 
 

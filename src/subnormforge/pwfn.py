@@ -16,7 +16,10 @@ direction and the segments: the value interval each segment attains,
 the breakpoints, the plateau set, the range decomposition, the
 pseudo-inverse that ``make_op`` hands every operation on f, the jumps,
 and the argument pairs of the plateau values and the search grids that
-``classify`` asks for.  The pseudo-inverse is validated like any function
+``classify`` asks for.  The decomposition's values and the jumps are
+reduced integer pairs, which the classifier reads as they are; only its
+witnesses, notes and rendering build Fractions of them.  The
+pseudo-inverse is validated like any function
 but keeps no value intervals, so it holds its segments alone.  Over
 every (function, family) pair of the classify benchmark's corpus, seed 4
 (1506 functions), classifying raises the Python heap retained per
@@ -68,7 +71,7 @@ from functools import cached_property
 from math import lcm
 from typing import Optional
 
-from .intervals import Interval, IntervalSet, ZERO, ONE, _nonempty, _view, frac, reduced
+from .intervals import Interval, IntervalSet, ONE, _nonempty, _point, _view, frac, reduced
 
 
 class DomainError(ValueError):
@@ -197,7 +200,7 @@ class PiecewiseMonotoneFn:
         repeats."""
         values = dict.fromkeys((s.cn, s.cd) for s in self.segments
                                if not s.sn and not s.domain.is_point)
-        parts = [_nonempty(n, d, n, d, True, True) for n, d in values]
+        parts = [_point(n, d) for n, d in values]
         return IntervalSet(tuple(parts if self.nondecreasing else parts[::-1]))
 
     @cached_property
@@ -208,23 +211,22 @@ class PiecewiseMonotoneFn:
 
     @cached_property
     def _jumps(self) -> tuple:
-        """(x0, lo, hi) at every discontinuity, using actual one-sided
-        limits (the pseudo-inverse boundary conventions play no role
-        here): lo is the lesser of f(x0-) and f(x0), hi the greater of
-        f(x0+) and f(x0), with f(0-) and f(1+) read as f's values there.
-        The values and limits are integer pairs from ``eval_pair`` and
-        ``limit_pair``, compared by cross-multiplication; only a jump's
-        two values are built as Fractions."""
+        """(x0, lo, hi) at every discontinuity, as reduced pairs, using
+        actual one-sided limits (the pseudo-inverse boundary conventions
+        play no role here): lo is the lesser of f(x0-) and f(x0), hi the
+        greater of f(x0+) and f(x0), with f(0-) and f(1+) read as f's
+        values there.  The values and limits are integer pairs from
+        ``eval_pair`` and ``limit_pair``, compared by cross-multiplication."""
         out = []
-        for x0, p, q in self._breakpoints:
+        for _, p, q in self._breakpoints:
             v = eval_pair(self, p, q)
             lo = v if p == 0 else limit_pair(self, p, q, "left")[0]
             hi = v if p == q else limit_pair(self, p, q, "right")[0]
             lo_v = lo[0] * v[1] - v[0] * lo[1]  # the sign of lo - v
             hi_v = hi[0] * v[1] - v[0] * hi[1]  # the sign of hi - v
             if lo_v or hi_v:
-                out.append((x0, Fraction(*(lo if lo_v <= 0 else v)),
-                            Fraction(*(hi if hi_v >= 0 else v))))
+                out.append(((p, q), reduced(*(lo if lo_v <= 0 else v)),
+                            reduced(*(hi if hi_v >= 0 else v))))
         return tuple(out)
 
     @cached_property
@@ -247,29 +249,28 @@ class PiecewiseMonotoneFn:
         their pairs, comes out ascending."""
         m = range_of(self)
         q = plateau_set(self)
-        f0plus = Fraction(*limit_pair(self, 0, 1, "right")[0])
-        f1minus = Fraction(*limit_pair(self, 1, 1, "left")[0])
+        f0plus = reduced(*limit_pair(self, 0, 1, "right")[0])
+        f1minus = reduced(*limit_pair(self, 1, 1, "left")[0])
         if q.is_empty:
-            upsilon = tau = ZERO
-            un, ud = 0, 1
+            upsilon = tau = 0, 1
         else:
             top = q.parts[-1]
-            upsilon, un, ud = top.hi, top.hn, top.hd
-            tau = first_arg_above(self, upsilon)
+            upsilon = top.hn, top.hd
+            tau = _first_arg(self, *upsilon, False)
         # M = [0,1] reads as having the gap [1,1], which keeps 1
         gaps = m.complement().parts or (Interval.point(ONE),)
-        s, c = [], {}
+        s, c = [], []
         for g in gaps:
             # (b, d, c) for the gap [b,d], with c its first end in M
-            kept = [(k, v) for k, v in (((g.ln, g.ld), g.lo), ((g.hn, g.hd), g.hi))
-                    if m.contains_pair(*k)]
+            ends = (g.ln, g.ld), (g.hn, g.hd)
+            kept = [k for k in ends if m.contains_pair(*k)]
             if not kept:
                 raise InvalidFunction(f"range gap [{g.lo},{g.hi}] keeps neither endpoint")
-            s.append((g.lo, g.hi, kept[0][1]))
-            c.update(kept)
+            s.append((*ends, kept[0]))
+            c += kept
         # every b >= 0 = upsilon when Q is empty, so then K1 is every gap
-        k1 = tuple(i for i, g in enumerate(gaps) if g.ln * ud >= un * g.ld)
-        return Decomposition(m, tuple(s), tuple(c.values()), q, f0plus, f1minus, tau,
+        k1 = tuple(i for i, g in enumerate(gaps) if g.ln * upsilon[1] >= upsilon[0] * g.ld)
+        return Decomposition(m, tuple(s), tuple(dict.fromkeys(c)), q, f0plus, f1minus, tau,
                              upsilon, k1)
 
 
@@ -561,21 +562,23 @@ def plateau_set(f: PiecewiseMonotoneFn) -> IntervalSet:
 @dataclass(frozen=True)
 class Decomposition:
     """Range structure of a non-decreasing function: the gap system with
-    kept boundary values, plateau values and the derived thresholds."""
+    kept boundary values, plateau values and the derived thresholds.  Every
+    value is a reduced integer pair (n, d), d > 0."""
 
     m: IntervalSet
     s: tuple  # ((b_k, d_k, c_k), ...)
-    c: tuple  # sorted distinct kept boundary values
+    c: tuple  # ascending distinct kept boundary values
     q: IntervalSet
-    f0plus: Fraction
-    f1minus: Fraction
-    tau: Fraction
-    upsilon: Fraction
+    f0plus: tuple
+    f1minus: tuple
+    tau: tuple
+    upsilon: tuple
     k1: tuple  # indices into s
 
     @cached_property
     def c_set(self) -> IntervalSet:
-        return IntervalSet.points(self.c)
+        """C as a set of points, which ascend and so need no normalizing."""
+        return IntervalSet(tuple(_point(n, d) for n, d in self.c))
 
     @cached_property
     def m_minus_c(self) -> IntervalSet:

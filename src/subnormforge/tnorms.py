@@ -5,8 +5,8 @@ values (``Approx``) of the additive-generator families.
 Every family evaluates T(a/b, c/d) on integers (``eval_pair``) and returns
 the key of the value (``_key``): a pair (n, d) with d > 0 for an exact
 value, and for an ``Approx`` its centre's reduced pair followed by its
-radius's, four ints.  ``eval`` builds the value of that key (``_value``),
-a Fraction or an Approx; the domain check of ``t_eval`` compares
+radius's, four ints.  ``t_eval`` builds the value of that key
+(``_value``), a Fraction or an Approx, after a domain check that compares
 numerators with denominators.  ``key_diff`` compares two keys, exact or
 not, by integer cross products.  Box images and preimages read the
 ``Interval``s' pairs and build their results from pairs, and
@@ -132,11 +132,6 @@ class TNormDescriptor:
     def __str__(self) -> str:
         return self.name
 
-    def eval(self, x: Fraction, y: Fraction):
-        """T(x, y): the value of ``eval_pair``'s key."""
-        return _value(self.eval_pair(x.numerator, x.denominator,
-                                     y.numerator, y.denominator))
-
     def box_image(self, A: Interval, B: Interval) -> list:
         """T(A,B) for one box, as a list of intervals."""
         return [_box_image_mono(self.eval_pair, A, B)]
@@ -147,12 +142,12 @@ class TNormDescriptor:
         limit as integer pairs (n, d), d > 0, as ``eval_pair`` takes them."""
         return self.eval_pair(*v, *c), False
 
-    def left_limit_above(self, u: Fraction, v: Fraction, z: Fraction) -> bool:
-        """Whether lim T(u, w) as w rises to v exceeds z, decided exactly;
-        T is symmetric, so this is ``dir_limit`` from the left with c = u."""
-        (n, d), _ = self.dir_limit((v.numerator, v.denominator), "left",
-                                   (u.numerator, u.denominator))
-        return n * z.denominator > z.numerator * d
+    def left_limit_above(self, u: tuple, v: tuple, z: tuple) -> bool:
+        """Whether lim T(u, w) as w rises to v exceeds z, decided exactly,
+        for u, v and z integer pairs (n, d), d > 0; T is symmetric, so this
+        is ``dir_limit`` from the left with c = u."""
+        (n, d), _ = self.dir_limit(v, "left", u)
+        return n * z[1] > z[0] * d
 
 
 class Product(TNormDescriptor):
@@ -346,15 +341,16 @@ class _GeneratorFamily(TNormDescriptor):
         e = b * d * kd
         return (*reduced(min(a * c * kn, e), e), *_RADIUS_PAIR)
 
-    def left_limit_above(self, u: Fraction, v: Fraction, z: Fraction) -> bool:
-        """Whether lim T(u, w) as w rises to v exceeds z, for u in [0,1),
-        v in (0,1] and z in [0,1): the closed form w = uv / lam at v, the
-        clamp aside as z < 1, against z; with g(1) = 1 the form is w/e,
-        which exceeds z > 0 exactly when e < w/z."""
-        w = u * v / (self.lam or 1)
-        if self.gen.g1_zero or not z:
-            return w > z
-        return _e_below(w / z)
+    def left_limit_above(self, u: tuple, v: tuple, z: tuple) -> bool:
+        """Whether lim T(u, w) as w rises to v exceeds z, for integer pairs
+        u in [0,1), v in (0,1] and z in [0,1): the closed form w = uv / lam
+        at v, the clamp aside as z < 1, against z; with g(1) = 1 the form is
+        w/e, which exceeds z > 0 exactly when e < w/z."""
+        lam = self.lam or ONE
+        wn, wd = u[0] * v[0] * lam.denominator, u[1] * v[1] * lam.numerator
+        if self.gen.g1_zero or not z[0]:
+            return wn * z[1] > z[0] * wd
+        return _e_below(Fraction(wn * z[1], wd * z[0]))
 
 
 @dataclass(frozen=True)
@@ -450,7 +446,7 @@ def t_eval(t: TNormDescriptor, x, y):
     x, y = frac(x), frac(y)
     if not (0 <= x.numerator <= x.denominator and 0 <= y.numerator <= y.denominator):
         raise DomainError(f"t-norm arguments ({x},{y}) outside [0,1]^2")
-    return t.eval(x, y)
+    return _value(t.eval_pair(x.numerator, x.denominator, y.numerator, y.denominator))
 
 
 def t_power(t: TNormDescriptor, x, n: int):

@@ -277,6 +277,13 @@ wide_fractions = st.one_of(
 )
 
 
+def pair(x) -> tuple:
+    """The reduced integer pair (numerator, denominator) of x, an int, a
+    Fraction or a 'p/q' string: the package's value format below its API."""
+    x = frac(x)
+    return x.numerator, x.denominator
+
+
 def fraction_contains(iv, x):
     """x in the interval iv, by Fraction comparisons: the reference for
     the integer-pair membership tests."""
@@ -340,7 +347,7 @@ def approx_diff(a, b):
 def reference_reconstruct(d):
     """The range rebuilt from a decomposition: the kept boundary values and
     the complement of the gaps (the former ``Decomposition.reconstruct``)."""
-    gaps = IntervalSet.of(Interval.closed(b, dd) for b, dd, _ in d.s)
+    gaps = IntervalSet.of(Interval.closed(Fraction(*b), Fraction(*dd)) for b, dd, _ in d.s)
     return d.c_set.union(gaps.complement())
 
 

@@ -15,6 +15,7 @@ from conftest import (
     lattice_fns,
     monotone_fns,
     nonincreasing_fns,
+    pair,
     random_nondecreasing_fn,
     random_strictly_increasing_fn,
     reference_attained_values,
@@ -203,20 +204,19 @@ def test_plateau_set(f_plateau, f_step, f_half_jump):
 def test_decompose_step(f_step):
     d = decompose(f_step)
     assert decompose(f_step) is d
-    gaps = [(str(b), str(dd), str(c)) for b, dd, c in d.s]
-    assert gaps == [("0", "1/4", "1/4"), ("5/16", "7/16", "5/16"),
-                    ("1/2", "3/4", "3/4"), ("3/4", "1", "3/4")]
-    assert sorted(d.c) == [F(1, 4), F(5, 16), F(3, 4)]
+    assert d.s == (((0, 1), (1, 4), (1, 4)), ((5, 16), (7, 16), (5, 16)),
+                   ((1, 2), (3, 4), (3, 4)), ((3, 4), (1, 1), (3, 4)))
+    assert d.c == ((1, 4), (5, 16), (3, 4))
     assert str(d.q) == "{5/16}"
-    assert d.f0plus == F(1, 4)
+    assert d.f0plus == (1, 4)
     assert d.k1 == (1, 2, 3)
 
 
 def test_decompose_full_range(f_identity):
     d = decompose(f_identity)
     assert str(d.m) == "[0,1]"
-    assert [(str(b), str(dd)) for b, dd, _ in d.s] == [("1", "1")]
-    assert d.c == (F(1),)
+    assert [(b, dd) for b, dd, _ in d.s] == [((1, 1), (1, 1))]
+    assert d.c == ((1, 1),)
 
 
 def test_decompose_reconstruct_random():
@@ -226,7 +226,7 @@ def test_decompose_reconstruct_random():
         d = decompose(f)
         assert reference_reconstruct(d) == d.m
         for b, dd, c in d.s:
-            assert d.m.contains(c)
+            assert d.m.contains_pair(*c)
             assert c == b or c == dd
 
 
@@ -394,8 +394,9 @@ def reference_sweep(f):
 def reference_decomposition(f):
     """``decompose``'s result built on Fractions, as ``_decomposition`` did
     before its pair rewrite, from the per-call references above: the range
-    sorted by ``IntervalSet.of``, the kept ends tested by
-    ``IntervalSet.contains``, C as a sorted set and K1 by Fraction order."""
+    sorted by ``IntervalSet.of``, the kept ends tested by membership of
+    their values, C as a sorted set and K1 by Fraction order.  Its values
+    are then given as their reduced pairs, as ``decompose`` holds them."""
     m = IntervalSet.of(reference_attained_values(p) for p in reference_pieces(f))
     q = reference_plateau_set(f)
     f0plus, f1minus = side_limit(f, ZERO, "right"), side_limit(f, ONE, "left")
@@ -408,22 +409,23 @@ def reference_decomposition(f):
         s, c = ((ONE, ONE, ONE),), (ONE,)
     else:
         gaps = m.complement().parts
-        kept = [[v for v in (g.lo, g.hi) if m.contains(v)] for g in gaps]
+        kept = [[v for v in (g.lo, g.hi) if m.contains_pair(*pair(v))] for g in gaps]
         assert all(kept)
         s = tuple((g.lo, g.hi, cs[0]) for g, cs in zip(gaps, kept))
         c = tuple(sorted({cv for cs in kept for cv in cs}))
     k1 = tuple(i for i, (b, _, _) in enumerate(s) if b >= upsilon)
-    return pwfn.Decomposition(m, s, c, q, f0plus, f1minus, tau, upsilon, k1)
+    return pwfn.Decomposition(m, tuple(tuple(map(pair, g)) for g in s), tuple(map(pair, c)), q,
+                              *map(pair, (f0plus, f1minus, tau, upsilon)), k1)
 
 
 def reference_eval_fn(f, x):
-    """f(x) by scanning the segments with ``Interval.contains``: the
+    """f(x) by scanning the segments with ``Interval.contains_pair``: the
     evaluation that ``eval_fn``'s integer table replaced."""
     x = frac(x)
     if x < 0 or x > 1:
         raise DomainError(f"argument {x} outside [0,1]")
     for s in f.segments:
-        if s.domain.contains(x):
+        if s.domain.contains_pair(*pair(x)):
             return reference_value_at(s, x)
     raise InvalidFunction(f"no piece covers {x}")  # unreachable for valid fns
 
@@ -495,14 +497,14 @@ def test_pair_structure_matches_references_on_the_lattice():
 
 def reference_jumps(f):
     """(x0, lo, hi) at every discontinuity, from one-sided limits computed
-    afresh on every call."""
+    afresh on every call, each given as its reduced pair."""
     out = []
     for x0 in f.breakpoints():
         v = eval_fn(f, x0)
         lo = v if x0 == 0 else side_limit(f, x0, "left")
         hi = v if x0 == 1 else side_limit(f, x0, "right")
         if lo != hi or lo != v:
-            out.append((x0, min(lo, v), max(hi, v)))
+            out.append((pair(x0), pair(min(lo, v)), pair(max(hi, v))))
     return out
 
 
@@ -535,7 +537,7 @@ def test_per_function_caches_match_references(f):
         assert (got.ln, got.ld, got.hn, got.hd) == (want.ln, want.ld, want.hn, want.hd)
     if f.nondecreasing:
         d = decompose(f)
-        c_set = IntervalSet.points(d.c)
+        c_set = IntervalSet.of(Interval.point(F(*v)) for v in d.c)
         assert d.c_set == c_set
         assert d.m_minus_c == d.m.minus(c_set)
         assert d.m_minus_c is d.m_minus_c

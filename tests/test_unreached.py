@@ -1,4 +1,5 @@
-"""The package functions that no module under src/ calls or reads."""
+"""The package functions that no module under src/ calls or reads, and the
+places under src/ that call the Fraction twins."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,24 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "subnormforge"
 
 # Each is kept because bench/spans.py wraps it by name, and a traced bench
 # run fails when a wrapped name is gone.
-KEPT_FOR_THE_BENCH = ["finv_at", "pseudo_inverse_at", "t_power"]
+KEPT_FOR_THE_BENCH = ["arg_with_value", "f_at", "finv_at", "first_arg_above",
+                      "pseudo_inverse_at", "side_limit", "t_power", "t_solve_x"]
+
+# The Fraction twins: each builds its result as a Fraction (or an Approx)
+# over an integer-pair kernel, which is what the package itself calls.
+TWINS = {"eval_fn", "side_limit", "first_arg_above", "pseudo_inverse_at", "t_eval",
+         "t_solve_x", "arg_with_value", "f_at", "finv_at", "f_eval"}
+
+# The API edges that may call a twin, as (module, function): the calls of a
+# function object and of an operation, the Fraction constructions, and the
+# command-line commands (cli.py's cmd_* functions, matched by prefix).
+API_EDGES = {("pwfn.py", "PiecewiseMonotoneFn.__call__"), ("generated.py", "GeneratedOp.__call__"),
+             ("generated.py", "additive_generated"), ("tnorms.py", "t_power")}
+
+
+def _trees():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
 
 
 def unreached_functions() -> list:
@@ -16,12 +34,11 @@ def unreached_functions() -> list:
     the ast walk of the CI step "Unreached functions", so imports and
     __all__'s strings do not count."""
     defs, used = [], set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for name, tree in _trees():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defs.append((path.name, node.lineno, node.name))
+                    defs.append((name, node.lineno, node.name))
             elif isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -29,5 +46,38 @@ def unreached_functions() -> list:
     return [d for d in defs if d[2] not in used]
 
 
+def twin_calls() -> list:
+    """(path, line, caller, twin) of every call of a Fraction twin under
+    src/, the caller being the qualified name of the innermost enclosing
+    function (Class.method for a method), or "" at module level."""
+    out = []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, scope + [child.name])
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, scope + [child.name])
+            else:
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called in TWINS:
+                        out.append((path, child.lineno, ".".join(scope), called))
+                visit(child, path, scope)
+
+    for name, tree in _trees():
+        visit(tree, name, [])
+    return out
+
+
 def test_only_the_bench_wrapped_functions_are_unreached():
     assert sorted(name for _, _, name in unreached_functions()) == KEPT_FOR_THE_BENCH
+
+
+def test_fraction_twins_are_called_only_at_the_api():
+    calls = twin_calls()
+    assert calls, "the walk finds the API edges' calls"
+    outside = [c for c in calls if (c[0], c[2]) not in API_EDGES
+               and not (c[0] == "cli.py" and c[2].startswith("cmd_"))]
+    assert outside == []
