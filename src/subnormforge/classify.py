@@ -69,18 +69,24 @@ class Verdict:
 @dataclass
 class ClassificationReport:
     properties: dict
-    decomposition: Optional[Decomposition]
     conditions_log: list
     op: GeneratedOp = field(repr=False, compare=False)  # the operation classified
+
+    @property
+    def decomposition(self) -> Optional[Decomposition]:
+        """f's range decomposition for non-decreasing f, else None: read
+        from f, which caches it (``decompose``), so a route that does not
+        read it never builds it."""
+        f = self.op.f
+        return decompose(f) if f.nondecreasing else None
 
 
 # -- small helpers ----------------------------------------------------------
 
 
-# All p/q in (0,1] with q <= 32, once each, in ascending denominator
-# order, each with its pair: the witness builders' deterministic search order.
-_PQ_VALUES = tuple((v, v.numerator, v.denominator) for v in dict.fromkeys(
-    Fraction(p, q) for q in range(1, 33) for p in range(1, q + 1)))
+# All p/q in (0,1] with q <= 32, once each, as reduced pairs, in ascending
+# denominator order: the witness builders' deterministic search order.
+_PQ_VALUES = tuple(dict.fromkeys(reduced(p, q) for q in range(1, 33) for p in range(1, q + 1)))
 
 
 def arg_with_value(f: PiecewiseMonotoneFn, v: Fraction, avoid=None):
@@ -176,6 +182,60 @@ def _plateau_pair(f: PiecewiseMonotoneFn, k: tuple):
 # -- degenerate shapes ------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
+class _Shape:
+    """What ``check_degenerate`` reads of f alone, built once per function
+    (``_shape``).  `kind` is "vanishing" for a non-increasing f that
+    vanishes on (0,1], "undecided" for any other non-increasing f, "at one"
+    for a plateau value w = f(1), "approached" for a plateau value w =
+    f(1-) below f(1), and "full" for none of these.  A plateau shape holds
+    w as a reduced pair, taken by f at x1 != x2, the cancellative and
+    strictly monotone No, and the conditional cancellation No's note with
+    ``{}`` where F's value goes.  It is kept for the life of f, so it has
+    no instance dict."""
+
+    kind: str
+    w: Optional[tuple] = None
+    x1: Optional[Fraction] = None
+    x2: Optional[Fraction] = None
+    canc: Optional[Verdict] = None
+    cc_note: str = ""
+
+
+# the shapes that hold only their kind, shared by every function of that shape
+_KINDS = {k: _Shape(k) for k in ("vanishing", "undecided", "full")}
+
+
+def _shape(f: PiecewiseMonotoneFn) -> _Shape:
+    """f's ``_Shape``, cached on f on first use, outside its dataclass
+    fields, as pwfn's per-function structure is."""
+    s = f.__dict__.get("_shape")
+    if s is None:
+        s = f.__dict__["_shape"] = _degenerate_shape(f)
+    return s
+
+
+def _degenerate_shape(f: PiecewiseMonotoneFn) -> _Shape:
+    """f's ``_Shape``, from its plateau set, f(1) and its limits, read as
+    integer pairs."""
+    if not f.nondecreasing:
+        # f is non-increasing with values in [0,1], so it vanishes on
+        # (0,1] exactly when its limit at 0 from the right is 0
+        return _KINDS["vanishing" if not limit_pair(f, 0, 1, "right")[0][0] else "undecided"]
+    q = plateau_set(f)
+    w = reduced(*eval_pair(f, 1, 1))
+    if q.contains_pair(*w):
+        kind, (x1, x2) = "at one", _plateau_pair(f, w)
+    else:
+        w = reduced(*limit_pair(f, 1, 1, "left")[0])
+        if not q.contains_pair(*w):
+            return _KINDS["full"]
+        # plateau approached at 1 but f(1) above it: F must vanish off (1,1)
+        kind, (x2, x1) = "approached", _plateau_pair(f, w)
+    return _Shape(kind, w, x1, x2, Verdict.no((ONE, x1, x2), note="repeated f value"),
+                  f"F({x1},1)=F({x2},1)={{}}>0 with f({x1})=f({x2})={_shown(w)}")
+
+
 def check_degenerate(op: GeneratedOp, top):
     """Forced verdicts when the generated operation collapses; `top` is
     F(1,1)'s key (``GeneratedOp.t_finv``).
@@ -185,31 +245,47 @@ def check_degenerate(op: GeneratedOp, top):
     with f(1) off the plateau) forces F to be zero away from (1,1) if the
     conditional cancellation law is to hold at all.  Returns a dict of
     every property but ``proper``, which ``classify`` decides for every f,
-    or None when none of these shapes apply.  f(1), the limits of f and
-    F's values are read as integer pairs.
-    """
-    f = op.f
-    if not f.nondecreasing:
-        # f is non-increasing with values in [0,1], so it vanishes on
-        # (0,1] exactly when its limit at 0 from the right is 0
-        if limit_pair(f, 0, 1, "right")[0][0] == 0:
-            return _vanishing_verdicts(top, "F identically 0", "f vanishes on (0,1]")
-        return _undecided("non-increasing f outside the vanishing case; use the oracle")
+    or None when none of these shapes apply.  What depends on f alone, the
+    shape, its plateau value and arguments and the verdict parts they
+    give, is built once per function (``_shape``); per operation, only the
+    probe F(x2,1) of a plateau value approached at 1 is evaluated, and the
+    verdicts that read it or `top` are built.
 
-    q = plateau_set(f)
-    f1 = eval_pair(f, 1, 1)
-    if q.contains_pair(*f1):
-        x1, x2 = _plateau_pair(f, f1)
-        return _plateau_at_one(f1, x1, x2, top, top,
-                               "F identically 0", "plateau value at 1 and F(1,1)=0")
-    f1m = limit_pair(f, 1, 1, "left")[0]
-    if q.contains_pair(*f1m):
-        # plateau approached at 1 but f(1) above it: F must vanish off (1,1)
-        x2, x1 = _plateau_pair(f, f1m)
+    A plateau value w at 1, which f takes at x1 != x2, is decided from the
+    key `probe` of F(x1,1) = F(x2,1), as F sees its arguments only through
+    f: an exact 0 makes F vanish off (1,1); an exact positive value refutes
+    conditional cancellation; an Approx decides nothing.
+    """
+    s = _shape(op.f)
+    if s.kind == "full":
+        return None
+    if s.kind == "vanishing":
+        return _vanishing_verdicts(top, "F identically 0", "f vanishes on (0,1]")
+    if s.kind == "undecided":
+        return _undecided("non-increasing f outside the vanishing case; use the oracle")
+    if s.kind == "at one":
+        probe, evidence, note = top, "F identically 0", "plateau value at 1 and F(1,1)=0"
+    else:
         # F(x2, 1) = finv(T(f(x2), f(1))), and f(x2) is the plateau value
-        probe = op.t_finv(*reduced(*f1m), *op.f_pair((1, 1)))
-        return _plateau_at_one(f1m, x1, x2, probe, top, "F vanishes off (1,1)", None)
-    return None
+        probe, evidence, note = op.t_finv(*s.w, *op.f_pair((1, 1))), "F vanishes off (1,1)", None
+    if len(probe) > 2:
+        return _undecided("degenerate shape undecided")
+    if not probe[0]:
+        return _vanishing_verdicts(top, evidence, note)
+    out = _undecided("degenerate shape; use the oracle")
+    out["conditionally_cancellative"] = Verdict.no(
+        (s.x1, s.x2, ONE), note=s.cc_note.format(_shown(probe)))
+    out["cancellative"] = out["strictly_monotone_op"] = s.canc
+    return out
+
+
+def _shown(k) -> str:
+    """The value of the key k as text: a reduced pair as ``str(Fraction)``
+    writes it, without building the Fraction, and an Approx as its own
+    ``str``."""
+    if len(k) > 2:
+        return str(_value(k))
+    return f"{k[0]}/{k[1]}" if k[1] != 1 else str(k[0])
 
 
 # _undecided's verdicts per note, built once: a Verdict is frozen, so units share them
@@ -225,44 +301,34 @@ def _undecided(note) -> dict:
     return dict(out)
 
 
-def _plateau_at_one(w, x1, x2, probe, top, evidence, note):
-    """Verdicts for a plateau value w at 1, an integer pair, which f takes
-    at x1 != x2, from the key `probe` of F(x1,1) = F(x2,1): F sees its
-    arguments only through f.  An exact 0 makes F vanish off (1,1), with
-    `evidence` and `note` naming the shape; an exact positive value refutes
-    conditional cancellation; an Approx decides nothing.  `top` is F(1,1)'s
-    key."""
-    if len(probe) > 2:
-        return _undecided("degenerate shape undecided")
-    if not probe[0]:
-        return _vanishing_verdicts(top, evidence, note)
-    out = _undecided("degenerate shape; use the oracle")
-    out["conditionally_cancellative"] = Verdict.no(
-        (x1, x2, ONE),
-        note=f"F({x1},1)=F({x2},1)={Fraction(*probe)}>0 with f({x1})=f({x2})={Fraction(*w)}")
-    out["cancellative"] = Verdict.no((ONE, x1, x2), note="repeated f value")
-    out["strictly_monotone_op"] = out["cancellative"]
-    return out
+# _vanishing_verdicts' verdicts but continuous per (evidence, note), and
+# continuous's Yes, built once and shared as _UNDECIDED's are
+_VANISHING = {}
+_F_ZERO = Verdict.yes("F identically 0")
 
 
 def _vanishing_verdicts(top, evidence, note):
     """F is 0 everywhere except possibly at (1,1), where its key is `top`."""
-    half = Fraction(1, 2)
-    out = {
-        "t_subnorm": Verdict.yes(evidence, note=note),
-        "t_norm": Verdict.no((half,), note="F(1/2,1)=0 != 1/2"),
-        "conditionally_cancellative": Verdict.yes(evidence, note=note),
-        "cancellative": Verdict.no((ONE, ZERO, half), note="F(1,0)=F(1,1/2)=0"),
-        "strictly_monotone_op": Verdict.no((ONE, ZERO, half),
-                                           note="F(1,0)=F(1,1/2)=0"),
-        "archimedean": Verdict.yes(evidence),
-    }
-    if top == (0, 1):
-        out["continuous"] = Verdict.yes("F identically 0")
-    else:
-        out["continuous"] = Verdict.no((ONE, ONE),
-                                       note=f"isolated positive value {_value(top)} at (1,1)")
+    out = _VANISHING.get((evidence, note))
+    if out is None:
+        half = Fraction(1, 2)
+        out = _VANISHING[evidence, note] = {
+            "t_subnorm": Verdict.yes(evidence, note=note),
+            "t_norm": Verdict.no((half,), note="F(1/2,1)=0 != 1/2"),
+            "conditionally_cancellative": Verdict.yes(evidence, note=note),
+            "cancellative": Verdict.no((ONE, ZERO, half), note="F(1,0)=F(1,1/2)=0"),
+            "strictly_monotone_op": Verdict.no((ONE, ZERO, half),
+                                               note="F(1,0)=F(1,1/2)=0"),
+            "archimedean": Verdict.yes(evidence),
+        }
+    out = dict(out)
+    out["continuous"] = _F_ZERO if top == (0, 1) else Verdict.no(
+        (ONE, ONE), note=f"isolated positive value {_shown(top)} at (1,1)")
     return out
+
+
+# proper's No when F(1,1) = 1 exactly, shared as _UNDECIDED's verdicts are
+_PROPER_NO = Verdict.no((ONE, ONE), note="F(1,1)=1")
 
 
 def _proper_verdict(op, top) -> Verdict:
@@ -272,8 +338,8 @@ def _proper_verdict(op, top) -> Verdict:
     radius is, by ``key_diff``'s sign rule."""
     if len(top) == 2:
         if top[0] < top[1]:
-            return Verdict.yes(f"F(1,1)={Fraction(*top)} < 1")
-        return Verdict.no((ONE, ONE), note="F(1,1)=1")
+            return Verdict.yes(f"F(1,1)={_shown(top)} < 1")
+        return _PROPER_NO
     shown = f"{top[0] / top[1]:.12f}"
     d, r = key_diff(top, (1, 1))
     if d < -r:
@@ -282,7 +348,7 @@ def _proper_verdict(op, top) -> Verdict:
         # T(1,1) = 1 exactly, so F(1,1) = finv(1) exactly, whatever T's radius
         n, d = op.finv_pair((1, 1))
         if n < d:
-            return Verdict.yes(f"F(1,1)={Fraction(n, d)} < 1")
+            return Verdict.yes(f"F(1,1)={_shown((n, d))} < 1")
         return Verdict.no((ONE, ONE),
                           note="T has neutral element 1 and f(1)=1, "
                                "so F(1,1)=1 exactly")
@@ -364,14 +430,13 @@ def l_set_check(t: TNormDescriptor, d: Decomposition) -> Verdict:
     for yk in sorted_pairs(ys):
         if not yk[0]:
             continue
-        y = Fraction(*yk)
         m_y = IntervalSet.empty()
         for part in m_minus_c.parts:
-            m_y = m_y.union(d.m.intersect(t_preimage(t, y, part)))
+            m_y = m_y.union(d.m.intersect(t_preimage(t, yk, part)))
         gaps = {}
         for k in d.k1:
             b, dd, _ = d.s[k]
-            mk = d.m.intersect(t_preimage(t, y, _nonempty(*b, *dd, True, True)))
+            mk = d.m.intersect(t_preimage(t, yk, _nonempty(*b, *dd, True, True)))
             if not mk.is_empty:
                 gaps[k] = mk
         for k, mk in gaps.items():
@@ -380,14 +445,14 @@ def l_set_check(t: TNormDescriptor, d: Decomposition) -> Verdict:
                 continue
             bad = t_image(t, i_k, m_y).intersect(m_minus_c)
             if not bad.is_empty:
-                return Verdict.no((y, k, bad.first_member()),
+                return Verdict.no((Fraction(*yk), k, bad.first_member()),
                                   note="hull image at witness y meets M\\C")
         for k, mk in gaps.items():
             for l, ml in gaps.items():
                 j = t_image(t, mk, kept[l]).union(t_image(t, kept[k], ml)).o_hull()
                 bad = j.intersect(m_minus_c)
                 if not bad.is_empty:
-                    return Verdict.no((y, k, l, bad.first_member()),
+                    return Verdict.no((Fraction(*yk), k, l, bad.first_member()),
                                       note="cross-gap hull meets M\\C")
     return Verdict.unknown(f"witness set at resolution {L_RESOLUTION} found no refutation")
 
@@ -436,7 +501,8 @@ def _gap_collisions(op, d: Decomposition, domain: IntervalSet, z: Fraction):
     b, dd, (cn, cd) = next(g for g in d.s if g[0][0] * zd <= zn * g[0][1]
                            and zn * g[1][1] <= g[1][0] * zd)
     gap = _nonempty(*b, *dd, True, True)
-    for v, vn, vd in _PQ_VALUES:
+    for v in _PQ_VALUES:
+        vn, vd = v
         if not d.m.contains_pair(vn, vd):
             continue
         us = [u for u in _dense_samples(domain.intersect(t_preimage(t, v, gap)))
@@ -953,7 +1019,6 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor) -> ClassificationReport
     top = op.t_finv(*one, *one)  # F(1,1)'s key
     log = []
     props = check_degenerate(op, top)
-    d = decompose(f) if f.nondecreasing else None
     if props is not None:
         log.append(("degenerate shape", "", "forced classification"))
     else:
@@ -964,12 +1029,12 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor) -> ClassificationReport
                         "Archimedean and conditional cancellation coincide for "
                         "continuous t-subnorms", "cross-check available"))
         if t.exact:
+            d = decompose(f)  # outside the degenerate shapes f is non-decreasing
             z_a, z_b = check_inclusion_conditions(t, d)
-            log.append(("T(M\\C,M) within M plus [0,f(0+)]",
-                        f"M={d.m} C={d.c_set} f(0+)={Fraction(*d.f0plus)}",
+            m, c, q, f0plus = d.text
+            log.append(("T(M\\C,M) within M plus [0,f(0+)]", f"M={m} C={c} f(0+)={f0plus}",
                         "yes" if z_a is None else "no"))
-            log.append(("T(Q,M) within [0,f(0+)]", f"Q={d.q}",
-                        "yes" if z_b is None else "no"))
+            log.append(("T(Q,M) within [0,f(0+)]", f"Q={q}", "yes" if z_b is None else "no"))
         if t.exact and t.strict:
             props.update(_strict_exact_verdicts(op, d, z_a, z_b, log))
         elif t.strict and f.is_strictly_monotone and not f._jumps \
@@ -983,8 +1048,11 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor) -> ClassificationReport
                 "preconditions unmet: t-norm not strictly monotone and "
                 "continuous with exact evaluation; run the oracle")))
         props["t_norm"] = _t_norm_verdict(op, props)
+        props = {p: props[p] for p in PROPERTIES if p != "proper"}
+    # check_degenerate's dicts come in PROPERTIES order already, and
+    # proper is last
     props["proper"] = _proper_verdict(op, top)
-    return ClassificationReport({p: props[p] for p in PROPERTIES}, d, log, op)
+    return ClassificationReport(props, log, op)
 
 
 def _strict_exact_verdicts(op, d: Decomposition, z_a, z_b, log) -> dict:
@@ -1066,13 +1134,15 @@ _STATUS_TEXT = {"yes": "Yes", "no": "No", "unknown": "Unknown"}
 
 def decomposition_fields(d: Decomposition) -> list:
     """The decomposition as (key, value) pairs, in display order, each
-    value of d's pairs shown as a Fraction."""
+    value of d's pairs shown as a Fraction; M, C, Q and f(0+) as d holds
+    their text (``Decomposition.text``)."""
+    m, c, q, f0plus = d.text
     return [
-        ("M", str(d.m)),
+        ("M", m),
         ("S", " ".join("[{},{}]:c={}".format(*_fractions(*g)) for g in d.s)),
-        ("C", str(d.c_set)),
-        ("Q", str(d.q)),
-        ("f0plus", str(Fraction(*d.f0plus))),
+        ("C", c),
+        ("Q", q),
+        ("f0plus", f0plus),
         ("f1minus", str(Fraction(*d.f1minus))),
         ("tau", str(Fraction(*d.tau))),
         ("upsilon", str(Fraction(*d.upsilon))),

@@ -16,9 +16,14 @@ direction and the segments: the value interval each segment attains,
 the breakpoints, the plateau set, the range decomposition, the
 pseudo-inverse that ``make_op`` hands every operation on f, the jumps,
 and the argument pairs of the plateau values and the search grids that
-``classify`` asks for.  The decomposition's values and the jumps are
-reduced integer pairs, which the classifier reads as they are; only its
-witnesses, notes and rendering build Fractions of them.  The
+``classify`` asks for.  ``classify`` also keeps f's degenerate shape
+there (``classify._shape``), and builds the decomposition only on the
+routes that read it, so a function of a degenerate shape never gets one
+unless its report's ``decomposition`` is read.  The decomposition's
+values and the jumps are reduced integer pairs, which the classifier
+reads as they are; only its witnesses, notes and rendering build
+Fractions of them, and the decomposition keeps the text of M, C, Q and
+f(0+) once built (``Decomposition.text``).  The
 pseudo-inverse is validated like any function
 but keeps no value intervals, so it holds its segments alone.  Over
 every (function, family) pair of the classify benchmark's corpus, seed 4
@@ -563,7 +568,9 @@ def plateau_set(f: PiecewiseMonotoneFn) -> IntervalSet:
 class Decomposition:
     """Range structure of a non-decreasing function: the gap system with
     kept boundary values, plateau values and the derived thresholds.  Every
-    value is a reduced integer pair (n, d), d > 0."""
+    value is a reduced integer pair (n, d), d > 0.  C as a set, M\\C and
+    the text of M, C, Q and f(0+) are built on first read and kept, outside
+    the dataclass fields."""
 
     m: IntervalSet
     s: tuple  # ((b_k, d_k, c_k), ...)
@@ -583,6 +590,12 @@ class Decomposition:
     @cached_property
     def m_minus_c(self) -> IntervalSet:
         return self.m.minus(self.c_set)
+
+    @cached_property
+    def text(self) -> tuple:
+        """The text of M, C, Q and f(0+), as the classifier's conditions log
+        and its rendering show them, built once per decomposition."""
+        return str(self.m), str(self.c_set), str(self.q), str(Fraction(*self.f0plus))
 
 
 def decompose(f: PiecewiseMonotoneFn) -> Decomposition:

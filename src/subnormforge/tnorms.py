@@ -509,14 +509,14 @@ def t_solve_pairs(t: TNormDescriptor, yn: int, yd: int, zn: int, zd: int) -> lis
     return out
 
 
-def t_preimage(t: TNormDescriptor, y: Fraction, z_iv: Interval) -> IntervalSet:
+def t_preimage(t: TNormDescriptor, y: tuple, z_iv: Interval) -> IntervalSet:
     """{x in [0,1] : T(x,y) in Z} for the strict exact families, where
-    T(.,y) is continuous and strictly increasing for y > 0.  Z's ends are
-    compared with top = T(1, y) by cross products of their pairs."""
+    T(.,y) is continuous and strictly increasing for y > 0; y is a reduced
+    pair (yn, yd), yd > 0.  Z's ends are compared with top = T(1, y) by
+    cross products of their pairs."""
     if not (t.exact and t.strict):
         raise ValueError("preimages are only available for strict exact families")
-    y = frac(y)
-    yn, yd = y.numerator, y.denominator
+    yn, yd = y
     if not yn:
         return IntervalSet.unit() if z_iv.contains_pair(0, 1) else IntervalSet.empty()
     tn, td = t.eval_pair(1, 1, yn, yd)  # = y for these families

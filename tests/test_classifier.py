@@ -1,5 +1,6 @@
 """Three-valued classifier: verdicts, witnesses, and theorem routes."""
 
+import importlib
 import random
 from fractions import Fraction
 from itertools import islice
@@ -14,13 +15,15 @@ from conftest import (WIDE_BIG, WORKED_EXAMPLES, _one_minus, approx_diff, fracti
                       lattice_fns, monotone_fns, nonincreasing_fns, pair,
                       random_strictly_increasing_fn, reference_value_at, wide_fractions)
 from subnormforge import (Interval, IntervalSet, PiecewiseMonotoneFn, Segment, classify, decompose,
-                          eval_fn, f_eval, make_op, parse_fn, parse_tnorm, pseudo_inverse_at)
+                          eval_fn, f_eval, make_op, parse_fn, parse_tnorm, pseudo_inverse_at,
+                          render_fn)
 from subnormforge.classify import (
     _PQ_VALUES,
     ARCH_WITNESS_STEPS,
     ASSOC_GRID,
     DENSE_PROBES,
     NEUTRAL_GRID,
+    PROPERTIES,
     TRAP_HALVINGS,
     TRAP_NEAR_ONE,
     _assoc_search,
@@ -477,10 +480,10 @@ def reference_gap_collisions(op, d, domain, z):
     ``arg_with_value`` and F evaluated afresh for every pair of samples."""
     t = op.t
     b, dd, c = next((F(*b), F(*dd), F(*c)) for b, dd, c in d.s if F(*b) <= z <= F(*dd))
-    for v in (pq[0] for pq in _PQ_VALUES):
+    for v in (F(*pq) for pq in _PQ_VALUES):
         if not d.m.contains_pair(*pair(v)):
             continue
-        pre = domain.intersect(t_preimage(t, v, Interval.closed(b, dd)))
+        pre = domain.intersect(t_preimage(t, pair(v), Interval.closed(b, dd)))
         us = [u for u in reference_dense_samples(pre) if t_eval(t, u, v) != c][:6]
         if len(us) < 2:
             continue
@@ -815,6 +818,65 @@ def test_plateau_to_one_collapses():
     r = classify(f, PRODUCT)
     s = statuses(r)
     assert s["conditionally_cancellative"] in ("yes", "no")
+
+
+# the families of the classify-mix benchmark workload
+CLASSIFY_MIX = ("product", "hamacher2", "min", "halfprod", "gen:neglog")
+
+# one function per degenerate shape: (text, shape kind, product's
+# conditionally_cancellative status, which the probe F(x2,1) decides)
+DEGENERATE_SHAPES = {
+    # f(1) = 1/2 is a plateau value, and F(1,1) = finv(1/4) = 1/4 > 0
+    "plateau_at_one": ("monotone: nondecreasing\nsegment [0,1/2) linear 1 0\n"
+                       "segment [1/2,1] const 1/2\n", "at one", "no"),
+    # f(1-) = 1/2 < f(1) = 1 is a plateau value; F(x2,1) = finv(1/2) = 1/2
+    "approached_positive": ("monotone: nondecreasing\nsegment [0,1/2) linear 1 0\n"
+                            "segment [1/2,1) const 1/2\npoint 1 = 1\n", "approached", "no"),
+    # the same plateau value from 0 on, so F(x2,1) = finv(1/2) = 0
+    "approached_zero": ("monotone: nondecreasing\nsegment [0,1) const 1/2\npoint 1 = 1\n",
+                        "approached", "yes"),
+    "vanishing": ("monotone: nonincreasing\npoint 0 = 1\nsegment (0,1] const 0\n",
+                  "vanishing", "yes"),
+    "nonincreasing": ("monotone: nonincreasing\nsegment [0,1] linear -1 1\n",
+                      "undecided", "unknown"),
+}
+
+
+@pytest.mark.parametrize("text, kind, cc", DEGENERATE_SHAPES.values(), ids=DEGENERATE_SHAPES)
+def test_degenerate_units_read_only_their_shape(text, kind, cc, monkeypatch):
+    # the decomposition is built only when a route, or a reader of the
+    # report, asks for it, and f's shape once however many families read it
+    module = importlib.import_module("subnormforge.classify")
+    built = []
+    shape = module._degenerate_shape
+    monkeypatch.setattr(module, "_degenerate_shape", lambda f: built.append(f) or shape(f))
+    f = parse_fn(text)
+    reports = {fam: classify(f, parse_tnorm(fam)) for fam in CLASSIFY_MIX}
+    assert "_decomposition" not in f.__dict__
+    assert len(built) == 1 and built[0] is f
+    assert module._shape(f).kind == kind
+    assert reports["product"].properties["conditionally_cancellative"].status == cc
+    for r in reports.values():
+        assert list(r.properties) == list(PROPERTIES)
+        assert r.conditions_log == [("degenerate shape", "", "forced classification")]
+        assert r.decomposition == (decompose(f) if f.nondecreasing else None)
+
+
+def test_per_function_caches_do_not_depend_on_family_order():
+    # every lattice function and its mirror, classified with the five
+    # families forward on one parse and backward on a fresh one: a record
+    # cached on f that kept one family's value would show in another's report
+    ts = {fam: parse_tnorm(fam) for fam in CLASSIFY_MIX}
+    lattice = list(lattice_fns(3, 4))
+    for g in lattice + [_one_minus(g) for g in lattice]:
+        text = render_fn(g)
+        f = parse_fn(text)
+        forward = [classify(f, ts[fam]) for fam in CLASSIFY_MIX]
+        f = parse_fn(text)
+        backward = [classify(f, ts[fam]) for fam in reversed(CLASSIFY_MIX)][::-1]
+        for a, b in zip(forward, backward):
+            assert render_text(a) == render_text(b), text
+            assert a.properties == b.properties, text
 
 
 # -- Archimedean ----------------------------------------------------------------

@@ -661,7 +661,7 @@ def test_t_preimage_membership(fam):
     t = parse_tnorm(fam)
     ziv = Interval.closed(F(1, 8), F(3, 16))
     for yq in (F(1, 2), F(3, 4), F(1)):
-        pre = t_preimage(t, yq, ziv)
+        pre = t_preimage(t, pair(yq), ziv)
         for i in range(33):
             x = F(i, 32)
             assert pre.contains_pair(*pair(x)) == ziv.contains_pair(*pair(t_eval(t, x, yq)))
@@ -677,7 +677,7 @@ def test_t_preimage_at_the_top_value(fam):
         for ziv, want in ((Interval.closed(top, top), Interval.point(1)),
                           (Interval.make(mid, top, True, False), Interval.make(HALF, 1, True, False)),
                           (Interval.closed(mid, top), Interval.closed(HALF, 1))):
-            pre = t_preimage(t, yq, ziv)
+            pre = t_preimage(t, pair(yq), ziv)
             assert pre == IntervalSet.single(want), (yq, str(ziv))
             for i in range(33):
                 x = F(i, 32)
@@ -691,18 +691,18 @@ def test_t_preimage_at_y_zero_and_past_the_top(fam):
     # top, so its preimage reaches x = 1 closed, whether Z is closed or not
     t = parse_tnorm(fam)
     for ziv in (Interval.closed(0, HALF), Interval(0, 1, True, False)):
-        assert t_preimage(t, 0, ziv) == IntervalSet.unit()
+        assert t_preimage(t, (0, 1), ziv) == IntervalSet.unit()
     for ziv in (Interval(0, 1, False, True), Interval.closed(F(1, 4), HALF)):
-        assert t_preimage(t, 0, ziv).is_empty
+        assert t_preimage(t, (0, 1), ziv).is_empty
     for ziv in (Interval(0, 1, True, False), Interval.closed(0, 1),
                 Interval(HALF, 1, True, False)):
-        pre = t_preimage(t, HALF, ziv)
+        pre = t_preimage(t, pair(HALF), ziv)
         assert pre.parts[-1].hi == 1 and pre.parts[-1].hi_closed, str(ziv)
         for i in range(33):
             x = F(i, 32)
             assert pre.contains_pair(*pair(x)) == ziv.contains_pair(*pair(t_eval(t, x, HALF)))
     with pytest.raises(ValueError):
-        t_preimage(parse_tnorm("min"), HALF, Interval.closed(0, 1))
+        t_preimage(parse_tnorm("min"), pair(HALF), Interval.closed(0, 1))
 
 
 # -- no dispatch on the family's name outside tnorms.py ----------------------
