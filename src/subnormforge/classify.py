@@ -19,12 +19,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .generated import GeneratedOp, make_op
-from .intervals import IntervalSet, ONE, ZERO, _nonempty, _point, _span, reduced, sorted_pairs
+from .intervals import (IntervalSet, ONE, ZERO, _midpoint, _nonempty, _point, _span, reduced,
+                        sorted_pairs)
 from .pwfn import (
     Decomposition,
     PiecewiseMonotoneFn,
     _first_arg,
-    approach_segment,
     decompose,
     eval_pair,
     eval_pairs,
@@ -114,7 +114,7 @@ def arg_pair(f: PiecewiseMonotoneFn, vn: int, vd: int, avoid=None):
             d = p.domain
             if d.lo_closed and allowed(d.ln, d.ld):
                 return d.ln, d.ld
-            mid = _midpoint(d)
+            mid = _midpoint(d.ln, d.ld, d.hn, d.hd)
             if allowed(*mid):
                 return mid
             if d.hi_closed and allowed(d.hn, d.hd):
@@ -129,11 +129,6 @@ def arg_pair(f: PiecewiseMonotoneFn, vn: int, vd: int, avoid=None):
 def _fractions(*pairs) -> tuple:
     """The values of the integer pairs `pairs`, as Fractions: a witness."""
     return tuple(Fraction(*k) for k in pairs)
-
-
-def _midpoint(iv) -> tuple:
-    """The midpoint of the Interval iv as a reduced pair."""
-    return reduced(iv.ln * iv.hd + iv.hn * iv.ld, 2 * iv.ld * iv.hd)
 
 
 # Interior probes per part in _dense_samples.
@@ -161,21 +156,23 @@ def _dense_samples(s: IntervalSet) -> list:
 
 
 def _plateau_pair(f: PiecewiseMonotoneFn, k: tuple):
-    """(x1, x2) with x1 != x2 and f(x1) = f(x2) = w, for a value w in
-    plateau_set(f) given as an integer pair k, found once per function and
-    value (``f._plateau_pairs``, keyed by w's reduced pair), as Fractions,
-    the witnesses' format.  When the only piece taking w is a constant
-    piece open at both ends, ``arg_pair`` finds its midpoint x1 alone; then
-    x2 is halfway between x1 and the piece's lower end."""
+    """(x1, x2) with x1 != x2 and f(x1) = f(x2) = w, as reduced pairs, for
+    a value w in plateau_set(f) given as an integer pair k, found once per
+    function and value and kept in f's ``__dict__`` (``_plateau_pairs``,
+    keyed by w's reduced pair), so only a function with a plateau gets the
+    dict.  When the only piece taking w is a constant piece open at both
+    ends, ``arg_pair`` finds its midpoint x1 alone; then x2 is halfway
+    between the piece's lower end and x1."""
     k = reduced(*k)
-    pair = f._plateau_pairs.get(k)
+    pairs = f.__dict__.setdefault("_plateau_pairs", {})
+    pair = pairs.get(k)
     if pair is None:
         x1 = arg_pair(f, *k)
         x2 = arg_pair(f, *k, x1)
-        x1 = Fraction(*x1)
-        x2 = (Fraction(*x2) if x2 is not None
-              else (x1 + approach_segment(f, x1, "left").domain.lo) / 2)
-        pair = f._plateau_pairs[k] = x1, x2
+        if x2 is None:
+            d = next(p.domain for p in f.segments if p.domain.contains_pair(*x1))
+            x2 = _midpoint(d.ln, d.ld, *x1)
+        pair = pairs[k] = x1, x2
     return pair
 
 
@@ -225,13 +222,13 @@ def _degenerate_shape(f: PiecewiseMonotoneFn) -> _Shape:
     q = plateau_set(f)
     w = reduced(*eval_pair(f, 1, 1))
     if q.contains_pair(*w):
-        kind, (x1, x2) = "at one", _plateau_pair(f, w)
+        kind, (x1, x2) = "at one", _fractions(*_plateau_pair(f, w))
     else:
         w = reduced(*limit_pair(f, 1, 1, "left")[0])
         if not q.contains_pair(*w):
             return _KINDS["full"]
         # plateau approached at 1 but f(1) above it: F must vanish off (1,1)
-        kind, (x2, x1) = "approached", _plateau_pair(f, w)
+        kind, (x2, x1) = "approached", _fractions(*_plateau_pair(f, w))
     return _Shape(kind, w, x1, x2, Verdict.no((ONE, x1, x2), note="repeated f value"),
                   f"F({x1},1)=F({x2},1)={{}}>0 with f({x1})=f({x2})={_shown(w)}")
 
@@ -466,7 +463,7 @@ def check_cancellative(op: GeneratedOp, d: Decomposition, mm: IntervalSet) -> Ve
     f, t = op.f, op.t
     if not f.is_strictly_monotone:
         w = d.q.parts[0]  # a point, as every plateau value is
-        x1, x2 = _plateau_pair(f, (w.ln, w.ld))
+        x1, x2 = _fractions(*_plateau_pair(f, (w.ln, w.ld)))
         return Verdict.no((ONE, x1, x2),
                           note=f"f({x1})=f({x2})={w.lo}, so F(1,{x1})=F(1,{x2})")
     ok, z = mm.is_subset_of(d.m)
@@ -541,10 +538,9 @@ def _cc_witness(op, d: Decomposition, which: str, z: Fraction):
                 if not d.m.contains_pair(*v):
                     continue
                 y = arg_pair(op.f, *v)  # v is in the range M
-                a1, a2 = (op.t_finv(*f_pair((x.numerator, x.denominator)), *f_pair(y))
-                          for x in (x1, x2))
+                a1, a2 = (op.t_finv(*f_pair(x), *f_pair(y)) for x in (x1, x2))
                 if a1 == a2 and a1[0] > 0:
-                    return (x1, x2, Fraction(*y))
+                    return _fractions(x1, x2, y)
         return None
     return next((_fractions(x1, x2, y) for y, x1, x2, a in
                  _gap_collisions(op, d, d.m_minus_c, z) if a[0] > 0), None)
@@ -639,9 +635,11 @@ def check_continuity(op: GeneratedOp) -> Verdict:
             for i in range(len(vs) - 1):
                 mid = m.intersect(IntervalSet.single(_span(*vs[i], *vs[i + 1], False, False)))
                 if not mid.is_empty:
-                    samples.add(_midpoint(mid.parts[0]))
-            for part in m.parts:
-                samples.update(x for x in ((part.ln, part.ld), (part.hn, part.hd), _midpoint(part))
+                    p = mid.parts[0]
+                    samples.add(_midpoint(p.ln, p.ld, p.hn, p.hd))
+            for p in m.parts:
+                lo, hi = (p.ln, p.ld), (p.hn, p.hd)
+                samples.update(x for x in (lo, hi, _midpoint(*lo, *hi))
                                if m.contains_pair(*x) and x[0] > 0)
             for v in sorted_pairs(samples):
                 win = window(a1, b1, v, v)
@@ -681,7 +679,7 @@ def _limit_search(op: GeneratedOp):
     value; each distinct (q, f(y0)) is solved once and each u looked up
     once."""
     f, t = op.f, op.t
-    ys = [(n, d) for _, n, d in f._breakpoints]
+    ys = f._breakpoints
     cs = {op.f_pair(k) for k in ys}
     xs = set(ys)
     for u in {u for q in decompose(f).q.parts for c in cs
@@ -812,7 +810,8 @@ def _idempotent_point(op: GeneratedOp):
     an exact family; None when none of them is."""
     for s in op.f.segments:
         d = s.domain
-        for k in ([(d.ln, d.ld)] if d.lo_closed else []) + ([_midpoint(d)] if s.sn else []):
+        for k in ([(d.ln, d.ld)] if d.lo_closed else []) + (
+                [_midpoint(d.ln, d.ld, d.hn, d.hd)] if s.sn else []):
             if 0 < k[0] < k[1] and op.t_finv(*op.f_pair(k), *op.f_pair(k)) == k:
                 return Fraction(*k)
     return None
@@ -851,13 +850,13 @@ def _trap_witness(op: GeneratedOp, traps):
         def trapped(k):  # F(p, k) = p
             return op.t_finv(*fkp, *op.f_pair(k)) == kp
 
-        xs = {kp} | {(n, d) for _, n, d in f._breakpoints}
+        xs = {kp, *f._breakpoints}
         for v in t_solve_pairs(t, *fkp, *fpm):
             xs.update((op.finv_pair(v), _first_arg(f, *v, False)))
         ends = sorted_pairs([x for x in xs if x[0] * pd >= pn * x[1] and x[0] < x[1]])
         cands = []
         for a, b in zip(ends, ends[1:] + [(1, 1)]):
-            cands += [a, reduced(a[0] * b[1] + b[0] * a[1], 2 * a[1] * b[1])]
+            cands += [a, _midpoint(*a, *b)]
         hits = [x for x in cands if trapped(x)]
         hi = hits[0] if hits else next(
             (h for h in ((2 ** k - 1, 2 ** k) for k in range(1, TRAP_NEAR_ONE + 1))
@@ -868,7 +867,7 @@ def _trap_witness(op: GeneratedOp, traps):
         lo = next((x for x in reversed(cands) if x[0] * hi[1] < hi[0] * x[1]), None)
         if lo is not None:  # a candidate outside X, as all below hi are
             for _ in range(TRAP_HALVINGS):
-                mid = reduced(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
+                mid = _midpoint(*lo, *hi)
                 if trapped(mid):
                     hi = mid
                     hits.add(hi)
@@ -903,34 +902,34 @@ def _stabilizes(op: GeneratedOp, x: tuple, y: tuple, cap: int):
 
 
 # The steps of the neutral-element and associativity search grids, and
-# each grid's points k/n, which every function's grid shares, each with
-# its reduced pair as in ``f._breakpoints``
+# each grid's points k/n as reduced pairs, which every function's grid shares
 NEUTRAL_GRID, ASSOC_GRID = 8, 6
-_GRID_POINTS = {n: tuple((Fraction(i, n), *reduced(i, n)) for i in range(n + 1))
-                for n in (NEUTRAL_GRID, ASSOC_GRID)}
+_GRID_POINTS = {n: tuple(reduced(i, n) for i in range(n + 1)) for n in (NEUTRAL_GRID, ASSOC_GRID)}
 
 
 def _search_grid(f: PiecewiseMonotoneFn, n: int) -> tuple:
-    """The points k/n of ``_GRID_POINTS`` and f's breakpoints, ascending:
-    the points of a search, built once per function and step
-    (``f._search_grids``).  Both lists ascend from 0 to 1, so one merge by
-    cross products of their pairs builds it, a point in both taken once,
-    and both lists run out together, at 1."""
-    pts = f._search_grids.get(n)
+    """The points k/n of ``_GRID_POINTS`` and f's breakpoints, ascending, as
+    reduced pairs: the points of a search, built once per function and step
+    and kept in f's ``__dict__`` (``_search_grids``).  Both lists ascend
+    from 0 to 1, so one merge by cross products builds it, a point in both
+    taken once, and both lists run out together, at 1."""
+    grids = f.__dict__.setdefault("_search_grids", {})
+    pts = grids.get(n)
     if pts is None:
         a, b, i, j, out = f._breakpoints, _GRID_POINTS[n], 0, 0, []
         while i < len(a):
-            c = a[i][1] * b[j][2] - b[j][1] * a[i][2]  # the sign of a[i] - b[j]
-            out.append(a[i][0] if c <= 0 else b[j][0])
+            c = a[i][0] * b[j][1] - b[j][0] * a[i][1]  # the sign of a[i] - b[j]
+            out.append(a[i] if c <= 0 else b[j])
             i += c <= 0
             j += c >= 0
-        pts = f._search_grids[n] = tuple(out)
+        pts = grids[n] = tuple(out)
     return pts
 
 
 def _assoc_search(op: GeneratedOp, pts):
     """The first (x, y, z) of pts^3, in lexicographic order, with
-    F(F(x,y),z) != F(x,F(y,z)); None when there is none.  Only for a T
+    F(F(x,y),z) != F(x,F(y,z)), for pts ascending reduced pairs, as a
+    triple of them; None when there is none.  Only for a T
     associative and commutative on exact rationals, as product and
     hamacher2 are, the t-norms of ``_strict_exact_verdicts``.
 
@@ -940,14 +939,14 @@ def _assoc_search(op: GeneratedOp, pts):
     finv(T(h(T(a,b)), s)) and F(x,F(y,z)) = finv(T(a, h(T(b,s)))): both
     are finv(T(a,T(b,s))) where h fixes T(a,b) and T(b,s), as T is
     associative.  So only class triples whose first or second pair moves,
-    h(T) != T, are compared.  finv(T(w, .)) is evaluated whole, in one
-    ``eval_pairs`` sweep, for a moved w that such a triple reads, and a
+    h(T) != T, are compared.  finv(T(w, .)) is evaluated whole, as one row
+    (``GeneratedOp.row``), for a moved w that such a triple reads, and a
     fixed value's entry alone, by ``op.t_finv``.
     """
     f_pair, t_finv, t, finv = op.f_pair, op.t_finv, op.t.eval_pair, op.finv
     first, fs = [], []  # each class's first point and f value a_c
     for p in pts:
-        a = f_pair((p.numerator, p.denominator))
+        a = f_pair(p)
         if a not in fs:
             first.append(p)
             fs.append(a)
@@ -964,7 +963,7 @@ def _assoc_search(op: GeneratedOp, pts):
     row = rows.get
 
     def new_row(w):
-        r = rows[w] = [reduced(*u) for u in eval_pairs(finv, [t(*w, *b) for b in fs])]
+        r = rows[w] = op.row(w, fs)
         return r
 
     for c in range(n):
@@ -986,17 +985,16 @@ def _assoc_search(op: GeneratedOp, pts):
 
 
 def _neutral_search(op: GeneratedOp, pts):
-    """The first x of pts with F(x,1) != x beyond the error radius, and
-    F(x,1)'s key; None when there is none.  F(x,1) is read as its key
-    through the op's caches (``f_pair``, ``t_finv``): a key other than x's
-    own pair is an exact value that differs from x, or an Approx, which
-    ``key_diff`` compares with x."""
+    """The first x of pts, reduced pairs, with F(x,1) != x beyond the error
+    radius, and F(x,1)'s key; None when there is none.  F(x,1) is read as
+    its key through the op's caches (``f_pair``, ``t_finv``): a key other
+    than x itself is an exact value that differs from x, or an Approx,
+    which ``key_diff`` compares with x."""
     c = op.f_pair((1, 1))
     for x in pts:
-        k = x.numerator, x.denominator
-        v = op.t_finv(*op.f_pair(k), *c)
-        if v != k:
-            d, r = key_diff(v, k)
+        v = op.t_finv(*op.f_pair(x), *c)
+        if v != x:
+            d, r = key_diff(v, x)
             if abs(d) > r:
                 return x, v
     return None
@@ -1087,7 +1085,7 @@ def _strict_exact_verdicts(op, d: Decomposition, z_a, z_b, log) -> dict:
     else:
         triple = _assoc_search(op, _search_grid(f, ASSOC_GRID))
         if triple is not None:
-            ts = Verdict.no(triple, note="associativity fails")
+            ts = Verdict.no(_fractions(*triple), note="associativity fails")
         elif cc.status != "yes":
             ts = Verdict.unknown("no sufficient route applies; run the oracle")
         elif op.f_pair((1, 1)) == (1, 1):
@@ -1113,8 +1111,8 @@ def _t_norm_verdict(op, props) -> Verdict:
     f, t = op.f, op.t
     bad = _neutral_search(op, _search_grid(f, NEUTRAL_GRID))
     if bad is not None:
-        x, v = bad
-        return Verdict.no((x, ONE), note=f"F({x},1)={Fraction(*v[:2])} != {x}")
+        x, v = Fraction(*bad[0]), bad[1]
+        return Verdict.no((x, ONE), note=f"F({x},1)={_shown(v[:2])} != {x}")
     ts = props["t_subnorm"]
     if ts.status == "no":
         return Verdict.no(ts.witness, note="not a t-subnorm")

@@ -13,10 +13,12 @@ returns F's value as its key (``tnorms._key``): a reduced pair where T's
 value is exact, and otherwise the centre's and the radius's pairs, which
 carry T's error radius through the pseudo-inverse (``_spread``): finv is
 taken at T's centre and at either end of its radius, on integer pairs
-too.  The oracle's ``_Memo`` reads f's pairs (``f_pair``) as the classes
-of its values, with no f cache of its own, and evaluates T and finv
-itself, a row at a time (``_Memo.eval_row``), holding each value as its
-key.
+too.  ``row`` evaluates F along a row of f values: with an exact T,
+finv runs over T's values in one forward sweep of its pieces
+(``pwfn.eval_pairs``).  The oracle's ``_Memo`` reads f's pairs
+(``f_pair``) as the classes of its values, with no f cache of its own,
+and evaluates a row at a time through ``row``, as the classifier's
+associativity search does, holding each value as its key.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 
 from .intervals import Interval, frac, reduced
-from .pwfn import PiecewiseMonotoneFn, Segment, eval_pair
+from .pwfn import PiecewiseMonotoneFn, Segment, eval_pair, eval_pairs
 from .tnorms import Generator, GeneratorSpec, Lambda, TNormDescriptor, _value, t_eval
 
 
@@ -35,9 +37,9 @@ class GeneratedOp:
     """F(x,y) = finv(T(f(x), f(y))), with f and finv evaluated once per
     argument: ``_f_cache`` maps the reduced pair of x to that of f(x), and
     ``_finv_cache`` the reduced pair of y to that of finv(y).  ``f_pair``
-    and ``finv_pair`` return these pairs, and ``t_finv`` the key of F's
-    value; ``f_at``, ``finv_at`` and ``f_eval`` build the value of one as
-    they return it."""
+    and ``finv_pair`` return these pairs, ``t_finv`` the key of F's value
+    and ``row`` those of a row of F; ``f_at``, ``finv_at`` and ``f_eval``
+    build the value of one as they return it."""
 
     f: PiecewiseMonotoneFn
     finv: PiecewiseMonotoneFn
@@ -72,6 +74,20 @@ class GeneratedOp:
             return self.finv_pair((n // g, e // g))
         cn, cd, sn, sd = _spread(self.finv, *k)
         return (cn, cd, *reduced(sn, sd))
+
+    def row(self, w: tuple, vs) -> list:
+        """[t_finv(*w, *v) for v in vs], for the f value w and the f values
+        vs, reduced pairs.  With an exact T, finv runs over T's values in one
+        ``eval_pairs`` sweep, which takes one pass over finv's pieces when
+        the vs ascend (T is non-decreasing in its second argument), and each
+        value is reduced here, without the finv cache; an inexact T gives
+        each entry by ``t_finv``."""
+        a, b = w
+        if not self.t.exact:
+            t_finv = self.t_finv
+            return [t_finv(a, b, c, d) for c, d in vs]
+        t = self.t.eval_pair
+        return [reduced(n, d) for n, d in eval_pairs(self.finv, [t(a, b, c, d) for c, d in vs])]
 
     def f_at(self, x: Fraction) -> Fraction:
         """f(x) for an exact x."""

@@ -73,6 +73,11 @@ def sorted_pairs(pairs) -> list:
     return sorted(pairs, key=lambda u: u[0] * (m // u[1]))
 
 
+def _midpoint(an: int, ad: int, bn: int, bd: int) -> tuple:
+    """The midpoint of an/ad and bn/bd, for ad, bd > 0, as a reduced pair."""
+    return reduced(an * bd + bn * ad, 2 * ad * bd)
+
+
 def _empty(ln: int, ld: int, hn: int, hd: int, lo_closed: bool, hi_closed: bool) -> bool:
     """Whether the interval from ln/ld to hn/hd with these flags is empty:
     lo > hi, or lo = hi with an open end."""
@@ -163,7 +168,7 @@ class Interval:
         return _span(a.ln, a.ld, b.hn, b.hd, lc, hc)
 
     def midpoint(self) -> Fraction:
-        return Fraction(self.ln * self.hd + self.hn * self.ld, 2 * self.ld * self.hd)
+        return Fraction(*_midpoint(self.ln, self.ld, self.hn, self.hd))
 
     def __str__(self) -> str:
         if self.is_point:

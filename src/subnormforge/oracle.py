@@ -27,13 +27,13 @@ keeps the two apart.  The table is the only cache: a direct call
 ``memo(x, y)`` evaluates F afresh.
 A generated operation is evaluated on integer pairs, since ``Fraction``
 builds and compares in Python: along a row, f's value at the row's
-argument is read once; for an exact t-norm, T runs over the row and finv
-over T's values in one forward sweep of its pieces (``_Memo.eval_row``,
-``pwfn.eval_pairs``), and an inexact one gives each entry's key by
-``GeneratedOp.t_finv``.  Values stay keys, and are built only when read
-(``_value``): by a counterexample, a note or ``memo(x, y)``.  On an exact
-table, keys compare values: equal keys are equal values, unequal keys
-differ, and signs come from cross-multiplied pairs.  Comparisons that may
+argument is read once, and the operation's own row kernel gives the
+row's keys (``_Memo.eval_row``, ``GeneratedOp.row``): for an exact
+t-norm, finv over T's values in one forward sweep of its pieces.  Values
+stay keys, and are built only when read (``_value``): by a
+counterexample, a note or ``memo(x, y)``.  On an exact table, keys
+compare values: equal keys are equal values, unequal keys differ, and
+signs come from cross-multiplied pairs.  Comparisons that may
 involve Approx values call ``tnorms.key_diff``, on keys too, with the
 boundary rules described in ``check_property``.
 
@@ -56,8 +56,8 @@ from typing import Callable, Optional
 
 from .classify import PROPERTIES, arg_pair, classify
 from .generated import GeneratedOp
-from .intervals import ONE, frac, reduced
-from .pwfn import PiecewiseMonotoneFn, decompose, eval_pairs
+from .intervals import ONE, frac
+from .pwfn import PiecewiseMonotoneFn, decompose
 from .tnorms import TNormDescriptor, _key, _value, key_diff
 
 PROPERTY_NAMES = (
@@ -105,9 +105,9 @@ class _Memo:
     operation at a and a point of each class of `classes`, and
     ``eval(a, b)`` is a row of one, at b's class: ``eval_row`` is the only
     evaluation path here.  A GeneratedOp is evaluated on f's pairs, which
-    its classes are; any other operation on the values of the keys, which
-    its classes are too.  ``evals`` counts the values evaluated.
-    ``memo(x, y)`` evaluates without a cache; the law scans read ``table``,
+    its classes are, by its own row kernel (``GeneratedOp.row``); any other
+    operation on the values of the keys, which its classes are too.
+    ``evals`` counts the values evaluated.  ``memo(x, y)`` evaluates without a cache; the law scans read ``table``,
     the ``_Grid`` of the last point set scanned (``memo.grid(pts)``), which
     holds every value they evaluate, and add the comparisons they make to
     ``compared``.
@@ -142,25 +142,16 @@ class _Memo:
 
     def eval_row(self, a: tuple, classes) -> list:
         """[eval(a, b) for a point b of each class of `classes`].  For a
-        GeneratedOp it takes a's class once and T along the row on the pairs
-        of f's values, the classes.  With an exact T, finv runs over the row
-        in one ``eval_pairs`` sweep, which takes one pass over finv's pieces
-        when the classes ascend (T is non-decreasing in its second
-        argument), and each value is reduced here; an inexact T gives each
-        entry's key by ``t_finv``.  Any other operation is evaluated entry
-        by entry, on the values of the keys."""
+        GeneratedOp it takes a's class once and F along the row of the
+        classes, f's values (``GeneratedOp.row``), in one sweep over finv's
+        pieces for an exact T when the classes ascend.  Any other operation
+        is evaluated entry by entry, on the values of the keys."""
         self.evals += len(classes)
         gen = self.generated
         if gen is None:
             x = _value(a)
             return [_key(self.op(x, _value(b))) for b in classes]
-        an, ad = gen.f_pair(a)
-        if not gen.t.exact:
-            t_finv = gen.t_finv
-            return [t_finv(an, ad, c, d) for c, d in classes]
-        t = gen.t.eval_pair
-        ts = [t(an, ad, c, d) for c, d in classes]
-        return [reduced(n, d) for n, d in eval_pairs(gen.finv, ts)]
+        return gen.row(gen.f_pair(a), classes)
 
     def grid(self, pts) -> "_Grid":
         pts = tuple(pts)

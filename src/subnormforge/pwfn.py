@@ -14,16 +14,13 @@ object, on first use, and cached in the instance ``__dict__``, outside
 the dataclass fields, so equality, hashing and ``repr`` see only the
 direction and the segments: the value interval each segment attains,
 the breakpoints, the plateau set, the range decomposition, the
-pseudo-inverse that ``make_op`` hands every operation on f, the jumps,
-and the argument pairs of the plateau values and the search grids that
-``classify`` asks for.  ``classify`` also keeps f's degenerate shape
-there (``classify._shape``), and builds the decomposition only on the
-routes that read it, so a function of a degenerate shape never gets one
-unless its report's ``decomposition`` is read.  The decomposition's
-values and the jumps are reduced integer pairs, which the classifier
-reads as they are; only its witnesses, notes and rendering build
-Fractions of them, and the decomposition keeps the text of M, C, Q and
-f(0+) once built (``Decomposition.text``).  The
+pseudo-inverse that ``make_op`` hands every operation on f, and the
+jumps.  ``classify`` keeps its own per-function entries in the same
+dict, and builds the decomposition only on the routes that read it.  The
+breakpoints, the decomposition's values and the jumps are reduced
+integer pairs, which the classifier reads as they are; ``breakpoints()``
+builds Fractions of the pairs, and the decomposition keeps the text of
+M, C, Q and f(0+) once built (``Decomposition.text``).  The
 pseudo-inverse is validated like any function
 but keeps no value intervals, so it holds its segments alone.  Over
 every (function, family) pair of the classify benchmark's corpus, seed 4
@@ -74,7 +71,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Optional
 
 from .intervals import Interval, IntervalSet, ONE, _nonempty, _point, _view, frac, reduced
 
@@ -161,7 +157,7 @@ class PiecewiseMonotoneFn:
 
     def breakpoints(self) -> list:
         """Domain endpoints of all pieces (candidate discontinuities)."""
-        return [x for x, _, _ in self._breakpoints]
+        return [Fraction(*k) for k in self._breakpoints]
 
     @property
     def is_strictly_monotone(self) -> bool:
@@ -187,12 +183,11 @@ class PiecewiseMonotoneFn:
 
     @cached_property
     def _breakpoints(self) -> tuple:
-        """The ends of the pieces, ascending, as (x, n, d) with x = n/d: 0
-        and the upper end of each piece that is not a point, as the pieces
-        come in x order, each starting where the one before ends."""
-        first = self.segments[0].domain
-        return ((first.lo, first.ln, first.ld),) + tuple(
-            (d.hi, d.hn, d.hd) for d in (p.domain for p in self.segments) if not d.is_point)
+        """The ends of the pieces, ascending, as reduced pairs: 0 and the
+        upper end of each piece that is not a point, as the pieces come in
+        x order, each starting where the one before ends."""
+        return ((0, 1),) + tuple(
+            (d.hn, d.hd) for d in (p.domain for p in self.segments) if not d.is_point)
 
     @cached_property
     def _plateau(self) -> IntervalSet:
@@ -223,7 +218,7 @@ class PiecewiseMonotoneFn:
         values there.  The values and limits are integer pairs from
         ``eval_pair`` and ``limit_pair``, compared by cross-multiplication."""
         out = []
-        for _, p, q in self._breakpoints:
+        for p, q in self._breakpoints:
             v = eval_pair(self, p, q)
             lo = v if p == 0 else limit_pair(self, p, q, "left")[0]
             hi = v if p == q else limit_pair(self, p, q, "right")[0]
@@ -233,19 +228,6 @@ class PiecewiseMonotoneFn:
                 out.append(((p, q), reduced(*(lo if lo_v <= 0 else v)),
                             reduced(*(hi if hi_v >= 0 else v))))
         return tuple(out)
-
-    @cached_property
-    def _plateau_pairs(self) -> dict:
-        """``classify._plateau_pair``'s result per plateau value, filled as
-        it is asked; only a function with a plateau is asked, so only such
-        a function gets the dict."""
-        return {}
-
-    @cached_property
-    def _search_grids(self) -> dict:
-        """``classify._search_grid``'s result per grid step, filled as it
-        is asked."""
-        return {}
 
     @cached_property
     def _decomposition(self) -> "Decomposition":
@@ -410,19 +392,6 @@ def limit_pair(f: PiecewiseMonotoneFn, p: int, q: int, side: str) -> tuple:
                 return (s.cn, s.cd), True
             return (s.sn * p * s.cd + s.cn * s.sd * q, s.sd * s.cd * q), False
     raise InvalidFunction(f"no segment approaches {Fraction(p, q)} from the {side}")
-
-
-def approach_segment(f: PiecewiseMonotoneFn, a: Fraction, side: str) -> Optional[Segment]:
-    """The segment whose domain reaches a from `side`: it contains points
-    arbitrarily close to a on that side.  None when no segment does, which
-    for a valid f happens only at 0 from the left and 1 from the right."""
-    p, q = a.numerator, a.denominator
-    for s in f.segments:
-        d = s.domain
-        lo, hi = p * d.ld - d.ln * q, p * d.hd - d.hn * q  # the signs of a - lo, a - hi
-        if (lo > 0 and hi <= 0) if side == "left" else (lo >= 0 and hi < 0):
-            return s
-    return None
 
 
 # -- pseudo-inverse ---------------------------------------------------------

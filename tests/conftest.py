@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional
 
 import pytest
 from hypothesis import strategies as st
@@ -299,6 +299,19 @@ def reference_value_at(s: Segment, x: Fraction) -> Fraction:
     ``Segment.value_at``, which ``PiecewiseMonotoneFn._values`` replaced by
     ``eval_pair``'s formula on the pieces' pairs."""
     return s.slope * x + s.intercept
+
+
+def approach_segment(f: PiecewiseMonotoneFn, a: Fraction, side: str) -> Optional[Segment]:
+    """The segment whose domain reaches a from `side`: it contains points
+    arbitrarily close to a on that side, by Fraction comparisons.  None
+    when no segment does, which for a valid f happens only at 0 from the
+    left and 1 from the right.  The reference of ``pwfn.limit_pair``'s
+    scan and of ``classify._plateau_pair``'s open-plateau fallback."""
+    for s in f.segments:
+        d = s.domain
+        if (d.lo < a <= d.hi) if side == "left" else (d.lo <= a < d.hi):
+            return s
+    return None
 
 
 def reference_attained_values(s: Segment) -> Interval:

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (WIDE_BIG, WORKED_EXAMPLES, _one_minus, approx_diff, fraction_contains,
-                      lattice_fns, monotone_fns, nonincreasing_fns, pair,
+from conftest import (WIDE_BIG, WORKED_EXAMPLES, _one_minus, approach_segment, approx_diff,
+                      fraction_contains, lattice_fns, monotone_fns, nonincreasing_fns, pair,
                       random_strictly_increasing_fn, reference_value_at, wide_fractions)
 from subnormforge import (Interval, IntervalSet, PiecewiseMonotoneFn, Segment, classify, decompose,
-                          eval_fn, f_eval, make_op, parse_fn, parse_tnorm, pseudo_inverse_at,
-                          render_fn)
+                          eval_fn, f_eval, make_op, parse_fn, parse_tnorm, plateau_set,
+                          pseudo_inverse_at, render_fn)
 from subnormforge.classify import (
+    _GRID_POINTS,
     _PQ_VALUES,
     ARCH_WITNESS_STEPS,
     ASSOC_GRID,
@@ -31,6 +32,7 @@ from subnormforge.classify import (
     _gap_collisions,
     _limit_search,
     _neutral_search,
+    _plateau_pair,
     _search_grid,
     _trap_witness,
     arg_with_value,
@@ -44,7 +46,7 @@ from subnormforge.classify import (
     Verdict,
 )
 from subnormforge.oracle import check_property, consistency_harness
-from subnormforge.pwfn import approach_segment, eval_pairs, first_arg_above
+from subnormforge.pwfn import eval_pairs, first_arg_above
 from subnormforge.tnorms import (Approx, GeneratorSpec, Lambda, t_eval, t_image,
                                  t_preimage, t_solve_x)
 
@@ -434,6 +436,12 @@ def test_arg_with_value_matches_reference_on_the_lattice():
     assert arg_with_value(f, F(1, 2), avoid=F(3, 8)) is None
 
 
+def is_reduced_pair(k) -> bool:
+    """Whether k is a reduced pair of ints (n, d) with d > 0."""
+    return (len(k) == 2 and all(type(i) is int for i in k) and k[1] > 0
+            and gcd(*k) == 1)
+
+
 def reference_neutral_search(op, pts):
     for x in pts:
         v = f_eval(op, x, F(1))
@@ -448,16 +456,17 @@ def test_neutral_search_matches_reference_on_the_lattice(tdesc):
     t = parse_tnorm(tdesc)
     for f in LATTICE + [_one_minus(g) for g in LATTICE]:
         pts = _search_grid(f, 8)
-        assert pts == tuple(sorted({F(i, 8) for i in range(9)} | set(f.breakpoints())))
+        values = sorted({F(i, 8) for i in range(9)} | set(f.breakpoints()))
+        assert pts == tuple(map(pair, values))
         assert _search_grid(f, 8) is pts
         op = make_op(f, t)
         got = _neutral_search(op, pts)
         if got is not None:
-            # F(x,1)'s key, a reduced pair for these exact families
-            x, (n, d) = got
-            assert type(n) is int and type(d) is int and d > 0 and gcd(n, d) == 1
-            got = x, F(n, d)
-        assert got == reference_neutral_search(make_op(f, t), pts), str(f)
+            # x and F(x,1)'s key, reduced pairs for these exact families
+            x, v = got
+            assert is_reduced_pair(x) and is_reduced_pair(v)
+            got = F(*x), F(*v)
+        assert got == reference_neutral_search(make_op(f, t), values), str(f)
 
 
 def reference_dense_samples(s):
@@ -719,13 +728,23 @@ def assoc_pts(f):
     return kn_grid(f, ASSOC_GRID)
 
 
+def assoc_search(op, pts):
+    """``_assoc_search`` on the pairs of the Fractions pts, its triple of
+    reduced pairs read back as Fractions."""
+    got = _assoc_search(op, [pair(x) for x in pts])
+    if got is None:
+        return None
+    assert all(map(is_reduced_pair, got)), got
+    return tuple(F(*k) for k in got)
+
+
 @pytest.mark.parametrize("tdesc", ["product", "hamacher2"])
 @settings(max_examples=25, deadline=None)
 @given(f=monotone_fns())
 def test_assoc_search_matches_direct_scan(tdesc, f):
     op = make_op(f, parse_tnorm(tdesc))
     pts = assoc_pts(f)
-    assert _assoc_search(op, pts) == reference_assoc_search(op, pts)
+    assert assoc_search(op, pts) == reference_assoc_search(op, pts)
 
 
 @pytest.mark.parametrize("name,want", [
@@ -733,7 +752,7 @@ def test_assoc_search_matches_direct_scan(tdesc, f):
 def test_assoc_search_worked_examples(name, want):
     f = parse_fn(WORKED_EXAMPLES[name])
     op = make_op(f, PRODUCT)
-    assert _assoc_search(op, assoc_pts(f)) == want
+    assert assoc_search(op, assoc_pts(f)) == want
 
 
 def oracle_assoc_triple(op, pts):
@@ -748,11 +767,12 @@ def test_assoc_search_matches_the_oracle_on_the_lattice():
     # first triple, on classify's grid and on k/n grids of other steps
     found = 0
     for f in lattice_fns(3, 4):
-        grids = [_search_grid(f, ASSOC_GRID)] + [kn_grid(f, n) for n in range(4, 13)]
+        grids = [assoc_pts(f)] + [kn_grid(f, n) for n in range(4, 13)]
+        assert _search_grid(f, ASSOC_GRID) == tuple(map(pair, grids[0]))
         for t in (PRODUCT, HAMACHER2):
             for pts in grids:
                 want = oracle_assoc_triple(make_op(f, t), pts)
-                assert _assoc_search(make_op(f, t), pts) == want
+                assert assoc_search(make_op(f, t), pts) == want
                 found += want is not None
     assert found > 0
 
@@ -765,10 +785,11 @@ def test_assoc_search_marks_a_pair_moved_in_both_orders():
     f = parse_fn("monotone: nondecreasing\nsegment [0,1/8] const 1/16\n"
                  "segment (1/8,1/4] linear 1 0\nsegment (1/4,3/8) const 7/16\n"
                  "segment [3/8,1] const 5/8\n")
-    pts = _search_grid(f, ASSOC_GRID)
+    pts = assoc_pts(f)
+    assert _search_grid(f, ASSOC_GRID) == tuple(map(pair, pts))
     want = (F(1, 4), F(3, 8), F(1, 3))
     assert oracle_assoc_triple(make_op(f, PRODUCT), pts) == want
-    assert _assoc_search(make_op(f, PRODUCT), pts) == want
+    assert assoc_search(make_op(f, PRODUCT), pts) == want
 
 
 @pytest.mark.parametrize("text", [
@@ -781,10 +802,10 @@ def test_assoc_search_compares_no_triple_where_h_fixes_every_value(t, text):
     # per class from the diagonal, and evaluates no side of any triple
     f = parse_fn(text)
     op = make_op(f, t)
-    op.t_finv = None  # a call would fail
+    op.t_finv = op.row = None  # a call would fail
     pts = kn_grid(f, 12)
     with mock.patch("subnormforge.classify.eval_pairs", wraps=eval_pairs) as sweep:
-        assert _assoc_search(op, pts) is None
+        assert assoc_search(op, pts) is None
     assert [len(c.args[1]) for c in sweep.call_args_list] == list(range(len(pts), 0, -1))
 
 
@@ -793,8 +814,8 @@ def test_assoc_search_compares_no_triple_where_h_fixes_every_value(t, text):
 @given(f=monotone_fns(), n=st.integers(2, 12))
 def test_assoc_search_matches_the_oracle(tdesc, f, n):
     t = parse_tnorm(tdesc)
-    for pts in (_search_grid(f, ASSOC_GRID), kn_grid(f, n)):
-        assert _assoc_search(make_op(f, t), pts) == oracle_assoc_triple(make_op(f, t), pts)
+    for pts in (assoc_pts(f), kn_grid(f, n)):
+        assert assoc_search(make_op(f, t), pts) == oracle_assoc_triple(make_op(f, t), pts)
 
 
 # -- degenerate shapes -------------------------------------------------------
@@ -1123,11 +1144,22 @@ def test_trap_witness_matches_reference(tdesc):
 @given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
 def test_breakpoints_and_search_grids_match_references(n, f):
     # the one-pass breakpoints and the merged grid against the set-and-sort
-    # bodies they replaced, each point with its own reduced pair
+    # bodies they replaced: reduced pairs of ints, as are the plateau
+    # arguments and what the searches over the grids return, while the API's
+    # breakpoints() gives the same Fractions
     bps = tuple(sorted({e for p in f.segments for e in (p.domain.lo, p.domain.hi)}))
-    assert f._breakpoints == tuple((x, x.numerator, x.denominator) for x in bps)
-    assert f.breakpoints() == list(bps)
-    assert _search_grid(f, n) == tuple(sorted(set(bps).union(F(i, n) for i in range(n + 1))))
+    assert f._breakpoints == tuple(map(pair, bps))
+    assert f.breakpoints() == list(bps) and all(type(x) is F for x in f.breakpoints())
+    pts = _search_grid(f, n)
+    assert pts == tuple(map(pair, sorted(set(bps).union(F(i, n) for i in range(n + 1)))))
+    assert all(map(is_reduced_pair, f._breakpoints + _GRID_POINTS[n] + pts))
+    for w in plateau_set(f).parts:
+        x1, x2 = _plateau_pair(f, (w.ln, w.ld))
+        assert is_reduced_pair(x1) and is_reduced_pair(x2) and x1 != x2
+        assert eval_fn(f, F(*x1)) == eval_fn(f, F(*x2)) == w.lo
+    op = make_op(f, PRODUCT)
+    for found in (_neutral_search(op, pts), _assoc_search(op, pts)):
+        assert found is None or all(map(is_reduced_pair, found)), found
 
 
 @pytest.mark.parametrize("tdesc", ["product", "hamacher2", "min", "halfprod"])

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import approx_diff, monotone_fns, nonincreasing_fns, reference_generator_eval
+from conftest import (approx_diff, monotone_fns, nonincreasing_fns, pair,
+                      reference_generator_eval)
 from subnormforge import (
     GeneratorSpec,
     additive_generated,
@@ -253,3 +254,17 @@ def test_warm_op_returns_what_a_fresh_op_returns(f_half_jump, tdesc):
     pairs = [(x, y) for x in pts for y in pts]
     for x, y in pairs + pairs[::-1]:
         assert f_eval(warm, x, y) == f_eval(make_op(f_half_jump, t), x, y), (x, y)
+
+
+@pytest.mark.parametrize("tdesc", ["product", "hamacher2", "min", "gen:neglog"])
+@settings(max_examples=30, deadline=None)
+@given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
+def test_row_is_t_finv_along_the_row(tdesc, f):
+    # a row of F's keys, one sweep of finv for an exact T and t_finv per
+    # entry otherwise, equals t_finv at each entry, in ascending order of
+    # the f values and out of it
+    op, ref = make_op(f, parse_tnorm(tdesc)), make_op(f, parse_tnorm(tdesc))
+    vs = sorted({op.f_pair(pair(F(i, 8))) for i in range(9)}, key=lambda k: k[0] / k[1])
+    for w in vs:
+        for row in (vs, vs[::-1]):
+            assert op.row(w, row) == [ref.t_finv(*w, *v) for v in row], w

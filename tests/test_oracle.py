@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (WORKED_EXAMPLES, _one_minus, approx_diff, lattice_fns, monotone_fns,
                       nonincreasing_fns, scan_continuity)
-from subnormforge import (Verdict, classify, f_eval, make_op, oracle, parse_fn,
+from subnormforge import (Verdict, classify, f_eval, generated, make_op, parse_fn,
                           parse_tnorm, pseudo_inverse, pwfn)
 from subnormforge.generated import GeneratedOp
 from subnormforge.intervals import ONE, ZERO
@@ -269,7 +269,7 @@ def test_the_oracle_reads_f_only_through_f_pair(family, monkeypatch):
     swept = []
     monkeypatch.setattr(GeneratedOp, "f_pair", counting)
     monkeypatch.setattr(GeneratedOp, "f_at", no_f)
-    monkeypatch.setattr(oracle, "eval_pairs",
+    monkeypatch.setattr(generated, "eval_pairs",
                         lambda fn, args: swept.append(fn) or pwfn.eval_pairs(fn, args))
     memo = _Memo(op)
     pts = grid(12, default_extra(f))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     _one_minus,
+    approach_segment,
     bisect_pseudo_inverse,
     lattice_fns,
     monotone_fns,
@@ -115,7 +116,7 @@ def test_limit_pair_matches_the_approaching_segment(f):
                 for k in (1, 3):
                     (n, d), const = pwfn.limit_pair(g, k * a.numerator, k * a.denominator, side)
                     assert d > 0
-                    s = pwfn.approach_segment(g, a, side)
+                    s = approach_segment(g, a, side)
                     if s is None:
                         assert (F(n, d), const) == (_END_LIMITS[side, g.nondecreasing], True)
                     else:
@@ -513,7 +514,7 @@ def reference_plateau_pair(f, w):
     x1 = arg_with_value(f, w)
     x2 = arg_with_value(f, w, avoid=x1)
     if x2 is None:
-        x2 = (x1 + pwfn.approach_segment(f, x1, "left").domain.lo) / 2
+        x2 = (x1 + approach_segment(f, x1, "left").domain.lo) / 2
     return x1, x2
 
 
@@ -527,11 +528,11 @@ def test_per_function_caches_match_references(f):
         assert "_plateau_pairs" not in vars(f)
     assert list(f._jumps) == reference_jumps(f)
     for w in (p.lo for p in q.parts):
-        pair = _plateau_pair(f, (w.numerator, w.denominator))
-        assert pair == reference_plateau_pair(f, w)
-        x1, x2 = pair
+        got = _plateau_pair(f, pair(w))
+        x1, x2 = reference_plateau_pair(f, w)
+        assert got == (pair(x1), pair(x2))
         assert x1 != x2 and eval_fn(f, x1) == eval_fn(f, x2) == w
-        assert _plateau_pair(f, (w.numerator, w.denominator)) is pair
+        assert _plateau_pair(f, pair(w)) is got
     for got, want in zip(f._values, map(reference_attained_values, f.segments)):
         assert got == want
         assert (got.ln, got.ld, got.hn, got.hd) == (want.ln, want.ld, want.hn, want.hd)
@@ -921,7 +922,7 @@ def test_validate_matches_value_intervals(up, lines):
 
 def test_approach_segment_is_none_only_outside_the_unit_interval(f_half_jump, f_plateau):
     for f in (f_half_jump, f_plateau):
-        assert pwfn.approach_segment(f, ZERO, "left") is None
-        assert pwfn.approach_segment(f, ONE, "right") is None
-        assert pwfn.approach_segment(f, ZERO, "right") is f.segments[0]
-        assert pwfn.approach_segment(f, ONE, "left") is not None
+        assert approach_segment(f, ZERO, "left") is None
+        assert approach_segment(f, ONE, "right") is None
+        assert approach_segment(f, ZERO, "right") is f.segments[0]
+        assert approach_segment(f, ONE, "left") is not None
