@@ -157,13 +157,12 @@ def _dense_samples(s: IntervalSet) -> list:
 
 def _plateau_pair(f: PiecewiseMonotoneFn, k: tuple):
     """(x1, x2) with x1 != x2 and f(x1) = f(x2) = w, as reduced pairs, for
-    a value w in plateau_set(f) given as an integer pair k, found once per
-    function and value and kept in f's ``__dict__`` (``_plateau_pairs``,
-    keyed by w's reduced pair), so only a function with a plateau gets the
-    dict.  When the only piece taking w is a constant piece open at both
-    ends, ``arg_pair`` finds its midpoint x1 alone; then x2 is halfway
-    between the piece's lower end and x1."""
-    k = reduced(*k)
+    a value w in plateau_set(f) given as its reduced pair k, found once
+    per function and value and kept in f's ``__dict__`` (``_plateau_pairs``,
+    keyed by k), so only a function with a plateau gets the dict.  When
+    the only piece taking w is a constant piece open at both ends,
+    ``arg_pair`` finds its midpoint x1 alone; then x2 is halfway between
+    the piece's lower end and x1."""
     pairs = f.__dict__.setdefault("_plateau_pairs", {})
     pair = pairs.get(k)
     if pair is None:
@@ -176,61 +175,61 @@ def _plateau_pair(f: PiecewiseMonotoneFn, k: tuple):
     return pair
 
 
-# -- degenerate shapes ------------------------------------------------------
+# -- f's facts --------------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
-class _Shape:
-    """What ``check_degenerate`` reads of f alone, built once per function
-    (``_shape``).  `kind` is "vanishing" for a non-increasing f that
-    vanishes on (0,1], "undecided" for any other non-increasing f, "at one"
-    for a plateau value w = f(1), "approached" for a plateau value w =
-    f(1-) below f(1), and "full" for none of these.  A plateau shape holds
-    w as a reduced pair, taken by f at x1 != x2, the cancellative and
-    strictly monotone No, and the conditional cancellation No's note with
-    ``{}`` where F's value goes.  It is kept for the life of f, so it has
-    no instance dict."""
+class _Facts:
+    """f's facts beyond pwfn's caches, built once per function (``_facts``)
+    and kept for its life, so without an instance dict: f(0), f(1), f(1-)
+    as reduced pairs, rule Z's a0 = inf{x : f(x) > 0} where 0 is a plateau
+    value of a non-decreasing f and f(a0+) = 0 (else None), and f's shape.
+    `kind` is "vanishing" for a non-increasing f that vanishes on (0,1],
+    "undecided" for any other non-increasing f, "at one" for a plateau
+    value f(1) = f(1-), "approached" for a plateau value f(1-) below f(1),
+    and "full" otherwise.  A plateau shape holds arguments x1 != x2 taking
+    f(1-), the cancellative and strictly monotone No, and the conditional
+    cancellation No's note with ``{}`` for F's value."""
 
+    f0: tuple
+    f1: tuple
+    f1minus: tuple
     kind: str
-    w: Optional[tuple] = None
+    a0: Optional[tuple] = None
     x1: Optional[Fraction] = None
     x2: Optional[Fraction] = None
     canc: Optional[Verdict] = None
     cc_note: str = ""
 
 
-# the shapes that hold only their kind, shared by every function of that shape
-_KINDS = {k: _Shape(k) for k in ("vanishing", "undecided", "full")}
+def _facts(f: PiecewiseMonotoneFn) -> _Facts:
+    """f's ``_Facts``, cached on f on first use, outside its dataclass
+    fields, as pwfn's per-function structure is (a record is never false)."""
+    return f.__dict__.get("_facts") or f.__dict__.setdefault("_facts", _build_facts(f))
 
 
-def _shape(f: PiecewiseMonotoneFn) -> _Shape:
-    """f's ``_Shape``, cached on f on first use, outside its dataclass
-    fields, as pwfn's per-function structure is."""
-    s = f.__dict__.get("_shape")
-    if s is None:
-        s = f.__dict__["_shape"] = _degenerate_shape(f)
-    return s
-
-
-def _degenerate_shape(f: PiecewiseMonotoneFn) -> _Shape:
-    """f's ``_Shape``, from its plateau set, f(1) and its limits, read as
-    integer pairs."""
+def _build_facts(f: PiecewiseMonotoneFn) -> _Facts:
+    """f's ``_Facts``: the only place where the classifier evaluates f at
+    0 or 1, or takes its limits there, on integer pairs."""
+    f0, f1 = reduced(*eval_pair(f, 0, 1)), reduced(*eval_pair(f, 1, 1))
+    f1minus = reduced(*limit_pair(f, 1, 1, "left")[0])
     if not f.nondecreasing:
-        # f is non-increasing with values in [0,1], so it vanishes on
-        # (0,1] exactly when its limit at 0 from the right is 0
-        return _KINDS["vanishing" if not limit_pair(f, 0, 1, "right")[0][0] else "undecided"]
+        # a non-increasing f vanishes on (0,1] exactly when f(0+) = 0
+        return _Facts(f0, f1, f1minus,
+                      "vanishing" if not limit_pair(f, 0, 1, "right")[0][0] else "undecided")
     q = plateau_set(f)
-    w = reduced(*eval_pair(f, 1, 1))
-    if q.contains_pair(*w):
-        kind, (x1, x2) = "at one", _fractions(*_plateau_pair(f, w))
-    else:
-        w = reduced(*limit_pair(f, 1, 1, "left")[0])
-        if not q.contains_pair(*w):
-            return _KINDS["full"]
-        # plateau approached at 1 but f(1) above it: F must vanish off (1,1)
-        kind, (x2, x1) = "approached", _fractions(*_plateau_pair(f, w))
-    return _Shape(kind, w, x1, x2, Verdict.no((ONE, x1, x2), note="repeated f value"),
-                  f"F({x1},1)=F({x2},1)={{}}>0 with f({x1})=f({x2})={_shown(w)}")
+    a0 = _first_arg(f, 0, 1, False) if q.contains_pair(0, 1) else None
+    if a0 is not None and limit_pair(f, *a0, "right")[0][0]:
+        a0 = None
+    if not q.contains_pair(*f1minus):
+        return _Facts(f0, f1, f1minus, "full", a0)
+    # a plateau value f(1) is f(1-); with f(1) above f(1-), F must vanish off (1,1)
+    kind, (x1, x2) = "at one", _fractions(*_plateau_pair(f, f1minus))
+    if f1 != f1minus:
+        kind, x1, x2 = "approached", x2, x1
+    return _Facts(f0, f1, f1minus, kind, a0, x1, x2,
+                  Verdict.no((ONE, x1, x2), note="repeated f value"),
+                  f"F({x1},1)=F({x2},1)={{}}>0 with f({x1})=f({x2})={_shown(f1minus)}")
 
 
 def check_degenerate(op: GeneratedOp, top):
@@ -243,17 +242,17 @@ def check_degenerate(op: GeneratedOp, top):
     conditional cancellation law is to hold at all.  Returns a dict of
     every property but ``proper``, which ``classify`` decides for every f,
     or None when none of these shapes apply.  What depends on f alone, the
-    shape, its plateau value and arguments and the verdict parts they
-    give, is built once per function (``_shape``); per operation, only the
-    probe F(x2,1) of a plateau value approached at 1 is evaluated, and the
-    verdicts that read it or `top` are built.
+    shape, its plateau value and arguments, f(1) and the verdict parts
+    they give, is read from f's record (``_facts``); per operation, only
+    the probe F(x2,1) of a plateau value approached at 1 is evaluated, and
+    the verdicts that read it or `top` are built.
 
     A plateau value w at 1, which f takes at x1 != x2, is decided from the
     key `probe` of F(x1,1) = F(x2,1), as F sees its arguments only through
     f: an exact 0 makes F vanish off (1,1); an exact positive value refutes
     conditional cancellation; an Approx decides nothing.
     """
-    s = _shape(op.f)
+    s = _facts(op.f)
     if s.kind == "full":
         return None
     if s.kind == "vanishing":
@@ -263,8 +262,8 @@ def check_degenerate(op: GeneratedOp, top):
     if s.kind == "at one":
         probe, evidence, note = top, "F identically 0", "plateau value at 1 and F(1,1)=0"
     else:
-        # F(x2, 1) = finv(T(f(x2), f(1))), and f(x2) is the plateau value
-        probe, evidence, note = op.t_finv(*s.w, *op.f_pair((1, 1))), "F vanishes off (1,1)", None
+        # F(x2, 1) = finv(T(f(x2), f(1))), and f(x2) = f(1-) is the plateau value
+        probe, evidence, note = op.t_finv(*s.f1minus, *s.f1), "F vanishes off (1,1)", None
     if len(probe) > 2:
         return _undecided("degenerate shape undecided")
     if not probe[0]:
@@ -309,13 +308,13 @@ def _vanishing_verdicts(top, evidence, note):
     out = _VANISHING.get((evidence, note))
     if out is None:
         half = Fraction(1, 2)
+        canc = Verdict.no((ONE, ZERO, half), note="F(1,0)=F(1,1/2)=0")
         out = _VANISHING[evidence, note] = {
             "t_subnorm": Verdict.yes(evidence, note=note),
             "t_norm": Verdict.no((half,), note="F(1/2,1)=0 != 1/2"),
             "conditionally_cancellative": Verdict.yes(evidence, note=note),
-            "cancellative": Verdict.no((ONE, ZERO, half), note="F(1,0)=F(1,1/2)=0"),
-            "strictly_monotone_op": Verdict.no((ONE, ZERO, half),
-                                               note="F(1,0)=F(1,1/2)=0"),
+            "cancellative": canc,
+            "strictly_monotone_op": canc,
             "archimedean": Verdict.yes(evidence),
         }
     out = dict(out)
@@ -341,7 +340,7 @@ def _proper_verdict(op, top) -> Verdict:
     d, r = key_diff(top, (1, 1))
     if d < -r:
         return Verdict.yes(f"F(1,1)={shown} < 1")
-    if op.t.neutral_one and op.f_pair((1, 1)) == (1, 1):
+    if op.t.neutral_one and _facts(op.f).f1 == (1, 1):
         # T(1,1) = 1 exactly, so F(1,1) = finv(1) exactly, whatever T's radius
         n, d = op.finv_pair((1, 1))
         if n < d:
@@ -364,9 +363,10 @@ def check_inclusion_conditions(t: TNormDescriptor, d: Decomposition):
 
     Returns their escape values (z_a, z_b): None where the inclusion
     holds, else the image value outside the target set that
-    ``IntervalSet.is_subset_of`` reports; z_b is None when Q is empty.
-    Both are decided exactly via interval images, so only for the exact
-    t-norm families (``t_image`` raises ValueError for the others).
+    ``IntervalSet.is_subset_of`` reports, as a reduced pair; z_b is None
+    when Q is empty.  Both are decided exactly via interval images, so
+    only for the exact t-norm families (``t_image`` raises ValueError for
+    the others).
     """
     low = IntervalSet.single(_nonempty(0, 1, *d.f0plus, True, True))
     z_a = t_image(t, d.m_minus_c, d.m).is_subset_of(d.m.union(low))[1]
@@ -474,18 +474,18 @@ def check_cancellative(op: GeneratedOp, d: Decomposition, mm: IntervalSet) -> Ve
                     if x[0]), None)
     if witness is not None:
         return Verdict.no(witness,
-                          note=f"image value {z} in a range gap collapses "
+                          note=f"image value {_shown(z)} in a range gap collapses "
                                "distinct arguments")
     return Verdict.unknown(
         "T(M,M) escapes M but no cancellation counterexample was "
-        f"constructed (escape value {z})")
+        f"constructed (escape value {_shown(z)})")
 
 
-def _gap_collisions(op, d: Decomposition, domain: IntervalSet, z: Fraction):
+def _gap_collisions(op, d: Decomposition, domain: IntervalSet, z: tuple):
     """Yield (x, y1, y2, a), reduced integer pairs, with y1 != y2 and
-    F(x,y1) = F(x,y2) = a exactly, built from a t-norm image value z that
-    falls in a range gap: f(y1) and f(y2) are taken from `domain` and sent
-    into that gap by T(., f(x)).
+    F(x,y1) = F(x,y2) = a exactly, built from a t-norm image value z, a
+    reduced pair, that falls in a range gap: f(y1) and f(y2) are taken
+    from `domain` and sent into that gap by T(., f(x)).
 
     Only the strict exact families reach here, where F is symmetric, so
     the same collisions serve with x as the first or the second argument.
@@ -494,7 +494,7 @@ def _gap_collisions(op, d: Decomposition, domain: IntervalSet, z: Fraction):
     its y and F(x, y) = finv(T(v, u)) once, when a pair first needs them.
     Distinct samples give distinct y."""
     t, f = op.t, op.f
-    zn, zd = z.numerator, z.denominator
+    zn, zd = z
     b, dd, (cn, cd) = next(g for g in d.s if g[0][0] * zd <= zn * g[0][1]
                            and zn * g[1][1] <= g[1][0] * zd)
     gap = _nonempty(*b, *dd, True, True)
@@ -523,18 +523,19 @@ def _gap_collisions(op, d: Decomposition, domain: IntervalSet, z: Fraction):
                     yield x, ys[i], ys[j], fs[i]
 
 
-def _cc_witness(op, d: Decomposition, which: str, z: Fraction):
+def _cc_witness(op, d: Decomposition, which: str, z: tuple):
     """(x1, x2, y) violating the conditional cancellation law, i.e.
-    F(x1,y)=F(x2,y)>0 with x1 != x2, from the escape value z of a failed
-    inclusion condition: T(Q,M)'s for `which` "plateau", T(M\\C,M)'s for
-    "gap"; verified by evaluation on the op's keys (``t_finv``).  Only
-    runs for the strict exact families, so every key is a reduced pair."""
+    F(x1,y)=F(x2,y)>0 with x1 != x2, from the escape value z, a reduced
+    pair, of a failed inclusion condition: T(Q,M)'s for `which`
+    "plateau", T(M\\C,M)'s for "gap"; verified by evaluation on the op's
+    keys (``t_finv``).  Only runs for the strict exact families, so every
+    key is a reduced pair."""
     t, f_pair = op.t, op.f_pair
     if which == "plateau":
         # z = T(w, v) > f(0+) with w = p.ln/p.ld a repeated value
         for p in d.q.parts:
             x1, x2 = _plateau_pair(op.f, (p.ln, p.ld))
-            for v in t_solve_pairs(t, p.ln, p.ld, z.numerator, z.denominator):
+            for v in t_solve_pairs(t, p.ln, p.ld, *z):
                 if not d.m.contains_pair(*v):
                     continue
                 y = arg_pair(op.f, *v)  # v is in the range M
@@ -760,13 +761,13 @@ def check_archimedean(op: GeneratedOp) -> Verdict:
       no rule applies, L = 0 for every x.
 
     Any other family gets Unknown.  Rule J compares T exactly, through
-    the family's ``left_limit_above``.
+    the family's ``left_limit_above``.  The guards, by f's kind, f(1-)
+    and a0 are read from f's record (``_facts``), with no decomposition.
     """
-    f, t = op.f, op.t
-    if not f.nondecreasing:
+    f, t, facts = op.f, op.t, _facts(op.f)
+    if facts.kind in ("vanishing", "undecided"):
         return Verdict.unknown("the rules cover non-decreasing f")
-    d = decompose(f)
-    if d.q.contains_pair(*d.f1minus):
+    if facts.kind != "full":
         return Verdict.unknown("f(1-) is a plateau value: a degenerate shape")
     if not t.shrinks:
         p = _idempotent_point(op) if t.exact else None
@@ -778,7 +779,7 @@ def check_archimedean(op: GeneratedOp) -> Verdict:
     # keeps the limit at or below f(p), so only a jump with f(p) > f(p-)
     # passes
     traps = [(p, op.f_pair(p), fpm) for p, fpm, _ in f._jumps
-             if 0 < p[0] < p[1] and t.left_limit_above(op.f_pair(p), d.f1minus, fpm)]
+             if 0 < p[0] < p[1] and t.left_limit_above(op.f_pair(p), facts.f1minus, fpm)]
     if traps:
         at = Fraction(*traps[0][0])
         if not t.exact:
@@ -793,13 +794,11 @@ def check_archimedean(op: GeneratedOp) -> Verdict:
         x, p, v = found
         return Verdict.no((x, p), note=f"powers of {x} stabilize at {v}; "
                                        f"F({p},{x})={p} at the jump {p}")
-    if d.q.contains_pair(0, 1):
-        a0 = _first_arg(f, 0, 1, False)
-        if not limit_pair(f, *a0, "right")[0][0]:
-            a0 = Fraction(*a0)
-            return Verdict.unknown(
-                f"f vanishes up to {a0} with f({a0}+)=0, so the powers stay "
-                f"above {a0}; no fixed point certifies it")
+    if facts.a0 is not None:
+        a0 = _shown(facts.a0)
+        return Verdict.unknown(
+            f"f vanishes up to {a0} with f({a0}+)=0, so the powers stay "
+            f"above {a0}; no fixed point certifies it")
     return Verdict.yes("no jump of f traps the powers", "no zero plateau ends "
                        "at a zero limit", "T shrinks positive values")
 
@@ -987,10 +986,10 @@ def _assoc_search(op: GeneratedOp, pts):
 def _neutral_search(op: GeneratedOp, pts):
     """The first x of pts, reduced pairs, with F(x,1) != x beyond the error
     radius, and F(x,1)'s key; None when there is none.  F(x,1) is read as
-    its key through the op's caches (``f_pair``, ``t_finv``): a key other
-    than x itself is an exact value that differs from x, or an Approx,
-    which ``key_diff`` compares with x."""
-    c = op.f_pair((1, 1))
+    its key through the op's caches (``f_pair``, ``t_finv``), f(1) from f's
+    record: a key other than x itself is an exact value that differs from
+    x, or an Approx, which ``key_diff`` compares with x."""
+    c = _facts(op.f).f1
     for x in pts:
         v = op.t_finv(*op.f_pair(x), *c)
         if v != x:
@@ -1013,8 +1012,8 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor) -> ClassificationReport
     and a corollary route for the other strict families.
     """
     op = make_op(f, t)
-    one = op.f_pair((1, 1))
-    top = op.t_finv(*one, *one)  # F(1,1)'s key
+    facts = _facts(f)
+    top = op.t_finv(*facts.f1, *facts.f1)  # F(1,1)'s key
     log = []
     props = check_degenerate(op, top)
     if props is not None:
@@ -1035,8 +1034,7 @@ def classify(f: PiecewiseMonotoneFn, t: TNormDescriptor) -> ClassificationReport
             log.append(("T(Q,M) within [0,f(0+)]", f"Q={q}", "yes" if z_b is None else "no"))
         if t.exact and t.strict:
             props.update(_strict_exact_verdicts(op, d, z_a, z_b, log))
-        elif t.strict and f.is_strictly_monotone and not f._jumps \
-                and not eval_pair(f, 0, 1)[0]:
+        elif t.strict and f.is_strictly_monotone and not f._jumps and not facts.f0[0]:
             # corollary route for strict but inexact families
             props.update(dict.fromkeys(_ROUTED, Verdict.yes(
                 "f continuous strictly increasing with f(0)=0",
@@ -1069,7 +1067,7 @@ def _strict_exact_verdicts(op, d: Decomposition, z_a, z_b, log) -> dict:
             x1, x2, y = triple
             cc = Verdict.no(triple, note=f"F({x1},{y})=F({x2},{y})>0")
         else:
-            cc = Verdict.unknown(f"inclusion fails at {z} but no argument-space "
+            cc = Verdict.unknown(f"inclusion fails at {_shown(z)} but no argument-space "
                                  "witness was constructed")
 
     mm = t_image(t, d.m, d.m)
@@ -1088,7 +1086,7 @@ def _strict_exact_verdicts(op, d: Decomposition, z_a, z_b, log) -> dict:
             ts = Verdict.no(_fractions(*triple), note="associativity fails")
         elif cc.status != "yes":
             ts = Verdict.unknown("no sufficient route applies; run the oracle")
-        elif op.f_pair((1, 1)) == (1, 1):
+        elif _facts(f).f1 == (1, 1):
             ts = Verdict.unknown(
                 "gap-hull condition refuted (necessary when f(1)=1) but no "
                 "associativity counterexample found on the search grid",
@@ -1117,7 +1115,7 @@ def _t_norm_verdict(op, props) -> Verdict:
     if ts.status == "no":
         return Verdict.no(ts.witness, note="not a t-subnorm")
     if (ts.status == "yes" and f.is_strictly_monotone
-            and op.f_pair((1, 1)) == (1, 1) and t.neutral_one):
+            and _facts(f).f1 == (1, 1) and t.neutral_one):
         return Verdict.yes("t-subnorm with neutral element 1",
                            note="f strictly increasing onto 1")
     return Verdict.unknown("neutral element holds on the grid but no "

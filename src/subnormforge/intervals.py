@@ -295,12 +295,13 @@ class IntervalSet:
 
     def is_subset_of(self, other: "IntervalSet"):
         """Return (True, None) or (False, witness) with a deterministic
-        rational witness in self but not in other: the least violating
-        endpoint when it is attained, otherwise the part midpoint."""
+        witness in self but not in other, as a reduced pair: the member of
+        the difference that ``first_member`` picks, from its pairs."""
         diff = self.minus(other)
         if diff.is_empty:
             return True, None
-        return False, diff.first_member()
+        p = diff.parts[0]
+        return False, ((p.ln, p.ld) if p.lo_closed else _midpoint(p.ln, p.ld, p.hn, p.hd))
 
     def first_member(self) -> Fraction:
         """A deterministic member of a non-empty set: the lower end of the

@@ -15,14 +15,14 @@ the dataclass fields, so equality, hashing and ``repr`` see only the
 direction and the segments: the value interval each segment attains,
 the breakpoints, the plateau set, the range decomposition, the
 pseudo-inverse that ``make_op`` hands every operation on f, and the
-jumps.  ``classify`` keeps its own per-function entries in the same
-dict, and builds the decomposition only on the routes that read it.  The
+jumps.  ``classify`` keeps its record of f's facts (``_facts``: f(0),
+f(1), f(1-), f's shape and a0) and two keyed memos in the same dict, and
+builds the decomposition only on the routes that read it.  The
 breakpoints, the decomposition's values and the jumps are reduced
 integer pairs, which the classifier reads as they are; ``breakpoints()``
 builds Fractions of the pairs, and the decomposition keeps the text of
-M, C, Q and f(0+) once built (``Decomposition.text``).  The
-pseudo-inverse is validated like any function
-but keeps no value intervals, so it holds its segments alone.  Over
+M, C, Q and f(0+) once built (``Decomposition.text``).  The pseudo-inverse
+is validated like any function but keeps no value intervals.  Over
 every (function, family) pair of the classify benchmark's corpus, seed 4
 (1506 functions), classifying raises the Python heap retained per
 function from about 0.9 KB, parsed, to 4.4 KB (tracemalloc, Python 3.11).

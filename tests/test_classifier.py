@@ -16,7 +16,7 @@ from conftest import (WIDE_BIG, WORKED_EXAMPLES, _one_minus, approach_segment, a
                       random_strictly_increasing_fn, reference_value_at, wide_fractions)
 from subnormforge import (Interval, IntervalSet, PiecewiseMonotoneFn, Segment, classify, decompose,
                           eval_fn, f_eval, make_op, parse_fn, parse_tnorm, plateau_set,
-                          pseudo_inverse_at, render_fn)
+                          pseudo_inverse_at, pwfn, render_fn)
 from subnormforge.classify import (
     _GRID_POINTS,
     _PQ_VALUES,
@@ -92,7 +92,7 @@ def test_half_jump_hamacher2(f_half_jump):
 
 def test_gap_halfprod_inclusion_escape_values(f_gap):
     # (a) fails with escape value 1/8, (b) holds
-    assert check_inclusion_conditions(HALFPROD, decompose(f_gap)) == (F(1, 8), None)
+    assert check_inclusion_conditions(HALFPROD, decompose(f_gap)) == ((1, 8), None)
 
 
 def test_gap_halfprod_properties_unknown(f_gap):
@@ -511,9 +511,9 @@ def reference_gap_collisions(op, d, domain, z):
 
 
 def escape_values(t, d):
-    """The escape values that reach ``_gap_collisions``, each with its
-    domain: T(M,M)'s from M (``check_cancellative``) and T(M\\C,M)'s
-    from M\\C (``_cc_witness``)."""
+    """The escape values that reach ``_gap_collisions``, reduced pairs,
+    each with its domain: T(M,M)'s from M (``check_cancellative``) and
+    T(M\\C,M)'s from M\\C (``_cc_witness``)."""
     out = []
     z = t_image(t, d.m, d.m).is_subset_of(d.m)[1]
     if z is not None:
@@ -540,7 +540,7 @@ def test_gap_collisions_match_reference_on_the_lattice(tdesc):
         for domain, z in escape_values(t, d):
             got = list(islice(_gap_collisions(make_op(f, t), d, domain, z),
                               COLLISIONS_COMPARED))
-            want = islice(reference_gap_collisions(make_op(f, t), d, domain, z),
+            want = islice(reference_gap_collisions(make_op(f, t), d, domain, F(*z)),
                           COLLISIONS_COMPARED)
             # each yield is four reduced pairs
             assert all(type(n) is int and type(m) is int and m > 0 and gcd(n, m) == 1
@@ -562,12 +562,15 @@ def test_dense_samples_match_reference(ends):
 
 
 def split_lines(f):
-    """f with every line cut at its midpoint: the same function, and so the
-    same F, with one more breakpoint per line."""
+    """f with every piece that is not a point, a line or a constant, cut at
+    its midpoint: the same function, and so the same F, with one more
+    breakpoint per such piece.  A cut plateau is taken by two pieces, so
+    the arguments that f's record and ``_plateau_pair`` pick for it may
+    move."""
     segs = []
     for s in f.segments:
         d = s.domain
-        if s.is_const:
+        if d.is_point:
             segs.append(s)
             continue
         m = d.midpoint()
@@ -866,16 +869,30 @@ DEGENERATE_SHAPES = {
 @pytest.mark.parametrize("text, kind, cc", DEGENERATE_SHAPES.values(), ids=DEGENERATE_SHAPES)
 def test_degenerate_units_read_only_their_shape(text, kind, cc, monkeypatch):
     # the decomposition is built only when a route, or a reader of the
-    # report, asks for it, and f's shape once however many families read it
+    # report, asks for it, and f's record once however many families read
+    # it: f is evaluated at 1 once, by the record's builder, whichever
+    # module namespace the call goes through
     module = importlib.import_module("subnormforge.classify")
-    built = []
-    shape = module._degenerate_shape
-    monkeypatch.setattr(module, "_degenerate_shape", lambda f: built.append(f) or shape(f))
     f = parse_fn(text)
+    built, at_one = [], []
+    build = module._build_facts
+    monkeypatch.setattr(module, "_build_facts", lambda f: built.append(f) or build(f))
+    original = pwfn.eval_pair
+
+    def counted(g, p, q):
+        if g is f and (p, q) == (1, 1):
+            at_one.append(g)
+        return original(g, p, q)
+
+    for name in ("pwfn", "generated", "classify"):
+        namespace = importlib.import_module(f"subnormforge.{name}")
+        if getattr(namespace, "eval_pair", None) is original:
+            monkeypatch.setattr(namespace, "eval_pair", counted)
     reports = {fam: classify(f, parse_tnorm(fam)) for fam in CLASSIFY_MIX}
+    assert len(at_one) == 1
     assert "_decomposition" not in f.__dict__
     assert len(built) == 1 and built[0] is f
-    assert module._shape(f).kind == kind
+    assert module._facts(f).kind == kind
     assert reports["product"].properties["conditionally_cancellative"].status == cc
     for r in reports.values():
         assert list(r.properties) == list(PROPERTIES)
@@ -1030,6 +1047,18 @@ def test_archimedean_rules(fn, tdesc, want):
     assert check_archimedean(op) == want
     if want.status == "no":
         assert arch_witness_rechecks(op, want.witness)
+
+
+@pytest.mark.parametrize("fn", [F_ARCH_TRAP, F_ARCH_SLOW])
+def test_archimedean_rules_build_no_decomposition(fn):
+    # the guards, f(1-) and a0 come from f's record, so a full unit of a
+    # family without exact evaluation, whose other routes read no
+    # decomposition either, leaves it unbuilt
+    f = parse_fn(fn)
+    r = classify(f, parse_tnorm("gen:neglog"))
+    assert ("degenerate shape", "", "forced classification") not in r.conditions_log
+    assert r.properties["archimedean"].status == "unknown"
+    assert "_decomposition" not in f.__dict__
 
 
 def test_archimedean_yes_needs_a_shrinking_t():
@@ -1230,7 +1259,7 @@ def test_cancellation_witness_from_an_escape_value_at_a_gap_end():
     op = make_op(f, PRODUCT)
     d = decompose(f)
     mm = t_image(PRODUCT, d.m, d.m)
-    assert mm.is_subset_of(d.m) == (False, F(1, 4))
+    assert mm.is_subset_of(d.m) == (False, (1, 4))
     v = check_cancellative(op, d, mm)
     assert v == Verdict.no((F(1, 3), F(1, 3), F(7, 15)),
                            note="image value 1/4 in a range gap collapses "
@@ -1252,7 +1281,7 @@ def test_cancellation_search_from_an_escape_value_at_a_gap_top():
     f = parse_fn(F_ESCAPE_AT_GAP_TOP)
     d = decompose(f)
     mm = t_image(PRODUCT, d.m, d.m)
-    assert mm.is_subset_of(d.m) == (False, F(1, 4))
+    assert mm.is_subset_of(d.m) == (False, (1, 4))
     assert d.s[0][:2] == ((3, 16), (1, 4))
     assert check_cancellative(make_op(f, PRODUCT), d, mm) == Verdict.unknown(
         "T(M,M) escapes M but no cancellation counterexample was constructed "

@@ -722,7 +722,7 @@ def test_pseudo_inverse_builds_without_pointwise_queries(f):
 
 PER_FUNCTION_CACHES = {"_values", "_breakpoints", "_plateau", "_decomposition",
                        "_pseudo_inverse", "_jumps", "_plateau_pairs", "_search_grids",
-                       "_shape"}
+                       "_facts"}
 
 
 def test_caches_leave_identity_alone(f_step):

@@ -81,3 +81,55 @@ def test_fraction_twins_are_called_only_at_the_api():
     outside = [c for c in calls if (c[0], c[2]) not in API_EDGES
                and not (c[0] == "cli.py" and c[2].startswith("cmd_"))]
     assert outside == []
+
+
+# The function of classify.py that builds f's record of facts (``_Facts``),
+# the only one that may evaluate f at 0 or 1.
+FACTS_BUILDER = "_build_facts"
+
+
+def _literal_point(args):
+    """The point that the leading argument nodes `args` spell as two int
+    literals, given apart, as one tuple or as a starred tuple; else None."""
+    if args and isinstance(args[0], ast.Starred):
+        args = [args[0].value]
+    if args and isinstance(args[0], ast.Tuple):
+        args = args[0].elts
+    values = tuple(a.value for a in args[:2] if isinstance(a, ast.Constant))
+    return values if len(values) == 2 else None
+
+
+def _is_f(node) -> bool:
+    """Whether the node is the name f or the attribute op.f."""
+    return ((isinstance(node, ast.Name) and node.id == "f")
+            or (isinstance(node, ast.Attribute) and node.attr == "f"
+                and isinstance(node.value, ast.Name) and node.value.id == "op"))
+
+
+def end_evaluations() -> list:
+    """(function, line, call) of every call in classify.py that evaluates f
+    at 0 or 1: ``f_pair`` given the literal (0, 1) or (1, 1), and
+    ``eval_pair`` or ``limit_pair`` on f or op.f at 0/1 or 1/1.  The
+    function is the top-level function that holds the call."""
+    out = []
+    tree = ast.parse((SRC / "classify.py").read_text(encoding="utf-8"))
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == "f_pair":
+                point = _literal_point(node.args)
+            elif called in ("eval_pair", "limit_pair") and node.args and _is_f(node.args[0]):
+                point = _literal_point(node.args[1:])
+            else:
+                continue
+            if point in ((0, 1), (1, 1)):
+                out.append((getattr(top, "name", ""), node.lineno, called))
+    return out
+
+
+def test_only_the_record_builder_evaluates_f_at_its_ends():
+    calls = end_evaluations()
+    assert {c[0] for c in calls} == {FACTS_BUILDER}, calls
