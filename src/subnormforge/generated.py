@@ -39,13 +39,14 @@ class GeneratedOp:
     ``_finv_cache`` the reduced pair of y to that of finv(y).  ``f_pair``
     and ``finv_pair`` return these pairs, ``t_finv`` the key of F's value
     and ``row`` those of a row of F; ``f_at``, ``finv_at`` and ``f_eval``
-    build the value of one as they return it."""
+    build the value of one as they return it.  Two operations are equal
+    when their f, finv and t are, whatever their caches hold."""
 
     f: PiecewiseMonotoneFn
     finv: PiecewiseMonotoneFn
     t: TNormDescriptor
-    _f_cache: dict = field(default_factory=dict, repr=False)
-    _finv_cache: dict = field(default_factory=dict, repr=False)
+    _f_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _finv_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def f_pair(self, k: tuple) -> tuple:
         """f(p/q) as a reduced pair, for the reduced pair k = (p, q)."""

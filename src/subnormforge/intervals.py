@@ -2,8 +2,8 @@
 
 An ``Interval`` is its ends as integer pairs, lo = ln/ld and hi = hn/hd,
 reduced over positive denominators, and its two flags: the pairs are the
-data, and ``lo`` and ``hi`` are ``Fraction`` views, each built on its
-first read and kept.  Every order test here is the sign of a cross
+only data, and ``lo`` and ``hi`` are ``Fraction`` views, built on each
+read and never kept.  Every order test here is the sign of a cross
 product of those ints, and two ends are equal when their pairs are, so
 membership, union, intersection, complement and the order-hull are exact
 and build no Fraction.  A set is a normalized tuple of pairwise disjoint,
@@ -85,18 +85,10 @@ def _empty(ln: int, ld: int, hn: int, hd: int, lo_closed: bool, hi_closed: bool)
     return c > 0 or (c == 0 and not (lo_closed and hi_closed))
 
 
-def _view(n: str, d: str, slot: str) -> property:
+def _view(n: str, d: str) -> property:
     """The read-only Fraction view of the pair held in the slots `n` and
-    `d`: built on first read and kept in the slot `slot`."""
-
-    def read(self) -> Fraction:
-        v = getattr(self, slot)
-        if v is None:
-            v = Fraction(getattr(self, n), getattr(self, d))
-            setattr(self, slot, v)
-        return v
-
-    return property(read)
+    `d`, built on each read."""
+    return property(lambda self: Fraction(getattr(self, n), getattr(self, d)))
 
 
 class Interval:
@@ -105,7 +97,7 @@ class Interval:
     the pairs and flags; hashing and ``repr`` read the views, so all three
     are those of the tuple (lo, hi, lo_closed, hi_closed)."""
 
-    __slots__ = ("ln", "ld", "hn", "hd", "lo_closed", "hi_closed", "_lo", "_hi")
+    __slots__ = ("ln", "ld", "hn", "hd", "lo_closed", "hi_closed")
 
     def __init__(self, lo: Rat, hi: Rat, lo_closed: bool = True, hi_closed: bool = True):
         lo, hi = frac(lo), frac(hi)
@@ -113,9 +105,9 @@ class Interval:
         if _empty(ln, ld, hn, hd, lo_closed, hi_closed):
             raise ValueError(f"empty interval: {lo}..{hi}")
         self.ln, self.ld, self.hn, self.hd = ln, ld, hn, hd
-        self.lo_closed, self.hi_closed, self._lo, self._hi = lo_closed, hi_closed, None, None
+        self.lo_closed, self.hi_closed = lo_closed, hi_closed
 
-    lo, hi = _view("ln", "ld", "_lo"), _view("hn", "hd", "_hi")
+    lo, hi = _view("ln", "ld"), _view("hn", "hd")
 
     def __eq__(self, o):
         if o.__class__ is not Interval:
@@ -184,7 +176,7 @@ def _nonempty(ln: int, ld: int, hn: int, hd: int, lo_closed: bool, hi_closed: bo
     test."""
     iv = object.__new__(Interval)
     iv.ln, iv.ld, iv.hn, iv.hd = ln, ld, hn, hd
-    iv.lo_closed, iv.hi_closed, iv._lo, iv._hi = lo_closed, hi_closed, None, None
+    iv.lo_closed, iv.hi_closed = lo_closed, hi_closed
     return iv
 
 

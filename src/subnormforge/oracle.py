@@ -13,11 +13,12 @@ pair followed by its radius's, so a value's centre is its key's first two
 ints.  Every value has a class: f(x) for a generated operation, whose
 F(x, y) depends on x and y only through f(x) and f(y), and the value's
 own key for any other operation; points of one class have equal rows and
-columns in every table.  There is one table per point set: F is
-evaluated once per pair of classes into a table of keys, rebuilt only
-when a scan gets other points; the values of F at the off-grid
-intermediates of associativity and of the Archimedean powers sit in lists
-kept per class of the intermediate, one entry per class of the grid.
+columns in every table.  There is one table per point set, whose fields
+the memo holds itself (``_Memo.grid``): F is evaluated once per pair of
+classes into a table of keys, rebuilt only when a scan gets other
+points; the values of F at the off-grid intermediates of associativity
+and of the Archimedean powers sit in lists kept per class of the
+intermediate, one entry per class of the grid.
 Every list is evaluated a row at a time: the table row by row, and an
 intermediate's row whole when associativity first reads it.  Only the
 Archimedean powers, which read most rows at one or two places, evaluate
@@ -48,7 +49,6 @@ scan that evaluates F at every comparison of every point;
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -96,7 +96,8 @@ class CheckResult:
 
 
 class _Memo:
-    """A binary operation evaluated on the keys of its values (``_key``).
+    """A binary operation evaluated on the keys of its values (``_key``),
+    and its table on the last point set scanned.
 
     The class of an exact value of key k (``class_of``) is the key of f(x)
     for a GeneratedOp, whose F(x, y) depends on x and y only through f(x)
@@ -107,25 +108,52 @@ class _Memo:
     evaluation path here.  A GeneratedOp is evaluated on f's pairs, which
     its classes are, by its own row kernel (``GeneratedOp.row``); any other
     operation on the values of the keys, which its classes are too.
-    ``evals`` counts the values evaluated.  ``memo(x, y)`` evaluates without a cache; the law scans read ``table``,
-    the ``_Grid`` of the last point set scanned (``memo.grid(pts)``), which
-    holds every value they evaluate, and add the comparisons they make to
-    ``compared``.
+    ``evals`` counts the values evaluated.  ``memo(x, y)`` evaluates without
+    a cache; the law scans read the table that ``memo.grid(pts)`` builds on
+    the memo itself when `pts` differs from the last point set, and add the
+    comparisons they make to ``compared``.
+
+    The table is the operation on the points p_0..p_{m-1} of ``pts``, as
+    value keys, by class.  ``pid[i]`` is the key of p_i, taken once when the
+    table is built.  Points of one class have equal rows and columns in
+    every table, so the classes are numbered in the order of their first
+    points: ``first[c]`` is the index of class c's first point, ``cls[i]``
+    the number of p_i's class, ``size[c]`` the number of points in class
+    c, and ``classes[c]`` the class itself, which ``eval_row`` takes.
+    ``TC[c][d]`` is the key of F(p_first[c], p_first[d]), evaluated once
+    per class pair, and ``CC`` the same table of centres, each key's first
+    two ints; the table is ``exact`` when no value in it is an ``Approx``
+    (then ``CC == TC``).  F(p_i, p_j) is ``TC[cls[i]][cls[j]]``, ``cols``
+    is ``TC`` transposed and ``symmetric`` whether the two are equal.
+    ``steps`` lists each pair (a, b) of the classes of neighbours p_k,
+    p_k+1 once, as (k, a, b) at its first k, in the order of k.  For the
+    exact value u of key a, ``row(a)[c]`` is the key of F(u, p) and
+    ``col(a)[c]`` that of F(p, u), for p any point of class c: F(u, p)
+    depends on u only through its class, which keys the lists.  The rows of
+    the grid classes are ``TC``'s; every other row or column is evaluated
+    whole when a scan first reads it, in one ``eval_row`` call over the
+    classes in ``asc`` order, ascending in f for a GeneratedOp, so that T
+    ascends along the row and finv's pieces are swept once.  Only the
+    Archimedean powers read single entries (``entry``), as most of their
+    rows are read at one or two places; a row they began keeps those
+    entries when it is read whole.  These lists are the only cache of the
+    operation's values.
 
     A GeneratedOp is symmetric: F(x, y) = finv(T(f(x), f(y))) and
     F(y, x) = finv(T(f(y), f(x))) are finv of equal arguments, as every
     registered T is symmetric: a t-norm is commutative by definition, and
     halfprod's formula and the generator families' centre min(1, xy·kappa),
-    an exact product of ints, are symmetric in x and y.  So its ``_Grid``
-    keeps one list per class for the row and the column.  The commutativity
-    scan still compares the full table of the grid classes, evaluated in
-    both orders, so a kernel that breaks symmetry is still caught there.
+    an exact product of ints, are symmetric in x and y.  So ``col(a)`` is
+    ``row(a)``, one list: associativity's x(yz) reads F(yz, x) from the row
+    that (xy)z reads.  The commutativity scan still compares the full table
+    ``TC`` of the grid classes, evaluated in both orders, so a kernel that
+    breaks symmetry is still caught there.
     """
 
     def __init__(self, op: Callable):
         self.op = op
         self.generated = op if isinstance(op, GeneratedOp) else None
-        self.table = None  # _Grid of the last point set scanned
+        self.pts = None  # the last point set scanned
         self.evals = 0
         self.compared = 0
 
@@ -153,63 +181,24 @@ class _Memo:
             return [_key(self.op(x, _value(b))) for b in classes]
         return gen.row(gen.f_pair(a), classes)
 
-    def grid(self, pts) -> "_Grid":
+    def grid(self, pts) -> "_Memo":
+        """The memo, its table built on the points `pts` unless they are the
+        last point set scanned."""
         pts = tuple(pts)
-        if self.table is None or self.table.pts != pts:
-            self.table = _Grid(self, pts)
-        return self.table
-
-
-class _Grid:
-    """The operation on the points p_0..p_{m-1}, as value keys, by class.
-
-    ``pid[i]`` is the key of p_i, taken once when the table is built.
-    Points of one class (``_Memo.class_of``) have equal rows and columns in
-    every table, so the classes are numbered in the order of their first
-    points: ``first[c]`` is the index of class c's first point, ``cls[i]``
-    the number of p_i's class, ``size[c]`` the number of points in class
-    c, and ``classes[c]`` the class itself, which ``_Memo.eval_row`` takes.
-    ``TC[c][d]`` is the key of F(p_first[c], p_first[d]),
-    evaluated once per class pair, and ``CC`` the same table of centres,
-    each key's first two ints; the table is ``exact`` when no value in it
-    is an ``Approx`` (then ``CC == TC``).  F(p_i, p_j) is
-    ``TC[cls[i]][cls[j]]``, ``cols`` is ``TC`` transposed and ``symmetric``
-    whether the two are equal.
-    ``steps`` lists each pair (a, b) of the classes of neighbours p_k,
-    p_k+1 once, as (k, a, b) at its first k, in the order of k.  For the
-    exact value u of key a, ``row(a)[c]`` is the key of F(u, p) and
-    ``col(a)[c]`` that of F(p, u), for p any point of class c: F(u, p)
-    depends on u only through its class, which keys the lists.  The rows of
-    the grid classes are ``TC``'s; every other row or column is evaluated
-    whole when a scan first reads it, in one ``_Memo.eval_row`` call over
-    the classes in ``asc`` order, ascending in f for a GeneratedOp, so that
-    T ascends along the row and finv's pieces are swept once.  Only the
-    Archimedean powers read single entries (``entry``), as most of their
-    rows are read at one or two places; a row they began keeps those
-    entries when it is read whole.  These lists are the only cache of the
-    operation's values.  For a GeneratedOp, F(u, p) = F(p, u) (``_Memo``),
-    so ``col(a)`` is ``row(a)``, one list: associativity's x(yz) reads
-    F(yz, x) from the row that (xy)z reads, and ``TC`` stays evaluated in
-    full for the commutativity scan.
-    """
-
-    def __init__(self, memo: _Memo, pts: tuple):
+        if pts == self.pts:
+            return self
         self.pts = pts
         self.pid = tuple(map(_key, pts))
         number = {}  # class -> its number
         self.first, self.cls = [], []
         for i, a in enumerate(self.pid):
-            c = memo.class_of(a)
+            c = self.class_of(a)
             if c not in number:
                 number[c] = len(self.first)
                 self.first.append(i)
             self.cls.append(number[c])
         n = len(self.first)
         self.size = [self.cls.count(c) for c in range(n)]
-        # the memo holds its table, so the table holds the memo weakly: a
-        # cycle would keep every unit's tables alive until the cyclic
-        # garbage collector runs
-        self.memo = weakref.proxy(memo)
         self.reps = reps = [self.pid[i] for i in self.first]
         # the classes by ascending value, f(p) for a GeneratedOp, which
         # makes T ascend along a row.  Any order gives the same values, so
@@ -230,21 +219,22 @@ class _Grid:
         self.symmetric = self.cols == self.TC
         self._rows.update((c, self.TC[i]) for c, i in number.items())
         self._cols = self._rows
-        if memo.generated is None:
+        if self.generated is None:
             self._cols = {c: self.cols[i] for c, i in number.items()}
+        return self
 
     def _fill(self, a: tuple, part: Optional[list] = None) -> list:
-        """The row of key a's class, evaluated by one ``_Memo.eval_row`` call
-        over the classes in ascending order; the entries of ``part`` that
-        single reads have evaluated are kept, the rest filled in."""
+        """The row of key a's class, evaluated by one ``eval_row`` call over
+        the classes in ascending order; the entries of ``part`` that single
+        reads have evaluated are kept, the rest filled in."""
         if part is None:
-            vals = self.memo.eval_row(a, self._asc_classes)
+            vals = self.eval_row(a, self._asc_classes)
             if self._in_order:
                 return vals
             part, order = [None] * len(vals), self.asc
         else:
             order = [c for c in self.asc if part[c] is None]
-            vals = self.memo.eval_row(a, [self.classes[c] for c in order])
+            vals = self.eval_row(a, [self.classes[c] for c in order])
         for c, v in zip(order, vals):
             part[c] = v
         return part
@@ -253,7 +243,7 @@ class _Grid:
         """The row of the exact value u of key a, by class: ``row(a)[c]`` is
         the key of F(u, p) for p any point of class c; evaluated whole on
         first read."""
-        k = self.memo.class_of(a)
+        k = self.class_of(a)
         r = self._rows.get(k)
         if r is None:
             r = self._rows[k] = self._fill(a, self._part.pop(k, None))
@@ -265,21 +255,21 @@ class _Grid:
         GeneratedOp."""
         if self._cols is self._rows:
             return self.row(a)
-        k = self.memo.class_of(a)
+        k = self.class_of(a)
         r = self._cols.get(k)
         if r is None:
-            r = self._cols[k] = [self.memo.eval(b, a) for b in self.reps]
+            r = self._cols[k] = [self.eval(b, a) for b in self.reps]
         return r
 
     def entry(self, a: tuple, c: int) -> tuple:
         """``row(a)[c]``, evaluated alone when the row is not whole yet."""
-        k = self.memo.class_of(a)
+        k = self.class_of(a)
         r = self._rows.get(k) or self._part.get(k)
         if r is None:
             r = self._part[k] = [None] * len(self.reps)
         v = r[c]
         if v is None:
-            v = r[c] = self.memo.eval_row(a, (self.classes[c],))[0]
+            v = r[c] = self.eval_row(a, (self.classes[c],))[0]
         return v
 
 
@@ -316,7 +306,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
       (first[c], first[d]);
     - monotonicity, each pass, and strict_monotonicity: the neighbours
       p_k, p_k+1 are compared at the first k of their classes' pair
-      (``_Grid.steps``), and the first failing row (column) class c gives
+      (``_Memo.steps``), and the first failing row (column) class c gives
       the row first[c], or, with x = 0 skipped, the class's first other row;
     - bounded_by_min: F(x,y) > min(x,y) holds the more easily the smaller
       min(x,y), so a block of two classes fails when its value exceeds the
@@ -346,9 +336,9 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
     if prop not in PROPERTY_NAMES:
         raise ValueError(f"unknown property {prop!r}")
     memo = op if isinstance(op, _Memo) else _Memo(op)
-    g = memo.grid(pts)
-    pts, pid, TC, CC = g.pts, g.pid, g.TC, g.CC
-    first, size, cls, steps = g.first, g.size, g.cls, g.steps
+    memo.grid(pts)
+    pts, pid, TC, CC = memo.pts, memo.pid, memo.TC, memo.CC
+    first, size, cls, steps = memo.first, memo.size, memo.cls, memo.steps
     m, n = len(pts), len(first)
     undecided = 0
     count = 0  # comparisons made
@@ -387,7 +377,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
         d, r = key_diff(v, (0, 1))
         return d > r
 
-    if g.exact:
+    if memo.exact:
         gt = above
 
         def ge(a, b):
@@ -415,7 +405,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
         checked = m * m
     elif prop == "monotonicity":
         # the row pass on TC, then the column pass on its transpose
-        passes = [(0, TC, CC)] + ([] if g.symmetric else [(m, g.cols, list(zip(*CC)))])
+        passes = [(0, TC, CC)] + ([] if memo.symmetric else [(m, memo.cols, list(zip(*CC)))])
         for base, rows, cens in passes:
             for c in range(n):
                 row, crow = rows[c], cens[c]
@@ -440,8 +430,8 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
             return v[:2] != lo and gt(v, lo)
 
         for c in range(n):
-            count += c if g.symmetric else 0
-            for d in range(c if g.symmetric else 0, n):
+            count += c if memo.symmetric else 0
+            for d in range(c if memo.symmetric else 0, n):
                 if exceeds(TC[c][d], least[c], least[d]):
                     for i in range(first[c], m):
                         row = TC[cls[i]]
@@ -463,7 +453,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
         row_of = dict.fromkeys(v for CCc in CC for v in CCc)
         col_of = {}
         for v in row_of:
-            row_of[v], col_of[v] = g.row(v), g.col(v)
+            row_of[v], col_of[v] = memo.row(v), memo.col(v)
         rows = [[row_of[v] for v in CCc] for CCc in CC]
         cols = [[col_of[v] for v in CCd] for CCd in CC]
         for c in range(n):
@@ -483,7 +473,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
         assert count == n ** 3, "associativity scan must cover the class cube"
         checked = m ** 3
     elif prop == "neutral_one":
-        col = g.col(_key(ONE))
+        col = memo.col(_key(ONE))
         for i, x in enumerate(pts):
             count += 1
             v = col[cls[i]]
@@ -547,7 +537,7 @@ def check_property(op: Callable, prop: str, pts) -> CheckResult:
                 acc = pid[k]  # key of the current power's centre
                 exact = True  # no power so far is an Approx
                 for steps in range(1, N_ITER + 1):
-                    v = g.entry(acc, c)
+                    v = memo.entry(acc, c)
                     if v == acc and exact:
                         count += steps
                         return cex((pts[k], _value(floor)), _value(v), _value(floor),

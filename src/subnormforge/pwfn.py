@@ -5,9 +5,9 @@ whose domains exactly partition [0,1]; an isolated value f(x) = v is the
 constant segment on {x}.  All evaluation, one-sided limits,
 pseudo-inversion, range and plateau computations are exact over the
 rationals.  A ``Segment`` is its domain, an ``Interval``, and its slope
-and intercept as reduced integer pairs: the pairs are the data, and
-``slope`` and ``intercept`` are Fraction views, built on first read and
-kept, as ``Interval``'s ``lo`` and ``hi`` are.
+and intercept as reduced integer pairs: the pairs are the only data, and
+``slope`` and ``intercept`` are Fraction views, built on each read, as
+``Interval``'s ``lo`` and ``hi`` are.
 
 The structure that depends on f alone is computed once per function
 object, on first use, and cached in the instance ``__dict__``, outside
@@ -25,7 +25,8 @@ M, C, Q and f(0+) once built (``Decomposition.text``).  The pseudo-inverse
 is validated like any function but keeps no value intervals.  Over
 every (function, family) pair of the classify benchmark's corpus, seed 4
 (1506 functions), classifying raises the Python heap retained per
-function from about 0.9 KB, parsed, to 4.4 KB (tracemalloc, Python 3.11).
+function from about 0.75 KB, parsed, to 4.0 KB (tracemalloc, Python
+3.11; CI's "Retained heap" step prints both).
 
 ``eval_pair`` scans the pieces in x order, reading each one's upper end,
 and then a constant piece's value or a line's slope and intercept, as
@@ -88,15 +89,14 @@ class Segment:
     its slope sn/sd and intercept cn/cd as reduced pairs, sd, cd > 0.
     Equality, hashing and ``repr`` are those of (domain, slope, intercept)."""
 
-    __slots__ = ("domain", "sn", "sd", "cn", "cd", "_slope", "_intercept")
+    __slots__ = ("domain", "sn", "sd", "cn", "cd")
 
     def __init__(self, domain: Interval, slope, intercept):
         s, c = frac(slope), frac(intercept)
         self.domain, self.sn, self.sd, self.cn, self.cd = (
             domain, s.numerator, s.denominator, c.numerator, c.denominator)
-        self._slope, self._intercept = None, None
 
-    slope, intercept = _view("sn", "sd", "_slope"), _view("cn", "cd", "_intercept")
+    slope, intercept = _view("sn", "sd"), _view("cn", "cd")
 
     def __eq__(self, o):
         if o.__class__ is not Segment:
@@ -129,7 +129,6 @@ def _segment(domain: Interval, sn: int, sd: int, cn: int, cd: int) -> Segment:
     intercept, built without the constructor's ``frac``."""
     s = object.__new__(Segment)
     s.domain, s.sn, s.sd, s.cn, s.cd = domain, sn, sd, cn, cd
-    s._slope, s._intercept = None, None
     return s
 
 

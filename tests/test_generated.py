@@ -114,6 +114,20 @@ def test_caches_hold_reduced_pairs(f_gap):
     assert all(callable(getattr(op, name)) for name in ("f_at", "finv_at"))
 
 
+def test_op_equality_ignores_what_its_caches_hold(f_identity, f_gap):
+    # two ops are equal when their f, finv and t are, before and after
+    # either one evaluates anything
+    product = parse_tnorm("product")
+    a, b = make_op(f_identity, product), make_op(f_identity, product)
+    assert a == b
+    assert f_eval(a, 1, 1) == 1 and a._f_cache and not b._f_cache
+    assert a == b and not a != b
+    f_eval(b, F(1, 2), F(1, 3))
+    assert a._f_cache != b._f_cache and a == b
+    assert a != make_op(f_identity, parse_tnorm("hamacher2"))
+    assert a != make_op(f_gap, product)
+
+
 def test_additive_generated_product_like():
     direct = additive_generated(GeneratorSpec("one-minus-log"))
     for i in range(1, 11):

@@ -295,19 +295,27 @@ def test_touching_parts_merge_as_reference(xs):
 
 
 def test_interval_views_keep_eq_hash_and_repr():
-    # the pairs are the data and lo, hi are Fraction views, built on first
-    # read and kept; equality, hashing and repr are those of the tuple
-    # (lo, hi, lo_closed, hi_closed), however the ends were given
+    # the pairs and flags are the only data, and lo, hi are read-only
+    # Fraction views of the pairs, built on each read; equality, hashing and
+    # repr are those of the tuple (lo, hi, lo_closed, hi_closed), however
+    # the ends were given
+    assert Interval.__slots__ == ("ln", "ld", "hn", "hd", "lo_closed", "hi_closed")
     built = [Interval(F(1, 3), F(1, 2), True, False), Interval("1/3", "2/4", True, False),
              Interval.make(F(2, 6), "1/2", True, False),
-             Interval.make("3/9", F(1, 2), True, False)]
+             Interval.make("3/9", F(1, 2), True, False),
+             Interval(0, 1).intersect(Interval(F(1, 3), F(1, 2), True, False))]
     for iv in built:
-        assert (iv.ln, iv.ld, iv.hn, iv.hd, iv._lo, iv._hi) == (1, 3, 1, 2, None, None)
+        assert not hasattr(iv, "__dict__")
+        assert (iv.ln, iv.ld, iv.hn, iv.hd) == (1, 3, 1, 2)
         assert iv == built[0] and not iv != built[0]
         assert hash(iv) == hash((F(1, 3), F(1, 2), True, False))
         assert repr(iv) == ("Interval(lo=Fraction(1, 3), hi=Fraction(1, 2), "
                             "lo_closed=True, hi_closed=False)")
-        assert iv.lo is iv.lo and iv.hi is iv.hi and iv.lo == F(1, 3)
+        for _ in range(2):
+            assert type(iv.lo) is F and iv.lo == F(iv.ln, iv.ld) == F(1, 3)
+            assert type(iv.hi) is F and iv.hi == F(iv.hn, iv.hd) == F(1, 2)
+        with pytest.raises(AttributeError):
+            iv.lo = F(1, 4)
     for iv in (Interval(0, 1), Interval(F(0), F(1)), Interval("0", "3/3"), Interval.closed(0, 1),
                Interval.make("0/5", 1)):
         assert iv == Interval(0, 1) and hash(iv) == hash((0, 1, True, True))

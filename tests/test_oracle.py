@@ -277,7 +277,14 @@ def test_the_oracle_reads_f_only_through_f_pair(family, monkeypatch):
         check_property(memo, law, pts)
     assert set(map(_key, pts)) <= set(read) == set(op._f_cache)
     assert all(fn is op.finv for fn in swept) and bool(swept) == op.t.exact
-    assert not [v for v in vars(memo).values() if isinstance(v, dict)]
+    # the memo's only dicts are its table's lists of F by class, f's
+    # values: none maps an argument of f to anything
+    dicts = {k: v for k, v in vars(memo).items() if isinstance(v, dict)}
+    assert set(dicts) == {"_rows", "_part", "_cols"}
+    classes = set(op._f_cache.values())
+    for d in dicts.values():
+        assert set(d) <= classes and all(type(r) is list for r in d.values())
+    assert set(map(op.f_pair, map(_key, pts))) <= set(memo._rows)
 
 
 @pytest.mark.parametrize("family", ["product", "gen:neglog"])
@@ -292,15 +299,15 @@ def test_a_direct_call_evaluates_afresh(family):
     for scanned in (False, True):
         if scanned:
             check_property(memo, "associativity", pts)
-        table = memo.table
-        held = table and ({k: list(r) for k, r in table._rows.items()},
-                          {k: list(r) for k, r in table._part.items()})
+        table = memo.pts
+        held = scanned and ({k: list(r) for k, r in memo._rows.items()},
+                            {k: list(r) for k, r in memo._part.items()})
         evals = memo.evals
         for x in args:
             for y in args:
                 assert memo(x, y) == f_eval(op, x, y), (x, y)
-        assert memo.table is table
-        assert held == (table and (table._rows, table._part))
+        assert memo.pts is table and (scanned or not hasattr(memo, "TC"))
+        assert held == (scanned and (memo._rows, memo._part))
         assert memo.evals == evals + len(args) ** 2
 
 
@@ -493,10 +500,10 @@ def test_table_oracle_matches_direct_scan(family, f, rnd):
             assert got == want, (law, layout)
 
 
-def entries_held(g):
-    """The values a GeneratedOp's grid holds: its whole rows, TC's among
-    them, and the entries evaluated so far of its other rows."""
-    rows = {id(r): r for r in (*g._rows.values(), *g._part.values())}
+def entries_held(memo):
+    """The values a GeneratedOp's memo holds in its table: its whole rows,
+    TC's among them, and the entries evaluated so far of its other rows."""
+    rows = {id(r): r for r in (*memo._rows.values(), *memo._part.values())}
     return sum(v is not None for r in rows.values() for v in r)
 
 
@@ -516,9 +523,8 @@ def test_no_entry_is_evaluated_twice(family, f, rnd):
             memo = _Memo(op)
             for law in laws:
                 check_property(memo, law, layout)
-            g = memo.table
-            assert memo.evals == entries_held(g), (layout, laws)
-            assert not g._rows.keys() & g._part.keys(), "a row begun and then whole"
+            assert memo.evals == entries_held(memo), (layout, laws)
+            assert not memo._rows.keys() & memo._part.keys(), "a row begun and then whole"
 
 
 LATTICE_SAMPLE = list(lattice_fns(3, 4))[::13]
@@ -603,7 +609,7 @@ def test_one_memo_scanned_on_two_point_sets_in_turn(family):
             for pts in (grid(4, extra), grid(6, extra)):
                 want = reference_check(ref, law, pts)
                 assert check_property(memo, law, pts) == want, (name, law, len(pts))
-                assert memo.table.pts == tuple(pts)
+                assert memo.pts == tuple(pts)
 
 
 @pytest.mark.parametrize("family", ["product", "hamacher2", "min", "halfprod"])

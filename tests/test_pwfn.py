@@ -44,6 +44,7 @@ from subnormforge.pwfn import (
     InvalidFunction,
     PiecewiseMonotoneFn,
     Segment,
+    _segment,
     eval_pair,
     eval_pairs,
     first_arg_above,
@@ -745,19 +746,27 @@ def test_caches_leave_identity_alone(f_step):
 
 
 def test_segment_views_keep_eq_hash_and_repr():
-    # the slope and intercept pairs are the data and slope, intercept are
-    # Fraction views; equality, hashing and repr are those of the tuple
+    # the domain and the slope and intercept pairs are the only data, and
+    # slope, intercept are read-only Fraction views of the pairs, built on
+    # each read; equality, hashing and repr are those of the tuple
     # (domain, slope, intercept), however the numbers were given
+    assert Segment.__slots__ == ("domain", "sn", "sd", "cn", "cd")
     dom = Interval(F(1, 4), F(1, 2), False, True)
     built = [Segment(dom, F(1, 2), F(1, 8)), Segment.linear(dom, F(2, 4), "2/16"),
-             Segment(Interval("1/4", "2/4", False, True), "2/4", 1 - F(7, 8))]
+             Segment(Interval("1/4", "2/4", False, True), "2/4", 1 - F(7, 8)),
+             _segment(dom, 1, 2, 1, 8)]
     for s in built:
-        assert (s.sn, s.sd, s.cn, s.cd, s._slope, s._intercept) == (1, 2, 1, 8, None, None)
+        assert not hasattr(s, "__dict__")
+        assert (s.sn, s.sd, s.cn, s.cd) == (1, 2, 1, 8)
         assert s == built[0] and not s != built[0] and not s.is_const
         assert hash(s) == hash(((F(1, 4), F(1, 2), False, True), F(1, 2), F(1, 8)))
         assert repr(s) == (f"Segment(domain={dom!r}, slope=Fraction(1, 2), "
                            "intercept=Fraction(1, 8))")
-        assert s.slope is s.slope and s.intercept == F(1, 8)
+        for _ in range(2):
+            assert type(s.slope) is F and s.slope == F(s.sn, s.sd) == F(1, 2)
+            assert type(s.intercept) is F and s.intercept == F(s.cn, s.cd) == F(1, 8)
+        with pytest.raises(AttributeError):
+            s.slope = F(1, 4)
     for s in (Segment.const(dom, "1/2"), Segment(dom, 0, F(1, 2)), Segment(dom, "0/3", "2/4")):
         assert s.is_const and s == Segment(dom, F(0), F(1, 2))
         assert hash(s) == hash((dom, F(0), F(1, 2)))
