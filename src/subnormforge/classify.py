@@ -45,7 +45,7 @@ PROPERTIES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     status: str  # "yes" | "no" | "unknown"
     evidence: tuple = ()
@@ -218,7 +218,7 @@ def _build_facts(f: PiecewiseMonotoneFn) -> _Facts:
         return _Facts(f0, f1, f1minus,
                       "vanishing" if not limit_pair(f, 0, 1, "right")[0][0] else "undecided")
     q = plateau_set(f)
-    a0 = _first_arg(f, 0, 1, False) if q.contains_pair(0, 1) else None
+    a0 = reduced(*_first_arg(f, 0, 1, False)) if q.contains_pair(0, 1) else None
     if a0 is not None and limit_pair(f, *a0, "right")[0][0]:
         a0 = None
     if not q.contains_pair(*f1minus):
@@ -851,7 +851,7 @@ def _trap_witness(op: GeneratedOp, traps):
 
         xs = {kp, *f._breakpoints}
         for v in t_solve_pairs(t, *fkp, *fpm):
-            xs.update((op.finv_pair(v), _first_arg(f, *v, False)))
+            xs.update((op.finv_pair(v), reduced(*_first_arg(f, *v, False))))
         ends = sorted_pairs([x for x in xs if x[0] * pd >= pn * x[1] and x[0] < x[1]])
         cands = []
         for a, b in zip(ends, ends[1:] + [(1, 1)]):

@@ -2,23 +2,27 @@
 scaled-generator constructions.
 
 ``GeneratedOp`` owns the evaluation of F, on reduced integer pairs
-(numerator, denominator): f and finv run on pairs (``pwfn.eval_pair``),
-and so does T (the family's ``eval_pair``), for every family.  Each op
-caches f by its argument's reduced pair and finv by T's reduced pair, and
-holds each value as its reduced pair; ``f_at``, ``finv_at`` and ``f_eval``
-build a ``Fraction`` of the pair they return.  So an evaluation on pairs
-builds no ``Fraction``, cached or not, and its keys are tuples of ints,
-which hash in C where a ``Fraction`` rehashes in Python.  ``t_finv``
-returns F's value as its key (``tnorms._key``): a reduced pair where T's
-value is exact, and otherwise the centre's and the radius's pairs, which
-carry T's error radius through the pseudo-inverse (``_spread``): finv is
-taken at T's centre and at either end of its radius, on integer pairs
-too.  ``row`` evaluates F along a row of f values: with an exact T,
-finv runs over T's values in one forward sweep of its pieces
-(``pwfn.eval_pairs``).  The oracle's ``_Memo`` reads f's pairs
-(``f_pair``) as the classes of its values, with no f cache of its own,
-and evaluates a row at a time through ``row``, as the classifier's
-associativity search does, holding each value as its key.
+(numerator, denominator): f runs on pairs (``pwfn.eval_pair``), finv at a
+point is the scan of f's pieces that defines it (``pwfn._first_arg``),
+and T runs on pairs too (the family's ``eval_pair``), for every family.
+Each op caches f by its argument's reduced pair and finv by T's reduced
+pair, and holds each value as its reduced pair; ``f_at``, ``finv_at`` and
+``f_eval`` build a ``Fraction`` of the pair they return.  So an
+evaluation on pairs builds no ``Fraction``, cached or not, and its keys
+are tuples of ints, which hash in C where a ``Fraction`` rehashes in
+Python.  ``t_finv`` returns F's value as its key (``tnorms._key``): a
+reduced pair where T's value is exact, and otherwise the centre's and the
+radius's pairs, which carry T's error radius through the pseudo-inverse
+(``_spread``): finv is taken at T's centre and at either end of its
+radius, on integer pairs too.  ``row`` evaluates F along a row of f
+values: with an exact T, finv runs over T's values in one forward sweep
+of the pieces of its closed form (``pwfn.eval_pairs``), which f builds on
+that first sweep and keeps (``finv``).  An operation that never sweeps a
+row builds no closed form: a degenerate shape reads finv at a point or
+two.  The oracle's ``_Memo`` reads f's pairs (``f_pair``) as the classes
+of its values, with no f cache of its own, and evaluates a row at a time
+through ``row``, as the classifier's associativity search does, holding
+each value as its key.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from fractions import Fraction
 from math import gcd
 
 from .intervals import Interval, frac, reduced
-from .pwfn import PiecewiseMonotoneFn, Segment, eval_pair, eval_pairs
+from .pwfn import PiecewiseMonotoneFn, Segment, _first_arg, _unit_arg, eval_pair, eval_pairs
 from .tnorms import Generator, GeneratorSpec, Lambda, TNormDescriptor, _value, t_eval
 
 
@@ -39,14 +43,22 @@ class GeneratedOp:
     ``_finv_cache`` the reduced pair of y to that of finv(y).  ``f_pair``
     and ``finv_pair`` return these pairs, ``t_finv`` the key of F's value
     and ``row`` those of a row of F; ``f_at``, ``finv_at`` and ``f_eval``
-    build the value of one as they return it.  Two operations are equal
-    when their f, finv and t are, whatever their caches hold."""
+    build the value of one as they return it.  finv at a point is the
+    scan of f's pieces (``pwfn._first_arg``); only ``row`` and the
+    classifier's sweeps and one-sided limits read the closed form
+    (``finv``).  Two operations are equal when their f and t are,
+    whatever their caches hold."""
 
     f: PiecewiseMonotoneFn
-    finv: PiecewiseMonotoneFn
     t: TNormDescriptor
     _f_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _finv_cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def finv(self) -> PiecewiseMonotoneFn:
+        """f's pseudo-inverse in closed form, which f builds on its first
+        read and every operation on f shares."""
+        return self.f._pseudo_inverse
 
     def f_pair(self, k: tuple) -> tuple:
         """f(p/q) as a reduced pair, for the reduced pair k = (p, q)."""
@@ -56,10 +68,11 @@ class GeneratedOp:
         return v
 
     def finv_pair(self, k: tuple) -> tuple:
-        """finv(p/q) as a reduced pair, for the reduced pair k = (p, q)."""
+        """finv(p/q) as a reduced pair, for the reduced pair k = (p, q),
+        0 <= p/q <= 1: the pointwise definition, a scan of f's pieces."""
         v = self._finv_cache.get(k)
         if v is None:
-            v = self._finv_cache[k] = reduced(*eval_pair(self.finv, *k))
+            v = self._finv_cache[k] = reduced(*_first_arg(self.f, *k, True))
         return v
 
     def t_finv(self, a: int, b: int, c: int, d: int) -> tuple:
@@ -73,7 +86,7 @@ class GeneratedOp:
             n, e = k
             g = gcd(n, e)
             return self.finv_pair((n // g, e // g))
-        cn, cd, sn, sd = _spread(self.finv, *k)
+        cn, cd, sn, sd = _spread(self.f, *k)
         return (cn, cd, *reduced(sn, sd))
 
     def row(self, w: tuple, vs) -> list:
@@ -95,7 +108,8 @@ class GeneratedOp:
         return Fraction(*self.f_pair((x.numerator, x.denominator)))
 
     def finv_at(self, y: Fraction) -> Fraction:
-        """finv(y) for an exact y."""
+        """finv(y) for an exact y; DomainError when it lies outside [0,1]."""
+        y = _unit_arg(y)
         return Fraction(*self.finv_pair((y.numerator, y.denominator)))
 
     def __call__(self, x, y):
@@ -103,9 +117,9 @@ class GeneratedOp:
 
 
 def make_op(f: PiecewiseMonotoneFn, t: TNormDescriptor) -> GeneratedOp:
-    """F for f and T, on f's pseudo-inverse, which f builds once and every
-    operation on f shares."""
-    return GeneratedOp(f, f._pseudo_inverse, t)
+    """F for f and T.  It builds nothing: f's pseudo-inverse in closed form
+    is built on the first sweep that reads it (``GeneratedOp.finv``)."""
+    return GeneratedOp(f, t)
 
 
 def f_eval(op: GeneratedOp, x, y):
@@ -116,20 +130,21 @@ def f_eval(op: GeneratedOp, x, y):
                             *op.f_pair((y.numerator, y.denominator))))
 
 
-def _spread(finv: PiecewiseMonotoneFn, p: int, q: int, m: int, n: int) -> tuple:
-    """finv at T's value p/q with radius m/n, as (cn, cd, sn, sd): the
-    centre finv(p/q), a reduced pair, and the radius sn/sd, not reduced,
-    the larger of
-    m/n and the spread of finv over [p/q - m/n, p/q + m/n].
+def _spread(f: PiecewiseMonotoneFn, p: int, q: int, m: int, n: int) -> tuple:
+    """finv, f's pseudo-inverse, at T's value p/q with radius m/n, as
+    (cn, cd, sn, sd): the centre finv(p/q), a reduced pair, and the radius
+    sn/sd, not reduced, the larger of m/n and the spread of finv over
+    [p/q - m/n, p/q + m/n].
 
     finv is taken at p/q and at p/q - m/n and p/q + m/n, clamped to [0,1],
-    on integer pairs over the common denominator qn (``eval_pair``), and
-    the spread is the larger distance from finv(p/q) to either side, each
-    comparison made by cross-multiplying."""
-    cn, cd = reduced(*eval_pair(finv, p, q))
+    on integer pairs over the common denominator qn, each by the scan of
+    f's pieces that defines it (``pwfn._first_arg``), the two ends left
+    unreduced, and the spread is the larger distance from finv(p/q) to
+    either side, each comparison made by cross-multiplying."""
+    cn, cd = reduced(*_first_arg(f, p, q, True))
     den = q * n
-    ln, ld = eval_pair(finv, max(0, p * n - m * q), den)
-    hn, hd = eval_pair(finv, min(den, p * n + m * q), den)
+    ln, ld = _first_arg(f, max(0, p * n - m * q), den, True)
+    hn, hd = _first_arg(f, min(den, p * n + m * q), den, True)
     # finv is non-increasing when f is, so each side's distance is taken
     # as an absolute value
     sn, sd = abs(cn * ld - ln * cd), cd * ld

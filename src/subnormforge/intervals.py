@@ -196,7 +196,7 @@ def _span(ln: int, ld: int, hn: int, hd: int, lo_closed: bool,
 UNIT = Interval.closed(0, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntervalSet:
     """A normalized finite union of disjoint intervals."""
 

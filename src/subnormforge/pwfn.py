@@ -13,20 +13,24 @@ The structure that depends on f alone is computed once per function
 object, on first use, and cached in the instance ``__dict__``, outside
 the dataclass fields, so equality, hashing and ``repr`` see only the
 direction and the segments: the value interval each segment attains,
-the breakpoints, the plateau set, the range decomposition, the
-pseudo-inverse that ``make_op`` hands every operation on f, and the
-jumps.  ``classify`` keeps its record of f's facts (``_facts``: f(0),
-f(1), f(1-), f's shape and a0) and two keyed memos in the same dict, and
-builds the decomposition only on the routes that read it.  The
-breakpoints, the decomposition's values and the jumps are reduced
-integer pairs, which the classifier reads as they are; ``breakpoints()``
-builds Fractions of the pairs, and the decomposition keeps the text of
-M, C, Q and f(0+) once built (``Decomposition.text``).  The pseudo-inverse
-is validated like any function but keeps no value intervals.  Over
-every (function, family) pair of the classify benchmark's corpus, seed 4
-(1506 functions), classifying raises the Python heap retained per
-function from about 0.75 KB, parsed, to 4.0 KB (tracemalloc, Python
-3.11; CI's "Retained heap" step prints both).
+the breakpoints, the plateau set, the range decomposition, the closed
+form of the pseudo-inverse, and the jumps.  ``classify`` keeps its record
+of f's facts (``_facts``: f(0), f(1), f(1-), f's shape and a0) and two
+keyed memos in the same dict, and builds the decomposition only on the
+routes that read it.  An operation on f reads the pseudo-inverse at a
+point from f's pieces (``_first_arg``), and the closed form only where it
+sweeps it or takes its one-sided limits, so a degenerate shape never
+builds it.  The breakpoints, the decomposition's values and the jumps
+are reduced integer pairs, which the classifier reads as they are;
+``breakpoints()`` builds Fractions of the pairs, and the decomposition
+keeps the text of M, C, Q and f(0+) once built (``Decomposition.text``).
+The pseudo-inverse is validated like any function but keeps no value
+intervals.  Over every (function, family) pair of the classify
+benchmark's corpus, seed 4 (1506 functions, 499 of which build the
+closed form), classifying raises the Python heap retained per function
+from about 0.75 KB, parsed, to 3.4 KB (tracemalloc, Python 3.11; CI's
+"Retained heap" step prints both, and how many functions hold each
+cache).
 
 ``eval_pair`` scans the pieces in x order, reading each one's upper end,
 and then a constant piece's value or a line's slope and intercept, as
@@ -204,8 +208,8 @@ class PiecewiseMonotoneFn:
 
     @cached_property
     def _pseudo_inverse(self) -> "PiecewiseMonotoneFn":
-        """``pseudo_inverse``'s result, which ``make_op`` hands every
-        operation on this function."""
+        """``pseudo_inverse``'s result, which every operation on this
+        function shares (``GeneratedOp.finv``)."""
         return pseudo_inverse(self)
 
     @cached_property
@@ -242,7 +246,7 @@ class PiecewiseMonotoneFn:
         else:
             top = q.parts[-1]
             upsilon = top.hn, top.hd
-            tau = _first_arg(self, *upsilon, False)
+            tau = reduced(*_first_arg(self, *upsilon, False))
         # M = [0,1] reads as having the gap [1,1], which keeps 1
         gaps = m.complement().parts or (Interval.point(ONE),)
         s, c = [], []
@@ -408,27 +412,41 @@ def pseudo_inverse_at(f: PiecewiseMonotoneFn, y) -> Fraction:
 
 
 def _first_arg(f, yn: int, yd: int, closed: bool) -> tuple:
-    """inf{x : f(x) in target} as a reduced pair, inf(empty) = 1, for
-    y = yn/yd, yd > 0, and the target of the values of [0,1] beyond y
-    (above y for non-decreasing f, below y otherwise), with y itself when
-    `closed`.  Every x after one whose value hits the target hits it too,
-    so the first piece whose values meet the target holds the infimum: its
-    first x for a constant piece, and for a line the x where it reaches y,
+    """inf{x : f(x) in target} as an integer pair with a positive
+    denominator, inf(empty) = 1, for y = yn/yd, yd > 0, and the target of
+    the values of [0,1] beyond y (above y for non-decreasing f, below y
+    otherwise), with y itself when `closed`.  Every x after one whose
+    value hits the target hits it too, so the first piece whose values
+    meet the target holds the infimum: its first x, a reduced pair, for a
+    constant piece, and for a line the x where it reaches y, not reduced,
     or its first x when it starts past y.  A piece's value at its upper end
-    goes farthest into the target, attained by a constant piece and by a
-    line closed there."""
-    sign = 1 if f.nondecreasing else -1
-    for p in f.segments:
-        d, sn, sd, cn, cd = p.domain, p.sn, p.sd, p.cn, p.cd
-        # the piece's value at its upper end
-        vn, vd = (sn * d.hn * cd + cn * sd * d.hd, sd * cd * d.hd) if sn else (cn, cd)
-        c = (vn * yd - yn * vd) * sign  # the sign of that value - y, into the target
-        if c > 0 or (c == 0 and closed and (not sn or d.hi_closed)):
-            if not sn:
-                return d.ln, d.ld
-            x = reduced((yn * cd - cn * yd) * sd, yd * cd * sn)
-            return x if x[0] * d.ld > d.ln * x[1] else (d.ln, d.ld)
-    return 1, 1
+    goes farthest into the target: the end of its value interval
+    (``_values``) in f's direction, which the interval's flag there says
+    it attains, as a constant piece does and a line closed there."""
+    up = f.nondecreasing
+    # the piece's index, counted: building a zip of the pieces and their
+    # values costs more than the short scan itself
+    i = 0
+    for v in f._values:
+        # the sign of the value at the upper end - y, into the target
+        if up:
+            c, attained = v.hn * yd - yn * v.hd, v.hi_closed
+        else:
+            c, attained = yn * v.ld - v.ln * yd, v.lo_closed
+        if c > 0 or (c == 0 and closed and attained):
+            break
+        i += 1
+    else:
+        return 1, 1
+    p = f.segments[i]
+    d, sn = p.domain, p.sn
+    if not sn:
+        return d.ln, d.ld
+    cd = p.cd
+    xn, xd = (yn * cd - p.cn * yd) * p.sd, yd * cd * sn
+    if sn < 0:
+        xn, xd = -xn, -xd
+    return (xn, xd) if xn * d.ld > d.ln * xd else (d.ln, d.ld)
 
 
 def first_arg_above(f: PiecewiseMonotoneFn, v) -> Fraction:

@@ -866,6 +866,37 @@ DEGENERATE_SHAPES = {
 }
 
 
+@pytest.mark.parametrize("family", ["min", "halfprod"])
+def test_the_limit_search_builds_the_pseudo_inverse(family, monkeypatch):
+    # a full unit of an exact family that is not strict reaches the
+    # continuity route's limit search, whose one-sided limits of finv read
+    # its closed form: built there, on first use, and not before
+    module = importlib.import_module("subnormforge.classify")
+    f = parse_fn(WORKED_EXAMPLES["half_jump"])
+    held, search = [], module._limit_search
+
+    def watched(op):
+        held.append("_pseudo_inverse" in vars(f))
+        v = search(op)
+        held.append("_pseudo_inverse" in vars(f))
+        return v
+
+    monkeypatch.setattr(module, "_limit_search", watched)
+    r = classify(f, parse_tnorm(family))
+    assert ("degenerate shape", "", "forced classification") not in r.conditions_log
+    assert held == [False, True]
+
+
+def test_verdict_holds_only_its_fields():
+    # a Verdict is slotted, as Interval and Segment are, and frozen
+    assert Verdict.__slots__ == ("status", "evidence", "witness", "resolution", "note")
+    for v in (Verdict.yes("e"), Verdict.no((F(1, 2),)), Verdict.unknown("r", note="n")):
+        assert not hasattr(v, "__dict__")
+        with pytest.raises(AttributeError):
+            v.status = "yes"
+    assert Verdict.yes("e") == Verdict("yes", ("e",)) != Verdict.yes("f")
+
+
 @pytest.mark.parametrize("text, kind, cc", DEGENERATE_SHAPES.values(), ids=DEGENERATE_SHAPES)
 def test_degenerate_units_read_only_their_shape(text, kind, cc, monkeypatch):
     # the decomposition is built only when a route, or a reader of the
@@ -891,6 +922,8 @@ def test_degenerate_units_read_only_their_shape(text, kind, cc, monkeypatch):
     reports = {fam: classify(f, parse_tnorm(fam)) for fam in CLASSIFY_MIX}
     assert len(at_one) == 1
     assert "_decomposition" not in f.__dict__
+    # nor does any family sweep finv: its closed form stays unbuilt
+    assert "_pseudo_inverse" not in f.__dict__
     assert len(built) == 1 and built[0] is f
     assert module._facts(f).kind == kind
     assert reports["product"].properties["conditionally_cancellative"].status == cc

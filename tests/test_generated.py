@@ -1,5 +1,6 @@
 """The generated operation F(x,y) = finv(T(f(x), f(y)))."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -19,8 +20,9 @@ from subnormforge import (
     parse_fn,
     parse_tnorm,
 )
+from subnormforge.generated import GeneratedOp
 from subnormforge.oracle import _Memo, check_property
-from subnormforge.pwfn import eval_fn, eval_pair
+from subnormforge.pwfn import DomainError, eval_fn, eval_pair
 from subnormforge.tnorms import Approx, Generator, Lambda, _key
 
 F = Fraction
@@ -114,9 +116,23 @@ def test_caches_hold_reduced_pairs(f_gap):
     assert all(callable(getattr(op, name)) for name in ("f_at", "finv_at"))
 
 
+def test_op_holds_f_t_and_its_caches(f_gap):
+    # make_op builds nothing: finv is f's closed form, built on its first
+    # read and shared by every op on f, and finv at a point needs none
+    assert [fd.name for fd in dataclasses.fields(GeneratedOp)] == [
+        "f", "t", "_f_cache", "_finv_cache"]
+    op = make_op(f_gap, parse_tnorm("product"))
+    assert "_pseudo_inverse" not in vars(f_gap)
+    assert op.finv_at(F(1, 5)) == F(17, 65) and op.finv_pair((3, 16)) == (1, 4)
+    assert "_pseudo_inverse" not in vars(f_gap)
+    with pytest.raises(DomainError):
+        op.finv_at(F(3, 2))
+    assert op.finv is f_gap._pseudo_inverse is make_op(f_gap, parse_tnorm("min")).finv
+
+
 def test_op_equality_ignores_what_its_caches_hold(f_identity, f_gap):
-    # two ops are equal when their f, finv and t are, before and after
-    # either one evaluates anything
+    # two ops are equal when their f and t are, before and after either one
+    # evaluates anything
     product = parse_tnorm("product")
     a, b = make_op(f_identity, product), make_op(f_identity, product)
     assert a == b

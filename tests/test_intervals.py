@@ -328,3 +328,12 @@ def test_interval_views_keep_eq_hash_and_repr():
         assert other != built[0]
     assert built[0] != (F(1, 3), F(1, 2), True, False)
     assert built[0].__eq__((F(1, 3), F(1, 2), True, False)) is NotImplemented
+
+
+def test_interval_set_holds_only_its_parts():
+    # a set is slotted like its Intervals, and frozen
+    assert IntervalSet.__slots__ == ("parts",)
+    s = IntervalSet.of([Interval(F(1, 2), 1), Interval(0, F(1, 4))])
+    assert not hasattr(s, "__dict__") and not hasattr(IntervalSet.empty(), "__dict__")
+    with pytest.raises(AttributeError):
+        s.parts = ()
