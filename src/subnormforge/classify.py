@@ -25,9 +25,9 @@ from .pwfn import (
     Decomposition,
     PiecewiseMonotoneFn,
     _first_arg,
+    _first_args,
     decompose,
     eval_pair,
-    eval_pairs,
     limit_pair,
     plateau_set,
 )
@@ -558,10 +558,10 @@ def _dir_limit(op: GeneratedOp, x0: tuple, c: tuple, side: str, approach: dict):
 
     Where neither f nor T(., c) is constant on that side, T(f(x), c)
     approaches its limit w strictly from `side`, so F's limit is finv's
-    limit at w from that side.  From the right w < 1, so finv's convention
-    at 1 never enters: the line of f beside x0 rises above v = f(x0+) and
-    stays at most 1, and w, a limit of T(u, c) <= u as u falls to v, is at
-    most v < 1."""
+    limit at w from that side, which the scan of f's pieces gives (f is
+    non-decreasing here): finv(y) = inf{x : f(x) >= y} is left-continuous,
+    so its limit from the left is finv(w), and its limit from the right is
+    inf{x : f(x) > w}, which is 1 at w = 1."""
     if x0[0] == (0 if side == "left" else x0[1]):
         return None
     if c[0] == 0:
@@ -575,7 +575,7 @@ def _dir_limit(op: GeneratedOp, x0: tuple, c: tuple, side: str, approach: dict):
     (n, d), const = op.t.dir_limit(v, side, c)
     if const:
         return op.finv_pair(reduced(n, d))
-    return limit_pair(op.finv, n, d, side)[0]
+    return _first_arg(op.f, n, d, side == "left")
 
 
 def check_continuity(op: GeneratedOp) -> Verdict:
@@ -669,16 +669,16 @@ def _limit_search(op: GeneratedOp):
     first argument differs from F(px, py), as a No, else None.
 
     The search runs on reduced integer pairs: f and F through the op's
-    caches (``f_pair``, ``t_finv``), the one-sided limits of f and finv by
-    ``limit_pair`` and those of T by the family's ``dir_limit``; only a No
-    builds Fractions, for its witness and note.  The limit and F(px, py)
-    depend on py only through f(py), so a pair whose (px, f(py)) was
-    checked before is skipped: it would give the values of that earlier
-    pair, which matched, so the first mismatch is unchanged.  The candidate
-    arguments are f's breakpoints, 1 among them, and, first arguments only,
-    an x with f(x) = u for each solution u of T(u, f(y0)) = q, q a plateau
-    value; each distinct (q, f(y0)) is solved once and each u looked up
-    once."""
+    caches (``f_pair``, ``t_finv``), the one-sided limits of f by
+    ``limit_pair``, of finv by the scan of f's pieces and of T by the
+    family's ``dir_limit``; only a No builds Fractions, for its witness
+    and note.  The limit and F(px, py) depend on py only through f(py), so
+    a pair whose (px, f(py)) was checked before is skipped: it would give
+    the values of that earlier pair, which matched, so the first mismatch
+    is unchanged.  The candidate arguments are f's breakpoints, 1 among
+    them, and, first arguments only, an x with f(x) = u for each solution
+    u of T(u, f(y0)) = q, q a plateau value; each distinct (q, f(y0)) is
+    solved once and each u looked up once."""
     f, t = op.f, op.t
     ys = f._breakpoints
     cs = {op.f_pair(k) for k in ys}
@@ -942,7 +942,7 @@ def _assoc_search(op: GeneratedOp, pts):
     (``GeneratedOp.row``), for a moved w that such a triple reads, and a
     fixed value's entry alone, by ``op.t_finv``.
     """
-    f_pair, t_finv, t, finv = op.f_pair, op.t_finv, op.t.eval_pair, op.finv
+    f, f_pair, t_finv, t = op.f, op.f_pair, op.t_finv, op.t.eval_pair
     first, fs = [], []  # each class's first point and f value a_c
     for p in pts:
         a = f_pair(p)
@@ -954,7 +954,7 @@ def _assoc_search(op: GeneratedOp, pts):
     moves = [[False] * n for _ in range(n)]
     for c, (an, ad) in enumerate(fs):  # each pair once, as T is commutative
         ts = [t(an, ad, *b) for b in fs[c:]]
-        for d, u, (p, q) in zip(range(c, n), eval_pairs(finv, ts), ts):
+        for d, u, (p, q) in zip(range(c, n), _first_args(f, ts, True), ts):
             w = ws[c][d] = ws[d][c] = f_pair(reduced(*u))
             moves[c][d] = moves[d][c] = w[0] * q != p * w[1]
     movers = [[e for e in range(n) if m[e]] for m in moves]

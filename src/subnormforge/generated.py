@@ -16,13 +16,12 @@ radius's pairs, which carry T's error radius through the pseudo-inverse
 (``_spread``): finv is taken at T's centre and at either end of its
 radius, on integer pairs too.  ``row`` evaluates F along a row of f
 values: with an exact T, finv runs over T's values in one forward sweep
-of the pieces of its closed form (``pwfn.eval_pairs``), which f builds on
-that first sweep and keeps (``finv``).  An operation that never sweeps a
-row builds no closed form: a degenerate shape reads finv at a point or
-two.  The oracle's ``_Memo`` reads f's pairs (``f_pair``) as the classes
-of its values, with no f cache of its own, and evaluates a row at a time
-through ``row``, as the classifier's associativity search does, holding
-each value as its key.
+of f's pieces (``pwfn._first_args``), the same scan.  No route builds
+finv's closed form (``pwfn.pseudo_inverse``), which stays the tests'
+reference for the scan.  The oracle's ``_Memo`` reads f's pairs
+(``f_pair``) as the classes of its values, with no f cache of its own,
+and evaluates a row at a time through ``row``, as the classifier's
+associativity search does, holding each value as its key.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 
 from .intervals import Interval, frac, reduced
-from .pwfn import PiecewiseMonotoneFn, Segment, _first_arg, _unit_arg, eval_pair, eval_pairs
+from .pwfn import PiecewiseMonotoneFn, Segment, _first_arg, _first_args, _unit_arg, eval_pair
 from .tnorms import Generator, GeneratorSpec, Lambda, TNormDescriptor, _value, t_eval
 
 
@@ -43,22 +42,15 @@ class GeneratedOp:
     ``_finv_cache`` the reduced pair of y to that of finv(y).  ``f_pair``
     and ``finv_pair`` return these pairs, ``t_finv`` the key of F's value
     and ``row`` those of a row of F; ``f_at``, ``finv_at`` and ``f_eval``
-    build the value of one as they return it.  finv at a point is the
-    scan of f's pieces (``pwfn._first_arg``); only ``row`` and the
-    classifier's sweeps and one-sided limits read the closed form
-    (``finv``).  Two operations are equal when their f and t are,
-    whatever their caches hold."""
+    build the value of one as they return it.  finv is read only by
+    scanning f's pieces, at a point (``pwfn._first_arg``) or along a row
+    (``pwfn._first_args``).  Two operations are equal when their f and t
+    are, whatever their caches hold."""
 
     f: PiecewiseMonotoneFn
     t: TNormDescriptor
     _f_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _finv_cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def finv(self) -> PiecewiseMonotoneFn:
-        """f's pseudo-inverse in closed form, which f builds on its first
-        read and every operation on f shares."""
-        return self.f._pseudo_inverse
 
     def f_pair(self, k: tuple) -> tuple:
         """f(p/q) as a reduced pair, for the reduced pair k = (p, q)."""
@@ -92,16 +84,16 @@ class GeneratedOp:
     def row(self, w: tuple, vs) -> list:
         """[t_finv(*w, *v) for v in vs], for the f value w and the f values
         vs, reduced pairs.  With an exact T, finv runs over T's values in one
-        ``eval_pairs`` sweep, which takes one pass over finv's pieces when
-        the vs ascend (T is non-decreasing in its second argument), and each
-        value is reduced here, without the finv cache; an inexact T gives
-        each entry by ``t_finv``."""
+        ``_first_args`` sweep, which takes one pass over f's pieces when f
+        is non-decreasing and the vs ascend (T is non-decreasing in its
+        second argument), and each value is reduced here, without the finv
+        cache; an inexact T gives each entry by ``t_finv``."""
         a, b = w
         if not self.t.exact:
             t_finv = self.t_finv
             return [t_finv(a, b, c, d) for c, d in vs]
         t = self.t.eval_pair
-        return [reduced(n, d) for n, d in eval_pairs(self.finv, [t(a, b, c, d) for c, d in vs])]
+        return [reduced(n, d) for n, d in _first_args(self.f, [t(a, b, c, d) for c, d in vs], True)]
 
     def f_at(self, x: Fraction) -> Fraction:
         """f(x) for an exact x."""
@@ -117,8 +109,7 @@ class GeneratedOp:
 
 
 def make_op(f: PiecewiseMonotoneFn, t: TNormDescriptor) -> GeneratedOp:
-    """F for f and T.  It builds nothing: f's pseudo-inverse in closed form
-    is built on the first sweep that reads it (``GeneratedOp.finv``)."""
+    """F for f and T.  It builds nothing: finv is read from f's pieces."""
     return GeneratedOp(f, t)
 
 

@@ -30,7 +30,7 @@ A generated operation is evaluated on integer pairs, since ``Fraction``
 builds and compares in Python: along a row, f's value at the row's
 argument is read once, and the operation's own row kernel gives the
 row's keys (``_Memo.eval_row``, ``GeneratedOp.row``): for an exact
-t-norm, finv over T's values in one forward sweep of its pieces.  Values
+t-norm, finv over T's values in one sweep of f's pieces.  Values
 stay keys, and are built only when read (``_value``): by a
 counterexample, a note or ``memo(x, y)``.  On an exact table, keys
 compare values: equal keys are equal values, unequal keys differ, and
@@ -133,11 +133,11 @@ class _Memo:
     the grid classes are ``TC``'s; every other row or column is evaluated
     whole when a scan first reads it, in one ``eval_row`` call over the
     classes in ``asc`` order, ascending in f for a GeneratedOp, so that T
-    ascends along the row and finv's pieces are swept once.  Only the
-    Archimedean powers read single entries (``entry``), as most of their
-    rows are read at one or two places; a row they began keeps those
-    entries when it is read whole.  These lists are the only cache of the
-    operation's values.
+    ascends along the row and, for non-decreasing f, f's pieces are swept
+    once.  Only the Archimedean powers read single entries (``entry``), as
+    most of their rows are read at one or two places; a row they began
+    keeps those entries when it is read whole.  These lists are the only
+    cache of the operation's values.
 
     A GeneratedOp is symmetric: F(x, y) = finv(T(f(x), f(y))) and
     F(y, x) = finv(T(f(y), f(x))) are finv of equal arguments, as every
@@ -171,7 +171,7 @@ class _Memo:
     def eval_row(self, a: tuple, classes) -> list:
         """[eval(a, b) for a point b of each class of `classes`].  For a
         GeneratedOp it takes a's class once and F along the row of the
-        classes, f's values (``GeneratedOp.row``), in one sweep over finv's
+        classes, f's values (``GeneratedOp.row``), in one sweep over f's
         pieces for an exact T when the classes ascend.  Any other operation
         is evaluated entry by entry, on the values of the keys."""
         self.evals += len(classes)

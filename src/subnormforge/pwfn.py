@@ -13,22 +13,21 @@ The structure that depends on f alone is computed once per function
 object, on first use, and cached in the instance ``__dict__``, outside
 the dataclass fields, so equality, hashing and ``repr`` see only the
 direction and the segments: the value interval each segment attains,
-the breakpoints, the plateau set, the range decomposition, the closed
-form of the pseudo-inverse, and the jumps.  ``classify`` keeps its record
-of f's facts (``_facts``: f(0), f(1), f(1-), f's shape and a0) and two
-keyed memos in the same dict, and builds the decomposition only on the
-routes that read it.  An operation on f reads the pseudo-inverse at a
-point from f's pieces (``_first_arg``), and the closed form only where it
-sweeps it or takes its one-sided limits, so a degenerate shape never
-builds it.  The breakpoints, the decomposition's values and the jumps
-are reduced integer pairs, which the classifier reads as they are;
-``breakpoints()`` builds Fractions of the pairs, and the decomposition
-keeps the text of M, C, Q and f(0+) once built (``Decomposition.text``).
-The pseudo-inverse is validated like any function but keeps no value
-intervals.  Over every (function, family) pair of the classify
-benchmark's corpus, seed 4 (1506 functions, 499 of which build the
-closed form), classifying raises the Python heap retained per function
-from about 0.75 KB, parsed, to 3.4 KB (tracemalloc, Python 3.11; CI's
+the breakpoints, the plateau set, the range decomposition and the
+jumps.  ``classify`` keeps its record of f's facts (``_facts``: f(0),
+f(1), f(1-), f's shape and a0) and two keyed memos in the same dict, and
+builds the decomposition only on the routes that read it.  An operation
+on f reads the pseudo-inverse only from f's pieces: at a point
+(``_first_arg``), along a sweep of ascending values (``_first_args``),
+and at its one-sided limits, which are the same scan with the target
+closed or open.  So no route builds its closed form.  The breakpoints,
+the decomposition's values and the jumps are reduced integer pairs,
+which the classifier reads as they are; ``breakpoints()`` builds
+Fractions of the pairs, and the decomposition keeps the text of M, C, Q
+and f(0+) once built (``Decomposition.text``).  Over every (function,
+family) pair of the classify benchmark's corpus, seed 4 (1506
+functions), classifying raises the Python heap retained per function
+from about 0.75 KB, parsed, to 3.2 KB (tracemalloc, Python 3.11; CI's
 "Retained heap" step prints both, and how many functions hold each
 cache).
 
@@ -37,12 +36,9 @@ and then a constant piece's value or a line's slope and intercept, as
 integer pairs.  The pieces partition [0,1] in order, each starting where
 the one before ends, with the opposite closedness.  So every piece before
 the first whose upper end covers x ends below x, or at x but open, and
-that first piece starts at or below x: it holds x.  The tests are sign tests on cross products of
-numerators and denominators, and the value is an integer pair; ``eval_fn``
-builds it as one Fraction, normalised once.  ``eval_pairs`` takes a list
-of arguments in one forward sweep: each scan starts at the piece that held
-the argument before, and at the first piece only when the argument is
-below that one, so ascending arguments take one pass over the pieces.
+that first piece starts at or below x: it holds x.  The tests are sign
+tests on cross products of numerators and denominators, and the value is
+an integer pair; ``eval_fn`` builds it as one Fraction, normalised once.
 
 ``limit_pair``, the one-sided twin of ``eval_pair``, scans the same way
 for the piece that approaches a: from the left the first piece whose
@@ -62,9 +58,11 @@ the pieces partition [0,1], and that each piece's values at its two
 ends, by ``eval_pair``'s formula, lie in [0,1], go in the function's
 direction and do not go back across pieces.  ``pseudo_inverse`` builds
 the closed form of the pseudo-inverse in one sweep over the pieces on
-pairs, and builds its Segments of pairs; ``pseudo_inverse_at`` is the
-pointwise definition that the tests hold it against, a scan of the
-pieces on pairs (``_first_arg``) like ``first_arg_above``.  The
+pairs, and builds its Segments of pairs; it is validated like any
+function but keeps no value intervals.  It is API that no route calls:
+the tests hold against it the pointwise definition, a scan of the pieces
+on pairs (``_first_arg``, behind ``pseudo_inverse_at`` and
+``first_arg_above``), and that scan's sweep (``_first_args``).  The
 value intervals, the breakpoints, the range, the plateau set and the
 decomposition take one pass each over values that come in order; no
 Fraction is sorted or hashed to build them.
@@ -207,12 +205,6 @@ class PiecewiseMonotoneFn:
         return IntervalSet(tuple(parts if self.nondecreasing else parts[::-1]))
 
     @cached_property
-    def _pseudo_inverse(self) -> "PiecewiseMonotoneFn":
-        """``pseudo_inverse``'s result, which every operation on this
-        function shares (``GeneratedOp.finv``)."""
-        return pseudo_inverse(self)
-
-    @cached_property
     def _jumps(self) -> tuple:
         """(x0, lo, hi) at every discontinuity, as reduced pairs, using
         actual one-sided limits (the pseudo-inverse boundary conventions
@@ -326,36 +318,6 @@ def eval_pair(f: PiecewiseMonotoneFn, p: int, q: int) -> tuple:
     raise InvalidFunction(f"no piece covers {p}/{q}")  # unreachable for valid fns
 
 
-def eval_pairs(f: PiecewiseMonotoneFn, args) -> list:
-    """[eval_pair(f, p, q) for (p, q) in args], the same pairs and the same
-    DomainError, in one forward sweep over the pieces: the scan for an
-    argument starts at the piece that held the one before, and at the first
-    piece only when the argument is below it.  Every piece before that one
-    ends below the argument before, or at it but open, so it cannot hold a
-    larger or equal argument either.  Ascending arguments take one pass."""
-    segs = f.segments
-    out = []
-    i, pp, pq = 0, 0, 1  # the piece that held the argument before, and that argument
-    for p, q in args:
-        if p < 0 or p > q:
-            raise DomainError(f"argument {Fraction(p, q)} outside [0,1]")
-        if p * pq < pp * q:
-            i = 0
-        pp, pq = p, q
-        while True:
-            s = segs[i]
-            d = s.domain
-            c = p * d.hd - d.hn * q
-            if c < 0 or (c == 0 and d.hi_closed):
-                break
-            i += 1
-        if s.sn:
-            out.append((s.sn * p * s.cd + s.cn * s.sd * q, s.sd * s.cd * q))
-        else:
-            out.append((s.cn, s.cd))
-    return out
-
-
 def _unit_arg(v) -> Fraction:
     """v as a Fraction; DomainError when it lies outside [0,1]."""
     v = frac(v)
@@ -447,6 +409,45 @@ def _first_arg(f, yn: int, yd: int, closed: bool) -> tuple:
     if sn < 0:
         xn, xd = -xn, -xd
     return (xn, xd) if xn * d.ld > d.ln * xd else (d.ln, d.ld)
+
+
+def _first_args(f, ys, closed: bool) -> list:
+    """[_first_arg(f, yn, yd, closed) for (yn, yd) in ys], the same pairs.
+    For non-decreasing f it is one forward sweep: the scan for a y starts
+    at the piece that met the y before, and at the first piece only when
+    y is below it.  Every piece before that one misses the target of the
+    y before, so it misses that of a larger or equal y too, and ascending
+    ys take one pass.  A line's x is compared with its first x on the
+    values, as y against the line's value there, the lower end of its
+    value interval, so a y in a range gap below the line gives the first x
+    without the line's x being built.  For non-increasing f every scan
+    starts at the first piece (``_first_arg``)."""
+    if not f.nondecreasing:
+        return [_first_arg(f, yn, yd, closed) for yn, yd in ys]
+    vals, segs = f._values, f.segments
+    n, out = len(vals), []
+    i, pn, pd = 0, 0, 1  # the piece that met the y before, and that y
+    for yn, yd in ys:
+        if i and yn * pd < pn * yd:
+            i = 0
+        pn, pd = yn, yd
+        while i < n:
+            v = vals[i]
+            c = v.hn * yd - yn * v.hd  # the sign of the value at its upper end - y
+            if c > 0 or (c == 0 and closed and v.hi_closed):
+                break
+            i += 1
+        else:
+            out.append((1, 1))
+            continue
+        p = segs[i]
+        if p.sn and yn * v.ld > v.ln * yd:
+            cd = p.cd
+            out.append(((yn * cd - p.cn * yd) * p.sd, yd * (cd * p.sn)))
+        else:
+            d = p.domain
+            out.append((d.ln, d.ld))
+    return out
 
 
 def first_arg_above(f: PiecewiseMonotoneFn, v) -> Fraction:

@@ -16,7 +16,7 @@ from conftest import (WIDE_BIG, WORKED_EXAMPLES, _one_minus, approach_segment, a
                       random_strictly_increasing_fn, reference_value_at, wide_fractions)
 from subnormforge import (Interval, IntervalSet, PiecewiseMonotoneFn, Segment, classify, decompose,
                           eval_fn, f_eval, make_op, parse_fn, parse_tnorm, plateau_set,
-                          pseudo_inverse_at, pwfn, render_fn)
+                          pseudo_inverse, pseudo_inverse_at, pwfn, render_fn)
 from subnormforge.classify import (
     _GRID_POINTS,
     _PQ_VALUES,
@@ -46,7 +46,7 @@ from subnormforge.classify import (
     Verdict,
 )
 from subnormforge.oracle import check_property, consistency_harness
-from subnormforge.pwfn import eval_pairs, first_arg_above
+from subnormforge.pwfn import _first_args, first_arg_above
 from subnormforge.tnorms import (Approx, GeneratorSpec, Lambda, t_eval, t_image,
                                  t_preimage, t_solve_x)
 
@@ -284,10 +284,10 @@ def reference_dir_limit(op, x0, y0, side, approach):
     if const:
         return op.finv_at(w)
     if side == "left":
-        return reference_side_limit(op.finv, w, "left")
+        return reference_side_limit(pseudo_inverse(op.f), w, "left")
     if w == 1:
         return op.finv_at(F(1))
-    return reference_side_limit(op.finv, w, "right")
+    return reference_side_limit(pseudo_inverse(op.f), w, "right")
 
 
 def reference_limit_search(op):
@@ -579,6 +579,7 @@ def split_lines(f):
     return PiecewiseMonotoneFn(f.nondecreasing, tuple(segs))
 
 
+# the families of the classify-mix benchmark workload
 CLASSIFY_MIX = ("product", "hamacher2", "min", "halfprod", "gen:neglog")
 
 
@@ -807,7 +808,7 @@ def test_assoc_search_compares_no_triple_where_h_fixes_every_value(t, text):
     op = make_op(f, t)
     op.t_finv = op.row = None  # a call would fail
     pts = kn_grid(f, 12)
-    with mock.patch("subnormforge.classify.eval_pairs", wraps=eval_pairs) as sweep:
+    with mock.patch("subnormforge.classify._first_args", wraps=_first_args) as sweep:
         assert assoc_search(op, pts) is None
     assert [len(c.args[1]) for c in sweep.call_args_list] == list(range(len(pts), 0, -1))
 
@@ -844,9 +845,6 @@ def test_plateau_to_one_collapses():
     assert s["conditionally_cancellative"] in ("yes", "no")
 
 
-# the families of the classify-mix benchmark workload
-CLASSIFY_MIX = ("product", "hamacher2", "min", "halfprod", "gen:neglog")
-
 # one function per degenerate shape: (text, shape kind, product's
 # conditionally_cancellative status, which the probe F(x2,1) decides)
 DEGENERATE_SHAPES = {
@@ -867,10 +865,10 @@ DEGENERATE_SHAPES = {
 
 
 @pytest.mark.parametrize("family", ["min", "halfprod"])
-def test_the_limit_search_builds_the_pseudo_inverse(family, monkeypatch):
+def test_the_limit_search_builds_nothing(family, monkeypatch):
     # a full unit of an exact family that is not strict reaches the
-    # continuity route's limit search, whose one-sided limits of finv read
-    # its closed form: built there, on first use, and not before
+    # continuity route's limit search, whose one-sided limits of finv are
+    # scans of f's pieces: no closed form is built there, nor before
     module = importlib.import_module("subnormforge.classify")
     f = parse_fn(WORKED_EXAMPLES["half_jump"])
     held, search = [], module._limit_search
@@ -884,7 +882,20 @@ def test_the_limit_search_builds_the_pseudo_inverse(family, monkeypatch):
     monkeypatch.setattr(module, "_limit_search", watched)
     r = classify(f, parse_tnorm(family))
     assert ("degenerate shape", "", "forced classification") not in r.conditions_log
-    assert held == [False, True]
+    assert held == [False, False]
+
+
+def test_classify_never_builds_the_pseudo_inverse(monkeypatch):
+    # every route reads finv from f's pieces, so no family builds its
+    # closed form on any worked example or lattice function
+    def refuse(f):
+        raise AssertionError("a route built the closed form of finv")
+
+    monkeypatch.setattr(pwfn, "pseudo_inverse", refuse)
+    ts = [parse_tnorm(fam) for fam in CLASSIFY_MIX]
+    for f in [parse_fn(text) for text in WORKED_EXAMPLES.values()] + list(lattice_fns(3, 4)):
+        for t in ts:
+            classify(f, t)
 
 
 def test_verdict_holds_only_its_fields():
@@ -922,7 +933,7 @@ def test_degenerate_units_read_only_their_shape(text, kind, cc, monkeypatch):
     reports = {fam: classify(f, parse_tnorm(fam)) for fam in CLASSIFY_MIX}
     assert len(at_one) == 1
     assert "_decomposition" not in f.__dict__
-    # nor does any family sweep finv: its closed form stays unbuilt
+    # nor does any family build finv's closed form
     assert "_pseudo_inverse" not in f.__dict__
     assert len(built) == 1 and built[0] is f
     assert module._facts(f).kind == kind

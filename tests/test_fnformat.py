@@ -176,7 +176,7 @@ def test_parsed_functions_store_only_ints_and_bools(f):
     points = text.replace("segment {", "point ").replace("} const", " =")
     for g in (parse_fn(text), parse_fn(points)):
         assert g == f
-        for s in g.segments + g._pseudo_inverse.segments:
+        for s in g.segments + pseudo_inverse(g).segments:
             _assert_stores_pairs(s)
         for iv in g._values + plateau_set(g).parts + range_of(g).parts:
             _assert_stores_pairs(iv)

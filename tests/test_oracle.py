@@ -254,7 +254,8 @@ def test_the_pair_path_gives_reduced_keys():
 @pytest.mark.parametrize("family", ["product", "gen:neglog"])
 def test_the_oracle_reads_f_only_through_f_pair(family, monkeypatch):
     # the memo keeps no cache of f beside the op's: every f value of the
-    # scans comes from f_pair, and finv's sweep is their only piece scan
+    # scans comes from f_pair, and finv's sweep over f's pieces is their
+    # only other piece scan
     f = parse_fn(WORKED_EXAMPLES["gap"])
     op = make_op(f, parse_tnorm(family))
     read, f_pair = [], GeneratedOp.f_pair
@@ -269,14 +270,14 @@ def test_the_oracle_reads_f_only_through_f_pair(family, monkeypatch):
     swept = []
     monkeypatch.setattr(GeneratedOp, "f_pair", counting)
     monkeypatch.setattr(GeneratedOp, "f_at", no_f)
-    monkeypatch.setattr(generated, "eval_pairs",
-                        lambda fn, args: swept.append(fn) or pwfn.eval_pairs(fn, args))
+    monkeypatch.setattr(generated, "_first_args",
+                        lambda fn, ys, closed: swept.append(fn) or pwfn._first_args(fn, ys, closed))
     memo = _Memo(op)
     pts = grid(12, default_extra(f))
     for law in PROPERTY_NAMES:
         check_property(memo, law, pts)
     assert set(map(_key, pts)) <= set(read) == set(op._f_cache)
-    assert all(fn is op.finv for fn in swept) and bool(swept) == op.t.exact
+    assert all(fn is f for fn in swept) and bool(swept) == op.t.exact
     # the memo's only dicts are its table's lists of F by class, f's
     # values: none maps an argument of f to anything
     dicts = {k: v for k, v in vars(memo).items() if isinstance(v, dict)}
@@ -311,9 +312,9 @@ def test_a_direct_call_evaluates_afresh(family):
         assert memo.evals == evals + len(args) ** 2
 
 
-def test_harness_builds_the_pseudo_inverse_once(monkeypatch):
-    # every family's classify and the harness after them share one build,
-    # which happens on first use, not when the function is parsed
+def test_harness_builds_no_pseudo_inverse(monkeypatch):
+    # every family's classify and the harness after them read finv from
+    # f's pieces, so none builds its closed form
     built = []
 
     def counting(f):
@@ -326,17 +327,37 @@ def test_harness_builds_the_pseudo_inverse_once(monkeypatch):
     for family in ("product", "hamacher2", "min", "halfprod", "gen:neglog"):
         classify(f, parse_tnorm(family))
     consistency_harness(f, PRODUCT, n=6)
-    assert built == [f]
+    assert built == []
+
+
+@pytest.mark.parametrize("family", ["product", "hamacher2"])
+def test_harness_never_builds_the_pseudo_inverse(family, monkeypatch):
+    def refuse(f):
+        raise AssertionError("the harness built the closed form of finv")
+
+    monkeypatch.setattr(pwfn, "pseudo_inverse", refuse)
+    t = parse_tnorm(family)
+    for text in WORKED_EXAMPLES.values():
+        consistency_harness(parse_fn(text), t, n=6)
 
 
 @settings(max_examples=40, deadline=None)
 @given(f=st.one_of(monotone_fns(), nonincreasing_fns()))
 def test_make_op_uses_the_pseudo_inverse(f):
-    want = pseudo_inverse(f)
+    # finv at a point and along a row, read from f's pieces, equal the
+    # closed form at the sixteenths and f's values there, and at T's values
+    # on those f values
+    g = pseudo_inverse(f)
+    xs = grid(16)
+    fs = sorted({f(x) for x in xs})
     for family in ("product", "gen:neglog"):
         op = make_op(f, parse_tnorm(family))
-        assert op.finv == want
-        assert op.finv is make_op(f, PRODUCT).finv
+        for y in sorted(set(xs) | set(fs)):
+            assert op.finv_pair(_key(y)) == _key(pwfn.eval_fn(g, y)), y
+    op = make_op(f, PRODUCT)
+    keys = [_key(v) for v in fs]
+    for w in fs:
+        assert op.row(_key(w), keys) == [_key(pwfn.eval_fn(g, w * v)) for v in fs], w
 
 
 def test_classify_and_harness_build_the_decomposition_once(f_step, monkeypatch):

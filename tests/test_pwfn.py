@@ -46,7 +46,6 @@ from subnormforge.pwfn import (
     Segment,
     _segment,
     eval_pair,
-    eval_pairs,
     first_arg_above,
 )
 
@@ -583,51 +582,57 @@ def test_eval_kernel_matches_segment_scan(f, big):
                 assert outcome(pair_value, g, x) == want, x
 
 
-def pairs_or_error(fn, g, args):
-    """fn(g, args), or the type and message of the DomainError it raised."""
-    try:
-        return fn(g, args)
-    except DomainError as e:
-        return DomainError, str(e)
+def one_by_one(f, ys, closed):
+    return [pwfn._first_arg(f, yn, yd, closed) for yn, yd in ys]
 
 
-def one_by_one(g, args):
-    return [eval_pair(g, p, q) for p, q in args]
+def value_probes(f):
+    """f's values at its probes, the ends of its value intervals (its
+    range's gap ends among them), and their neighbours within [0,1]."""
+    vs = {eval_fn(f, x) for x in probe_values(f)}
+    vs |= {e for v in f._values for e in (v.lo, v.hi)}
+    return sorted(vs | {v + e for v in vs for e in (-TINY, TINY) if 0 <= v + e <= 1})
 
 
 @settings(max_examples=80, deadline=None)
 @given(f=st.one_of(monotone_fns(), nonincreasing_fns()), seed=st.integers(0, 2 ** 32))
-def test_eval_pairs_matches_eval_pair(f, seed):
-    # every breakpoint with its neighbours and the sixteenths, ascending,
-    # descending, shuffled and repeated, some as unreduced pairs, and then
-    # with an argument outside [0,1] in the middle or at either end
+def test_first_args_matches_first_arg(f, seed):
+    # f's values with their neighbours and the sixteenths, ascending,
+    # descending, shuffled and repeated, some as unreduced pairs, with the
+    # target closed and open: the same pairs as one scan per value
     rng = random.Random(seed)
-    for g in (f, pseudo_inverse(f)):
-        xs = sorted(set(probe_values(g)) | {x + e for x in g.breakpoints()
-                                            for e in (-TINY, TINY) if 0 <= x + e <= 1})
-        up = [(x.numerator, x.denominator) for x in xs]
-        up[1::3] = [(3 * p, 3 * q) for p, q in up[1::3]]
-        shuffled = up[:]
-        rng.shuffle(shuffled)
-        repeated = [k for k in up for _ in range(2)] + up[::-1] + up
-        for args in (up, up[::-1], shuffled, repeated, up[:1], []):
-            assert eval_pairs(g, args) == one_by_one(g, args)
-            for bad in ((-1, 3), (4, 3)):
-                for at in (0, len(args) // 2, len(args)):
-                    wrong = args[:at] + [bad] + args[at:]
-                    got = pairs_or_error(eval_pairs, g, wrong)
-                    assert got == pairs_or_error(one_by_one, g, wrong) == (
-                        DomainError, "argument %s outside [0,1]" % Fraction(*bad))
+    up = [(y.numerator, y.denominator) for y in value_probes(f)]
+    up[1::3] = [(3 * p, 3 * q) for p, q in up[1::3]]
+    shuffled = up[:]
+    rng.shuffle(shuffled)
+    repeated = [k for k in up for _ in range(2)] + up[::-1] + up
+    for closed in (True, False):
+        for ys in (up, up[::-1], shuffled, repeated, up[:1], []):
+            assert pwfn._first_args(f, ys, closed) == one_by_one(f, ys, closed)
 
 
 class _CountingPieces(tuple):
-    """A function's segments that count how often a piece is read."""
+    """A function's value intervals that count how often one is read, by
+    index or by iteration."""
 
     reads = 0
 
     def __getitem__(self, i):
         type(self).reads += 1
         return tuple.__getitem__(self, i)
+
+    def __iter__(self):
+        for v in tuple.__iter__(self):
+            type(self).reads += 1
+            yield v
+
+
+def counted_sweep(f, ys, closed):
+    """_first_args(f, ys, closed), and how many value intervals it read."""
+    _CountingPieces.reads = 0
+    stub = dataclasses.replace(f)
+    stub.__dict__["_values"] = _CountingPieces(f._values)
+    return pwfn._first_args(stub, ys, closed), _CountingPieces.reads
 
 
 @pytest.mark.parametrize("text", [
@@ -636,18 +641,38 @@ class _CountingPieces(tuple):
     "monotone: nonincreasing\nsegment [0,1/3] linear -1 1\nsegment (1/3,2/3] const 1/3\n"
     "segment (2/3,1] linear -1 1\n",
 ], ids=["nondecreasing", "nonincreasing"])
-def test_eval_pairs_takes_one_pass_for_ascending_arguments(text, monkeypatch):
-    # each argument three times, ascending: every piece is read once on the
-    # way up, and each argument's scan reads its own piece once more, so the
-    # repeats, equal to the argument before, start where it ended
+@pytest.mark.parametrize("closed", [True, False])
+def test_first_args_takes_one_pass_for_ascending_values(text, closed, monkeypatch):
+    # each value three times, ascending.  For non-decreasing f every piece
+    # is read once on the way up, and each value's scan reads its own piece
+    # once more, so the repeats, equal to the value before, start where it
+    # ended.  For non-increasing f each scan starts at the first piece, so
+    # the sweep reads what the values' scans read one at a time
     f = parse_fn(text)
-    args = [(k, 12) for k in range(13) for _ in range(3)]
-    pieces = _CountingPieces(f.segments)
+    ys = [(k, 12) for k in range(13) for _ in range(3)]
     monkeypatch.setattr(_CountingPieces, "reads", 0)
-    stub = dataclasses.replace(f)
-    object.__setattr__(stub, "segments", pieces)
-    assert eval_pairs(stub, args) == one_by_one(f, args)
-    assert _CountingPieces.reads <= len(args) + len(f.segments)
+    got, reads = counted_sweep(f, ys, closed)
+    assert got == one_by_one(f, ys, closed)
+    if f.nondecreasing:
+        assert reads <= len(ys) + len(f.segments)
+    else:
+        assert reads == sum(counted_sweep(f, [y], closed)[1] for y in ys) > len(ys)
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=monotone_fns(), extra=st.lists(st.fractions(0, 1, max_denominator=60), max_size=6))
+def test_first_arg_gives_the_pseudo_inverse_side_limits(f, extra):
+    # for non-decreasing f, finv(y) = inf{x : f(x) >= y} is left-continuous,
+    # and its right limit at w is inf{x : f(x) > w}: the scan with the
+    # target closed from the left and open from the right equals the closed
+    # form's one-sided limit, its conventions at 0 and 1 included, at f's
+    # values, its range's gap ends, their neighbours and random rationals
+    g = pseudo_inverse(f)
+    for w in sorted(set(value_probes(f)) | set(extra)):
+        for side in ("left", "right"):
+            got = pwfn._first_arg(f, w.numerator, w.denominator, side == "left")
+            want = pwfn.limit_pair(g, w.numerator, w.denominator, side)[0]
+            assert F(*got) == F(*want), (w, side)
 
 
 def test_eval_open_and_closed_ends():
@@ -721,9 +746,8 @@ def test_pseudo_inverse_builds_without_pointwise_queries(f):
         pseudo_inverse(f)
 
 
-PER_FUNCTION_CACHES = {"_values", "_breakpoints", "_plateau", "_decomposition",
-                       "_pseudo_inverse", "_jumps", "_plateau_pairs", "_search_grids",
-                       "_facts"}
+PER_FUNCTION_CACHES = {"_values", "_breakpoints", "_plateau", "_decomposition", "_jumps",
+                       "_plateau_pairs", "_search_grids", "_facts"}
 
 
 def test_caches_leave_identity_alone(f_step):
@@ -736,7 +760,7 @@ def test_caches_leave_identity_alone(f_step):
     assert (hash(decompose(f_step)), repr(decompose(f_step))) == d_before
     # the pseudo-inverse is validated like any function, which keeps no
     # value intervals on it
-    assert "_values" not in vars(f_step._pseudo_inverse)
+    assert "_values" not in vars(pseudo_inverse(f_step))
     fresh = parse_fn(render_fn(f_step))
     assert not PER_FUNCTION_CACHES & set(vars(fresh))
     assert f_step == fresh

@@ -6,9 +6,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "subnormforge"
 
-# Each is kept because bench/spans.py wraps it by name, and a traced bench
-# run fails when a wrapped name is gone.
-KEPT_FOR_THE_BENCH = ["arg_with_value", "f_at", "finv_at", "first_arg_above",
+# Each is API that bench/spans.py wraps by name, so it is kept: a traced
+# bench run fails when a wrapped name is gone.  pseudo_inverse, the closed
+# form of f's pseudo-inverse, is also the tests' reference for the scan of
+# f's pieces that every operation reads finv by.
+KEPT_FOR_THE_BENCH = ["arg_with_value", "f_at", "finv_at", "first_arg_above", "pseudo_inverse",
                       "pseudo_inverse_at", "side_limit", "t_power", "t_solve_x"]
 
 # The Fraction twins: each builds its result as a Fraction (or an Approx)
